@@ -848,18 +848,18 @@ def _run_symbolic_dets(spec, cfg):
 
 
 def _run_jacobian_independence(spec, cfg):
-    from .torus import jacobian_rank_at
+    from .torus import jacobian, jacobian_rank_at
 
     rng = random.Random(cfg.seed)
     measured, agree = {}, True
     for k in spec.params["k"]:
         per_prime = []
         for p in cfg.primes:
-            gens = over_prime(permanental_ideal(GenericMatrixSpec(k, k + 1)), p)
+            jac = jacobian(over_prime(permanental_ideal(GenericMatrixSpec(k, k + 1)), p))
             ranks = set()
             for _ in range(20):
                 pt = [rng.randrange(p) for _ in range(k * (k + 1))]
-                ranks.add(jacobian_rank_at(gens, pt))
+                ranks.add(jacobian_rank_at(jac, pt))
             per_prime.append(max(ranks))
         agree &= per_prime[0] == per_prime[1]
         measured[str(k)] = per_prime[0]
@@ -867,16 +867,16 @@ def _run_jacobian_independence(spec, cfg):
 
 
 def _run_jacobian_dependence(spec, cfg):
-    from .torus import jacobian_rank_at
+    from .torus import jacobian, jacobian_rank_at
 
     rng = random.Random(cfg.seed)
     per_prime = []
     for p in cfg.primes:
-        gens = over_prime(permanental_ideal(GenericMatrixSpec(2, 5)), p)
+        jac = jacobian(over_prime(permanental_ideal(GenericMatrixSpec(2, 5)), p))
         mx = 0
         for _ in range(50):
             pt = [rng.randrange(p) for _ in range(10)]
-            mx = max(mx, jacobian_rank_at(gens, pt))
+            mx = max(mx, jacobian_rank_at(jac, pt))
         per_prime.append(mx)
     return {"max_rank": per_prime[0], "dependent": per_prime[0] <= 9}, per_prime[0] == per_prime[1]
 

@@ -819,13 +819,15 @@ def radical_membership(
 
 
 def ideal_intersection(I, J, timeout_s: float = DEFAULT_TIMEOUT):
-    """Generators of the intersection, via t*I + (1-t)*J and elimination."""
+    """Generators of the intersection, via t*I + (1-t)*J and elimination.
+
+    A list with no nonzero generator is the zero ideal, so intersecting with
+    it gives ``[]``.
+    """
     I = [g for g in I if g]
     J = [g for g in J if g]
-    if not I:
-        return _interreduce(list(J), J[0].ring) if J else []
-    if not J:
-        return _interreduce(list(I), I[0].ring)
+    if not I or not J:
+        return []
     ring = I[0].ring
     ext = _front_ring(ring)
     t = ext.gen(0)

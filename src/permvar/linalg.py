@@ -6,7 +6,8 @@ variants).  No floating point anywhere.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import index
 
 from .errors import StructuralError
 
@@ -54,68 +55,96 @@ def bareiss_det(rows):
     return sign * a[n - 1][n - 1]
 
 
-def rank(rows):
-    """Rank over the field of fractions, via fraction-free elimination."""
+def _integer_rows(rows):
+    """Each row scaled by the lcm of its denominators: an integer matrix with
+    the same row space over QQ.  Entries must be ints or Fractions."""
+    out = []
+    for r in rows:
+        den = lcm(*[x.denominator for x in r])
+        out.append([index(x.numerator) * (den // x.denominator) for x in r])
+    return out
+
+
+def _clear(a, i, pr, col):
+    """Replace row i by the primitive part of pr[col]*a[i] - a[i][col]*pr."""
+    p, f = pr[col], a[i][col]
+    r = [x * p - f * y for x, y in zip(a[i], pr)]
+    g = gcd(*r)
+    a[i] = [x // g for x in r] if g > 1 else r
+
+
+def _echelon(rows):
+    """Fraction-free forward elimination over ZZ.
+
+    Returns ``(a, pivots)``: the integer rows of ``rows`` (denominators
+    cleared) in row echelon form, row ``r`` leading in column ``pivots[r]``,
+    then zero rows.  The pivot choice (first nonzero row at or below) is the
+    one classical Gauss-Jordan elimination makes.
+    """
     m, n = _dims(rows)
-    a = [list(r) for r in rows]
-    rk = 0
-    row = 0
+    a = _integer_rows(rows)
+    pivots = []
     for col in range(n):
-        piv = None
-        for i in range(row, m):
-            if a[i][col] != 0:
-                piv = i
-                break
+        row = len(pivots)
+        if row == m:
+            break
+        piv = next((i for i in range(row, m) if a[i][col]), None)
         if piv is None:
             continue
         a[row], a[piv] = a[piv], a[row]
-        pr = a[row]
         for i in range(row + 1, m):
-            f = a[i][col]
-            if f == 0:
-                continue
-            p = pr[col]
-            a[i] = [x * p - f * y for x, y in zip(a[i], pr)]
-            g = 0
-            for x in a[i]:
-                g = gcd(g, x) if isinstance(x, int) else 0
-                if g == 1:
-                    break
-            if g > 1:
-                a[i] = [x // g for x in a[i]]
-        row += 1
-        rk += 1
-        if row == m:
-            break
-    return rk
+            if a[i][col]:
+                _clear(a, i, a[row], col)
+        pivots.append(col)
+    return a, pivots
+
+
+def _reduce(a, pivots):
+    """Clear the entries above each pivot of an echelon form, in place.
+
+    Row r then is a nonzero multiple of row r of the reduced row echelon form.
+    """
+    for r in range(len(pivots) - 1, 0, -1):
+        for i in range(r):
+            if a[i][pivots[r]]:
+                _clear(a, i, a[r], pivots[r])
+
+
+def rank(rows):
+    """Rank over the field of fractions, via fraction-free elimination."""
+    return len(_echelon(rows)[1])
+
+
+def rank_kernel(rows):
+    """Rank over QQ and a basis of the right null space, in one elimination.
+
+    The kernel vectors are primitive integer vectors (content 1) whose first
+    nonzero entry is positive, one per free column in increasing order.
+    """
+    a, pivots = _echelon(rows)
+    n = len(a[0]) if a else 0
+    free = [j for j in range(n) if j not in pivots]
+    if free:
+        _reduce(a, pivots)
+    basis = []
+    for f in free:
+        used = [(r, c) for r, c in enumerate(pivots) if a[r][f]]
+        den = lcm(*[a[r][c] for r, c in used])
+        v = [0] * n
+        v[f] = den
+        for r, c in used:
+            v[c] = -a[r][f] * (den // a[r][c])
+        basis.append(_primitive(v))
+    return len(pivots), basis
 
 
 def rref_fraction(rows):
     """Reduced row echelon form over QQ. Returns (rref, pivot_columns)."""
-    m, n = _dims(rows)
-    a = [[Fraction(x) for x in r] for r in rows]
-    pivots = []
-    row = 0
-    for col in range(n):
-        piv = None
-        for i in range(row, m):
-            if a[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = a[row][col]
-        a[row] = [x / inv for x in a[row]]
-        for i in range(m):
-            if i != row and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[row])]
-        pivots.append(col)
-        row += 1
-        if row == m:
-            break
-    return a, pivots
+    a, pivots = _echelon(rows)
+    _reduce(a, pivots)
+    rref = [[Fraction(x, a[r][c]) for x in a[r]] for r, c in enumerate(pivots)]
+    rref.extend([Fraction(0)] * len(r) for r in a[len(pivots):])
+    return rref, pivots
 
 
 def kernel_basis(rows):
@@ -124,29 +153,11 @@ def kernel_basis(rows):
     Each basis vector is scaled to integer entries with content 1 and a
     positive leading (first nonzero) entry sign convention.
     """
-    m, n = _dims(rows)
-    if m == 0:
-        return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
-    a, pivots = rref_fraction(rows)
-    free = [j for j in range(n) if j not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * n
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -a[r][f]
-        basis.append(_primitive(v))
-    return basis
+    return rank_kernel(rows)[1]
 
 
-def _primitive(vec):
-    den = 1
-    for x in vec:
-        den = den * x.denominator // gcd(den, x.denominator)
-    ints = [int(x * den) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+def _primitive(ints):
+    g = gcd(*ints)
     if g > 1:
         ints = [x // g for x in ints]
     for x in ints:
@@ -223,7 +234,13 @@ def det_modp(rows, p):
 
 
 def rank_modp_numpy(mat, p):
-    """Rank of an integer numpy matrix mod p (p below 2**31 so products fit int64)."""
+    """Rank of an integer matrix mod p, eliminating in numpy int64.
+
+    Products of two residues fit int64 only for p below 2**31; larger primes
+    go to :func:`rank_modp`.
+    """
+    if p >= 1 << 31:
+        return rank_modp([[int(x) for x in r] for r in mat], p)
     import numpy as np
 
     a = np.array(mat, dtype=np.int64) % p

@@ -367,11 +367,24 @@ def derivative_matrices(p, mode: str):
             raise StructuralError(f"mode L expects (k-2) x k, got {m}x{n}")
     else:
         raise StructuralError(f"unknown mode {mode!r}")
+    # One column-subset DP over the rows: after r rows, states maps each set
+    # of r used columns to the sum over placements of the entry products.
+    # After all m rows the set missing columns i and j holds entry (i, j).
+    states = {0: 1}
+    for row in p:
+        entries = [(1 << j, x) for j, x in enumerate(row) if x]
+        nxt: dict = {}
+        for mask, val in states.items():
+            for bit, x in entries:
+                if not mask & bit:
+                    key = mask | bit
+                    nxt[key] = nxt.get(key, 0) + val * x
+        states = nxt
+    full = (1 << n) - 1
     out = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            cols = [c for c in range(n) if c != i and c != j]
-            val = perm_numeric([[row[c] for c in cols] for row in p])
+            val = states.get(full ^ (1 << i) ^ (1 << j), 0)
             out[i][j] = val
             out[j][i] = val
     return out

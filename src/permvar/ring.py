@@ -418,7 +418,8 @@ class PolyRing:
 class MPoly:
     """Immutable sparse polynomial; terms sorted descending in the order."""
 
-    __slots__ = ("ring", "terms")
+    # _support: evaluation form of the terms, filled by the first evaluate()
+    __slots__ = ("ring", "terms", "_support")
 
     def __init__(self, ring: PolyRing, terms: tuple):
         self.ring = ring
@@ -714,28 +715,38 @@ class MPoly:
         return self.ring.from_terms({k: c for k, c in self.terms if deg(k) == d})
 
     def evaluate(self, point):
-        """Exact evaluation at a full point (list of scalars)."""
+        """Exact evaluation at a full point (list of scalars).
+
+        The first call compiles the terms into a sparse support
+        ``((coeff, ((var, exp), ...)), ...)`` stored on the polynomial; the
+        polynomial is immutable, so every later call reuses it.
+        """
         n = len(self.universe)
         if len(point) != n:
             raise StructuralError(f"point has length {len(point)}, expected {n}")
+        try:
+            support = self._support
+        except AttributeError:
+            unpack = self.ring.pack.unpack
+            support = self._support = tuple(
+                (c, tuple((i, e) for i, e in enumerate(unpack(k)) if e))
+                for k, c in self.terms
+            )
         dom = self.ring.domain
         point = [dom.coerce(x) for x in point]
-        pack = self.ring.pack
         total = dom.normalize(0)
         if dom.kind == "fp":
             p = dom.modulus
-            for k, c in self.terms:
+            for c, mono in support:
                 v = c
-                for i, e in enumerate(pack.unpack(k)):
-                    if e:
-                        v = v * pow(point[i], e, p) % p
+                for i, e in mono:
+                    v = v * (point[i] if e == 1 else pow(point[i], e, p)) % p
                 total = (total + v) % p
             return total
-        for k, c in self.terms:
+        for c, mono in support:
             v = c
-            for i, e in enumerate(pack.unpack(k)):
-                if e:
-                    v *= point[i] ** e
+            for i, e in mono:
+                v *= point[i] if e == 1 else point[i] ** e
             total += v
         return total
 

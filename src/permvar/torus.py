@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import PreconditionError, StructuralError
 from .permanent import _num_dims, derivative_matrices, perm_numeric
+from .ring import PolyMatrix
 
 
 @dataclass(frozen=True)
@@ -91,8 +92,7 @@ def classify_type(A_p, mode: str, seed: int | None = None) -> TypeReport:
     """Exact rank/corank/kernel of the derived matrix at a probe point."""
     B = derivative_matrices(A_p, mode)
     size = len(B)
-    rank = linalg.rank(B)
-    kernel = linalg.kernel_basis(B)
+    rank, kernel = linalg.rank_kernel(B)
     m, n = _num_dims(A_p)
     return TypeReport(
         shape=(m, n),
@@ -135,18 +135,28 @@ def kernel_extension_check(A_p, q, mode: str) -> bool:
     return True
 
 
+def jacobian(fs) -> PolyMatrix:
+    """The Jacobian of a nonempty polynomial family: row f holds df/dx_i."""
+    nvars = len(fs[0].ring.universe)
+    return PolyMatrix([[f.diff(i) for i in range(nvars)] for f in fs])
+
+
 def jacobian_rank_at(fs, point) -> int:
-    """Exact rank of the Jacobian of a polynomial family at a point."""
-    fs = [f for f in fs]
-    if not fs:
-        return 0
-    ring = fs[0].ring
-    nvars = len(ring.universe)
-    rows = []
-    for f in fs:
-        rows.append([f.diff(i).evaluate(point) for i in range(nvars)])
-    if ring.domain.kind == "fp":
-        return linalg.rank_modp(rows, ring.domain.modulus)
+    """Exact rank of the Jacobian of a polynomial family at a point.
+
+    ``fs`` is the family, or its :func:`jacobian` when one family is probed
+    at many points, so that it is differentiated only once.
+    """
+    jac = fs
+    if not isinstance(jac, PolyMatrix):
+        fs = list(fs)
+        if not fs:
+            return 0
+        jac = jacobian(fs)
+    rows = [[d.evaluate(point) for d in row] for row in jac.rows]
+    domain = jac.ring.domain
+    if domain.kind == "fp":
+        return linalg.rank_modp(rows, domain.modulus)
     return linalg.rank(rows)
 
 
@@ -168,9 +178,7 @@ def tangent_decomposition(p, w: WeightAssignment, gens) -> tuple:
         raise StructuralError("generators do not live on the action's matrix space")
     flat = [x for row in p for x in row]
     nvars = k * n
-    jac = []
-    for f in gens:
-        jac.append([f.diff(i).evaluate(flat) for i in range(nvars)])
+    jac = [[d.evaluate(flat) for d in row] for row in jacobian(gens).rows]
     # weight-0 columns must vanish at a fixed point of these setups
     weight1_cols = [
         (i - 1) * n + j for i in w.rows for j in range(n)

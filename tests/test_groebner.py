@@ -261,6 +261,14 @@ def test_ideal_intersection_examples():
     assert [g.text() for g in same] == [g.text() for g in buchberger(I).gens]
 
 
+def test_intersection_with_zero_ideal_is_zero():
+    R = ring_of("xy")
+    x, y = R.gens()
+    assert ideal_intersection([R.zero], [x]) == []
+    assert ideal_intersection([x, y], [R.zero, R.zero]) == []
+    assert ideal_intersection([], [x]) == []
+
+
 def test_intersection_of_coordinate_ideals():
     R = ring_of("xyz")
     x, y, z = R.gens()

@@ -114,6 +114,19 @@ def test_numpy_rank_matches_pure_python():
         assert linalg.rank_modp_numpy(A, P1) == linalg.rank_modp(A, P1)
 
 
+def test_numpy_rank_falls_back_above_int64_range():
+    # p >= 2**31: residue products overflow int64, so the numpy kernel must
+    # not be used; it gave wrong ranks for these rank-3 matrices
+    p = (1 << 61) - 1
+    rng = random.Random(61)
+    for _ in range(20):
+        left = [[rng.randrange(p) for _ in range(3)] for _ in range(6)]
+        right = [[rng.randrange(p) for _ in range(6)] for _ in range(3)]
+        A = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)] for row in left]
+        assert linalg.rank_modp(A, p) == 3
+        assert linalg.rank_modp_numpy(A, p) == linalg.rank_modp(A, p)
+
+
 def test_solve_consistency():
     A = [[1, 0], [0, 1], [1, 1]]
     assert linalg.solve_is_consistent(A, [1, 2, 3])

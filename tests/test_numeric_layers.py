@@ -1,0 +1,273 @@
+"""Differential tests of the numeric layers against their earlier reference
+implementations, copied here:
+
+- term-by-term evaluation that unpacks every monomial key on each call;
+- classical ``Fraction`` Gauss-Jordan elimination for rank, RREF and kernel;
+- derived sub-permanent matrices from one Ryser permanent per column pair.
+"""
+
+import random
+from fractions import Fraction
+from math import gcd
+
+import pytest
+
+from permvar import linalg
+from permvar.errors import StructuralError
+from permvar.groebner import over_prime
+from permvar.permanent import (
+    GenericMatrixSpec,
+    derivative_matrices,
+    perm_numeric,
+    permanental_ideal,
+)
+from permvar.ring import GF, QQ, ZZ, PolyRing, VarUniverse
+from permvar.torus import jacobian, jacobian_rank_at
+
+P = 2147483647
+
+
+# ---------------------------------------------------------------------------
+# reference implementations
+
+
+def ref_evaluate(f, point):
+    dom = f.ring.domain
+    point = [dom.coerce(x) for x in point]
+    pack = f.ring.pack
+    total = dom.normalize(0)
+    if dom.kind == "fp":
+        p = dom.modulus
+        for k, c in f.terms:
+            v = c
+            for i, e in enumerate(pack.unpack(k)):
+                if e:
+                    v = v * pow(point[i], e, p) % p
+            total = (total + v) % p
+        return total
+    for k, c in f.terms:
+        v = c
+        for i, e in enumerate(pack.unpack(k)):
+            if e:
+                v *= point[i] ** e
+        total += v
+    return total
+
+
+def ref_rref_fraction(rows):
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    a = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    row = 0
+    for col in range(n):
+        piv = None
+        for i in range(row, m):
+            if a[i][col] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        a[row], a[piv] = a[piv], a[row]
+        inv = a[row][col]
+        a[row] = [x / inv for x in a[row]]
+        for i in range(m):
+            if i != row and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[row])]
+        pivots.append(col)
+        row += 1
+        if row == m:
+            break
+    return a, pivots
+
+
+def ref_primitive(vec):
+    den = 1
+    for x in vec:
+        den = den * x.denominator // gcd(den, x.denominator)
+    ints = [int(x * den) for x in vec]
+    g = 0
+    for x in ints:
+        g = gcd(g, x)
+    if g > 1:
+        ints = [x // g for x in ints]
+    for x in ints:
+        if x != 0:
+            if x < 0:
+                ints = [-y for y in ints]
+            break
+    return ints
+
+
+def ref_kernel_basis(rows):
+    m = len(rows)
+    n = len(rows[0]) if m else 0
+    if m == 0:
+        return [[1 if j == i else 0 for j in range(n)] for i in range(n)]
+    a, pivots = ref_rref_fraction(rows)
+    basis = []
+    for f in [j for j in range(n) if j not in pivots]:
+        v = [Fraction(0)] * n
+        v[f] = Fraction(1)
+        for r, c in enumerate(pivots):
+            v[c] = -a[r][f]
+        basis.append(ref_primitive(v))
+    return basis
+
+
+def ref_derivative_matrices(p):
+    n = len(p[0])
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            cols = [c for c in range(n) if c != i and c != j]
+            val = perm_numeric([[row[c] for c in cols] for row in p])
+            out[i][j] = val
+            out[j][i] = val
+    return out
+
+
+# ---------------------------------------------------------------------------
+# evaluation
+
+
+def random_poly(ring, rng, nterms, max_exp, coeff):
+    n = len(ring.universe)
+    mapping = {}
+    for _ in range(nterms):
+        exps = tuple(rng.randint(0, max_exp) for _ in range(n))
+        mapping[exps] = coeff(rng)
+    return ring.from_exp_dict(mapping)
+
+
+@pytest.mark.parametrize(
+    "domain, coeff, scalar",
+    [
+        (ZZ, lambda r: r.randint(-50, 50), lambda r: r.randint(-9, 9)),
+        (QQ, lambda r: Fraction(r.randint(-50, 50), r.randint(1, 7)),
+         lambda r: Fraction(r.randint(-9, 9), r.randint(1, 5))),
+        (GF(P), lambda r: r.randrange(P), lambda r: r.randrange(P)),
+        (GF(101), lambda r: r.randrange(101), lambda r: Fraction(r.randint(-9, 9), 2)),
+    ],
+)
+def test_evaluate_matches_reference(domain, coeff, scalar):
+    rng = random.Random(7)
+    ring = PolyRing(VarUniverse.free(["a", "b", "c", "d"]), domain)
+    for _ in range(40):
+        f = random_poly(ring, rng, rng.randint(0, 12), rng.randint(1, 5), coeff)
+        for _ in range(3):  # the same object, evaluated again
+            pt = [scalar(rng) for _ in range(4)]
+            got = f.evaluate(pt)
+            want = ref_evaluate(f, pt)
+            assert got == want and type(got) is type(want)
+
+
+def test_evaluate_zero_polynomial_and_length_check():
+    for domain in (ZZ, QQ, GF(P)):
+        ring = PolyRing(VarUniverse.free(["x", "y"]), domain)
+        zero = ring.zero
+        for _ in range(2):
+            assert zero.evaluate([3, 4]) == domain.normalize(0)
+            assert type(zero.evaluate([3, 4])) is type(domain.normalize(0))
+        f = ring.gen(0) ** 3 * ring.gen(1) ** 2 + 5
+        assert f.evaluate([2, 3]) == ref_evaluate(f, [2, 3])
+        with pytest.raises(StructuralError):
+            f.evaluate([1, 2, 3])
+        with pytest.raises(StructuralError):
+            f.evaluate([1])
+
+
+# ---------------------------------------------------------------------------
+# one elimination: rank, kernel and RREF
+
+
+def random_matrix(rng, m, n, entry):
+    """Random m x n matrix of low rank, with some zero rows and columns."""
+    r = rng.randint(0, min(m, n))
+    left = [[entry(rng) for _ in range(r)] for _ in range(m)]
+    right = [[entry(rng) for _ in range(n)] for _ in range(r)]
+    A = [[sum((a * b for a, b in zip(row, col)), 0) for col in zip(*right)] for row in left]
+    if r == 0:
+        A = [[0] * n for _ in range(m)]
+    for _ in range(rng.randint(0, 2)):
+        A[rng.randrange(m)] = [0] * n
+    for _ in range(rng.randint(0, 2)):
+        j = rng.randrange(n)
+        for row in A:
+            row[j] = 0
+    rng.shuffle(A)
+    return A
+
+
+ENTRIES = {
+    "int": lambda r: r.randint(-9, 9),
+    "fraction": lambda r: Fraction(r.randint(-9, 9), r.randint(1, 6)),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ENTRIES))
+def test_rank_kernel_matches_fraction_rref(kind):
+    rng = random.Random(2024)
+    entry = ENTRIES[kind]
+    for _ in range(300):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        A = random_matrix(rng, m, n, entry)
+        rref, pivots = ref_rref_fraction(A)
+        kernel = ref_kernel_basis(A)
+        assert linalg.rank_kernel(A) == (len(pivots), kernel)
+        assert linalg.rank(A) == len(pivots)
+        assert linalg.kernel_basis(A) == kernel
+        assert linalg.rref_fraction(A) == (rref, pivots)
+
+
+def test_rank_kernel_extremes():
+    assert linalg.rank_kernel([[0, 0, 0], [0, 0, 0]]) == (0, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+    assert linalg.rank_kernel([[2, 0], [0, -3]]) == (2, [])
+    assert linalg.rank_kernel([[Fraction(1, 2), Fraction(1, 3)]]) == (1, [[2, -3]])
+    assert linalg.rank_kernel([]) == (0, [])
+    identity = [[int(i == j) for j in range(5)] for i in range(5)]
+    assert linalg.rref_fraction(identity) == ref_rref_fraction(identity)
+    with pytest.raises(StructuralError):
+        linalg.rank_kernel([[1, 2], [3]])
+
+
+# ---------------------------------------------------------------------------
+# derived matrices: one column-subset DP against per-pair Ryser
+
+
+@pytest.mark.parametrize("mode", ["B1", "L"])
+def test_derivative_matrices_match_per_pair_ryser(mode):
+    rng = random.Random(99 if mode == "B1" else 100)
+    for m in range(1, 6):
+        for _ in range(30):
+            density = rng.choice([0.3, 0.7, 1.0])
+            A = [
+                [rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(m + 2)]
+                for _ in range(m)
+            ]
+            assert derivative_matrices(A, mode) == ref_derivative_matrices(A)
+    zero = [[0] * 5 for _ in range(3)]
+    assert derivative_matrices(zero, mode) == ref_derivative_matrices(zero)
+
+
+def test_derivative_matrices_fraction_entries():
+    rng = random.Random(5)
+    for _ in range(20):
+        A = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(5)] for _ in range(3)]
+        assert derivative_matrices(A, "B1") == ref_derivative_matrices(A)
+
+
+# ---------------------------------------------------------------------------
+# Jacobian built once per family
+
+
+def test_jacobian_built_once_gives_same_ranks():
+    rng = random.Random(3)
+    p = 32003
+    gens = over_prime(permanental_ideal(GenericMatrixSpec(2, 4)), p)
+    jac = jacobian(gens)
+    assert jac.dims == (len(gens), 8)
+    for _ in range(10):
+        pt = [rng.randrange(p) for _ in range(8)]
+        assert jacobian_rank_at(jac, pt) == jacobian_rank_at(gens, pt)
