@@ -17,6 +17,7 @@ from .groebner import (
     buchberger,
     hilbert_degree,
     ideal_dimension,
+    independent_set,
     load_ideal_file,
     over_prime,
     saturate,
@@ -237,7 +238,7 @@ def _dim_payload(G, cfg) -> dict:
         "seed": cfg.seed,
         "wall_ms": G.stats.get("wall_ms"),
         "basis_size": len(G.gens),
-        "independent_set": list(rep.independent_set),
+        "independent_set": list(independent_set(G)),
     }
     if rep.degree is not None:
         out["degree"] = rep.degree

@@ -18,7 +18,7 @@ from fractions import Fraction
 from importlib import resources
 from itertools import combinations
 
-from . import linalg
+from . import __version__, linalg
 from .config import CliConfig
 from .errors import GroebnerTimeout, PreconditionError, StructuralError
 from .groebner import (
@@ -60,8 +60,6 @@ from .torus import (
     classify_type,
     kernel_extension_check,
 )
-
-__version__ = "0.1.0"
 
 
 @dataclass(frozen=True)
@@ -572,55 +570,6 @@ def radical_equality_sing(k: int, p: int, timeout_s: float = 3600.0) -> dict:
         radical_membership(f, sing, timeout_s=timeout_s, gb=G_sing) for f in inter
     )
     return {"forward": forward, "backward": backward}
-
-
-def sing_locus_suite(k: int, config: CliConfig | None = None, extended: bool = False) -> CaseReport:
-    """Aggregate checks around the singular locus of the permanental
-    hypersurface: the two-zero-row witness space at ``k``, the partition-sum
-    containments at k = 3, 4, the closed-form determinants, and (extended
-    tier) the radical identity at k = 3."""
-    cfg = config or CliConfig()
-    t0 = time.monotonic()
-    measured: dict = {}
-    agree = True
-    measured["witness"] = two_zero_row_witness(k)
-    cont = {}
-    for kk in (3, 4):
-        per_prime = [lemma422_containment(kk, p) for p in cfg.primes]
-        agree &= per_prime[0] == per_prime[1]
-        cont[str(kk)] = per_prime[0]
-    measured["containment"] = cont
-    measured.update(symbolic_determinant_identities())
-    status = "done"
-    if extended:
-        try:
-            res = radical_equality_sing(3, cfg.prime)
-            measured["radical_equality_k3"] = res
-            agree &= res == radical_equality_sing(3, cfg.prime2)
-        except GroebnerTimeout:
-            measured["radical_equality_k3"] = "skipped"
-    expected = {
-        "witness": True,
-        "containment": {"3": True, "4": True},
-        "det_S_h1": True,
-        "det_S_h2": True,
-        "det_Qprime": True,
-    }
-    if extended and measured.get("radical_equality_k3") != "skipped":
-        expected["radical_equality_k3"] = {"forward": True, "backward": True}
-    passed = agree and _matches(measured, expected)
-    return CaseReport(
-        id=f"sing-locus-suite-k{k}",
-        passed=passed,
-        measured=measured,
-        expected=expected,
-        wall_ms=int((time.monotonic() - t0) * 1000),
-        prime_agreement=agree,
-        seed=cfg.seed,
-        primes=cfg.primes,
-        environment=_environment(),
-        status=status,
-    )
 
 
 def symbolic_determinant_identities() -> dict:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
+from itertools import accumulate
 
 from .errors import (
     DomainMismatchError,
@@ -123,27 +124,8 @@ class GroebnerBasis:
             self._cache["lead_ideal"] = got
         return got
 
-    def dimension_report(self):
-        """Dimension data, computed once and cached on the basis."""
-        got = self._cache.get("dimension")
-        if got is None:
-            got = ideal_dimension(self)
-            self._cache["dimension"] = got
-        return got
-
-    def degree(self) -> int:
-        """Hilbert-series degree (homogeneous ideals), cached."""
-        got = self._cache.get("degree")
-        if got is None:
-            got = hilbert_degree(self)
-            self._cache["degree"] = got
-        return got
-
     def is_unit_ideal(self) -> bool:
         return len(self.gens) == 1 and self.gens[0].is_constant() and bool(self.gens[0])
-
-    def contains(self, f: MPoly) -> bool:
-        return normal_form(f, self).is_zero()
 
     def verify(self) -> bool:
         """Re-check that every S-polynomial of basis pairs reduces to zero."""
@@ -434,17 +416,27 @@ class DimensionReport:
     dim: int
     codim: int
     degree: int | None
-    independent_set: tuple
 
 
 def ideal_dimension(G: GroebnerBasis) -> DimensionReport:
-    """Krull dimension of the quotient via maximal independent variable sets."""
+    """Krull dimension and codimension of the quotient, and in dimension 0
+    its degree (the number of standard monomials), from the Hilbert
+    numerator of the leading-term ideal."""
     n = len(G.ring.universe)
     if n > 30:
-        raise PreconditionError("independent-set dimension search capped at 30 variables")
+        raise PreconditionError("lead-ideal invariants capped at 30 variables")
     if G.is_unit_ideal():
         # empty scheme: no degree is reported
-        return DimensionReport(-1, n + 1, None, ())
+        return DimensionReport(-1, n + 1, None)
+    codim, value = _numerator_at_one(G)
+    dim = n - codim
+    return DimensionReport(dim, codim, value if dim == 0 else None)
+
+
+def independent_set(G: GroebnerBasis) -> tuple:
+    """Names of a largest variable set containing no leading-term support;
+    its size is the Krull dimension (empty for the unit ideal)."""
+    n = len(G.ring.universe)
     supports = []
     for exps in G.lead_ideal:
         mask = 0
@@ -452,7 +444,6 @@ def ideal_dimension(G: GroebnerBasis) -> DimensionReport:
             if e:
                 mask |= 1 << i
         supports.append(mask)
-    # independent: no leading-term support lies inside the candidate set
     best = 0
     best_mask = 0
 
@@ -472,59 +463,7 @@ def ideal_dimension(G: GroebnerBasis) -> DimensionReport:
 
     extend(0, 0, 0)
     names = G.ring.universe.names
-    ind = tuple(names[i] for i in range(n) if best_mask >> i & 1)
-    degree = None
-    if best == 0:
-        degree = quotient_degree_from_lead(G)
-    return DimensionReport(best, n - best, degree, ind)
-
-
-def quotient_degree(G: GroebnerBasis) -> int:
-    """Number of standard monomials; only defined for zero-dimensional ideals."""
-    rep = ideal_dimension(G)
-    if rep.dim > 0:
-        raise StructuralError(f"quotient degree needs dimension 0, got {rep.dim}")
-    if G.is_unit_ideal():
-        return 0
-    return quotient_degree_from_lead(G)
-
-
-def quotient_degree_from_lead(G: GroebnerBasis, cap: int = 10**6) -> int:
-    lead = G.lead_ideal
-    n = len(G.ring.universe)
-    # pure-power bounds guarantee a finite box
-    bounds = [None] * n
-    for exps in lead:
-        supp = [i for i, e in enumerate(exps) if e]
-        if len(supp) == 1:
-            i = supp[0]
-            b = exps[i]
-            if bounds[i] is None or b < bounds[i]:
-                bounds[i] = b
-    if any(b is None for b in bounds):
-        raise StructuralError("leading-term ideal is not zero-dimensional")
-
-    count = 0
-
-    def rec(i: int, current: tuple):
-        nonlocal count
-        if i == n:
-            count += 1
-            if count > cap:
-                raise StructuralError("standard monomial count exceeds cap")
-            return
-        for e in range(bounds[i]):
-            cand = current + (e,)
-            if any(
-                all(ge <= ce for ge, ce in zip(g[: i + 1], cand)) and not any(g[i + 1 :])
-                for g in lead
-            ):
-                # a generator supported on the first i+1 variables divides
-                break
-            rec(i + 1, cand)
-
-    rec(0, ())
-    return count
+    return tuple(names[i] for i in range(n) if best_mask >> i & 1)
 
 
 def standard_monomials(G: GroebnerBasis):
@@ -562,8 +501,15 @@ def is_homogeneous_ideal(gens) -> bool:
     return all(g.is_homogeneous() for g in gens)
 
 
-def hilbert_numerator(G: GroebnerBasis):
-    """Coefficients of the numerator N(t) of HS_{R/I} = N(t)/(1-t)^n."""
+def hilbert_numerator(G: GroebnerBasis) -> tuple:
+    """Coefficients of the numerator N(t) of HS_{R/in(I)} = N(t)/(1-t)^n.
+
+    Bigatti's pivot recursion on the leading-term ideal, run once per basis:
+    the result is cached on ``G``.
+    """
+    got = G._cache.get("hilbert_numerator")
+    if got is not None:
+        return got
     gens = [tuple(e) for e in G.lead_ideal]
     memo: dict = {}
 
@@ -584,10 +530,10 @@ def hilbert_numerator(G: GroebnerBasis):
                         out[i + j] += x * y
         return out
 
-    def poly_add(a, b, shift=0, sign=1):
+    def poly_add(a, b, shift):
         out = list(a) + [0] * max(0, shift + len(b) - len(a))
         for j, y in enumerate(b):
-            out[shift + j] += sign * y
+            out[shift + j] += y
         return out
 
     def num(ms):
@@ -627,7 +573,21 @@ def hilbert_numerator(G: GroebnerBasis):
         memo[key] = out
         return out
 
-    return num(minimalize(gens))
+    got = G._cache["hilbert_numerator"] = tuple(num(minimalize(gens)))
+    return got
+
+
+def _numerator_at_one(G: GroebnerBasis):
+    """``(valuation, value)``: how often (1 - t) divides the Hilbert
+    numerator, which is the codimension, and the quotient's value at t = 1,
+    which is the degree."""
+    coeffs = hilbert_numerator(G)
+    valuation = 0
+    while sum(coeffs) == 0:
+        # exact division by (1 - t): the partial sums, the last one being 0
+        coeffs = tuple(accumulate(coeffs))[:-1]
+        valuation += 1
+    return valuation, sum(coeffs)
 
 
 def hilbert_degree(G: GroebnerBasis) -> int:
@@ -636,27 +596,9 @@ def hilbert_degree(G: GroebnerBasis) -> int:
         raise StructuralError("Hilbert-series degree needs a homogeneous ideal")
     if G.is_unit_ideal():
         raise StructuralError("unit ideal has no degree")
-    coeffs = hilbert_numerator(G)
-    divisions = 0
-    while True:
-        if sum(coeffs) != 0:
-            break
-        # exact division by (1 - t)
-        out = [0] * (len(coeffs) - 1)
-        acc = 0
-        for i in range(len(coeffs) - 1):
-            acc += coeffs[i]
-            out[i] = acc
-        coeffs = out if out else [0]
-        divisions += 1
-    value = sum(coeffs)
+    value = _numerator_at_one(G)[1]
     if value <= 0:
         raise StructuralError("Hilbert numerator degenerate; not a proper ideal?")
-    rep = ideal_dimension(G)
-    if divisions != rep.codim:
-        raise StructuralError(
-            f"(1-t)-valuation {divisions} disagrees with codimension {rep.codim}"
-        )
     return value
 
 

@@ -168,13 +168,6 @@ def _primitive(ints):
     return ints
 
 
-def solve_is_consistent(rows, rhs):
-    """Whether ``rows * x = rhs`` has a solution over QQ."""
-    m, n = _dims(rows)
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    return rank(aug) == rank(rows)
-
-
 # ---------------------------------------------------------------------------
 # prime-field versions
 

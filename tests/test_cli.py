@@ -1,10 +1,12 @@
 """Command-line interface: subcommands, exit codes, JSON output stability."""
 
 import json
+import re
 
 import pytest
 
 from permvar.cli import build_parser, main
+from permvar.config import ENV_CONFIG
 from permvar.experiments import case_ids
 
 
@@ -60,7 +62,8 @@ def ideal_file(tmp_path):
     return str(path)
 
 
-def test_gb_dim_degree_pipeline(capsys, ideal_file):
+def test_gb_dim_degree_pipeline(capsys, ideal_file, tmp_path, monkeypatch):
+    monkeypatch.delenv(ENV_CONFIG, raising=False)
     code, out, _ = run(capsys, "gb", "--ideal-file", ideal_file, "--json")
     assert code == 0
     blob = json.loads(out)
@@ -68,13 +71,23 @@ def test_gb_dim_degree_pipeline(capsys, ideal_file):
     assert blob["basis_size"] == 2
     assert blob["prime"] == 2147483647
 
-    code, out, _ = run(capsys, "dim", "--ideal-file", ideal_file, "--json")
-    blob = json.loads(out)
-    assert (blob["dim"], blob["codim"], blob["degree"]) == (0, 2, 4)
-    assert set(blob) >= {"dim", "codim", "prime", "order", "seed", "wall_ms", "basis_size"}
-
-    code, out, _ = run(capsys, "degree", "--ideal-file", ideal_file, "--json")
-    assert json.loads(out)["degree"] == 4
+    # full dim/degree payloads, byte for byte apart from the wall time
+    xy_file = tmp_path / "xy.txt"
+    xy_file.write_text("vars: x y\nx*y\n")
+    tail = '"order": "degrevlex", "prime": 2147483647, "seed": 176856257, "wall_ms": 0}\n'
+    zero_dim = '{"basis_size": 2, "codim": 2, "degree": 4, "dim": 0, "independent_set": [], '
+    expected = {
+        ("dim", ideal_file): zero_dim + tail,
+        ("degree", ideal_file): zero_dim + tail,
+        ("dim", str(xy_file)): '{"basis_size": 1, "codim": 1, "dim": 1, '
+        '"independent_set": ["x"], ' + tail,
+        ("degree", str(xy_file)): '{"basis_size": 1, "codim": 1, "degree": 2, "dim": 1, '
+        '"independent_set": ["x"], ' + tail,
+    }
+    for (command, path), want in expected.items():
+        code, out, _ = run(capsys, command, "--ideal-file", path, "--json")
+        assert code == 0
+        assert re.sub(r'"wall_ms": \d+', '"wall_ms": 0', out) == want
 
 
 def test_saturate_command(capsys, tmp_path):

@@ -16,7 +16,6 @@ from permvar.experiments import (
     homogeneous_dim0_certificate,
     registry,
     reproduce,
-    sing_locus_suite,
     slice_codim_bound,
     symbolic_determinant_identities,
     two_zero_row_witness,
@@ -164,14 +163,6 @@ def test_two_zero_row_witness():
 def test_hankel_syzygy_requires_n4():
     with pytest.raises(PreconditionError):
         hankel_syzygy_identity(3)
-
-
-def test_sing_locus_suite_default_tier():
-    rep = sing_locus_suite(4)
-    assert rep.passed
-    assert rep.measured["witness"] is True
-    assert rep.measured["containment"] == {"3": True, "4": True}
-    assert rep.measured["det_Qprime"] is True
 
 
 def test_dim0_certificate_small():

@@ -9,11 +9,12 @@ from permvar.groebner import (
     buchberger,
     eliminate,
     hilbert_degree,
+    hilbert_numerator,
     ideal_dimension,
     ideal_intersection,
+    independent_set,
     normal_form,
     over_prime,
-    quotient_degree,
     radical_membership,
     saturate,
     standard_monomials,
@@ -129,7 +130,7 @@ def test_dimension_basics():
     rep = ideal_dimension(buchberger([x, y]))
     assert (rep.dim, rep.codim, rep.degree) == (0, 2, 1)
     assert ideal_dimension(buchberger([x * y])).dim == 1
-    assert ideal_dimension(buchberger([x * y])).independent_set in (("x",), ("y",))
+    assert independent_set(buchberger([x * y])) in (("x",), ("y",))
 
 
 def test_dimension_order_independent():
@@ -151,15 +152,53 @@ def test_dimension_order_independent():
             assert d1 == d2
 
 
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
+def test_numerator_invariants_match_independent_sets_and_standard_monomials(order):
+    """Differential check of the Hilbert-numerator invariants: the dimension
+    equals the size of a largest independent variable set, and in dimension
+    0 the degree equals the number of standard monomials."""
+    rng = random.Random(53)
+    seen = {"unit": 0, "dim0": 0, "positive": 0}
+    for nv in range(3, 10):
+        R = ring_of([f"v{i}" for i in range(nv)], domain=GF(P1), order=order)
+        for _ in range(8):
+            gens = []
+            for _ in range(rng.randint(1, 3)):
+                g = R.from_exp_dict({tuple(rng.randint(0, 2) for _ in range(nv)): 1})
+                if rng.random() < 0.6:  # binomial
+                    g = g - R.from_exp_dict({tuple(rng.randint(0, 2) for _ in range(nv)): 1})
+                gens.append(g)
+            if rng.random() < 0.4:  # pure powers of every variable force dimension 0
+                gens.extend(R.gen(i) ** rng.randint(1, 2) for i in range(nv))
+            gens = [g for g in gens if g]
+            if not gens:
+                continue
+            G = buchberger(gens)
+            rep = ideal_dimension(G)
+            if G.is_unit_ideal():
+                seen["unit"] += 1
+                assert (rep.dim, rep.codim, rep.degree) == (-1, nv + 1, None)
+                assert independent_set(G) == ()
+                continue
+            assert rep.dim == len(independent_set(G))
+            assert rep.codim == nv - rep.dim
+            if rep.dim == 0:
+                seen["dim0"] += 1
+                assert rep.degree == len(standard_monomials(G))
+            else:
+                seen["positive"] += 1
+                assert rep.degree is None
+    assert seen["dim0"] >= 5 and seen["positive"] >= 5, seen
+
+
 def test_quotient_degree_examples():
     R = ring_of("xy")
     x, y = R.gens()
-    assert quotient_degree(buchberger([x**2, y**2])) == 4
+    assert ideal_dimension(buchberger([x**2, y**2])).degree == 4
     R1 = ring_of("x")
     (x1,) = R1.gens()
-    assert quotient_degree(buchberger([x1 - 1])) == 1
-    with pytest.raises(StructuralError):
-        quotient_degree(buchberger([x]))  # dimension 1
+    assert ideal_dimension(buchberger([x1 - 1])).degree == 1
+    assert ideal_dimension(buchberger([x])).degree is None  # dimension 1
 
 
 def test_standard_monomials():
@@ -185,9 +224,9 @@ def test_hilbert_degree_twisted_cubic():
     G = buchberger([x * z - y * y, x * w - y * z, y * w - z * z])
     assert ideal_dimension(G).codim == 2
     assert hilbert_degree(G) == 3
-    # cached accessors agree and are stable
-    assert G.dimension_report() is G.dimension_report()
-    assert G.degree() == 3
+    # the numerator is computed once and cached on the basis
+    assert hilbert_numerator(G) is hilbert_numerator(G)
+    assert hilbert_degree(G) == 3
 
 
 def test_hilbert_numerator_matches_standard_monomial_count():
@@ -201,7 +240,7 @@ def test_hilbert_numerator_matches_standard_monomial_count():
         if rng.random() < 0.5:
             gens.append(x * y * z)
         G = buchberger(gens)
-        assert hilbert_degree(G) == quotient_degree(G)
+        assert hilbert_degree(G) == ideal_dimension(G).degree == len(standard_monomials(G))
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +452,6 @@ def test_hilbert_series_matches_direct_monomial_counts():
     """Oracle: expand N(t)/(1-t)^n and compare with brute-force counts of
     standard monomials per degree."""
     from itertools import product
-    from permvar.groebner import hilbert_numerator
 
     rng = random.Random(41)
     nv = 3
@@ -458,7 +496,7 @@ def test_quotient_degree_equals_standard_monomial_count():
     R = ring_of("xyz", domain=GF(P1))
     x, y, z = R.gens()
     G = buchberger([x**2, y**3, z**2, x * y * z])
-    assert quotient_degree(G) == len(standard_monomials(G))
+    assert ideal_dimension(G).degree == len(standard_monomials(G))
 
 
 def test_unit_ideal_input():
@@ -468,7 +506,7 @@ def test_unit_ideal_input():
     assert G.is_unit_ideal()
     rep = ideal_dimension(G)
     assert rep.dim == -1 and rep.degree is None
-    assert quotient_degree(G) == 0  # no standard monomials in the zero ring
+    assert hilbert_numerator(G) == (0,)  # no standard monomials in the zero ring
 
 
 def test_ideal_file_roundtrip(tmp_path):

@@ -125,9 +125,3 @@ def test_numpy_rank_falls_back_above_int64_range():
         A = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)] for row in left]
         assert linalg.rank_modp(A, p) == 3
         assert linalg.rank_modp_numpy(A, p) == linalg.rank_modp(A, p)
-
-
-def test_solve_consistency():
-    A = [[1, 0], [0, 1], [1, 1]]
-    assert linalg.solve_is_consistent(A, [1, 2, 3])
-    assert not linalg.solve_is_consistent(A, [1, 2, 4])
