@@ -1,5 +1,5 @@
 """Command-line surface: permanents, ranks, ideals, Groebner data, torus
-types, slices, the component census and the reproduction suite.
+types, slices and the reproduction suite.
 
 Exit codes: 0 all checks passed, 1 a check or case failed, 2 usage error.
 """
@@ -61,8 +61,8 @@ def _read_matrix(args):
         return matrix_from_json(fh.read())
 
 
-def _read_ideal(path: str, prime: int | None, order_tag: str | None):
-    order = MonomialOrder.from_tag(order_tag or "degrevlex")
+def _read_ideal(path: str, prime: int | None, order_tag: str):
+    order = MonomialOrder.from_tag(order_tag)
     domain = GF(prime) if prime else QQ
     return load_ideal_file(path, domain, order)
 
@@ -82,7 +82,6 @@ def _cfg(args) -> CliConfig:
         order=getattr(args, "order", None),
         seed=getattr(args, "seed", None),
         timeout_s=getattr(args, "timeout_s", None),
-        output="json" if getattr(args, "json", False) else None,
         tier=getattr(args, "tier", None),
     )
 
@@ -97,10 +96,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sp.add_parser("perm", help="permanent of a constant matrix")
     _matrix_arg(p)
     p.add_argument("--method", choices=["ryser", "glynn"], default="ryser")
+    p.set_defaults(run=_run_perm)
     _common_flags(p)
 
     p = sp.add_parser("prk", help="permanental rank of a constant matrix")
     _matrix_arg(p)
+    p.set_defaults(run=_run_prk)
     _common_flags(p)
 
     p = sp.add_parser("ideal", help="ideal constructions")
@@ -113,14 +114,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--pattern", choices=["generic", "hankel2xn", "circulant"], default="generic"
     )
     pg.add_argument("--period", type=int, default=None)
+    pg.set_defaults(run=_run_ideal_gen)
     _common_flags(pg)
 
-    for name, help_ in (
-        ("gb", "reduced Groebner basis of an ideal file"),
-        ("dim", "dimension/codimension report of an ideal file"),
-        ("degree", "Hilbert-series degree of a homogeneous ideal file"),
+    for name, help_, run in (
+        ("gb", "reduced Groebner basis of an ideal file", _run_gb),
+        ("dim", "dimension/codimension report of an ideal file", _run_dim),
+        ("degree", "Hilbert-series degree of a homogeneous ideal file", _run_degree),
     ):
         p = sp.add_parser(name, help=help_)
+        p.set_defaults(run=run)
         p.add_argument("--ideal-file", required=True)
         p.add_argument(
             "--rational", action="store_true",
@@ -134,22 +137,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--by-all-vars", action="store_true", help="saturate by the product of all variables"
     )
+    p.set_defaults(run=_run_saturate)
     _common_flags(p)
 
     p = sp.add_parser("kirkup", help="print a Kirkup matrix")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--verify", action="store_true")
+    p.set_defaults(run=_run_kirkup)
     _common_flags(p)
 
-    for mode, help_ in (("b1", "symmetric sub-permanent matrix, one scaled row"),
-                        ("lp", "symmetric sub-permanent matrix, two scaled rows")):
-        p = sp.add_parser(mode, help=help_)
+    for name, mode, help_ in (("b1", "B1", "symmetric sub-permanent matrix, one scaled row"),
+                              ("lp", "L", "symmetric sub-permanent matrix, two scaled rows")):
+        p = sp.add_parser(name, help=help_)
         _matrix_arg(p)
+        p.set_defaults(run=_run_derived, mode=mode)
         _common_flags(p)
 
     p = sp.add_parser("type", help="corank type report at a probe point")
     _matrix_arg(p)
     p.add_argument("--mode", choices=["B1", "L"], required=True)
+    p.set_defaults(run=_run_type)
     _common_flags(p)
 
     p = sp.add_parser("slice", help="print a slice matrix; optionally its height bound")
@@ -160,10 +167,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--param", type=int, default=None, help="n or k where applicable")
     p.add_argument("--bound", action="store_true", help="compute the codimension bound")
-    _common_flags(p)
-
-    p = sp.add_parser("census", help="component census of the 2xn permanental locus")
-    p.add_argument("--n", type=int, required=True, choices=[3, 4])
+    p.set_defaults(run=_run_slice)
     _common_flags(p)
 
     p = sp.add_parser(
@@ -177,26 +181,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--out", help="append JSON-lines reports to this file")
+    p.set_defaults(run=_run_reproduce)
     _common_flags(p)
 
     return ap
 
 
-def _run_perm(args) -> int:
+def _run_perm(args, cfg) -> int:
     mat = _read_matrix(args)
     val = perm_numeric(mat, args.method)
     _emit(args, {"permanent": str(val), "method": args.method}, [str(val)])
     return 0
 
 
-def _run_prk(args) -> int:
+def _run_prk(args, cfg) -> int:
     mat = _read_matrix(args)
     val = prk(mat)
     _emit(args, {"prk": val}, [str(val)])
     return 0
 
 
-def _run_ideal_gen(args) -> int:
+def _run_ideal_gen(args, cfg) -> int:
     spec = GenericMatrixSpec(args.k, args.n, h=args.h, pattern=args.pattern, period=args.period)
     gens = permanental_ideal(spec)
     _emit(
@@ -209,7 +214,7 @@ def _run_ideal_gen(args) -> int:
 
 def _gb_of_file(args, cfg):
     prime = None if getattr(args, "rational", False) else cfg.prime
-    gens = _read_ideal(args.ideal_file, prime, args.order)
+    gens = _read_ideal(args.ideal_file, prime, cfg.order)
     return buchberger(gens, timeout_s=cfg.timeout_s), gens
 
 
@@ -262,7 +267,7 @@ def _run_degree(args, cfg) -> int:
 
 
 def _run_saturate(args, cfg) -> int:
-    gens = _read_ideal(args.ideal_file, cfg.prime, args.order)
+    gens = _read_ideal(args.ideal_file, cfg.prime, cfg.order)
     ring = gens[0].ring
     if args.by_all_vars:
         f = ring.one
@@ -278,7 +283,7 @@ def _run_saturate(args, cfg) -> int:
     return 0
 
 
-def _run_kirkup(args) -> int:
+def _run_kirkup(args, cfg) -> int:
     K = kirkup_matrix(args.k)
     rows = K.as_lists()
     lines = [" ".join(f"{x:6d}" for x in r) for r in rows]
@@ -296,12 +301,12 @@ def _run_kirkup(args) -> int:
     return 0
 
 
-def _run_derived(args, mode: str) -> int:
+def _run_derived(args, cfg) -> int:
     mat = _read_matrix(args)
-    B = derivative_matrices(mat, mode)
+    B = derivative_matrices(mat, args.mode)
     _emit(
         args,
-        {"mode": mode, "matrix": [[str(x) for x in r] for r in B]},
+        {"mode": args.mode, "matrix": [[str(x) for x in r] for r in B]},
         [" ".join(str(x) for x in r) for r in B],
     )
     return 0
@@ -335,16 +340,6 @@ def _run_slice(args, cfg) -> int:
         lines.append(f"ht {ht} (codimension lower bound {ht})")
     _emit(args, payload, lines)
     return 0
-
-
-def _run_census(args, cfg) -> int:
-    rep = experiments.component_census_2xn(args.n, cfg, timeout_s=cfg.timeout_s)
-    _emit(
-        args,
-        rep.to_json(),
-        [f"{k}: {v}" for k, v in rep.measured.items()] + [f"passed: {rep.passed}"],
-    )
-    return 0 if rep.passed else 1
 
 
 def _run_reproduce(args, cfg) -> int:
@@ -385,38 +380,8 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    cfg = _cfg(args)
     try:
-        if args.command == "perm":
-            return _run_perm(args)
-        if args.command == "prk":
-            return _run_prk(args)
-        if args.command == "ideal":
-            return _run_ideal_gen(args)
-        if args.command == "gb":
-            return _run_gb(args, cfg)
-        if args.command == "dim":
-            return _run_dim(args, cfg)
-        if args.command == "degree":
-            return _run_degree(args, cfg)
-        if args.command == "saturate":
-            return _run_saturate(args, cfg)
-        if args.command == "kirkup":
-            return _run_kirkup(args)
-        if args.command == "b1":
-            return _run_derived(args, "B1")
-        if args.command == "lp":
-            return _run_derived(args, "L")
-        if args.command == "type":
-            return _run_type(args, cfg)
-        if args.command == "slice":
-            return _run_slice(args, cfg)
-        if args.command == "census":
-            return _run_census(args, cfg)
-        if args.command == "reproduce":
-            return _run_reproduce(args, cfg)
-        print(f"unknown command {args.command!r}", file=sys.stderr)
-        return 2
+        return args.run(args, _cfg(args))
     except GroebnerTimeout as e:
         print(f"timeout: {e} (partial stats: {e.stats})", file=sys.stderr)
         return 1

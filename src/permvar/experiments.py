@@ -9,7 +9,6 @@ over the second configured prime, and any disagreement fails the case.
 from __future__ import annotations
 
 import json
-import math
 import random
 import sys
 import time
@@ -36,6 +35,7 @@ from .groebner import (
 from .permanent import (
     GenericMatrixSpec,
     circulant_hankel_matrix,
+    derivative_matrix_symbolic,
     generic_matrix,
     hankel_matrix_2xn,
     kirkup_matrix,
@@ -204,11 +204,9 @@ def _slice_map_for(M_slice: PolyMatrix, k: int, n: int, target: PolyRing | None 
 
 def _component_ideals_2xn(n: int, ring: PolyRing):
     """Row spaces and quadric components of the rank-style description."""
-    comps = []
     row1 = [ring.var(1, j) for j in range(1, n + 1)]
     row2 = [ring.var(2, j) for j in range(1, n + 1)]
-    comps.append(("row1", row1))
-    comps.append(("row2", row2))
+    comps = [row1, row2]
     for a, b in combinations(range(1, n + 1), 2):
         gens = []
         for m in range(1, n + 1):
@@ -216,7 +214,7 @@ def _component_ideals_2xn(n: int, ring: PolyRing):
                 gens.append(ring.var(1, m))
                 gens.append(ring.var(2, m))
         gens.append(ring.var(1, a) * ring.var(2, b) + ring.var(1, b) * ring.var(2, a))
-        comps.append((f"quadric{a}{b}", gens))
+        comps.append(gens)
     return comps
 
 
@@ -233,7 +231,7 @@ def _singular_lines_2xn(n: int):
 
 def _line_in_component(comp_gens, line, n: int) -> bool:
     (i1, j1), (i2, j2) = line
-    span_ring = PolyRing(VarUniverse.free(["s", "u"]), ZZ)
+    span_ring = PolyRing(VarUniverse.free(["s", "u"]), comp_gens[0].ring.domain)
     s, u = span_ring.gens()
     mapping = {}
     for i in (1, 2):
@@ -248,126 +246,77 @@ def _line_in_component(comp_gens, line, n: int) -> bool:
     return all(g.substitute(mapping, target=span_ring).is_zero() for g in comp_gens)
 
 
-def component_census_2xn(n: int, config: CliConfig | None = None, timeout_s: float = 300.0) -> CaseReport:
-    """Verify the component structure of the maximal-permanent locus of a
-    generic 2 x n matrix: component count, radical equality of the
-    intersection with the permanental ideal, and the n^2 singular lines."""
-    if n not in (3, 4):
-        raise PreconditionError("census implemented for n = 3, 4 (intersection cost)")
-    cfg = config or CliConfig()
-    t0 = time.monotonic()
-    gens_z = permanental_ideal(GenericMatrixSpec(2, n))
-    ring_z = gens_z[0].ring
-    comps_z = _component_ideals_2xn(n, ring_z)
-
-    measured: dict = {"components": len(comps_z), "lines": 0}
-    agree = True
-    per_prime: dict = {}
-    for p in cfg.primes:
-        ring_p = PolyRing(ring_z.universe, GF(p), ring_z.order)
-        gens = [g.convert(ring_p) for g in gens_z]
-        G_I = buchberger(gens, timeout_s=timeout_s)
-        comp_gbs = []
-        containment = True
-        for name, cg in comps_z:
-            cgp = [g.convert(ring_p) for g in cg]
-            Gc = buchberger(cgp, timeout_s=timeout_s)
-            comp_gbs.append((name, cgp, Gc))
-            if not all(normal_form(g, Gc).is_zero() for g in gens):
-                containment = False
-        inter = None
-        for name, cgp, _ in comp_gbs:
-            inter = cgp if inter is None else ideal_intersection(inter, cgp, timeout_s=timeout_s)
-        inter_in_rad = all(
-            radical_membership(g, gens, timeout_s=timeout_s, gb=G_I) for g in inter
-        )
-        G_T = buchberger(inter, timeout_s=timeout_s)
-        ideal_in_inter = all(normal_form(g, G_T).is_zero() for g in gens)
-        per_prime[p] = {
-            "containment": containment,
-            "radical_equal": inter_in_rad and ideal_in_inter,
-        }
-    vals = list(per_prime.values())
-    agree = all(v == vals[0] for v in vals)
-    measured["containment"] = vals[0]["containment"]
-    measured["radical_equal"] = vals[0]["radical_equal"]
-
+def _census_2xn(n: int, p: int, timeout_s: float) -> dict:
+    """Component structure over F_p of the maximal-permanent locus of a
+    generic 2 x n matrix: component count, containment of the permanental
+    ideal in each component, radical equality with their intersection, and
+    the n^2 singular lines each lying on at least two components."""
+    gens = over_prime(permanental_ideal(GenericMatrixSpec(2, n)), p)
+    comps = _component_ideals_2xn(n, gens[0].ring)
+    G_I = buchberger(gens, timeout_s=timeout_s)
+    containment = True
+    for cg in comps:
+        Gc = buchberger(cg, timeout_s=timeout_s)
+        if not all(normal_form(g, Gc).is_zero() for g in gens):
+            containment = False
+    inter = comps[0]
+    for cg in comps[1:]:
+        inter = ideal_intersection(inter, cg, timeout_s=timeout_s)
+    inter_in_rad = all(radical_membership(g, gens, timeout_s=timeout_s, gb=G_I) for g in inter)
+    G_T = buchberger(inter, timeout_s=timeout_s)
+    ideal_in_inter = all(normal_form(g, G_T).is_zero() for g in gens)
     lines = _singular_lines_2xn(n)
-    measured["lines"] = len(lines)
-    min_cover = None
-    for line in lines:
-        cover = sum(1 for _, cg in comps_z if _line_in_component(cg, line, n))
-        min_cover = cover if min_cover is None else min(min_cover, cover)
-    measured["min_components_per_line"] = min_cover
-    measured["lines_in_two_components"] = min_cover is not None and min_cover >= 2
-
-    expected = {
-        "components": 2 + math.comb(n, 2),
-        "lines": n * n,
-        "containment": True,
-        "radical_equal": True,
-        "lines_in_two_components": True,
+    min_cover = min(sum(_line_in_component(cg, line, n) for cg in comps) for line in lines)
+    return {
+        "components": len(comps),
+        "lines": len(lines),
+        "containment": containment,
+        "radical_equal": inter_in_rad and ideal_in_inter,
+        "lines_in_two_components": min_cover >= 2,
     }
-    passed = all(measured.get(k) == v for k, v in expected.items()) and agree
-    return CaseReport(
-        id=f"census-2x{n}",
-        passed=passed,
-        measured=measured,
-        expected=expected,
-        wall_ms=int((time.monotonic() - t0) * 1000),
-        prime_agreement=agree,
-        seed=cfg.seed,
-        primes=cfg.primes,
-        environment=_environment(),
-    )
 
 
 # ---------------------------------------------------------------------------
 # section-5 style script cases (Macaulay-matrix zero-dimensionality certificates)
 
 
-def _b1_symbolic(k: int) -> PolyMatrix:
-    """(k+1) x (k+1) symmetric matrix of the maximal-permanent partials with
-    respect to the first-row variables, at a generic point of the fixed locus."""
-    M = generic_matrix(k, k + 1)
-    n = k + 1
-    ring = M.ring
-    rows = [[ring.zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            cols = [c for c in range(n) if c != i and c != j]
-            val = subpermanent(M, range(1, k), cols)
-            rows[i][j] = val
-            rows[j][i] = val
-    return PolyMatrix(rows)
-
-
-def _script_substitution(k: int, A, target: PolyRing):
-    """Column-major substitution of rows 2..k, columns 2..k+1 by linear forms
-    in the first-column variables x_2_1 .. x_k_1."""
-    col_vars = [target.gen(f"x_{r}_1") for r in range(2, k + 1)]
+def _script_slice(k: int, A) -> PolyMatrix:
+    """The (k+1) x (k+1) matrix of sub-permanents omitting two columns of
+    rows 2..k of the generic k x (k+1) matrix (the B1 derived matrix at a
+    generic point of the fixed locus), with rows 2..k, columns 2..k+1
+    replaced column-major by the linear forms ``A`` in x_2_1 .. x_k_1, in
+    the ring of those k - 1 variables."""
+    B1 = derivative_matrix_symbolic(generic_matrix(k, k + 1).submatrix(range(1, k), range(k + 1)))
+    ring = B1.ring
+    keep = [f"x_{r}_1" for r in range(2, k + 1)]
+    col_vars = [ring.gen(nm) for nm in keep]
     mapping = {}
     idx = 0
     for j in range(2, k + 2):
         for i in range(2, k + 1):
-            form = target.zero
+            form = ring.zero
             for r in range(k - 1):
                 c = A[r][idx]
                 if c:
                     form = form + col_vars[r].scale(c)
             mapping[f"x_{i}_{j}"] = form
             idx += 1
-    return mapping
+    small = PolyRing(VarUniverse.free(keep), ZZ)
+    return B1.map(lambda e: transport(e.substitute(mapping), small))
 
 
-def homogeneous_dim0_certificate(gens, p: int, max_degree: int = 60, stall_limit: int = 4):
+def homogeneous_dim0_certificate(
+    gens, p: int, max_degree: int = 60, stall_limit: int = 4, deadline: float | None = None
+):
     """Smallest d with the full degree-d monomial space inside the ideal.
 
     For homogeneous generators in m variables this certifies that the ideal
     is m-primary, i.e. zero-dimensional of codimension m.  Returns d, or
     None when inconclusive: no fill up to max_degree, or the quotient's
     Hilbert function stopped shrinking for ``stall_limit`` straight degrees
-    (the signature of a positive-dimensional component).
+    (the signature of a positive-dimensional component).  ``deadline`` is a
+    ``time.monotonic()`` value checked before each degree; past it the
+    certificate raises GroebnerTimeout.
     """
     gens = [g for g in gens if g]
     if not gens:
@@ -393,6 +342,11 @@ def homogeneous_dim0_certificate(gens, p: int, max_degree: int = 60, stall_limit
     last_deficiency = None
     stalled = 0
     for d in range(start, max_degree + 1):
+        if deadline is not None and time.monotonic() > deadline:
+            raise GroebnerTimeout(
+                f"Macaulay certificate exceeded the wall-clock budget before degree {d}",
+                {"phase": "macaulay", "degree": d, "deficiency": last_deficiency},
+            )
         cols = {mono: i for i, mono in enumerate(monomials(d, m))}
         ncols = len(cols)
         rows = []
@@ -420,34 +374,17 @@ def homogeneous_dim0_certificate(gens, p: int, max_degree: int = 60, stall_limit
     return None
 
 
-def script_case_4x5(config: CliConfig, timeout_s: float = 3600.0) -> dict:
-    """Slice the 5x5 partials matrix of the 4x5 permanental system by a seeded
-    random 3-space; certify that its determinant's singular locus and its
-    4x4-minor locus are both zero-dimensional there."""
-    k = 4
-    rng = random.Random(config.seed)
-    A = [[rng.randint(-9, 9) for _ in range(12)] for _ in range(3)]
-    B1 = _b1_symbolic(k)
-    ring = B1.ring
-    mapping = _script_substitution(k, A, ring)
-    BB = B1.map(lambda e: e.substitute(mapping))
-    keep = [f"x_{r}_1" for r in range(2, k + 1)]
-    small = PolyRing(VarUniverse.free(keep), ZZ)
-    BB_small = BB.map(lambda e: transport(e, small))
-    det = matrix_det(BB_small, symbolic_bound=6)
-    partials = [det.diff(nm) for nm in keep]
-    minors4 = [q for q in matrix_minors(4, BB_small, symbolic_bound=6) if q]
-    out = {}
-    for label, gens in (("sing_codim", partials), ("minors4_codim", minors4)):
-        codims = []
-        for p in config.primes:
-            gp = over_prime(gens, p)
-            d = homogeneous_dim0_certificate(gp, p)
-            codims.append(len(keep) if d is not None else None)
-        out[label] = codims[0]
-        out[f"{label}_prime_agree"] = codims[0] == codims[1] and codims[0] is not None
-    out["seed"] = config.seed
-    return out
+def _certified_codim(gens, primes, deadline):
+    """The codimension the Macaulay certificate gives at each prime (the
+    number of variables, or None when inconclusive), and whether it is
+    conclusive and the same at every prime."""
+
+    def codim(p):
+        d = homogeneous_dim0_certificate(over_prime(gens, p), p, deadline=deadline)
+        return len(gens[0].ring.universe) if d is not None else None
+
+    value, agree = _per_prime(primes, codim)
+    return value, agree and value is not None
 
 
 SCRIPT_5X6_A = [
@@ -456,34 +393,6 @@ SCRIPT_5X6_A = [
     [-2, -2, 1, 2, 3, 0, 0, -3, 2, 2, -3, -3, -1, 2, -3, 2, -2, 3, -2, 2],
     [-3, 0, -3, -1, 1, 2, -1, 2, -3, 2, 1, 0, -3, -1, -1, -3, -2, 3, -1, -3],
 ]
-
-
-def script_case_5x6(config: CliConfig, timeout_s: float = 3600.0) -> dict:
-    """With the explicit integer 4x20 slice matrix, certify that the rank-two
-    locus (3x3 minors) of the sliced 6x6 partials matrix is zero-dimensional."""
-    k = 5
-    B1 = _b1_symbolic(k)
-    ring = B1.ring
-    mapping = _script_substitution(k, SCRIPT_5X6_A, ring)
-    BB = B1.map(lambda e: e.substitute(mapping))
-    keep = [f"x_{r}_1" for r in range(2, k + 1)]
-    small = PolyRing(VarUniverse.free(keep), ZZ)
-    BB_small = BB.map(lambda e: transport(e, small))
-    minors3 = matrix_minors(3, BB_small, symbolic_bound=6)
-    seen, uniq = set(), []
-    for q in minors3:
-        if q and q.terms not in seen:
-            seen.add(q.terms)
-            uniq.append(q)
-    out = {"distinct_minors": len(uniq)}
-    codims = []
-    for p in config.primes:
-        gp = over_prime(uniq, p)
-        d = homogeneous_dim0_certificate(gp, p)
-        codims.append(len(keep) if d is not None else None)
-    out["minors3_codim"] = codims[0]
-    out["prime_agree"] = codims[0] == codims[1] and codims[0] is not None
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -675,57 +584,58 @@ def hankel_syzygy_identity(n: int) -> bool:
 # case runners
 
 
-def _codims_both_primes(gens_z, primes, timeout_s):
-    codims = []
-    for p in primes:
-        G = buchberger(over_prime(gens_z, p), timeout_s=timeout_s)
-        codims.append(ideal_dimension(G).codim)
-    return codims
+def _per_prime(primes, fn):
+    """``fn(p)`` for each prime in order: the value at the first prime, and
+    whether every prime gave the same value."""
+    values = [fn(p) for p in primes]
+    return values[0], all(v == values[0] for v in values[1:])
 
 
-def _run_codim_2xn(spec, cfg):
-    measured, agree = {}, True
-    for n in spec.params["n"]:
-        codims = _codims_both_primes(
-            permanental_ideal(GenericMatrixSpec(2, n)), cfg.primes, spec.timeout_s
-        )
-        agree &= codims[0] == codims[1]
-        measured[str(n)] = codims[0]
-    return {"codim": measured}, agree
+def _distinct(polys):
+    """The nonzero polynomials of ``polys``, each first occurrence in order."""
+    seen, out = set(), []
+    for q in polys:
+        if q and q.terms not in seen:
+            seen.add(q.terms)
+            out.append(q)
+    return out
 
 
-def _run_codim_kxk1(spec, cfg):
-    measured, agree = {}, True
-    for k in spec.params["k"]:
-        codims = _codims_both_primes(
-            permanental_ideal(GenericMatrixSpec(k, k + 1)), cfg.primes, spec.timeout_s
-        )
-        agree &= codims[0] == codims[1]
-        measured[str(k)] = codims[0]
-    return {"codim": measured}, agree
+def _run_codim(param: str, shape):
+    """Codimension of the permanental ideal of the generic matrix of size
+    ``shape(v)`` for each registered value v of ``param``."""
+
+    def run(spec, cfg):
+        measured, agree = {}, True
+        for v in spec.params[param]:
+            gens = permanental_ideal(GenericMatrixSpec(*shape(v)))
+            measured[str(v)], ok = _per_prime(
+                cfg.primes,
+                lambda p: ideal_dimension(
+                    buchberger(over_prime(gens, p), timeout_s=spec.timeout_s)
+                ).codim,
+            )
+            agree &= ok
+        return {"codim": measured}, agree
+
+    return run
 
 
 def _run_census(spec, cfg):
     measured, agree = {}, True
     for n in spec.params["n"]:
-        rep = component_census_2xn(n, cfg, timeout_s=spec.timeout_s)
-        agree &= rep.prime_agreement
-        measured[str(n)] = {
-            "components": rep.measured["components"],
-            "lines": rep.measured["lines"],
-            "containment": rep.measured["containment"],
-            "radical_equal": rep.measured["radical_equal"],
-            "lines_in_two_components": rep.measured["lines_in_two_components"],
-        }
+        measured[str(n)], ok = _per_prime(
+            cfg.primes, lambda p: _census_2xn(n, p, spec.timeout_s)
+        )
+        agree &= ok
     return measured, agree
 
 
 def _run_hankel(spec, cfg):
     measured, agree = {}, True
     for n in spec.params["n"]:
-        per_prime = [hankel_chart_case(n, p, spec.timeout_s) for p in cfg.primes]
-        agree &= per_prime[0] == per_prime[1]
-        r = per_prime[0]
+        r, ok = _per_prime(cfg.primes, lambda p: hankel_chart_case(n, p, spec.timeout_s))
+        agree &= ok
         measured[str(n)] = {
             "dims": [r["dim_xn"], r["dim_x0"]],
             "local_degrees": [r["degree_xn"], r["degree_x0"]],
@@ -739,21 +649,21 @@ def _run_hankel(spec, cfg):
 def _run_slice(kind: str, k: int, n: int):
     def run(spec, cfg):
         M_slice = build_slice(kind)
-        hts = []
-        for p in cfg.primes:
+
+        def height(p):
             target = PolyRing(M_slice.ring.universe, GF(p))
             gens = over_prime(permanental_ideal(GenericMatrixSpec(k, n)), p)
             slice_map = _slice_map_for(M_slice, k, n, target)
-            ht = slice_codim_bound(gens, slice_map, target, timeout_s=spec.timeout_s)
-            hts.append(ht)
-        return {"ht": hts[0], "codim_lower_bound": hts[0]}, hts[0] == hts[1]
+            return slice_codim_bound(gens, slice_map, target, timeout_s=spec.timeout_s)
+
+        ht, agree = _per_prime(cfg.primes, height)
+        return {"ht": ht, "codim_lower_bound": ht}, agree
 
     return run
 
 
 def _run_saturation_j3(spec, cfg):
-    vals = []
-    for p in cfg.primes:
+    def codim_degree(p):
         gens = over_prime(permanental_ideal(GenericMatrixSpec(3, 4)), p)
         ring = gens[0].ring
         prod = ring.one
@@ -761,8 +671,10 @@ def _run_saturation_j3(spec, cfg):
             prod = prod * g
         J = saturate(gens, prod, timeout_s=spec.timeout_s)
         G = buchberger(J, timeout_s=spec.timeout_s)
-        vals.append((ideal_dimension(G).codim, hilbert_degree(G)))
-    return {"codim": vals[0][0], "degree": vals[0][1]}, vals[0] == vals[1]
+        return ideal_dimension(G).codim, hilbert_degree(G)
+
+    (codim, degree), agree = _per_prime(cfg.primes, codim_degree)
+    return {"codim": codim, "degree": degree}, agree
 
 
 def _run_kirkup_vanish(spec, cfg):
@@ -796,64 +708,50 @@ def _run_symbolic_dets(spec, cfg):
     return symbolic_determinant_identities(), True
 
 
-def _run_jacobian_independence(spec, cfg):
+def _max_jacobian_rank(gens, p, rng, points):
+    """Largest Jacobian rank of ``gens`` over F_p at ``points`` random points."""
     from .torus import jacobian, jacobian_rank_at
 
+    jac = jacobian(over_prime(gens, p))
+    nvars = len(gens[0].ring.universe)
+    return max(
+        jacobian_rank_at(jac, [rng.randrange(p) for _ in range(nvars)]) for _ in range(points)
+    )
+
+
+def _run_jacobian_independence(spec, cfg):
     rng = random.Random(cfg.seed)
     measured, agree = {}, True
     for k in spec.params["k"]:
-        per_prime = []
-        for p in cfg.primes:
-            jac = jacobian(over_prime(permanental_ideal(GenericMatrixSpec(k, k + 1)), p))
-            ranks = set()
-            for _ in range(20):
-                pt = [rng.randrange(p) for _ in range(k * (k + 1))]
-                ranks.add(jacobian_rank_at(jac, pt))
-            per_prime.append(max(ranks))
-        agree &= per_prime[0] == per_prime[1]
-        measured[str(k)] = per_prime[0]
+        gens = permanental_ideal(GenericMatrixSpec(k, k + 1))
+        measured[str(k)], ok = _per_prime(
+            cfg.primes, lambda p: _max_jacobian_rank(gens, p, rng, 20)
+        )
+        agree &= ok
     return {"max_rank": measured}, agree
 
 
 def _run_jacobian_dependence(spec, cfg):
-    from .torus import jacobian, jacobian_rank_at
-
     rng = random.Random(cfg.seed)
-    per_prime = []
-    for p in cfg.primes:
-        jac = jacobian(over_prime(permanental_ideal(GenericMatrixSpec(2, 5)), p))
-        mx = 0
-        for _ in range(50):
-            pt = [rng.randrange(p) for _ in range(10)]
-            mx = max(mx, jacobian_rank_at(jac, pt))
-        per_prime.append(mx)
-    return {"max_rank": per_prime[0], "dependent": per_prime[0] <= 9}, per_prime[0] == per_prime[1]
+    gens = permanental_ideal(GenericMatrixSpec(2, 5))
+    mx, agree = _per_prime(cfg.primes, lambda p: _max_jacobian_rank(gens, p, rng, 50))
+    return {"max_rank": mx, "dependent": mx <= 9}, agree
 
 
 def _run_circulant_2x2(spec, cfg):
     measured, agree = {}, True
     for k in spec.params["k"]:
-        per_prime = []
-        for p in cfg.primes:
-            gens = over_prime(
-                permanental_ideal(
-                    GenericMatrixSpec(k, k + 1, h=2, pattern="circulant", period=k + 1)
-                ),
-                p,
-            )
-            seen, uniq = set(), []
-            for g in gens:
-                if g.terms not in seen:
-                    seen.add(g.terms)
-                    uniq.append(g)
-            G = buchberger(uniq, timeout_s=spec.timeout_s)
-            ring = uniq[0].ring
-            member = all(
-                normal_form(ring.gen(j) ** 2, G).is_zero() for j in range(k + 1)
-            )
-            per_prime.append({"codim": ideal_dimension(G).codim, "squares_in_ideal": member})
-        agree &= per_prime[0] == per_prime[1]
-        measured[str(k)] = per_prime[0]
+        pattern = GenericMatrixSpec(k, k + 1, h=2, pattern="circulant", period=k + 1)
+
+        def codim_squares(p):
+            gens = _distinct(over_prime(permanental_ideal(pattern), p))
+            G = buchberger(gens, timeout_s=spec.timeout_s)
+            ring = gens[0].ring
+            member = all(normal_form(ring.gen(j) ** 2, G).is_zero() for j in range(k + 1))
+            return {"codim": ideal_dimension(G).codim, "squares_in_ideal": member}
+
+        measured[str(k)], ok = _per_prime(cfg.primes, codim_squares)
+        agree &= ok
     return measured, agree
 
 
@@ -933,33 +831,46 @@ def _run_sing_witness(spec, cfg):
 def _run_lemma422(spec, cfg):
     measured, agree = {}, True
     for k in spec.params["k"]:
-        per_prime = [lemma422_containment(k, p, spec.timeout_s) for p in cfg.primes]
-        agree &= per_prime[0] == per_prime[1]
-        measured[str(k)] = per_prime[0]
+        measured[str(k)], ok = _per_prime(
+            cfg.primes, lambda p: lemma422_containment(k, p, spec.timeout_s)
+        )
+        agree &= ok
     return {"containment": measured}, agree
 
 
 def _run_radical_eq_sing(spec, cfg):
-    res = radical_equality_sing(3, cfg.prime, spec.timeout_s)
-    res2 = radical_equality_sing(3, cfg.prime2, spec.timeout_s)
-    return res, res == res2
+    return _per_prime(cfg.primes, lambda p: radical_equality_sing(3, p, spec.timeout_s))
 
 
 def _run_script_4x5(spec, cfg):
-    out = script_case_4x5(cfg, spec.timeout_s)
-    agree = out.pop("sing_codim_prime_agree") and out.pop("minors4_codim_prime_agree")
-    return out, agree
+    """Slice the 5x5 partials matrix of the 4x5 permanental system by a seeded
+    random 3-space; certify that its determinant's singular locus and its
+    4x4-minor locus are both zero-dimensional there."""
+    deadline = time.monotonic() + spec.timeout_s
+    rng = random.Random(cfg.seed)
+    A = [[rng.randint(-9, 9) for _ in range(12)] for _ in range(3)]
+    BB = _script_slice(4, A)
+    det = matrix_det(BB, symbolic_bound=6)
+    partials = [det.diff(nm) for nm in BB.ring.universe.names]
+    minors4 = [q for q in matrix_minors(4, BB, symbolic_bound=6) if q]
+    sing_codim, sing_agree = _certified_codim(partials, cfg.primes, deadline)
+    minors4_codim, minors4_agree = _certified_codim(minors4, cfg.primes, deadline)
+    measured = {"sing_codim": sing_codim, "minors4_codim": minors4_codim, "seed": cfg.seed}
+    return measured, sing_agree and minors4_agree
 
 
 def _run_script_5x6(spec, cfg):
-    out = script_case_5x6(cfg, spec.timeout_s)
-    agree = out.pop("prime_agree")
-    return out, agree
+    """With the explicit integer 4x20 slice matrix, certify that the rank-two
+    locus (3x3 minors) of the sliced 6x6 partials matrix is zero-dimensional."""
+    deadline = time.monotonic() + spec.timeout_s
+    minors3 = _distinct(matrix_minors(3, _script_slice(5, SCRIPT_5X6_A), symbolic_bound=6))
+    codim, agree = _certified_codim(minors3, cfg.primes, deadline)
+    return {"distinct_minors": len(minors3), "minors3_codim": codim}, agree
 
 
 _RUNNERS = {
-    "codim-2xn": _run_codim_2xn,
-    "codim-kxk1": _run_codim_kxk1,
+    "codim-2xn": _run_codim("n", lambda n: (2, n)),
+    "codim-kxk1": _run_codim("k", lambda k: (k, k + 1)),
     "census-2xn": _run_census,
     "hankel-degree8": _run_hankel,
     "slice-circulant3": _run_slice("circulant3", 3, 4),

@@ -638,18 +638,13 @@ def _strip_aux(polys, ring: PolyRing):
     return [transport(p, ring) for p in polys]
 
 
-def saturate(
-    gens,
-    f: MPoly,
-    timeout_s: float = DEFAULT_TIMEOUT,
-    strategy: str = "auto",
-):
+def saturate(gens, f: MPoly, timeout_s: float = DEFAULT_TIMEOUT):
     """Generators of I : f^infinity.
 
     A product of variables is saturated variable by variable.  Single
     variables use the degrevlex divide-through shortcut when the ideal is
-    homogeneous ("divide"), else one auxiliary variable t and elimination of
-    the Rabinowitsch relation 1 - t*f ("rabinowitsch").
+    homogeneous, else one auxiliary variable t and elimination of the
+    Rabinowitsch relation 1 - t*f.
     """
     gens = [g for g in gens if g]
     if not gens:
@@ -670,24 +665,17 @@ def saturate(
         if var_list:
             current = gens
             for i in var_list:
-                current = _saturate_one_var(current, i, budget(), strategy)
+                current = _saturate_one_var(current, i, budget())
                 if len(current) == 1 and current[0].is_constant():
                     break
             return list(buchberger(current, timeout_s=budget()).gens)
     return _saturate_general(gens, f, budget())
 
 
-def _saturate_one_var(gens, var_index: int, timeout_s: float, strategy: str):
-    ring = gens[0].ring
-    if strategy == "rabinowitsch":
-        return _saturate_general(gens, ring.gen(var_index), timeout_s)
-    if strategy in ("auto", "divide"):
-        if is_homogeneous_ideal(gens):
-            return _saturate_divide(gens, var_index, timeout_s)
-        if strategy == "divide":
-            raise PreconditionError("divide strategy needs a homogeneous ideal")
-        return _saturate_general(gens, ring.gen(var_index), timeout_s)
-    raise StructuralError(f"unknown saturation strategy {strategy!r}")
+def _saturate_one_var(gens, var_index: int, timeout_s: float):
+    if is_homogeneous_ideal(gens):
+        return _saturate_divide(gens, var_index, timeout_s)
+    return _saturate_general(gens, gens[0].ring.gen(var_index), timeout_s)
 
 
 def _saturate_divide(gens, var_index: int, timeout_s: float):

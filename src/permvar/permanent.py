@@ -406,69 +406,29 @@ def derivative_matrix_symbolic(M: PolyMatrix, bound: int = SYMBOLIC_PERM_BOUND) 
     return PolyMatrix(rows)
 
 
-def perm_partial_matrices(k: int, domain=ZZ):
-    """The per-row-variable partials of the maximal permanents of the
-    generic k x (k+1) matrix, as a nested lookup.
-
-    partials[l][i][j] = d perm_j / d x_{l+1, i+1}: the (k-1) x (k-1)
-    permanent of the generic matrix omitting row l and columns i and j
-    (zero when i = j).  All indices 0-based.
-    """
-    M = generic_matrix(k, k + 1, domain)
-    ring = M.ring
-    n = k + 1
-    out = []
-    for ell in range(k):
-        rows_kept = [r for r in range(k) if r != ell]
-        grid = [[ring.zero] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                cols = [c for c in range(n) if c != i and c != j]
-                grid[i][j] = subpermanent(M, rows_kept, cols)
-        out.append(grid)
-    return out
-
-
 def kirkup_generators(k: int, domain=ZZ, bound: int = 4):
     """Determinantal members of the nondegenerate permanental ideal.
 
-    Returns (f_list, g_list): f_j is the determinant of the partials matrix
-    A_j with its zero column removed (j = 1..k+1), and g_l the determinant of
-    the symmetric matrix B_l (l = 1..k).
+    B_l is the derived matrix of the generic k x (k+1) matrix with row l
+    deleted: its entry (i, j) is the partial of the maximal permanent
+    omitting column j with respect to x_{l,i}.  Returns (f_list, g_list):
+    f_j is the determinant of the partials matrix A_j (row l taken from
+    column j of B_l) with its zero column removed (j = 1..k+1), and g_l the
+    determinant of B_l (l = 1..k).
     """
     if k < 3:
         raise PreconditionError("needs k >= 3")
     if k > bound:
         raise CapacityError(f"symbolic generators for k={k} exceed bound {bound}")
-    partials = perm_partial_matrices(k, domain)
+    M = generic_matrix(k, k + 1, domain)
     n = k + 1
+    B = [
+        derivative_matrix_symbolic(M.submatrix([r for r in range(k) if r != ell], range(n)))
+        for ell in range(k)
+    ]
     f_list = []
     for j in range(n):
-        # A_j rows l = 1..k, columns i = 1..k+1; its column j is zero
-        rows = [[partials[ell][i][j] for i in range(n) if i != j] for ell in range(k)]
+        rows = [[B[ell][i, j] for i in range(n) if i != j] for ell in range(k)]
         f_list.append(matrix_det(PolyMatrix(rows)))
-    g_list = []
-    for ell in range(k):
-        rows = [[partials[ell][i][j] for j in range(n)] for i in range(n)]
-        g_list.append(matrix_det(PolyMatrix(rows)))
+    g_list = [matrix_det(B[ell]) for ell in range(k)]
     return f_list, g_list
-
-
-def partials_matrix_A(k: int, j: int, domain=ZZ) -> PolyMatrix:
-    """The k x (k+1) matrix of partials of perm_j (1-based j); column j is zero."""
-    partials = perm_partial_matrices(k, domain)
-    n = k + 1
-    return PolyMatrix(
-        [[partials[ell][i][j - 1] for i in range(n)] for ell in range(k)]
-    )
-
-
-def partials_matrix_B(k: int, ell: int, domain=ZZ) -> PolyMatrix:
-    """The symmetric (k+1) x (k+1) matrix of partials along row ell (1-based)."""
-    partials = perm_partial_matrices(k, domain)
-    n = k + 1
-    return PolyMatrix(
-        [[partials[ell - 1][i][j] for j in range(n)] for i in range(n)]
-    )

@@ -136,10 +136,10 @@ def test_slice_with_bound(capsys):
 
 
 def test_census(capsys):
-    code, out, _ = run(capsys, "census", "--n", "3", "--json")
+    code, out, _ = run(capsys, "reproduce", "census-2xn", "--n", "3", "--json")
     assert code == 0
     blob = json.loads(out)
-    assert blob["passed"] is True and blob["measured"]["components"] == 5
+    assert blob["passed"] is True and blob["measured"]["3"]["components"] == 5
 
 
 def test_reproduce_case_and_overrides(capsys):
@@ -182,6 +182,34 @@ def test_env_config_file(tmp_path, monkeypatch):
     # explicit overrides beat the file
     cfg2 = load_config(seed=9)
     assert cfg2.seed == 9 and cfg2.prime == 65537
+
+
+def test_repeated_or_composite_prime_refused(capsys):
+    """A repeated prime would make the two-prime agreement check vacuous."""
+    code, out, err = run(
+        capsys, "reproduce", "codim-2xn", "--prime", "65537", "--prime2", "65537"
+    )
+    assert code == 2 and out == "" and err.startswith("error:")
+    code, out, err = run(capsys, "perm", "--matrix", "[[1]]", "--prime", "4")
+    assert code == 2 and out == "" and err.startswith("error:")
+    code, _, err = run(capsys, "perm", "--matrix", "[[1]]", "--prime2", "1")
+    assert code == 2 and err.startswith("error:")
+
+
+def test_env_config_order_and_primes(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "i.txt"
+    path.write_text("vars: x y\nx^2 - y\n")
+    cfg_path = tmp_path / "cfg.json"
+    monkeypatch.setenv(ENV_CONFIG, str(cfg_path))
+    cfg_path.write_text(json.dumps({"order": "lex"}))
+    code, out, _ = run(capsys, "gb", "--ideal-file", str(path), "--json")
+    assert code == 0 and json.loads(out)["order"] == "lex"
+    # an explicit flag still beats the file
+    code, out, _ = run(capsys, "gb", "--ideal-file", str(path), "--json", "--order", "degrevlex")
+    assert code == 0 and json.loads(out)["order"] == "degrevlex"
+    cfg_path.write_text(json.dumps({"prime2": 2147483647}))
+    code, _, err = run(capsys, "gb", "--ideal-file", str(path))
+    assert code == 2 and err.startswith("error:")
 
 
 def test_help_lists_case_ids():

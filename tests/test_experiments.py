@@ -8,10 +8,11 @@ from permvar.config import CliConfig
 from permvar.errors import PreconditionError, StructuralError
 from permvar.experiments import (
     _RUNNERS,
+    _certified_codim,
+    _per_prime,
     append_report,
     build_slice,
     case_ids,
-    component_census_2xn,
     hankel_syzygy_identity,
     homogeneous_dim0_certificate,
     registry,
@@ -138,16 +139,45 @@ def test_identity_slice_gives_plain_codim():
 
 
 def test_component_census_n3():
-    rep = component_census_2xn(3)
-    assert rep.passed
-    assert rep.measured["components"] == 5
-    assert rep.measured["lines"] == 9
-    assert rep.measured["min_components_per_line"] >= 2
+    rep = reproduce("census-2xn", n=3)
+    assert rep.passed and rep.prime_agreement
+    assert rep.measured == {
+        "3": {
+            "components": 5,
+            "lines": 9,
+            "containment": True,
+            "radical_equal": True,
+            "lines_in_two_components": True,
+        }
+    }
 
 
 def test_census_rejects_big_n():
-    with pytest.raises(PreconditionError):
-        component_census_2xn(6)
+    with pytest.raises(StructuralError):
+        reproduce("census-2xn", n=6)
+
+
+def test_per_prime_calls_in_order_and_compares():
+    calls = []
+
+    def fn(p):
+        calls.append(p)
+        return p % 4
+
+    assert _per_prime((5, 13), fn) == (1, True)
+    assert _per_prime((5, 7), fn) == (1, False)
+    assert calls == [5, 13, 5, 7]
+
+
+def test_inconclusive_certificate_is_no_agreement():
+    """Two inconclusive certificates agree on None, but certify nothing."""
+    from permvar.ring import QQ, VarUniverse
+
+    R = PolyRing(VarUniverse.free(["x", "y"]), QQ)
+    x, y = R.gens()
+    primes = (2147483647, 1073741789)
+    assert _certified_codim([x**2, x * y, y**3], primes, None) == (2, True)
+    assert _certified_codim([x**2], primes, None) == (None, False)
 
 
 def test_symbolic_determinant_identities():
@@ -175,6 +205,21 @@ def test_dim0_certificate_small():
     assert homogeneous_dim0_certificate(gens, p) == 3
     gens2 = over_prime([x**2], p)  # not zero-dimensional
     assert homogeneous_dim0_certificate(gens2, p, max_degree=8) is None
+
+
+def test_dim0_certificate_honours_deadline():
+    import time
+
+    from permvar.errors import GroebnerTimeout
+    from permvar.ring import QQ, VarUniverse
+
+    R = PolyRing(VarUniverse.free(["x", "y"]), QQ)
+    x, y = R.gens()
+    p = 2147483647
+    gens = over_prime([x**2, x * y, y**3], p)
+    with pytest.raises(GroebnerTimeout) as err:
+        homogeneous_dim0_certificate(gens, p, deadline=time.monotonic() - 1.0)
+    assert err.value.stats["phase"] == "macaulay"
 
 
 def test_reproduce_all_default_tier_skips_extended():

@@ -13,10 +13,7 @@ SRC = Path(permvar.__file__).parent
 PAPER_HELPER = "paper-facing helper awaiting the ROADMAP audit: a registered case or deletion"
 
 ALLOWED = {
-    "permanent.derivative_matrix_symbolic": PAPER_HELPER,
     "permanent.kirkup_generators": PAPER_HELPER,
-    "permanent.partials_matrix_A": PAPER_HELPER,
-    "permanent.partials_matrix_B": PAPER_HELPER,
     "torus.generic_rank": PAPER_HELPER,
     "torus.limit_map": PAPER_HELPER,
     "torus.tangent_decomposition": PAPER_HELPER,

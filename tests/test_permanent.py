@@ -19,13 +19,12 @@ from permvar.permanent import (
     kirkup_matrix,
     matrix_from_json,
     matrix_to_json,
-    partials_matrix_A,
-    partials_matrix_B,
     perm_numeric,
     perm_symbolic,
     permanental_ideal,
     prk,
 )
+from permvar.ring import matrix_det
 
 
 def naive_perm(mat):
@@ -297,15 +296,14 @@ def test_derivative_matrix_symbolic_matches_numeric():
 def test_kirkup_generators_structure():
     fs, gs = kirkup_generators(3)
     assert len(fs) == 4 and len(gs) == 3
-    # A_j has a zero column j
-    for j in (1, 4):
-        A = partials_matrix_A(3, j)
-        assert all(A[l, j - 1].is_zero() for l in range(3))
-    # B_l is symmetric
-    B = partials_matrix_B(3, 1)
+    # B_1 is the derived matrix of the generic 3x4 matrix without row 1: it is
+    # symmetric with a zero diagonal (so each A_j has a zero column j)
+    B = derivative_matrix_symbolic(generic_matrix(3, 4).submatrix([1, 2], range(4)))
     for i in range(4):
+        assert B[i, i].is_zero()
         for j in range(4):
             assert B[i, j] == B[j, i]
+    assert gs[0] == matrix_det(B)
 
 
 def test_kirkup_generators_vanish_at_kirkup_matrix():
@@ -321,12 +319,12 @@ def test_kirkup_generators_capacity():
 
 
 def test_partials_matrix_entries_are_generator_derivatives():
-    """Cross-check the Laplace construction: the row-one partials matrix must
-    equal the literal derivatives of the maximal-permanent generators."""
+    """Cross-check the derived matrix: for the generic k x (k+1) matrix with
+    row one deleted it must equal the literal row-one derivatives of the
+    maximal-permanent generators."""
     k = 3
     gens = permanental_ideal(GenericMatrixSpec(k, k + 1))
-    ring = gens[0].ring
-    B = partials_matrix_B(k, 1)
+    B = derivative_matrix_symbolic(generic_matrix(k, k + 1).submatrix(range(1, k), range(k + 1)))
     for j in range(1, k + 2):
         # colex generator ordering: position m omits column k+1-m
         perm_j = gens[k + 1 - j]
