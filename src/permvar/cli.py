@@ -343,7 +343,11 @@ def _run_slice(args, cfg) -> int:
 
 
 def _run_reproduce(args, cfg) -> int:
+    if args.timeout_s is not None:
+        raise StructuralError("reproduce runs each case under its registered budget; drop --timeout")
     if args.case == "all":
+        if args.n is not None or args.k is not None:
+            raise StructuralError("--n and --k narrow one case, not 'all'")
         reports = experiments.reproduce_all(cfg, tier=cfg.tier)
     else:
         spec = experiments.registry().get(args.case)

@@ -906,11 +906,12 @@ def reproduce(case_id: str, config: CliConfig | None = None, **overrides) -> Cas
     for key, val in overrides.items():
         if val is None:
             continue
-        if key in params and isinstance(params[key], list):
-            if val not in params[key]:
-                raise StructuralError(f"{key}={val} outside registered range {params[key]}")
-            params[key] = [val]
-            expected = _restrict_expected(expected, str(val))
+        if not isinstance(params.get(key), list):
+            raise StructuralError(f"case {case_id} has no parameter {key} to narrow")
+        if val not in params[key]:
+            raise StructuralError(f"{key}={val} outside registered range {params[key]}")
+        params[key] = [val]
+        expected = _restrict_expected(expected, str(val))
     spec = CaseSpec(
         spec.id, spec.claim, spec.tier, spec.provenance, params, expected, spec.timeout_s
     )

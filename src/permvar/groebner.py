@@ -131,10 +131,11 @@ class GroebnerBasis:
         """Re-check that every S-polynomial of basis pairs reduces to zero."""
         pack = self.ring.pack
         gens = self.gens
+        reducers = [(g.lead_key(), g.terms) for g in gens if g]
         for i in range(len(gens)):
             for j in range(i + 1, len(gens)):
-                s = _spoly(gens[i], gens[j], pack)
-                if not _reduce_mpoly(s, gens).is_zero():
+                l = pack.lcm(gens[i].lead_key(), gens[j].lead_key())
+                if _reduce_terms(_spoly(gens[i], gens[j], l, pack), reducers, self.ring):
                     return False
         return True
 
@@ -145,13 +146,12 @@ class GroebnerBasis:
         return len(self.gens)
 
 
-def _spoly(f: MPoly, g: MPoly, pack) -> MPoly:
-    l = pack.lcm(f.lead_key(), g.lead_key())
+def _spoly(f: MPoly, g: MPoly, l: int, pack) -> dict:
+    """Terms of the S-polynomial of f and g, whose leading keys have lcm ``l``."""
     uf = pack.quotient(l, f.lead_key())
     ug = pack.quotient(l, g.lead_key())
-    ring = f.ring
     off = pack.offset
-    dom = ring.domain
+    dom = f.ring.domain
     acc = {}
     if dom.kind == "fp":
         p = dom.modulus
@@ -178,7 +178,7 @@ def _spoly(f: MPoly, g: MPoly, pack) -> MPoly:
                 acc[kk] = v
             elif kk in acc:
                 del acc[kk]
-    return ring.from_terms(acc)
+    return acc
 
 
 def _reduce_terms(work: dict, reducers, ring, deadline: float | None = None):
@@ -188,8 +188,7 @@ def _reduce_terms(work: dict, reducers, ring, deadline: float | None = None):
     form as a dict.  Specializes the coefficient arithmetic per domain.
     """
     pack = ring.pack
-    divides = pack.divides
-    off = pack.offset
+    gl, gh, guard, low = pack._guard_low, pack._guard_high, pack.guard, pack._low_mask
     dom = ring.domain
     modp = dom.kind == "fp"
     p = dom.modulus if modp else None
@@ -198,22 +197,21 @@ def _reduce_terms(work: dict, reducers, ring, deadline: float | None = None):
     heapify(heap)
     steps = 0
     while heap:
-        steps += 1
-        if deadline is not None and steps % 1024 == 0 and time.monotonic() > deadline:
+        if deadline is not None and steps & 1023 == 0 and time.monotonic() > deadline:
             raise GroebnerTimeout("reduction exceeded the wall-clock budget")
+        steps += 1
         k = -heappop(heap)
         c = work.pop(k, None)
         if c is None:
             continue
-        hit = None
+        k_high = k | low | gh
         for lt, terms in reducers:
-            if lt <= k and divides(lt, k):
-                hit = (lt, terms)
+            # pack.divides(lt, k), inlined
+            if lt <= k and (((lt | gl) - k) & gl | (k_high - lt) & gh) == guard:
                 break
-        if hit is None:
+        else:
             out[k] = c
             continue
-        lt, terms = hit
         shift = k - lt
         if modp:
             for kk, cc in terms[1:]:
@@ -238,17 +236,12 @@ def _reduce_terms(work: dict, reducers, ring, deadline: float | None = None):
     return out
 
 
-def _reduce_mpoly(f: MPoly, basis) -> MPoly:
-    reducers = [(g.lead_key(), g.terms) for g in basis if g]
-    res = _reduce_terms(dict(f.terms), reducers, f.ring)
-    return f.ring.from_terms(res)
-
-
 def normal_form(f: MPoly, G: GroebnerBasis) -> MPoly:
     """Unique remainder of f modulo a Groebner basis; zero iff f is in the ideal."""
     if f.ring is not G.ring:
         f = transport(f, G.ring)
-    return _reduce_mpoly(f, G.gens)
+    reducers = [(g.lead_key(), g.terms) for g in G.gens if g]
+    return f.ring.from_terms(_reduce_terms(dict(f.terms), reducers, f.ring))
 
 
 def buchberger(
@@ -258,8 +251,9 @@ def buchberger(
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
-    Deterministic for a fixed input list.  Raises GroebnerTimeout (carrying
-    partial statistics) if the wall-clock budget is exhausted.
+    Deterministic for a fixed input list.  Raises GroebnerTimeout if the
+    wall-clock budget is exhausted, carrying the statistics so far and the
+    phase it stopped in (``"pairs"`` or ``"interreduce"``).
     """
     gens = [g for g in gens if g is not None]
     if not gens:
@@ -274,13 +268,15 @@ def buchberger(
         if g.ring is not ring:
             raise DomainMismatchError("generators live in different rings")
     pack = ring.pack
-    deg = pack.degree
+    divides, unpack = pack.divides, pack.unpack
     t0 = time.monotonic()
     deadline = t0 + timeout_s
 
     basis: list[MPoly] = []
     lts: list[int] = []
-    sugars: list[int] = []
+    exps: list[tuple] = []  # exponent vectors of the leading terms
+    supports: list[int] = []  # their variable supports, as bitmasks
+    excess: list[int] = []  # sugar minus leading degree
     alive: list[bool] = []
     pair_meta: dict = {}  # (i, j) -> (sugar, lcm_key)
     heap: list = []
@@ -294,99 +290,88 @@ def buchberger(
         nonlocal seq
         t = len(basis)
         mh = h.lead_key()
-        # Gebauer-Moeller update of the pair set
-        cand = sorted(
-            (i for i in range(t) if alive[i]),
-            key=lambda i: (pack.lcm(mh, lts[i]), i),
-        )
-        lcms = {i: pack.lcm(mh, lts[i]) for i in cand}
+        eh = unpack(mh)
+        sh = sum(1 << v for v, e in enumerate(eh) if e)
+        dh = pack.degree(mh)
+        # Gebauer-Moeller update of the pair set, on lcm(mh, lts[i]) for
+        # every earlier element, each packed once
+        lcms = [pack.pack(tuple(map(max, eh, e))) for e in exps]
+        cand = sorted((i for i in range(t) if alive[i]), key=lcms.__getitem__)
         kept: list[int] = []
         for pos, i in enumerate(cand):
             li = lcms[i]
-            if pack.gcd_is_one(mh, lts[i]):
-                keep = True  # goes to D, dropped later by the product criterion
-            else:
-                keep = True
-                for j in cand[pos + 1 :]:
-                    if pack.divides(lcms[j], li):
-                        keep = False
-                        break
-                if keep:
-                    for j in kept:
-                        if lcms[j] != li and pack.divides(lcms[j], li):
-                            keep = False
-                            break
-            if keep:
-                kept.append(i)
-        new_pairs = [i for i in kept if not pack.gcd_is_one(mh, lts[i])]
-        # filter old pairs through the new leading term
-        for (i, j), (s_ij, l_ij) in list(pair_meta.items()):
-            if (
-                pack.divides(mh, l_ij)
-                and pack.lcm(lts[i], mh) != l_ij
-                and pack.lcm(mh, lts[j]) != l_ij
+            # a coprime pair goes to D, dropped later by the product criterion;
+            # of the later candidates (lcm >= li) only an equal lcm divides li
+            if supports[i] & sh and (
+                (pos + 1 < len(cand) and lcms[cand[pos + 1]] == li)
+                or any(lcms[j] != li and divides(lcms[j], li) for j in kept)
             ):
+                continue
+            kept.append(i)
+        # filter old pairs through the new leading term
+        for (i, j), (_, l_ij) in list(pair_meta.items()):
+            if divides(mh, l_ij) and lcms[i] != l_ij and lcms[j] != l_ij:
                 del pair_meta[(i, j)]
-        for i in new_pairs:
-            l = lcms[i]
-            s = max(sugars[i] + deg(pack.quotient(l, lts[i])), sugar + deg(pack.quotient(l, mh)))
-            pair_meta[(i, t)] = (s, l)
-            heappush(heap, (s, l, seq, i, t))
-            seq += 1
+        for i in kept:
+            if supports[i] & sh:
+                l = lcms[i]
+                s = pack.degree(l) + max(excess[i], sugar - dh)
+                pair_meta[(i, t)] = (s, l)
+                heappush(heap, (s, l, seq, i, t))
+                seq += 1
         for i in range(t):
-            if alive[i] and pack.divides(mh, lts[i]):
+            if alive[i] and divides(mh, lts[i]):
                 alive[i] = False
         basis.append(h)
         lts.append(mh)
-        sugars.append(sugar)
+        exps.append(eh)
+        supports.append(sh)
+        excess.append(sugar - dh)
         alive.append(True)
         stats["basis_additions"] += 1
 
-    # seed with normalized inputs (deduplicated, monic, reduced against earlier ones)
-    for g in gens:
-        if g.is_zero():
-            continue
-        red = _reduce_terms(dict(g.terms), reducers(), ring, deadline)
-        if not red:
-            continue
-        h = ring.from_terms(red).monic()
-        add_poly(h, h.total_degree())
+    phase, in_flight = "pairs", 0
+    try:
+        # seed with normalized inputs (deduplicated, monic, reduced against earlier ones)
+        for g in gens:
+            if g.is_zero():
+                continue
+            red = _reduce_terms(dict(g.terms), reducers(), ring, deadline)
+            if not red:
+                continue
+            h = ring.from_terms(red).monic()
+            add_poly(h, h.total_degree())
 
-    while heap:
-        if time.monotonic() > deadline:
-            stats["wall_ms"] = int((time.monotonic() - t0) * 1000)
-            stats["pending_pairs"] = len(pair_meta)
-            raise GroebnerTimeout(
-                f"Groebner computation exceeded {timeout_s:.0f}s", stats
-            )
-        s, l, _, i, j = heappop(heap)
-        meta = pair_meta.pop((i, j), None)
-        if meta is None:
-            continue  # pruned by a later update
-        stats["pairs"] += 1
-        sp = _spoly(basis[i], basis[j], pack)
-        try:
-            red = _reduce_terms(dict(sp.terms), reducers(), ring, deadline)
-        except GroebnerTimeout:
-            stats["wall_ms"] = int((time.monotonic() - t0) * 1000)
-            stats["pending_pairs"] = len(pair_meta) + 1
-            raise GroebnerTimeout(
-                f"Groebner computation exceeded {timeout_s:.0f}s", stats
-            ) from None
-        if not red:
-            stats["zero_reductions"] += 1
-            continue
-        h = ring.from_terms(red).monic()
-        add_poly(h, max(s, h.total_degree()))
+        while heap:
+            if time.monotonic() > deadline:
+                raise GroebnerTimeout("pair budget exhausted")
+            s, l, _, i, j = heappop(heap)
+            if pair_meta.pop((i, j), None) is None:
+                continue  # pruned by a later update
+            stats["pairs"] += 1
+            in_flight = 1
+            red = _reduce_terms(_spoly(basis[i], basis[j], l, pack), reducers(), ring, deadline)
+            in_flight = 0
+            if not red:
+                stats["zero_reductions"] += 1
+                continue
+            h = ring.from_terms(red).monic()
+            add_poly(h, max(s, h.total_degree()))
 
-    final = _interreduce([basis[i] for i in range(len(basis)) if alive[i]], ring)
+        phase = "interreduce"
+        final = _interreduce([basis[i] for i in range(len(basis)) if alive[i]], ring, deadline)
+    except GroebnerTimeout:
+        stats["phase"] = phase
+        stats["wall_ms"] = int((time.monotonic() - t0) * 1000)
+        stats["pending_pairs"] = len(pair_meta) + in_flight
+        raise GroebnerTimeout(f"Groebner computation exceeded {timeout_s:.0f}s", stats) from None
     stats["wall_ms"] = int((time.monotonic() - t0) * 1000)
     if ring.domain.kind == "rat":
         stats["max_coeff_bits"] = max((g.max_coeff_bits() for g in final), default=0)
     return GroebnerBasis(tuple(final), ring, stats)
 
 
-def _interreduce(polys, ring):
+def _interreduce(polys, ring, deadline: float | None = None):
     """Auto-reduce a set with pairwise non-divisible leading terms."""
     # drop elements whose leading term another one divides
     polys = sorted((p.monic() for p in polys if p), key=lambda p: p.lead_key())
@@ -400,7 +385,7 @@ def _interreduce(polys, ring):
         changed = False
         for idx, p in enumerate(minimal):
             others = [(q.lead_key(), q.terms) for pos, q in enumerate(minimal) if pos != idx]
-            red = ring.from_terms(_reduce_terms(dict(p.terms), others, ring))
+            red = ring.from_terms(_reduce_terms(dict(p.terms), others, ring, deadline))
             if red.terms != p.terms:
                 minimal[idx] = red.monic()
                 changed = True

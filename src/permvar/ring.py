@@ -11,6 +11,7 @@ rationals (``fractions.Fraction``), or a prime field F_p with word-size p.
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 
@@ -22,7 +23,8 @@ from .errors import (
 )
 
 _WIDTH = 16
-_FIELD_CAP = (1 << (_WIDTH - 1)) - 1  # exponents must stay below this
+_FIELD_CAP = (1 << (_WIDTH - 1)) - 1  # largest exponent; the field's top bit is a guard
+_FIELD_MASK = (1 << _WIDTH) - 1
 _DEG_BITS = 32
 
 
@@ -245,9 +247,14 @@ class VarUniverse:
 class _Pack:
     """Packs exponent vectors into order-comparable integers.
 
-    For every supported order the packed keys satisfy: key(a) < key(b) iff
-    a < b in the monomial order, key(a*b) = key(a) + key(b) - offset, and
-    divisibility is a masked subtraction.
+    From the low bits up, a key holds one field ``cap - e`` per degrevlex
+    variable (the last variable lowest), the degree of those variables, and
+    one raw field ``e`` per lex variable (the first variable highest).  For
+    every supported order the packed keys satisfy: key(a) < key(b) iff a < b
+    in the monomial order, key(a*b) = key(a) + key(b) - offset, and
+    divisibility is a masked subtraction.  The top bit of each field is a
+    guard bit: clear in every valid key, set in a product key iff an exponent
+    passed the cap.
     """
 
     def __init__(self, nvars: int, order: MonomialOrder):
@@ -265,54 +272,38 @@ class _Pack:
         # high part (block/lex only): raw lex fields for variables 0..m-1
         if kind == "lex":
             m, tail = nvars, 0
+        self.graded = tail == nvars  # the degree field decides first
         self._tail = tail
+        self._deg_shift = w * tail
         self._low_bits = tail * w + (_DEG_BITS if tail else 0)
         self._low_mask = (1 << self._low_bits) - 1
-        off = 0
-        for i in range(tail):
-            off |= _FIELD_CAP << (w * i)
-        self.offset = off
-        guard_low = 0
-        for i in range(tail):
-            guard_low |= 1 << (w * i + w - 1)
-        self._guard_low = guard_low
-        guard_high = 0
-        for i in range(m):
-            guard_high |= 1 << (self._low_bits + w * i + w - 1)
-        self._guard_high = guard_high
-        self.one = off  # key of the monomial 1
+        self.offset = sum(_FIELD_CAP << (w * i) for i in range(tail))
+        self._guard_low = sum(1 << (w * i + w - 1) for i in range(tail))
+        self._guard_high = sum(1 << (self._low_bits + w * i + w - 1) for i in range(m))
+        self.guard = self._guard_low | self._guard_high
+        # pack(e) = offset + sum(e_i * weight_i): a lex variable adds to its
+        # field, a degrevlex one to the degree and minus to its field
+        self._weights = tuple(1 << (self._low_bits + w * (m - 1 - i)) for i in range(m)) + tuple(
+            (1 << self._deg_shift) - (1 << (w * t)) for t in range(tail)
+        )
+        self.one = self.offset  # key of the monomial 1
 
     def pack(self, exps) -> int:
-        n, w = self.n, _WIDTH
-        if len(exps) != n:
+        if len(exps) != self.n:
             raise StructuralError("exponent vector has wrong length")
-        m = n - self._tail
-        key = 0
-        deg = 0
-        for i in range(m):  # lex block, variable 0 most significant
-            e = exps[i]
-            if not 0 <= e <= _FIELD_CAP:
-                raise CapacityError(f"exponent {e} out of range")
-            key |= e << (self._low_bits + w * (m - 1 - i))
-        if self._tail:
-            for t, i in enumerate(range(m, n)):
-                e = exps[i]
-                if not 0 <= e <= _FIELD_CAP:
-                    raise CapacityError(f"exponent {e} out of range")
-                deg += e
-                key |= (_FIELD_CAP - e) << (w * (i - m))
-            key |= deg << (w * self._tail)
-        return key
+        if exps and not 0 <= min(exps) <= max(exps) <= _FIELD_CAP:
+            bad = next(e for e in exps if not 0 <= e <= _FIELD_CAP)
+            raise CapacityError(f"exponent {bad} out of range")
+        return self.offset + sum(map(operator.mul, exps, self._weights))
 
     def unpack(self, key: int):
         n, w = self.n, _WIDTH
         m = n - self._tail
         exps = [0] * n
-        mask = (1 << w) - 1
         for i in range(m):
-            exps[i] = (key >> (self._low_bits + w * (m - 1 - i))) & mask
+            exps[i] = (key >> (self._low_bits + w * (m - 1 - i))) & _FIELD_MASK
         for i in range(m, n):
-            exps[i] = _FIELD_CAP - ((key >> (w * (i - m))) & mask)
+            exps[i] = _FIELD_CAP - ((key >> (w * (i - m))) & _FIELD_MASK)
         return tuple(exps)
 
     def mul(self, ka: int, kb: int) -> int:
@@ -323,27 +314,25 @@ class _Pack:
         return kb - ka + self.offset
 
     def divides(self, ka: int, kb: int) -> bool:
+        """a | b: with every guard bit set in the minuend, the fieldwise
+        differences b - a (low part: (cap-a) - (cap-b)) keep all of them.
+        A borrow only runs upwards, and filling the low part of kb with ones
+        keeps it out of the high part."""
         gl, gh = self._guard_low, self._guard_high
-        if gl:
-            low = ((ka | gl) - (kb & self._low_mask)) & gl
-            if low != gl:
-                return False
-        if gh:
-            high = (((kb & ~self._low_mask) | gh) - (ka & ~self._low_mask)) & gh
-            if high != gh:
-                return False
-        return True
+        low = ((ka | gl) - kb) & gl
+        return (low | ((kb | self._low_mask | gh) - ka) & gh) == self.guard
 
     def lcm(self, ka: int, kb: int) -> int:
-        ea, eb = self.unpack(ka), self.unpack(kb)
-        return self.pack(tuple(max(x, y) for x, y in zip(ea, eb)))
-
-    def gcd_is_one(self, ka: int, kb: int) -> bool:
-        ea, eb = self.unpack(ka), self.unpack(kb)
-        return all(x == 0 or y == 0 for x, y in zip(ea, eb))
+        return self.pack(tuple(map(max, self.unpack(ka), self.unpack(kb))))
 
     def degree(self, key: int) -> int:
-        return sum(self.unpack(key))
+        """Total degree: the degree field plus the lex fields."""
+        d = (key & self._low_mask) >> self._deg_shift
+        high = key >> self._low_bits
+        while high:
+            d += high & _FIELD_MASK
+            high >>= _WIDTH
+        return d
 
     def front_free(self, key: int) -> bool:
         """True if the monomial avoids the first elim_count variables."""
@@ -462,8 +451,10 @@ class MPoly:
     def total_degree(self) -> int:
         if not self.terms:
             return -1
-        deg = self.ring.pack.degree
-        return max(deg(k) for k, _ in self.terms)
+        pack = self.ring.pack
+        if pack.graded:  # the leading term has the largest degree
+            return pack.degree(self.terms[0][0])
+        return max(pack.degree(k) for k, _ in self.terms)
 
     def is_homogeneous(self) -> bool:
         if not self.terms:
@@ -558,7 +549,8 @@ class MPoly:
             return self.ring.zero
         if len(a) < len(b):
             a, b = b, a
-        off = self.ring.pack.offset
+        pack = self.ring.pack
+        off = pack.offset
         acc = {}
         if self.ring.domain.kind == "fp":
             p = self.ring.domain.modulus
@@ -574,6 +566,12 @@ class MPoly:
                 for ka, ca in a:
                     k = ka + shift
                     acc[k] = acc.get(k, 0) + ca * cb
+        # the degrees bound every exponent; past the cap, an exponent that
+        # overflowed left its field's guard bit set in some product key
+        if self.total_degree() + other.total_degree() > _FIELD_CAP and any(
+            k & pack.guard for k in acc
+        ):
+            raise CapacityError(f"product has an exponent above {_FIELD_CAP}")
         return self.ring.from_terms(acc)
 
     __rmul__ = __mul__

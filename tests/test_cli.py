@@ -154,6 +154,22 @@ def test_reproduce_case_and_overrides(capsys):
     }
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["symbolic-determinants", "--n", "3", "--k", "7"],
+        ["kirkup-vanish", "--n", "3"],
+        ["codim-2xn", "--timeout", "0.0001"],
+        ["all", "--n", "3"],
+    ],
+    ids=["no-such-params", "n-for-a-k-case", "timeout", "all-with-n"],
+)
+def test_reproduce_refuses_overrides_it_cannot_honour(capsys, argv):
+    code, out, err = run(capsys, "reproduce", *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
 def test_reproduce_extended_requires_tier(capsys):
     code, _, err = run(capsys, "reproduce", "script-5x6")
     assert code == 2

@@ -1,11 +1,16 @@
 """Buchberger engine, normal forms, dimension, degree, saturation, radicals."""
 
+import hashlib
 import random
+import time
 
 import pytest
 
+from permvar import groebner
 from permvar.errors import GroebnerTimeout, PreconditionError, StructuralError
 from permvar.groebner import (
+    _front_ring,
+    _interreduce,
     _saturate_general,
     buchberger,
     eliminate,
@@ -33,6 +38,7 @@ from permvar.ring import (
     QQ,
     PolyRing,
     VarUniverse,
+    block_order,
 )
 
 P1 = 2147483647
@@ -409,6 +415,68 @@ def test_timeout_raises_with_stats():
     with pytest.raises(GroebnerTimeout) as exc:
         buchberger(gens, timeout_s=0.0)
     assert "pairs" in exc.value.stats
+    assert exc.value.stats["phase"] == "pairs"
+
+
+def test_interreduce_honours_deadline():
+    gens = over_prime(permanental_ideal(GenericMatrixSpec(2, 3)), P1)
+    with pytest.raises(GroebnerTimeout):
+        _interreduce(gens, gens[0].ring, deadline=time.monotonic() - 1.0)
+
+
+def test_timeout_in_interreduction_names_its_phase(monkeypatch):
+    gens = over_prime(permanental_ideal(GenericMatrixSpec(3, 4)), P1)
+    seen = []
+
+    def out_of_time(polys, ring, deadline=None):
+        seen.append(deadline)
+        raise GroebnerTimeout("reduction exceeded the wall-clock budget")
+
+    monkeypatch.setattr(groebner, "_interreduce", out_of_time)
+    before = time.monotonic()
+    with pytest.raises(GroebnerTimeout) as exc:
+        buchberger(gens, timeout_s=50.0)
+    stats = exc.value.stats
+    assert stats["phase"] == "interreduce"
+    assert (stats["pairs"], stats["pending_pairs"]) == (64, 0)
+    assert before + 50.0 <= seen[0] <= time.monotonic() + 50.0
+
+
+def _rabinowitsch(k, n, by):
+    """The k x n permanental ideal over F_P1 plus 1 - t_i * x_1j for each j
+    in ``by``, in the block order eliminating the t_i."""
+    gens = over_prime(permanental_ideal(GenericMatrixSpec(k, n)), P1)
+    ring = gens[0].ring
+    ext = _front_ring(ring, len(by))
+    moved = [transport(g, ext) for g in gens]
+    for i, j in enumerate(by):
+        moved.append(ext.one - ext.gen(i) * transport(ring.var(1, j), ext))
+    assert ext.order == block_order(len(by))
+    return moved
+
+
+# counters and a digest of the reduced basis, as the engine gave them before
+# the pair update and the reducer moved onto packed keys
+PINNED_RUNS = {
+    "3x4-degrevlex": (
+        lambda: over_prime(permanental_ideal(GenericMatrixSpec(3, 4)), P1),
+        (64, 43, 25), 25, "4ebb4dcb0dd73f7b",
+    ),
+    "2x5-block1": (lambda: _rabinowitsch(2, 5, [1]), (201, 169, 43), 23, "c65a79adb2a68739"),
+    "2x4-block2": (lambda: _rabinowitsch(2, 4, [1, 2]), (87, 67, 28), 11, "6e554a0283f6c5ad"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_RUNS))
+def test_pair_sequence_and_basis_pinned(name):
+    make, counters, size, digest = PINNED_RUNS[name]
+    G = buchberger(make())
+    st = G.stats
+    assert (st["pairs"], st["zero_reductions"], st["basis_additions"]) == counters
+    assert len(G.gens) == size
+    text = "\n".join(g.text() for g in G.gens)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+    assert G.verify()
 
 
 def _brute_force_monomial_dim(supports, nvars):

@@ -99,6 +99,48 @@ def test_pack_roundtrip_mul_divides(order):
         assert pack.unpack(pack.lcm(ka, kb)) == tuple(max(x, y) for x, y in zip(a, b))
 
 
+KEY_ORDERS = [DEGREVLEX, LEX, block_order(1), block_order(2)]
+KEY_IDS = ["degrevlex", "lex", "block1", "block2"]
+CAP = 32767  # largest exponent a key field holds
+
+
+def _key_pairs(rng, n, count):
+    """Exponent-vector pairs, about half of them with a | b, using 0 and the
+    field cap often so that every guard boundary is met."""
+    pick = lambda: rng.choice([0, 0, 1, 2, rng.randint(0, 40), CAP - 1, CAP])
+    for _ in range(count):
+        a = tuple(pick() for _ in range(n))
+        if rng.random() < 0.5:
+            b = tuple(min(CAP, x + rng.choice([0, 0, 1, rng.randint(0, 40)])) for x in a)
+        else:
+            b = tuple(pick() for _ in range(n))
+        yield a, b
+
+
+@pytest.mark.parametrize("order", KEY_ORDERS, ids=KEY_IDS)
+def test_key_degree_and_divisibility_oracles(order):
+    """Degree read from a key, and divisibility as the packed test and as the
+    reducer scan's inlined copy of it, against the exponent vectors."""
+    from permvar.groebner import _reduce_terms
+
+    rng = random.Random(5)
+    for n in range(3, 10):
+        R = PolyRing(VarUniverse.free([f"v{i}" for i in range(n)]), GF(101), order)
+        pack = R.pack
+        hits = 0
+        for a, b in _key_pairs(rng, n, 150):
+            ka, kb = pack.pack(a), pack.pack(b)
+            assert pack.degree(ka) == sum(pack.unpack(ka)) == sum(a)
+            want = all(x <= y for x, y in zip(a, b))
+            hits += want
+            assert pack.divides(ka, kb) == want
+            # a monomial reducer removes the term exactly when it divides it
+            assert (_reduce_terms({kb: 1}, [(ka, ((ka, 1),))], R) == {}) == want
+        assert 40 < hits < 110
+        if order.kind == "block":
+            assert pack._guard_low and pack._guard_high  # keys with both parts
+
+
 def test_degrevlex_tiebreak():
     # same degree: the monomial avoiding the last variable wins
     R = PolyRing(VarUniverse.matrix(2, 2), QQ)
@@ -266,6 +308,29 @@ def test_det_requires_square():
     R = ring_xy()
     with pytest.raises(StructuralError):
         matrix_det(PolyMatrix([[R.one, R.one]]))
+
+
+@pytest.mark.parametrize("order", KEY_ORDERS, ids=KEY_IDS)
+def test_exponent_overflow_refused(order):
+    for domain in (QQ, GF(2147483647)):
+        R = PolyRing(VarUniverse.free(["x", "y", "z"]), domain, order)
+        x, y, z = R.gens()
+        with pytest.raises(CapacityError):
+            x**20000 * x**20000
+        with pytest.raises(CapacityError):
+            (x + 1) * z**CAP * (z + y)
+        with pytest.raises(CapacityError):
+            x ** (CAP + 1)
+        with pytest.raises(CapacityError):
+            (x**20000 + y) ** 2
+        # degree above the cap, every exponent within it: computed exactly
+        big = (x**20000 + y) * (y**20000 + z**CAP)
+        assert sorted(e for e, _ in big.exp_terms()) == [
+            (0, 1, CAP), (0, 20001, 0), (20000, 0, CAP), (20000, 20000, 0)
+        ]
+        assert big.total_degree() == 20000 + CAP
+        assert (x * y) ** CAP == x**CAP * y**CAP
+        assert (x**CAP).lead_monomial() == (CAP, 0, 0)
 
 
 def test_det_capacity_bound():
