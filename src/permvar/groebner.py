@@ -4,6 +4,12 @@ saturation, elimination, radical membership and ideal intersection.
 Pair handling uses the Gebauer-Moeller criteria with sugar-degree selection;
 ties break by the pair's lcm in the ambient order, then by insertion index.
 All reductions are full (head and tail), so intermediate elements stay small.
+A term's reducer is always the first basis element, in insertion order, that
+is alive and whose lead divides it.  Each ``buchberger`` call remembers, per
+monomial key, where that element was found (or how far a scan that found none
+got); since elements are only appended and a dead one never comes back, the
+remembered position stays a valid place to resume, and the reducer chosen is
+the one a full scan would choose (see ``_first_divisor``).
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from heapq import heapify, heappop, heappush
 from itertools import accumulate
 
 from .errors import (
+    CapacityError,
     DomainMismatchError,
     GroebnerTimeout,
     PreconditionError,
@@ -131,11 +138,11 @@ class GroebnerBasis:
         """Re-check that every S-polynomial of basis pairs reduces to zero."""
         pack = self.ring.pack
         gens = self.gens
-        reducers = [(g.lead_key(), g.terms) for g in gens if g]
+        find = _scan([g for g in gens if g], self.ring)
         for i in range(len(gens)):
             for j in range(i + 1, len(gens)):
                 l = pack.lcm(gens[i].lead_key(), gens[j].lead_key())
-                if _reduce_terms(_spoly(gens[i], gens[j], l, pack), reducers, self.ring):
+                if _reduce_terms(_spoly(gens[i], gens[j], l, pack), find, self.ring):
                     return False
         return True
 
@@ -181,14 +188,54 @@ def _spoly(f: MPoly, g: MPoly, l: int, pack) -> dict:
     return acc
 
 
-def _reduce_terms(work: dict, reducers, ring, deadline: float | None = None):
-    """Fully reduce a term dict modulo a list of monic reducers.
+def _first_divisor(ring, polys, lts, alive):
+    """Reducer lookup ``k -> (lead key, terms) | None`` over a basis list.
 
-    ``reducers`` is a list of (lead_key, terms) pairs; returns the normal
-    form as a dict.  Specializes the coefficient arithmetic per domain.
+    It returns the first element in list order that is alive and whose
+    leading key divides ``k``.  ``polys``, ``lts`` and ``alive`` are read at
+    each call, so the caller may append to them and mark elements dead.
+    ``memo[k]`` is the position the next scan for ``k`` starts at: the
+    divisor found last time, or the list length after a scan that found none.
+    That stays valid while elements are only appended and only ever die:
+    every element before the stored position was dead or a non-divisor of
+    ``k`` when it was probed, and stays so.  So a known divisor that is still
+    alive costs one probe, a dead one resumes the scan just after it, and a
+    term that had no divisor probes only the elements added since; the
+    element found is the one a full scan from the start would find.
     """
     pack = ring.pack
     gl, gh, guard, low = pack._guard_low, pack._guard_high, pack.guard, pack._low_mask
+    memo: dict = {}
+
+    def find(k):
+        n = len(lts)
+        k_high = k | low | gh
+        for j in range(memo.get(k, 0), n):
+            lt = lts[j]
+            # alive[j] and pack.divides(lt, k), inlined
+            if alive[j] and lt <= k and (((lt | gl) - k) & gl | (k_high - lt) & gh) == guard:
+                memo[k] = j
+                return lt, polys[j].terms
+        memo[k] = n
+        return None
+
+    return find
+
+
+def _reduce_terms(work: dict, find, ring, deadline: float | None = None):
+    """Fully reduce a term dict; returns the normal form as a dict.
+
+    ``find(k)`` gives the reducer of a term, a monic ``(lead key, terms)``
+    whose lead divides ``k``, or None.  ``_first_divisor`` gives the first
+    divisor in basis order; what it remembers between calls only decides
+    where its scan starts, never which element it returns, so a reduction is
+    the one a plain scan of the list gives.  Terms are taken largest first.  In a lex or block order a reduction can raise an
+    exponent, so there a term whose key has a guard bit set is refused; in
+    degrevlex no reduction raises the degree, so no exponent can pass the cap.
+    Specializes the coefficient arithmetic per domain.
+    """
+    pack = ring.pack
+    check, guard = not pack.graded, pack.guard
     dom = ring.domain
     modp = dom.kind == "fp"
     p = dom.modulus if modp else None
@@ -204,14 +251,13 @@ def _reduce_terms(work: dict, reducers, ring, deadline: float | None = None):
         c = work.pop(k, None)
         if c is None:
             continue
-        k_high = k | low | gh
-        for lt, terms in reducers:
-            # pack.divides(lt, k), inlined
-            if lt <= k and (((lt | gl) - k) & gl | (k_high - lt) & gh) == guard:
-                break
-        else:
+        if check and k & guard:
+            raise CapacityError("reduction gives an exponent above the key field cap")
+        hit = find(k)
+        if hit is None:
             out[k] = c
             continue
+        lt, terms = hit
         shift = k - lt
         if modp:
             for kk, cc in terms[1:]:
@@ -236,12 +282,17 @@ def _reduce_terms(work: dict, reducers, ring, deadline: float | None = None):
     return out
 
 
+def _scan(polys, ring):
+    """First-divisor lookup over a fixed list of nonzero monic polynomials."""
+    return _first_divisor(ring, polys, [g.lead_key() for g in polys], [True] * len(polys))
+
+
 def normal_form(f: MPoly, G: GroebnerBasis) -> MPoly:
     """Unique remainder of f modulo a Groebner basis; zero iff f is in the ideal."""
     if f.ring is not G.ring:
         f = transport(f, G.ring)
-    reducers = [(g.lead_key(), g.terms) for g in G.gens if g]
-    return f.ring.from_terms(_reduce_terms(dict(f.terms), reducers, f.ring))
+    find = _scan([g for g in G.gens if g], f.ring)
+    return f.ring.from_terms(_reduce_terms(dict(f.terms), find, f.ring))
 
 
 def buchberger(
@@ -282,9 +333,7 @@ def buchberger(
     heap: list = []
     seq = 0
     stats = {"pairs": 0, "zero_reductions": 0, "basis_additions": 0}
-
-    def reducers():
-        return [(lts[i], basis[i].terms) for i in range(len(basis)) if alive[i]]
+    find = _first_divisor(ring, basis, lts, alive)
 
     def add_poly(h: MPoly, sugar: int):
         nonlocal seq
@@ -336,7 +385,7 @@ def buchberger(
         for g in gens:
             if g.is_zero():
                 continue
-            red = _reduce_terms(dict(g.terms), reducers(), ring, deadline)
+            red = _reduce_terms(dict(g.terms), find, ring, deadline)
             if not red:
                 continue
             h = ring.from_terms(red).monic()
@@ -350,7 +399,7 @@ def buchberger(
                 continue  # pruned by a later update
             stats["pairs"] += 1
             in_flight = 1
-            red = _reduce_terms(_spoly(basis[i], basis[j], l, pack), reducers(), ring, deadline)
+            red = _reduce_terms(_spoly(basis[i], basis[j], l, pack), find, ring, deadline)
             in_flight = 0
             if not red:
                 stats["zero_reductions"] += 1
@@ -372,24 +421,22 @@ def buchberger(
 
 
 def _interreduce(polys, ring, deadline: float | None = None):
-    """Auto-reduce a set with pairwise non-divisible leading terms."""
-    # drop elements whose leading term another one divides
+    """Reduced form of a set of polynomials: monic, leading terms pairwise
+    non-divisible, and no term divisible by another element's lead.
+
+    One ascending pass: a tail term is smaller than its own lead, so only an
+    element with a smaller lead can divide it, and those are already reduced.
+    An element whose lead an earlier one divides is dropped.
+    """
     polys = sorted((p.monic() for p in polys if p), key=lambda p: p.lead_key())
-    pack = ring.pack
-    minimal: list[MPoly] = []
+    out: list[MPoly] = []
+    lts: list[int] = []
+    find = _first_divisor(ring, out, lts, [True] * len(polys))
     for p in polys:
-        if not any(pack.divides(q.lead_key(), p.lead_key()) for q in minimal):
-            minimal.append(p)
-    changed = True
-    while changed:
-        changed = False
-        for idx, p in enumerate(minimal):
-            others = [(q.lead_key(), q.terms) for pos, q in enumerate(minimal) if pos != idx]
-            red = ring.from_terms(_reduce_terms(dict(p.terms), others, ring, deadline))
-            if red.terms != p.terms:
-                minimal[idx] = red.monic()
-                changed = True
-    return sorted(minimal, key=lambda p: p.lead_key())
+        if find(p.lead_key()) is None:
+            out.append(ring.from_terms(_reduce_terms(dict(p.terms), find, ring, deadline)))
+            lts.append(p.lead_key())
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -490,21 +537,17 @@ def hilbert_numerator(G: GroebnerBasis) -> tuple:
     """Coefficients of the numerator N(t) of HS_{R/in(I)} = N(t)/(1-t)^n.
 
     Bigatti's pivot recursion on the leading-term ideal, run once per basis:
-    the result is cached on ``G``.
+    the result is cached on ``G``.  The leads of a reduced basis are minimal
+    generators, and each split keeps them minimal (see ``num``), so no step
+    re-minimalizes; every generator list is kept in ``(degree, exps)`` order.
     """
     got = G._cache.get("hilbert_numerator")
     if got is not None:
         return got
-    gens = [tuple(e) for e in G.lead_ideal]
     memo: dict = {}
 
-    def minimalize(ms):
-        ms = sorted(set(ms), key=lambda m: (sum(m), m))
-        out = []
-        for m in ms:
-            if not any(all(o <= e for o, e in zip(g, m)) for g in out):
-                out.append(m)
-        return tuple(out)
+    def canonical(ms):
+        return tuple(sorted(ms, key=lambda m: (sum(m), m)))
 
     def poly_mul(a, b):
         out = [0] * (len(a) + len(b) - 1)
@@ -549,16 +592,23 @@ def hilbert_numerator(G: GroebnerBasis) -> tuple:
                 for i in s:
                     counts[i] = counts.get(i, 0) + 1
         piv = max(sorted(counts), key=lambda i: counts[i])
+        # I + (x) is minimally x and the generators x does not divide (x is
+        # not a generator: it would divide the one of support > 1 holding x).
+        # I : x lowers the generators x divides; those stay pairwise
+        # non-divisible, an untouched one divides none of them, and a lowered
+        # one can only divide an untouched one if it lost its x.
         pivot = tuple(1 if i == piv else 0 for i in range(len(ms[0])))
-        plus = minimalize(list(ms) + [pivot])
-        colon = minimalize(
-            tuple(max(e - p, 0) for e, p in zip(m, pivot)) for m in ms
-        )
-        out = poly_add(num(plus), num(colon), shift=1)
+        untouched = [m for m in ms if not m[piv]]
+        lowered = [m[:piv] + (m[piv] - 1,) + m[piv + 1:] for m in ms if m[piv]]
+        free = [m for m in lowered if not m[piv]]
+        colon = lowered + [
+            u for u in untouched if not any(all(a <= b for a, b in zip(m, u)) for m in free)
+        ]
+        out = poly_add(num(canonical(untouched + [pivot])), num(canonical(colon)), shift=1)
         memo[key] = out
         return out
 
-    got = G._cache["hilbert_numerator"] = tuple(num(minimalize(gens)))
+    got = G._cache["hilbert_numerator"] = tuple(num(canonical(G.lead_ideal)))
     return got
 
 
@@ -694,13 +744,14 @@ def _saturate_divide(gens, var_index: int, timeout_s: float):
 
 
 def _saturate_general(gens, f: MPoly, timeout_s: float):
+    deadline = time.monotonic() + timeout_s
     ring = gens[0].ring
     ext = _front_ring(ring)
     t = ext.gen(0)
     moved = [transport(g, ext) for g in gens]
     moved.append(ext.one - t * transport(f, ext))
     elim = eliminate(moved, 1, timeout_s)
-    return _interreduce(_strip_aux(elim, ring), ring)
+    return _interreduce(_strip_aux(elim, ring), ring, deadline)
 
 
 def radical_membership(
@@ -739,6 +790,7 @@ def ideal_intersection(I, J, timeout_s: float = DEFAULT_TIMEOUT):
     A list with no nonzero generator is the zero ideal, so intersecting with
     it gives ``[]``.
     """
+    deadline = time.monotonic() + timeout_s
     I = [g for g in I if g]
     J = [g for g in J if g]
     if not I or not J:
@@ -750,4 +802,4 @@ def ideal_intersection(I, J, timeout_s: float = DEFAULT_TIMEOUT):
     moved = [t * transport(g, ext) for g in I]
     moved.extend(one_minus_t * transport(g, ext) for g in J)
     elim = eliminate(moved, 1, timeout_s)
-    return _interreduce(_strip_aux(elim, ring), ring)
+    return _interreduce(_strip_aux(elim, ring), ring, deadline)

@@ -7,7 +7,7 @@ import time
 import pytest
 
 from permvar import groebner
-from permvar.errors import GroebnerTimeout, PreconditionError, StructuralError
+from permvar.errors import CapacityError, GroebnerTimeout, PreconditionError, StructuralError
 from permvar.groebner import (
     _front_ring,
     _interreduce,
@@ -440,6 +440,37 @@ def test_timeout_in_interreduction_names_its_phase(monkeypatch):
     assert stats["phase"] == "interreduce"
     assert (stats["pairs"], stats["pending_pairs"]) == (64, 0)
     assert before + 50.0 <= seen[0] <= time.monotonic() + 50.0
+
+
+def test_elimination_interreductions_get_the_deadline(monkeypatch):
+    """The interreduction after an elimination runs within the caller's budget."""
+    R = ring_of("xyz", domain=GF(P1))
+    x, y, z = R.gens()
+    real = groebner._interreduce
+    seen = []
+
+    def spy(polys, ring, deadline=None):
+        seen.append(deadline)
+        return real(polys, ring, deadline)
+
+    monkeypatch.setattr(groebner, "_interreduce", spy)
+    before = time.monotonic()
+    ideal_intersection([x * y, z], [y**2 - x], timeout_s=50.0)
+    saturate([x * y - z, x**2 * y - 1], x + y + 1, timeout_s=50.0)
+    assert seen and None not in seen
+    assert all(before + 50.0 - 1e-6 <= d <= time.monotonic() + 50.0 for d in seen)
+
+
+@pytest.mark.parametrize("order", [LEX, block_order(1)], ids=["lex", "block1"])
+def test_reduction_refuses_exponent_overflow(order):
+    """In lex and block orders a reduction can raise an exponent: x^700 modulo
+    x - y^100 is y^70000, past the key field cap, and must be refused."""
+    R = ring_of("xy", domain=GF(101), order=order)
+    x, y = R.gens()
+    G = buchberger([x - y**100])
+    assert normal_form(x**300, G) == y**30000
+    with pytest.raises(CapacityError):
+        normal_form(x**700, G)
 
 
 def _rabinowitsch(k, n, by):

@@ -1,0 +1,276 @@
+"""Differential tests of the Groebner layers against their earlier reference
+implementations, copied here:
+
+- a reducer that scans a list of monic reducers for the first divisor of
+  each term, through ``_Pack.divides``;
+- the fixed-point interreduction that re-reduces every element against all
+  the others until a whole round changes nothing;
+- the Hilbert-numerator pivot recursion that re-minimalizes both children
+  of every split.
+"""
+
+import random
+from heapq import heapify, heappop, heappush
+
+import pytest
+
+from permvar.groebner import (
+    _first_divisor,
+    _interreduce,
+    buchberger,
+    hilbert_numerator,
+    normal_form,
+)
+from permvar.ring import DEGREVLEX, GF, LEX, QQ, PolyRing, VarUniverse, block_order
+
+P = 32003
+ORDERS = [DEGREVLEX, LEX, block_order(2)]
+ORDER_IDS = ["degrevlex", "lex", "block2"]
+
+
+# ---------------------------------------------------------------------------
+# reference implementations
+
+
+def ref_reduce(work, reducers, ring):
+    """Normal form of a term dict modulo a list of monic (lead_key, terms)."""
+    pack = ring.pack
+    dom = ring.domain
+    out = {}
+    heap = [-k for k in work]
+    heapify(heap)
+    while heap:
+        k = -heappop(heap)
+        c = work.pop(k, None)
+        if c is None:
+            continue
+        for lt, terms in reducers:
+            if pack.divides(lt, k):
+                break
+        else:
+            out[k] = c
+            continue
+        shift = k - lt
+        for kk, cc in terms[1:]:
+            k2 = kk + shift
+            v = dom.normalize(work.get(k2, 0) - c * cc)
+            if v:
+                if k2 not in work:
+                    heappush(heap, -k2)
+                work[k2] = v
+            elif k2 in work:
+                del work[k2]
+    return out
+
+
+def ref_interreduce(polys, ring):
+    polys = sorted((p.monic() for p in polys if p), key=lambda p: p.lead_key())
+    pack = ring.pack
+    minimal = []
+    for p in polys:
+        if not any(pack.divides(q.lead_key(), p.lead_key()) for q in minimal):
+            minimal.append(p)
+    changed = True
+    while changed:
+        changed = False
+        for idx, p in enumerate(minimal):
+            others = [(q.lead_key(), q.terms) for pos, q in enumerate(minimal) if pos != idx]
+            red = ring.from_terms(ref_reduce(dict(p.terms), others, ring))
+            if red.terms != p.terms:
+                minimal[idx] = red.monic()
+                changed = True
+    return sorted(minimal, key=lambda p: p.lead_key())
+
+
+def ref_hilbert_numerator(gens):
+    memo = {}
+
+    def minimalize(ms):
+        ms = sorted(set(ms), key=lambda m: (sum(m), m))
+        out = []
+        for m in ms:
+            if not any(all(o <= e for o, e in zip(g, m)) for g in out):
+                out.append(m)
+        return tuple(out)
+
+    def poly_mul(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    def poly_add(a, b, shift):
+        out = list(a) + [0] * max(0, shift + len(b) - len(a))
+        for j, y in enumerate(b):
+            out[shift + j] += y
+        return out
+
+    def num(ms):
+        if not ms:
+            return [1]
+        if any(sum(m) == 0 for m in ms):
+            return [0]
+        if ms in memo:
+            return memo[ms]
+        supports = [tuple(i for i, e in enumerate(m) if e) for m in ms]
+        if all(len(s) == 1 for s in supports):
+            out = [1]
+            for m in ms:
+                d = sum(m)
+                out = poly_mul(out, [1] + [0] * (d - 1) + [-1])
+        else:
+            counts = {}
+            for s in supports:
+                if len(s) > 1:
+                    for i in s:
+                        counts[i] = counts.get(i, 0) + 1
+            piv = max(sorted(counts), key=lambda i: counts[i])
+            pivot = tuple(1 if i == piv else 0 for i in range(len(ms[0])))
+            plus = minimalize(list(ms) + [pivot])
+            colon = minimalize(tuple(max(e - p, 0) for e, p in zip(m, pivot)) for m in ms)
+            out = poly_add(num(plus), num(colon), shift=1)
+        memo[ms] = out
+        return out
+
+    return tuple(num(minimalize(tuple(g) for g in gens)))
+
+
+# ---------------------------------------------------------------------------
+# random inputs
+
+
+def _ring(n, domain, order):
+    return PolyRing(VarUniverse.free([f"v{i}" for i in range(n)]), domain, order)
+
+
+def _monomial(rng, n, top):
+    return tuple(rng.choice([0, 0, 1, rng.randint(0, top)]) for _ in range(n))
+
+
+def _monomial_ideal(rng, R, count, top):
+    """Random monomials, with pure powers and (rarely) the constant 1."""
+    n = len(R.universe)
+    gens = []
+    for _ in range(count):
+        r = rng.random()
+        if r < 0.02:
+            e = (0,) * n
+        elif r < 0.25:
+            v = rng.randrange(n)
+            e = tuple(rng.randint(1, top) if i == v else 0 for i in range(n))
+        else:
+            e = (0,) * n
+            while not any(e):
+                e = _monomial(rng, n, top)
+        gens.append(R.from_exp_dict({e: 1}))
+    return gens
+
+
+def _binomial_ideal(rng, R, count, top):
+    """Random binomials a - b: they all vanish at (1, ..., 1), so the ideal
+    is never the unit ideal."""
+    n = len(R.universe)
+    gens = []
+    for _ in range(count):
+        a, b = _monomial(rng, n, top), _monomial(rng, n, top)
+        if a != b:
+            gens.append(R.from_exp_dict({a: 1, b: -1}))
+    return gens
+
+
+def _random_poly(rng, R, terms, top):
+    n = len(R.universe)
+    return R.from_exp_dict({_monomial(rng, n, top): rng.randint(-9, 9) for _ in range(terms)})
+
+
+# ---------------------------------------------------------------------------
+# tests
+
+
+def test_first_divisor_lookup_matches_a_full_scan():
+    """Under appends, deaths and repeated queries, the memoized lookup gives
+    the first alive divisor that a scan from the start gives."""
+    rng = random.Random(17)
+    for order in ORDERS:
+        R = _ring(4, GF(P), order)
+        pack = R.pack
+        polys, lts, alive = [], [], []
+        find = _first_divisor(R, polys, lts, alive)
+        queries = [pack.pack(_monomial(rng, 4, 6)) for _ in range(60)]
+        for _ in range(400):
+            r = rng.random()
+            if r < 0.1:
+                g = R.from_exp_dict({_monomial(rng, 4, 4): 1})
+                polys.append(g)
+                lts.append(g.lead_key())
+                alive.append(True)
+            elif r < 0.15 and alive:
+                alive[rng.randrange(len(alive))] = False
+            else:
+                k = rng.choice(queries)
+                want = next(
+                    (j for j in range(len(lts)) if alive[j] and pack.divides(lts[j], k)), None
+                )
+                got = find(k)
+                if want is None:
+                    assert got is None
+                else:
+                    assert got == (lts[want], polys[want].terms)
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=ORDER_IDS)
+@pytest.mark.parametrize("domain", [GF(P), QQ], ids=["fp", "qq"])
+def test_one_pass_interreduction_matches_fixed_point(order, domain):
+    rng = random.Random(23)
+    reduced = 0
+    for trial in range(40):
+        R = _ring(rng.randint(2, 4), domain, order)
+        if trial % 2:
+            # a reduced basis with random terms below each lead: the other
+            # elements' leads divide some of them
+            polys = []
+            for g in buchberger(_binomial_ideal(rng, R, rng.randint(2, 5), 3)):
+                low = _random_poly(rng, R, 5, 3)
+                polys.append(g + R.from_terms({k: c for k, c in low.terms if k < g.lead_key()}))
+        else:
+            polys = [_random_poly(rng, R, rng.randint(1, 5), 3) for _ in range(rng.randint(1, 5))]
+            polys += _monomial_ideal(rng, R, rng.randint(0, 2), 3)
+        polys.append(rng.choice(polys) * _random_poly(rng, R, 2, 1))  # often dropped
+        got = _interreduce(polys, R)
+        want = ref_interreduce(polys, R)
+        assert [g.terms for g in got] == [g.terms for g in want]
+        inputs = {p.monic().terms for p in polys if p}
+        reduced += any(g.terms not in inputs for g in want)
+    assert reduced > 10
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=ORDER_IDS)
+def test_normal_form_matches_list_scan(order):
+    rng = random.Random(29)
+    for _ in range(12):
+        R = _ring(3, GF(P), order)
+        G = buchberger(_binomial_ideal(rng, R, 3, 3))
+        reducers = [(g.lead_key(), g.terms) for g in G.gens]
+        for _ in range(5):
+            f = _random_poly(rng, R, 6, 5)
+            want = R.from_terms(ref_reduce(dict(f.terms), reducers, R))
+            assert normal_form(f, G) == want
+
+
+def test_hilbert_numerator_matches_minimalizing_recursion():
+    rng = random.Random(37)
+    units = splits = 0
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        R = _ring(n, GF(P), DEGREVLEX)
+        gens = (_monomial_ideal if rng.random() < 0.6 else _binomial_ideal)(
+            rng, R, rng.randint(1, 8), 4
+        )
+        if not gens:
+            continue
+        G = buchberger(gens)
+        assert hilbert_numerator(G) == ref_hilbert_numerator(G.lead_ideal)
+        units += G.is_unit_ideal()
+        splits += sum(1 for e in G.lead_ideal if sum(map(bool, e)) > 1) > 1
+    assert units >= 5 and splits > 40

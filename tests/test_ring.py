@@ -120,8 +120,8 @@ def _key_pairs(rng, n, count):
 @pytest.mark.parametrize("order", KEY_ORDERS, ids=KEY_IDS)
 def test_key_degree_and_divisibility_oracles(order):
     """Degree read from a key, and divisibility as the packed test and as the
-    reducer scan's inlined copy of it, against the exponent vectors."""
-    from permvar.groebner import _reduce_terms
+    reducer lookup's inlined copy of it, against the exponent vectors."""
+    from permvar.groebner import _first_divisor, _reduce_terms
 
     rng = random.Random(5)
     for n in range(3, 10):
@@ -134,8 +134,11 @@ def test_key_degree_and_divisibility_oracles(order):
             want = all(x <= y for x, y in zip(a, b))
             hits += want
             assert pack.divides(ka, kb) == want
-            # a monomial reducer removes the term exactly when it divides it
-            assert (_reduce_terms({kb: 1}, [(ka, ((ka, 1),))], R) == {}) == want
+            # a monomial reducer is found for the term, and removes it,
+            # exactly when it divides it
+            find = _first_divisor(R, [MPoly(R, ((ka, 1),))], [ka], [True])
+            assert (find(kb) is not None) == want
+            assert (_reduce_terms({kb: 1}, find, R) == {}) == want
         assert 40 < hits < 110
         if order.kind == "block":
             assert pack._guard_low and pack._guard_high  # keys with both parts

@@ -1,0 +1,85 @@
+"""Differential tests against sympy's Groebner bases, an independent engine.
+
+On small seeded random ideals over F_p and QQ the reduced basis and the
+normal forms must equal sympy's in degrevlex, lex and the block order (lex on
+the eliminated block, degrevlex on the rest; sympy's ``ProductOrder`` of
+``lex`` and ``grevlex``).  Skipped when sympy is not installed.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+from sympy.polys.orderings import ProductOrder, grevlex, lex  # noqa: E402
+
+from permvar.groebner import buchberger, normal_form  # noqa: E402
+from permvar.ring import DEGREVLEX, GF, LEX, QQ, PolyRing, VarUniverse, block_order  # noqa: E402
+
+P = 32003
+NAMES = ["x", "y", "z"]
+SYMS = sympy.symbols(NAMES)
+ORDERS = {
+    "degrevlex": (DEGREVLEX, "grevlex"),
+    "lex": (LEX, "lex"),
+    "block1": (block_order(1), ProductOrder((lex, lambda m: m[:1]), (grevlex, lambda m: m[1:]))),
+}
+
+
+def _to_sympy(f):
+    return sum(
+        (sympy.Rational(c.numerator, c.denominator) if isinstance(c, Fraction) else c)
+        * sympy.Mul(*(s**e for s, e in zip(SYMS, exps)))
+        for exps, c in f.exp_terms()
+    )
+
+
+def _from_sympy(expr, R):
+    """The sympy polynomial as {exponents: coefficient} in R's domain."""
+    poly = sympy.Poly(expr, *SYMS)
+    dom = R.domain
+    out = {}
+    for exps, c in poly.terms():
+        c = Fraction(int(c.p), int(c.q)) if dom.kind == "rat" else int(c) % dom.modulus
+        if c:
+            out[exps] = dom.normalize(c)
+    return out
+
+
+def _monic(terms, R):
+    """Scale by the inverse coefficient of the lead in R's order."""
+    lead = max(terms, key=R.pack.pack)
+    inv = R.domain.inv(terms[lead])
+    return {e: R.domain.normalize(c * inv) for e, c in terms.items()}
+
+
+def _random_poly(rng, R, terms, deg):
+    return R.from_exp_dict({
+        tuple(rng.randint(0, deg) for _ in NAMES): rng.randint(-5, 5) for _ in range(terms)
+    })
+
+
+@pytest.mark.parametrize("order_id", sorted(ORDERS))
+@pytest.mark.parametrize("domain", [GF(P), QQ], ids=["fp", "qq"])
+def test_reduced_basis_and_normal_forms_match_sympy(domain, order_id):
+    order, sym_order = ORDERS[order_id]
+    R = PolyRing(VarUniverse.free(NAMES), domain, order)
+    opts = {"modulus": P} if domain.kind == "fp" else {"domain": "QQ"}
+    rng = random.Random(41)
+    compared = 0
+    for _ in range(10):
+        gens = [g for g in (_random_poly(rng, R, 3, 2) for _ in range(rng.randint(2, 3))) if g]
+        if not gens:
+            continue
+        G = buchberger(gens)
+        S = sympy.groebner([_to_sympy(g) for g in gens], *SYMS, order=sym_order, **opts)
+        ours = sorted(sorted(dict(g.exp_terms()).items()) for g in G.gens)
+        theirs = sorted(sorted(_monic(_from_sympy(s, R), R).items()) for s in S.exprs)
+        assert ours == theirs
+        for _ in range(3):
+            f = _random_poly(rng, R, 4, 3)
+            remainder = S.reduce(_to_sympy(f))[1]
+            assert dict(normal_form(f, G).exp_terms()) == _from_sympy(remainder, R)
+        compared += len(G.gens) > 1
+    assert compared >= 5
