@@ -4,12 +4,14 @@ saturation, elimination, radical membership and ideal intersection.
 Pair handling uses the Gebauer-Moeller criteria with sugar-degree selection;
 ties break by the pair's lcm in the ambient order, then by insertion index.
 All reductions are full (head and tail), so intermediate elements stay small.
-A term's reducer is always the first basis element, in insertion order, that
-is alive and whose lead divides it.  Each ``buchberger`` call remembers, per
-monomial key, where that element was found (or how far a scan that found none
-got); since elements are only appended and a dead one never comes back, the
-remembered position stays a valid place to resume, and the reducer chosen is
-the one a full scan would choose (see ``_first_divisor``).
+A term's reducer is the first basis element, in insertion order, that is
+alive and whose lead divides it.  The lookup remembers, per monomial key, the
+position its next scan starts at: the divisor it found, or the basis length
+after a scan that found none.  Elements are only appended and a dead one never
+comes back, so every element before that position is still dead or still a
+non-divisor: a live known divisor costs one probe, a dead one resumes the scan
+just after it, a term with no divisor probes only the elements added since,
+and the reducer found is the one a full scan from the start would find.
 """
 
 from __future__ import annotations
@@ -189,19 +191,11 @@ def _spoly(f: MPoly, g: MPoly, l: int, pack) -> dict:
 
 
 def _first_divisor(ring, polys, lts, alive):
-    """Reducer lookup ``k -> (lead key, terms) | None`` over a basis list.
+    """Reducer lookup ``k -> (lead key, terms) | None``: the first element
+    in list order that is alive and whose lead divides ``k``.
 
-    It returns the first element in list order that is alive and whose
-    leading key divides ``k``.  ``polys``, ``lts`` and ``alive`` are read at
-    each call, so the caller may append to them and mark elements dead.
-    ``memo[k]`` is the position the next scan for ``k`` starts at: the
-    divisor found last time, or the list length after a scan that found none.
-    That stays valid while elements are only appended and only ever die:
-    every element before the stored position was dead or a non-divisor of
-    ``k`` when it was probed, and stays so.  So a known divisor that is still
-    alive costs one probe, a dead one resumes the scan just after it, and a
-    term that had no divisor probes only the elements added since; the
-    element found is the one a full scan from the start would find.
+    The lists are read at each call, so the caller may append to them and
+    mark elements dead, but never revive one (see the module docstring).
     """
     pack = ring.pack
     gl, gh, guard, low = pack._guard_low, pack._guard_high, pack.guard, pack._low_mask
@@ -226,12 +220,12 @@ def _reduce_terms(work: dict, find, ring, deadline: float | None = None):
     """Fully reduce a term dict; returns the normal form as a dict.
 
     ``find(k)`` gives the reducer of a term, a monic ``(lead key, terms)``
-    whose lead divides ``k``, or None.  ``_first_divisor`` gives the first
-    divisor in basis order; what it remembers between calls only decides
-    where its scan starts, never which element it returns, so a reduction is
-    the one a plain scan of the list gives.  Terms are taken largest first.  In a lex or block order a reduction can raise an
-    exponent, so there a term whose key has a guard bit set is refused; in
-    degrevlex no reduction raises the degree, so no exponent can pass the cap.
+    whose lead divides ``k``, or None.  ``_first_divisor``'s memo only moves
+    where its scan starts, never which divisor it returns, so the reduction
+    is the one a plain scan of the list gives.  Terms are taken largest
+    first.  In a lex or block order a reduction can raise an exponent, so
+    there a term whose key has a guard bit set is refused; in degrevlex no
+    reduction raises the degree, so no exponent can pass the cap.
     Specializes the coefficient arithmetic per domain.
     """
     pack = ring.pack
