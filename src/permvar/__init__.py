@@ -30,7 +30,6 @@ from .ring import (
     block_order,
     matrix_det,
     matrix_minors,
-    poly_family_rank,
     poly_from_text,
 )
 

@@ -1,7 +1,8 @@
 """Command-line surface: permanents, ranks, ideals, Groebner data, torus
 types, slices and the reproduction suite.
 
-Exit codes: 0 all checks passed, 1 a check or case failed, 2 usage error.
+Exit codes: 0 all checks passed, 1 a check or case failed, 2 usage error or
+refused input.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import sys
 
 from . import experiments
 from .config import CliConfig, load_config
-from .errors import GroebnerTimeout, StructuralError
+from .errors import CapacityError, GroebnerTimeout, PreconditionError, StructuralError
 from .groebner import (
     buchberger,
     hilbert_degree,
@@ -62,7 +63,7 @@ def _read_matrix(args):
 
 
 def _read_ideal(path: str, prime: int | None, order_tag: str):
-    order = MonomialOrder.from_tag(order_tag)
+    order = MonomialOrder(order_tag)
     domain = GF(prime) if prime else QQ
     return load_ideal_file(path, domain, order)
 
@@ -389,7 +390,9 @@ def main(argv=None) -> int:
     except GroebnerTimeout as e:
         print(f"timeout: {e} (partial stats: {e.stats})", file=sys.stderr)
         return 1
-    except (StructuralError, OSError, json.JSONDecodeError) as e:
+    except (
+        StructuralError, PreconditionError, CapacityError, OSError, json.JSONDecodeError
+    ) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

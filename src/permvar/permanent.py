@@ -1,9 +1,8 @@
 """Exact permanent engines, permanental rank, and permanental-ideal builders.
 
-Also builds the derived integer and symbolic matrices whose entries are
-sub-permanents of a fixed point: the symmetric matrices controlling tangent
-directions, and the Kirkup matrices together with the determinantal
-generators of the nondegenerate permanental ideal.
+Also builds the Kirkup matrices and the derived integer and symbolic
+matrices whose entries are sub-permanents of a fixed point: the symmetric
+matrices controlling tangent directions.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from .ring import (
     PolyMatrix,
     PolyRing,
     VarUniverse,
-    matrix_det,
 )
 
 SYMBOLIC_PERM_BOUND = 7
@@ -156,7 +154,11 @@ def prk(mat) -> int:
 
 
 def matrix_from_json(text_or_obj):
-    """Parse a JSON grid of integer/rational strings (or numbers)."""
+    """Parse a JSON grid of integer/rational strings (or integers).
+
+    Anything else, including JSON booleans, unparsable strings and zero
+    denominators, is refused with :class:`StructuralError`.
+    """
     obj = json.loads(text_or_obj) if isinstance(text_or_obj, str) else text_or_obj
     if not isinstance(obj, list) or not obj or not all(isinstance(r, list) for r in obj):
         raise StructuralError("matrix JSON must be a non-empty list of rows")
@@ -164,13 +166,16 @@ def matrix_from_json(text_or_obj):
     for r in obj:
         row = []
         for x in r:
-            if isinstance(x, int):
-                row.append(x)
-            elif isinstance(x, str):
-                f = Fraction(x)
-                row.append(f.numerator if f.denominator == 1 else f)
-            else:
+            if isinstance(x, bool) or not isinstance(x, (int, str)):
                 raise StructuralError(f"bad matrix entry {x!r}")
+            if isinstance(x, str):
+                try:
+                    x = Fraction(x)
+                except (ValueError, ZeroDivisionError):
+                    raise StructuralError(f"bad matrix entry {x!r}") from None
+                if x.denominator == 1:
+                    x = x.numerator
+            row.append(x)
         out.append(row)
     _num_dims(out)
     return out
@@ -405,30 +410,3 @@ def derivative_matrix_symbolic(M: PolyMatrix, bound: int = SYMBOLIC_PERM_BOUND) 
             rows[j][i] = val
     return PolyMatrix(rows)
 
-
-def kirkup_generators(k: int, domain=ZZ, bound: int = 4):
-    """Determinantal members of the nondegenerate permanental ideal.
-
-    B_l is the derived matrix of the generic k x (k+1) matrix with row l
-    deleted: its entry (i, j) is the partial of the maximal permanent
-    omitting column j with respect to x_{l,i}.  Returns (f_list, g_list):
-    f_j is the determinant of the partials matrix A_j (row l taken from
-    column j of B_l) with its zero column removed (j = 1..k+1), and g_l the
-    determinant of B_l (l = 1..k).
-    """
-    if k < 3:
-        raise PreconditionError("needs k >= 3")
-    if k > bound:
-        raise CapacityError(f"symbolic generators for k={k} exceed bound {bound}")
-    M = generic_matrix(k, k + 1, domain)
-    n = k + 1
-    B = [
-        derivative_matrix_symbolic(M.submatrix([r for r in range(k) if r != ell], range(n)))
-        for ell in range(k)
-    ]
-    f_list = []
-    for j in range(n):
-        rows = [[B[ell][i, j] for i in range(n) if i != j] for ell in range(k)]
-        f_list.append(matrix_det(PolyMatrix(rows)))
-    g_list = [matrix_det(B[ell]) for ell in range(k)]
-    return f_list, g_list

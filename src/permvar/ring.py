@@ -102,15 +102,6 @@ class CoeffDomain:
             return 1 / c
         raise StructuralError("no inverses over the integers")
 
-    def from_str(self, s: str):
-        s = s.strip()
-        if "/" in s:
-            return self.coerce(Fraction(s))
-        return self.normalize(int(s))
-
-    def to_str(self, c) -> str:
-        return str(c)
-
     def __eq__(self, other):
         return (
             isinstance(other, CoeffDomain)
@@ -128,12 +119,6 @@ class CoeffDomain:
 
     def tag(self) -> str:
         return f"fp:{self.modulus}" if self.kind == "fp" else self.kind
-
-    @staticmethod
-    def from_tag(tag: str) -> "CoeffDomain":
-        if tag.startswith("fp:"):
-            return CoeffDomain("fp", int(tag[3:]))
-        return CoeffDomain(tag)
 
 
 ZZ = CoeffDomain("int")
@@ -175,12 +160,6 @@ class MonomialOrder:
 
     def tag(self) -> str:
         return f"block:{self.elim_count}" if self.kind == "block" else self.kind
-
-    @staticmethod
-    def from_tag(tag: str) -> "MonomialOrder":
-        if tag.startswith("block:"):
-            return MonomialOrder("block", int(tag[6:]))
-        return MonomialOrder(tag)
 
 
 DEGREVLEX = MonomialOrder("degrevlex")
@@ -703,15 +682,6 @@ class MPoly:
                     del acc_terms[kk]
         return ring.from_terms(acc_terms)
 
-    def linear_part(self) -> "MPoly":
-        """Sum of the degree-1 terms."""
-        deg = self.ring.pack.degree
-        return self.ring.from_terms({k: c for k, c in self.terms if deg(k) == 1})
-
-    def homogeneous_part(self, d: int) -> "MPoly":
-        deg = self.ring.pack.degree
-        return self.ring.from_terms({k: c for k, c in self.terms if deg(k) == d})
-
     def evaluate(self, point):
         """Exact evaluation at a full point (list of scalars).
 
@@ -770,7 +740,7 @@ class MPoly:
                 out[ring.pack.pack(unpack(k))] = cc
         return ring.from_terms(out)
 
-    # -- text and JSON forms --------------------------------------------
+    # -- text form ---------------------------------------------------
 
     def text(self) -> str:
         """Canonical text form, e.g. ``3*x_1_2^2*x_2_1 - 7``."""
@@ -801,29 +771,6 @@ class MPoly:
 
     def __repr__(self):
         return f"<MPoly {self.text()}>"
-
-    def to_json(self) -> dict:
-        unpack = self.ring.pack.unpack
-        return {
-            "vars": list(self.universe.names),
-            "order": self.ring.order.tag(),
-            "domain": self.ring.domain.tag(),
-            "terms": [[list(unpack(k)), str(c)] for k, c in self.terms],
-        }
-
-    @staticmethod
-    def from_json(data: dict, ring: PolyRing | None = None) -> "MPoly":
-        if ring is None:
-            universe = VarUniverse(data["vars"])
-            ring = PolyRing(
-                universe,
-                CoeffDomain.from_tag(data["domain"]),
-                MonomialOrder.from_tag(data["order"]),
-            )
-        out = {}
-        for exps, cs in data["terms"]:
-            out[ring.pack.pack(exps)] = ring.domain.from_str(cs)
-        return ring.from_terms(out)
 
 
 _TERM_SPLIT = re.compile(r"(?=[+-])")
@@ -916,10 +863,6 @@ class PolyMatrix:
     def submatrix(self, row_idx, col_idx) -> "PolyMatrix":
         return PolyMatrix([[self.rows[i][j] for j in col_idx] for i in row_idx])
 
-    def transpose(self) -> "PolyMatrix":
-        m, n = self.dims
-        return PolyMatrix([[self.rows[i][j] for i in range(m)] for j in range(n)])
-
     def map(self, fn) -> "PolyMatrix":
         return PolyMatrix([[fn(x) for x in r] for r in self.rows])
 
@@ -997,30 +940,3 @@ def matrix_minors(h: int, M: PolyMatrix, symbolic_bound: int = 8):
             out.append(matrix_det(M.submatrix(rows, cols), symbolic_bound))
     return out
 
-
-def poly_family_rank(fs) -> int:
-    """Rank of the coefficient matrix of a polynomial family.
-
-    Rows are polynomials, columns the monomials appearing anywhere in the
-    family; rank is taken over the coefficient field (QQ for integer input).
-    """
-    fs = list(fs)
-    if not fs:
-        return 0
-    ring = fs[0].ring
-    for f in fs:
-        if f.ring.universe != ring.universe:
-            raise DomainMismatchError("family must share one universe")
-    monomials = sorted({k for f in fs for k, _ in f.terms}, reverse=True)
-    col = {k: i for i, k in enumerate(monomials)}
-    rows = []
-    for f in fs:
-        row = [0] * len(monomials)
-        for k, c in f.terms:
-            row[col[k]] = c
-        rows.append(row)
-    if not monomials:
-        return 0
-    if ring.domain.kind == "fp":
-        return linalg.rank_modp(rows, ring.domain.modulus)
-    return linalg.rank(rows)

@@ -187,6 +187,24 @@ def test_usage_errors(capsys):
     assert run(capsys, "perm")[0] == 2  # missing matrix
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["kirkup", "--k", "2"],
+        ["gb", "--ideal-file", "HUGE"],
+        ["prk", "--matrix", '[["x"]]'],
+        ["prk", "--matrix", '[["1/0"]]'],
+        ["perm", "--matrix", "[[true]]"],
+    ],
+    ids=["kirkup-k2", "exponent-overflow", "unparsable-entry", "zero-denominator", "boolean"],
+)
+def test_bad_input_is_refused_not_raised(capsys, tmp_path, argv):
+    huge = tmp_path / "huge.txt"
+    huge.write_text("vars: x\nx^70000\n")
+    code, out, err = run(capsys, *[str(huge) if a == "HUGE" else a for a in argv])
+    assert code == 2 and out == "" and err.startswith("error: ")
+
+
 def test_env_config_file(tmp_path, monkeypatch):
     from permvar.config import ENV_CONFIG, load_config
 

@@ -26,11 +26,7 @@ from permvar.groebner import (
     standard_monomials,
     transport,
 )
-from permvar.permanent import (
-    GenericMatrixSpec,
-    kirkup_generators,
-    permanental_ideal,
-)
+from permvar.permanent import GenericMatrixSpec, permanental_ideal
 from permvar.ring import (
     DEGREVLEX,
     GF,
@@ -385,6 +381,8 @@ def test_saturated_3x4_ideal_over_rationals():
 
 
 def test_x11_f1_in_permanental_ideal():
+    from test_permanent import kirkup_generators
+
     gens = over_prime(permanental_ideal(GenericMatrixSpec(3, 4)), P1)
     G = buchberger(gens)
     fs, _ = kirkup_generators(3)

@@ -1,53 +1,75 @@
-"""Every public module-level function of permvar is used by the package
-itself (a case, the CLI or another library function), or is on the
-allow-list below with the reason it is kept. A new helper that only its own
-tests call fails here."""
+"""Every public module-level function and every public method of a
+module-level class in permvar is used by the package itself (a case, the CLI
+or another library function), or is on the allow-list below with the reason
+it is kept. A new helper that only its own tests call fails here."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import permvar
 
 SRC = Path(permvar.__file__).parent
 
-PAPER_HELPER = "paper-facing helper awaiting the ROADMAP audit: a registered case or deletion"
-
 ALLOWED = {
-    "permanent.kirkup_generators": PAPER_HELPER,
-    "torus.generic_rank": PAPER_HELPER,
-    "torus.limit_map": PAPER_HELPER,
-    "torus.tangent_decomposition": PAPER_HELPER,
     "groebner.save_ideal_file": "writes the ideal-file format the CLI reads (load_ideal_file)",
     "permanent.matrix_to_json": "writes the matrix JSON form the CLI reads (matrix_from_json)",
     "linalg.rref_fraction": "exact RREF over QQ, derived from rank_kernel; a benchmark layer metric",
-    "ring.poly_family_rank": "coefficient-matrix rank, exported from the package root",
+    "ring.PolyRing.from_exp_dict": "inverse of MPoly.exp_terms; the tests' polynomial constructor",
 }
 
 
+def _names(node) -> Counter:
+    """How often each name is used below ``node``, as a variable or an
+    attribute (imports and definitions are not uses)."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def _definitions(tree):
+    """``(qualified name, node)`` for each top-level function and each method
+    of a top-level class."""
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            yield top.name, top
+        elif isinstance(top, ast.ClassDef):
+            for node in top.body:
+                if isinstance(node, ast.FunctionDef):
+                    yield f"{top.name}.{node.name}", node
+
+
 def _unreferenced(trees: dict) -> set:
-    """``module.function`` for each public top-level function whose name is
-    used nowhere outside its own definition (imports are not uses)."""
-    uses: dict = {}
-    for mod, tree in trees.items():
-        for top in tree.body:
-            owner = (mod, getattr(top, "name", None))
-            for node in ast.walk(top):
-                if isinstance(node, ast.Name):
-                    uses.setdefault(node.id, set()).add(owner)
-                elif isinstance(node, ast.Attribute):
-                    uses.setdefault(node.attr, set()).add(owner)
-    out = set()
-    for mod, tree in trees.items():
-        for top in tree.body:
-            if isinstance(top, ast.FunctionDef) and not top.name.startswith("_"):
-                if not uses.get(top.name, set()) - {(mod, top.name)}:
-                    out.add(f"{mod}.{top.name}")
-    return out
+    """``module.name`` for each public function or method whose name is used
+    nowhere outside its own definition."""
+    uses = Counter()
+    for tree in trees.values():
+        uses.update(_names(tree))
+    return {
+        f"{mod}.{qual}"
+        for mod, tree in trees.items()
+        for qual, node in _definitions(tree)
+        if not node.name.startswith("_") and uses[node.name] == _names(node)[node.name]
+    }
 
 
 def test_detector_ignores_recursion_and_counts_module_level_use():
     src = "def lonely():\n    return lonely()\n\ndef used():\n    return 1\n\nvalue = used()\n"
     assert _unreferenced({"m": ast.parse(src)}) == {"m.lonely"}
+
+
+def test_detector_covers_methods():
+    src = (
+        "class C:\n"
+        "    def __init__(self):\n        self.helper()\n"
+        "    def helper(self):\n        return 1\n"
+        "    def lonely(self):\n        return self.lonely()\n"
+        "    @property\n    def size(self):\n        return 2\n"
+        "\ndef f(c):\n    return c.size\n"
+    )
+    assert _unreferenced({"m": ast.parse(src)}) == {"m.C.lonely", "m.f"}
 
 
 def test_every_public_function_is_used_or_allowed():

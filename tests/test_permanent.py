@@ -15,7 +15,6 @@ from permvar.permanent import (
     derivative_matrix_symbolic,
     generic_matrix,
     hankel_matrix_2xn,
-    kirkup_generators,
     kirkup_matrix,
     matrix_from_json,
     matrix_to_json,
@@ -24,7 +23,7 @@ from permvar.permanent import (
     permanental_ideal,
     prk,
 )
-from permvar.ring import matrix_det
+from permvar.ring import PolyMatrix, matrix_det
 
 
 def naive_perm(mat):
@@ -293,6 +292,29 @@ def test_derivative_matrix_symbolic_matches_numeric():
             assert B[i, j].evaluate(flat) == num[i][j]
 
 
+def kirkup_generators(k):
+    """Reference: determinantal members of the nondegenerate permanental ideal.
+
+    B_l is the derived matrix of the generic k x (k+1) matrix with row l
+    deleted: its entry (i, j) is the partial of the maximal permanent
+    omitting column j with respect to x_{l,i}.  Returns (f_list, g_list):
+    f_j is the determinant of the partials matrix A_j (row l taken from
+    column j of B_l) with its zero column removed (j = 1..k+1), and g_l the
+    determinant of B_l (l = 1..k).
+    """
+    n = k + 1
+    M = generic_matrix(k, n)
+    B = [
+        derivative_matrix_symbolic(M.submatrix([r for r in range(k) if r != ell], range(n)))
+        for ell in range(k)
+    ]
+    f_list = [
+        matrix_det(PolyMatrix([[B[ell][i, j] for i in range(n) if i != j] for ell in range(k)]))
+        for j in range(n)
+    ]
+    return f_list, [matrix_det(b) for b in B]
+
+
 def test_kirkup_generators_structure():
     fs, gs = kirkup_generators(3)
     assert len(fs) == 4 and len(gs) == 3
@@ -304,6 +326,7 @@ def test_kirkup_generators_structure():
         for j in range(4):
             assert B[i, j] == B[j, i]
     assert gs[0] == matrix_det(B)
+    assert all(not f.is_zero() and f.is_homogeneous() for f in fs + gs)
 
 
 def test_kirkup_generators_vanish_at_kirkup_matrix():
@@ -311,11 +334,6 @@ def test_kirkup_generators_vanish_at_kirkup_matrix():
     flat = [x for row in kirkup_matrix(3).as_lists() for x in row]
     assert all(f.evaluate(flat) == 0 for f in fs)
     assert all(g.evaluate(flat) == 0 for g in gs)
-
-
-def test_kirkup_generators_capacity():
-    with pytest.raises(CapacityError):
-        kirkup_generators(5)
 
 
 def test_partials_matrix_entries_are_generator_derivatives():

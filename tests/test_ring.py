@@ -1,6 +1,5 @@
 """Ring layer: domains, monomial orders, sparse polynomials, symbolic matrices."""
 
-import json
 import math
 import random
 from fractions import Fraction
@@ -22,7 +21,6 @@ from permvar.ring import (
     block_order,
     matrix_det,
     matrix_minors,
-    poly_family_rank,
     poly_from_text,
 )
 from permvar import linalg
@@ -47,7 +45,6 @@ def test_prime_field_requires_prime():
 
 def test_rational_normalization_lowest_terms():
     assert QQ.normalize(Fraction(4, 8)) == Fraction(1, 2)
-    assert QQ.from_str("-6/4") == Fraction(-3, 2)
     p = GF(7)
     assert p.coerce(Fraction(1, 2)) == 4  # 2 * 4 = 8 = 1 mod 7
 
@@ -223,13 +220,6 @@ def test_substitute_identity_and_shift():
     assert (x**2).substitute({"x": x + 1}) == x**2 + 2 * x + 1
 
 
-def test_linear_part():
-    R = ring_xy()
-    x, y = R.gens()
-    assert (x**2 + 3 * x + 5).linear_part() == 3 * x
-    assert (x * y + x**2).linear_part().is_zero()
-
-
 def test_evaluate():
     R = PolyRing(VarUniverse.matrix(2, 2), QQ)
     p = R.var(1, 1) * R.var(2, 2) + R.var(1, 2) * R.var(2, 1)
@@ -263,15 +253,6 @@ def test_text_form_examples():
     assert p.text() == "3*x_1_2^2*x_2_1 - 7"
     assert R.zero.text() == "0"
     assert poly_from_text("3*x_1_2^2*x_2_1 - 7", R) == p
-
-
-def test_json_roundtrip():
-    R = PolyRing(VarUniverse.matrix(2, 2), GF(101))
-    p = R.var(1, 1) * R.var(2, 2) + 17
-    blob = json.dumps(p.to_json())
-    q = MPoly.from_json(json.loads(blob))
-    assert q.text() == p.text()
-    assert q.to_json() == p.to_json()
 
 
 def test_text_rejects_unknown_variable():
@@ -354,6 +335,17 @@ def test_minors_examples():
     assert len(matrix_minors(3, six)) == math.comb(6, 3) ** 2
 
 
+def poly_family_rank(fs):
+    """Rank over QQ of the coefficient matrix: one row per polynomial, one
+    column per monomial of the family."""
+    col = {key: i for i, key in enumerate({key for f in fs for key, _ in f.terms})}
+    rows = [[0] * len(col) for _ in fs]
+    for row, f in zip(rows, fs):
+        for key, c in f.terms:
+            row[col[key]] = c
+    return linalg.rank(rows)
+
+
 def test_poly_family_rank_trivial():
     R = ring_xy()
     x, y = R.gens()
@@ -364,8 +356,9 @@ def test_poly_family_rank_trivial():
 
 
 def test_poly_family_rank_of_permanent_families():
-    """Rank equals the family size C(k,h)*C(n,h): the permanents are linearly
-    independent (each contains its private main-diagonal monomial)."""
+    """The coefficient matrix of the h x h permanents has rank C(k,h)*C(n,h):
+    they are linearly independent (each contains its private main-diagonal
+    monomial)."""
     from permvar.permanent import generic_matrix, matrix_permanents
 
     for k in range(2, 6):
@@ -401,7 +394,8 @@ def test_shifted_permanent_linear_part_spans_stated_hyperplane():
     for j in range(n):
         cols = [c for c in range(n) if c != j]
         g = subpermanent(M, range(k), cols)
+        linear = R.from_terms({key: c for key, c in g.terms if R.pack.degree(key) == 1})
         want = R.zero
         for c in cols:
             want = want + R.var(3, c + 1)
-        assert g.linear_part() == fact * want
+        assert linear == fact * want

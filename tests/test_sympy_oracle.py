@@ -3,18 +3,20 @@
 On small seeded random ideals over F_p and QQ the reduced basis and the
 normal forms must equal sympy's in degrevlex, lex and the block order (lex on
 the eliminated block, degrevlex on the rest; sympy's ``ProductOrder`` of
-``lex`` and ``grevlex``).  Skipped when sympy is not installed.
+``lex`` and ``grevlex``).  The dimension and degree must equal counts made on
+sympy's lead monomials.  Skipped when sympy is not installed.
 """
 
 import random
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
 sympy = pytest.importorskip("sympy")
 from sympy.polys.orderings import ProductOrder, grevlex, lex  # noqa: E402
 
-from permvar.groebner import buchberger, normal_form  # noqa: E402
+from permvar.groebner import buchberger, ideal_dimension, normal_form  # noqa: E402
 from permvar.ring import DEGREVLEX, GF, LEX, QQ, PolyRing, VarUniverse, block_order  # noqa: E402
 
 P = 32003
@@ -54,6 +56,34 @@ def _monic(terms, R):
     return {e: R.domain.normalize(c * inv) for e, c in terms.items()}
 
 
+def _sympy_dimension(S, sym_order):
+    """``(dim, degree)`` counted on the lead monomials of sympy's basis.
+
+    dim is the size of the largest variable set containing the support of no
+    lead monomial (-1 for the unit ideal); in dimension 0 the degree is the
+    number of monomials no lead divides, otherwise None.
+    """
+    leads = [sympy.Poly(s, *SYMS).monoms(order=sym_order)[0] for s in S.exprs]
+    n = len(SYMS)
+    dim = max(
+        (
+            r
+            for r in range(n + 1)
+            for vs in combinations(range(n), r)
+            if not any(all(e == 0 or i in vs for i, e in enumerate(m)) for m in leads)
+        ),
+        default=-1,
+    )
+    if dim != 0:
+        return dim, None
+    # in dimension 0 each variable has a pure-power lead, which bounds the box
+    box = [min(m[i] for m in leads if sum(m) == m[i] > 0) for i in range(n)]
+    return dim, sum(
+        not any(all(a >= b for a, b in zip(exps, m)) for m in leads)
+        for exps in product(*map(range, box))
+    )
+
+
 def _random_poly(rng, R, terms, deg):
     return R.from_exp_dict({
         tuple(rng.randint(0, deg) for _ in NAMES): rng.randint(-5, 5) for _ in range(terms)
@@ -68,6 +98,7 @@ def test_reduced_basis_and_normal_forms_match_sympy(domain, order_id):
     opts = {"modulus": P} if domain.kind == "fp" else {"domain": "QQ"}
     rng = random.Random(41)
     compared = 0
+    dims = []
     for _ in range(10):
         gens = [g for g in (_random_poly(rng, R, 3, 2) for _ in range(rng.randint(2, 3))) if g]
         if not gens:
@@ -77,9 +108,14 @@ def test_reduced_basis_and_normal_forms_match_sympy(domain, order_id):
         ours = sorted(sorted(dict(g.exp_terms()).items()) for g in G.gens)
         theirs = sorted(sorted(_monic(_from_sympy(s, R), R).items()) for s in S.exprs)
         assert ours == theirs
+        rep = ideal_dimension(G)
+        assert (rep.dim, rep.degree) == _sympy_dimension(S, sym_order)
+        assert S.is_zero_dimensional == (rep.dim == 0)
+        dims.append(rep.dim)
         for _ in range(3):
             f = _random_poly(rng, R, 4, 3)
             remainder = S.reduce(_to_sympy(f))[1]
             assert dict(normal_form(f, G).exp_terms()) == _from_sympy(remainder, R)
         compared += len(G.gens) > 1
     assert compared >= 5
+    assert {0, 1} <= set(dims)

@@ -1,7 +1,9 @@
-"""Torus-action machinery: limit map, type classification, kernel extensions,
-Jacobian ranks, tangent decomposition."""
+"""Torus-action machinery: type classification, kernel extensions, Jacobian
+ranks, and a reference weight-0/1 action (limit map, tangent decomposition)
+cross-checked against the derived-matrix corank."""
 
 import random
+from dataclasses import dataclass
 
 import pytest
 
@@ -16,21 +18,96 @@ from permvar.permanent import (
 )
 from permvar.ring import QQ, PolyRing, VarUniverse
 from permvar.torus import (
-    WeightAssignment,
     border_pattern_matrix,
     classify_type,
-    generic_rank,
-    is_fixed,
+    jacobian,
     jacobian_rank_at,
     kernel_extension_check,
-    limit_map,
-    random_probe,
-    tangent_decomposition,
 )
 
 RNG = random.Random(77)
 P1 = 2147483647
 P2 = 1073741789
+
+
+def random_probe(rows, cols, rng):
+    """Integer probe point with entries uniform in [-999, 999]."""
+    return [[rng.randint(-999, 999) for _ in range(cols)] for _ in range(rows)]
+
+
+# ---------------------------------------------------------------------------
+# reference code: the weight-0/1 scaling action, its limit map and the weight
+# split of the tangent space at a fixed point
+
+
+@dataclass(frozen=True)
+class WeightAssignment:
+    """Rows scaled with weight one; all other entries have weight zero."""
+
+    shape: tuple
+    rows: tuple  # 1-based row indices
+
+    def __post_init__(self):
+        k, n = self.shape
+        rows = tuple(sorted(set(self.rows)))
+        if not rows or len(rows) >= k:
+            raise StructuralError("weight-one rows must be a nonempty proper subset")
+        if rows[0] < 1 or rows[-1] > k:
+            raise StructuralError("row index out of range")
+        object.__setattr__(self, "rows", rows)
+
+    @property
+    def fixed_dim(self) -> int:
+        k, n = self.shape
+        return (k - len(self.rows)) * n
+
+
+def _shape(p):
+    return (len(p), len(p[0]) if p else 0)
+
+
+def limit_map(p, w: WeightAssignment):
+    """Image of a matrix under t -> 0: the weight-one rows are zeroed."""
+    if _shape(p) != w.shape:
+        raise StructuralError(f"matrix shape {_shape(p)} != action shape {w.shape}")
+    return [[0] * len(row) if (i + 1) in w.rows else list(row) for i, row in enumerate(p)]
+
+
+def is_fixed(p, w: WeightAssignment) -> bool:
+    return _shape(p) == w.shape and all(all(x == 0 for x in p[i - 1]) for i in w.rows)
+
+
+def tangent_decomposition(p, w: WeightAssignment, gens) -> tuple:
+    """Dimensions (dim T^0, dim T^1) of the tangent space at a fixed point.
+
+    Computed two ways and cross-checked: from the kernel of the evaluated
+    Jacobian of ``gens`` split by weight, and from the corank of the derived
+    sub-permanent matrix of the nonzero block.
+    """
+    k, n = w.shape
+    if not is_fixed(p, w):
+        raise PreconditionError("point is not fixed under the torus action")
+    flat = [x for row in p for x in row]
+    jac = [[d.evaluate(flat) for d in row] for row in jacobian(gens).rows]
+    weight1_cols = [(i - 1) * n + j for i in w.rows for j in range(n)]
+    weight0_cols = [c for c in range(k * n) if c not in weight1_cols]
+    # weight-0 columns must vanish at a fixed point of these setups
+    if any(row[c] != 0 for row in jac for c in weight0_cols):
+        raise PreconditionError("Jacobian has weight-zero directions")
+    block = [[row[c] for c in weight1_cols] for row in jac]
+    t1 = len(weight1_cols) - linalg.rank(block)
+    nonzero_rows = [list(p[i]) for i in range(k) if (i + 1) not in w.rows]
+    if len(w.rows) == 1 and n == k + 1:
+        B = derivative_matrices(nonzero_rows, "B1")
+        expected = len(B) - linalg.rank(B)
+    elif len(w.rows) == 2 and n == k:
+        L = derivative_matrices(nonzero_rows, "L")
+        expected = 2 * (len(L) - linalg.rank(L))
+    else:
+        raise PreconditionError("unsupported weight assignment for this check")
+    if t1 != expected:
+        raise PreconditionError(f"weight-one tangent dimension {t1} != derived value {expected}")
+    return w.fixed_dim, t1
 
 
 def test_weight_assignment_validation():
@@ -159,10 +236,6 @@ def test_border_pattern_rank():
             assert linalg.rank(border_pattern_matrix(k, a, b)) == k
 
 
-def test_generic_rank_sampling():
-    assert generic_rank((2, 4), "B1", seed=123) == 4
-
-
 def test_jacobian_rank_constants():
     R = PolyRing(VarUniverse.matrix(2, 2), QQ)
     assert jacobian_rank_at([R.const(3), R.const(0)], [1, 2, 3, 4]) == 0
@@ -193,10 +266,10 @@ def _qq_gens(k, n):
 
 
 def test_tangent_decomposition_kirkup():
-    w = WeightAssignment((3, 4), (1,))
-    gens = _qq_gens(3, 4)
-    p = limit_map(kirkup_matrix(3).as_lists(), w)
-    assert tangent_decomposition(p, w, gens) == (8, 1)
+    for k in (3, 4, 5):
+        w = WeightAssignment((k, k + 1), (1,))
+        p = limit_map(kirkup_matrix(k).as_lists(), w)
+        assert tangent_decomposition(p, w, _qq_gens(k, k + 1)) == ((k - 1) * (k + 1), 1)
 
 
 def test_tangent_decomposition_generic_and_zero():
