@@ -232,6 +232,8 @@ class GenericMatrixSpec:
             raise StructuralError("hankel2xn pattern requires k = 2")
         if self.period is not None and self.pattern != "circulant":
             raise StructuralError("period only applies to circulant patterns")
+        if self.period is not None and self.period < 1:
+            raise StructuralError(f"period {self.period} is not positive")
 
     @property
     def perm_size(self) -> int:

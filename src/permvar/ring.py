@@ -805,10 +805,15 @@ def poly_from_text(text: str, ring: PolyRing) -> MPoly:
             if not factor:
                 raise StructuralError(f"empty factor in {text!r}")
             if _NUM_RE.fullmatch(factor):
+                den = factor.partition("/")[2]
+                if den and int(den) == 0:
+                    raise StructuralError(f"zero denominator in {text!r}")
                 coeff *= Fraction(factor)
                 continue
             if "^" in factor:
                 name, _, es = factor.partition("^")
+                if not es.isdecimal():
+                    raise StructuralError(f"bad exponent {es!r} in {text!r}")
                 e = int(es)
             else:
                 name, e = factor, 1

@@ -195,13 +195,21 @@ def test_usage_errors(capsys):
         ["prk", "--matrix", '[["x"]]'],
         ["prk", "--matrix", '[["1/0"]]'],
         ["perm", "--matrix", "[[true]]"],
+        ["gb", "--ideal-file", "BAD_COEFF"],
+        ["gb", "--ideal-file", "BAD_EXPONENT"],
+        ["saturate", "--ideal-file", "XY", "--by", "2/00*x"],
+        ["ideal", "gen", "--k", "2", "--n", "3", "--pattern", "circulant", "--period", "0"],
     ],
-    ids=["kirkup-k2", "exponent-overflow", "unparsable-entry", "zero-denominator", "boolean"],
+    ids=[
+        "kirkup-k2", "exponent-overflow", "unparsable-entry", "zero-denominator", "boolean",
+        "file-zero-denominator", "file-bad-exponent", "by-zero-denominator", "period-0",
+    ],
 )
 def test_bad_input_is_refused_not_raised(capsys, tmp_path, argv):
-    huge = tmp_path / "huge.txt"
-    huge.write_text("vars: x\nx^70000\n")
-    code, out, err = run(capsys, *[str(huge) if a == "HUGE" else a for a in argv])
+    files = {"XY": "x*y", "HUGE": "x^70000", "BAD_COEFF": "1/0*x", "BAD_EXPONENT": "x^y"}
+    for name, line in files.items():
+        (tmp_path / name).write_text(f"vars: x y\n{line}\n")
+    code, out, err = run(capsys, *[str(tmp_path / a) if a in files else a for a in argv])
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
