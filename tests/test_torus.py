@@ -82,7 +82,8 @@ def tangent_decomposition(p, w: WeightAssignment, gens) -> tuple:
 
     Computed two ways and cross-checked: from the kernel of the evaluated
     Jacobian of ``gens`` split by weight, and from the corank of the derived
-    sub-permanent matrix of the nonzero block.
+    sub-permanent matrix of the nonzero block.  Ranks are taken over QQ, so
+    ``gens`` must have integer or rational coefficients.
     """
     k, n = w.shape
     if not is_fixed(p, w):
