@@ -14,12 +14,14 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from importlib import resources
 from itertools import combinations
+from math import comb
 
 from . import __version__, linalg
 from .config import CliConfig
-from .errors import GroebnerTimeout, PreconditionError, StructuralError
+from .errors import DomainMismatchError, GroebnerTimeout, PreconditionError, StructuralError
 from .groebner import (
     buchberger,
     hilbert_degree,
@@ -277,7 +279,9 @@ def _census_2xn(n: int, p: int, timeout_s: float) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# section-5 style script cases (Macaulay-matrix zero-dimensionality certificates)
+# section-5 style script cases: script-4x5 is decided by buchberger and
+# ideal_dimension, script-5x6 by the Macaulay-matrix zero-dimensionality
+# certificate below
 
 
 def _script_slice(k: int, A) -> PolyMatrix:
@@ -305,40 +309,96 @@ def _script_slice(k: int, A) -> PolyMatrix:
     return B1.map(lambda e: transport(e.substitute(mapping), small))
 
 
+def _lex_monomials(total: int, nv: int):
+    """Exponent tuples of degree ``total`` in ``nv`` variables, ascending in
+    lex order (first exponent most significant)."""
+    if nv == 1:
+        yield (total,)
+        return
+    for e in range(total + 1):
+        for rest in _lex_monomials(total - e, nv - 1):
+            yield (e,) + rest
+
+
+def _residue_terms(gens, p: int):
+    """``(degree, exponent rows, coefficients mod p)`` as numpy int64 arrays,
+    one triple per generator that is nonzero mod p, its terms that vanish
+    mod p dropped.  The generators share one ring over ZZ, QQ or a prime
+    field; an inhomogeneous one raises PreconditionError."""
+    import numpy as np
+
+    ring = gens[0].ring
+    reduce = GF(p).coerce
+    unpack = cache(ring.pack.unpack)  # the generators share few monomials
+    out = []
+    for g in gens:
+        if g.ring is not ring:
+            raise DomainMismatchError("generators live in different rings")
+        terms = [(unpack(k), r) for k, c in g.terms if (r := reduce(c))]
+        if not terms:
+            continue
+        degs = {sum(e) for e, _ in terms}
+        if len(degs) > 1:
+            raise PreconditionError("certificate needs homogeneous generators")
+        exps, coeffs = zip(*terms)
+        out.append((degs.pop(), np.array(exps, dtype=np.int64), np.array(coeffs, dtype=np.int64)))
+    return out
+
+
+def _macaulay_matrix(polys, d: int, m: int):
+    """The degree-``d`` Macaulay matrix of ``polys`` (from :func:`_residue_terms`)
+    in ``m`` variables, as a numpy int64 array.
+
+    Columns are the degree-d monomials in lex order; rows are each generator
+    of degree at most d times each monomial of the complementary degree, the
+    generators in order and their multipliers in lex order.  A monomial's
+    column is its lex rank: the monomials before it are those that agree on
+    exponents 0..i-1 and are smaller at i, and with r degrees left for the
+    k = m-1-i later variables they number comb(r+k, k) - comb(r-e_i+k, k).
+    """
+    import numpy as np
+
+    # lead[r, k] = comb(r + k, k): monomials of degree <= r in k variables
+    lead = np.array([[comb(r + k, k) for k in range(m)] for r in range(d + 1)], dtype=np.int64)
+    used = [(dg, exps, coeffs) for dg, exps, coeffs in polys if dg <= d]
+    shifts = {dg: np.array(list(_lex_monomials(d - dg, m)), dtype=np.int64) for dg, _, _ in used}
+    out = np.zeros((sum(len(shifts[dg]) for dg, _, _ in used), lead[d, m - 1]), dtype=np.int64)
+    top = 0
+    for dg, exps, coeffs in used:
+        monos = shifts[dg][:, None, :] + exps[None, :, :]
+        col = np.zeros(monos.shape[:2], dtype=np.int64)
+        left = np.full(monos.shape[:2], d, dtype=np.int64)
+        for i in range(m - 1):
+            k = m - 1 - i
+            col += lead[left, k] - lead[left - monos[:, :, i], k]
+            left -= monos[:, :, i]
+        rows = top + np.arange(len(monos))
+        out[rows[:, None], col] = coeffs
+        top += len(monos)
+    return out
+
+
 def homogeneous_dim0_certificate(
     gens, p: int, max_degree: int = 60, stall_limit: int = 4, deadline: float | None = None
 ):
     """Smallest d with the full degree-d monomial space inside the ideal.
 
-    For homogeneous generators in m variables this certifies that the ideal
-    is m-primary, i.e. zero-dimensional of codimension m.  Returns d, or
-    None when inconclusive: no fill up to max_degree, or the quotient's
-    Hilbert function stopped shrinking for ``stall_limit`` straight degrees
-    (the signature of a positive-dimensional component).  ``deadline`` is a
+    For homogeneous generators in m variables with integer, rational or F_p
+    coefficients this certifies that the ideal mod p is m-primary, i.e.
+    zero-dimensional of codimension m.  Returns d, or None when
+    inconclusive: no fill up to max_degree, or the quotient's Hilbert
+    function stopped shrinking for ``stall_limit`` straight degrees (the
+    signature of a positive-dimensional component).  ``deadline`` is a
     ``time.monotonic()`` value checked before each degree; past it the
     certificate raises GroebnerTimeout.
     """
-    gens = [g for g in gens if g]
     if not gens:
         return None
-    ring = gens[0].ring
-    m = len(ring.universe)
-    polys = []
-    for g in gens:
-        if not g.is_homogeneous():
-            raise PreconditionError("certificate needs homogeneous generators")
-        polys.append([(exps, int(c)) for exps, c in g.exp_terms()])
-    degs = [sum(t[0][0]) for t in polys]
-    start = max(degs)
-
-    def monomials(total, nv):
-        if nv == 1:
-            yield (total,)
-            return
-        for e in range(total + 1):
-            for rest in monomials(total - e, nv - 1):
-                yield (e,) + rest
-
+    polys = _residue_terms(gens, p)
+    if not polys:
+        return None
+    m = len(gens[0].ring.universe)
+    start = max(dg for dg, _, _ in polys)
     last_deficiency = None
     stalled = 0
     for d in range(start, max_degree + 1):
@@ -347,21 +407,11 @@ def homogeneous_dim0_certificate(
                 f"Macaulay certificate exceeded the wall-clock budget before degree {d}",
                 {"phase": "macaulay", "degree": d, "deficiency": last_deficiency},
             )
-        cols = {mono: i for i, mono in enumerate(monomials(d, m))}
-        ncols = len(cols)
-        rows = []
-        for poly, dg in zip(polys, degs):
-            if dg > d:
-                continue
-            for shift in monomials(d - dg, m):
-                row = [0] * ncols
-                for exps, c in poly:
-                    mono = tuple(e + s for e, s in zip(exps, shift))
-                    row[cols[mono]] = c % p
-                rows.append(row)
-        if len(rows) < ncols:
+        mat = _macaulay_matrix(polys, d, m)
+        nrows, ncols = mat.shape
+        if nrows < ncols:
             continue
-        deficiency = ncols - linalg.rank_modp_numpy(rows, p)
+        deficiency = ncols - linalg.rank_modp_numpy(mat, p)
         if deficiency == 0:
             return d
         if last_deficiency is not None and deficiency >= last_deficiency:
@@ -380,7 +430,7 @@ def _certified_codim(gens, primes, deadline):
     conclusive and the same at every prime."""
 
     def codim(p):
-        d = homogeneous_dim0_certificate(over_prime(gens, p), p, deadline=deadline)
+        d = homogeneous_dim0_certificate(gens, p, deadline=deadline)
         return len(gens[0].ring.universe) if d is not None else None
 
     value, agree = _per_prime(primes, codim)
@@ -844,8 +894,11 @@ def _run_radical_eq_sing(spec, cfg):
 
 def _run_script_4x5(spec, cfg):
     """Slice the 5x5 partials matrix of the 4x5 permanental system by a seeded
-    random 3-space; certify that its determinant's singular locus and its
-    4x4-minor locus are both zero-dimensional there."""
+    random 3-space, and give the codimensions of its determinant's singular
+    locus and of its 4x4-minor locus there (3: zero-dimensional).  Each is
+    decided by ``buchberger`` and ``ideal_dimension`` over each prime, under
+    what is left of the case budget; the Macaulay certificate only fills at
+    degree 40 on the singular locus."""
     deadline = time.monotonic() + spec.timeout_s
     rng = random.Random(cfg.seed)
     A = [[rng.randint(-9, 9) for _ in range(12)] for _ in range(3)]
@@ -853,15 +906,23 @@ def _run_script_4x5(spec, cfg):
     det = matrix_det(BB, symbolic_bound=6)
     partials = [det.diff(nm) for nm in BB.ring.universe.names]
     minors4 = [q for q in matrix_minors(4, BB, symbolic_bound=6) if q]
-    sing_codim, sing_agree = _certified_codim(partials, cfg.primes, deadline)
-    minors4_codim, minors4_agree = _certified_codim(minors4, cfg.primes, deadline)
+
+    def codim(gens, p):
+        G = buchberger(over_prime(gens, p), timeout_s=max(deadline - time.monotonic(), 0.001))
+        return ideal_dimension(G, deadline).codim
+
+    sing_codim, sing_agree = _per_prime(cfg.primes, lambda p: codim(partials, p))
+    minors4_codim, minors4_agree = _per_prime(cfg.primes, lambda p: codim(minors4, p))
     measured = {"sing_codim": sing_codim, "minors4_codim": minors4_codim, "seed": cfg.seed}
     return measured, sing_agree and minors4_agree
 
 
 def _run_script_5x6(spec, cfg):
     """With the explicit integer 4x20 slice matrix, certify that the rank-two
-    locus (3x3 minors) of the sliced 6x6 partials matrix is zero-dimensional."""
+    locus (3x3 minors) of the sliced 6x6 partials matrix is zero-dimensional.
+    The Macaulay certificate decides it over each prime: its 210 dense
+    minors fill degree 13 in one 840 x 560 matrix, where Buchberger reduces
+    1,260 S-pairs one term at a time."""
     deadline = time.monotonic() + spec.timeout_s
     minors3 = _distinct(matrix_minors(3, _script_slice(5, SCRIPT_5X6_A), symbolic_bound=6))
     codim, agree = _certified_codim(minors3, cfg.primes, deadline)

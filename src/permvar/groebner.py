@@ -444,17 +444,18 @@ class DimensionReport:
     degree: int | None
 
 
-def ideal_dimension(G: GroebnerBasis) -> DimensionReport:
+def ideal_dimension(G: GroebnerBasis, deadline: float | None = None) -> DimensionReport:
     """Krull dimension and codimension of the quotient, and in dimension 0
     its degree (the number of standard monomials), from the Hilbert
-    numerator of the leading-term ideal."""
+    numerator of the leading-term ideal.  ``deadline`` is passed on to
+    :func:`hilbert_numerator`."""
     n = len(G.ring.universe)
     if n > 30:
         raise PreconditionError("lead-ideal invariants capped at 30 variables")
     if G.is_unit_ideal():
         # empty scheme: no degree is reported
         return DimensionReport(-1, n + 1, None)
-    codim, value = _numerator_at_one(G)
+    codim, value = _numerator_at_one(G, deadline)
     dim = n - codim
     return DimensionReport(dim, codim, value if dim == 0 else None)
 
@@ -527,18 +528,22 @@ def is_homogeneous_ideal(gens) -> bool:
     return all(g.is_homogeneous() for g in gens)
 
 
-def hilbert_numerator(G: GroebnerBasis) -> tuple:
+def hilbert_numerator(G: GroebnerBasis, deadline: float | None = None) -> tuple:
     """Coefficients of the numerator N(t) of HS_{R/in(I)} = N(t)/(1-t)^n.
 
     Bigatti's pivot recursion on the leading-term ideal, run once per basis:
     the result is cached on ``G``.  The leads of a reduced basis are minimal
     generators, and each split keeps them minimal (see ``num``), so no step
     re-minimalizes; every generator list is kept in ``(degree, exps)`` order.
+    ``deadline`` is a ``time.monotonic()`` value checked every 256 recursion
+    steps, the first included; past it the recursion raises GroebnerTimeout
+    (phase ``"hilbert"``) and caches nothing.
     """
     got = G._cache.get("hilbert_numerator")
     if got is not None:
         return got
     memo: dict = {}
+    steps = 0
 
     def canonical(ms):
         return tuple(sorted(ms, key=lambda m: (sum(m), m)))
@@ -559,6 +564,13 @@ def hilbert_numerator(G: GroebnerBasis) -> tuple:
         return out
 
     def num(ms):
+        nonlocal steps
+        if deadline is not None and steps & 255 == 0 and time.monotonic() > deadline:
+            raise GroebnerTimeout(
+                "Hilbert numerator exceeded the wall-clock budget",
+                {"phase": "hilbert", "steps": steps},
+            )
+        steps += 1
         if not ms:
             return [1]
         if any(sum(m) == 0 for m in ms):
@@ -606,11 +618,11 @@ def hilbert_numerator(G: GroebnerBasis) -> tuple:
     return got
 
 
-def _numerator_at_one(G: GroebnerBasis):
+def _numerator_at_one(G: GroebnerBasis, deadline: float | None = None):
     """``(valuation, value)``: how often (1 - t) divides the Hilbert
     numerator, which is the codimension, and the quotient's value at t = 1,
     which is the degree."""
-    coeffs = hilbert_numerator(G)
+    coeffs = hilbert_numerator(G, deadline)
     valuation = 0
     while sum(coeffs) == 0:
         # exact division by (1 - t): the partial sums, the last one being 0

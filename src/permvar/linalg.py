@@ -227,10 +227,13 @@ def det_modp(rows, p):
 
 
 def rank_modp_numpy(mat, p):
-    """Rank of an integer matrix mod p, eliminating in numpy int64.
+    """Rank mod p of an integer matrix (lists or a numpy int64 array),
+    eliminating in numpy int64.
 
     Products of two residues fit int64 only for p below 2**31; larger primes
-    go to :func:`rank_modp`.
+    go to :func:`rank_modp`.  Each pivot updates only the rows below it that
+    are nonzero in its column, and in them only the columns from its own on:
+    the columns to its left are already zero there.
     """
     if p >= 1 << 31:
         return rank_modp([[int(x) for x in r] for r in mat], p)
@@ -242,17 +245,17 @@ def rank_modp_numpy(mat, p):
     for col in range(n):
         if row == m:
             break
-        nz = np.nonzero(a[row:, col])[0]
+        nz = np.flatnonzero(a[row:, col])
         if nz.size == 0:
             continue
         piv = row + int(nz[0])
         if piv != row:
-            a[[row, piv]] = a[[piv, row]]
-        inv = pow(int(a[row, col]), p - 2, p)
-        a[row] = a[row] * inv % p
-        below = a[row + 1 :, col]
-        mask = below != 0
-        if mask.any():
-            a[row + 1 :][mask] = (a[row + 1 :][mask] - np.outer(below[mask], a[row])) % p
+            a[[row, piv], col:] = a[[piv, row], col:]
+        # the old row `row` was zero in this column, so after the swap the
+        # rows to clear are the other nonzeros found
+        below = row + nz[1:]
+        if below.size:
+            pr = a[row, col:] * pow(int(a[row, col]), p - 2, p) % p
+            a[below, col:] = (a[below, col:] - np.outer(a[below, col], pr)) % p
         row += 1
     return row

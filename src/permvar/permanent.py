@@ -28,6 +28,9 @@ from .ring import (
 )
 
 SYMBOLIC_PERM_BOUND = 7
+# Largest Kirkup size built: its k + 1 checks are Ryser permanents of size k,
+# O(2^k k) each; k = 12 takes about 0.1 s, and each step up doubles it.
+KIRKUP_MAX_K = 12
 
 
 # ---------------------------------------------------------------------------
@@ -335,9 +338,15 @@ class KirkupMatrix:
 
 
 def kirkup_matrix(k: int) -> KirkupMatrix:
-    """Build the k x (k+1) Kirkup matrix and verify all k x k permanents vanish."""
+    """Build the k x (k+1) Kirkup matrix, 3 <= k <= KIRKUP_MAX_K, and verify
+    that all its k x k permanents vanish."""
     if k < 3:
         raise PreconditionError("Kirkup matrices need k >= 3")
+    if k > KIRKUP_MAX_K:
+        raise CapacityError(
+            f"Kirkup matrix k={k} exceeds bound {KIRKUP_MAX_K}: verifying it takes "
+            f"{k + 1} permanents of size {k}, each O(2^k k)"
+        )
     rows = []
     for _ in range(k - 2):
         rows.append([1] * k + [2 - 3 * k])

@@ -213,6 +213,30 @@ def test_bad_input_is_refused_not_raised(capsys, tmp_path, argv):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
+def test_kirkup_size_is_bounded():
+    """``kirkup --k K`` verifies K+1 Ryser permanents of size K; past the
+    bound it is refused at once instead of running for ever."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import permvar
+    from permvar.permanent import KIRKUP_MAX_K
+
+    src = str(Path(permvar.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    for k in (KIRKUP_MAX_K + 1, 100000):
+        done = subprocess.run(
+            [sys.executable, "-m", "permvar.cli", "kirkup", "--k", str(k)],
+            capture_output=True, text=True, env=env, timeout=20,
+        )
+        assert done.returncode == 2
+        assert done.stdout == "" and done.stderr.startswith("error: ")
+    code = main(["kirkup", "--k", str(KIRKUP_MAX_K), "--verify"])
+    assert code == 0
+
+
 def test_env_config_file(tmp_path, monkeypatch):
     from permvar.config import ENV_CONFIG, load_config
 

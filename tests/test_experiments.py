@@ -222,6 +222,33 @@ def test_dim0_certificate_honours_deadline():
     assert err.value.stats["phase"] == "macaulay"
 
 
+def test_script_4x5_degenerate_seed_is_an_honest_fail():
+    """At seed 4 the seeded slice is degenerate: both sliced ideals have
+    codim 2 at both primes.  The case says so exactly, in about a second,
+    and fails against its pins (codim 3) with the primes in agreement."""
+    rep = reproduce("script-4x5", CliConfig(seed=4))
+    assert rep.status == "done"
+    assert rep.measured == {"sing_codim": 2, "minors4_codim": 2, "seed": 4}
+    assert rep.prime_agreement is True
+    assert rep.passed is False
+
+
+def test_script_4x5_honours_its_budget():
+    import time
+
+    from permvar.errors import GroebnerTimeout
+    from permvar.experiments import CaseSpec
+
+    spec = registry()["script-4x5"]
+    tight = CaseSpec(
+        spec.id, spec.claim, spec.tier, spec.provenance, spec.params, spec.expected, 1e-3
+    )
+    t0 = time.monotonic()
+    with pytest.raises(GroebnerTimeout):
+        _RUNNERS["script-4x5"](tight, CliConfig())
+    assert time.monotonic() - t0 < 10
+
+
 def test_reproduce_all_default_tier_skips_extended():
     ids_run = []
     for cid in case_ids():

@@ -232,6 +232,21 @@ def test_hilbert_degree_twisted_cubic():
     assert hilbert_degree(G) == 3
 
 
+def test_hilbert_numerator_honours_deadline():
+    """A past deadline stops the recursion at its first step, names the
+    phase, and leaves nothing cached; without one the basis still answers."""
+    gens = over_prime(permanental_ideal(GenericMatrixSpec(2, 4)), P1)
+    G = buchberger(gens)
+    for call in (hilbert_numerator, ideal_dimension):
+        with pytest.raises(GroebnerTimeout) as err:
+            call(G, deadline=time.monotonic() - 1.0)
+        assert err.value.stats == {"phase": "hilbert", "steps": 0}
+        assert "hilbert_numerator" not in G._cache
+    assert ideal_dimension(G, deadline=time.monotonic() + 60).codim == 4
+    # once cached, the numerator needs no time at all
+    assert hilbert_numerator(G, deadline=time.monotonic() - 1.0) is hilbert_numerator(G)
+
+
 def test_hilbert_numerator_matches_standard_monomial_count():
     """On zero-dimensional ideals the numerator evaluated via (1-t)-division
     must reproduce the direct standard-monomial count."""

@@ -1,5 +1,6 @@
 """Property tests of the exact elimination: ``rank_kernel`` against its own
-contract and the mod-p ranks.  Skipped when hypothesis is not installed.
+contract and the mod-p ranks, and the numpy mod-p rank against the pure
+Python one.  Skipped when hypothesis is not installed.
 
 Entries lie in [-5, 5] and matrices are at most 6 x 6, so by Hadamard's bound
 every minor has absolute value below (5 * sqrt(6))**6 < 3.4 * 10**6, far below
@@ -43,3 +44,41 @@ def test_rank_kernel_contract(A):
         assert linalg.rank(kernel) == len(kernel)
     assert linalg.rank_modp(A, P) == rank
     assert linalg.rank_modp_numpy(A, P) == rank
+
+
+# The numpy kernel against rank_modp: low-rank products with zeroed columns
+# and rows, entries either small or full residues (whose products come
+# within a factor 2 of the int64 limit at p = 2**31 - 1), over small primes
+# (where ranks drop often), p = 2**31 - 1 and one prime past the int64
+# kernel's bound, which must take the pure-Python path.
+PRIMES = [2, 3, 7, P, (1 << 61) - 1]
+
+
+@st.composite
+def modp_matrices(draw):
+    p = draw(st.sampled_from(PRIMES))
+    m, n, r = draw(st.integers(1, 9)), draw(st.integers(1, 9)), draw(st.integers(0, 9))
+    entry = st.one_of(st.integers(-3, 3), st.integers(0, p - 1))
+    left = draw(st.lists(st.lists(entry, min_size=r, max_size=r), min_size=m, max_size=m))
+    right = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=r, max_size=r))
+    A = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)] for row in left]
+    if r == 0:
+        A = [[0] * n for _ in range(m)]
+    for j in draw(st.sets(st.integers(0, n - 1), max_size=n)):
+        for row in A:
+            row[j] = 0
+    for i in draw(st.sets(st.integers(0, m - 1), max_size=m)):
+        A[i] = [0] * n
+    return A, p
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(modp_matrices())
+def test_rank_modp_numpy_matches_rank_modp(case):
+    A, p = case
+    rank = linalg.rank_modp(A, p)
+    assert linalg.rank_modp_numpy(A, p) == rank
+    if p < 1 << 31:
+        import numpy as np
+
+        assert linalg.rank_modp_numpy(np.array(A, dtype=np.int64), p) == rank
