@@ -251,8 +251,8 @@ def rank_modp_numpy(mat, p):
         piv = row + int(nz[0])
         if piv != row:
             a[[row, piv], col:] = a[[piv, row], col:]
-        # the old row `row` was zero in this column, so after the swap the
-        # rows to clear are the other nonzeros found
+        # the rows to clear are the other nonzeros found: a row swapped out
+        # of the pivot position was zero here, or it would be the pivot
         below = row + nz[1:]
         if below.size:
             pr = a[row, col:] * pow(int(a[row, col]), p - 2, p) % p
