@@ -28,6 +28,7 @@ from .permanent import (
     derivative_matrices,
     kirkup_matrix,
     matrix_from_json,
+    maximal_permanents_vanish,
     perm_numeric,
     permanental_ideal,
     prk,
@@ -290,10 +291,7 @@ def _run_kirkup(args, cfg) -> int:
     lines = [" ".join(f"{x:6d}" for x in r) for r in rows]
     payload = {"k": args.k, "matrix": rows}
     if args.verify:
-        vanish = all(
-            perm_numeric([[r[c] for c in range(args.k + 1) if c != j] for r in rows]) == 0
-            for j in range(args.k + 1)
-        )
+        vanish = maximal_permanents_vanish(rows)
         payload["all_maximal_permanents_vanish"] = vanish
         lines.append(f"all {args.k}x{args.k} permanents vanish: {str(vanish).lower()}")
         _emit(args, payload, lines)

@@ -45,7 +45,6 @@ from .permanent import (
     perm_numeric,
     perm_symbolic,
     permanental_ideal,
-    subpermanent,
 )
 from .ring import (
     GF,
@@ -54,6 +53,7 @@ from .ring import (
     PolyMatrix,
     PolyRing,
     VarUniverse,
+    _expand,
     matrix_det,
     matrix_minors,
 )
@@ -455,11 +455,7 @@ def two_zero_row_witness(k: int) -> bool:
     ring = M.ring
     mapping = {f"x_{i}_{j}": ring.zero for i in (1, 2) for j in range(1, k + 1)}
     Z = M.map(lambda e: e.substitute(mapping))
-    for rows in combinations(range(k), k - 1):
-        for cols in combinations(range(k), k - 1):
-            if not subpermanent(Z, rows, cols, bound=k).is_zero():
-                return False
-    return True
+    return not any(matrix_permanents(k - 1, Z))
 
 
 def _partition_sum_ideals(k: int, ring: PolyRing):
@@ -470,15 +466,17 @@ def _partition_sum_ideals(k: int, ring: PolyRing):
     indices = list(range(k))
 
     def block_perms(subset, by_rows: bool):
-        h = len(subset)
-        gens = []
-        all_idx = list(range(k))
-        for other in combinations(all_idx, h):
-            if by_rows:
-                gens.append(subpermanent(M, subset, other, bound=k))
-            else:
-                gens.append(subpermanent(M, other, subset, bound=k))
-        return gens
+        # a permanent is unchanged by transposing, so a column block's
+        # permanents are those of its transpose's rows
+        if by_rows:
+            rows = [M.rows[i] for i in subset]
+        else:
+            rows = [[M.rows[i][j] for i in indices] for j in subset]
+        perms = _expand(rows, signed=False)
+        return [
+            perms.get(sum(1 << c for c in other), ring.zero)
+            for other in combinations(indices, len(subset))
+        ]
 
     seen = set()
     for r in range(1, k):
@@ -732,8 +730,9 @@ def _run_kirkup_vanish(spec, cfg):
 
     vanish = {}
     for k in spec.params["k"]:
-        K = kirkup_matrix(k)  # constructor verifies the vanishing
-        rows = K.as_lists()
+        # the constructor checks the vanishing with the column-subset
+        # expansion; Ryser, a second engine, checks it again here
+        rows = kirkup_matrix(k).as_lists()
         vanish[str(k)] = all(
             perm_numeric([[r[c] for c in range(k + 1) if c != j] for r in rows]) == 0
             for j in range(k + 1)
@@ -903,9 +902,9 @@ def _run_script_4x5(spec, cfg):
     rng = random.Random(cfg.seed)
     A = [[rng.randint(-9, 9) for _ in range(12)] for _ in range(3)]
     BB = _script_slice(4, A)
-    det = matrix_det(BB, symbolic_bound=6)
+    det = matrix_det(BB)
     partials = [det.diff(nm) for nm in BB.ring.universe.names]
-    minors4 = [q for q in matrix_minors(4, BB, symbolic_bound=6) if q]
+    minors4 = [q for q in matrix_minors(4, BB) if q]
 
     def codim(gens, p):
         G = buchberger(over_prime(gens, p), timeout_s=max(deadline - time.monotonic(), 0.001))
@@ -924,7 +923,7 @@ def _run_script_5x6(spec, cfg):
     minors fill degree 13 in one 840 x 560 matrix, where Buchberger reduces
     1,260 S-pairs one term at a time."""
     deadline = time.monotonic() + spec.timeout_s
-    minors3 = _distinct(matrix_minors(3, _script_slice(5, SCRIPT_5X6_A), symbolic_bound=6))
+    minors3 = _distinct(matrix_minors(3, _script_slice(5, SCRIPT_5X6_A)))
     codim, agree = _certified_codim(minors3, cfg.primes, deadline)
     return {"distinct_minors": len(minors3), "minors3_codim": codim}, agree
 

@@ -3,6 +3,12 @@
 Also builds the Kirkup matrices and the derived integer and symbolic
 matrices whose entries are sub-permanents of a fixed point: the symmetric
 matrices controlling tangent directions.
+
+``perm_numeric`` takes constant square permanents by Ryser (or Glynn).
+Every other permanent here (symbolic permanents, permanent families, the
+derived matrices, the Kirkup check) is read off one unsigned column-subset
+expansion of the rows (``ring._expand``); signed, the same pass gives the
+symbolic determinants and minors.
 """
 
 from __future__ import annotations
@@ -11,6 +17,7 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 from .errors import (
     CapacityError,
@@ -25,12 +32,21 @@ from .ring import (
     PolyMatrix,
     PolyRing,
     VarUniverse,
+    _expand,
 )
 
+# Largest symbolic permanent expanded; constant ones go through Ryser.
 SYMBOLIC_PERM_BOUND = 7
-# Largest Kirkup size built: its k + 1 checks are Ryser permanents of size k,
-# O(2^k k) each; k = 12 takes about 0.1 s, and each step up doubles it.
+# Largest Kirkup size built: checking its k + 1 maximal permanents is one
+# expansion through at most 2^(k+1) column sets; k = 12 takes about 0.02 s,
+# and each step up doubles it.
 KIRKUP_MAX_K = 12
+# Largest numeric permanent: Ryser is O(2^n n); n = 16 takes about 0.15 s,
+# and each step up doubles it.
+PERM_MAX_N = 20
+# Largest prk search: an all-zero m x n matrix visits sum_h C(m,h) C(n,h) =
+# C(m+n, m) (rows, columns) pairs; 12 x 12 (2.7 million) takes about 3 s.
+PRK_MAX_PAIRS = 3_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -54,6 +70,8 @@ def perm_numeric(mat, method: str = "ryser"):
     m, n = _num_dims(mat)
     if m != n:
         raise StructuralError("permanent of a non-square matrix")
+    if n > PERM_MAX_N:
+        raise CapacityError(f"permanent of size {n} exceeds bound {PERM_MAX_N}: O(2^n n)")
     if n == 0:
         return 1
     if method == "ryser":
@@ -132,6 +150,11 @@ def prk(mat) -> int:
     memo shared across all (row set, column set) pairs of one call.
     """
     m, n = _num_dims(mat)
+    if comb(m + n, m) > PRK_MAX_PAIRS:
+        raise CapacityError(
+            f"prk of a {m}x{n} matrix may visit C({m + n},{m}) (rows, columns) pairs, "
+            f"above the bound {PRK_MAX_PAIRS}"
+        )
     memo = {(): {(): 1}}
 
     def perm_sub(rows: tuple, cols: tuple):
@@ -251,43 +274,22 @@ class GenericMatrixSpec:
         return circulant_hankel_matrix(self.k, self.n, nvars, domain, order)
 
 
-def perm_symbolic(M: PolyMatrix, bound: int = SYMBOLIC_PERM_BOUND) -> MPoly:
-    """Exact permanent of a square PolyMatrix by column-subset DP."""
+def perm_symbolic(M: PolyMatrix) -> MPoly:
+    """Exact permanent of a square PolyMatrix, read off the unsigned
+    column-subset expansion of its rows; a non-constant one is refused above
+    size SYMBOLIC_PERM_BOUND."""
     m, n = M.dims
     if m != n:
         raise StructuralError("permanent of a non-square matrix")
-    if n > bound and not M.is_constant():
+    return matrix_permanents(n, M)[0]
+
+
+def _refuse_symbolic_perm(h: int, M: PolyMatrix):
+    if h > SYMBOLIC_PERM_BOUND and not M.is_constant():
         raise CapacityError(
-            f"symbolic permanent of size {n} exceeds bound {bound}; evaluate "
-            "numerically or raise the bound for structured entries"
+            f"symbolic permanent of size {h} exceeds bound {SYMBOLIC_PERM_BOUND}; "
+            "evaluate it numerically"
         )
-    ring = M.ring
-    if M.is_constant():
-        return ring.const(perm_numeric(M.constant_rows()))
-    # states: column subset used so far -> accumulated polynomial
-    states = {0: ring.one}
-    for i in range(n):
-        row = M.rows[i]
-        nxt: dict = {}
-        for mask, poly in states.items():
-            for j in range(n):
-                bit = 1 << j
-                if mask & bit or not row[j]:
-                    continue
-                prod = poly * row[j]
-                key = mask | bit
-                if key in nxt:
-                    nxt[key] = nxt[key] + prod
-                else:
-                    nxt[key] = prod
-        states = nxt
-        if not states:
-            return ring.zero
-    return states.get((1 << n) - 1, ring.zero)
-
-
-def subpermanent(M: PolyMatrix, rows, cols, bound: int = SYMBOLIC_PERM_BOUND) -> MPoly:
-    return perm_symbolic(M.submatrix(rows, cols), bound)
 
 
 def permanental_ideal(spec: GenericMatrixSpec, domain=ZZ, order=DEGREVLEX):
@@ -301,21 +303,22 @@ def permanental_ideal(spec: GenericMatrixSpec, domain=ZZ, order=DEGREVLEX):
     return matrix_permanents(spec.perm_size, M)
 
 
-def matrix_permanents(h: int, M: PolyMatrix, bound: int = SYMBOLIC_PERM_BOUND):
-    """All h x h permanents of M, colex subset order, columns outermost."""
+def matrix_permanents(h: int, M: PolyMatrix):
+    """All h x h permanents of M, colex subset order, columns outermost: one
+    unsigned expansion per row subset."""
     m, n = M.dims
-    if h > min(m, n):
+    if not 1 <= h <= min(m, n):
         raise StructuralError(f"{h}x{h} permanents of a {m}x{n} matrix")
-    out = []
-    for cols in _colex_subsets(n, h):
-        for rows in _colex_subsets(m, h):
-            out.append(subpermanent(M, rows, cols, bound))
-    return out
+    _refuse_symbolic_perm(h, M)
+    perms = [_expand([M.rows[i] for i in rows], signed=False) for rows in _colex_subsets(m, h)]
+    zero = M.ring.zero
+    return [
+        p.get(sum(1 << c for c in cols), zero) for cols in _colex_subsets(n, h) for p in perms
+    ]
 
 
 def _colex_subsets(n: int, h: int):
-    subs = sorted(combinations(range(n), h), key=lambda s: tuple(reversed(s)))
-    return subs
+    return sorted(combinations(range(n), h), key=lambda s: tuple(reversed(s)))
 
 
 # ---------------------------------------------------------------------------
@@ -344,23 +347,26 @@ def kirkup_matrix(k: int) -> KirkupMatrix:
         raise PreconditionError("Kirkup matrices need k >= 3")
     if k > KIRKUP_MAX_K:
         raise CapacityError(
-            f"Kirkup matrix k={k} exceeds bound {KIRKUP_MAX_K}: verifying it takes "
-            f"{k + 1} permanents of size {k}, each O(2^k k)"
+            f"Kirkup matrix k={k} exceeds bound {KIRKUP_MAX_K}: verifying it expands "
+            f"2^{k + 1} column sets"
         )
     rows = []
     for _ in range(k - 2):
         rows.append([1] * k + [2 - 3 * k])
     rows.append([1] * (k - 1) + [2 - 2 * k, (k - 2) * (k - 1)])
     rows.append([1] * (k - 1) + [k, (2 * k - 1) * (k - 2)])
-    mat = [tuple(r) for r in rows]
-    for j in range(k + 1):
-        cols = [c for c in range(k + 1) if c != j]
-        sub = [[r[c] for c in cols] for r in mat]
-        if perm_numeric(sub) != 0:
-            raise InternalConsistencyError(
-                f"Kirkup construction broken: permanent dropping column {j+1} is nonzero"
-            )
-    return KirkupMatrix(k, tuple(mat))
+    if not maximal_permanents_vanish(rows):
+        raise InternalConsistencyError("Kirkup construction broken: a maximal permanent is nonzero")
+    return KirkupMatrix(k, tuple(tuple(r) for r in rows))
+
+
+def maximal_permanents_vanish(mat) -> bool:
+    """Whether every m x m permanent of a constant m x n matrix, m <= n, is
+    zero: its unsigned expansion over all m rows leaves no column set."""
+    m, n = _num_dims(mat)
+    if m > n:
+        raise StructuralError(f"maximal permanents of a {m}x{n} matrix with more rows than columns")
+    return not _expand(mat, signed=False)
 
 
 # ---------------------------------------------------------------------------
@@ -383,41 +389,24 @@ def derivative_matrices(p, mode: str):
             raise StructuralError(f"mode L expects (k-2) x k, got {m}x{n}")
     else:
         raise StructuralError(f"unknown mode {mode!r}")
-    # One column-subset DP over the rows: after r rows, states maps each set
-    # of r used columns to the sum over placements of the entry products.
-    # After all m rows the set missing columns i and j holds entry (i, j).
-    states = {0: 1}
-    for row in p:
-        entries = [(1 << j, x) for j, x in enumerate(row) if x]
-        nxt: dict = {}
-        for mask, val in states.items():
-            for bit, x in entries:
-                if not mask & bit:
-                    key = mask | bit
-                    nxt[key] = nxt.get(key, 0) + val * x
-        states = nxt
+    return _omitting_pairs(_expand(p, signed=False), n, 0)
+
+
+def _omitting_pairs(perms, n: int, zero):
+    """The n x n symmetric matrix, zero diagonal, whose entry (i, j) is the
+    value in ``perms`` at the column set missing only columns i and j."""
     full = (1 << n) - 1
-    out = [[0] * n for _ in range(n)]
+    out = [[zero] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            val = states.get(full ^ (1 << i) ^ (1 << j), 0)
-            out[i][j] = val
-            out[j][i] = val
+            out[i][j] = out[j][i] = perms.get(full ^ (1 << i) ^ (1 << j), zero)
     return out
 
 
-def derivative_matrix_symbolic(M: PolyMatrix, bound: int = SYMBOLIC_PERM_BOUND) -> PolyMatrix:
+def derivative_matrix_symbolic(M: PolyMatrix) -> PolyMatrix:
     """Symbolic analogue: entries are permanents of M omitting column pairs."""
     m, n = M.dims
     if n != m + 2:
         raise StructuralError(f"expected m x (m+2) input, got {m}x{n}")
-    ring = M.ring
-    rows = [[ring.zero] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            cols = [c for c in range(n) if c != i and c != j]
-            val = subpermanent(M, range(m), cols, bound)
-            rows[i][j] = val
-            rows[j][i] = val
-    return PolyMatrix(rows)
-
+    _refuse_symbolic_perm(m, M)
+    return PolyMatrix(_omitting_pairs(_expand(M.rows, signed=False), n, M.ring.zero))

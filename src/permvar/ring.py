@@ -14,6 +14,7 @@ from __future__ import annotations
 import operator
 import re
 from fractions import Fraction
+from itertools import combinations
 
 from . import linalg
 from .errors import (
@@ -26,6 +27,8 @@ _WIDTH = 16
 _FIELD_CAP = (1 << (_WIDTH - 1)) - 1  # largest exponent; the field's top bit is a guard
 _FIELD_MASK = (1 << _WIDTH) - 1
 _DEG_BITS = 32
+# Largest symbolic determinant expanded; constant ones are unbounded.
+SYMBOLIC_DET_BOUND = 8
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -882,12 +885,43 @@ class PolyMatrix:
         return f"<PolyMatrix {m}x{n} over {self.ring!r}>"
 
 
-def matrix_det(M: PolyMatrix, symbolic_bound: int = 8) -> MPoly:
+def _expand(rows, signed: bool) -> dict:
+    """Every nonzero permanent (``signed=False``) or determinant
+    (``signed=True``) of the ``len(rows)``-row submatrices of ``rows``, as
+    {column bitmask: value}; entries are int, Fraction or MPoly.
+
+    One forward column-subset pass: after r rows, each set of r columns maps
+    to the sum over placements of those rows in those columns.  Placing
+    column j after the columns in ``mask`` adds popcount(mask >> (j + 1))
+    inversions, which gives the determinant's sign.  Sums that cancel to
+    zero are skipped as states and left out of the result.
+    """
+    states = {0: 1}
+    for row in rows:
+        entries = [(j, 1 << j, x) for j, x in enumerate(row) if x]
+        nxt: dict = {}
+        for mask, val in states.items():
+            if not val:
+                continue
+            for j, bit, x in entries:
+                if mask & bit:
+                    continue
+                term = val * x
+                if signed and (mask >> (j + 1)).bit_count() & 1:
+                    term = -term
+                key = mask | bit
+                old = nxt.get(key)
+                nxt[key] = term if old is None else old + term
+        states = nxt
+    return {key: val for key, val in states.items() if val}
+
+
+def matrix_det(M: PolyMatrix) -> MPoly:
     """Exact determinant.
 
-    Symbolic entries go through cofactor expansion with column-subset
-    memoization (bounded size); constant matrices use fraction-free
-    elimination and are unbounded.
+    Constant matrices use fraction-free elimination (mod p over F_p) and
+    are unbounded; symbolic ones are read off the signed column-subset
+    expansion of their rows, up to size SYMBOLIC_DET_BOUND.
     """
     m, n = M.dims
     if m != n:
@@ -898,50 +932,19 @@ def matrix_det(M: PolyMatrix, symbolic_bound: int = 8) -> MPoly:
         if ring.domain.kind == "fp":
             return ring.const(linalg.det_modp(vals, ring.domain.modulus))
         return ring.const(linalg.bareiss_det(vals))
-    if n > symbolic_bound:
-        raise CapacityError(
-            f"symbolic determinant of size {n} exceeds bound {symbolic_bound}; "
-            "raise symbolic_bound if the entries are sparse enough"
-        )
-    memo: dict = {}
-    full = (1 << n) - 1
-
-    def expand(row: int, colmask: int) -> MPoly:
-        if row == n:
-            return ring.one
-        cached = memo.get(colmask)
-        if cached is not None:
-            return cached
-        total = ring.zero
-        sign = 1
-        rest = colmask
-        while rest:
-            low = rest & -rest
-            j = low.bit_length() - 1
-            entry = M.rows[row][j]
-            if entry:
-                sub = expand(row + 1, colmask & ~low)
-                term = entry * sub
-                total = total + (term if sign > 0 else -term)
-            sign = -sign
-            rest &= rest - 1
-        memo[colmask] = total
-        return total
-
-    return expand(0, full)
+    return matrix_minors(n, M)[0]
 
 
-def matrix_minors(h: int, M: PolyMatrix, symbolic_bound: int = 8):
+def matrix_minors(h: int, M: PolyMatrix):
     """All h x h minors, column subsets outermost, both subsets in
-    lexicographic order."""
+    lexicographic order: one signed expansion per row subset."""
     m, n = M.dims
-    if h > min(m, n):
+    if not 1 <= h <= min(m, n):
         raise StructuralError(f"{h}x{h} minors of a {m}x{n} matrix")
-    from itertools import combinations
-
-    out = []
-    for cols in combinations(range(n), h):
-        for rows in combinations(range(m), h):
-            out.append(matrix_det(M.submatrix(rows, cols), symbolic_bound))
-    return out
-
+    if h > SYMBOLIC_DET_BOUND and not M.is_constant():
+        raise CapacityError(f"symbolic determinant of size {h} exceeds bound {SYMBOLIC_DET_BOUND}")
+    dets = [_expand([M.rows[i] for i in rows], signed=True) for rows in combinations(range(m), h)]
+    zero = M.ring.zero
+    return [
+        d.get(sum(1 << c for c in cols), zero) for cols in combinations(range(n), h) for d in dets
+    ]

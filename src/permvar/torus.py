@@ -10,10 +10,11 @@ sub-permanents of the nonzero block (built in :mod:`permvar.permanent`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from . import linalg
 from .errors import StructuralError
-from .permanent import _num_dims, derivative_matrices, perm_numeric
+from .permanent import _num_dims, derivative_matrices, maximal_permanents_vanish
 from .ring import PolyMatrix
 
 
@@ -82,15 +83,10 @@ def kernel_extension_check(A_p, q, mode: str) -> bool:
         raise StructuralError(f"unknown mode {mode!r}")
     if any(len(r) != n for r in rows):
         raise StructuralError("kernel vector length mismatch")
-    from itertools import combinations
-
-    total = len(rows)
-    for rs in combinations(range(total), size):
-        for cs in combinations(range(n), size):
-            sub = [[rows[i][j] for j in cs] for i in rs]
-            if perm_numeric(sub) != 0:
-                return False
-    return True
+    return all(
+        maximal_permanents_vanish([rows[i] for i in rs])
+        for rs in combinations(range(len(rows)), size)
+    )
 
 
 def jacobian(fs) -> PolyMatrix:

@@ -213,28 +213,50 @@ def test_bad_input_is_refused_not_raised(capsys, tmp_path, argv):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
-def test_kirkup_size_is_bounded():
-    """``kirkup --k K`` verifies K+1 Ryser permanents of size K; past the
-    bound it is refused at once instead of running for ever."""
+def run_subprocess(*argv):
+    """Run the CLI in a child process, killed after 20 s."""
     import os
     import subprocess
     import sys
     from pathlib import Path
 
     import permvar
-    from permvar.permanent import KIRKUP_MAX_K
 
     src = str(Path(permvar.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, "-m", "permvar.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+
+
+def test_kirkup_size_is_bounded():
+    """``kirkup --k K`` verifies the K+1 maximal permanents of a K x (K+1)
+    matrix; past the bound it is refused at once instead of running for ever."""
+    from permvar.permanent import KIRKUP_MAX_K
+
     for k in (KIRKUP_MAX_K + 1, 100000):
-        done = subprocess.run(
-            [sys.executable, "-m", "permvar.cli", "kirkup", "--k", str(k)],
-            capture_output=True, text=True, env=env, timeout=20,
-        )
+        done = run_subprocess("kirkup", "--k", str(k))
         assert done.returncode == 2
         assert done.stdout == "" and done.stderr.startswith("error: ")
     code = main(["kirkup", "--k", str(KIRKUP_MAX_K), "--verify"])
     assert code == 0
+
+
+def test_perm_and_prk_sizes_are_bounded():
+    """A 30 x 30 permanent takes Ryser or Glynn hours, and prk of an all-zero
+    20 x 20 matrix visits C(40, 20) (rows, columns) pairs: both are refused
+    at once."""
+    ones = json.dumps([[1] * 30 for _ in range(30)])
+    zeros = json.dumps([[0] * 20 for _ in range(20)])
+    for argv in (
+        ["perm", "--matrix", ones],
+        ["perm", "--matrix", ones, "--method", "glynn"],
+        ["prk", "--matrix", zeros],
+    ):
+        done = run_subprocess(*argv)
+        assert done.returncode == 2
+        assert done.stdout == "" and done.stderr.startswith("error: ")
 
 
 def test_env_config_file(tmp_path, monkeypatch):

@@ -3,7 +3,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -273,19 +273,26 @@ def test_det_2x2_symbolic():
 
 
 def test_det_symbolic_vs_bareiss_on_random_constants():
+    """det(y A) = y^n det A and each h x h minor of y A is y^h times that of
+    A: the symbolic expansion against Bareiss on the constant matrix."""
     rng = random.Random(19)
-    R = PolyRing(VarUniverse.free(["x"]), QQ)
+    R = PolyRing(VarUniverse.free(["y"]), QQ)
+    y = R.gen(0)
     for n in range(1, 9):
         for _ in range(10):
             rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-            M = PolyMatrix([[R.const(x) for x in row] for row in rows])
-            # cofactor route (entries treated symbolically by wrapping one in x*0 + c)
-            memoized = matrix_det(
-                PolyMatrix([[R.const(x) + R.gen(0) * 0 for x in row] for row in rows]),
-                symbolic_bound=9,
-            )
-            assert matrix_det(M).constant_value() == linalg.bareiss_det(rows)
-            assert memoized.constant_value() == linalg.bareiss_det(rows)
+            M = PolyMatrix([[R.const(x) * y for x in row] for row in rows])
+            assert matrix_det(M) == linalg.bareiss_det(rows) * y**n
+    for m, n in ((3, 5), (4, 4), (5, 3)):
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        M = PolyMatrix([[R.const(x) * y for x in row] for row in rows])
+        for h in range(1, min(m, n) + 1):
+            want = [
+                linalg.bareiss_det([[rows[i][j] for j in cols] for i in rs]) * y**h
+                for cols in combinations(range(n), h)
+                for rs in combinations(range(m), h)
+            ]
+            assert matrix_minors(h, M) == want
 
 
 def test_det_requires_square():
@@ -388,12 +395,12 @@ def test_shifted_permanent_linear_part_spans_stated_hyperplane():
     rows.append([R.var(2, j) + 1 for j in range(1, n + 1)])
     rows.append([R.var(3, j) for j in range(1, n + 1)])
     M = PolyMatrix(rows)
-    from permvar.permanent import subpermanent
+    from permvar.permanent import perm_symbolic
 
     fact = math.factorial(k - 1)
     for j in range(n):
         cols = [c for c in range(n) if c != j]
-        g = subpermanent(M, range(k), cols)
+        g = perm_symbolic(M.submatrix(range(k), cols))
         linear = R.from_terms({key: c for key, c in g.terms if R.pack.degree(key) == 1})
         want = R.zero
         for c in cols:
