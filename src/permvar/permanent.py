@@ -35,7 +35,7 @@ from .ring import (
     _expand,
 )
 
-# Largest symbolic permanent expanded; constant ones go through Ryser.
+# Largest symbolic permanent expanded; a constant matrix has no bound.
 SYMBOLIC_PERM_BOUND = 7
 # Largest Kirkup size built: checking its k + 1 maximal permanents is one
 # expansion through at most 2^(k+1) column sets; k = 12 takes about 0.02 s,
@@ -318,7 +318,8 @@ def matrix_permanents(h: int, M: PolyMatrix):
 
 
 def _colex_subsets(n: int, h: int):
-    return sorted(combinations(range(n), h), key=lambda s: tuple(reversed(s)))
+    subs = sorted(combinations(range(n), h), key=lambda s: tuple(reversed(s)))
+    return subs
 
 
 # ---------------------------------------------------------------------------

@@ -95,7 +95,9 @@ def test_minors_and_permanents_match_leibniz(case, h):
         for rs in combinations(range(m), h)
     ]
     assert matrix_minors(h, M) == minors
-    perms = [leibniz(sub(rows, rs, cs), False, ring.one) for cs in colex(n, h) for rs in colex(m, h)]
+    perms = [
+        leibniz(sub(rows, rs, cs), False, ring.one) for cs in colex(n, h) for rs in colex(m, h)
+    ]
     assert matrix_permanents(h, M) == perms
 
 
