@@ -302,7 +302,7 @@ def _run_kirkup(args, cfg) -> int:
 
 def _run_derived(args, cfg) -> int:
     mat = _read_matrix(args)
-    B = derivative_matrices(mat, args.mode)
+    B = derivative_matrices(mat)
     _emit(
         args,
         {"mode": args.mode, "matrix": [[str(x) for x in r] for r in B]},

@@ -821,40 +821,38 @@ def _run_perm_engines(spec, cfg):
     return {"engines_agree": ok}, True
 
 
+def _probe_points(spec, cfg):
+    """``(mode, point)`` for the seeded probes of the derived-matrix cases:
+    per k, ``trials`` random points of shape (k-1) x (k+1) for mode "B1",
+    then (k-2) x k for mode "L" (when k > 2), entries in -9..9."""
+    rng = random.Random(cfg.seed)
+    for k in spec.params["k"]:
+        for mode, (m, n) in (("B1", (k - 1, k + 1)), ("L", (k - 2, k))):
+            if m < 1:
+                continue
+            for _ in range(spec.params["trials"]):
+                yield mode, [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+
+
 def _run_derivative_symmetry(spec, cfg):
     from .permanent import derivative_matrices
 
-    rng = random.Random(cfg.seed)
     ok = True
-    for k in spec.params["k"]:
-        for mode, shape in (("B1", (k - 1, k + 1)), ("L", (k - 2, k))):
-            if shape[0] < 1:
-                continue
-            for _ in range(spec.params["trials"]):
-                A = [[rng.randint(-9, 9) for _ in range(shape[1])] for _ in range(shape[0])]
-                B = derivative_matrices(A, mode)
-                n = len(B)
-                if any(B[i][i] != 0 for i in range(n)):
-                    ok = False
-                if any(B[i][j] != B[j][i] for i in range(n) for j in range(n)):
-                    ok = False
+    for _, A in _probe_points(spec, cfg):
+        B = derivative_matrices(A)
+        n = len(B)
+        if any(B[i][i] != 0 for i in range(n)):
+            ok = False
+        if any(B[i][j] != B[j][i] for i in range(n) for j in range(n)):
+            ok = False
     return {"symmetric_zero_diagonal": ok}, True
 
 
 def _run_rank_never_one(spec, cfg):
-    rng = random.Random(cfg.seed)
     ok = True
-    for k in spec.params["k"]:
-        for mode, shape in (("B1", (k - 1, k + 1)), ("L", (k - 2, k))):
-            if shape[0] < 1:
-                continue
-            for _ in range(spec.params["trials"]):
-                A = [
-                    [rng.randint(-9, 9) for _ in range(shape[1])]
-                    for _ in range(shape[0])
-                ]
-                if classify_type(A, mode).rank == 1:
-                    ok = False
+    for mode, A in _probe_points(spec, cfg):
+        if classify_type(A, mode).rank == 1:
+            ok = False
     return {"rank_one_seen": not ok}, True
 
 

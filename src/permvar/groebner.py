@@ -66,9 +66,7 @@ def transport(p: MPoly, ring: PolyRing) -> MPoly:
                         raise DomainMismatchError(f"target universe lacks variable {nm!r}")
                     perm[i] = j
                 exps[j] = e
-        cc = ring.domain.coerce(c)
-        if cc:
-            out[ring.pack.pack(exps)] = cc
+        out[ring.pack.pack(exps)] = ring.domain.coerce(c)
     return ring.from_terms(out)
 
 
@@ -156,37 +154,24 @@ class GroebnerBasis:
 
 
 def _spoly(f: MPoly, g: MPoly, l: int, pack) -> dict:
-    """Terms of the S-polynomial of f and g, whose leading keys have lcm ``l``."""
-    uf = pack.quotient(l, f.lead_key())
-    ug = pack.quotient(l, g.lead_key())
-    off = pack.offset
-    dom = f.ring.domain
-    acc = {}
-    if dom.kind == "fp":
-        p = dom.modulus
-        inv_f = dom.inv(f.lead_coeff())
-        inv_g = dom.inv(g.lead_coeff())
-        for k, c in f.terms:
-            acc[k + uf - off] = c * inv_f % p
-        for k, c in g.terms:
-            kk = k + ug - off
-            v = (acc.get(kk, 0) - c * inv_g) % p
-            if v:
-                acc[kk] = v
-            elif kk in acc:
-                del acc[kk]
-    else:
-        inv_f = dom.inv(f.lead_coeff())
-        inv_g = dom.inv(g.lead_coeff())
-        for k, c in f.terms:
-            acc[k + uf - off] = c * inv_f
-        for k, c in g.terms:
-            kk = k + ug - off
-            v = acc.get(kk, 0) - c * inv_g
-            if v:
-                acc[kk] = v
-            elif kk in acc:
-                del acc[kk]
+    """Terms of the S-polynomial x^uf f - x^ug g of f and g, whose leading
+    keys have lcm ``l``: a dict of nonzero coefficients.
+
+    f and g must be monic, as every basis element is, so no inverse is
+    needed.  Over F_p their coefficients lie in 1..p-1, so each difference
+    lies in (-p, p) and is zero exactly when it is zero mod p; the nonzero
+    ones stay unreduced until the reduction or ``from_terms`` reduces them.
+    """
+    uf = pack.quotient(l, f.lead_key()) - pack.offset
+    ug = pack.quotient(l, g.lead_key()) - pack.offset
+    acc = {k + uf: c for k, c in f.terms}
+    for k, c in g.terms:
+        kk = k + ug
+        v = acc.get(kk, 0) - c
+        if v:
+            acc[kk] = v
+        elif kk in acc:
+            del acc[kk]
     return acc
 
 
@@ -226,13 +211,13 @@ def _reduce_terms(work: dict, find, ring, deadline: float | None = None):
     first.  In a lex or block order a reduction can raise an exponent, so
     there a term whose key has a guard bit set is refused; in degrevlex no
     reduction raises the degree, so no exponent can pass the cap.
-    Specializes the coefficient arithmetic per domain.
+    Over F_p every updated coefficient is reduced mod p at once, so that a
+    cancellation leaves a zero; the input may hold unreduced nonzero
+    residues (see ``_spoly``), and those pass to the result as they are.
     """
     pack = ring.pack
     check, guard = not pack.graded, pack.guard
-    dom = ring.domain
-    modp = dom.kind == "fp"
-    p = dom.modulus if modp else None
+    p = ring.domain.modulus
     out = {}
     heap = [-k for k in work]
     heapify(heap)
@@ -253,26 +238,17 @@ def _reduce_terms(work: dict, find, ring, deadline: float | None = None):
             continue
         lt, terms = hit
         shift = k - lt
-        if modp:
-            for kk, cc in terms[1:]:
-                k2 = kk + shift
-                v = (work.get(k2, 0) - c * cc) % p
-                if v:
-                    if k2 not in work:
-                        heappush(heap, -k2)
-                    work[k2] = v
-                elif k2 in work:
-                    del work[k2]
-        else:
-            for kk, cc in terms[1:]:
-                k2 = kk + shift
-                v = work.get(k2, 0) - c * cc
-                if v:
-                    if k2 not in work:
-                        heappush(heap, -k2)
-                    work[k2] = v
-                elif k2 in work:
-                    del work[k2]
+        for kk, cc in terms[1:]:
+            k2 = kk + shift
+            v = work.get(k2, 0) - c * cc
+            if p:
+                v %= p
+            if v:
+                if k2 not in work:
+                    heappush(heap, -k2)
+                work[k2] = v
+            elif k2 in work:
+                del work[k2]
     return out
 
 

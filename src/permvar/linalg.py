@@ -20,41 +20,6 @@ def _dims(rows):
     return m, n
 
 
-def bareiss_det(rows):
-    """Determinant by fraction-free (Bareiss) elimination.
-
-    Exact over ZZ (stays integral throughout) and over QQ.
-    """
-    m, n = _dims(rows)
-    if m != n:
-        raise StructuralError("determinant of a non-square matrix")
-    if n == 0:
-        return 1
-    a = [list(r) for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = a[i][j] * pivot - a[i][k] * a[k][j]
-                q, r = divmod(num, prev) if isinstance(num, int) else (num / prev, 0)
-                if r != 0:
-                    raise AssertionError("Bareiss division not exact")
-                a[i][j] = q
-            a[i][k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
-
-
 def _integer_rows(rows):
     """Each row scaled by the lcm of its denominators: an integer matrix with
     the same row space over QQ.  Entries must be ints or Fractions."""
@@ -198,32 +163,6 @@ def rank_modp(rows, p):
         if row == m:
             break
     return rk
-
-
-def det_modp(rows, p):
-    m, n = _dims(rows)
-    if m != n:
-        raise StructuralError("determinant of a non-square matrix")
-    a = [[x % p for x in r] for r in rows]
-    det = 1
-    for col in range(n):
-        piv = None
-        for i in range(col, n):
-            if a[i][col]:
-                piv = i
-                break
-        if piv is None:
-            return 0
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = p - det
-        det = det * a[col][col] % p
-        inv = pow(a[col][col], p - 2, p)
-        for i in range(col + 1, n):
-            f = a[i][col] * inv % p
-            if f:
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], a[col])]
-    return det % p
 
 
 def rank_modp_numpy(mat, p):

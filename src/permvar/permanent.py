@@ -47,6 +47,10 @@ PERM_MAX_N = 20
 # Largest prk search: an all-zero m x n matrix visits sum_h C(m,h) C(n,h) =
 # C(m+n, m) (rows, columns) pairs; 12 x 12 (2.7 million) takes about 3 s.
 PRK_MAX_PAIRS = 3_000_000
+# Most columns of a derived matrix's input: its expansion holds up to
+# C(n, n/2) column sets.  16 x 18 takes 0.8 to 1.4 s and 18 x 20 4 to 6 s
+# on a 2-vCPU machine, about 4.5 times more per two columns.
+DERIVED_MAX_N = 20
 
 
 # ---------------------------------------------------------------------------
@@ -374,22 +378,22 @@ def maximal_permanents_vanish(mat) -> bool:
 # derived matrices of sub-permanents
 
 
-def derivative_matrices(p, mode: str):
-    """Symmetric matrix of sub-permanents of a constant matrix.
+def derivative_matrices(p):
+    """Symmetric matrix of sub-permanents of a constant m x (m+2) matrix p,
+    at most DERIVED_MAX_N columns: entry (i, j), i != j, is the permanent of
+    p omitting columns i and j, and the diagonal is zero.
 
-    mode "B1": p is (k-1) x (k+1); entry (i, j), i != j, is the permanent of
-    p omitting columns i and j.  mode "L": p is (k-2) x k, same recipe.
-    The diagonal is zero and the result is symmetric by construction.
+    Both torus modes build this matrix: "B1" from a (k-1) x (k+1) point,
+    "L" from a (k-2) x k one.
     """
     m, n = _num_dims(p)
-    if mode == "B1":
-        if n != m + 2:
-            raise StructuralError(f"mode B1 expects (k-1) x (k+1), got {m}x{n}")
-    elif mode == "L":
-        if n != m + 2:
-            raise StructuralError(f"mode L expects (k-2) x k, got {m}x{n}")
-    else:
-        raise StructuralError(f"unknown mode {mode!r}")
+    if n != m + 2:
+        raise StructuralError(f"expected an m x (m+2) matrix, got {m}x{n}")
+    if n > DERIVED_MAX_N:
+        raise CapacityError(
+            f"derived matrix of a {m}x{n} matrix exceeds bound {DERIVED_MAX_N} columns: "
+            f"its expansion holds up to C({n},{n // 2}) column sets"
+        )
     return _omitting_pairs(_expand(p, signed=False), n, 0)
 
 

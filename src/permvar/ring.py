@@ -7,6 +7,10 @@ divisibility of monomials are a handful of integer operations on the keys.
 
 Coefficients live in one of three exact domains: arbitrary-precision integers,
 rationals (``fractions.Fraction``), or a prime field F_p with word-size p.
+The arithmetic is written once for all three: over F_p it works on plain
+integers and :meth:`PolyRing.from_terms`, which builds every result, is the
+one place that reduces them mod p (a coefficient of an ``MPoly`` over F_p
+always lies in 1..p-1).
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ import re
 from fractions import Fraction
 from itertools import combinations
 
-from . import linalg
 from .errors import (
     CapacityError,
     DomainMismatchError,
@@ -27,7 +30,7 @@ _WIDTH = 16
 _FIELD_CAP = (1 << (_WIDTH - 1)) - 1  # largest exponent; the field's top bit is a guard
 _FIELD_MASK = (1 << _WIDTH) - 1
 _DEG_BITS = 32
-# Largest symbolic determinant expanded; constant ones are unbounded.
+# Largest determinant or minor expanded.
 SYMBOLIC_DET_BOUND = 8
 
 
@@ -361,20 +364,25 @@ class PolyRing:
         return MPoly(self, ((self.pack.one, c),))
 
     def from_terms(self, mapping) -> "MPoly":
-        """Build from {packed key: coeff}, dropping zeros and sorting."""
-        items = [(k, c) for k, c in mapping.items() if c != 0]
+        """Build from {packed key: coeff}, dropping zeros and sorting.
+
+        Over F_p the coefficients may be any integers: each is reduced mod p
+        here, and a term whose residue is zero is dropped.  Every polynomial
+        arithmetic result goes through this method, so it is the only place
+        that puts F_p coefficients into canonical form.
+        """
+        if self.domain.kind == "fp":
+            p = self.domain.modulus
+            items = [(k, r) for k, c in mapping.items() if (r := c % p)]
+        else:
+            items = [(k, c) for k, c in mapping.items() if c != 0]
         items.sort(key=lambda t: t[0], reverse=True)
         return MPoly(self, tuple(items))
 
     def from_exp_dict(self, mapping) -> "MPoly":
         pk = self.pack.pack
         norm = self.domain.normalize
-        out = {}
-        for exps, c in mapping.items():
-            c = norm(c)
-            if c != 0:
-                out[pk(exps)] = c
-        return self.from_terms(out)
+        return self.from_terms({pk(exps): norm(c) for exps, c in mapping.items()})
 
     def with_order(self, order: MonomialOrder) -> "PolyRing":
         return PolyRing(self.universe, self.domain, order)
@@ -424,9 +432,6 @@ class MPoly:
             raise StructuralError("zero polynomial has no leading term")
         return self.terms[0][0]
 
-    def lead_coeff(self):
-        return self.terms[0][1]
-
     def lead_monomial(self) -> tuple:
         return self.ring.pack.unpack(self.terms[0][0])
 
@@ -449,14 +454,6 @@ class MPoly:
         """Terms as [(exponent tuple, coeff)], descending in the order."""
         unpack = self.ring.pack.unpack
         return [(unpack(k), c) for k, c in self.terms]
-
-    def constant_value(self):
-        """Value as a scalar; raises if not constant."""
-        if not self.terms:
-            return self.ring.domain.normalize(0)
-        if len(self.terms) == 1 and self.terms[0][0] == self.ring.pack.one:
-            return self.terms[0][1]
-        raise StructuralError("polynomial is not constant")
 
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and self.terms[0][0] == self.ring.pack.one)
@@ -486,32 +483,15 @@ class MPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.ring.domain.kind == "fp":
-            p = self.ring.domain.modulus
-            acc = dict(self.terms)
-            for k, c in other.terms:
-                v = (acc.get(k, 0) + c) % p
-                if v:
-                    acc[k] = v
-                elif k in acc:
-                    del acc[k]
-            return self.ring.from_terms(acc)
         acc = dict(self.terms)
         for k, c in other.terms:
-            v = acc.get(k, 0) + c
-            if v:
-                acc[k] = v
-            elif k in acc:
-                del acc[k]
+            acc[k] = acc.get(k, 0) + c
         return self.ring.from_terms(acc)
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.ring.domain.kind == "fp":
-            p = self.ring.domain.modulus
-            return MPoly(self.ring, tuple((k, p - c) for k, c in self.terms))
-        return MPoly(self.ring, tuple((k, -c) for k, c in self.terms))
+        return self.ring.from_terms({k: -c for k, c in self.terms})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -534,20 +514,11 @@ class MPoly:
         pack = self.ring.pack
         off = pack.offset
         acc = {}
-        if self.ring.domain.kind == "fp":
-            p = self.ring.domain.modulus
-            for kb, cb in b:
-                shift = kb - off
-                for ka, ca in a:
-                    k = ka + shift
-                    v = acc.get(k, 0) + ca * cb
-                    acc[k] = v % p
-        else:
-            for kb, cb in b:
-                shift = kb - off
-                for ka, ca in a:
-                    k = ka + shift
-                    acc[k] = acc.get(k, 0) + ca * cb
+        for kb, cb in b:
+            shift = kb - off
+            for ka, ca in a:
+                k = ka + shift
+                acc[k] = acc.get(k, 0) + ca * cb
         # the degrees bound every exponent; past the cap, an exponent that
         # overflowed left its field's guard bit set in some product key
         if self.total_degree() + other.total_degree() > _FIELD_CAP and any(
@@ -590,19 +561,11 @@ class MPoly:
         if lc == dom.normalize(1):
             return self
         inv = dom.inv(lc)
-        if dom.kind == "fp":
-            p = dom.modulus
-            return MPoly(self.ring, tuple((k, c * inv % p) for k, c in self.terms))
-        return MPoly(self.ring, tuple((k, c * inv) for k, c in self.terms))
+        return self.ring.from_terms({k: c * inv for k, c in self.terms})
 
     def scale(self, c) -> "MPoly":
         c = self.ring.domain.coerce(c)
-        if c == 0:
-            return self.ring.zero
-        if self.ring.domain.kind == "fp":
-            p = self.ring.domain.modulus
-            return MPoly(self.ring, tuple((k, cc * c % p) for k, cc in self.terms))
-        return MPoly(self.ring, tuple((k, cc * c) for k, cc in self.terms))
+        return self.ring.from_terms({k: cc * c for k, cc in self.terms})
 
     # -- calculus and substitution --------------------------------------
 
@@ -614,7 +577,6 @@ class MPoly:
         if not 0 <= var < n:
             raise StructuralError(f"variable index {var} out of range")
         pack = self.ring.pack
-        dom = self.ring.domain
         acc = {}
         for k, c in self.terms:
             exps = pack.unpack(k)
@@ -623,9 +585,7 @@ class MPoly:
                 continue
             newexps = list(exps)
             newexps[var] = e - 1
-            cc = dom.coerce(c * e) if dom.kind != "fp" else c * e % dom.modulus
-            if cc:
-                acc[pack.pack(newexps)] = cc
+            acc[pack.pack(newexps)] = c * e
         return self.ring.from_terms(acc)
 
     def substitute(self, mapping, target: PolyRing | None = None) -> "MPoly":
@@ -659,7 +619,6 @@ class MPoly:
         pack = self.ring.pack
         powers: dict = {}
         acc_terms: dict = {}
-        dom = ring.domain
         for k, c in self.terms:
             exps = pack.unpack(k)
             term = ring.const(c)
@@ -676,13 +635,7 @@ class MPoly:
                         cache[ee] = prod
                 term = term * cache[e]
             for kk, cc in term.terms:
-                v = acc_terms.get(kk, 0) + cc
-                if dom.kind == "fp":
-                    v %= dom.modulus
-                if v:
-                    acc_terms[kk] = v
-                elif kk in acc_terms:
-                    del acc_terms[kk]
+                acc_terms[kk] = acc_terms.get(kk, 0) + cc
         return ring.from_terms(acc_terms)
 
     def evaluate(self, point):
@@ -690,7 +643,9 @@ class MPoly:
 
         The first call compiles the terms into a sparse support
         ``((coeff, ((var, exp), ...)), ...)`` stored on the polynomial; the
-        polynomial is immutable, so every later call reuses it.
+        polynomial is immutable, so every later call reuses it.  The sum is
+        taken over the integers (or rationals) and normalized into the
+        domain once, at the end.
         """
         n = len(self.universe)
         if len(point) != n:
@@ -705,21 +660,13 @@ class MPoly:
             )
         dom = self.ring.domain
         point = [dom.coerce(x) for x in point]
-        total = dom.normalize(0)
-        if dom.kind == "fp":
-            p = dom.modulus
-            for c, mono in support:
-                v = c
-                for i, e in mono:
-                    v = v * (point[i] if e == 1 else pow(point[i], e, p)) % p
-                total = (total + v) % p
-            return total
+        total = 0
         for c, mono in support:
             v = c
             for i, e in mono:
                 v *= point[i] if e == 1 else point[i] ** e
             total += v
-        return total
+        return dom.normalize(total)
 
     def max_coeff_bits(self) -> int:
         """Telemetry: largest numerator/denominator bit length."""
@@ -738,9 +685,7 @@ class MPoly:
         unpack = self.ring.pack.unpack
         out = {}
         for k, c in self.terms:
-            cc = ring.domain.coerce(c)
-            if cc:
-                out[ring.pack.pack(unpack(k))] = cc
+            out[ring.pack.pack(unpack(k))] = ring.domain.coerce(c)
         return ring.from_terms(out)
 
     # -- text form ---------------------------------------------------
@@ -789,7 +734,6 @@ def poly_from_text(text: str, ring: PolyRing) -> MPoly:
         return ring.zero
     acc: dict = {}
     pack = ring.pack
-    dom = ring.domain
     n = len(ring.universe)
     for chunk in _TERM_SPLIT.split(s):
         if not chunk or chunk in "+-":
@@ -824,14 +768,7 @@ def poly_from_text(text: str, ring: PolyRing) -> MPoly:
                 raise StructuralError(f"unknown variable {name!r} in {text!r}")
             exps[ring.universe.index[name]] += e
         key = pack.pack(exps)
-        c = dom.coerce(coeff * sign)
-        v = acc.get(key, 0) + c
-        if dom.kind == "fp":
-            v %= dom.modulus
-        if v:
-            acc[key] = v
-        elif key in acc:
-            del acc[key]
+        acc[key] = acc.get(key, 0) + ring.domain.coerce(coeff * sign)
     return ring.from_terms(acc)
 
 
@@ -877,9 +814,6 @@ class PolyMatrix:
     def is_constant(self) -> bool:
         return all(x.is_constant() for r in self.rows for x in r)
 
-    def constant_rows(self):
-        return [[x.constant_value() for x in r] for r in self.rows]
-
     def __repr__(self):
         m, n = self.dims
         return f"<PolyMatrix {m}x{n} over {self.ring!r}>"
@@ -917,21 +851,11 @@ def _expand(rows, signed: bool) -> dict:
 
 
 def matrix_det(M: PolyMatrix) -> MPoly:
-    """Exact determinant.
-
-    Constant matrices use fraction-free elimination (mod p over F_p) and
-    are unbounded; symbolic ones are read off the signed column-subset
-    expansion of their rows, up to size SYMBOLIC_DET_BOUND.
-    """
+    """Exact determinant, read off the signed column-subset expansion of the
+    rows, up to size SYMBOLIC_DET_BOUND."""
     m, n = M.dims
     if m != n:
         raise StructuralError(f"determinant of a {m}x{n} matrix")
-    ring = M.ring
-    if M.is_constant():
-        vals = M.constant_rows()
-        if ring.domain.kind == "fp":
-            return ring.const(linalg.det_modp(vals, ring.domain.modulus))
-        return ring.const(linalg.bareiss_det(vals))
     return matrix_minors(n, M)[0]
 
 
@@ -941,7 +865,7 @@ def matrix_minors(h: int, M: PolyMatrix):
     m, n = M.dims
     if not 1 <= h <= min(m, n):
         raise StructuralError(f"{h}x{h} minors of a {m}x{n} matrix")
-    if h > SYMBOLIC_DET_BOUND and not M.is_constant():
+    if h > SYMBOLIC_DET_BOUND:
         raise CapacityError(f"symbolic determinant of size {h} exceeds bound {SYMBOLIC_DET_BOUND}")
     dets = [_expand([M.rows[i] for i in rows], signed=True) for rows in combinations(range(m), h)]
     zero = M.ring.zero

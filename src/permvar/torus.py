@@ -48,8 +48,11 @@ class TypeReport:
 
 
 def classify_type(A_p, mode: str, seed: int | None = None) -> TypeReport:
-    """Exact rank/corank/kernel of the derived matrix at a probe point."""
-    B = derivative_matrices(A_p, mode)
+    """Exact rank/corank/kernel of the derived matrix at a probe point;
+    ``mode`` ("B1" or "L") labels the report."""
+    if mode not in ("B1", "L"):
+        raise StructuralError(f"unknown mode {mode!r}")
+    B = derivative_matrices(A_p)
     size = len(B)
     rank, kernel = linalg.rank_kernel(B)
     m, n = _num_dims(A_p)

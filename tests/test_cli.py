@@ -259,6 +259,19 @@ def test_perm_and_prk_sizes_are_bounded():
         assert done.stdout == "" and done.stderr.startswith("error: ")
 
 
+def test_derived_matrix_size_is_bounded():
+    """``b1``, ``lp`` and ``type`` expand an m x (m+2) matrix through up to
+    C(m+2, m/2+1) column sets: one column past the bound is refused at once."""
+    from permvar.permanent import DERIVED_MAX_N
+
+    n = DERIVED_MAX_N + 1
+    ones = json.dumps([[1] * n for _ in range(n - 2)])
+    for argv in (["b1"], ["lp"], ["type", "--mode", "B1"]):
+        done = run_subprocess(*argv, "--matrix", ones)
+        assert done.returncode == 2
+        assert done.stdout == "" and done.stderr.startswith("error: ")
+
+
 def test_env_config_file(tmp_path, monkeypatch):
     from permvar.config import ENV_CONFIG, load_config
 

@@ -122,8 +122,7 @@ def omitting_pairs_oracle(rows, zero, one):
 def test_derivative_matrices_match_leibniz(grid, den):
     for mat in (grid, [[Fraction(x, den) for x in row] for row in grid]):
         want = omitting_pairs_oracle(mat, 0, 1)
-        assert derivative_matrices(mat, "B1") == want
-        assert derivative_matrices(mat, "L") == want
+        assert derivative_matrices(mat) == want
 
 
 @SETTINGS

@@ -1,56 +1,16 @@
-"""Exact linear algebra: determinants, ranks, kernels, mod-p elimination."""
+"""Exact linear algebra: ranks, kernels, mod-p elimination."""
 
 import random
-from fractions import Fraction
-from itertools import permutations
-
-import pytest
 
 from permvar import linalg
-from permvar.errors import StructuralError
 
 RNG = random.Random(1234)
 P1 = 2147483647
 P2 = 1073741789
 
 
-def naive_det(mat):
-    n = len(mat)
-    total = 0
-    for sigma in permutations(range(n)):
-        sign = 1
-        seen = list(sigma)
-        # count inversions for the sign
-        inv = sum(
-            1 for i in range(n) for j in range(i + 1, n) if seen[i] > seen[j]
-        )
-        sign = -1 if inv % 2 else 1
-        prod = 1
-        for i in range(n):
-            prod *= mat[i][sigma[i]]
-        total += sign * prod
-    return total
-
-
 def rand_matrix(m, n, lo=-9, hi=9):
     return [[RNG.randint(lo, hi) for _ in range(n)] for _ in range(m)]
-
-
-def test_bareiss_det_matches_naive():
-    for n in range(1, 6):
-        for _ in range(30):
-            A = rand_matrix(n, n)
-            assert linalg.bareiss_det(A) == naive_det(A)
-
-
-def test_bareiss_det_fractions():
-    A = [[Fraction(1, 2), 1], [1, Fraction(1, 3)]]
-    assert linalg.bareiss_det(A) == Fraction(1, 6) - 1
-
-
-def test_det_requires_square():
-    with pytest.raises(StructuralError):
-        linalg.bareiss_det([[1, 2, 3], [4, 5, 6]])
 
 
 def test_rank_vs_rref_pivots():
@@ -97,14 +57,6 @@ def test_modp_rank_matches_rational_rank_for_small_entries():
         r = linalg.rank(A)
         assert linalg.rank_modp(A, P1) == r
         assert linalg.rank_modp(A, P2) == r
-
-
-def test_det_modp_matches_integer_det():
-    for n in range(1, 6):
-        for _ in range(20):
-            A = rand_matrix(n, n)
-            d = naive_det(A)
-            assert linalg.det_modp(A, P1) == d % P1
 
 
 def test_numpy_rank_matches_pure_python():

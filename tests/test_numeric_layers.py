@@ -22,7 +22,7 @@ from permvar.permanent import (
     permanental_ideal,
 )
 from permvar.ring import GF, QQ, ZZ, PolyRing, VarUniverse
-from permvar.torus import jacobian, jacobian_rank_at
+from permvar.torus import classify_type, jacobian, jacobian_rank_at
 
 P = 2147483647
 
@@ -238,6 +238,8 @@ def test_rank_kernel_extremes():
 
 @pytest.mark.parametrize("mode", ["B1", "L"])
 def test_derivative_matrices_match_per_pair_ryser(mode):
+    """Both torus modes read the same derived matrix: the report under
+    either label gives the rank and kernel of the per-pair Ryser matrix."""
     rng = random.Random(99 if mode == "B1" else 100)
     for m in range(1, 6):
         for _ in range(30):
@@ -246,16 +248,21 @@ def test_derivative_matrices_match_per_pair_ryser(mode):
                 [rng.randint(-9, 9) if rng.random() < density else 0 for _ in range(m + 2)]
                 for _ in range(m)
             ]
-            assert derivative_matrices(A, mode) == ref_derivative_matrices(A)
+            want = ref_derivative_matrices(A)
+            assert derivative_matrices(A) == want
+            rep = classify_type(A, mode)
+            assert rep.mode == mode
+            assert rep.rank == len(ref_rref_fraction(want)[1])
+            assert [list(v) for v in rep.kernel_basis] == ref_kernel_basis(want)
     zero = [[0] * 5 for _ in range(3)]
-    assert derivative_matrices(zero, mode) == ref_derivative_matrices(zero)
+    assert derivative_matrices(zero) == ref_derivative_matrices(zero)
 
 
 def test_derivative_matrices_fraction_entries():
     rng = random.Random(5)
     for _ in range(20):
         A = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(5)] for _ in range(3)]
-        assert derivative_matrices(A, "B1") == ref_derivative_matrices(A)
+        assert derivative_matrices(A) == ref_derivative_matrices(A)
 
 
 # ---------------------------------------------------------------------------

@@ -99,10 +99,10 @@ def tangent_decomposition(p, w: WeightAssignment, gens) -> tuple:
     t1 = len(weight1_cols) - linalg.rank(block)
     nonzero_rows = [list(p[i]) for i in range(k) if (i + 1) not in w.rows]
     if len(w.rows) == 1 and n == k + 1:
-        B = derivative_matrices(nonzero_rows, "B1")
+        B = derivative_matrices(nonzero_rows)
         expected = len(B) - linalg.rank(B)
     elif len(w.rows) == 2 and n == k:
-        L = derivative_matrices(nonzero_rows, "L")
+        L = derivative_matrices(nonzero_rows)
         expected = 2 * (len(L) - linalg.rank(L))
     else:
         raise PreconditionError("unsupported weight assignment for this check")
@@ -178,6 +178,10 @@ def test_type_report_json():
     blob = rep.to_json()
     assert blob["rank"] == 3 and blob["type"] == 1 and blob["seed"] == 9
     assert blob["kernel_basis"] == [[1, 1, 1, -7]]
+    # the mode only labels the report, but it must name a mode
+    assert classify_type(kirkup_matrix(3).weight_zero_part(), "L").rank == 3
+    with pytest.raises(StructuralError):
+        classify_type(kirkup_matrix(3).weight_zero_part(), "bogus")
 
 
 def test_kernel_extension_check_b1():
@@ -198,7 +202,7 @@ def test_kernel_extension_equivalence_with_kernel():
             j = RNG.randrange(k + 1)
             for row in A:
                 row[j] = 0  # force corank so the kernel is nontrivial
-            B = derivative_matrices(A, "B1")
+            B = derivative_matrices(A)
             for v in linalg.kernel_basis(B):
                 assert kernel_extension_check(A, tuple(v), "B1")
             # a random non-kernel vector must fail
@@ -289,7 +293,7 @@ def test_tangent_decomposition_two_row_mode():
     p = [[0] * 4, [0] * 4] + random_probe(2, 4, RNG)
     t0, t1 = tangent_decomposition(p, w, gens)
     assert t0 == 8
-    L = derivative_matrices(p[2:], "L")
+    L = derivative_matrices(p[2:])
     assert t1 == 2 * (len(L) - linalg.rank(L))
 
 
