@@ -10,8 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 
 from . import experiments
+from .budget import Budget
 from .config import CliConfig, load_config
 from .errors import CapacityError, GroebnerTimeout, PreconditionError, StructuralError
 from .groebner import (
@@ -217,7 +219,7 @@ def _run_ideal_gen(args, cfg) -> int:
 def _gb_of_file(args, cfg):
     prime = None if getattr(args, "rational", False) else cfg.prime
     gens = _read_ideal(args.ideal_file, prime, cfg.order)
-    return buchberger(gens, timeout_s=cfg.timeout_s), gens
+    return buchberger(gens), gens
 
 
 def _run_gb(args, cfg) -> int:
@@ -280,7 +282,7 @@ def _run_saturate(args, cfg) -> int:
     else:
         print("saturate needs --by or --by-all-vars", file=sys.stderr)
         return 2
-    sat = saturate(gens, f, timeout_s=cfg.timeout_s)
+    sat = saturate(gens, f)
     _emit(args, {"generators": [g.text() for g in sat]}, [g.text() for g in sat])
     return 0
 
@@ -333,7 +335,7 @@ def _run_slice(args, cfg) -> int:
         gens = over_prime(permanental_ideal(GenericMatrixSpec(k, n)), cfg.prime)
         target = PolyRing(M.ring.universe, GF(cfg.prime))
         slice_map = experiments._slice_map_for(M, k, n, target)
-        ht = experiments.slice_codim_bound(gens, slice_map, target, timeout_s=cfg.timeout_s)
+        ht = experiments.slice_codim_bound(gens, slice_map, target)
         payload["ht"] = ht
         payload["codim_lower_bound"] = ht
         lines.append(f"ht {ht} (codimension lower bound {ht})")
@@ -384,7 +386,10 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
     try:
-        return args.run(args, _cfg(args))
+        cfg = _cfg(args)
+        # reproduce opens each case's registered budget, some above the default
+        with nullcontext() if args.command == "reproduce" else Budget(cfg.timeout_s):
+            return args.run(args, cfg)
     except GroebnerTimeout as e:
         print(f"timeout: {e} (partial stats: {e.stats})", file=sys.stderr)
         return 1

@@ -18,9 +18,10 @@ class PreconditionError(ValueError):
 
 
 class GroebnerTimeout(RuntimeError):
-    """Basis computation exceeded its wall-clock budget.
+    """A step ran past its time budget (see :mod:`permvar.budget`): a basis
+    computation, a Hilbert recursion, a certificate or a probe loop.
 
-    Carries the partial-progress statistics collected so far in ``stats``.
+    Carries the phase it stopped in and the work done so far in ``stats``.
     """
 
     def __init__(self, message, stats=None):

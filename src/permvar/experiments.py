@@ -12,7 +12,7 @@ import json
 import random
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache
 from importlib import resources
@@ -20,6 +20,7 @@ from itertools import combinations
 from math import comb
 
 from . import __version__, linalg
+from .budget import Budget, check
 from .config import CliConfig
 from .errors import DomainMismatchError, GroebnerTimeout, PreconditionError, StructuralError
 from .groebner import (
@@ -99,9 +100,10 @@ class CaseReport:
     primes: tuple
     environment: dict = field(default_factory=dict)
     status: str = "done"  # done | skipped | failed-timeout
+    partial_stats: dict = field(default_factory=dict)  # a timeout's work counts
 
     def canonical_dict(self) -> dict:
-        """Deterministic content: everything except wall time and host info."""
+        """Deterministic content: no wall time, host info or timeout counts."""
         return {
             "id": self.id,
             "passed": self.passed,
@@ -117,6 +119,8 @@ class CaseReport:
         out = self.canonical_dict()
         out["wall_ms"] = self.wall_ms
         out["environment"] = self.environment
+        if self.partial_stats:
+            out["partial_stats"] = self.partial_stats
         return out
 
 
@@ -177,7 +181,7 @@ def build_slice(kind: str, param: int | None = None) -> PolyMatrix:
     raise StructuralError(f"unknown slice kind {kind!r}")
 
 
-def slice_codim_bound(I_gens, slice_map, target: PolyRing, timeout_s: float = 600.0) -> int:
+def slice_codim_bound(I_gens, slice_map, target: PolyRing) -> int:
     """Lower bound for the codimension of V(I) from a linear slice.
 
     Substitutes the slice into the generators, computes the height of the
@@ -186,8 +190,7 @@ def slice_codim_bound(I_gens, slice_map, target: PolyRing, timeout_s: float = 60
     """
     sliced = [g.substitute(slice_map, target=target) for g in I_gens]
     sliced = [g for g in sliced if g]
-    G = buchberger(sliced, timeout_s=timeout_s)
-    return ideal_dimension(G).codim
+    return ideal_dimension(buchberger(sliced)).codim
 
 
 def _slice_map_for(M_slice: PolyMatrix, k: int, n: int, target: PolyRing | None = None):
@@ -248,24 +251,24 @@ def _line_in_component(comp_gens, line, n: int) -> bool:
     return all(g.substitute(mapping, target=span_ring).is_zero() for g in comp_gens)
 
 
-def _census_2xn(n: int, p: int, timeout_s: float) -> dict:
+def _census_2xn(n: int, p: int) -> dict:
     """Component structure over F_p of the maximal-permanent locus of a
     generic 2 x n matrix: component count, containment of the permanental
     ideal in each component, radical equality with their intersection, and
     the n^2 singular lines each lying on at least two components."""
     gens = over_prime(permanental_ideal(GenericMatrixSpec(2, n)), p)
     comps = _component_ideals_2xn(n, gens[0].ring)
-    G_I = buchberger(gens, timeout_s=timeout_s)
+    G_I = buchberger(gens)
     containment = True
     for cg in comps:
-        Gc = buchberger(cg, timeout_s=timeout_s)
+        Gc = buchberger(cg)
         if not all(normal_form(g, Gc).is_zero() for g in gens):
             containment = False
     inter = comps[0]
     for cg in comps[1:]:
-        inter = ideal_intersection(inter, cg, timeout_s=timeout_s)
-    inter_in_rad = all(radical_membership(g, gens, timeout_s=timeout_s, gb=G_I) for g in inter)
-    G_T = buchberger(inter, timeout_s=timeout_s)
+        inter = ideal_intersection(inter, cg)
+    inter_in_rad = all(radical_membership(g, gens, gb=G_I) for g in inter)
+    G_T = buchberger(inter)
     ideal_in_inter = all(normal_form(g, G_T).is_zero() for g in gens)
     lines = _singular_lines_2xn(n)
     min_cover = min(sum(_line_in_component(cg, line, n) for cg in comps) for line in lines)
@@ -378,9 +381,7 @@ def _macaulay_matrix(polys, d: int, m: int):
     return out
 
 
-def homogeneous_dim0_certificate(
-    gens, p: int, max_degree: int = 60, stall_limit: int = 4, deadline: float | None = None
-):
+def homogeneous_dim0_certificate(gens, p: int, max_degree: int = 60, stall_limit: int = 4):
     """Smallest d with the full degree-d monomial space inside the ideal.
 
     For homogeneous generators in m variables with integer, rational or F_p
@@ -388,9 +389,9 @@ def homogeneous_dim0_certificate(
     zero-dimensional of codimension m.  Returns d, or None when
     inconclusive: no fill up to max_degree, or the quotient's Hilbert
     function stopped shrinking for ``stall_limit`` straight degrees (the
-    signature of a positive-dimensional component).  ``deadline`` is a
-    ``time.monotonic()`` value checked before each degree; past it the
-    certificate raises GroebnerTimeout.
+    signature of a positive-dimensional component).  The open budget is
+    checked before each degree; past it the certificate raises
+    GroebnerTimeout (phase ``"macaulay"``).
     """
     if not gens:
         return None
@@ -402,11 +403,7 @@ def homogeneous_dim0_certificate(
     last_deficiency = None
     stalled = 0
     for d in range(start, max_degree + 1):
-        if deadline is not None and time.monotonic() > deadline:
-            raise GroebnerTimeout(
-                f"Macaulay certificate exceeded the wall-clock budget before degree {d}",
-                {"phase": "macaulay", "degree": d, "deficiency": last_deficiency},
-            )
+        check("macaulay", {"degree": d, "deficiency": last_deficiency})
         mat = _macaulay_matrix(polys, d, m)
         nrows, ncols = mat.shape
         if nrows < ncols:
@@ -424,13 +421,13 @@ def homogeneous_dim0_certificate(
     return None
 
 
-def _certified_codim(gens, primes, deadline):
+def _certified_codim(gens, primes):
     """The codimension the Macaulay certificate gives at each prime (the
     number of variables, or None when inconclusive), and whether it is
     conclusive and the same at every prime."""
 
     def codim(p):
-        d = homogeneous_dim0_certificate(gens, p, deadline=deadline)
+        d = homogeneous_dim0_certificate(gens, p)
         return len(gens[0].ring.universe) if d is not None else None
 
     value, agree = _per_prime(primes, codim)
@@ -491,7 +488,7 @@ def _partition_sum_ideals(k: int, ring: PolyRing):
     return out
 
 
-def lemma422_containment(k: int, p: int, timeout_s: float = 600.0) -> bool:
+def lemma422_containment(k: int, p: int) -> bool:
     """The (k-1)-permanent ideal of the generic k x k matrix is contained in
     every partition sum of block permanental ideals."""
     ring_z = PolyRing(VarUniverse.matrix(k, k), ZZ)
@@ -499,33 +496,29 @@ def lemma422_containment(k: int, p: int, timeout_s: float = 600.0) -> bool:
     M = PolyMatrix([[ring_p.var(i, j) for j in range(1, k + 1)] for i in range(1, k + 1)])
     sing = matrix_permanents(k - 1, M)
     for _, _, _, gens in _partition_sum_ideals(k, ring_p):
-        G = buchberger(gens, timeout_s=timeout_s)
+        G = buchberger(gens)
         if not all(normal_form(f, G).is_zero() for f in sing):
             return False
     return True
 
 
-def radical_equality_sing(k: int, p: int, timeout_s: float = 3600.0) -> dict:
+def radical_equality_sing(k: int, p: int) -> dict:
     """Both inclusions of the radical identity for the singular locus at k."""
     ring = PolyRing(VarUniverse.matrix(k, k), GF(p))
     M = PolyMatrix([[ring.var(i, j) for j in range(1, k + 1)] for i in range(1, k + 1)])
     sing = matrix_permanents(k - 1, M)
-    G_sing = buchberger(sing, timeout_s=timeout_s)
+    G_sing = buchberger(sing)
     sums = _partition_sum_ideals(k, ring)
     forward = True
     for _, _, _, gens in sums:
-        Gs = buchberger(gens, timeout_s=timeout_s)
-        if not all(
-            radical_membership(f, gens, timeout_s=timeout_s, gb=Gs) for f in sing
-        ):
+        Gs = buchberger(gens)
+        if not all(radical_membership(f, gens, gb=Gs) for f in sing):
             forward = False
             break
     inter = None
     for _, _, _, gens in sums:
-        inter = gens if inter is None else ideal_intersection(inter, gens, timeout_s=timeout_s)
-    backward = all(
-        radical_membership(f, sing, timeout_s=timeout_s, gb=G_sing) for f in inter
-    )
+        inter = gens if inter is None else ideal_intersection(inter, gens)
+    backward = all(radical_membership(f, sing, gb=G_sing) for f in inter)
     return {"forward": forward, "backward": backward}
 
 
@@ -568,7 +561,7 @@ def symbolic_determinant_identities() -> dict:
     return out
 
 
-def hankel_chart_case(n: int, p: int, timeout_s: float = 60.0) -> dict:
+def hankel_chart_case(n: int, p: int) -> dict:
     """Chart ideals of the 2 x n Hankel permanental scheme at both support
     points: zero-dimensional, local degree 4, and the stated monomial basis."""
     M = hankel_matrix_2xn(n)
@@ -590,7 +583,7 @@ def hankel_chart_case(n: int, p: int, timeout_s: float = 60.0) -> dict:
                 mirrored.append(g.substitute(mp, target=mirror_ring))
             mapping = {f"x{n}": chart_ring.one}
             mapped = [g.substitute(mapping, target=chart_ring) for g in mirrored]
-        G = buchberger(mapped, timeout_s=timeout_s)
+        G = buchberger(mapped)
         rep = ideal_dimension(G)
         std = standard_monomials(G) if rep.dim == 0 else []
         out[f"dim_{chart}"] = rep.dim
@@ -658,10 +651,7 @@ def _run_codim(param: str, shape):
         for v in spec.params[param]:
             gens = permanental_ideal(GenericMatrixSpec(*shape(v)))
             measured[str(v)], ok = _per_prime(
-                cfg.primes,
-                lambda p: ideal_dimension(
-                    buchberger(over_prime(gens, p), timeout_s=spec.timeout_s)
-                ).codim,
+                cfg.primes, lambda p: ideal_dimension(buchberger(over_prime(gens, p))).codim
             )
             agree &= ok
         return {"codim": measured}, agree
@@ -672,9 +662,7 @@ def _run_codim(param: str, shape):
 def _run_census(spec, cfg):
     measured, agree = {}, True
     for n in spec.params["n"]:
-        measured[str(n)], ok = _per_prime(
-            cfg.primes, lambda p: _census_2xn(n, p, spec.timeout_s)
-        )
+        measured[str(n)], ok = _per_prime(cfg.primes, lambda p: _census_2xn(n, p))
         agree &= ok
     return measured, agree
 
@@ -682,7 +670,7 @@ def _run_census(spec, cfg):
 def _run_hankel(spec, cfg):
     measured, agree = {}, True
     for n in spec.params["n"]:
-        r, ok = _per_prime(cfg.primes, lambda p: hankel_chart_case(n, p, spec.timeout_s))
+        r, ok = _per_prime(cfg.primes, lambda p: hankel_chart_case(n, p))
         agree &= ok
         measured[str(n)] = {
             "dims": [r["dim_xn"], r["dim_x0"]],
@@ -702,7 +690,7 @@ def _run_slice(kind: str, k: int, n: int):
             target = PolyRing(M_slice.ring.universe, GF(p))
             gens = over_prime(permanental_ideal(GenericMatrixSpec(k, n)), p)
             slice_map = _slice_map_for(M_slice, k, n, target)
-            return slice_codim_bound(gens, slice_map, target, timeout_s=spec.timeout_s)
+            return slice_codim_bound(gens, slice_map, target)
 
         ht, agree = _per_prime(cfg.primes, height)
         return {"ht": ht, "codim_lower_bound": ht}, agree
@@ -717,8 +705,7 @@ def _run_saturation_j3(spec, cfg):
         prod = ring.one
         for g in ring.gens():
             prod = prod * g
-        J = saturate(gens, prod, timeout_s=spec.timeout_s)
-        G = buchberger(J, timeout_s=spec.timeout_s)
+        G = buchberger(saturate(gens, prod))
         return ideal_dimension(G).codim, hilbert_degree(G)
 
     (codim, degree), agree = _per_prime(cfg.primes, codim_degree)
@@ -794,7 +781,7 @@ def _run_circulant_2x2(spec, cfg):
 
         def codim_squares(p):
             gens = _distinct(over_prime(permanental_ideal(pattern), p))
-            G = buchberger(gens, timeout_s=spec.timeout_s)
+            G = buchberger(gens)
             ring = gens[0].ring
             member = all(normal_form(ring.gen(j) ** 2, G).is_zero() for j in range(k + 1))
             return {"codim": ideal_dimension(G).codim, "squares_in_ideal": member}
@@ -812,6 +799,7 @@ def _run_perm_engines(spec, cfg):
     ok = True
     for n in sizes:
         for _ in range(trials):
+            check("probe")
             A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
             r = perm_numeric(A, "ryser")
             g = perm_numeric(A, "glynn")
@@ -824,13 +812,15 @@ def _run_perm_engines(spec, cfg):
 def _probe_points(spec, cfg):
     """``(mode, point)`` for the seeded probes of the derived-matrix cases:
     per k, ``trials`` random points of shape (k-1) x (k+1) for mode "B1",
-    then (k-2) x k for mode "L" (when k > 2), entries in -9..9."""
+    then (k-2) x k for mode "L" (when k > 2), entries in -9..9, each drawn
+    after a budget check."""
     rng = random.Random(cfg.seed)
     for k in spec.params["k"]:
         for mode, (m, n) in (("B1", (k - 1, k + 1)), ("L", (k - 2, k))):
             if m < 1:
                 continue
             for _ in range(spec.params["trials"]):
+                check("probe")
                 yield mode, [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
 
 
@@ -878,25 +868,21 @@ def _run_sing_witness(spec, cfg):
 def _run_lemma422(spec, cfg):
     measured, agree = {}, True
     for k in spec.params["k"]:
-        measured[str(k)], ok = _per_prime(
-            cfg.primes, lambda p: lemma422_containment(k, p, spec.timeout_s)
-        )
+        measured[str(k)], ok = _per_prime(cfg.primes, lambda p: lemma422_containment(k, p))
         agree &= ok
     return {"containment": measured}, agree
 
 
 def _run_radical_eq_sing(spec, cfg):
-    return _per_prime(cfg.primes, lambda p: radical_equality_sing(3, p, spec.timeout_s))
+    return _per_prime(cfg.primes, lambda p: radical_equality_sing(3, p))
 
 
 def _run_script_4x5(spec, cfg):
     """Slice the 5x5 partials matrix of the 4x5 permanental system by a seeded
     random 3-space, and give the codimensions of its determinant's singular
     locus and of its 4x4-minor locus there (3: zero-dimensional).  Each is
-    decided by ``buchberger`` and ``ideal_dimension`` over each prime, under
-    what is left of the case budget; the Macaulay certificate only fills at
-    degree 40 on the singular locus."""
-    deadline = time.monotonic() + spec.timeout_s
+    decided by ``buchberger`` and ``ideal_dimension`` over each prime; the
+    Macaulay certificate only fills at degree 40 on the singular locus."""
     rng = random.Random(cfg.seed)
     A = [[rng.randint(-9, 9) for _ in range(12)] for _ in range(3)]
     BB = _script_slice(4, A)
@@ -905,8 +891,7 @@ def _run_script_4x5(spec, cfg):
     minors4 = [q for q in matrix_minors(4, BB) if q]
 
     def codim(gens, p):
-        G = buchberger(over_prime(gens, p), timeout_s=max(deadline - time.monotonic(), 0.001))
-        return ideal_dimension(G, deadline).codim
+        return ideal_dimension(buchberger(over_prime(gens, p))).codim
 
     sing_codim, sing_agree = _per_prime(cfg.primes, lambda p: codim(partials, p))
     minors4_codim, minors4_agree = _per_prime(cfg.primes, lambda p: codim(minors4, p))
@@ -920,9 +905,8 @@ def _run_script_5x6(spec, cfg):
     The Macaulay certificate decides it over each prime: its 210 dense
     minors fill degree 13 in one 840 x 560 matrix, where Buchberger reduces
     1,260 S-pairs one term at a time."""
-    deadline = time.monotonic() + spec.timeout_s
     minors3 = _distinct(matrix_minors(3, _script_slice(5, SCRIPT_5X6_A)))
-    codim, agree = _certified_codim(minors3, cfg.primes, deadline)
+    codim, agree = _certified_codim(minors3, cfg.primes)
     return {"distinct_minors": len(minors3), "minors3_codim": codim}, agree
 
 
@@ -970,16 +954,16 @@ def reproduce(case_id: str, config: CliConfig | None = None, **overrides) -> Cas
             raise StructuralError(f"{key}={val} outside registered range {params[key]}")
         params[key] = [val]
         expected = _restrict_expected(expected, str(val))
-    spec = CaseSpec(
-        spec.id, spec.claim, spec.tier, spec.provenance, params, expected, spec.timeout_s
-    )
+    spec = replace(spec, params=params, expected=expected)
     t0 = time.monotonic()
     try:
-        measured, agree = _RUNNERS[case_id](spec, cfg)
-        status = "done"
+        with Budget(spec.timeout_s):
+            measured, agree = _RUNNERS[case_id](spec, cfg)
+        status, partial = "done", {}
     except GroebnerTimeout as e:
-        measured, agree = {"error": str(e), "stats": e.stats}, False
-        status = "failed-timeout"
+        # the message and phase are reproducible; the work counts are not
+        status, partial = "failed-timeout", dict(e.stats)
+        measured, agree = {"error": str(e), "phase": partial.pop("phase")}, False
     wall = int((time.monotonic() - t0) * 1000)
     passed = status == "done" and agree and _matches(measured, spec.expected)
     return CaseReport(
@@ -993,6 +977,7 @@ def reproduce(case_id: str, config: CliConfig | None = None, **overrides) -> Cas
         primes=cfg.primes,
         environment=_environment(),
         status=status,
+        partial_stats=partial,
     )
 
 

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 
+from . import budget
 from .errors import (
     CapacityError,
     DomainMismatchError,
@@ -37,8 +38,6 @@ from .ring import (
     VarUniverse,
     block_order,
 )
-
-DEFAULT_TIMEOUT = 600.0
 
 
 def transport(p: MPoly, ring: PolyRing) -> MPoly:
@@ -134,18 +133,6 @@ class GroebnerBasis:
     def is_unit_ideal(self) -> bool:
         return len(self.gens) == 1 and self.gens[0].is_constant() and bool(self.gens[0])
 
-    def verify(self) -> bool:
-        """Re-check that every S-polynomial of basis pairs reduces to zero."""
-        pack = self.ring.pack
-        gens = self.gens
-        find = _scan([g for g in gens if g], self.ring)
-        for i in range(len(gens)):
-            for j in range(i + 1, len(gens)):
-                l = pack.lcm(gens[i].lead_key(), gens[j].lead_key())
-                if _reduce_terms(_spoly(gens[i], gens[j], l, pack), find, self.ring):
-                    return False
-        return True
-
     def __iter__(self):
         return iter(self.gens)
 
@@ -201,7 +188,7 @@ def _first_divisor(ring, polys, lts, alive):
     return find
 
 
-def _reduce_terms(work: dict, find, ring, deadline: float | None = None):
+def _reduce_terms(work: dict, find, ring):
     """Fully reduce a term dict; returns the normal form as a dict.
 
     ``find(k)`` gives the reducer of a term, a monic ``(lead key, terms)``
@@ -214,7 +201,10 @@ def _reduce_terms(work: dict, find, ring, deadline: float | None = None):
     Over F_p every updated coefficient is reduced mod p at once, so that a
     cancellation leaves a zero; the input may hold unreduced nonzero
     residues (see ``_spoly``), and those pass to the result as they are.
+    The open budget's end is read once per call and checked every 1,024
+    steps, the first included.
     """
+    ends_at = budget.ends_at()
     pack = ring.pack
     check, guard = not pack.graded, pack.guard
     p = ring.domain.modulus
@@ -223,8 +213,8 @@ def _reduce_terms(work: dict, find, ring, deadline: float | None = None):
     heapify(heap)
     steps = 0
     while heap:
-        if deadline is not None and steps & 1023 == 0 and time.monotonic() > deadline:
-            raise GroebnerTimeout("reduction exceeded the wall-clock budget")
+        if ends_at is not None and steps & 1023 == 0 and time.monotonic() > ends_at:
+            raise budget.expired("reduction")
         steps += 1
         k = -heappop(heap)
         c = work.pop(k, None)
@@ -265,16 +255,12 @@ def normal_form(f: MPoly, G: GroebnerBasis) -> MPoly:
     return f.ring.from_terms(_reduce_terms(dict(f.terms), find, f.ring))
 
 
-def buchberger(
-    gens,
-    order: MonomialOrder | None = None,
-    timeout_s: float = DEFAULT_TIMEOUT,
-) -> GroebnerBasis:
+def buchberger(gens, order: MonomialOrder | None = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
-    Deterministic for a fixed input list.  Raises GroebnerTimeout if the
-    wall-clock budget is exhausted, carrying the statistics so far and the
-    phase it stopped in (``"pairs"`` or ``"interreduce"``).
+    Deterministic for a fixed input list.  Raises GroebnerTimeout once the
+    open budget runs out, carrying the statistics so far and the phase it
+    stopped in (``"pairs"`` or ``"interreduce"``).
     """
     gens = [g for g in gens if g is not None]
     if not gens:
@@ -291,7 +277,6 @@ def buchberger(
     pack = ring.pack
     divides, unpack = pack.divides, pack.unpack
     t0 = time.monotonic()
-    deadline = t0 + timeout_s
 
     basis: list[MPoly] = []
     lts: list[int] = []
@@ -355,21 +340,20 @@ def buchberger(
         for g in gens:
             if g.is_zero():
                 continue
-            red = _reduce_terms(dict(g.terms), find, ring, deadline)
+            red = _reduce_terms(dict(g.terms), find, ring)
             if not red:
                 continue
             h = ring.from_terms(red).monic()
             add_poly(h, h.total_degree())
 
         while heap:
-            if time.monotonic() > deadline:
-                raise GroebnerTimeout("pair budget exhausted")
+            budget.check("pairs")
             s, l, _, i, j = heappop(heap)
             if pair_meta.pop((i, j), None) is None:
                 continue  # pruned by a later update
             stats["pairs"] += 1
             in_flight = 1
-            red = _reduce_terms(_spoly(basis[i], basis[j], l, pack), find, ring, deadline)
+            red = _reduce_terms(_spoly(basis[i], basis[j], l, pack), find, ring)
             in_flight = 0
             if not red:
                 stats["zero_reductions"] += 1
@@ -378,19 +362,18 @@ def buchberger(
             add_poly(h, max(s, h.total_degree()))
 
         phase = "interreduce"
-        final = _interreduce([basis[i] for i in range(len(basis)) if alive[i]], ring, deadline)
+        final = _interreduce([basis[i] for i in range(len(basis)) if alive[i]], ring)
     except GroebnerTimeout:
-        stats["phase"] = phase
         stats["wall_ms"] = int((time.monotonic() - t0) * 1000)
         stats["pending_pairs"] = len(pair_meta) + in_flight
-        raise GroebnerTimeout(f"Groebner computation exceeded {timeout_s:.0f}s", stats) from None
+        raise budget.expired(phase, stats) from None
     stats["wall_ms"] = int((time.monotonic() - t0) * 1000)
     if ring.domain.kind == "rat":
         stats["max_coeff_bits"] = max((g.max_coeff_bits() for g in final), default=0)
     return GroebnerBasis(tuple(final), ring, stats)
 
 
-def _interreduce(polys, ring, deadline: float | None = None):
+def _interreduce(polys, ring):
     """Reduced form of a set of polynomials: monic, leading terms pairwise
     non-divisible, and no term divisible by another element's lead.
 
@@ -404,7 +387,7 @@ def _interreduce(polys, ring, deadline: float | None = None):
     find = _first_divisor(ring, out, lts, [True] * len(polys))
     for p in polys:
         if find(p.lead_key()) is None:
-            out.append(ring.from_terms(_reduce_terms(dict(p.terms), find, ring, deadline)))
+            out.append(ring.from_terms(_reduce_terms(dict(p.terms), find, ring)))
             lts.append(p.lead_key())
     return out
 
@@ -420,18 +403,17 @@ class DimensionReport:
     degree: int | None
 
 
-def ideal_dimension(G: GroebnerBasis, deadline: float | None = None) -> DimensionReport:
+def ideal_dimension(G: GroebnerBasis) -> DimensionReport:
     """Krull dimension and codimension of the quotient, and in dimension 0
     its degree (the number of standard monomials), from the Hilbert
-    numerator of the leading-term ideal.  ``deadline`` is passed on to
-    :func:`hilbert_numerator`."""
+    numerator of the leading-term ideal."""
     n = len(G.ring.universe)
     if n > 30:
         raise PreconditionError("lead-ideal invariants capped at 30 variables")
     if G.is_unit_ideal():
         # empty scheme: no degree is reported
         return DimensionReport(-1, n + 1, None)
-    codim, value = _numerator_at_one(G, deadline)
+    codim, value = _numerator_at_one(G)
     dim = n - codim
     return DimensionReport(dim, codim, value if dim == 0 else None)
 
@@ -504,20 +486,21 @@ def is_homogeneous_ideal(gens) -> bool:
     return all(g.is_homogeneous() for g in gens)
 
 
-def hilbert_numerator(G: GroebnerBasis, deadline: float | None = None) -> tuple:
+def hilbert_numerator(G: GroebnerBasis) -> tuple:
     """Coefficients of the numerator N(t) of HS_{R/in(I)} = N(t)/(1-t)^n.
 
     Bigatti's pivot recursion on the leading-term ideal, run once per basis:
     the result is cached on ``G``.  The leads of a reduced basis are minimal
     generators, and each split keeps them minimal (see ``num``), so no step
     re-minimalizes; every generator list is kept in ``(degree, exps)`` order.
-    ``deadline`` is a ``time.monotonic()`` value checked every 256 recursion
-    steps, the first included; past it the recursion raises GroebnerTimeout
-    (phase ``"hilbert"``) and caches nothing.
+    The open budget is checked every 256 recursion steps, the first
+    included; past it the recursion raises GroebnerTimeout (phase
+    ``"hilbert"``) and caches nothing.
     """
     got = G._cache.get("hilbert_numerator")
     if got is not None:
         return got
+    ends_at = budget.ends_at()
     memo: dict = {}
     steps = 0
 
@@ -541,11 +524,8 @@ def hilbert_numerator(G: GroebnerBasis, deadline: float | None = None) -> tuple:
 
     def num(ms):
         nonlocal steps
-        if deadline is not None and steps & 255 == 0 and time.monotonic() > deadline:
-            raise GroebnerTimeout(
-                "Hilbert numerator exceeded the wall-clock budget",
-                {"phase": "hilbert", "steps": steps},
-            )
+        if ends_at is not None and steps & 255 == 0 and time.monotonic() > ends_at:
+            raise budget.expired("hilbert", {"steps": steps})
         steps += 1
         if not ms:
             return [1]
@@ -594,11 +574,11 @@ def hilbert_numerator(G: GroebnerBasis, deadline: float | None = None) -> tuple:
     return got
 
 
-def _numerator_at_one(G: GroebnerBasis, deadline: float | None = None):
+def _numerator_at_one(G: GroebnerBasis):
     """``(valuation, value)``: how often (1 - t) divides the Hilbert
     numerator, which is the codimension, and the quotient's value at t = 1,
     which is the degree."""
-    coeffs = hilbert_numerator(G, deadline)
+    coeffs = hilbert_numerator(G)
     valuation = 0
     while sum(coeffs) == 0:
         # exact division by (1 - t): the partial sums, the last one being 0
@@ -636,7 +616,7 @@ def _front_ring(ring: PolyRing, count: int = 1) -> PolyRing:
     return PolyRing(VarUniverse(names), ring.domain, block_order(count))
 
 
-def eliminate(gens, front_vars: int, timeout_s: float = DEFAULT_TIMEOUT):
+def eliminate(gens, front_vars: int):
     """Basis elements free of the first ``front_vars`` variables.
 
     The generators must already live in a universe whose first ``front_vars``
@@ -646,16 +626,25 @@ def eliminate(gens, front_vars: int, timeout_s: float = DEFAULT_TIMEOUT):
         return []
     ring = gens[0].ring
     target = ring.with_order(block_order(front_vars))
-    G = buchberger([g.convert(target) for g in gens], timeout_s=timeout_s)
+    G = buchberger([g.convert(target) for g in gens])
     pack = target.pack
     return [g for g in G.gens if pack.front_free(g.lead_key())]
 
 
-def _strip_aux(polys, ring: PolyRing):
-    return [transport(p, ring) for p in polys]
+def _rabinowitsch(gens, f: MPoly):
+    """``gens`` and 1 - t*f in the ring with one fresh front variable t."""
+    ext = _front_ring(gens[0].ring)
+    relation = ext.one - ext.gen(0) * transport(f, ext)
+    return [transport(g, ext) for g in gens] + [relation]
 
 
-def saturate(gens, f: MPoly, timeout_s: float = DEFAULT_TIMEOUT):
+def _eliminate_t(moved, ring: PolyRing):
+    """The elimination ideal of ``moved`` (in ``_front_ring(ring)``), back in
+    ``ring`` and interreduced."""
+    return _interreduce([transport(p, ring) for p in eliminate(moved, 1)], ring)
+
+
+def saturate(gens, f: MPoly):
     """Generators of I : f^infinity.
 
     A product of variables is saturated variable by variable.  Single
@@ -671,31 +660,23 @@ def saturate(gens, f: MPoly, timeout_s: float = DEFAULT_TIMEOUT):
         f = transport(f, ring)
     if f.is_zero():
         raise PreconditionError("cannot saturate by zero")
-    deadline = time.monotonic() + timeout_s
-
-    def budget():
-        return max(deadline - time.monotonic(), 0.001)
-
     if len(f.terms) == 1:
         exps = f.lead_monomial()
         var_list = [i for i, e in enumerate(exps) if e]
         if var_list:
             current = gens
             for i in var_list:
-                current = _saturate_one_var(current, i, budget())
+                if is_homogeneous_ideal(current):
+                    current = _saturate_divide(current, i)
+                else:
+                    current = _saturate_general(current, ring.gen(i))
                 if len(current) == 1 and current[0].is_constant():
                     break
-            return list(buchberger(current, timeout_s=budget()).gens)
-    return _saturate_general(gens, f, budget())
+            return list(buchberger(current).gens)
+    return _saturate_general(gens, f)
 
 
-def _saturate_one_var(gens, var_index: int, timeout_s: float):
-    if is_homogeneous_ideal(gens):
-        return _saturate_divide(gens, var_index, timeout_s)
-    return _saturate_general(gens, gens[0].ring.gen(var_index), timeout_s)
-
-
-def _saturate_divide(gens, var_index: int, timeout_s: float):
+def _saturate_divide(gens, var_index: int):
     """Saturation by one variable of a homogeneous ideal: compute a degrevlex
     basis with that variable cheapest, then divide out its powers.
 
@@ -707,7 +688,7 @@ def _saturate_divide(gens, var_index: int, timeout_s: float):
     moved = names[var_index]
     perm_names = [nm for nm in names if nm != moved] + [moved]
     work = PolyRing(VarUniverse(perm_names), ring.domain, DEGREVLEX)
-    G = buchberger([transport(g, work) for g in gens], timeout_s=timeout_s)
+    G = buchberger([transport(g, work) for g in gens])
     last = len(perm_names) - 1
     out = []
     for g in G.gens:
@@ -725,23 +706,11 @@ def _saturate_divide(gens, var_index: int, timeout_s: float):
     return [transport(g, ring) for g in out]
 
 
-def _saturate_general(gens, f: MPoly, timeout_s: float):
-    deadline = time.monotonic() + timeout_s
-    ring = gens[0].ring
-    ext = _front_ring(ring)
-    t = ext.gen(0)
-    moved = [transport(g, ext) for g in gens]
-    moved.append(ext.one - t * transport(f, ext))
-    elim = eliminate(moved, 1, timeout_s)
-    return _interreduce(_strip_aux(elim, ring), ring, deadline)
+def _saturate_general(gens, f: MPoly):
+    return _eliminate_t(_rabinowitsch(gens, f), gens[0].ring)
 
 
-def radical_membership(
-    f: MPoly,
-    gens,
-    timeout_s: float = DEFAULT_TIMEOUT,
-    gb: GroebnerBasis | None = None,
-) -> bool:
+def radical_membership(f: MPoly, gens, gb: GroebnerBasis | None = None) -> bool:
     """Rabinowitsch test: f lies in the radical iff 1 is in I + (1 - t*f)."""
     gens = [g for g in gens if g]
     if f.is_zero():
@@ -758,21 +727,15 @@ def radical_membership(
             if normal_form(power, gb).is_zero():
                 return True
             power = power * power
-    ext = _front_ring(ring)
-    t = ext.gen(0)
-    moved = [transport(g, ext) for g in gens]
-    moved.append(ext.one - t * transport(f, ext))
-    G = buchberger(moved, timeout_s=timeout_s)
-    return G.is_unit_ideal()
+    return buchberger(_rabinowitsch(gens, f)).is_unit_ideal()
 
 
-def ideal_intersection(I, J, timeout_s: float = DEFAULT_TIMEOUT):
+def ideal_intersection(I, J):
     """Generators of the intersection, via t*I + (1-t)*J and elimination.
 
     A list with no nonzero generator is the zero ideal, so intersecting with
     it gives ``[]``.
     """
-    deadline = time.monotonic() + timeout_s
     I = [g for g in I if g]
     J = [g for g in J if g]
     if not I or not J:
@@ -783,5 +746,4 @@ def ideal_intersection(I, J, timeout_s: float = DEFAULT_TIMEOUT):
     one_minus_t = ext.one - t
     moved = [t * transport(g, ext) for g in I]
     moved.extend(one_minus_t * transport(g, ext) for g in J)
-    elim = eliminate(moved, 1, timeout_s)
-    return _interreduce(_strip_aux(elim, ring), ring, deadline)
+    return _eliminate_t(moved, ring)

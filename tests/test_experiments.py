@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from permvar.budget import Budget
 from permvar.config import CliConfig
 from permvar.errors import PreconditionError, StructuralError
 from permvar.experiments import (
@@ -176,8 +177,8 @@ def test_inconclusive_certificate_is_no_agreement():
     R = PolyRing(VarUniverse.free(["x", "y"]), QQ)
     x, y = R.gens()
     primes = (2147483647, 1073741789)
-    assert _certified_codim([x**2, x * y, y**3], primes, None) == (2, True)
-    assert _certified_codim([x**2], primes, None) == (None, False)
+    assert _certified_codim([x**2, x * y, y**3], primes) == (2, True)
+    assert _certified_codim([x**2], primes) == (None, False)
 
 
 def test_symbolic_determinant_identities():
@@ -208,8 +209,6 @@ def test_dim0_certificate_small():
 
 
 def test_dim0_certificate_honours_deadline():
-    import time
-
     from permvar.errors import GroebnerTimeout
     from permvar.ring import QQ, VarUniverse
 
@@ -217,8 +216,8 @@ def test_dim0_certificate_honours_deadline():
     x, y = R.gens()
     p = 2147483647
     gens = over_prime([x**2, x * y, y**3], p)
-    with pytest.raises(GroebnerTimeout) as err:
-        homogeneous_dim0_certificate(gens, p, deadline=time.monotonic() - 1.0)
+    with pytest.raises(GroebnerTimeout) as err, Budget(-1.0):
+        homogeneous_dim0_certificate(gens, p)
     assert err.value.stats["phase"] == "macaulay"
 
 
@@ -237,15 +236,10 @@ def test_script_4x5_honours_its_budget():
     import time
 
     from permvar.errors import GroebnerTimeout
-    from permvar.experiments import CaseSpec
 
-    spec = registry()["script-4x5"]
-    tight = CaseSpec(
-        spec.id, spec.claim, spec.tier, spec.provenance, spec.params, spec.expected, 1e-3
-    )
     t0 = time.monotonic()
-    with pytest.raises(GroebnerTimeout):
-        _RUNNERS["script-4x5"](tight, CliConfig())
+    with pytest.raises(GroebnerTimeout), Budget(1e-3):
+        _RUNNERS["script-4x5"](registry()["script-4x5"], CliConfig())
     assert time.monotonic() - t0 < 10
 
 
