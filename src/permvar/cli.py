@@ -39,12 +39,15 @@ from .ring import GF, QQ, MonomialOrder, PolyRing, poly_from_text
 from .torus import classify_type
 
 
-def _common_flags(sub):
+def _common_flags(sub, timeout=False):
+    """The shared flags; ``timeout`` adds ``--timeout`` to a command whose
+    steps read the time budget."""
     sub.add_argument("--prime", type=int, default=None)
     sub.add_argument("--prime2", type=int, default=None)
     sub.add_argument("--order", choices=["degrevlex", "lex"], default=None)
     sub.add_argument("--seed", type=int, default=None)
-    sub.add_argument("--timeout", type=float, default=None, dest="timeout_s")
+    if timeout:
+        sub.add_argument("--timeout", type=float, default=None, dest="timeout_s")
     sub.add_argument("--json", action="store_true")
     sub.add_argument(
         "--tier", choices=["default", "extended"], default=None,
@@ -133,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--rational", action="store_true",
             help="compute over QQ instead of F_p (records coefficient-size telemetry)",
         )
-        _common_flags(p)
+        _common_flags(p, timeout=True)
 
     p = sp.add_parser("saturate", help="saturate an ideal file by a polynomial")
     p.add_argument("--ideal-file", required=True)
@@ -142,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--by-all-vars", action="store_true", help="saturate by the product of all variables"
     )
     p.set_defaults(run=_run_saturate)
-    _common_flags(p)
+    _common_flags(p, timeout=True)
 
     p = sp.add_parser("kirkup", help="print a Kirkup matrix")
     p.add_argument("--k", type=int, required=True)
@@ -172,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", type=int, default=None, help="n or k where applicable")
     p.add_argument("--bound", action="store_true", help="compute the codimension bound")
     p.set_defaults(run=_run_slice)
-    _common_flags(p)
+    _common_flags(p, timeout=True)
 
     p = sp.add_parser(
         "reproduce",
@@ -344,8 +347,6 @@ def _run_slice(args, cfg) -> int:
 
 
 def _run_reproduce(args, cfg) -> int:
-    if args.timeout_s is not None:
-        raise StructuralError("reproduce runs each case under its registered budget; drop --timeout")
     if args.case == "all":
         if args.n is not None or args.k is not None:
             raise StructuralError("--n and --k narrow one case, not 'all'")
@@ -387,8 +388,9 @@ def main(argv=None) -> int:
         return 2 if e.code not in (0, None) else 0
     try:
         cfg = _cfg(args)
-        # reproduce opens each case's registered budget, some above the default
-        with nullcontext() if args.command == "reproduce" else Budget(cfg.timeout_s):
+        # only a command that takes --timeout reads a budget; reproduce opens
+        # each case's registered one
+        with Budget(cfg.timeout_s) if "timeout_s" in args else nullcontext():
             return args.run(args, cfg)
     except GroebnerTimeout as e:
         print(f"timeout: {e} (partial stats: {e.stats})", file=sys.stderr)

@@ -564,25 +564,16 @@ def symbolic_determinant_identities() -> dict:
 def hankel_chart_case(n: int, p: int) -> dict:
     """Chart ideals of the 2 x n Hankel permanental scheme at both support
     points: zero-dimensional, local degree 4, and the stated monomial basis."""
-    M = hankel_matrix_2xn(n)
-    gens = matrix_permanents(2, M)
+    gens = over_prime(matrix_permanents(2, hankel_matrix_2xn(n)), p)
     chart_ring = PolyRing(VarUniverse.free([f"x{i}" for i in range(n)]), GF(p))
+    charts = {
+        "xn": {f"x{n}": 1},
+        # x0 -> 1 and the mirror x_i -> x_{n-i}
+        "x0": {"x0": 1, **{f"x{i}": chart_ring.gen(f"x{n - i}") for i in range(1, n + 1)}},
+    }
     out = {}
-    for chart in ("xn", "x0"):
-        if chart == "xn":
-            mapping = {f"x{n}": chart_ring.one}
-            mapped = [
-                over_prime([g], p)[0].substitute(mapping, target=chart_ring) for g in gens
-            ]
-        else:
-            # mirror x_i -> x_{n-i}, then set the (new) top variable to 1
-            mirror_ring = PolyRing(M.ring.universe, GF(p))
-            mirrored = []
-            for g in over_prime(gens, p):
-                mp = {f"x{i}": mirror_ring.gen(f"x{n-i}") for i in range(n + 1)}
-                mirrored.append(g.substitute(mp, target=mirror_ring))
-            mapping = {f"x{n}": chart_ring.one}
-            mapped = [g.substitute(mapping, target=chart_ring) for g in mirrored]
+    for chart, mapping in charts.items():
+        mapped = [g.substitute(mapping, target=chart_ring) for g in gens]
         G = buchberger(mapped)
         rep = ideal_dimension(G)
         std = standard_monomials(G) if rep.dim == 0 else []
@@ -736,7 +727,7 @@ def _run_kirkup_b1(spec, cfg):
     K3 = kirkup_matrix(3)
     rep3 = classify_type(K3.weight_zero_part(), "B1")
     kernel = [list(v) for v in rep3.kernel_basis]
-    ext = kernel_extension_check(K3.weight_zero_part(), tuple(kernel[0]), "B1") if kernel else False
+    ext = kernel_extension_check(K3.weight_zero_part(), tuple(kernel[0])) if kernel else False
     return {"ranks": ranks, "kernel_3": kernel, "extension_check": ext}, True
 
 

@@ -69,13 +69,13 @@ def transport(p: MPoly, ring: PolyRing) -> MPoly:
     return ring.from_terms(out)
 
 
-def over_prime(gens, p: int, order: MonomialOrder | None = None):
-    """Map integer/rational generators into F_p (same universe)."""
+def over_prime(gens, p: int):
+    """Map integer/rational generators into F_p (same universe and order)."""
     gens = list(gens)
     if not gens:
         return gens
     ring = gens[0].ring
-    target = PolyRing(ring.universe, GF(p), order or ring.order)
+    target = ring.with_domain(GF(p))
     return [g.convert(target) for g in gens]
 
 
@@ -255,7 +255,7 @@ def normal_form(f: MPoly, G: GroebnerBasis) -> MPoly:
     return f.ring.from_terms(_reduce_terms(dict(f.terms), find, f.ring))
 
 
-def buchberger(gens, order: MonomialOrder | None = None) -> GroebnerBasis:
+def buchberger(gens) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by ``gens``.
 
     Deterministic for a fixed input list.  Raises GroebnerTimeout once the
@@ -266,9 +266,6 @@ def buchberger(gens, order: MonomialOrder | None = None) -> GroebnerBasis:
     if not gens:
         raise StructuralError("empty generator list")
     ring = gens[0].ring
-    if order is not None and order != ring.order:
-        ring = ring.with_order(order)
-        gens = [g.convert(ring) for g in gens]
     if not ring.domain.is_field:
         raise PreconditionError("Groebner bases require a field domain (QQ or F_p)")
     for g in gens:

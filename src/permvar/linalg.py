@@ -1,8 +1,9 @@
 """Exact dense linear algebra over ZZ, QQ and prime fields.
 
 Everything here works on plain lists of lists holding ``int`` or
-``fractions.Fraction`` entries (or ints reduced mod p for the ``_modp``
-variants).  No floating point anywhere.
+``fractions.Fraction`` entries (ints for the ``_modp`` variants).  One
+pure-Python fraction-free elimination serves ZZ, QQ and F_p; the dense numpy
+kernel ranks the Macaulay matrices.  No floating point anywhere.
 """
 
 from fractions import Fraction
@@ -30,24 +31,29 @@ def _integer_rows(rows):
     return out
 
 
-def _clear(a, i, pr, col):
-    """Replace row i by the primitive part of pr[col]*a[i] - a[i][col]*pr."""
-    p, f = pr[col], a[i][col]
-    r = [x * p - f * y for x, y in zip(a[i], pr)]
+def _clear(a, i, pr, col, p=None):
+    """Replace row i by pr[col]*a[i] - a[i][col]*pr: reduced mod ``p`` when a
+    modulus is given, else made primitive."""
+    piv, f = pr[col], a[i][col]
+    if p:
+        a[i] = [(x * piv - f * y) % p for x, y in zip(a[i], pr)]
+        return
+    r = [x * piv - f * y for x, y in zip(a[i], pr)]
     g = gcd(*r)
     a[i] = [x // g for x in r] if g > 1 else r
 
 
-def _echelon(rows):
-    """Fraction-free forward elimination over ZZ.
+def _echelon(rows, p=None):
+    """Fraction-free forward elimination over ZZ, or over F_p when the prime
+    ``p`` is given.
 
     Returns ``(a, pivots)``: the integer rows of ``rows`` (denominators
-    cleared) in row echelon form, row ``r`` leading in column ``pivots[r]``,
-    then zero rows.  The pivot choice (first nonzero row at or below) is the
-    one classical Gauss-Jordan elimination makes.
+    cleared, or residues mod p) in row echelon form, row ``r`` leading in
+    column ``pivots[r]``, then zero rows.  The pivot choice (first nonzero
+    row at or below) is the one classical Gauss-Jordan elimination makes.
     """
     m, n = _dims(rows)
-    a = _integer_rows(rows)
+    a = [[x % p for x in r] for r in rows] if p else _integer_rows(rows)
     pivots = []
     for col in range(n):
         row = len(pivots)
@@ -59,7 +65,7 @@ def _echelon(rows):
         a[row], a[piv] = a[piv], a[row]
         for i in range(row + 1, m):
             if a[i][col]:
-                _clear(a, i, a[row], col)
+                _clear(a, i, a[row], col, p)
         pivots.append(col)
     return a, pivots
 
@@ -138,31 +144,8 @@ def _primitive(ints):
 
 
 def rank_modp(rows, p):
-    m, n = _dims(rows)
-    a = [[x % p for x in r] for r in rows]
-    rk = 0
-    row = 0
-    for col in range(n):
-        piv = None
-        for i in range(row, m):
-            if a[i][col]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[row], a[piv] = a[piv], a[row]
-        inv = pow(a[row][col], p - 2, p)
-        a[row] = [x * inv % p for x in a[row]]
-        for i in range(row + 1, m):
-            f = a[i][col]
-            if f:
-                pr = a[row]
-                a[i] = [(x - f * y) % p for x, y in zip(a[i], pr)]
-        row += 1
-        rk += 1
-        if row == m:
-            break
-    return rk
+    """Rank over F_p of an integer matrix, by the same elimination."""
+    return len(_echelon(rows, p)[1])
 
 
 def rank_modp_numpy(mat, p):

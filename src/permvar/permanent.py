@@ -26,7 +26,6 @@ from .errors import (
     StructuralError,
 )
 from .ring import (
-    DEGREVLEX,
     ZZ,
     MPoly,
     PolyMatrix,
@@ -35,7 +34,7 @@ from .ring import (
     _expand,
 )
 
-# Largest symbolic permanent expanded; a constant matrix has no bound.
+# Largest symbolic permanent expanded.
 SYMBOLIC_PERM_BOUND = 7
 # Largest Kirkup size built: checking its k + 1 maximal permanents is one
 # expansion through at most 2^(k+1) column sets; k = 12 takes about 0.02 s,
@@ -219,25 +218,25 @@ def matrix_to_json(mat) -> list:
 # symbolic matrices and ideals
 
 
-def generic_matrix(k: int, n: int, domain=ZZ, order=DEGREVLEX) -> PolyMatrix:
+def generic_matrix(k: int, n: int, domain=ZZ) -> PolyMatrix:
     """The k x n matrix of independent variables x_i_j."""
-    ring = PolyRing(VarUniverse.matrix(k, n), domain, order)
+    ring = PolyRing(VarUniverse.matrix(k, n), domain)
     return PolyMatrix([[ring.var(i, j) for j in range(1, n + 1)] for i in range(1, k + 1)])
 
 
-def hankel_matrix_2xn(n: int, domain=ZZ, order=DEGREVLEX) -> PolyMatrix:
+def hankel_matrix_2xn(n: int, domain=ZZ) -> PolyMatrix:
     """2 x n matrix constant on anti-diagonals over variables x0..xn."""
     if n < 2:
         raise StructuralError("Hankel matrix needs n >= 2")
-    ring = PolyRing(VarUniverse.free([f"x{i}" for i in range(n + 1)]), domain, order)
+    ring = PolyRing(VarUniverse.free([f"x{i}" for i in range(n + 1)]), domain)
     g = ring.gens()
     return PolyMatrix([[g[i + j] for j in range(n)] for i in range(2)])
 
 
-def circulant_hankel_matrix(k: int, n: int, nvars: int, domain=ZZ, order=DEGREVLEX) -> PolyMatrix:
+def circulant_hankel_matrix(k: int, n: int, nvars: int, domain=ZZ) -> PolyMatrix:
     """k x n matrix with entry (i, j) = x_{(i+j-2) mod nvars}, 1-based,
     named x_1_1 .. x_1_nvars."""
-    ring = PolyRing(VarUniverse.matrix(1, nvars), domain, order)
+    ring = PolyRing(VarUniverse.matrix(1, nvars), domain)
     g = ring.gens()
     return PolyMatrix([[g[(i + j) % nvars] for j in range(n)] for i in range(k)])
 
@@ -269,41 +268,41 @@ class GenericMatrixSpec:
     def perm_size(self) -> int:
         return self.h if self.h is not None else self.k
 
-    def matrix(self, domain=ZZ, order=DEGREVLEX) -> PolyMatrix:
+    def matrix(self, domain=ZZ) -> PolyMatrix:
         if self.pattern == "generic":
-            return generic_matrix(self.k, self.n, domain, order)
+            return generic_matrix(self.k, self.n, domain)
         if self.pattern == "hankel2xn":
-            return hankel_matrix_2xn(self.n, domain, order)
+            return hankel_matrix_2xn(self.n, domain)
         nvars = self.period if self.period is not None else self.k + 1
-        return circulant_hankel_matrix(self.k, self.n, nvars, domain, order)
+        return circulant_hankel_matrix(self.k, self.n, nvars, domain)
 
 
 def perm_symbolic(M: PolyMatrix) -> MPoly:
     """Exact permanent of a square PolyMatrix, read off the unsigned
-    column-subset expansion of its rows; a non-constant one is refused above
-    size SYMBOLIC_PERM_BOUND."""
+    column-subset expansion of its rows; refused above size
+    SYMBOLIC_PERM_BOUND."""
     m, n = M.dims
     if m != n:
         raise StructuralError("permanent of a non-square matrix")
     return matrix_permanents(n, M)[0]
 
 
-def _refuse_symbolic_perm(h: int, M: PolyMatrix):
-    if h > SYMBOLIC_PERM_BOUND and not M.is_constant():
+def _refuse_symbolic_perm(h: int):
+    if h > SYMBOLIC_PERM_BOUND:
         raise CapacityError(
             f"symbolic permanent of size {h} exceeds bound {SYMBOLIC_PERM_BOUND}; "
             "evaluate it numerically"
         )
 
 
-def permanental_ideal(spec: GenericMatrixSpec, domain=ZZ, order=DEGREVLEX):
+def permanental_ideal(spec: GenericMatrixSpec, domain=ZZ):
     """All h x h permanents of the described matrix.
 
     Subsets are enumerated in colexicographic order, columns outermost, so
     for the maximal case h = k, n = k+1 the list is
     [perm dropping column k+1, ..., perm dropping column 1].
     """
-    M = spec.matrix(domain, order)
+    M = spec.matrix(domain)
     return matrix_permanents(spec.perm_size, M)
 
 
@@ -313,7 +312,7 @@ def matrix_permanents(h: int, M: PolyMatrix):
     m, n = M.dims
     if not 1 <= h <= min(m, n):
         raise StructuralError(f"{h}x{h} permanents of a {m}x{n} matrix")
-    _refuse_symbolic_perm(h, M)
+    _refuse_symbolic_perm(h)
     perms = [_expand([M.rows[i] for i in rows], signed=False) for rows in _colex_subsets(m, h)]
     zero = M.ring.zero
     return [
@@ -413,5 +412,5 @@ def derivative_matrix_symbolic(M: PolyMatrix) -> PolyMatrix:
     m, n = M.dims
     if n != m + 2:
         raise StructuralError(f"expected m x (m+2) input, got {m}x{n}")
-    _refuse_symbolic_perm(m, M)
+    _refuse_symbolic_perm(m)
     return PolyMatrix(_omitting_pairs(_expand(M.rows, signed=False), n, M.ring.zero))

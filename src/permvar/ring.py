@@ -80,9 +80,17 @@ class CoeffDomain:
     def is_field(self) -> bool:
         return self.kind != "int"
 
-    def normalize(self, c):
+    def coerce(self, c):
+        """The canonical element of this domain equal to the int or Fraction
+        ``c``; a Fraction enters F_p through the inverse of its denominator."""
         if self.kind == "fp":
-            return int(c) % self.modulus
+            p = self.modulus
+            if isinstance(c, Fraction):
+                den = c.denominator % p
+                if den == 0:
+                    raise StructuralError(f"denominator of {c} vanishes mod {p}")
+                return c.numerator % p * pow(den, p - 2, p) % p
+            return int(c) % p
         if self.kind == "rat":
             return Fraction(c)
         if isinstance(c, Fraction):
@@ -90,16 +98,6 @@ class CoeffDomain:
                 raise StructuralError(f"{c} is not an integer")
             return c.numerator
         return int(c)
-
-    def coerce(self, c):
-        """Normalize, accepting Fractions into F_p via modular inverse."""
-        if self.kind == "fp" and isinstance(c, Fraction):
-            p = self.modulus
-            den = c.denominator % p
-            if den == 0:
-                raise StructuralError(f"denominator of {c} vanishes mod {p}")
-            return c.numerator % p * pow(den, p - 2, p) % p
-        return self.normalize(c)
 
     def inv(self, c):
         if self.kind == "fp":
@@ -179,9 +177,8 @@ def block_order(elim_count: int) -> MonomialOrder:
 class VarUniverse:
     """A fixed, ordered list of variable names.
 
-    Shape-based universes name x_<i>_<j> in row-major order (1-based), with
-    optional auxiliary names appended after (smaller than) the matrix
-    variables.  Free-form universes take any name list.
+    Shape-based universes name x_<i>_<j> in row-major order (1-based).
+    Free-form universes take any name list.
     """
 
     __slots__ = ("shape", "names", "index")
@@ -198,9 +195,8 @@ class VarUniverse:
         self.index = {nm: i for i, nm in enumerate(names)}
 
     @staticmethod
-    def matrix(k: int, n: int, aux=()) -> "VarUniverse":
+    def matrix(k: int, n: int) -> "VarUniverse":
         names = [f"x_{i}_{j}" for i in range(1, k + 1) for j in range(1, n + 1)]
-        names.extend(aux)
         return VarUniverse(names, shape=(k, n))
 
     @staticmethod
@@ -291,9 +287,6 @@ class _Pack:
             exps[i] = _FIELD_CAP - ((key >> (w * (i - m))) & _FIELD_MASK)
         return tuple(exps)
 
-    def mul(self, ka: int, kb: int) -> int:
-        return ka + kb - self.offset
-
     def quotient(self, kb: int, ka: int) -> int:
         """Key of b/a; caller guarantees divisibility."""
         return kb - ka + self.offset
@@ -306,9 +299,6 @@ class _Pack:
         gl, gh = self._guard_low, self._guard_high
         low = ((ka | gl) - kb) & gl
         return (low | ((kb | self._low_mask | gh) - ka) & gh) == self.guard
-
-    def lcm(self, ka: int, kb: int) -> int:
-        return self.pack(tuple(map(max, self.unpack(ka), self.unpack(kb))))
 
     def degree(self, key: int) -> int:
         """Total degree: the degree field plus the lex fields."""
@@ -340,7 +330,7 @@ class PolyRing:
         ring.order = order
         ring.pack = _Pack(len(universe), order)
         ring.zero = MPoly(ring, ())
-        ring.one = MPoly(ring, ((ring.pack.one, domain.normalize(1)),))
+        ring.one = MPoly(ring, ((ring.pack.one, domain.coerce(1)),))
         cls._cache[sig] = ring
         return ring
 
@@ -349,7 +339,7 @@ class PolyRing:
             i = self.universe.index[i]
         exps = [0] * len(self.universe)
         exps[i] = 1
-        return MPoly(self, ((self.pack.pack(exps), self.domain.normalize(1)),))
+        return MPoly(self, ((self.pack.pack(exps), self.domain.coerce(1)),))
 
     def gens(self):
         return [self.gen(i) for i in range(len(self.universe))]
@@ -381,8 +371,8 @@ class PolyRing:
 
     def from_exp_dict(self, mapping) -> "MPoly":
         pk = self.pack.pack
-        norm = self.domain.normalize
-        return self.from_terms({pk(exps): norm(c) for exps, c in mapping.items()})
+        coerce = self.domain.coerce
+        return self.from_terms({pk(exps): coerce(c) for exps, c in mapping.items()})
 
     def with_order(self, order: MonomialOrder) -> "PolyRing":
         return PolyRing(self.universe, self.domain, order)
@@ -461,15 +451,11 @@ class MPoly:
     # -- arithmetic ----------------------------------------------------
 
     def _check_ring(self, other: "MPoly"):
+        # rings are interned: equal universe, domain and order give one object
         if self.ring is not other.ring:
-            if (
-                self.ring.universe != other.ring.universe
-                or self.ring.domain != other.ring.domain
-                or self.ring.order != other.ring.order
-            ):
-                raise DomainMismatchError(
-                    f"operands in different rings: {self.ring!r} vs {other.ring!r}"
-                )
+            raise DomainMismatchError(
+                f"operands in different rings: {self.ring!r} vs {other.ring!r}"
+            )
 
     def _coerce(self, other):
         if isinstance(other, MPoly):
@@ -497,10 +483,14 @@ class MPoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self + (-other)
+        acc = dict(self.terms)
+        for k, c in other.terms:
+            acc[k] = acc.get(k, 0) - c
+        return self.ring.from_terms(acc)
 
     def __rsub__(self, other):
-        return (-self) + other
+        other = self._coerce(other)
+        return other if other is NotImplemented else other - self
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -558,7 +548,7 @@ class MPoly:
         if not dom.is_field:
             raise StructuralError("monic requires a field domain")
         lc = self.terms[0][1]
-        if lc == dom.normalize(1):
+        if lc == dom.coerce(1):
             return self
         inv = dom.inv(lc)
         return self.ring.from_terms({k: c * inv for k, c in self.terms})
@@ -644,8 +634,8 @@ class MPoly:
         The first call compiles the terms into a sparse support
         ``((coeff, ((var, exp), ...)), ...)`` stored on the polynomial; the
         polynomial is immutable, so every later call reuses it.  The sum is
-        taken over the integers (or rationals) and normalized into the
-        domain once, at the end.
+        taken over the integers (or rationals) and coerced into the domain
+        once, at the end.
         """
         n = len(self.universe)
         if len(point) != n:
@@ -666,7 +656,7 @@ class MPoly:
             for i, e in mono:
                 v *= point[i] if e == 1 else point[i] ** e
             total += v
-        return dom.normalize(total)
+        return dom.coerce(total)
 
     def max_coeff_bits(self) -> int:
         """Telemetry: largest numerator/denominator bit length."""
@@ -811,9 +801,6 @@ class PolyMatrix:
     def map(self, fn) -> "PolyMatrix":
         return PolyMatrix([[fn(x) for x in r] for r in self.rows])
 
-    def is_constant(self) -> bool:
-        return all(x.is_constant() for r in self.rows for x in r)
-
     def __repr__(self):
         m, n = self.dims
         return f"<PolyMatrix {m}x{n} over {self.ring!r}>"
@@ -841,11 +828,12 @@ def _expand(rows, signed: bool) -> dict:
                 if mask & bit:
                     continue
                 term = val * x
-                if signed and (mask >> (j + 1)).bit_count() & 1:
-                    term = -term
                 key = mask | bit
                 old = nxt.get(key)
-                nxt[key] = term if old is None else old + term
+                if signed and (mask >> (j + 1)).bit_count() & 1:
+                    nxt[key] = -term if old is None else old - term
+                else:
+                    nxt[key] = term if old is None else old + term
         states = nxt
     return {key: val for key, val in states.items() if val}
 

@@ -67,28 +67,17 @@ def classify_type(A_p, mode: str, seed: int | None = None) -> TypeReport:
     )
 
 
-def kernel_extension_check(A_p, q, mode: str) -> bool:
-    """Whether stacking kernel candidates on top of A_p lands in the stratum.
-
-    mode "B1": one vector q; the stacked k x (k+1) matrix must have all its
-    k x k permanents vanishing.  mode "L": a pair (q1, q2); the stacked
-    k x k matrix must kill all (k-1) x (k-1) permanents.
-    """
-    m, n = _num_dims(A_p)
-    if mode == "B1":
-        rows = [list(q)] + [list(r) for r in A_p]
-        size = n - 1
-    elif mode == "L":
-        q1, q2 = q
-        rows = [list(q1), list(q2)] + [list(r) for r in A_p]
-        size = n - 1
-    else:
-        raise StructuralError(f"unknown mode {mode!r}")
-    if any(len(r) != n for r in rows):
+def kernel_extension_check(A_p, q) -> bool:
+    """Whether stacking the kernel candidate ``q`` on top of A_p lands in the
+    stratum: the stacked k x (k+1) matrix must have all its k x k permanents
+    vanishing."""
+    n = _num_dims(A_p)[1]
+    if len(q) != n:
         raise StructuralError("kernel vector length mismatch")
+    rows = [list(q)] + [list(r) for r in A_p]
     return all(
         maximal_permanents_vanish([rows[i] for i in rs])
-        for rs in combinations(range(len(rows)), size)
+        for rs in combinations(range(len(rows)), n - 1)
     )
 
 
@@ -98,18 +87,9 @@ def jacobian(fs) -> PolyMatrix:
     return PolyMatrix([[f.diff(i) for i in range(nvars)] for f in fs])
 
 
-def jacobian_rank_at(fs, point) -> int:
-    """Exact rank of the Jacobian of a polynomial family at a point.
-
-    ``fs`` is the family, or its :func:`jacobian` when one family is probed
-    at many points, so that it is differentiated only once.
-    """
-    jac = fs
-    if not isinstance(jac, PolyMatrix):
-        fs = list(fs)
-        if not fs:
-            return 0
-        jac = jacobian(fs)
+def jacobian_rank_at(jac: PolyMatrix, point) -> int:
+    """Exact rank at a point of a family's :func:`jacobian`, built once for
+    all the points a family is probed at."""
     rows = [[d.evaluate(point) for d in row] for row in jac.rows]
     domain = jac.ring.domain
     if domain.kind == "fp":

@@ -100,9 +100,15 @@ def test_groebner_calls_in_a_case_share_its_deadline(monkeypatch):
 def test_cli_timeout_bounds_the_command(capsys, tmp_path):
     path = tmp_path / "ideal.txt"
     path.write_text("vars: x y\nx^2 - y\nx*y - 1\n")
-    for command in ("gb", "saturate"):
-        extra = ["--by", "x"] if command == "saturate" else []
-        code = main([command, "--ideal-file", str(path), "--timeout", "0", *extra])
+    commands = {
+        "gb": ["--ideal-file", str(path)],
+        "dim": ["--ideal-file", str(path)],
+        "degree": ["--ideal-file", str(path)],
+        "saturate": ["--ideal-file", str(path), "--by", "x"],
+        "slice": ["--kind", "circulant3", "--bound"],
+    }
+    for command, extra in commands.items():
+        code = main([command, *extra, "--timeout", "0"])
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("timeout: the time budget of 0s ran out in phase ")

@@ -159,15 +159,37 @@ def test_reproduce_case_and_overrides(capsys):
     [
         ["symbolic-determinants", "--n", "3", "--k", "7"],
         ["kirkup-vanish", "--n", "3"],
-        ["codim-2xn", "--timeout", "0.0001"],
         ["all", "--n", "3"],
     ],
-    ids=["no-such-params", "n-for-a-k-case", "timeout", "all-with-n"],
+    ids=["no-such-params", "n-for-a-k-case", "all-with-n"],
 )
 def test_reproduce_refuses_overrides_it_cannot_honour(capsys, argv):
     code, out, err = run(capsys, "reproduce", *argv)
     assert code == 2
     assert out == "" and err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["perm", "--matrix", "[[1]]"],
+        ["prk", "--matrix", "[[1]]"],
+        ["kirkup", "--k", "3"],
+        ["b1", "--matrix", "[[1, 2, 3]]"],
+        ["lp", "--matrix", "[[1, 2, 3]]"],
+        ["type", "--matrix", "[[1, 2, 3]]", "--mode", "B1"],
+        ["ideal", "gen", "--k", "2", "--n", "3"],
+        ["reproduce", "codim-2xn"],
+    ],
+    ids=["perm", "prk", "kirkup", "b1", "lp", "type", "ideal-gen", "reproduce"],
+)
+def test_timeout_is_refused_where_no_budget_is_read(capsys, argv):
+    """Only gb, dim, degree, saturate and slice read a time budget; every
+    other command refuses --timeout instead of ignoring it (reproduce runs
+    each case under its registered budget)."""
+    code, out, err = run(capsys, *argv, "--timeout", "1")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --timeout 1" in err
 
 
 def test_reproduce_extended_requires_tier(capsys):

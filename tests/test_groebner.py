@@ -53,7 +53,7 @@ def s_pairs_reduce_to_zero(G):
     find = groebner._scan([g for g in gens if g], G.ring)
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
-            l = pack.lcm(gens[i].lead_key(), gens[j].lead_key())
+            l = pack.pack(tuple(map(max, gens[i].lead_monomial(), gens[j].lead_monomial())))
             if groebner._reduce_terms(groebner._spoly(gens[i], gens[j], l, pack), find, G.ring):
                 return False
     return True

@@ -53,7 +53,7 @@ def ref_reduce(work, reducers, ring):
         shift = k - lt
         for kk, cc in terms[1:]:
             k2 = kk + shift
-            v = dom.normalize(work.get(k2, 0) - c * cc)
+            v = dom.coerce(work.get(k2, 0) - c * cc)
             if v:
                 if k2 not in work:
                     heappush(heap, -k2)

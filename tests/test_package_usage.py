@@ -15,18 +15,42 @@ ALLOWED = {
     "groebner.save_ideal_file": "writes the ideal-file format the CLI reads (load_ideal_file)",
     "permanent.matrix_to_json": "writes the matrix JSON form the CLI reads (matrix_from_json)",
     "linalg.rref_fraction": "exact RREF over QQ, derived from rank_kernel; a benchmark layer metric",
+    "linalg.kernel_basis": "perfbench traces it",
     "ring.PolyRing.from_exp_dict": "inverse of MPoly.exp_terms; the tests' polynomial constructor",
 }
 
 
-def _names(node) -> Counter:
-    """How often each name is used below ``node``, as a variable or an
-    attribute (imports and definitions are not uses)."""
-    return Counter(
-        n.id if isinstance(n, ast.Name) else n.attr
-        for n in ast.walk(node)
-        if isinstance(n, (ast.Name, ast.Attribute))
-    )
+def _module_aliases(tree, modules) -> set:
+    """Names that ``tree`` binds to modules: every ``import`` and every
+    ``from ... import m`` of a permvar module ``m``."""
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Import):
+            out.update(a.asname or a.name.partition(".")[0] for a in n.names)
+        elif isinstance(n, ast.ImportFrom):
+            out.update(a.asname or a.name for a in n.names if a.name in modules)
+    return out
+
+
+def _uses(node, own: str, aliases: set) -> Counter:
+    """Uses below ``node``, a part of module ``own``.  A module-level function
+    is keyed ``(module, name)`` and used through ``module.name``,
+    ``from .module import name``, or a bare ``name`` in its own module.  A
+    method is keyed ``(None, name)`` and used through any attribute that is
+    not an attribute of an imported module.  Definitions are not uses."""
+    uses = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            uses[own, n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            if isinstance(n.value, ast.Name) and n.value.id in aliases:
+                uses[n.value.id, n.attr] += 1
+            else:
+                uses[None, n.attr] += 1
+        elif isinstance(n, ast.ImportFrom) and n.module:
+            mod = n.module.rpartition(".")[2]
+            uses.update((mod, a.name) for a in n.names)
+    return uses
 
 
 def _definitions(tree):
@@ -42,17 +66,20 @@ def _definitions(tree):
 
 
 def _unreferenced(trees: dict) -> set:
-    """``module.name`` for each public function or method whose name is used
+    """``module.name`` for each public function or method that is used
     nowhere outside its own definition."""
+    aliases = {mod: _module_aliases(tree, set(trees)) for mod, tree in trees.items()}
     uses = Counter()
-    for tree in trees.values():
-        uses.update(_names(tree))
-    return {
-        f"{mod}.{qual}"
-        for mod, tree in trees.items()
-        for qual, node in _definitions(tree)
-        if not node.name.startswith("_") and uses[node.name] == _names(node)[node.name]
-    }
+    for mod, tree in trees.items():
+        uses.update(_uses(tree, mod, aliases[mod]))
+    unused = set()
+    for mod, tree in trees.items():
+        for qual, node in _definitions(tree):
+            key = (None if "." in qual else mod, node.name)
+            own = _uses(node, mod, aliases[mod])[key]
+            if not node.name.startswith("_") and uses[key] == own:
+                unused.add(f"{mod}.{qual}")
+    return unused
 
 
 def test_detector_ignores_recursion_and_counts_module_level_use():
@@ -70,6 +97,29 @@ def test_detector_covers_methods():
         "\ndef f(c):\n    return c.size\n"
     )
     assert _unreferenced({"m": ast.parse(src)}) == {"m.C.lonely", "m.f"}
+
+
+def test_detector_is_not_fooled_by_a_shared_name():
+    """A method named like ``operator.mul`` and a function named like a class
+    attribute are still found dead: an attribute of an imported module is not
+    a method use, and an attribute of anything else is not a function use."""
+    a = (
+        "class Pack:\n"
+        "    def mul(self, a, b):\n        return a + b\n"
+        "    def size(self):\n        return 1\n"
+        "def kernel_basis(rows):\n    return rows\n"
+        "def rank(rows):\n    return len(rows)\n"
+    )
+    b = (
+        "import operator\n"
+        "from . import a\n"
+        "class Report:\n    kernel_basis = ()\n"
+        "product = operator.mul(2, 3)\n"
+        "basis = Report().kernel_basis\n"
+        "size = a.Pack().size() + a.rank([])\n"
+    )
+    trees = {"a": ast.parse(a), "b": ast.parse(b)}
+    assert _unreferenced(trees) == {"a.Pack.mul", "a.kernel_basis"}
 
 
 def test_every_public_function_is_used_or_allowed():

@@ -45,7 +45,7 @@ def _from_sympy(expr, R):
     for exps, c in poly.terms():
         c = Fraction(int(c.p), int(c.q)) if dom.kind == "rat" else int(c) % dom.modulus
         if c:
-            out[exps] = dom.normalize(c)
+            out[exps] = dom.coerce(c)
     return out
 
 
@@ -53,7 +53,7 @@ def _monic(terms, R):
     """Scale by the inverse coefficient of the lead in R's order."""
     lead = max(terms, key=R.pack.pack)
     inv = R.domain.inv(terms[lead])
-    return {e: R.domain.normalize(c * inv) for e, c in terms.items()}
+    return {e: R.domain.coerce(c * inv) for e, c in terms.items()}
 
 
 def _sympy_dimension(S, sym_order):
