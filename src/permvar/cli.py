@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from contextlib import nullcontext
+from dataclasses import fields
 
 from . import experiments
 from .budget import Budget
@@ -39,30 +40,34 @@ from .ring import GF, QQ, MonomialOrder, PolyRing, poly_from_text
 from .torus import classify_type
 
 
-def _common_flags(sub, timeout=False):
-    """The shared flags; ``timeout`` adds ``--timeout`` to a command whose
-    steps read the time budget."""
-    sub.add_argument("--prime", type=int, default=None)
-    sub.add_argument("--prime2", type=int, default=None)
-    sub.add_argument("--order", choices=["degrevlex", "lex"], default=None)
-    sub.add_argument("--seed", type=int, default=None)
-    if timeout:
-        sub.add_argument("--timeout", type=float, default=None, dest="timeout_s")
-    sub.add_argument("--json", action="store_true")
-    sub.add_argument(
-        "--tier", choices=["default", "extended"], default=None,
+# One definition per shared flag; each command adds the ones its handler reads.
+_FLAGS = {
+    "prime": dict(type=int),
+    "prime2": dict(type=int),
+    "order": dict(choices=["degrevlex", "lex"]),
+    "seed": dict(type=int),
+    "timeout": dict(type=float, dest="timeout_s"),
+    "tier": dict(
+        choices=["default", "extended"],
         help="extended unlocks the long-running reproduction cases",
-    )
+    ),
+    "json": dict(action="store_true"),
+}
 
 
-def _matrix_arg(sub, required=True):
-    grp = sub.add_mutually_exclusive_group(required=required)
+def _flags(sub, *names):
+    for name in names:
+        sub.add_argument(f"--{name}", **_FLAGS[name])
+
+
+def _matrix_arg(sub):
+    grp = sub.add_mutually_exclusive_group(required=True)
     grp.add_argument("--matrix", help="inline JSON grid, e.g. '[[1,1],[1,-1]]'")
     grp.add_argument("--matrix-file", help="path to a JSON grid file")
 
 
 def _read_matrix(args):
-    if getattr(args, "matrix", None):
+    if args.matrix:
         return matrix_from_json(args.matrix)
     with open(args.matrix_file) as fh:
         return matrix_from_json(fh.read())
@@ -83,14 +88,7 @@ def _emit(args, payload: dict, text_lines):
 
 
 def _cfg(args) -> CliConfig:
-    return load_config(
-        prime=getattr(args, "prime", None),
-        prime2=getattr(args, "prime2", None),
-        order=getattr(args, "order", None),
-        seed=getattr(args, "seed", None),
-        timeout_s=getattr(args, "timeout_s", None),
-        tier=getattr(args, "tier", None),
-    )
+    return load_config(**{f.name: getattr(args, f.name, None) for f in fields(CliConfig)})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,12 +102,12 @@ def build_parser() -> argparse.ArgumentParser:
     _matrix_arg(p)
     p.add_argument("--method", choices=["ryser", "glynn"], default="ryser")
     p.set_defaults(run=_run_perm)
-    _common_flags(p)
+    _flags(p, "json")
 
     p = sp.add_parser("prk", help="permanental rank of a constant matrix")
     _matrix_arg(p)
     p.set_defaults(run=_run_prk)
-    _common_flags(p)
+    _flags(p, "json")
 
     p = sp.add_parser("ideal", help="ideal constructions")
     isub = p.add_subparsers(dest="ideal_command", required=True)
@@ -122,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pg.add_argument("--period", type=int, default=None)
     pg.set_defaults(run=_run_ideal_gen)
-    _common_flags(pg)
+    _flags(pg, "json")
 
     for name, help_, run in (
         ("gb", "reduced Groebner basis of an ideal file", _run_gb),
@@ -132,11 +130,13 @@ def build_parser() -> argparse.ArgumentParser:
         p = sp.add_parser(name, help=help_)
         p.set_defaults(run=run)
         p.add_argument("--ideal-file", required=True)
-        p.add_argument(
+        field = p.add_mutually_exclusive_group()
+        field.add_argument(
             "--rational", action="store_true",
             help="compute over QQ instead of F_p (records coefficient-size telemetry)",
         )
-        _common_flags(p, timeout=True)
+        _flags(field, "prime")
+        _flags(p, "order", "seed", "timeout", "json")
 
     p = sp.add_parser("saturate", help="saturate an ideal file by a polynomial")
     p.add_argument("--ideal-file", required=True)
@@ -145,26 +145,26 @@ def build_parser() -> argparse.ArgumentParser:
         "--by-all-vars", action="store_true", help="saturate by the product of all variables"
     )
     p.set_defaults(run=_run_saturate)
-    _common_flags(p, timeout=True)
+    _flags(p, "prime", "order", "timeout", "json")
 
     p = sp.add_parser("kirkup", help="print a Kirkup matrix")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--verify", action="store_true")
     p.set_defaults(run=_run_kirkup)
-    _common_flags(p)
+    _flags(p, "json")
 
     for name, mode, help_ in (("b1", "B1", "symmetric sub-permanent matrix, one scaled row"),
                               ("lp", "L", "symmetric sub-permanent matrix, two scaled rows")):
         p = sp.add_parser(name, help=help_)
         _matrix_arg(p)
         p.set_defaults(run=_run_derived, mode=mode)
-        _common_flags(p)
+        _flags(p, "json")
 
     p = sp.add_parser("type", help="corank type report at a probe point")
     _matrix_arg(p)
     p.add_argument("--mode", choices=["B1", "L"], required=True)
     p.set_defaults(run=_run_type)
-    _common_flags(p)
+    _flags(p, "seed", "json")
 
     p = sp.add_parser("slice", help="print a slice matrix; optionally its height bound")
     p.add_argument(
@@ -175,7 +175,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", type=int, default=None, help="n or k where applicable")
     p.add_argument("--bound", action="store_true", help="compute the codimension bound")
     p.set_defaults(run=_run_slice)
-    _common_flags(p, timeout=True)
+    _flags(p, "prime", "timeout", "json")
 
     p = sp.add_parser(
         "reproduce",
@@ -189,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--out", help="append JSON-lines reports to this file")
     p.set_defaults(run=_run_reproduce)
-    _common_flags(p)
+    _flags(p, "prime", "prime2", "seed", "tier", "json")
 
     return ap
 
@@ -220,19 +220,20 @@ def _run_ideal_gen(args, cfg) -> int:
 
 
 def _gb_of_file(args, cfg):
-    prime = None if getattr(args, "rational", False) else cfg.prime
-    gens = _read_ideal(args.ideal_file, prime, cfg.order)
-    return buchberger(gens), gens
+    """The reduced basis of ``--ideal-file`` and the prime it was computed
+    over, None with ``--rational``."""
+    prime = None if args.rational else cfg.prime
+    return buchberger(_read_ideal(args.ideal_file, prime, cfg.order)), prime
 
 
 def _run_gb(args, cfg) -> int:
-    G, _ = _gb_of_file(args, cfg)
+    G, prime = _gb_of_file(args, cfg)
     payload = {
         "basis": [g.text() for g in G.gens],
         "basis_size": len(G.gens),
         "order": G.order.tag(),
         "field": G.ring.domain.tag(),
-        "prime": None if getattr(args, "rational", False) else cfg.prime,
+        "prime": prime,
         "seed": cfg.seed,
         "stats": G.stats,
     }
@@ -240,12 +241,12 @@ def _run_gb(args, cfg) -> int:
     return 0
 
 
-def _dim_payload(G, cfg) -> dict:
+def _dim_payload(G, prime, cfg) -> dict:
     rep = ideal_dimension(G)
     out = {
         "dim": rep.dim,
         "codim": rep.codim,
-        "prime": cfg.prime,
+        "prime": prime,
         "order": G.order.tag(),
         "seed": cfg.seed,
         "wall_ms": G.stats.get("wall_ms"),
@@ -258,16 +259,15 @@ def _dim_payload(G, cfg) -> dict:
 
 
 def _run_dim(args, cfg) -> int:
-    G, _ = _gb_of_file(args, cfg)
-    payload = _dim_payload(G, cfg)
+    payload = _dim_payload(*_gb_of_file(args, cfg), cfg)
     _emit(args, payload, [f"dim {payload['dim']}  codim {payload['codim']}"])
     return 0
 
 
 def _run_degree(args, cfg) -> int:
-    G, _ = _gb_of_file(args, cfg)
+    G, prime = _gb_of_file(args, cfg)
     deg = hilbert_degree(G)
-    payload = _dim_payload(G, cfg)
+    payload = _dim_payload(G, prime, cfg)
     payload["degree"] = deg
     _emit(args, payload, [f"degree {deg}"])
     return 0
@@ -330,6 +330,8 @@ def _run_type(args, cfg) -> int:
 
 
 def _run_slice(args, cfg) -> int:
+    if args.prime is not None and not args.bound:
+        raise StructuralError("--prime is the field of --bound; it needs --bound")
     M = experiments.build_slice(args.kind, args.param)
     lines = [" ".join(e.text() for e in row) for row in M.rows]
     payload = {"kind": args.kind, "entries": [[e.text() for e in row] for row in M.rows]}
@@ -350,7 +352,7 @@ def _run_reproduce(args, cfg) -> int:
     if args.case == "all":
         if args.n is not None or args.k is not None:
             raise StructuralError("--n and --k narrow one case, not 'all'")
-        reports = experiments.reproduce_all(cfg, tier=cfg.tier)
+        reports = experiments.reproduce_all(cfg)
     else:
         spec = experiments.registry().get(args.case)
         if spec is None:

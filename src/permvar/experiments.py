@@ -14,7 +14,7 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 from importlib import resources
 from itertools import combinations
 from math import comb
@@ -563,30 +563,31 @@ def symbolic_determinant_identities() -> dict:
 
 def hankel_chart_case(n: int, p: int) -> dict:
     """Chart ideals of the 2 x n Hankel permanental scheme at both support
-    points: zero-dimensional, local degree 4, and the stated monomial basis."""
+    points (x_n -> 1, then x_0 -> 1): zero-dimensional, local degree 4, and
+    the stated monomial basis."""
     gens = over_prime(matrix_permanents(2, hankel_matrix_2xn(n)), p)
     chart_ring = PolyRing(VarUniverse.free([f"x{i}" for i in range(n)]), GF(p))
-    charts = {
-        "xn": {f"x{n}": 1},
+    charts = [
+        {f"x{n}": 1},
         # x0 -> 1 and the mirror x_i -> x_{n-i}
-        "x0": {"x0": 1, **{f"x{i}": chart_ring.gen(f"x{n - i}") for i in range(1, n + 1)}},
-    }
-    out = {}
-    for chart, mapping in charts.items():
-        mapped = [g.substitute(mapping, target=chart_ring) for g in gens]
-        G = buchberger(mapped)
+        {"x0": 1, **{f"x{i}": chart_ring.gen(f"x{n - i}") for i in range(1, n + 1)}},
+    ]
+    expected_basis = {"1", f"x{n-3}", f"x{n-2}", f"x{n-1}"}
+    dims, degrees, basis_matches = [], [], True
+    for mapping in charts:
+        G = buchberger([g.substitute(mapping, target=chart_ring) for g in gens])
         rep = ideal_dimension(G)
         std = standard_monomials(G) if rep.dim == 0 else []
-        out[f"dim_{chart}"] = rep.dim
-        out[f"degree_{chart}"] = rep.degree
-        out[f"std_{chart}"] = [_mono_name(chart_ring, e) for e in std]
-    out["total_degree"] = (out["degree_xn"] or 0) + (out["degree_x0"] or 0)
-    expected_basis = {"1", f"x{n-3}", f"x{n-2}", f"x{n-1}"}
-    out["basis_matches"] = (
-        set(out["std_xn"]) == expected_basis and set(out["std_x0"]) == expected_basis
-    )
-    out["syzygy"] = hankel_syzygy_identity(n)
-    return out
+        dims.append(rep.dim)
+        degrees.append(rep.degree)
+        basis_matches &= {_mono_name(chart_ring, e) for e in std} == expected_basis
+    return {
+        "dims": dims,
+        "local_degrees": degrees,
+        "total_degree": sum(d or 0 for d in degrees),
+        "basis_matches": basis_matches,
+        "syzygy": hankel_syzygy_identity(n),
+    }
 
 
 def _mono_name(ring: PolyRing, exps) -> str:
@@ -623,6 +624,19 @@ def _per_prime(primes, fn):
     return values[0], all(v == values[0] for v in values[1:])
 
 
+def _per_value(spec, cfg, key, fn):
+    """``_per_prime`` over each registered value v of ``spec.params[key]``,
+    the values outer and the primes inner.  ``fn(v)`` returns the function of
+    the prime, so the work shared by the primes is done once per value.
+    Gives the first prime's values keyed by ``str(v)``, and whether every
+    value agreed across the primes."""
+    measured, agree = {}, True
+    for v in spec.params[key]:
+        measured[str(v)], ok = _per_prime(cfg.primes, fn(v))
+        agree &= ok
+    return measured, agree
+
+
 def _distinct(polys):
     """The nonzero polynomials of ``polys``, each first occurrence in order."""
     seen, out = set(), []
@@ -637,40 +651,23 @@ def _run_codim(param: str, shape):
     """Codimension of the permanental ideal of the generic matrix of size
     ``shape(v)`` for each registered value v of ``param``."""
 
+    def at(v):
+        gens = permanental_ideal(GenericMatrixSpec(*shape(v)))
+        return lambda p: ideal_dimension(buchberger(over_prime(gens, p))).codim
+
     def run(spec, cfg):
-        measured, agree = {}, True
-        for v in spec.params[param]:
-            gens = permanental_ideal(GenericMatrixSpec(*shape(v)))
-            measured[str(v)], ok = _per_prime(
-                cfg.primes, lambda p: ideal_dimension(buchberger(over_prime(gens, p))).codim
-            )
-            agree &= ok
+        measured, agree = _per_value(spec, cfg, param, at)
         return {"codim": measured}, agree
 
     return run
 
 
 def _run_census(spec, cfg):
-    measured, agree = {}, True
-    for n in spec.params["n"]:
-        measured[str(n)], ok = _per_prime(cfg.primes, lambda p: _census_2xn(n, p))
-        agree &= ok
-    return measured, agree
+    return _per_value(spec, cfg, "n", lambda n: partial(_census_2xn, n))
 
 
 def _run_hankel(spec, cfg):
-    measured, agree = {}, True
-    for n in spec.params["n"]:
-        r, ok = _per_prime(cfg.primes, lambda p: hankel_chart_case(n, p))
-        agree &= ok
-        measured[str(n)] = {
-            "dims": [r["dim_xn"], r["dim_x0"]],
-            "local_degrees": [r["degree_xn"], r["degree_x0"]],
-            "total_degree": r["total_degree"],
-            "basis_matches": r["basis_matches"],
-            "syzygy": r["syzygy"],
-        }
-    return measured, agree
+    return _per_value(spec, cfg, "n", lambda n: partial(hankel_chart_case, n))
 
 
 def _run_slice(kind: str, k: int, n: int):
@@ -748,38 +745,39 @@ def _max_jacobian_rank(gens, p, rng, points):
 
 def _run_jacobian_independence(spec, cfg):
     rng = random.Random(cfg.seed)
-    measured, agree = {}, True
-    for k in spec.params["k"]:
+
+    def at(k):
         gens = permanental_ideal(GenericMatrixSpec(k, k + 1))
-        measured[str(k)], ok = _per_prime(
-            cfg.primes, lambda p: _max_jacobian_rank(gens, p, rng, 20)
-        )
-        agree &= ok
+        return lambda p: _max_jacobian_rank(gens, p, rng, 20)
+
+    measured, agree = _per_value(spec, cfg, "k", at)
     return {"max_rank": measured}, agree
 
 
 def _run_jacobian_dependence(spec, cfg):
     rng = random.Random(cfg.seed)
     gens = permanental_ideal(GenericMatrixSpec(2, 5))
-    mx, agree = _per_prime(cfg.primes, lambda p: _max_jacobian_rank(gens, p, rng, 50))
+    points = spec.params["points"]
+    mx, agree = _per_prime(cfg.primes, lambda p: _max_jacobian_rank(gens, p, rng, points))
     return {"max_rank": mx, "dependent": mx <= 9}, agree
 
 
 def _run_circulant_2x2(spec, cfg):
-    measured, agree = {}, True
-    for k in spec.params["k"]:
-        pattern = GenericMatrixSpec(k, k + 1, h=2, pattern="circulant", period=k + 1)
+    def at(k):
+        zz_gens = permanental_ideal(
+            GenericMatrixSpec(k, k + 1, h=2, pattern="circulant", period=k + 1)
+        )
 
         def codim_squares(p):
-            gens = _distinct(over_prime(permanental_ideal(pattern), p))
+            gens = _distinct(over_prime(zz_gens, p))
             G = buchberger(gens)
             ring = gens[0].ring
             member = all(normal_form(ring.gen(j) ** 2, G).is_zero() for j in range(k + 1))
             return {"codim": ideal_dimension(G).codim, "squares_in_ideal": member}
 
-        measured[str(k)], ok = _per_prime(cfg.primes, codim_squares)
-        agree &= ok
-    return measured, agree
+        return codim_squares
+
+    return _per_value(spec, cfg, "k", at)
 
 
 def _run_perm_engines(spec, cfg):
@@ -857,10 +855,7 @@ def _run_sing_witness(spec, cfg):
 
 
 def _run_lemma422(spec, cfg):
-    measured, agree = {}, True
-    for k in spec.params["k"]:
-        measured[str(k)], ok = _per_prime(cfg.primes, lambda p: lemma422_containment(k, p))
-        agree &= ok
+    measured, agree = _per_value(spec, cfg, "k", lambda k: partial(lemma422_containment, k))
     return {"containment": measured}, agree
 
 
@@ -996,13 +991,11 @@ def _matches(measured: dict, expected: dict) -> bool:
     return True
 
 
-def reproduce_all(config: CliConfig | None = None, tier: str = "default"):
-    """Run every registered case at or below the requested tier, id order."""
+def reproduce_all(config: CliConfig | None = None):
+    """Run every registered case at or below the configured tier, id order."""
     cfg = config or CliConfig()
-    reports = []
-    for cid in case_ids():
-        spec = registry()[cid]
-        if spec.tier == "extended" and tier != "extended":
-            continue
-        reports.append(reproduce(cid, cfg))
-    return reports
+    return [
+        reproduce(cid, cfg)
+        for cid in case_ids()
+        if registry()[cid].tier != "extended" or cfg.tier == "extended"
+    ]

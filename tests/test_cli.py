@@ -1,7 +1,10 @@
 """Command-line interface: subcommands, exit codes, JSON output stability."""
 
+import argparse
 import json
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +132,31 @@ def test_rational_gb_flag(capsys, tmp_path):
     assert "max_coeff_bits" in blob["stats"]
 
 
+@pytest.mark.parametrize("command", ["dim", "degree"])
+def test_rational_dim_and_degree_report_no_prime(capsys, tmp_path, command):
+    """Over QQ no prime is used, so none is reported (as ``gb`` does)."""
+    path = tmp_path / "i.txt"
+    path.write_text("vars: x y\nx*y\n")
+    code, out, _ = run(capsys, command, "--ideal-file", str(path), "--rational", "--json")
+    assert code == 0
+    blob = json.loads(out)
+    assert blob["prime"] is None and blob["codim"] == 1
+
+
+@pytest.mark.parametrize("command", ["gb", "dim", "degree"])
+def test_prime_and_rational_are_exclusive(capsys, command):
+    code, out, err = run(capsys, command, "--ideal-file", "I", "--rational", "--prime", "65537")
+    assert code == 2 and out == ""
+    assert "not allowed with argument" in err
+
+
+def test_slice_prime_needs_bound(capsys):
+    code, out, err = run(capsys, "slice", "--kind", "circulant3", "--prime", "65537")
+    assert code == 2 and out == "" and err.startswith("error: ")
+    code, out, _ = run(capsys, "slice", "--kind", "circulant3", "--bound", "--prime", "65537")
+    assert code == 0 and "ht 4" in out
+
+
 def test_slice_with_bound(capsys):
     code, out, _ = run(capsys, "slice", "--kind", "circulant3", "--bound")
     assert code == 0
@@ -190,6 +218,90 @@ def test_timeout_is_refused_where_no_budget_is_read(capsys, argv):
     code, out, err = run(capsys, *argv, "--timeout", "1")
     assert code == 2 and out == ""
     assert "unrecognized arguments: --timeout 1" in err
+
+
+# the shared flags each command reads; every other one is refused
+SHARED_FLAGS = {"--prime", "--prime2", "--order", "--seed", "--timeout", "--tier", "--json"}
+COMMAND_FLAGS = {
+    ("perm",): {"--json"},
+    ("prk",): {"--json"},
+    ("ideal", "gen"): {"--json"},
+    ("kirkup",): {"--json"},
+    ("b1",): {"--json"},
+    ("lp",): {"--json"},
+    ("gb",): {"--prime", "--order", "--seed", "--timeout", "--json"},
+    ("dim",): {"--prime", "--order", "--seed", "--timeout", "--json"},
+    ("degree",): {"--prime", "--order", "--seed", "--timeout", "--json"},
+    ("saturate",): {"--prime", "--order", "--timeout", "--json"},
+    ("type",): {"--seed", "--json"},
+    ("slice",): {"--prime", "--timeout", "--json"},
+    ("reproduce",): {"--prime", "--prime2", "--seed", "--tier", "--json"},
+}
+# argv each command parses (the files need not exist)
+PARSED_ARGV = {
+    ("perm",): ["perm", "--matrix", "[[1]]"],
+    ("prk",): ["prk", "--matrix", "[[1]]"],
+    ("ideal", "gen"): ["ideal", "gen", "--k", "2", "--n", "3"],
+    ("kirkup",): ["kirkup", "--k", "3"],
+    ("b1",): ["b1", "--matrix", "[[1, 2, 3]]"],
+    ("lp",): ["lp", "--matrix", "[[1, 2, 3]]"],
+    ("gb",): ["gb", "--ideal-file", "I"],
+    ("dim",): ["dim", "--ideal-file", "I"],
+    ("degree",): ["degree", "--ideal-file", "I"],
+    ("saturate",): ["saturate", "--ideal-file", "I", "--by", "x"],
+    ("type",): ["type", "--matrix", "[[1, 2, 3]]", "--mode", "B1"],
+    ("slice",): ["slice", "--kind", "circulant3"],
+    ("reproduce",): ["reproduce", "codim-2xn"],
+}
+FLAG_VALUES = {"--prime": "7", "--prime2": "3", "--order": "lex", "--seed": "1", "--tier": "extended"}
+
+
+def _leaf_parsers(parser, path=()):
+    """``(command path, parser)`` for every runnable subcommand."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield path, parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from _leaf_parsers(sub, path + (name,))
+
+
+def test_each_command_takes_only_the_shared_flags_it_reads():
+    found = {
+        path: {s for a in sub._actions for s in a.option_strings} & SHARED_FLAGS
+        for path, sub in _leaf_parsers(build_parser())
+    }
+    assert found == COMMAND_FLAGS
+    assert sum(map(len, found.values())) == 35
+
+
+REMOVED = [
+    (command, flag)
+    for command, kept in COMMAND_FLAGS.items()
+    for flag in sorted(set(FLAG_VALUES) - kept)
+]
+
+
+@pytest.mark.parametrize(
+    "command,flag", REMOVED, ids=["-".join(command) + flag for command, flag in REMOVED]
+)
+def test_flag_a_command_does_not_read_is_refused(capsys, command, flag):
+    code, out, err = run(capsys, *PARSED_ARGV[command], flag, FLAG_VALUES[flag])
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err
+
+
+def test_readme_cli_lines_parse():
+    """Every ``permvar ...`` line of README's CLI block names only flags its
+    command takes."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```")[1]
+    lines = [ln.split("#")[0] for ln in block.splitlines() if ln.startswith("permvar ")]
+    assert len(lines) >= 10
+    parser = build_parser()
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        assert parser.parse_args(argv).run is not None, line
 
 
 def test_reproduce_extended_requires_tier(capsys):
@@ -313,9 +425,9 @@ def test_repeated_or_composite_prime_refused(capsys):
         capsys, "reproduce", "codim-2xn", "--prime", "65537", "--prime2", "65537"
     )
     assert code == 2 and out == "" and err.startswith("error:")
-    code, out, err = run(capsys, "perm", "--matrix", "[[1]]", "--prime", "4")
+    code, out, err = run(capsys, "reproduce", "codim-2xn", "--prime", "4")
     assert code == 2 and out == "" and err.startswith("error:")
-    code, _, err = run(capsys, "perm", "--matrix", "[[1]]", "--prime2", "1")
+    code, _, err = run(capsys, "reproduce", "codim-2xn", "--prime2", "1")
     assert code == 2 and err.startswith("error:")
 
 

@@ -11,6 +11,7 @@ from permvar.experiments import (
     _RUNNERS,
     _certified_codim,
     _per_prime,
+    _per_value,
     append_report,
     build_slice,
     case_ids,
@@ -170,6 +171,22 @@ def test_per_prime_calls_in_order_and_compares():
     assert calls == [5, 13, 5, 7]
 
 
+def test_per_value_runs_values_outer_primes_inner():
+    """``fn(v)`` is called once per value; its function of the prime runs
+    for each prime before the next value starts."""
+    calls = []
+
+    def at(v):
+        calls.append(v)
+        return lambda p: calls.append((v, p)) or (v * p if v == 3 else v)
+
+    spec = registry()["codim-2xn"]  # n in [3, 4, 5]
+    measured, agree = _per_value(spec, CliConfig(prime=5, prime2=7), "n", at)
+    assert measured == {"3": 15, "4": 4, "5": 5} and agree is False
+    assert calls == [3, (3, 5), (3, 7), 4, (4, 5), (4, 7), 5, (5, 5), (5, 7)]
+    assert _per_value(spec, CliConfig(prime=5, prime2=7), "n", lambda v: lambda p: v)[1]
+
+
 def test_inconclusive_certificate_is_no_agreement():
     """Two inconclusive certificates agree on None, but certify nothing."""
     from permvar.ring import QQ, VarUniverse
@@ -243,12 +260,14 @@ def test_script_4x5_honours_its_budget():
     assert time.monotonic() - t0 < 10
 
 
-def test_reproduce_all_default_tier_skips_extended():
+def test_reproduce_all_default_tier_skips_extended(monkeypatch):
+    from permvar import experiments
+
     ids_run = []
-    for cid in case_ids():
-        spec = registry()[cid]
-        if spec.tier == "extended":
-            continue
-        ids_run.append(cid)
-    assert "script-5x6" not in ids_run
-    assert "codim-2xn" in ids_run
+    monkeypatch.setattr(experiments, "reproduce", lambda cid, cfg: ids_run.append(cid) or cid)
+    assert experiments.reproduce_all(CliConfig()) == ids_run
+    assert "script-5x6" not in ids_run and "codim-2xn" in ids_run
+    assert ids_run == [cid for cid in case_ids() if registry()[cid].tier == "default"]
+    ids_run.clear()
+    assert experiments.reproduce_all(CliConfig(tier="extended")) == ids_run
+    assert ids_run == list(case_ids())
