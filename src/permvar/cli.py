@@ -140,8 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sp.add_parser("saturate", help="saturate an ideal file by a polynomial")
     p.add_argument("--ideal-file", required=True)
-    p.add_argument("--by", help="polynomial in canonical text form")
-    p.add_argument(
+    by = p.add_mutually_exclusive_group(required=True)
+    by.add_argument("--by", help="polynomial in canonical text form")
+    by.add_argument(
         "--by-all-vars", action="store_true", help="saturate by the product of all variables"
     )
     p.set_defaults(run=_run_saturate)
@@ -280,11 +281,8 @@ def _run_saturate(args, cfg) -> int:
         f = ring.one
         for g in ring.gens():
             f = f * g
-    elif args.by:
-        f = poly_from_text(args.by, ring)
     else:
-        print("saturate needs --by or --by-all-vars", file=sys.stderr)
-        return 2
+        f = poly_from_text(args.by, ring)
     sat = saturate(gens, f)
     _emit(args, {"generators": [g.text() for g in sat]}, [g.text() for g in sat])
     return 0
@@ -330,8 +328,11 @@ def _run_type(args, cfg) -> int:
 
 
 def _run_slice(args, cfg) -> int:
-    if args.prime is not None and not args.bound:
-        raise StructuralError("--prime is the field of --bound; it needs --bound")
+    if not args.bound:
+        if args.prime is not None:
+            raise StructuralError("--prime is the field of --bound; it needs --bound")
+        if args.timeout_s is not None:
+            raise StructuralError("--timeout limits the --bound computation; it needs --bound")
     M = experiments.build_slice(args.kind, args.param)
     lines = [" ".join(e.text() for e in row) for row in M.rows]
     payload = {"kind": args.kind, "entries": [[e.text() for e in row] for row in M.rows]}

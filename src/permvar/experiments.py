@@ -54,7 +54,9 @@ from .ring import (
     PolyMatrix,
     PolyRing,
     VarUniverse,
+    _bits,
     _expand,
+    _subset_key,
     matrix_det,
     matrix_minors,
 )
@@ -165,7 +167,11 @@ def append_report(report: CaseReport, path: str):
 
 
 def build_slice(kind: str, param: int | None = None) -> PolyMatrix:
-    """The special matrices used as linear slices of permanental varieties."""
+    """The special matrices used as linear slices of permanental varieties;
+    ``param`` is n for hankel2xn and k for circulant2xn, and the fixed
+    circulant3 and circulant4 refuse one."""
+    if kind in ("circulant3", "circulant4") and param is not None:
+        raise StructuralError(f"{kind} is a fixed matrix; it takes no parameter")
     if kind == "hankel2xn":
         if param is None:
             raise StructuralError("hankel2xn needs n")
@@ -461,19 +467,17 @@ def _partition_sum_ideals(k: int, ring: PolyRing):
     M = PolyMatrix([[ring.var(i, j) for j in range(1, k + 1)] for i in range(1, k + 1)])
     out = []
     indices = list(range(k))
+    perms = {h: _expand(M.rows, signed=False, h=h) for h in range(1, k)}
 
     def block_perms(subset, by_rows: bool):
-        # a permanent is unchanged by transposing, so a column block's
-        # permanents are those of its transpose's rows
-        if by_rows:
-            rows = [M.rows[i] for i in subset]
-        else:
-            rows = [[M.rows[i][j] for i in indices] for j in subset]
-        perms = _expand(rows, signed=False)
-        return [
-            perms.get(sum(1 << c for c in other), ring.zero)
-            for other in combinations(indices, len(subset))
+        # a column block's permanents are those of M on the other rows and
+        # the block's columns
+        h, block = len(subset), _bits(subset)
+        keys = [
+            _subset_key(block, o, k, k) if by_rows else _subset_key(o, block, k, k)
+            for o in map(_bits, combinations(indices, h))
         ]
+        return [perms[h].get(key, ring.zero) for key in keys]
 
     seen = set()
     for r in range(1, k):

@@ -6,9 +6,13 @@ matrices controlling tangent directions.
 
 ``perm_numeric`` takes constant square permanents by Ryser (or Glynn).
 Every other permanent here (symbolic permanents, permanent families, the
-derived matrices, the Kirkup check) is read off one unsigned column-subset
-expansion of the rows (``ring._expand``); signed, the same pass gives the
-symbolic determinants and minors.
+derived matrices, the Kirkup check) is read off one unsigned expansion
+(``ring._expand``): one forward pass over the rows whose states are (row
+set, column set) pairs, so every h-row subset meets every h-column subset
+and shares the states of its prefixes.  On a square symmetric matrix only
+the pairs with row set <= column set are expanded and the rest are their
+mirror images.  Signed, the same pass gives the symbolic determinants and
+minors.
 """
 
 from __future__ import annotations
@@ -31,7 +35,9 @@ from .ring import (
     PolyMatrix,
     PolyRing,
     VarUniverse,
+    _bits,
     _expand,
+    _subset_key,
 )
 
 # Largest symbolic permanent expanded.
@@ -307,17 +313,19 @@ def permanental_ideal(spec: GenericMatrixSpec, domain=ZZ):
 
 
 def matrix_permanents(h: int, M: PolyMatrix):
-    """All h x h permanents of M, colex subset order, columns outermost: one
-    unsigned expansion per row subset."""
+    """All h x h permanents of M, colex subset order, columns outermost,
+    read off one unsigned expansion of every h-row subset against every
+    h-column subset.  On a square symmetric M only the permanents with row
+    set <= column set are expanded, and perm(R, C) for R > C is perm(C, R),
+    which equals it (see ``ring._expand``)."""
     m, n = M.dims
     if not 1 <= h <= min(m, n):
         raise StructuralError(f"{h}x{h} permanents of a {m}x{n} matrix")
     _refuse_symbolic_perm(h)
-    perms = [_expand([M.rows[i] for i in rows], signed=False) for rows in _colex_subsets(m, h)]
+    perms = _expand(M.rows, signed=False, h=h)
     zero = M.ring.zero
-    return [
-        p.get(sum(1 << c for c in cols), zero) for cols in _colex_subsets(n, h) for p in perms
-    ]
+    skips = [_subset_key(_bits(rows), 0, m, n) for rows in _colex_subsets(m, h)]
+    return [perms.get(c | s, zero) for c in map(_bits, _colex_subsets(n, h)) for s in skips]
 
 
 def _colex_subsets(n: int, h: int):

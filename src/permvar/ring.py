@@ -806,36 +806,98 @@ class PolyMatrix:
         return f"<PolyMatrix {m}x{n} over {self.ring!r}>"
 
 
-def _expand(rows, signed: bool) -> dict:
+def _expand(rows, signed: bool, h: int | None = None) -> dict:
     """Every nonzero permanent (``signed=False``) or determinant
-    (``signed=True``) of the ``len(rows)``-row submatrices of ``rows``, as
-    {column bitmask: value}; entries are int, Fraction or MPoly.
+    (``signed=True``) of the h x h submatrices of ``rows`` (h defaults to
+    ``len(rows)``), as {``_subset_key(R, C, m, n)``: value} over row sets R
+    and column sets C (bitmasks); with every row placed (h = m) the key is
+    C.  Entries are int, Fraction or MPoly.
 
-    One forward column-subset pass: after r rows, each set of r columns maps
-    to the sum over placements of those rows in those columns.  Placing
-    column j after the columns in ``mask`` adds popcount(mask >> (j + 1))
-    inversions, which gives the determinant's sign.  Sums that cancel to
-    zero are skipped as states and left out of the result.
+    One forward pass over the rows.  A state is a set R of the rows seen so
+    far and a set C of as many columns, mapped to the sum over placements of
+    R in C; each row is placed in a free column or skipped, so every row
+    subset shares the states of its prefixes.  Placing a row in column j
+    after the columns in C adds popcount(C >> (j + 1)) inversions, which
+    gives the determinant's sign.  A state is keyed by C and the rows it
+    skipped, and at most m - h rows are skipped, so none is built that
+    cannot collect h rows.  Sums that cancel to zero are skipped as states
+    and left out of the result.
+
+    On a square, entrywise symmetric matrix with h below its size, no state
+    is built whose row set is lexicographically after its column set (as
+    sorted tuples), and the value at (R, C) with R > C is the one at (C, R).
+    Skipping those states loses no wanted value.  If R <= C, a prefix state
+    of (R, C) holds the first t rows of R and some t columns of C; the i-th
+    smallest of those columns is at least c_i, so the prefix's column set is
+    >= the first t of C, which is >= the first t of R.  And det(M_RC) =
+    det(M_CR) when M is symmetric, and likewise perm.
     """
-    states = {0: 1}
-    for row in rows:
+    m, n = len(rows), len(rows[0]) if rows else 0
+    h = m if h is None else h
+    mirror = h < m == n and all(rows[i][j] == rows[j][i] for i in range(m) for j in range(i))
+    cols = (1 << n) - 1
+    # layers[s]: the states that skipped s rows, keyed by C | skipped << n
+    layers = [{0: 1}]
+    for r, row in enumerate(rows):
         entries = [(j, 1 << j, x) for j, x in enumerate(row) if x]
-        nxt: dict = {}
-        for mask, val in states.items():
-            if not val:
-                continue
-            for j, bit, x in entries:
-                if mask & bit:
-                    continue
-                term = val * x
-                key = mask | bit
-                old = nxt.get(key)
-                if signed and (mask >> (j + 1)).bit_count() & 1:
-                    nxt[key] = -term if old is None else old - term
-                else:
-                    nxt[key] = term if old is None else old + term
-        states = nxt
-    return {key: val for key, val in states.items() if val}
+        # descending, so layer s + 1 already holds its placements when the
+        # states of layer s that skip row r join it
+        for s in range(len(layers) - 1, -1, -1):
+            states, placed = layers[s], {}
+            if r - s < h:
+                groups = (
+                    _mirror_places(states, entries, r, n) if mirror else ((entries, states.items()),)
+                )
+                for places, group in groups:
+                    for key, val in group:
+                        if not val:
+                            continue
+                        for j, bit, x in places:
+                            if key & bit:
+                                continue
+                            term = val * x
+                            k = key | bit
+                            old = placed.get(k)
+                            if signed and ((key & cols) >> (j + 1)).bit_count() & 1:
+                                placed[k] = -term if old is None else old - term
+                            else:
+                                placed[k] = term if old is None else old + term
+            layers[s] = placed
+            if s < m - h:
+                if s + 1 == len(layers):
+                    layers.append({})
+                skip = 1 << (n + r)
+                layers[s + 1].update((key | skip, val) for key, val in states.items() if val)
+    out = {key: val for key, val in layers[-1].items() if val}
+    if mirror:
+        for key, val in list(out.items()):
+            R, C = cols ^ key >> n, key & cols  # m == n
+            if R != C:
+                out[_subset_key(C, R, m, n)] = val
+    return out
+
+
+def _mirror_places(states, entries, r: int, n: int):
+    """For each state of a symmetric expansion, the entries of row r it may
+    take (those that keep its row set <= its column set) and the state."""
+    cols = (1 << n) - 1
+    for key, val in states.items():
+        R, C = ((2 << r) - 1) ^ key >> n, key & cols  # R: the rows up to r it did not skip
+        yield [e for e in entries if _lex_le(R, C | e[1])], ((key, val),)
+
+
+def _subset_key(R: int, C: int, m: int, n: int) -> int:
+    """The key of row set R and column set C in an expansion of an m x n
+    matrix: C, and above it the rows R skips."""
+    return C | (((1 << m) - 1) ^ R) << n
+
+
+def _lex_le(a: int, b: int) -> bool:
+    """Whether the set a is lexicographically <= the set b, as sorted tuples,
+    for two bitmasks with the same number of bits: the smallest element in
+    exactly one of them must be in a."""
+    d = a ^ b
+    return not d or bool(a & d & -d)
 
 
 def matrix_det(M: PolyMatrix) -> MPoly:
@@ -849,14 +911,21 @@ def matrix_det(M: PolyMatrix) -> MPoly:
 
 def matrix_minors(h: int, M: PolyMatrix):
     """All h x h minors, column subsets outermost, both subsets in
-    lexicographic order: one signed expansion per row subset."""
+    lexicographic order, read off one signed expansion of every h-row subset
+    against every h-column subset.  On a square symmetric M only the minors
+    with row set <= column set are expanded, and minor(R, C) for R > C is
+    minor(C, R), which equals it (see ``_expand``)."""
     m, n = M.dims
     if not 1 <= h <= min(m, n):
         raise StructuralError(f"{h}x{h} minors of a {m}x{n} matrix")
     if h > SYMBOLIC_DET_BOUND:
         raise CapacityError(f"symbolic determinant of size {h} exceeds bound {SYMBOLIC_DET_BOUND}")
-    dets = [_expand([M.rows[i] for i in rows], signed=True) for rows in combinations(range(m), h)]
+    dets = _expand(M.rows, signed=True, h=h)
     zero = M.ring.zero
-    return [
-        d.get(sum(1 << c for c in cols), zero) for cols in combinations(range(n), h) for d in dets
-    ]
+    skips = [_subset_key(_bits(rows), 0, m, n) for rows in combinations(range(m), h)]
+    return [dets.get(c | s, zero) for c in map(_bits, combinations(range(n), h)) for s in skips]
+
+
+def _bits(subset) -> int:
+    """The bitmask of a set of indices."""
+    return sum(1 << i for i in subset)

@@ -102,6 +102,19 @@ def test_saturate_command(capsys, tmp_path):
     assert code == 0 and out.strip() == "1"
 
 
+def test_saturate_refuses_both_or_neither_target(capsys, tmp_path):
+    path = tmp_path / "i.txt"
+    path.write_text("vars: x y\nx*y\n")
+    code, out, err = run(
+        capsys, "saturate", "--ideal-file", str(path), "--by", "x", "--by-all-vars"
+    )
+    assert code == 2 and out == ""
+    assert "not allowed with argument" in err
+    code, out, err = run(capsys, "saturate", "--ideal-file", str(path))
+    assert code == 2 and out == ""
+    assert "one of the arguments --by --by-all-vars is required" in err
+
+
 def test_b1_and_type(capsys):
     mat = "[[1,1,-4,2],[1,1,3,5]]"
     code, out, _ = run(capsys, "b1", "--matrix", mat)
@@ -155,6 +168,20 @@ def test_slice_prime_needs_bound(capsys):
     assert code == 2 and out == "" and err.startswith("error: ")
     code, out, _ = run(capsys, "slice", "--kind", "circulant3", "--bound", "--prime", "65537")
     assert code == 0 and "ht 4" in out
+
+
+def test_slice_timeout_needs_bound(capsys):
+    code, out, err = run(capsys, "slice", "--kind", "circulant3", "--timeout", "60")
+    assert code == 2 and out == "" and err.startswith("error: ")
+    code, out, _ = run(capsys, "slice", "--kind", "circulant3", "--bound", "--timeout", "60")
+    assert code == 0 and "ht 4" in out
+
+
+@pytest.mark.parametrize("kind", ["circulant3", "circulant4"])
+def test_slice_refuses_param_of_a_fixed_kind(capsys, kind):
+    code, out, err = run(capsys, "slice", "--kind", kind, "--param", "9")
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert run(capsys, "slice", "--kind", "circulant2xn", "--param", "3")[0] == 0
 
 
 def test_slice_with_bound(capsys):

@@ -4,7 +4,8 @@ over permutations.  Skipped when hypothesis is not installed.
 
 Matrices are at most 4 x 6, with zero entries and zero rows, as ints,
 Fractions and polynomials over ZZ, QQ and F_5; the small prime makes sums
-cancel to zero often.
+cancel to zero often.  Square symmetric matrices are drawn too, since the
+expansion mirrors them.
 """
 
 from fractions import Fraction
@@ -82,9 +83,35 @@ def poly_matrices(draw, shape=None):
     return ring, rows
 
 
+@st.composite
+def symmetric_poly_matrices(draw):
+    """A square PolyMatrix made symmetric by copying its upper triangle
+    below the diagonal: the input on which the expansion mirrors."""
+    n = draw(st.integers(2, 4))
+    ring, rows = draw(poly_matrices((n, n)))
+    for i in range(n):
+        for j in range(i):
+            rows[i][j] = rows[j][i]
+    return ring, rows
+
+
+def _nearly_symmetric():
+    """4 x 4 over ZZ, symmetric but for entry (3, 2): must not be mirrored."""
+    ring = PolyRing(VarUniverse.free(["a", "b", "c"]), ZZ)
+    a, b, c = ring.gens()
+    rows = [[a, b, c, a + 1], [b, c, a, b], [c, a, b + 2, c], [a + 1, b, 3 * c, a]]
+    rows[2][3] = c - 1
+    return ring, rows
+
+
 @SETTINGS
-@given(poly_matrices(), st.integers(1, 4))
+@given(st.one_of(poly_matrices(), symmetric_poly_matrices()), st.integers(1, 4))
+@example(_nearly_symmetric(), 2)
+@example(_nearly_symmetric(), 3)
 def test_minors_and_permanents_match_leibniz(case, h):
+    """Random matrices, and symmetric ones (over ZZ, QQ and F_5), whose
+    minors and permanents with row set > column set are read off the mirror
+    image."""
     ring, rows = case
     m, n = len(rows), len(rows[0])
     h = min(h, m, n)

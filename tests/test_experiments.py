@@ -113,6 +113,8 @@ def test_build_slice_kinds():
         build_slice("hankel2xn")
     with pytest.raises(StructuralError):
         build_slice("nope")
+    with pytest.raises(StructuralError):
+        build_slice("circulant3", 9)
 
 
 def test_slice_bound_never_exceeds_plain_codim():
