@@ -845,6 +845,8 @@ def _expand(rows, signed: bool, h: int | None = None) -> dict:
         for s in range(len(layers) - 1, -1, -1):
             states, placed = layers[s], {}
             if r - s < h:
+                # one group of every state unless the mirror filters each
+                # state's entries, so the unmirrored loop tests nothing per state
                 groups = (
                     _mirror_places(states, entries, r, n) if mirror else ((entries, states.items()),)
                 )

@@ -99,8 +99,7 @@ def _nearly_symmetric():
     """4 x 4 over ZZ, symmetric but for entry (3, 2): must not be mirrored."""
     ring = PolyRing(VarUniverse.free(["a", "b", "c"]), ZZ)
     a, b, c = ring.gens()
-    rows = [[a, b, c, a + 1], [b, c, a, b], [c, a, b + 2, c], [a + 1, b, 3 * c, a]]
-    rows[2][3] = c - 1
+    rows = [[a, b, c, a + 1], [b, c, a, b], [c, a, b + 2, c - 1], [a + 1, b, 3 * c, a]]
     return ring, rows
 
 
