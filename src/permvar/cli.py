@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from contextlib import nullcontext
 from dataclasses import fields
@@ -23,7 +24,6 @@ from .groebner import (
     ideal_dimension,
     independent_set,
     load_ideal_file,
-    over_prime,
     saturate,
 )
 from .permanent import (
@@ -36,7 +36,7 @@ from .permanent import (
     permanental_ideal,
     prk,
 )
-from .ring import GF, QQ, MonomialOrder, PolyRing, poly_from_text
+from .ring import GF, QQ, MonomialOrder, poly_from_text
 from .torus import classify_type
 
 
@@ -276,11 +276,11 @@ def _run_degree(args, cfg) -> int:
 
 def _run_saturate(args, cfg) -> int:
     gens = _read_ideal(args.ideal_file, cfg.prime, cfg.order)
+    if not gens:
+        raise StructuralError("empty generator list")
     ring = gens[0].ring
     if args.by_all_vars:
-        f = ring.one
-        for g in ring.gens():
-            f = f * g
+        f = math.prod(ring.gens(), start=ring.one)
     else:
         f = poly_from_text(args.by, ring)
     sat = saturate(gens, f)
@@ -337,11 +337,7 @@ def _run_slice(args, cfg) -> int:
     lines = [" ".join(e.text() for e in row) for row in M.rows]
     payload = {"kind": args.kind, "entries": [[e.text() for e in row] for row in M.rows]}
     if args.bound:
-        k, n = M.dims
-        gens = over_prime(permanental_ideal(GenericMatrixSpec(k, n)), cfg.prime)
-        target = PolyRing(M.ring.universe, GF(cfg.prime))
-        slice_map = experiments._slice_map_for(M, k, n, target)
-        ht = experiments.slice_codim_bound(gens, slice_map, target)
+        ht = experiments.slice_height(M, cfg.prime)
         payload["ht"] = ht
         payload["codim_lower_bound"] = ht
         lines.append(f"ht {ht} (codimension lower bound {ht})")

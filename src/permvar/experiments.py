@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cache, partial
 from importlib import resources
 from itertools import combinations
-from math import comb
+from math import comb, prod
 
 from . import __version__, linalg
 from .budget import Budget, check
@@ -199,14 +199,17 @@ def slice_codim_bound(I_gens, slice_map, target: PolyRing) -> int:
     return ideal_dimension(buchberger(sliced)).codim
 
 
-def _slice_map_for(M_slice: PolyMatrix, k: int, n: int, target: PolyRing | None = None):
-    """Substitution sending x_i_j of the generic k x n matrix to the slice entry."""
-    out = {}
-    for i in range(k):
-        for j in range(n):
-            entry = M_slice[i, j]
-            out[f"x_{i+1}_{j+1}"] = transport(entry, target) if target else entry
-    return out
+def slice_height(M_slice: PolyMatrix, p: int) -> int:
+    """Height over F_p of the k x k permanents of the generic k x n matrix
+    cut by the k x n slice ``M_slice``: a lower bound for the codimension of
+    their locus."""
+    k, n = M_slice.dims
+    target = PolyRing(M_slice.ring.universe, GF(p))
+    gens = over_prime(permanental_ideal(GenericMatrixSpec(k, n)), p)
+    slice_map = {
+        f"x_{i + 1}_{j + 1}": transport(M_slice[i, j], target) for i in range(k) for j in range(n)
+    }
+    return slice_codim_bound(gens, slice_map, target)
 
 
 # ---------------------------------------------------------------------------
@@ -300,22 +303,21 @@ def _script_slice(k: int, A) -> PolyMatrix:
     replaced column-major by the linear forms ``A`` in x_2_1 .. x_k_1, in
     the ring of those k - 1 variables."""
     B1 = derivative_matrix_symbolic(generic_matrix(k, k + 1).submatrix(range(1, k), range(k + 1)))
-    ring = B1.ring
     keep = [f"x_{r}_1" for r in range(2, k + 1)]
-    col_vars = [ring.gen(nm) for nm in keep]
+    small = PolyRing(VarUniverse.free(keep), ZZ)
+    col_vars = small.gens()
     mapping = {}
     idx = 0
     for j in range(2, k + 2):
         for i in range(2, k + 1):
-            form = ring.zero
+            form = small.zero
             for r in range(k - 1):
                 c = A[r][idx]
                 if c:
                     form = form + col_vars[r].scale(c)
             mapping[f"x_{i}_{j}"] = form
             idx += 1
-    small = PolyRing(VarUniverse.free(keep), ZZ)
-    return B1.map(lambda e: transport(e.substitute(mapping), small))
+    return B1.map(lambda e: e.substitute(mapping, target=small))
 
 
 def _lex_monomials(total: int, nv: int):
@@ -461,12 +463,13 @@ def two_zero_row_witness(k: int) -> bool:
     return not any(matrix_permanents(k - 1, Z))
 
 
-def _partition_sum_ideals(k: int, ring: PolyRing):
-    """For every proper row or column partition, the ideal generated by the
-    maximal permanents of the two blocks (all inside the k x k universe)."""
-    M = PolyMatrix([[ring.var(i, j) for j in range(1, k + 1)] for i in range(1, k + 1)])
-    out = []
-    indices = list(range(k))
+def _partition_sum_ideals(M: PolyMatrix):
+    """For every proper partition of the rows, then of the columns, of the
+    square matrix M (each unordered pair of blocks once), the generators of
+    the ideal of the maximal permanents of the two blocks."""
+    k = M.dims[0]
+    zero = M.ring.zero
+    indices = range(k)
     perms = {h: _expand(M.rows, signed=False, h=h) for h in range(1, k)}
 
     def block_perms(subset, by_rows: bool):
@@ -477,29 +480,24 @@ def _partition_sum_ideals(k: int, ring: PolyRing):
             _subset_key(block, o, k, k) if by_rows else _subset_key(o, block, k, k)
             for o in map(_bits, combinations(indices, h))
         ]
-        return [perms[h].get(key, ring.zero) for key in keys]
+        return [perms[h].get(key, zero) for key in keys]
 
-    seen = set()
-    for r in range(1, k):
+    # the smaller block first; of two equal halves, the one holding index 0
+    for r in range(1, k // 2 + 1):
         for s1 in combinations(indices, r):
-            s2 = tuple(i for i in indices if i not in s1)
-            key = frozenset((frozenset(s1), frozenset(s2)))
-            if key in seen:
+            if 2 * r == k and 0 not in s1:
                 continue
-            seen.add(key)
-            out.append(("rows", s1, s2, block_perms(s1, True) + block_perms(s2, True)))
-            out.append(("cols", s1, s2, block_perms(s1, False) + block_perms(s2, False)))
-    return out
+            s2 = tuple(i for i in indices if i not in s1)
+            yield block_perms(s1, True) + block_perms(s2, True)
+            yield block_perms(s1, False) + block_perms(s2, False)
 
 
 def lemma422_containment(k: int, p: int) -> bool:
     """The (k-1)-permanent ideal of the generic k x k matrix is contained in
     every partition sum of block permanental ideals."""
-    ring_z = PolyRing(VarUniverse.matrix(k, k), ZZ)
-    ring_p = ring_z.with_domain(GF(p))
-    M = PolyMatrix([[ring_p.var(i, j) for j in range(1, k + 1)] for i in range(1, k + 1)])
+    M = generic_matrix(k, k, GF(p))
     sing = matrix_permanents(k - 1, M)
-    for _, _, _, gens in _partition_sum_ideals(k, ring_p):
+    for gens in _partition_sum_ideals(M):
         G = buchberger(gens)
         if not all(normal_form(f, G).is_zero() for f in sing):
             return False
@@ -508,19 +506,18 @@ def lemma422_containment(k: int, p: int) -> bool:
 
 def radical_equality_sing(k: int, p: int) -> dict:
     """Both inclusions of the radical identity for the singular locus at k."""
-    ring = PolyRing(VarUniverse.matrix(k, k), GF(p))
-    M = PolyMatrix([[ring.var(i, j) for j in range(1, k + 1)] for i in range(1, k + 1)])
+    M = generic_matrix(k, k, GF(p))
     sing = matrix_permanents(k - 1, M)
     G_sing = buchberger(sing)
-    sums = _partition_sum_ideals(k, ring)
+    sums = list(_partition_sum_ideals(M))
     forward = True
-    for _, _, _, gens in sums:
+    for gens in sums:
         Gs = buchberger(gens)
         if not all(radical_membership(f, gens, gb=Gs) for f in sing):
             forward = False
             break
     inter = None
-    for _, _, _, gens in sums:
+    for gens in sums:
         inter = gens if inter is None else ideal_intersection(inter, gens)
     backward = all(radical_membership(f, sing, gb=G_sing) for f in inter)
     return {"forward": forward, "backward": backward}
@@ -674,17 +671,9 @@ def _run_hankel(spec, cfg):
     return _per_value(spec, cfg, "n", lambda n: partial(hankel_chart_case, n))
 
 
-def _run_slice(kind: str, k: int, n: int):
+def _run_slice(kind: str):
     def run(spec, cfg):
-        M_slice = build_slice(kind)
-
-        def height(p):
-            target = PolyRing(M_slice.ring.universe, GF(p))
-            gens = over_prime(permanental_ideal(GenericMatrixSpec(k, n)), p)
-            slice_map = _slice_map_for(M_slice, k, n, target)
-            return slice_codim_bound(gens, slice_map, target)
-
-        ht, agree = _per_prime(cfg.primes, height)
+        ht, agree = _per_prime(cfg.primes, partial(slice_height, build_slice(kind)))
         return {"ht": ht, "codim_lower_bound": ht}, agree
 
     return run
@@ -694,10 +683,7 @@ def _run_saturation_j3(spec, cfg):
     def codim_degree(p):
         gens = over_prime(permanental_ideal(GenericMatrixSpec(3, 4)), p)
         ring = gens[0].ring
-        prod = ring.one
-        for g in ring.gens():
-            prod = prod * g
-        G = buchberger(saturate(gens, prod))
+        G = buchberger(saturate(gens, prod(ring.gens(), start=ring.one)))
         return ideal_dimension(G).codim, hilbert_degree(G)
 
     (codim, degree), agree = _per_prime(cfg.primes, codim_degree)
@@ -905,8 +891,8 @@ _RUNNERS = {
     "codim-kxk1": _run_codim("k", lambda k: (k, k + 1)),
     "census-2xn": _run_census,
     "hankel-degree8": _run_hankel,
-    "slice-circulant3": _run_slice("circulant3", 3, 4),
-    "slice-circulant4": _run_slice("circulant4", 4, 5),
+    "slice-circulant3": _run_slice("circulant3"),
+    "slice-circulant4": _run_slice("circulant4"),
     "saturation-J3": _run_saturation_j3,
     "kirkup-vanish": _run_kirkup_vanish,
     "kirkup-b1-rank": _run_kirkup_b1,

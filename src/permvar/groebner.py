@@ -43,6 +43,7 @@ from .ring import (
 def transport(p: MPoly, ring: PolyRing) -> MPoly:
     """Move a polynomial into another ring, matching variables by name.
 
+    The one way a polynomial changes ring: a new domain, order or universe.
     Only variables actually appearing in ``p`` need to exist in the target.
     """
     if p.ring is ring:
@@ -76,7 +77,7 @@ def over_prime(gens, p: int):
         return gens
     ring = gens[0].ring
     target = ring.with_domain(GF(p))
-    return [g.convert(target) for g in gens]
+    return [transport(g, target) for g in gens]
 
 
 def load_ideal_file(path: str, domain, order: MonomialOrder = DEGREVLEX):
@@ -599,33 +600,13 @@ def hilbert_degree(G: GroebnerBasis) -> int:
 # ---------------------------------------------------------------------------
 # elimination, saturation, radical membership, intersection
 
-def _front_ring(ring: PolyRing, count: int = 1) -> PolyRing:
-    """Ring with ``count`` fresh elimination variables prepended."""
-    taken = set(ring.universe.names)
-    fresh = []
+def _front_ring(ring: PolyRing) -> PolyRing:
+    """Ring with one fresh variable t prepended, in the block order that
+    eliminates it."""
     i = 0
-    while len(fresh) < count:
-        nm = f"t_{i}"
-        if nm not in taken:
-            fresh.append(nm)
+    while f"t_{i}" in ring.universe.index:
         i += 1
-    names = fresh + list(ring.universe.names)
-    return PolyRing(VarUniverse(names), ring.domain, block_order(count))
-
-
-def eliminate(gens, front_vars: int):
-    """Basis elements free of the first ``front_vars`` variables.
-
-    The generators must already live in a universe whose first ``front_vars``
-    variables are the ones to eliminate; a block order is imposed here.
-    """
-    if not gens:
-        return []
-    ring = gens[0].ring
-    target = ring.with_order(block_order(front_vars))
-    G = buchberger([g.convert(target) for g in gens])
-    pack = target.pack
-    return [g for g in G.gens if pack.front_free(g.lead_key())]
+    return PolyRing(VarUniverse([f"t_{i}", *ring.universe.names]), ring.domain, block_order(1))
 
 
 def _rabinowitsch(gens, f: MPoly):
@@ -636,9 +617,12 @@ def _rabinowitsch(gens, f: MPoly):
 
 
 def _eliminate_t(moved, ring: PolyRing):
-    """The elimination ideal of ``moved`` (in ``_front_ring(ring)``), back in
-    ``ring`` and interreduced."""
-    return _interreduce([transport(p, ring) for p in eliminate(moved, 1)], ring)
+    """The elimination ideal of ``moved``, which lives in ``_front_ring(ring)``:
+    the basis elements free of t, back in ``ring`` and interreduced.  In the
+    block order an element whose lead avoids t avoids it in every term."""
+    G = buchberger(moved)
+    front_free = G.ring.pack.front_free
+    return _interreduce([transport(g, ring) for g in G.gens if front_free(g.lead_key())], ring)
 
 
 def saturate(gens, f: MPoly):
@@ -686,21 +670,18 @@ def _saturate_divide(gens, var_index: int):
     perm_names = [nm for nm in names if nm != moved] + [moved]
     work = PolyRing(VarUniverse(perm_names), ring.domain, DEGREVLEX)
     G = buchberger([transport(g, work) for g in gens])
-    last = len(perm_names) - 1
+    pack = work.pack
     out = []
     for g in G.gens:
-        e = min(exp[last] for exp, _ in g.exp_terms())
+        # g is homogeneous, and among monomials of one degree degrevlex puts
+        # first the one with the fewest factors of the last variable: the
+        # lead's power of it divides every term
+        e = g.lead_monomial()[-1]
         if e:
-            pack = work.pack
-            unpack = pack.unpack
-            shifted = {}
-            for k, c in g.terms:
-                exps = list(unpack(k))
-                exps[last] -= e
-                shifted[pack.pack(exps)] = c
-            g = work.from_terms(shifted)
-        out.append(g)
-    return [transport(g, ring) for g in out]
+            power = pack.pack([0] * (len(names) - 1) + [e])
+            g = work.from_terms({pack.quotient(k, power): c for k, c in g.terms})
+        out.append(transport(g, ring))
+    return out
 
 
 def _saturate_general(gens, f: MPoly):

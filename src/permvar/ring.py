@@ -229,7 +229,7 @@ class _Pack:
     """Packs exponent vectors into order-comparable integers.
 
     From the low bits up, a key holds one field ``cap - e`` per degrevlex
-    variable (the last variable lowest), the degree of those variables, and
+    variable (the first variable lowest), the degree of those variables, and
     one raw field ``e`` per lex variable (the first variable highest).  For
     every supported order the packed keys satisfy: key(a) < key(b) iff a < b
     in the monomial order, key(a*b) = key(a) + key(b) - offset, and
@@ -374,9 +374,6 @@ class PolyRing:
         coerce = self.domain.coerce
         return self.from_terms({pk(exps): coerce(c) for exps, c in mapping.items()})
 
-    def with_order(self, order: MonomialOrder) -> "PolyRing":
-        return PolyRing(self.universe, self.domain, order)
-
     def with_domain(self, domain: CoeffDomain) -> "PolyRing":
         return PolyRing(self.universe, domain, self.order)
 
@@ -439,11 +436,6 @@ class MPoly:
         deg = self.ring.pack.degree
         degs = {deg(k) for k, _ in self.terms}
         return len(degs) == 1
-
-    def exp_terms(self):
-        """Terms as [(exponent tuple, coeff)], descending in the order."""
-        unpack = self.ring.pack.unpack
-        return [(unpack(k), c) for k, c in self.terms]
 
     def is_constant(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and self.terms[0][0] == self.ring.pack.one)
@@ -667,16 +659,6 @@ class MPoly:
             else:
                 best = max(best, abs(int(c)).bit_length())
         return best
-
-    def convert(self, ring: PolyRing) -> "MPoly":
-        """Map into another ring over the same universe (new order or domain)."""
-        if ring.universe != self.universe:
-            raise DomainMismatchError("convert requires the same universe")
-        unpack = self.ring.pack.unpack
-        out = {}
-        for k, c in self.terms:
-            out[ring.pack.pack(unpack(k))] = ring.domain.coerce(c)
-        return ring.from_terms(out)
 
     # -- text form ---------------------------------------------------
 

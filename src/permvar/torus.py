@@ -10,7 +10,6 @@ sub-permanents of the nonzero block (built in :mod:`permvar.permanent`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import linalg
 from .errors import StructuralError
@@ -68,17 +67,15 @@ def classify_type(A_p, mode: str, seed: int | None = None) -> TypeReport:
 
 
 def kernel_extension_check(A_p, q) -> bool:
-    """Whether stacking the kernel candidate ``q`` on top of A_p lands in the
-    stratum: the stacked k x (k+1) matrix must have all its k x k permanents
-    vanishing."""
-    n = _num_dims(A_p)[1]
+    """Whether stacking the kernel candidate ``q`` on top of the (k-1) x (k+1)
+    point A_p lands in the stratum: all k x k permanents of the stacked
+    k x (k+1) matrix must vanish."""
+    m, n = _num_dims(A_p)
+    if m != n - 2:
+        raise StructuralError(f"expected an m x (m+2) point, got {m}x{n}")
     if len(q) != n:
         raise StructuralError("kernel vector length mismatch")
-    rows = [list(q)] + [list(r) for r in A_p]
-    return all(
-        maximal_permanents_vanish([rows[i] for i in rs])
-        for rs in combinations(range(len(rows)), n - 1)
-    )
+    return maximal_permanents_vanish([list(q)] + [list(r) for r in A_p])
 
 
 def jacobian(fs) -> PolyMatrix:

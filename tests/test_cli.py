@@ -115,6 +115,15 @@ def test_saturate_refuses_both_or_neither_target(capsys, tmp_path):
     assert "one of the arguments --by --by-all-vars is required" in err
 
 
+@pytest.mark.parametrize("target", [["--by", "x"], ["--by-all-vars"]], ids=["by", "by-all-vars"])
+def test_saturate_refuses_an_ideal_without_generators(capsys, tmp_path, target):
+    """Like gb, dim and degree, saturate refuses a file with no generators."""
+    path = tmp_path / "i.txt"
+    path.write_text("vars: x y\n")
+    code, out, err = run(capsys, "saturate", "--ideal-file", str(path), *target)
+    assert (code, out, err) == (2, "", "error: empty generator list\n")
+
+
 def test_b1_and_type(capsys):
     mat = "[[1,1,-4,2],[1,1,3,5]]"
     code, out, _ = run(capsys, "b1", "--matrix", mat)

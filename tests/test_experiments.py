@@ -20,13 +20,13 @@ from permvar.experiments import (
     registry,
     reproduce,
     slice_codim_bound,
+    slice_height,
     symbolic_determinant_identities,
     two_zero_row_witness,
-    _slice_map_for,
 )
 from permvar.groebner import buchberger, ideal_dimension, over_prime
 from permvar.permanent import GenericMatrixSpec, permanental_ideal
-from permvar.ring import GF, PolyRing
+from permvar.ring import PolyRing
 
 
 def test_registry_integrity():
@@ -125,9 +125,7 @@ def test_slice_bound_never_exceeds_plain_codim():
     """
     p = 2147483647
     gens = over_prime(permanental_ideal(GenericMatrixSpec(3, 4)), p)
-    M = build_slice("circulant3")
-    target = PolyRing(M.ring.universe, GF(p))
-    bound = slice_codim_bound(gens, _slice_map_for(M, 3, 4, target), target)
+    bound = slice_height(build_slice("circulant3"), p)
     plain = ideal_dimension(buchberger(gens)).codim
     assert bound <= plain
     assert bound == 4  # and here the bound is sharp

@@ -45,7 +45,7 @@ def ref_rows(gens, d, p):
     cols = {mono: i for i, mono in enumerate(ref_monomials(d, m))}
     rows = []
     for g in gens:
-        terms = [(exps, int(c)) for exps, c in g.exp_terms()]
+        terms = [(g.ring.pack.unpack(k), int(c)) for k, c in g.terms]
         dg = sum(terms[0][0])
         if dg > d:
             continue

@@ -16,6 +16,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
+from permvar.groebner import transport  # noqa: E402
 from permvar.ring import DEGREVLEX, GF, LEX, QQ, ZZ, PolyRing, VarUniverse, poly_from_text  # noqa: E402
 
 PRIMES = [7, 2**31 - 1, 2**61 - 1]
@@ -61,7 +62,7 @@ def test_reduction_mod_p_commutes_with_arithmetic(case):
     Fp = f.ring.with_domain(GF(p))
 
     def red(h):
-        return h.convert(Fp)
+        return transport(h, Fp)
 
     fp, gp = red(f), red(g)
     pairs = [
@@ -74,7 +75,7 @@ def test_reduction_mod_p_commutes_with_arithmetic(case):
         (poly_from_text(f.text(), Fp), fp),
     ]
     pairs += [(red(f.diff(v)), fp.diff(v)) for v in range(3)]
-    fq = f.convert(f.ring.with_domain(QQ))
+    fq = transport(f, f.ring.with_domain(QQ))
     if fp and fp.lead_key() == f.lead_key():
         # the lead coefficient survives mod p, so it has an inverse there
         pairs.append((red(fq.monic()), fp.monic()))

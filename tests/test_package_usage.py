@@ -16,7 +16,7 @@ ALLOWED = {
     "permanent.matrix_to_json": "writes the matrix JSON form the CLI reads (matrix_from_json)",
     "linalg.rref_fraction": "exact RREF over QQ, derived from rank_kernel; a benchmark layer metric",
     "linalg.kernel_basis": "perfbench traces it",
-    "ring.PolyRing.from_exp_dict": "inverse of MPoly.exp_terms; the tests' polynomial constructor",
+    "ring.PolyRing.from_exp_dict": "the tests' polynomial constructor from exponent tuples",
 }
 
 
@@ -80,6 +80,41 @@ def _unreferenced(trees: dict) -> set:
             if not node.name.startswith("_") and uses[key] == own:
                 unused.add(f"{mod}.{qual}")
     return unused
+
+
+def _private_reads(tree, modules) -> set:
+    """``module.name`` for each underscore-prefixed name of a permvar module
+    that ``tree`` imports from it or reads as an attribute of it."""
+    mods, out = {}, set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.ImportFrom) and n.level and n.module:
+            mod = n.module.rpartition(".")[2]
+            out.update(f"{mod}.{a.name}" for a in n.names if a.name.startswith("_"))
+        elif isinstance(n, ast.ImportFrom) and n.level:
+            mods.update((a.asname or a.name, a.name) for a in n.names if a.name in modules)
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name):
+            if n.value.id in mods and n.attr.startswith("_"):
+                out.add(f"{mods[n.value.id]}.{n.attr}")
+    return out
+
+
+def test_private_read_detector():
+    src = (
+        "import json\n"
+        "from . import a, b as bee\n"
+        "from .c import _hidden, shown\n"
+        "x = a._helper(json._default_encoder, bee.public, a.public)\n"
+        "y = bee._other\n"
+    )
+    assert _private_reads(ast.parse(src), {"a", "b", "c"}) == {"a._helper", "b._other", "c._hidden"}
+
+
+def test_cli_reads_no_private_name_of_another_module():
+    """The CLI runs the library through its public functions; reaching for a
+    private helper means it is rebuilding a runner that should be public."""
+    modules = {p.stem for p in SRC.glob("*.py")}
+    assert not _private_reads(ast.parse((SRC / "cli.py").read_text()), modules)
 
 
 def test_detector_ignores_recursion_and_counts_module_level_use():

@@ -9,7 +9,7 @@ import pytest
 
 from permvar import linalg
 from permvar.errors import PreconditionError, StructuralError
-from permvar.groebner import over_prime
+from permvar.groebner import over_prime, transport
 from permvar.permanent import (
     GenericMatrixSpec,
     derivative_matrices,
@@ -194,6 +194,16 @@ def test_kernel_extension_check_b1():
     assert not kernel_extension_check(A, (1, 0, 0, 0))
 
 
+def test_kernel_extension_check_refuses_a_point_of_the_wrong_shape():
+    """A_p must be (n-2) x n: a 1 x 4 point stacks to 2 x 4, which has no
+    3 x 3 permanents to check, and must not pass vacuously."""
+    for A in ([[1, 2, 3, 4]], [[1, 2, 3, 4]] * 3, []):
+        with pytest.raises(StructuralError):
+            kernel_extension_check(A, (5, 6, 7, 8))
+    with pytest.raises(StructuralError):
+        kernel_extension_check([[1, 2, 3, 4]] * 2, (5, 6, 7))
+
+
 def test_kernel_extension_equivalence_with_kernel():
     """The stacked maximal permanents vanish exactly for kernel vectors."""
     for k in (3, 4):
@@ -260,7 +270,7 @@ def test_jacobian_rank_2x5_never_full(prime):
 def _qq_gens(k, n):
     gens = permanental_ideal(GenericMatrixSpec(k, n))
     ring = gens[0].ring.with_domain(QQ)
-    return [g.convert(ring) for g in gens]
+    return [transport(g, ring) for g in gens]
 
 
 def test_tangent_decomposition_kirkup():
@@ -282,7 +292,7 @@ def test_tangent_decomposition_two_row_mode():
     w = WeightAssignment((4, 4), (1, 2))
     gens = permanental_ideal(GenericMatrixSpec(4, 4, h=3))
     ring = gens[0].ring.with_domain(QQ)
-    gens = [g.convert(ring) for g in gens]
+    gens = [transport(g, ring) for g in gens]
     p = [[0] * 4, [0] * 4] + random_probe(2, 4, RNG)
     t0, t1 = tangent_decomposition(p, w, gens)
     assert t0 == 8
