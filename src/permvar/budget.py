@@ -5,10 +5,12 @@ step reads.  A nested budget keeps the earlier deadline, so it never extends
 the one around it.  With no budget open there is no limit.
 """
 
+import math
 import time
 from contextvars import ContextVar
+from numbers import Real
 
-from .errors import GroebnerTimeout
+from .errors import GroebnerTimeout, StructuralError
 
 # (deadline on the time.monotonic() clock, seconds of the budget that set it)
 _OPEN: ContextVar[tuple | None] = ContextVar("permvar_budget", default=None)
@@ -16,6 +18,10 @@ _OPEN: ContextVar[tuple | None] = ContextVar("permvar_budget", default=None)
 
 class Budget:
     def __init__(self, seconds: float):
+        """``seconds`` is a real number, not NaN; zero or less is already
+        expired."""
+        if isinstance(seconds, bool) or not isinstance(seconds, Real) or math.isnan(seconds):
+            raise StructuralError(f"time budget {seconds!r} is not a number of seconds")
         self.seconds = seconds
 
     def __enter__(self):

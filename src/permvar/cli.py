@@ -75,7 +75,7 @@ def _read_matrix(args):
 
 def _read_ideal(path: str, prime: int | None, order_tag: str):
     order = MonomialOrder(order_tag)
-    domain = GF(prime) if prime else QQ
+    domain = QQ if prime is None else GF(prime)
     return load_ideal_file(path, domain, order)
 
 
@@ -154,12 +154,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_run_kirkup)
     _flags(p, "json")
 
-    for name, mode, help_ in (("b1", "B1", "symmetric sub-permanent matrix, one scaled row"),
-                              ("lp", "L", "symmetric sub-permanent matrix, two scaled rows")):
-        p = sp.add_parser(name, help=help_)
-        _matrix_arg(p)
-        p.set_defaults(run=_run_derived, mode=mode)
-        _flags(p, "json")
+    p = sp.add_parser("b1", aliases=["lp"], help="symmetric sub-permanent matrix (mode B1 or L)")
+    _matrix_arg(p)
+    p.set_defaults(run=_run_derived)
+    _flags(p, "json")
 
     p = sp.add_parser("type", help="corank type report at a probe point")
     _matrix_arg(p)
@@ -306,9 +304,10 @@ def _run_kirkup(args, cfg) -> int:
 def _run_derived(args, cfg) -> int:
     mat = _read_matrix(args)
     B = derivative_matrices(mat)
+    mode = {"b1": "B1", "lp": "L"}[args.command]  # the name it was invoked under
     _emit(
         args,
-        {"mode": args.mode, "matrix": [[str(x) for x in r] for r in B]},
+        {"mode": mode, "matrix": [[str(x) for x in r] for r in B]},
         [" ".join(str(x) for x in r) for r in B],
     )
     return 0
@@ -352,13 +351,7 @@ def _run_reproduce(args, cfg) -> int:
         reports = experiments.reproduce_all(cfg)
     else:
         spec = experiments.registry().get(args.case)
-        if spec is None:
-            print(
-                f"unknown case {args.case!r}; known ids: {', '.join(experiments.case_ids())}",
-                file=sys.stderr,
-            )
-            return 2
-        if spec.tier == "extended" and cfg.tier != "extended":
+        if spec and spec.tier == "extended" and cfg.tier != "extended":
             print(
                 f"case {args.case} is extended tier; pass --tier extended", file=sys.stderr
             )

@@ -22,7 +22,14 @@ from math import comb, prod
 from . import __version__, linalg
 from .budget import Budget, check
 from .config import CliConfig
-from .errors import DomainMismatchError, GroebnerTimeout, PreconditionError, StructuralError
+from .errors import (
+    CapacityError,
+    DomainMismatchError,
+    GroebnerTimeout,
+    InternalConsistencyError,
+    PreconditionError,
+    StructuralError,
+)
 from .groebner import (
     buchberger,
     hilbert_degree,
@@ -101,7 +108,7 @@ class CaseReport:
     seed: int
     primes: tuple
     environment: dict = field(default_factory=dict)
-    status: str = "done"  # done | skipped | failed-timeout
+    status: str = "done"  # done | skipped | failed-timeout | failed-error
     partial_stats: dict = field(default_factory=dict)  # a timeout's work counts
 
     def canonical_dict(self) -> dict:
@@ -581,7 +588,7 @@ def hankel_chart_case(n: int, p: int) -> dict:
         std = standard_monomials(G) if rep.dim == 0 else []
         dims.append(rep.dim)
         degrees.append(rep.degree)
-        basis_matches &= {_mono_name(chart_ring, e) for e in std} == expected_basis
+        basis_matches &= {chart_ring.from_exp_dict({e: 1}).text() for e in std} == expected_basis
     return {
         "dims": dims,
         "local_degrees": degrees,
@@ -589,12 +596,6 @@ def hankel_chart_case(n: int, p: int) -> dict:
         "basis_matches": basis_matches,
         "syzygy": hankel_syzygy_identity(n),
     }
-
-
-def _mono_name(ring: PolyRing, exps) -> str:
-    names = ring.universe.names
-    parts = [f"{names[i]}^{e}" if e > 1 else names[i] for i, e in enumerate(exps) if e]
-    return "*".join(parts) if parts else "1"
 
 
 def hankel_syzygy_identity(n: int) -> bool:
@@ -913,12 +914,22 @@ _RUNNERS = {
 
 
 def reproduce(case_id: str, config: CliConfig | None = None, **overrides) -> CaseReport:
-    """Run a registered case deterministically and compare with its pins."""
+    """Run a registered case deterministically and compare with its pins.
+
+    A request the case cannot honour raises StructuralError before the runner
+    starts: an unknown id, an override outside the registered range, a prime
+    that is not a word-size prime, or a repeated prime (the two-prime
+    agreement check would be vacuous).  An error raised inside the runner is
+    a ``failed-error`` report, as a timeout is a ``failed-timeout`` one."""
     reg = registry()
     if case_id not in reg:
-        raise StructuralError(f"unknown case id {case_id!r}; known: {', '.join(case_ids())}")
+        raise StructuralError(f"unknown case id {case_id!r}; known ids: {', '.join(case_ids())}")
     spec = reg[case_id]
     cfg = config or CliConfig()
+    for p in cfg.primes:
+        GF(p)  # raises StructuralError unless p is a word-size prime
+    if cfg.prime == cfg.prime2:
+        raise StructuralError(f"prime and prime2 are both {cfg.prime}; they must differ")
     params = dict(spec.params)
     expected = json.loads(json.dumps(spec.expected))
     for key, val in overrides.items():
@@ -940,6 +951,9 @@ def reproduce(case_id: str, config: CliConfig | None = None, **overrides) -> Cas
         # the message and phase are reproducible; the work counts are not
         status, partial = "failed-timeout", dict(e.stats)
         measured, agree = {"error": str(e), "phase": partial.pop("phase")}, False
+    except (StructuralError, PreconditionError, CapacityError, InternalConsistencyError) as e:
+        status, partial = "failed-error", {}
+        measured, agree = {"error": str(e)}, False
     wall = int((time.monotonic() - t0) * 1000)
     passed = status == "done" and agree and _matches(measured, spec.expected)
     return CaseReport(

@@ -29,6 +29,7 @@ from .errors import (
     PreconditionError,
     StructuralError,
 )
+from .linalg import _dims
 from .ring import (
     ZZ,
     MPoly,
@@ -62,21 +63,13 @@ DERIVED_MAX_N = 20
 # plain numeric matrices (lists of lists of int / Fraction)
 
 
-def _num_dims(mat):
-    m = len(mat)
-    n = len(mat[0]) if m else 0
-    if any(len(r) != n for r in mat):
-        raise StructuralError("ragged matrix")
-    return m, n
-
-
 def perm_numeric(mat, method: str = "ryser"):
     """Exact permanent of a square constant matrix.
 
     ``ryser`` walks subsets in Gray-code order updating row sums in O(n);
     ``glynn`` is the +-1 vector formula and serves as a cross-check engine.
     """
-    m, n = _num_dims(mat)
+    m, n = _dims(mat)
     if m != n:
         raise StructuralError("permanent of a non-square matrix")
     if n > PERM_MAX_N:
@@ -158,7 +151,7 @@ def prk(mat) -> int:
     Exhaustive search descending from min(dims), with a Laplace-expansion
     memo shared across all (row set, column set) pairs of one call.
     """
-    m, n = _num_dims(mat)
+    m, n = _dims(mat)
     if comb(m + n, m) > PRK_MAX_PAIRS:
         raise CapacityError(
             f"prk of a {m}x{n} matrix may visit C({m + n},{m}) (rows, columns) pairs, "
@@ -212,7 +205,7 @@ def matrix_from_json(text_or_obj):
                     x = x.numerator
             row.append(x)
         out.append(row)
-    _num_dims(out)
+    _dims(out)
     return out
 
 
@@ -375,7 +368,7 @@ def kirkup_matrix(k: int) -> KirkupMatrix:
 def maximal_permanents_vanish(mat) -> bool:
     """Whether every m x m permanent of a constant m x n matrix, m <= n, is
     zero: its unsigned expansion over all m rows leaves no column set."""
-    m, n = _num_dims(mat)
+    m, n = _dims(mat)
     if m > n:
         raise StructuralError(f"maximal permanents of a {m}x{n} matrix with more rows than columns")
     return not _expand(mat, signed=False)
@@ -393,7 +386,7 @@ def derivative_matrices(p):
     Both torus modes build this matrix: "B1" from a (k-1) x (k+1) point,
     "L" from a (k-2) x k one.
     """
-    m, n = _num_dims(p)
+    m, n = _dims(p)
     if n != m + 2:
         raise StructuralError(f"expected an m x (m+2) matrix, got {m}x{n}")
     if n > DERIVED_MAX_N:

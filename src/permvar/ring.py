@@ -69,7 +69,7 @@ class CoeffDomain:
         if kind not in ("int", "rat", "fp"):
             raise StructuralError(f"unknown coefficient domain kind {kind!r}")
         if kind == "fp":
-            if modulus is None or modulus >= 1 << 63 or not _is_probable_prime(modulus):
+            if not (isinstance(modulus, int) and modulus < 1 << 63 and _is_probable_prime(modulus)):
                 raise StructuralError(f"modulus {modulus!r} is not a word-size prime")
         elif modulus is not None:
             raise StructuralError("modulus only makes sense for prime fields")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from . import linalg
 from .errors import StructuralError
-from .permanent import _num_dims, derivative_matrices, maximal_permanents_vanish
+from .permanent import derivative_matrices, maximal_permanents_vanish
 from .ring import PolyMatrix
 
 
@@ -54,7 +54,7 @@ def classify_type(A_p, mode: str, seed: int | None = None) -> TypeReport:
     B = derivative_matrices(A_p)
     size = len(B)
     rank, kernel = linalg.rank_kernel(B)
-    m, n = _num_dims(A_p)
+    m, n = linalg._dims(A_p)
     return TypeReport(
         shape=(m, n),
         mode=mode,
@@ -70,7 +70,7 @@ def kernel_extension_check(A_p, q) -> bool:
     """Whether stacking the kernel candidate ``q`` on top of the (k-1) x (k+1)
     point A_p lands in the stratum: all k x k permanents of the stacked
     k x (k+1) matrix must vanish."""
-    m, n = _num_dims(A_p)
+    m, n = linalg._dims(A_p)
     if m != n - 2:
         raise StructuralError(f"expected an m x (m+2) point, got {m}x{n}")
     if len(q) != n:

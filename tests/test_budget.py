@@ -1,6 +1,7 @@
 """The per-case time budget: nesting, messages, and its reach inside a case."""
 
 import dataclasses
+import json
 import time
 
 import pytest
@@ -8,8 +9,8 @@ import pytest
 from permvar import budget, experiments, groebner
 from permvar.budget import Budget
 from permvar.cli import main
-from permvar.config import CliConfig
-from permvar.errors import GroebnerTimeout
+from permvar.config import ENV_CONFIG, CliConfig
+from permvar.errors import GroebnerTimeout, StructuralError
 from permvar.experiments import registry, reproduce
 from permvar.groebner import buchberger, over_prime
 from permvar.permanent import GenericMatrixSpec, permanental_ideal
@@ -112,3 +113,23 @@ def test_cli_timeout_bounds_the_command(capsys, tmp_path):
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("timeout: the time budget of 0s ran out in phase ")
+
+
+@pytest.mark.parametrize("seconds", ["60", float("nan"), None, True])
+def test_budget_refuses_what_is_not_a_number_of_seconds(seconds):
+    with pytest.raises(StructuralError, match="not a number of seconds"):
+        Budget(seconds)
+
+
+def test_cli_refuses_a_timeout_that_is_not_a_number(capsys, tmp_path, monkeypatch):
+    """``--timeout nan`` ran with no limit, and a string ``timeout_s`` in the
+    config file ended in a TypeError traceback."""
+    path = tmp_path / "ideal.txt"
+    path.write_text("vars: x y\nx^2 - y\n")
+    assert main(["gb", "--ideal-file", str(path), "--timeout", "nan"]) == 2
+    assert capsys.readouterr().err.startswith("error: time budget nan ")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"timeout_s": "60"}))
+    monkeypatch.setenv(ENV_CONFIG, str(cfg_path))
+    assert main(["gb", "--ideal-file", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error: time budget '60' ")

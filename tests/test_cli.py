@@ -478,9 +478,62 @@ def test_env_config_order_and_primes(capsys, tmp_path, monkeypatch):
     # an explicit flag still beats the file
     code, out, _ = run(capsys, "gb", "--ideal-file", str(path), "--json", "--order", "degrevlex")
     assert code == 0 and json.loads(out)["order"] == "degrevlex"
+    # gb reads one prime, so a prime2 equal to it is no conflict
     cfg_path.write_text(json.dumps({"prime2": 2147483647}))
     code, _, err = run(capsys, "gb", "--ideal-file", str(path))
-    assert code == 2 and err.startswith("error:")
+    assert code == 0 and err == ""
+
+
+def test_slice_bound_at_the_default_second_prime(capsys):
+    """slice reads one prime, so the default prime2 is no conflict for it."""
+    code, out, err = run(
+        capsys, "slice", "--kind", "circulant3", "--bound", "--prime", "1073741789"
+    )
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1] == "ht 4 (codimension lower bound 4)"
+
+
+@pytest.mark.parametrize(
+    "setting,argv,code",
+    [
+        ({"order": "bogus", "prime2": 4}, ["perm", "--matrix", "[[1,2],[3,4]]"], 0),
+        ({"order": "bogus"}, ["gb", "--ideal-file", "{ideal}"], 2),
+        ({"prime": "7"}, ["gb", "--ideal-file", "{ideal}"], 2),
+        ({"prime": "7"}, ["gb", "--ideal-file", "{ideal}", "--rational"], 0),
+        ({"prime": 0}, ["saturate", "--ideal-file", "{ideal}", "--by", "x"], 2),
+        ({"prime2": 4}, ["reproduce", "codim-2xn"], 2),
+        ({"primes": [5, 7]}, ["perm", "--matrix", "[[1]]"], 0),  # a property, not a setting
+    ],
+    ids=[
+        "perm", "gb-order", "gb-prime", "gb-rational", "saturate-prime", "reproduce-prime2",
+        "primes-ignored",
+    ],
+)
+def test_config_file_settings_are_checked_where_read(
+    capsys, tmp_path, monkeypatch, setting, argv, code
+):
+    """A setting in the config file is refused by the command that reads it,
+    and by no other."""
+    ideal = tmp_path / "i.txt"
+    ideal.write_text("vars: x y\nx^2 - y\n")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(setting))
+    monkeypatch.setenv(ENV_CONFIG, str(cfg_path))
+    got, out, err = run(capsys, *[a.format(ideal=ideal) for a in argv])
+    assert got == code
+    if code:
+        assert out == "" and err.startswith("error: ")
+    else:
+        assert out and err == ""
+
+
+def test_b1_and_lp_are_one_command_with_two_labels(capsys):
+    mat = "[[1,1,-4,2],[1,1,3,5]]"
+    blobs = {
+        name: json.loads(run(capsys, name, "--matrix", mat, "--json")[1]) for name in ("b1", "lp")
+    }
+    assert blobs["b1"]["mode"] == "B1" and blobs["lp"]["mode"] == "L"
+    assert blobs["b1"]["matrix"] == blobs["lp"]["matrix"]
 
 
 def test_help_lists_case_ids():

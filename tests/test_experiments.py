@@ -47,6 +47,51 @@ def test_unknown_case_rejected():
         reproduce("no-such-case")
 
 
+@pytest.mark.parametrize(
+    "primes", [(65537, 65537), (4, 65537), (65537, 1), ("7", 65537)], ids=str
+)
+def test_reproduce_refuses_primes_before_the_runner(monkeypatch, primes):
+    """reproduce is the one reader of both primes: a repeated prime would
+    make the two-prime agreement check vacuous, so it is refused before any
+    runner work."""
+    from permvar import experiments
+
+    def runner(spec, cfg):
+        pytest.fail("the runner started")
+
+    monkeypatch.setitem(experiments._RUNNERS, "codim-2xn", runner)
+    with pytest.raises(StructuralError):
+        reproduce("codim-2xn", CliConfig(prime=primes[0], prime2=primes[1]))
+
+
+def test_a_raising_runner_is_a_failed_case_and_the_run_goes_on(monkeypatch, capsys):
+    """An error inside one runner is that case's ``failed-error`` report; the
+    cases after it still run, and the CLI exits 1, not 2."""
+    from permvar import experiments
+    from permvar.cli import main
+    from permvar.errors import CapacityError
+
+    ids = [cid for cid in case_ids() if registry()[cid].tier == "default"]
+    bad = ids[1]
+
+    def fails(spec, cfg):
+        raise CapacityError("too big")
+
+    for cid in ids:
+        monkeypatch.setitem(experiments._RUNNERS, cid, lambda spec, cfg: (spec.expected, True))
+    monkeypatch.setitem(experiments._RUNNERS, bad, fails)
+    reports = experiments.reproduce_all(CliConfig())
+    assert [r.id for r in reports] == ids
+    failed = [r for r in reports if not r.passed]
+    assert [r.id for r in failed] == [bad]
+    assert failed[0].canonical_dict()["status"] == "failed-error"
+    assert failed[0].measured == {"error": "too big"} and not failed[0].prime_agreement
+    assert main(["reproduce", "all"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert sum(ln.startswith("[PASS] ") for ln in lines) == len(ids) - 1
+    assert f"[FAIL] {bad} (" in lines[1]
+
+
 def test_reproduce_is_deterministic():
     cfg = CliConfig()
     a = reproduce("kirkup-b1-rank", cfg)

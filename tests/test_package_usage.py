@@ -16,7 +16,6 @@ ALLOWED = {
     "permanent.matrix_to_json": "writes the matrix JSON form the CLI reads (matrix_from_json)",
     "linalg.rref_fraction": "exact RREF over QQ, derived from rank_kernel; a benchmark layer metric",
     "linalg.kernel_basis": "perfbench traces it",
-    "ring.PolyRing.from_exp_dict": "the tests' polynomial constructor from exponent tuples",
 }
 
 

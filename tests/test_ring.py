@@ -46,6 +46,14 @@ def test_prime_field_requires_prime():
         CoeffDomain("fp")
 
 
+@pytest.mark.parametrize("modulus", ["7", 7.0, None])
+def test_prime_field_refuses_a_modulus_that_is_not_an_int(modulus):
+    """A prime read from a config file may be any JSON value; a string was a
+    TypeError from the size comparison."""
+    with pytest.raises(StructuralError, match="not a word-size prime"):
+        GF(modulus)
+
+
 def test_rational_normalization_lowest_terms():
     assert QQ.coerce(Fraction(4, 8)) == Fraction(1, 2)
     p = GF(7)
