@@ -18,9 +18,14 @@ _OPEN: ContextVar[tuple | None] = ContextVar("permvar_budget", default=None)
 
 class Budget:
     def __init__(self, seconds: float):
-        """``seconds`` is a real number, not NaN; zero or less is already
-        expired."""
-        if isinstance(seconds, bool) or not isinstance(seconds, Real) or math.isnan(seconds):
+        """``seconds`` is a real number within the float range, not NaN;
+        zero or less is already expired."""
+        try:
+            ok = isinstance(seconds, Real) and not isinstance(seconds, bool)
+            ok = ok and not math.isnan(seconds)
+        except OverflowError:  # an int or Fraction past the float range
+            ok = False
+        if not ok:
             raise StructuralError(f"time budget {seconds!r} is not a number of seconds")
         self.seconds = seconds
 

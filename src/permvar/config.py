@@ -10,6 +10,8 @@ import json
 import os
 from dataclasses import dataclass, fields, replace
 
+from .errors import StructuralError
+
 DEFAULT_PRIME = 2147483647  # 2^31 - 1
 SECOND_PRIME = 1073741789
 ENV_CONFIG = "PERMVAR_CONFIG"
@@ -32,14 +34,17 @@ class CliConfig:
 
 def load_config(**overrides) -> CliConfig:
     """The defaults, overridden by the PERMVAR_CONFIG file, then by the
-    non-None ``overrides``.  Nothing is checked here: each setting is checked
-    where it is read (``GF`` a prime, ``MonomialOrder`` an order, ``Budget``
-    a timeout, ``experiments.reproduce`` the two primes)."""
+    non-None ``overrides``.  Only the file's form is checked here, a JSON
+    object; each setting is checked where it is read (``GF`` a prime,
+    ``MonomialOrder`` an order, ``Budget`` a timeout,
+    ``experiments.reproduce`` the two primes)."""
     names = {f.name for f in fields(CliConfig)}
     cfg = CliConfig()
     path = os.environ.get(ENV_CONFIG)
     if path:
         with open(path) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise StructuralError(f"{ENV_CONFIG} file {path} holds no JSON object")
         cfg = replace(cfg, **{k: v for k, v in data.items() if k in names})
     return replace(cfg, **{k: v for k, v in overrides.items() if v is not None and k in names})

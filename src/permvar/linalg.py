@@ -109,6 +109,21 @@ def rank_kernel(rows):
     return len(pivots), basis
 
 
+def rank_is_one(rows) -> bool:
+    """Whether the matrix has rank exactly 1, decided without elimination:
+    some entry a[r][c] is nonzero, and every 2x2 minor through it vanishes,
+    a[i][j] * a[r][c] == a[i][c] * a[r][j].  Those minors make each row i
+    the multiple a[i][c] / a[r][c] of row r.  The test stops at the first
+    minor that does not vanish."""
+    _dims(rows)
+    at = next(((row, c) for row in rows for c, x in enumerate(row) if x), None)
+    if at is None:
+        return False
+    pivot_row, c = at
+    piv = pivot_row[c]
+    return all(x * piv == row[c] * y for row in rows for x, y in zip(row, pivot_row))
+
+
 def rref_fraction(rows):
     """Reduced row echelon form over QQ. Returns (rref, pivot_columns)."""
     a, pivots = _echelon(rows)

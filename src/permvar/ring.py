@@ -15,10 +15,10 @@ always lies in 1..p-1).
 
 from __future__ import annotations
 
-import operator
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
+from operator import add, itemgetter, mul
 
 from .errors import (
     CapacityError,
@@ -275,7 +275,7 @@ class _Pack:
         if exps and not 0 <= min(exps) <= max(exps) <= _FIELD_CAP:
             bad = next(e for e in exps if not 0 <= e <= _FIELD_CAP)
             raise CapacityError(f"exponent {bad} out of range")
-        return self.offset + sum(map(operator.mul, exps, self._weights))
+        return self.offset + sum(map(mul, exps, self._weights))
 
     def unpack(self, key: int):
         n, w = self.n, _WIDTH
@@ -384,8 +384,8 @@ class PolyRing:
 class MPoly:
     """Immutable sparse polynomial; terms sorted descending in the order."""
 
-    # _support: evaluation form of the terms, filled by the first evaluate()
-    __slots__ = ("ring", "terms", "_support")
+    # _program: evaluation form of the terms, filled by the first evaluate()
+    __slots__ = ("ring", "terms", "_program")
 
     def __init__(self, ring: PolyRing, terms: tuple):
         self.ring = ring
@@ -620,35 +620,77 @@ class MPoly:
                 acc_terms[kk] = acc_terms.get(kk, 0) + cc
         return ring.from_terms(acc_terms)
 
-    def evaluate(self, point):
-        """Exact evaluation at a full point (list of scalars).
+    def evaluate(self, points) -> list:
+        """Exact values at a batch of full points (a list of points, each a
+        list of scalars), one per point, in batch order.
 
-        The first call compiles the terms into a sparse support
-        ``((coeff, ((var, exp), ...)), ...)`` stored on the polynomial; the
-        polynomial is immutable, so every later call reuses it.  The sum is
-        taken over the integers (or rationals) and coerced into the domain
-        once, at the end.
+        The first call compiles the terms into a program of steps
+        ``(coeff, shared, rest)``, stored on the polynomial; the polynomial
+        is immutable, so every later call reuses it.  A term is spelled as
+        its sequence of variables, one per unit of exponent, and the terms
+        run in the order of those sequences, so a term shares the leading
+        factors ``shared`` with the one before it and multiplies on only the
+        factors ``rest``.  The points are held as lanes, one list per
+        variable that occurs, with one entry per point, each coordinate
+        coerced once; a prefix product is one ``map`` over the lanes.  The
+        sums are taken over the integers (or rationals) and coerced into the
+        domain once, at the end.
         """
         n = len(self.universe)
-        if len(point) != n:
-            raise StructuralError(f"point has length {len(point)}, expected {n}")
+        for point in points:
+            try:
+                size = len(point)
+            except TypeError:
+                raise StructuralError(
+                    f"evaluate takes a batch of points, not the scalar {point!r}"
+                ) from None
+            if size != n:
+                raise StructuralError(f"point has length {size}, expected {n}")
         try:
-            support = self._support
+            variables, program = self._program
         except AttributeError:
-            unpack = self.ring.pack.unpack
-            support = self._support = tuple(
-                (c, tuple((i, e) for i, e in enumerate(unpack(k)) if e))
-                for k, c in self.terms
-            )
-        dom = self.ring.domain
-        point = [dom.coerce(x) for x in point]
-        total = 0
-        for c, mono in support:
-            v = c
-            for i, e in mono:
-                v *= point[i] if e == 1 else point[i] ** e
-            total += v
-        return dom.coerce(total)
+            variables, program = self._program = self._compile()
+        coerce = self.ring.domain.coerce
+        lanes = [list(map(coerce, map(itemgetter(i), points))) for i in variables]
+        total = [0] * len(points)
+        # prefix[d]: the lanes of the product of the current term's first d
+        # factors (None for the empty product)
+        prefix = [None]
+        for c, shared, rest in program:
+            del prefix[shared + 1:]
+            value = prefix[-1]
+            for i in rest:
+                value = lanes[i] if value is None else list(map(mul, value, lanes[i]))
+                prefix.append(value)
+            if value is None:
+                total = [t + c for t in total]
+            elif c == 1:
+                total = list(map(add, total, value))
+            else:
+                total = list(map(add, total, map(mul, value, repeat(c))))
+        return list(map(coerce, total))
+
+    def _compile(self):
+        """``(variables, program)`` for :meth:`evaluate`: the variables that
+        occur, and the steps ``(coeff, shared, rest)`` with factors given as
+        positions in ``variables``."""
+        unpack = self.ring.pack.unpack
+        spelled = sorted(
+            (tuple(i for i, e in enumerate(unpack(k)) for _ in range(e)), c)
+            for k, c in self.terms
+        )
+        variables = sorted({i for factors, _ in spelled for i in factors})
+        lane = {v: j for j, v in enumerate(variables)}
+        program, before = [], ()
+        for factors, c in spelled:
+            shared = 0
+            for a, b in zip(factors, before):
+                if a != b:
+                    break
+                shared += 1
+            program.append((c, shared, tuple(lane[i] for i in factors[shared:])))
+            before = factors
+        return variables, tuple(program)
 
     def max_coeff_bits(self) -> int:
         """Telemetry: largest numerator/denominator bit length."""

@@ -10,6 +10,7 @@ sub-permanents of the nonzero block (built in :mod:`permvar.permanent`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from . import linalg
 from .errors import StructuralError
@@ -84,14 +85,17 @@ def jacobian(fs) -> PolyMatrix:
     return PolyMatrix([[f.diff(i) for i in range(nvars)] for f in fs])
 
 
-def jacobian_rank_at(jac: PolyMatrix, point) -> int:
-    """Exact rank at a point of a family's :func:`jacobian`, built once for
-    all the points a family is probed at."""
-    rows = [[d.evaluate(point) for d in row] for row in jac.rows]
+def jacobian_rank_at(jac: PolyMatrix, points) -> list:
+    """Exact ranks of a family's :func:`jacobian` at a batch of points, one
+    per point in batch order.  The Jacobian is built once for all the points
+    a family is probed at, and each entry is evaluated once per batch."""
+    values = [[d.evaluate(points) for d in row] for row in jac.rows]
     domain = jac.ring.domain
     if domain.kind == "fp":
-        return linalg.rank_modp(rows, domain.modulus)
-    return linalg.rank(rows)
+        rank = partial(linalg.rank_modp, p=domain.modulus)
+    else:
+        rank = linalg.rank
+    return [rank([[v[t] for v in row] for row in values]) for t in range(len(points))]
 
 
 def border_pattern_matrix(k: int, a, b):

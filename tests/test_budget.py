@@ -115,7 +115,9 @@ def test_cli_timeout_bounds_the_command(capsys, tmp_path):
         assert err.startswith("timeout: the time budget of 0s ran out in phase ")
 
 
-@pytest.mark.parametrize("seconds", ["60", float("nan"), None, True])
+@pytest.mark.parametrize(
+    "seconds", ["60", float("nan"), None, True, pytest.param(10**400, id="10**400")]
+)
 def test_budget_refuses_what_is_not_a_number_of_seconds(seconds):
     with pytest.raises(StructuralError, match="not a number of seconds"):
         Budget(seconds)
@@ -133,3 +135,16 @@ def test_cli_refuses_a_timeout_that_is_not_a_number(capsys, tmp_path, monkeypatc
     monkeypatch.setenv(ENV_CONFIG, str(cfg_path))
     assert main(["gb", "--ideal-file", str(path)]) == 2
     assert capsys.readouterr().err.startswith("error: time budget '60' ")
+
+
+def test_cli_refuses_a_timeout_past_the_float_range(capsys, tmp_path, monkeypatch):
+    """A config ``timeout_s`` of 400 nines ended in an OverflowError
+    traceback (exit 1) from the NaN check."""
+    path = tmp_path / "ideal.txt"
+    path.write_text("vars: x y\nx^2 - y\n")
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"timeout_s": ' + "9" * 400 + "}")
+    monkeypatch.setenv(ENV_CONFIG, str(cfg_path))
+    assert main(["gb", "--ideal-file", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: time budget 999") and err.endswith("is not a number of seconds\n")

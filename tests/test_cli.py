@@ -455,6 +455,18 @@ def test_env_config_file(tmp_path, monkeypatch):
     assert cfg2.seed == 9 and cfg2.prime == 65537
 
 
+@pytest.mark.parametrize("content", ["[1]", "7", '"prime"', "null"])
+def test_config_file_that_is_no_json_object_is_refused(capsys, tmp_path, monkeypatch, content):
+    """A config file holding valid JSON other than an object killed every
+    command with an AttributeError traceback (exit 1)."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(content)
+    monkeypatch.setenv(ENV_CONFIG, str(cfg_path))
+    code, out, err = run(capsys, "perm", "--matrix", "[[1]]")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "holds no JSON object" in err
+
+
 def test_repeated_or_composite_prime_refused(capsys):
     """A repeated prime would make the two-prime agreement check vacuous."""
     code, out, err = run(

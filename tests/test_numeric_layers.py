@@ -6,12 +6,16 @@ implementations, copied here:
 - derived sub-permanent matrices from one Ryser permanent per column pair.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+import permvar
 from permvar import linalg
 from permvar.errors import StructuralError
 from permvar.groebner import over_prime
@@ -157,10 +161,10 @@ def test_evaluate_matches_reference(domain, coeff, scalar):
     for _ in range(40):
         f = random_poly(ring, rng, rng.randint(0, 12), rng.randint(1, 5), coeff)
         for _ in range(3):  # the same object, evaluated again
-            pt = [scalar(rng) for _ in range(4)]
-            got = f.evaluate(pt)
-            want = ref_evaluate(f, pt)
-            assert got == want and type(got) is type(want)
+            batch = [[scalar(rng) for _ in range(4)] for _ in range(3)]
+            got = f.evaluate(batch)
+            want = [ref_evaluate(f, pt) for pt in batch]
+            assert got == want and [type(x) for x in got] == [type(x) for x in want]
 
 
 def test_evaluate_zero_polynomial_and_length_check():
@@ -168,14 +172,14 @@ def test_evaluate_zero_polynomial_and_length_check():
         ring = PolyRing(VarUniverse.free(["x", "y"]), domain)
         zero = ring.zero
         for _ in range(2):
-            assert zero.evaluate([3, 4]) == domain.coerce(0)
-            assert type(zero.evaluate([3, 4])) is type(domain.coerce(0))
+            assert zero.evaluate([[3, 4], [5, 6]]) == [domain.coerce(0)] * 2
+            assert type(zero.evaluate([[3, 4]])[0]) is type(domain.coerce(0))
         f = ring.gen(0) ** 3 * ring.gen(1) ** 2 + 5
-        assert f.evaluate([2, 3]) == ref_evaluate(f, [2, 3])
-        with pytest.raises(StructuralError):
-            f.evaluate([1, 2, 3])
-        with pytest.raises(StructuralError):
-            f.evaluate([1])
+        assert f.evaluate([[2, 3]]) == [ref_evaluate(f, [2, 3])]
+        assert f.evaluate([]) == [] and ring.const(7).evaluate([[1, 1], [0, 0]]) == [7, 7]
+        for bad in ([[1, 2, 3]], [[1]], [[1, 2], [1]], [1, 2]):
+            with pytest.raises(StructuralError):
+                f.evaluate(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -279,5 +283,35 @@ def test_jacobian_built_once_gives_same_ranks():
     assert jac.dims == (len(gens), 8)
     for _ in range(10):
         pt = [rng.randrange(p) for _ in range(8)]
-        direct = [[f.diff(i).evaluate(pt) for i in range(8)] for f in gens]
-        assert jacobian_rank_at(jac, pt) == linalg.rank_modp_numpy(direct, p)
+        direct = [[f.diff(i).evaluate([pt])[0] for i in range(8)] for f in gens]
+        assert jacobian_rank_at(jac, [pt]) == [linalg.rank_modp_numpy(direct, p)]
+
+
+# ---------------------------------------------------------------------------
+# the numeric probes stay in pure Python
+
+NUMERIC_PROBE_CASES = [
+    "perm-engines-agree", "rank-never-one", "derivative-symmetry", "jacobian-independence",
+    "jacobian-dependence-2x5", "kirkup-vanish", "kirkup-b1-rank", "e-pattern-rank",
+    "sing-upper-witness", "symbolic-determinants",
+]
+
+
+def test_numeric_probe_cases_do_not_import_numpy():
+    """The ten numeric-probe cases pass at the default seed without
+    importing numpy, whose import alone raises a process's peak memory by
+    about a third of theirs.  Run in a fresh process, since the tests in
+    this one import it."""
+    code = (
+        "import sys\n"
+        "from permvar.experiments import reproduce\n"
+        "reports = [reproduce(case) for case in sys.argv[1:]]\n"
+        "print(all(r.passed for r in reports), 'numpy' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(permvar.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code, *NUMERIC_PROBE_CASES],
+        env=env, capture_output=True, text=True, check=True,
+    ).stdout
+    assert out.split() == ["True", "False"]

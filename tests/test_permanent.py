@@ -167,7 +167,7 @@ def test_perm_symbolic_agrees_with_numeric_evaluation():
         for _ in range(20):
             A = [[RNG.randint(-9, 9) for _ in range(n)] for _ in range(n)]
             flat = [x for row in A for x in row]
-            assert sym.evaluate(flat) == naive_perm(A)
+            assert sym.evaluate([flat]) == [naive_perm(A)]
 
 
 def test_permanental_ideal_2x3_exact_generators():
@@ -187,7 +187,7 @@ def test_permanental_ideal_counts():
 def test_permanental_ideal_vanishes_at_kirkup():
     gens = permanental_ideal(GenericMatrixSpec(3, 4))
     flat = [x for row in kirkup_matrix(3).as_lists() for x in row]
-    assert [g.evaluate(flat) for g in gens] == [0, 0, 0, 0]
+    assert [g.evaluate([flat]) for g in gens] == [[0], [0], [0], [0]]
 
 
 def test_spec_validation():
@@ -289,7 +289,7 @@ def test_derivative_matrix_symbolic_matches_numeric():
     num = derivative_matrices(A)
     for i in range(4):
         for j in range(4):
-            assert B[i, j].evaluate(flat) == num[i][j]
+            assert B[i, j].evaluate([flat]) == [num[i][j]]
 
 
 def kirkup_generators(k):
@@ -332,8 +332,8 @@ def test_kirkup_generators_structure():
 def test_kirkup_generators_vanish_at_kirkup_matrix():
     fs, gs = kirkup_generators(3)
     flat = [x for row in kirkup_matrix(3).as_lists() for x in row]
-    assert all(f.evaluate(flat) == 0 for f in fs)
-    assert all(g.evaluate(flat) == 0 for g in gs)
+    assert all(f.evaluate([flat]) == [0] for f in fs)
+    assert all(g.evaluate([flat]) == [0] for g in gs)
 
 
 def test_partials_matrix_entries_are_generator_derivatives():

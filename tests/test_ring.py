@@ -249,10 +249,10 @@ def test_substitute_identity_and_shift():
 def test_evaluate():
     R = PolyRing(VarUniverse.matrix(2, 2), QQ)
     p = R.var(1, 1) * R.var(2, 2) + R.var(1, 2) * R.var(2, 1)
-    assert p.evaluate([1, 1, 1, 1]) == 2
-    assert R.zero.evaluate([5, 6, 7, 8]) == 0
+    assert p.evaluate([[1, 1, 1, 1]]) == [2]
+    assert R.zero.evaluate([[5, 6, 7, 8]]) == [0]
     Rp = PolyRing(R.universe, GF(13))
-    assert transport(p, Rp).evaluate([1, 2, 3, 4]) == 10
+    assert transport(p, Rp).evaluate([[1, 2, 3, 4]]) == [10]
 
 
 # ---------------------------------------------------------------------------
