@@ -778,7 +778,9 @@ def _run_perm_engines(spec, cfg):
     sym = {n: perm_symbolic(generic_matrix(n, n)) for n in sizes}
     ok = True
     for n in sizes:
-        mats = [[[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)] for _ in range(trials)]
+        mats = [
+            [[rng.randrange(19) - 9 for _ in range(n)] for _ in range(n)] for _ in range(trials)
+        ]
         values = sym[n].evaluate([[x for row in A for x in row] for A in mats])
         for A, s in zip(mats, values):
             check("probe")
@@ -798,7 +800,7 @@ def _probe_points(spec, cfg):
                 continue
             for _ in range(spec.params["trials"]):
                 check("probe")
-                yield [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+                yield [[rng.randrange(19) - 9 for _ in range(n)] for _ in range(m)]
 
 
 def _run_derivative_symmetry(spec, cfg):
@@ -853,7 +855,7 @@ def _run_script_4x5(spec, cfg):
     decided by ``buchberger`` and ``ideal_dimension`` over each prime; the
     Macaulay certificate only fills at degree 40 on the singular locus."""
     rng = random.Random(cfg.seed)
-    A = [[rng.randint(-9, 9) for _ in range(12)] for _ in range(3)]
+    A = [[rng.randrange(19) - 9 for _ in range(12)] for _ in range(3)]
     BB = _script_slice(4, A)
     det = matrix_det(BB)
     partials = [det.diff(nm) for nm in BB.ring.universe.names]

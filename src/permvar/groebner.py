@@ -3,6 +3,11 @@ saturation, elimination, radical membership and ideal intersection.
 
 Pair handling uses the Gebauer-Moeller criteria with sugar-degree selection;
 ties break by the pair's lcm in the ambient order, then by insertion index.
+The update works on packed keys only: each new lead's lcm with every live
+element's lead is one fieldwise ``_Pack.lcm``, a pair is coprime iff that lcm
+is the product key ``mh + lt - offset``, and the new lead makes an element
+dead iff that lcm is the element's own lead.  Dead elements get no lcm, except
+one that a pending pair still names when the old-pair filter needs it.
 All reductions are full (head and tail), so intermediate elements stay small.
 A term's reducer is the first basis element, in insertion order, that is
 alive and whose lead divides it.  The lookup remembers, per monomial key, the
@@ -45,10 +50,15 @@ def transport(p: MPoly, ring: PolyRing) -> MPoly:
 
     The one way a polynomial changes ring: a new domain, order or universe.
     Only variables actually appearing in ``p`` need to exist in the target.
+    A ring of the same universe and order packs keys the same way, so only
+    the coefficients are coerced.
     """
     if p.ring is ring:
         return p
     src = p.universe
+    if src == ring.universe and p.order == ring.order:
+        coerce = ring.domain.coerce
+        return ring.from_terms({k: coerce(c) for k, c in p.terms})
     tgt_index = ring.universe.index
     perm: dict = {}
     n = len(ring.universe)
@@ -273,13 +283,13 @@ def buchberger(gens) -> GroebnerBasis:
         if g.ring is not ring:
             raise DomainMismatchError("generators live in different rings")
     pack = ring.pack
-    divides, unpack = pack.divides, pack.unpack
+    lcm, offset = pack.lcm, pack.offset
+    gl, gh, guard = pack._guard_low, pack._guard_high, pack.guard
+    low_gh = pack._low_mask | gh
     t0 = time.monotonic()
 
     basis: list[MPoly] = []
     lts: list[int] = []
-    exps: list[tuple] = []  # exponent vectors of the leading terms
-    supports: list[int] = []  # their variable supports, as bitmasks
     excess: list[int] = []  # sugar minus leading degree
     alive: list[bool] = []
     pair_meta: dict = {}  # (i, j) -> (sugar, lcm_key)
@@ -292,42 +302,56 @@ def buchberger(gens) -> GroebnerBasis:
         nonlocal seq
         t = len(basis)
         mh = h.lead_key()
-        eh = unpack(mh)
-        sh = sum(1 << v for v, e in enumerate(eh) if e)
+        # lt + mh_shift is the key of lt * mh
+        mh_guarded, mh_shift = mh | gl, mh - offset
         dh = pack.degree(mh)
-        # Gebauer-Moeller update of the pair set, on lcm(mh, lts[i]) for
-        # every earlier element, each packed once
-        lcms = [pack.pack(tuple(map(max, eh, e))) for e in exps]
-        cand = sorted((i for i in range(t) if alive[i]), key=lcms.__getitem__)
+        # Gebauer-Moeller update of the pair set, on lcm(mh, lts[i]) for every
+        # live earlier element
+        lcms = {i: lcm(mh, lts[i]) for i in range(t) if alive[i]}
+        cand = sorted(lcms, key=lcms.__getitem__)
+        ordered = [lcms[i] for i in cand]
         kept: list[int] = []
+        kept_lcms: list[int] = []
         for pos, i in enumerate(cand):
-            li = lcms[i]
-            # a coprime pair goes to D, dropped later by the product criterion;
-            # of the later candidates (lcm >= li) only an equal lcm divides li
-            if supports[i] & sh and (
-                (pos + 1 < len(cand) and lcms[cand[pos + 1]] == li)
-                or any(lcms[j] != li and divides(lcms[j], li) for j in kept)
-            ):
-                continue
+            li = ordered[pos]
+            # a coprime pair (lcm = product) goes to D, dropped later by the
+            # product criterion; of the later candidates (lcm >= li) only an
+            # equal lcm divides li, and every kept lcm is <= li
+            if li != mh_shift + lts[i]:
+                if pos + 1 < len(ordered) and ordered[pos + 1] == li:
+                    continue
+                li_high = li | low_gh
+                # any(lj != li and pack.divides(lj, li)), inlined
+                if any(
+                    lj != li and (((lj | gl) - li) & gl | (li_high - lj) & gh) == guard
+                    for lj in kept_lcms
+                ):
+                    continue
             kept.append(i)
-        # filter old pairs through the new leading term
+            kept_lcms.append(li)
+        # filter old pairs through the new leading term; a pair may name an
+        # element that has died since, whose lcm is computed here
         for (i, j), (_, l_ij) in list(pair_meta.items()):
-            if divides(mh, l_ij) and lcms[i] != l_ij and lcms[j] != l_ij:
+            # pack.divides(mh, l_ij), inlined
+            if (
+                mh <= l_ij
+                and ((mh_guarded - l_ij) & gl | ((l_ij | low_gh) - mh) & gh) == guard
+                and (lcms[i] if i in lcms else lcm(mh, lts[i])) != l_ij
+                and (lcms[j] if j in lcms else lcm(mh, lts[j])) != l_ij
+            ):
                 del pair_meta[(i, j)]
-        for i in kept:
-            if supports[i] & sh:
-                l = lcms[i]
+        for i, l in zip(kept, kept_lcms):
+            if l != mh_shift + lts[i]:
                 s = pack.degree(l) + max(excess[i], sugar - dh)
                 pair_meta[(i, t)] = (s, l)
                 heappush(heap, (s, l, seq, i, t))
                 seq += 1
-        for i in range(t):
-            if alive[i] and divides(mh, lts[i]):
+        # mh divides lts[i] iff their lcm is lts[i]
+        for i, l in lcms.items():
+            if l == lts[i]:
                 alive[i] = False
         basis.append(h)
         lts.append(mh)
-        exps.append(eh)
-        supports.append(sh)
         excess.append(sugar - dh)
         alive.append(True)
         stats["basis_additions"] += 1

@@ -262,6 +262,15 @@ class _Pack:
         self._guard_low = sum(1 << (w * i + w - 1) for i in range(tail))
         self._guard_high = sum(1 << (self._low_bits + w * i + w - 1) for i in range(m))
         self.guard = self._guard_low | self._guard_high
+        # lcm: the value bits of the complement fields and of all fields, and
+        # the constants that sum the complement fields two to a 32-bit lane
+        self._low_values = self._guard_low - (self._guard_low >> (w - 1))
+        self._values = self.guard - (self.guard >> (w - 1))
+        lanes = max(1, (tail + 1) // 2)
+        self._lane_ones = sum(1 << (2 * w * i) for i in range(lanes))
+        self._lane_even = self._lane_ones * _FIELD_MASK
+        self._top_lane = 2 * w * (lanes - 1)
+        self._cap_sum = tail * _FIELD_CAP
         # pack(e) = offset + sum(e_i * weight_i): a lex variable adds to its
         # field, a degrevlex one to the degree and minus to its field
         self._weights = tuple(1 << (self._low_bits + w * (m - 1 - i)) for i in range(m)) + tuple(
@@ -299,6 +308,35 @@ class _Pack:
         gl, gh = self._guard_low, self._guard_high
         low = ((ka | gl) - kb) & gl
         return (low | ((kb | self._low_mask | gh) - ka) & gh) == self.guard
+
+    def lcm(self, ka: int, kb: int) -> int:
+        """Key of lcm(a, b), computed on all fields at once.
+
+        With the degree field masked off and every guard bit set in the
+        minuend, field f of ``(a | guard) - b`` is ``a_f + 2^15 - b_f``, which
+        lies in 1 .. 2^16 - 1: no borrow leaves the field, and its guard bit
+        stays set iff a_f >= b_f.  Spreading that bit over the field's value
+        bits selects the larger raw (lex) field and the smaller complement
+        (degrevlex) field, ``cap - e``, which is the larger exponent.
+        Fieldwise maxima of valid keys stay at or below the cap, so the result
+        has every guard bit clear.  The degree field is then ``tail*cap``
+        minus the complement fields' sum.  That sum adds the fields two to a
+        32-bit lane and folds the lanes with one multiply: the top lane of the
+        product holds the full sum, and every lane a partial sum, at most
+        ``n*cap``.  That fits the 32-bit degree field, as every key's degree
+        must (n*cap < 2^32 for n up to 131,076), so no lane carries into the
+        next.
+        """
+        a, b = ka & self._values, kb & self._values
+        d = ((a | self.guard) - b) & self.guard
+        a_wins = (d - (d >> (_WIDTH - 1))) ^ self._low_values
+        key = b ^ (a ^ b) & a_wins
+        if not self._tail:
+            return key
+        low = key & self._low_values
+        lanes = (low & self._lane_even) + (low >> _WIDTH & self._lane_even)
+        total = (lanes * self._lane_ones) >> self._top_lane & 0xFFFFFFFF
+        return key | (self._cap_sum - total) << self._deg_shift
 
     def degree(self, key: int) -> int:
         """Total degree: the degree field plus the lex fields."""

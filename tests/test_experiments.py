@@ -119,6 +119,26 @@ def test_reproduce_deterministic_across_processes():
     assert json.loads(outs[0])["passed"] is True
 
 
+@pytest.mark.parametrize("seed", [0, 5])
+def test_probe_points_are_the_randint_stream(seed):
+    """The probes draw ``randrange(19) - 9``, which takes the same values
+    from the seeded stream as ``randint(-9, 9)``."""
+    import random
+
+    from permvar.experiments import _probe_points
+
+    spec = registry()["rank-never-one"]
+    rng = random.Random(seed)
+    want = [
+        [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        for k in spec.params["k"]
+        for m, n in ((k - 1, k + 1), (k - 2, k))
+        if m >= 1
+        for _ in range(spec.params["trials"])
+    ]
+    assert list(_probe_points(spec, CliConfig(seed=seed))) == want
+
+
 def test_parameter_override_narrows_case():
     rep = reproduce("hankel-degree8", n=5)
     assert rep.passed

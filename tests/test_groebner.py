@@ -522,6 +522,13 @@ def _rabinowitsch(k, n, by):
     return moved
 
 
+def _lexed(k, n):
+    """The k x n permanental ideal over F_P1 in the pure lex order."""
+    gens = over_prime(permanental_ideal(GenericMatrixSpec(k, n)), P1)
+    lex = PolyRing(gens[0].ring.universe, gens[0].ring.domain, LEX)
+    return [transport(g, lex) for g in gens]
+
+
 # counters and a digest of the reduced basis, as the engine gave them before
 # the pair update and the reducer moved onto packed keys
 PINNED_RUNS = {
@@ -531,6 +538,16 @@ PINNED_RUNS = {
     ),
     "2x5-block1": (lambda: _rabinowitsch(2, 5, [1]), (201, 169, 43), 23, "c65a79adb2a68739"),
     "2x4-block2": (lambda: _rabinowitsch(2, 4, [1, 2]), (87, 67, 28), 11, "6e554a0283f6c5ad"),
+    # its old-pair filter needs the lcm of a dead element that is the first
+    # of a pending pair
+    "2x4-block3": (lambda: _rabinowitsch(2, 4, [1, 2, 3]), (109, 85, 33), 7, "565f333041cc614e"),
+    # QQ and pure lex, where the lcm has no complement fields to take the
+    # minimum of and no degree field to recompute
+    "2x4-qq": (
+        lambda: permanental_ideal(GenericMatrixSpec(2, 4), domain=QQ),
+        (33, 25, 14), 14, "172ad7075e8d31dd",
+    ),
+    "3x4-lex": (lambda: _lexed(3, 4), (55, 36, 23), 23, "80a2d64e801b371b"),
 }
 
 

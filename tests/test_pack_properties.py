@@ -1,0 +1,94 @@
+"""Property tests for packed monomial keys: ``_Pack.lcm`` against the
+fieldwise max of exponent vectors, and ``transport`` between rings that share
+their keys against the term-by-term path.  Skipped when hypothesis is not
+installed.
+
+The lcm is checked under every key layout: degrevlex (complement fields and
+a degree field only), lex (raw fields only) and two block orders (both).
+Odd and even variable counts up to 31 leave the last 32-bit lane of the
+degree sum half or fully filled; exponents 0 and the field cap meet the
+guard boundaries.
+"""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+from permvar.groebner import transport  # noqa: E402
+from permvar.ring import (  # noqa: E402
+    _FIELD_CAP,
+    DEGREVLEX,
+    GF,
+    LEX,
+    QQ,
+    PolyRing,
+    VarUniverse,
+    _Pack,
+    block_order,
+)
+
+SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=100)
+ORDERS = [DEGREVLEX, LEX, block_order(1), block_order(3)]
+EXPONENTS = st.one_of(st.sampled_from([0, 1, _FIELD_CAP - 1, _FIELD_CAP]), st.integers(0, _FIELD_CAP))
+
+
+@st.composite
+def exponent_pairs(draw):
+    n = draw(st.integers(1, 31))
+    vector = st.lists(EXPONENTS, min_size=n, max_size=n)
+    return n, draw(vector), draw(vector)
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=repr)
+@SETTINGS
+@given(case=exponent_pairs())
+def test_lcm_is_the_packed_fieldwise_max(order, case):
+    n, a, b = case
+    pack = _Pack(n, order)
+    ka, kb = pack.pack(a), pack.pack(b)
+    want = pack.pack(list(map(max, a, b)))
+    assert pack.lcm(ka, kb) == pack.lcm(kb, ka) == want
+    assert pack.lcm(ka, ka) == ka
+    assert pack.lcm(ka, pack.one) == ka
+    # coprime iff the lcm is the product key
+    assert (want == ka + kb - pack.offset) == (not any(x and y for x, y in zip(a, b)))
+
+
+P = 2147483647
+UNIVERSE = VarUniverse.free(["x", "y", "z"])
+
+
+@st.composite
+def rational_polys(draw):
+    """Terms over QQ with Fraction coefficients, some of them multiples of P
+    (zero residues in F_P); the denominators are coprime to P."""
+    exps = st.tuples(*[st.integers(0, 4)] * 3)
+    num = st.one_of(st.integers(-9, 9), st.integers(-2, 2).map(lambda m: m * P))
+    coeff = st.builds(Fraction, num, st.integers(1, 12))
+    return draw(st.dictionaries(exps, coeff, max_size=8))
+
+
+def _term_by_term(f, ring):
+    """The per-term path: unpack each key in the source ring, pack it in the
+    target and coerce the coefficient."""
+    unpack = f.ring.pack.unpack
+    return ring.from_exp_dict({unpack(k): c for k, c in f.terms})
+
+
+@SETTINGS
+@given(order=st.sampled_from([DEGREVLEX, LEX, block_order(1)]), terms=rational_polys())
+def test_transport_between_domains_keeps_keys(order, terms):
+    rat = PolyRing(UNIVERSE, QQ, order)
+    fp = rat.with_domain(GF(P))
+    f = rat.from_exp_dict(terms)
+    g = transport(f, fp)
+    assert g == _term_by_term(f, fp)
+    assert all(0 < c < P for _, c in g.terms)
+    assert [k for k, _ in g.terms] == [k for k, c in f.terms if GF(P).coerce(c)]
+    back = transport(g, rat)
+    assert back == _term_by_term(g, rat)
+    assert all(isinstance(c, Fraction) for _, c in back.terms)

@@ -16,6 +16,10 @@ ALLOWED = {
     "permanent.matrix_to_json": "writes the matrix JSON form the CLI reads (matrix_from_json)",
     "linalg.rref_fraction": "exact RREF over QQ, derived from rank_kernel; a benchmark layer metric",
     "linalg.kernel_basis": "perfbench traces it",
+    "ring._Pack.divides": (
+        "the divisibility test that groebner's reducer scan and pair update inline; "
+        "test_groebner_reference's reference engine calls it"
+    ),
 }
 
 
