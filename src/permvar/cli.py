@@ -303,7 +303,7 @@ def _run_kirkup(args, cfg) -> int:
 
 def _run_derived(args, cfg) -> int:
     mat = _read_matrix(args)
-    B = derivative_matrices(mat)
+    (B,) = derivative_matrices([mat])
     mode = {"b1": "B1", "lp": "L"}[args.command]  # the name it was invoked under
     _emit(
         args,

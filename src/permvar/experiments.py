@@ -790,33 +790,37 @@ def _run_perm_engines(spec, cfg):
 
 
 def _probe_points(spec, cfg):
-    """The seeded probes of the derived-matrix cases: per k, ``trials``
-    random points of shape (k-1) x (k+1) (the B1 shape), then (k-2) x k (the
-    L shape, when k > 2), entries in -9..9, each drawn after a budget check."""
+    """The seeded probes of the derived-matrix cases, one batch per shape:
+    per k, ``trials`` random points of shape (k-1) x (k+1) (the B1 shape),
+    then as many of shape (k-2) x k (the L shape, when k > 2), entries in
+    -9..9, each point drawn after a budget check."""
     rng = random.Random(cfg.seed)
     for k in spec.params["k"]:
         for m, n in ((k - 1, k + 1), (k - 2, k)):
             if m < 1:
                 continue
+            batch = []
             for _ in range(spec.params["trials"]):
                 check("probe")
-                yield [[rng.randrange(19) - 9 for _ in range(n)] for _ in range(m)]
+                batch.append([[rng.randrange(19) - 9 for _ in range(n)] for _ in range(m)])
+            yield batch
 
 
 def _run_derivative_symmetry(spec, cfg):
     ok = True
-    for A in _probe_points(spec, cfg):
-        B = derivative_matrices(A)
-        if any(row[i] for i, row in enumerate(B)) or B != [list(col) for col in zip(*B)]:
-            ok = False
+    for batch in _probe_points(spec, cfg):
+        for B in derivative_matrices(batch):
+            if any(row[i] for i, row in enumerate(B)) or B != [list(col) for col in zip(*B)]:
+                ok = False
     return {"symmetric_zero_diagonal": ok}, True
 
 
 def _run_rank_never_one(spec, cfg):
     seen = False
-    for A in _probe_points(spec, cfg):
-        if linalg.rank_is_one(derivative_matrices(A)):
-            seen = True
+    for batch in _probe_points(spec, cfg):
+        for B in derivative_matrices(batch):
+            if linalg.rank_is_one(B):
+                seen = True
     return {"rank_one_seen": seen}, True
 
 

@@ -13,6 +13,11 @@ and shares the states of its prefixes.  On a square symmetric matrix only
 the pairs with row set <= column set are expanded and the rest are their
 mirror images.  Signed, the same pass gives the symbolic determinants and
 minors.
+
+``derivative_matrices`` takes a batch of points of one shape and runs one
+expansion for the whole batch: each entry is a lane vector (``_Lanes``)
+holding its value at every point, multiplied and added lanewise, and every
+point's matrix is read from its own lane of the result.
 """
 
 from __future__ import annotations
@@ -20,8 +25,9 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb
+from operator import add, mul
 
 from .errors import (
     CapacityError,
@@ -378,15 +384,28 @@ def maximal_permanents_vanish(mat) -> bool:
 # derived matrices of sub-permanents
 
 
-def derivative_matrices(p):
-    """Symmetric matrix of sub-permanents of a constant m x (m+2) matrix p,
-    at most DERIVED_MAX_N columns: entry (i, j), i != j, is the permanent of
-    p omitting columns i and j, and the diagonal is zero.
+def derivative_matrices(points):
+    """For each point of a batch (a list of constant m x (m+2) matrices of
+    one shape, at most DERIVED_MAX_N columns), in batch order, the symmetric
+    matrix of its sub-permanents: entry (i, j), i != j, is the permanent of
+    the point omitting columns i and j, and the diagonal is zero.
 
     Both torus modes build this matrix: "B1" from a (k-1) x (k+1) point,
-    "L" from a (k-2) x k one.
+    "L" from a (k-2) x k one.  A batch of two or more points is one
+    expansion whose entries are lanes, one per point; a batch of one
+    expands the point's own entries.
     """
-    m, n = _dims(p)
+    try:
+        shapes = {_dims(p) for p in points}
+    except TypeError:
+        raise StructuralError(
+            "derivative_matrices takes a batch of matrices, not a bare matrix"
+        ) from None
+    if not shapes:
+        return []
+    if len(shapes) > 1:
+        raise StructuralError(f"batch mixes the shapes {sorted(shapes)}")
+    ((m, n),) = shapes
     if n != m + 2:
         raise StructuralError(f"expected an m x (m+2) matrix, got {m}x{n}")
     if n > DERIVED_MAX_N:
@@ -394,7 +413,32 @@ def derivative_matrices(p):
             f"derived matrix of a {m}x{n} matrix exceeds bound {DERIVED_MAX_N} columns: "
             f"its expansion holds up to C({n},{n // 2}) column sets"
         )
-    return _omitting_pairs(_expand(p, signed=False), n, 0)
+    if len(points) == 1:
+        return [_omitting_pairs(_expand(points[0], signed=False), n, 0)]
+    rows = [list(map(_Lanes, zip(*(p[i] for p in points)))) for i in range(m)]
+    lanes = _omitting_pairs(_expand(rows, signed=False), n, [0] * len(points))
+    # lanes[i][j][t] is entry (i, j) at point t
+    return [[list(r) for r in B] for B in zip(*(zip(*row) for row in lanes))]
+
+
+class _Lanes(list):
+    """One matrix entry over a batch of points: its value at each point.
+    ``_expand`` multiplies and adds these lanewise, starts each product from
+    the int 1, and keeps a state while any lane is nonzero."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        return _Lanes(map(mul, self, other))
+
+    def __rmul__(self, c):
+        return _Lanes(map(mul, repeat(c), self))
+
+    def __add__(self, other):
+        return _Lanes(map(add, self, other))
+
+    def __bool__(self):
+        return any(self)
 
 
 def _omitting_pairs(perms, n: int, zero):

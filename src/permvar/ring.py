@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import combinations, compress, repeat
 from operator import add, itemgetter, mul
 
 from .errors import (
@@ -507,7 +507,13 @@ class MPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        return self.ring.from_terms({k: -c for k, c in self.terms})
+        # negation keeps the key order, and -c % p of a nonzero residue is
+        # nonzero, so the terms need neither a sort nor a zero test
+        dom = self.ring.domain
+        if dom.kind == "fp":
+            p = dom.modulus
+            return MPoly(self.ring, tuple((k, -c % p) for k, c in self.terms))
+        return MPoly(self.ring, tuple((k, -c) for k, c in self.terms))
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -713,10 +719,15 @@ class MPoly:
         occur, and the steps ``(coeff, shared, rest)`` with factors given as
         positions in ``variables``."""
         unpack = self.ring.pack.unpack
-        spelled = sorted(
-            (tuple(i for i, e in enumerate(unpack(k)) for _ in range(e)), c)
-            for k, c in self.terms
-        )
+        places = range(len(self.universe))
+
+        def spell(exps):
+            # one position per unit of exponent; a squarefree term is its support
+            if max(exps, default=0) <= 1:
+                return tuple(compress(places, exps))
+            return tuple(i for i, e in enumerate(exps) for _ in range(e))
+
+        spelled = sorted((spell(unpack(k)), c) for k, c in self.terms)
         variables = sorted({i for factors, _ in spelled for i in factors})
         lane = {v: j for j, v in enumerate(variables)}
         program, before = [], ()
@@ -873,7 +884,9 @@ def _expand(rows, signed: bool, h: int | None = None) -> dict:
     (``signed=True``) of the h x h submatrices of ``rows`` (h defaults to
     ``len(rows)``), as {``_subset_key(R, C, m, n)``: value} over row sets R
     and column sets C (bitmasks); with every row placed (h = m) the key is
-    C.  Entries are int, Fraction or MPoly.
+    C.  Entries are int, Fraction or MPoly, or lanes: ``permanent._Lanes``
+    lists holding an entry's value at each point of a batch, whose product
+    and sum are lanewise and which are zero when every lane is.
 
     One forward pass over the rows.  A state is a set R of the rows seen so
     far and a set C of as many columns, mapped to the sum over placements of

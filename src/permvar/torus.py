@@ -52,7 +52,7 @@ def classify_type(A_p, mode: str, seed: int | None = None) -> TypeReport:
     ``mode`` ("B1" or "L") labels the report."""
     if mode not in ("B1", "L"):
         raise StructuralError(f"unknown mode {mode!r}")
-    B = derivative_matrices(A_p)
+    (B,) = derivative_matrices([A_p])
     size = len(B)
     rank, kernel = linalg.rank_kernel(B)
     m, n = linalg._dims(A_p)

@@ -148,7 +148,19 @@ def omitting_pairs_oracle(rows, zero, one):
 def test_derivative_matrices_match_leibniz(grid, den):
     for mat in (grid, [[Fraction(x, den) for x in row] for row in grid]):
         want = omitting_pairs_oracle(mat, 0, 1)
-        assert derivative_matrices(mat) == want
+        assert derivative_matrices([mat]) == [want]
+
+
+@SETTINGS
+@given(
+    st.integers(1, 4).flatmap(lambda m: st.lists(int_grids(m, m + 2), max_size=6)),
+    st.integers(1, 3),
+)
+def test_batched_derivative_matrices_match_leibniz(batch, den):
+    """A batch of points of one shape, read off one expansion over lanes,
+    gives each point its own derived matrix."""
+    for pts in (batch, [[[Fraction(x, den) for x in row] for row in A] for A in batch]):
+        assert derivative_matrices(pts) == [omitting_pairs_oracle(A, 0, 1) for A in pts]
 
 
 @SETTINGS

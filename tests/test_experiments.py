@@ -120,23 +120,31 @@ def test_reproduce_deterministic_across_processes():
 
 
 @pytest.mark.parametrize("seed", [0, 5])
-def test_probe_points_are_the_randint_stream(seed):
-    """The probes draw ``randrange(19) - 9``, which takes the same values
-    from the seeded stream as ``randint(-9, 9)``."""
+def test_probe_points_are_the_randint_stream(seed, monkeypatch):
+    """The probes come in one batch per shape and draw ``randrange(19) - 9``,
+    which takes the same values from the seeded stream as
+    ``randint(-9, 9)``; each point is drawn after its own budget check."""
     import random
 
+    from permvar import experiments
     from permvar.experiments import _probe_points
+
+    checks = []
+    monkeypatch.setattr(experiments, "check", checks.append)
 
     spec = registry()["rank-never-one"]
     rng = random.Random(seed)
     want = [
-        [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+        [
+            [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+            for _ in range(spec.params["trials"])
+        ]
         for k in spec.params["k"]
         for m, n in ((k - 1, k + 1), (k - 2, k))
         if m >= 1
-        for _ in range(spec.params["trials"])
     ]
     assert list(_probe_points(spec, CliConfig(seed=seed))) == want
+    assert checks == ["probe"] * sum(map(len, want))
 
 
 def test_parameter_override_narrows_case():

@@ -2,6 +2,7 @@
 implementations, copied here:
 
 - term-by-term evaluation that unpacks every monomial key on each call;
+- the compiled evaluation program, with every term spelled by a generator;
 - classical ``Fraction`` Gauss-Jordan elimination for rank, RREF and kernel;
 - derived sub-permanent matrices from one Ryser permanent per column pair.
 """
@@ -182,6 +183,44 @@ def test_evaluate_zero_polynomial_and_length_check():
                 f.evaluate(bad)
 
 
+def ref_compile(f):
+    """``MPoly._compile`` with every term spelled by one generator."""
+    unpack = f.ring.pack.unpack
+    spelled = sorted(
+        (tuple(i for i, e in enumerate(unpack(k)) for _ in range(e)), c) for k, c in f.terms
+    )
+    variables = sorted({i for factors, _ in spelled for i in factors})
+    lane = {v: j for j, v in enumerate(variables)}
+    program, before = [], ()
+    for factors, c in spelled:
+        shared = 0
+        for a, b in zip(factors, before):
+            if a != b:
+                break
+            shared += 1
+        program.append((c, shared, tuple(lane[i] for i in factors[shared:])))
+        before = factors
+    return variables, tuple(program)
+
+
+@pytest.mark.parametrize(
+    "domain, coeff",
+    [
+        (ZZ, lambda r: r.randint(-50, 50)),
+        (QQ, lambda r: Fraction(r.randint(-50, 50), r.randint(1, 7))),
+    ],
+)
+def test_compile_matches_reference_spelling(domain, coeff):
+    rng = random.Random(11)
+    ring = PolyRing(VarUniverse.free(["a", "b", "c", "d", "e"]), domain)
+    for max_exp in (1, 1, 2, 3):
+        for _ in range(30):
+            f = random_poly(ring, rng, rng.randint(0, 15), max_exp, coeff)
+            assert f._compile() == ref_compile(f)
+    f = permanental_ideal(GenericMatrixSpec(3, 3))[0]  # squarefree, every term
+    assert f._compile() == ref_compile(f)
+
+
 # ---------------------------------------------------------------------------
 # one elimination: rank, kernel and RREF
 
@@ -253,20 +292,85 @@ def test_derivative_matrices_match_per_pair_ryser(mode):
                 for _ in range(m)
             ]
             want = ref_derivative_matrices(A)
-            assert derivative_matrices(A) == want
+            assert derivative_matrices([A]) == [want]
             rep = classify_type(A, mode)
             assert rep.mode == mode
             assert rep.rank == len(ref_rref_fraction(want)[1])
             assert [list(v) for v in rep.kernel_basis] == ref_kernel_basis(want)
     zero = [[0] * 5 for _ in range(3)]
-    assert derivative_matrices(zero) == ref_derivative_matrices(zero)
+    assert derivative_matrices([zero]) == [ref_derivative_matrices(zero)]
 
 
 def test_derivative_matrices_fraction_entries():
     rng = random.Random(5)
     for _ in range(20):
         A = [[Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(5)] for _ in range(3)]
-        assert derivative_matrices(A) == ref_derivative_matrices(A)
+        assert derivative_matrices([A]) == [ref_derivative_matrices(A)]
+
+
+def random_probe_batch(rng, count, m, entry):
+    """``count`` random m x (m+2) points, some entries zero."""
+    return [
+        [[entry(rng) if rng.random() < 0.7 else 0 for _ in range(m + 2)] for _ in range(m)]
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [lambda r: r.randint(-9, 9), lambda r: Fraction(r.randint(-5, 5), r.randint(1, 4))],
+    ids=["int", "fraction"],
+)
+def test_batched_derivative_matrices_match_per_point_ryser(entry):
+    """One lane-batched expansion gives each point the per-pair Ryser
+    matrix, in batch order, as plain lists; an all-zero point in a batch
+    reads all zeros."""
+    rng = random.Random(19)
+    for m in range(1, 6):
+        for count in (0, 1, 2, 3, 25):
+            batch = random_probe_batch(rng, count, m, entry)
+            if count > 1:
+                batch[rng.randrange(count)] = [[0] * (m + 2) for _ in range(m)]
+            got = derivative_matrices(batch)
+            assert got == [ref_derivative_matrices(A) for A in batch]
+            assert all(type(row) is list for B in got for row in B)
+            assert all(type(x) in (int, Fraction) for B in got for row in B for x in row)
+
+
+def test_batched_derivative_matrices_with_one_lane_zero():
+    """Entries and sub-permanents that are zero at one point of a batch and
+    nonzero at the others: a zero input entry, a sub-permanent that cancels,
+    and a point whose whole derived matrix is zero."""
+    batch = [
+        [[0, 2, 3]],  # entry (0, 0) zero here only
+        [[4, 5, 6]],
+        [[7, 0, 0]],
+    ]
+    assert derivative_matrices(batch) == [ref_derivative_matrices(A) for A in batch]
+    batch = [
+        [[1, 1, 1, 1], [1, -1, 1, 1]],  # perm over columns {0, 1} cancels to 0
+        [[1, 1, 1, 1], [1, 1, 1, 1]],
+        [[0, 0, 0, 0], [0, 0, 0, 0]],
+    ]
+    got = derivative_matrices(batch)
+    assert got == [ref_derivative_matrices(A) for A in batch]
+    assert got[0][2][3] == 0 and got[1][2][3] == 2 and got[2] == [[0] * 4] * 4
+
+
+def test_derivative_matrices_refuse_bare_ragged_and_misshaped_batches():
+    for bad in (
+        [[1, 2, 3]],  # a bare 1 x 3 point
+        [[1, 1, -4, 2], [1, 1, 3, 5]],  # a bare 2 x 4 point
+        [[Fraction(1, 2), 2, 3]],
+        [[[1, 2, 3]], [[1, 2, 3, 4], [5, 6, 7, 8]]],  # points of two shapes
+        [[[1, 2, 3]], [[1, 2, 3], [4, 5]]],
+        [[[1, 2]], [[3, 4]]],  # not m x (m+2)
+        [[[1, 2, 3], [4, 5, 6]], [[1, 2, 3], [4, 5, 6]]],
+        [[[1, 2, 3], [4, 5]]],
+        [[]],
+    ):
+        with pytest.raises(StructuralError):
+            derivative_matrices(bad)
 
 
 # ---------------------------------------------------------------------------

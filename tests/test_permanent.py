@@ -249,7 +249,7 @@ def test_kirkup_needs_k_at_least_3():
 
 def test_derivative_matrix_b1_at_kirkup_point():
     # oracle: six 2x2 permanents by hand, e.g. entry (1,2) = (-4)*5 + 2*3 = -14
-    B1 = derivative_matrices(kirkup_matrix(3).weight_zero_part())
+    (B1,) = derivative_matrices([kirkup_matrix(3).weight_zero_part()])
     assert B1 == [
         [0, -14, 7, -1],
         [-14, 0, 7, -1],
@@ -264,21 +264,21 @@ def test_derivative_matrices_symmetric_zero_diagonal():
     for _ in range(50):
         k = RNG.randint(3, 6)
         A = [[RNG.randint(-9, 9) for _ in range(k + 1)] for _ in range(k - 1)]
-        B = derivative_matrices(A)
+        (B,) = derivative_matrices([A])
         n = len(B)
         assert all(B[i][i] == 0 for i in range(n))
         assert all(B[i][j] == B[j][i] for i in range(n) for j in range(n))
         if k >= 4:
             A2 = [[RNG.randint(-9, 9) for _ in range(k)] for _ in range(k - 2)]
-            L = derivative_matrices(A2)
+            (L,) = derivative_matrices([A2])
             assert all(L[i][i] == 0 for i in range(k))
 
 
 def test_derivative_matrices_shape_check():
     with pytest.raises(StructuralError):
-        derivative_matrices([[1, 2], [3, 4]])
+        derivative_matrices([[[1, 2], [3, 4]]])
     with pytest.raises(StructuralError):
-        derivative_matrices([[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]])
+        derivative_matrices([[[1, 2, 3, 4, 5], [6, 7, 8, 9, 10]]])
 
 
 def test_derivative_matrix_symbolic_matches_numeric():
@@ -286,7 +286,7 @@ def test_derivative_matrix_symbolic_matches_numeric():
     B = derivative_matrix_symbolic(M)
     A = [[RNG.randint(-9, 9) for _ in range(4)] for _ in range(2)]
     flat = [x for row in A for x in row]
-    num = derivative_matrices(A)
+    (num,) = derivative_matrices([A])
     for i in range(4):
         for j in range(4):
             assert B[i, j].evaluate([flat]) == [num[i][j]]

@@ -19,6 +19,7 @@ from permvar.ring import (
     PolyMatrix,
     PolyRing,
     VarUniverse,
+    ZZ,
     _expand,
     _subset_key,
     block_order,
@@ -207,6 +208,26 @@ def test_zero_and_identity():
     assert (p * R.zero).is_zero()
     assert p * R.one == p
     assert (x + y) * (x + y) == x**2 + 2 * x * y + y**2
+
+
+@pytest.mark.parametrize("domain", [ZZ, QQ, GF(7)])
+def test_negation_matches_scaling_by_minus_one(domain):
+    """Negation keeps the terms in order and the F_7 residues canonical."""
+    rng = random.Random(13)
+    R = PolyRing(VarUniverse.free(["x", "y", "z"]), domain)
+
+    def coeff():
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 3) if domain == QQ else 1)
+
+    polys = [R.zero, R.one, R.const(-3)] + [
+        R.from_exp_dict(
+            {tuple(rng.randint(0, 3) for _ in range(3)): coeff() for _ in range(rng.randint(1, 6))}
+        )
+        for _ in range(40)
+    ]
+    for f in polys:
+        assert -f == f * -1
+        assert -(-f) == f
 
 
 def test_domain_mismatch_raises():

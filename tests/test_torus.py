@@ -99,10 +99,10 @@ def tangent_decomposition(p, w: WeightAssignment, gens) -> tuple:
     t1 = len(weight1_cols) - linalg.rank(block)
     nonzero_rows = [list(p[i]) for i in range(k) if (i + 1) not in w.rows]
     if len(w.rows) == 1 and n == k + 1:
-        B = derivative_matrices(nonzero_rows)
+        (B,) = derivative_matrices([nonzero_rows])
         expected = len(B) - linalg.rank(B)
     elif len(w.rows) == 2 and n == k:
-        L = derivative_matrices(nonzero_rows)
+        (L,) = derivative_matrices([nonzero_rows])
         expected = 2 * (len(L) - linalg.rank(L))
     else:
         raise PreconditionError("unsupported weight assignment for this check")
@@ -212,7 +212,7 @@ def test_kernel_extension_equivalence_with_kernel():
             j = RNG.randrange(k + 1)
             for row in A:
                 row[j] = 0  # force corank so the kernel is nontrivial
-            B = derivative_matrices(A)
+            (B,) = derivative_matrices([A])
             for v in linalg.kernel_basis(B):
                 assert kernel_extension_check(A, tuple(v))
             # a random non-kernel vector must fail
@@ -297,7 +297,7 @@ def test_tangent_decomposition_two_row_mode():
     p = [[0] * 4, [0] * 4] + random_probe(2, 4, RNG)
     t0, t1 = tangent_decomposition(p, w, gens)
     assert t0 == 8
-    L = derivative_matrices(p[2:])
+    (L,) = derivative_matrices([p[2:]])
     assert t1 == 2 * (len(L) - linalg.rank(L))
 
 
