@@ -793,23 +793,24 @@ def _probe_points(spec, cfg):
     """The seeded probes of the derived-matrix cases, one batch per shape:
     per k, ``trials`` random points of shape (k-1) x (k+1) (the B1 shape),
     then as many of shape (k-2) x k (the L shape, when k > 2), entries in
-    -9..9, each point drawn after a budget check."""
+    -9..9.  Its readers check the budget before testing each point's matrix,
+    so a batch's draws and its one expansion run between two checks."""
     rng = random.Random(cfg.seed)
     for k in spec.params["k"]:
         for m, n in ((k - 1, k + 1), (k - 2, k)):
             if m < 1:
                 continue
-            batch = []
-            for _ in range(spec.params["trials"]):
-                check("probe")
-                batch.append([[rng.randrange(19) - 9 for _ in range(n)] for _ in range(m)])
-            yield batch
+            yield [
+                [[rng.randrange(19) - 9 for _ in range(n)] for _ in range(m)]
+                for _ in range(spec.params["trials"])
+            ]
 
 
 def _run_derivative_symmetry(spec, cfg):
     ok = True
     for batch in _probe_points(spec, cfg):
         for B in derivative_matrices(batch):
+            check("probe")
             if any(row[i] for i, row in enumerate(B)) or B != [list(col) for col in zip(*B)]:
                 ok = False
     return {"symmetric_zero_diagonal": ok}, True
@@ -819,6 +820,7 @@ def _run_rank_never_one(spec, cfg):
     seen = False
     for batch in _probe_points(spec, cfg):
         for B in derivative_matrices(batch):
+            check("probe")
             if linalg.rank_is_one(B):
                 seen = True
     return {"rank_one_seen": seen}, True

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import combinations, compress, repeat
+from itertools import chain, combinations, compress, repeat
 from operator import add, itemgetter, mul
 
 from .errors import (
@@ -507,13 +507,7 @@ class MPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        # negation keeps the key order, and -c % p of a nonzero residue is
-        # nonzero, so the terms need neither a sort nor a zero test
-        dom = self.ring.domain
-        if dom.kind == "fp":
-            p = dom.modulus
-            return MPoly(self.ring, tuple((k, -c % p) for k, c in self.terms))
-        return MPoly(self.ring, tuple((k, -c) for k, c in self.terms))
+        return self.ring.from_terms({k: -c for k, c in self.terms})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -722,10 +716,9 @@ class MPoly:
         places = range(len(self.universe))
 
         def spell(exps):
-            # one position per unit of exponent; a squarefree term is its support
-            if max(exps, default=0) <= 1:
-                return tuple(compress(places, exps))
-            return tuple(i for i, e in enumerate(exps) for _ in range(e))
+            # each variable of the term's support, repeated by its exponent
+            support = compress(places, exps)
+            return tuple(chain.from_iterable(map(repeat, support, compress(exps, exps))))
 
         spelled = sorted((spell(unpack(k)), c) for k, c in self.terms)
         variables = sorted({i for factors, _ in spelled for i in factors})

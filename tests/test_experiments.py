@@ -123,7 +123,8 @@ def test_reproduce_deterministic_across_processes():
 def test_probe_points_are_the_randint_stream(seed, monkeypatch):
     """The probes come in one batch per shape and draw ``randrange(19) - 9``,
     which takes the same values from the seeded stream as
-    ``randint(-9, 9)``; each point is drawn after its own budget check."""
+    ``randint(-9, 9)``; both probe cases check the budget once per point,
+    before testing its matrix."""
     import random
 
     from permvar import experiments
@@ -143,8 +144,16 @@ def test_probe_points_are_the_randint_stream(seed, monkeypatch):
         for m, n in ((k - 1, k + 1), (k - 2, k))
         if m >= 1
     ]
-    assert list(_probe_points(spec, CliConfig(seed=seed))) == want
-    assert checks == ["probe"] * sum(map(len, want))
+    cfg = CliConfig(seed=seed)
+    assert list(_probe_points(spec, cfg)) == want
+    assert checks == []
+    for case_id, run in (
+        ("rank-never-one", experiments._run_rank_never_one),
+        ("derivative-symmetry", experiments._run_derivative_symmetry),
+    ):
+        checks.clear()
+        run(registry()[case_id], cfg)
+        assert checks == ["probe"] * sum(map(len, _probe_points(registry()[case_id], cfg)))
 
 
 def test_parameter_override_narrows_case():
