@@ -806,10 +806,25 @@ def _probe_points(spec, cfg):
             ]
 
 
+def _probe_matrices(batch):
+    """The derived matrices of a probe batch, the first and last of them
+    checked against ``derivative_matrices`` of that point alone, which
+    expands without lanes.  A lanewise fault that keeps symmetry, a zero
+    diagonal and rank above one would pass the cases without this check."""
+    mats = derivative_matrices(batch)
+    for t in (0, -1):
+        if mats[t] != derivative_matrices([batch[t]])[0]:
+            raise InternalConsistencyError(
+                f"batched derived matrix of a {len(batch[t])}-row probe point "
+                "differs from its own expansion"
+            )
+    return mats
+
+
 def _run_derivative_symmetry(spec, cfg):
     ok = True
     for batch in _probe_points(spec, cfg):
-        for B in derivative_matrices(batch):
+        for B in _probe_matrices(batch):
             check("probe")
             if any(row[i] for i, row in enumerate(B)) or B != [list(col) for col in zip(*B)]:
                 ok = False
@@ -819,7 +834,7 @@ def _run_derivative_symmetry(spec, cfg):
 def _run_rank_never_one(spec, cfg):
     seen = False
     for batch in _probe_points(spec, cfg):
-        for B in derivative_matrices(batch):
+        for B in _probe_matrices(batch):
             check("probe")
             if linalg.rank_is_one(B):
                 seen = True

@@ -2,8 +2,11 @@
 
 Everything here works on plain lists of lists holding ``int`` or
 ``fractions.Fraction`` entries (ints for the ``_modp`` variants).  One
-pure-Python fraction-free elimination serves ZZ, QQ and F_p; the dense numpy
-kernel ranks the Macaulay matrices.  No floating point anywhere.
+pure-Python fraction-free elimination serves ZZ, QQ and F_p.  The dense
+numpy kernel ``rank_modp_numpy`` ranks the Macaulay matrices mod p < 2**31:
+it eliminates a panel of columns at a time and applies each panel to the
+rows below as int64 matrix products, with the residues split so that every
+sum stays below 2**53.  No floating point anywhere.
 """
 
 from fractions import Fraction
@@ -163,14 +166,29 @@ def rank_modp(rows, p):
     return len(_echelon(rows, p)[1])
 
 
+# Columns per panel of rank_modp_numpy, and rows per slab of its update
+# right of the panel.  A panel of 64 keeps each inner product a sum of at
+# most 64 terms below 2**47 (see _submul); a slab bounds the int64
+# temporaries of one update.
+PANEL = 64
+SLAB = 128
+
+
 def rank_modp_numpy(mat, p):
     """Rank mod p of an integer matrix (lists or a numpy int64 array),
-    eliminating in numpy int64.
+    eliminating in numpy int64 one panel of ``PANEL`` columns at a time,
+    with the updates right of the panel delayed (FFPACK-style blocking).
 
-    Products of two residues fit int64 only for p below 2**31; larger primes
-    go to :func:`rank_modp`.  Each pivot updates only the rows below it that
-    are nonzero in its column, and in them only the columns from its own on:
-    the columns to its left are already zero there.
+    Within a panel, pivots are found column by column as in ``_echelon``,
+    but each pivot clears the rows below only in the panel's columns, and
+    ``F`` keeps the multiplier of every row for every pivot.  Each pivot
+    row's part right of the panel is brought up to date from the panel's
+    earlier pivots and scaled to a unit pivot; its 16-bit halves go to
+    ``lo`` and ``hi``.  The rows below the panel's pivots then take the
+    whole panel at once, ``a -= F @ (lo + hi * 2**16)``, in slabs of
+    ``SLAB`` rows (see :func:`_submul` for why int64 holds it).  Products
+    of two residues fit int64 only for p below 2**31; larger primes go to
+    :func:`rank_modp`.  The caller's matrix is not modified.
     """
     if p >= 1 << 31:
         return rank_modp([[int(x) for x in r] for r in mat], p)
@@ -179,20 +197,58 @@ def rank_modp_numpy(mat, p):
     a = np.array(mat, dtype=np.int64) % p
     m, n = a.shape
     row = 0
-    for col in range(n):
+    for c0 in range(0, n, PANEL):
         if row == m:
             break
-        nz = np.flatnonzero(a[row:, col])
-        if nz.size == 0:
-            continue
-        piv = row + int(nz[0])
-        if piv != row:
-            a[[row, piv], col:] = a[[piv, row], col:]
-        # the rows to clear are the other nonzeros found: a row swapped out
-        # of the pivot position was zero here, or it would be the pivot
-        below = row + nz[1:]
-        if below.size:
-            pr = a[row, col:] * pow(int(a[row, col]), p - 2, p) % p
-            a[below, col:] = (a[below, col:] - np.outer(a[below, col], pr)) % p
-        row += 1
+        c1 = min(c0 + PANEL, n)
+        top = row  # the panel's first pivot row
+        F = np.zeros((m - top, c1 - c0), dtype=np.int64)
+        lo = np.empty((c1 - c0, n - c1), dtype=np.int64)
+        hi = np.empty_like(lo)
+        for col in range(c0, c1):
+            if row == m:
+                break
+            nz = np.flatnonzero(a[row:, col])
+            if nz.size == 0:
+                continue
+            piv = row + int(nz[0])
+            if piv != row:
+                a[[row, piv]] = a[[piv, row]]
+                F[[row - top, piv - top]] = F[[piv - top, row - top]]
+            k = row - top  # this pivot's index within the panel
+            inv = pow(int(a[row, col]), p - 2, p)
+            # the pivot row right of the panel, brought up to date and scaled
+            if k:
+                _submul(a[row, c1:], F[k, :k], lo[:k], hi[:k], p)
+            t = a[row, c1:] * inv % p
+            lo[k], hi[k] = t & 0xFFFF, t >> 16
+            # the rows to clear are the other nonzeros found: a row swapped
+            # out of the pivot position was zero here, or it would be the pivot
+            below = row + nz[1:]
+            if below.size:
+                f = a[below, col]
+                F[below - top, k] = f
+                pr = a[row, col:c1] * inv % p
+                # one product of two residues per entry: below 2**62
+                a[below, col:c1] = (a[below, col:c1] - np.outer(f, pr)) % p
+            row += 1
+        k = row - top
+        if k and row < m and c1 < n:
+            for s in range(row, m, SLAB):
+                e = min(s + SLAB, m)
+                _submul(a[s:e, c1:], F[s - top : e - top, :k], lo[:k], hi[:k], p)
     return row
+
+
+def _submul(x, f, lo, hi, p):
+    """x := (x - f @ (lo + hi * 2**16)) % p in place, for residues x and f
+    below p < 2**31, lo < 2**16, hi < 2**15 and at most PANEL columns in f.
+
+    Each term of ``f @ lo`` is below 2**31 * 2**16 = 2**47, and each of
+    ``f @ hi`` below 2**46, so a sum of at most 64 = 2**6 terms stays below
+    2**53; ``f @ hi`` is reduced mod p before its shift, to below 2**47.  So
+    x never leaves (-2**54, 2**31), far inside int64.
+    """
+    x -= f @ lo
+    x -= (f @ hi % p) << 16
+    x %= p

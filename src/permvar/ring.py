@@ -85,6 +85,10 @@ class CoeffDomain:
         ``c``; a Fraction enters F_p through the inverse of its denominator."""
         if self.kind == "fp":
             p = self.modulus
+            # the exact-type test first: isinstance against Fraction goes
+            # through ABCMeta.__instancecheck__, and nearly every c is an int
+            if type(c) is int:
+                return c % p
             if isinstance(c, Fraction):
                 den = c.denominator % p
                 if den == 0:
@@ -93,6 +97,8 @@ class CoeffDomain:
             return int(c) % p
         if self.kind == "rat":
             return Fraction(c)
+        if type(c) is int:
+            return c
         if isinstance(c, Fraction):
             if c.denominator != 1:
                 raise StructuralError(f"{c} is not an integer")

@@ -156,6 +156,25 @@ def test_probe_points_are_the_randint_stream(seed, monkeypatch):
         assert checks == ["probe"] * sum(map(len, _probe_points(registry()[case_id], cfg)))
 
 
+@pytest.mark.parametrize("case_id", ["derivative-symmetry", "rank-never-one"])
+def test_probe_cases_refuse_a_wrong_lane_engine(case_id, monkeypatch):
+    """A lane ``__add__`` that multiplies keeps every derived matrix
+    symmetric with a zero diagonal and never of rank one, so only the
+    probe cases' own check of each batch against the lane-free expansion
+    of its first and last points can catch it."""
+    from operator import mul
+
+    from permvar import permanent
+
+    monkeypatch.setattr(
+        permanent._Lanes, "__add__", lambda self, other: permanent._Lanes(map(mul, self, other))
+    )
+    rep = reproduce(case_id)
+    assert rep.status == "failed-error"
+    assert not rep.passed
+    assert "differs from its own expansion" in rep.measured["error"]
+
+
 def test_parameter_override_narrows_case():
     rep = reproduce("hankel-degree8", n=5)
     assert rep.passed

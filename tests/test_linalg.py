@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from permvar import linalg
 
 RNG = random.Random(1234)
@@ -77,3 +79,75 @@ def test_numpy_rank_falls_back_above_int64_range():
         A = [[sum(a * b for a, b in zip(row, col)) % p for col in zip(*right)] for row in left]
         assert linalg.rank_modp(A, p) == 3
         assert linalg.rank_modp_numpy(A, p) == linalg.rank_modp(A, p)
+
+
+# ---------------------------------------------------------------------------
+# the numpy kernel across column panels, against the pure-Python elimination
+
+W = linalg.PANEL
+
+
+def _few_rows(rng, p):
+    """Fewer rows than a panel's width, over three panels and a bit."""
+    return [[rng.randrange(p) for _ in range(3 * W + 5)] for _ in range(20)]
+
+
+def _zero_panel(rng, p):
+    """A whole middle panel of zero columns between two full ones."""
+    return [
+        [0 if W <= j < 2 * W else rng.randrange(p) for j in range(3 * W)] for _ in range(W + 20)
+    ]
+
+
+def _deficient_panels(rng, p):
+    """Each column a multiple of one of every fourth column, so each panel
+    has at most a quarter as many pivots as columns."""
+    base = [[rng.randrange(p) for _ in range(3 * W // 4)] for _ in range(W + 20)]
+    scale = [rng.randrange(1, p) for _ in range(3 * W)]
+    return [[row[j // 4] * scale[j] % p for j in range(3 * W)] for row in base]
+
+
+def _staggered(rng, p):
+    """Echelon rows in shuffled order, with no leading column near a panel
+    boundary, so the pivot search for the last columns of a panel finds
+    nothing and goes on in the next; plus sums of them, which the panel
+    products must clear to zero."""
+    n = 3 * W
+    leads = sorted(rng.sample([j for j in range(n) if abs(j % W - W // 2) < W // 2 - 4], W + 10))
+    rows = [
+        [0] * c + [rng.randrange(1, p)] + [rng.randrange(p) for _ in range(n - c - 1)]
+        for c in leads
+    ]
+    rows += [[(x + y) % p for x, y in zip(*rng.sample(rows, 2))] for _ in range(20)]
+    rng.shuffle(rows)
+    return rows
+
+
+def _largest_residues(rng, p):
+    """Unit pivots whose rows end in p - 1, above rows that are p - 1 under
+    every pivot: every multiplier and every entry of each panel product's
+    right factor is p - 1, the largest residue (products near 2**62 at
+    p = 2**31 - 1)."""
+    n = 3 * W
+    top = [[int(i == j) for j in range(W)] + [p - 1] * (n - W) for i in range(W)]
+    below = [[p - 1] * W + [rng.randrange(p) for _ in range(n - W)] for _ in range(W // 2)]
+    return top + below
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, P1])
+@pytest.mark.parametrize(
+    "build", [_few_rows, _zero_panel, _deficient_panels, _staggered, _largest_residues]
+)
+def test_numpy_rank_across_panels_matches_pure_python(build, p):
+    import numpy as np
+
+    rng = random.Random(p)
+    A = build(rng, p)
+    assert len(A[0]) > 2 * W
+    want = linalg.rank_modp(A, p)
+    assert linalg.rank_modp_numpy(A, p) == want
+    # a caller's int64 array, with entries outside [0, p), comes back unchanged
+    arr = np.array(A, dtype=np.int64) + np.int64(p) * rng.choice([-1, 1])
+    before = arr.copy()
+    assert linalg.rank_modp_numpy(arr, p) == want
+    assert np.array_equal(arr, before)

@@ -9,6 +9,7 @@ mod-p ranks must equal the rank over QQ.
 """
 
 from math import gcd
+from operator import mul
 
 import pytest
 
@@ -82,3 +83,50 @@ def test_rank_modp_numpy_matches_rank_modp(case):
         import numpy as np
 
         assert linalg.rank_modp_numpy(np.array(A, dtype=np.int64), p) == rank
+
+
+# The numpy kernel across several column panels: 2 to 3 panels of columns,
+# fewer or more rows than a panel, ranks below and above a panel's width,
+# optionally a whole panel of zero columns and a run of zero columns that
+# straddles a panel boundary.  Entries are built from a drawn seed, so a
+# 200-column matrix costs hypothesis one integer.
+W = linalg.PANEL
+
+
+@st.composite
+def multipanel_matrices(draw):
+    import random
+
+    p = draw(st.sampled_from([2, 3, 7, P]))
+    m = draw(st.sampled_from([W + 3, 1, 2 * W + 5, 5, W - 1]))
+    n = draw(st.integers(2 * W + 1, 3 * W))
+    r = min(m, draw(st.sampled_from([W + 2, 0, 2 * W + 5, 1, W // 2, W - 2])))
+    full = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    entry = (lambda: rng.randrange(p)) if full else (lambda: rng.randint(-3, 3))
+    left = [[entry() for _ in range(r)] for _ in range(m)]
+    right = [[entry() for _ in range(n)] for _ in range(r)]
+    A = [[sum(map(mul, row, col)) % p for col in zip(*right)] for row in left]
+    if r == 0:
+        A = [[0] * n for _ in range(m)]
+    zeros = set()
+    if draw(st.booleans()):
+        zeros |= set(range(W, 2 * W))
+    if draw(st.booleans()):
+        zeros |= set(range(W - 3, W + 2))
+    for row in A:
+        for j in zeros:
+            row[j] = 0
+    return A, p
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(multipanel_matrices())
+def test_rank_modp_numpy_matches_rank_modp_across_panels(case):
+    import numpy as np
+
+    A, p = case
+    arr = np.array(A, dtype=np.int64) - p  # negative entries, as a caller may pass
+    before = arr.copy()
+    assert linalg.rank_modp_numpy(arr, p) == linalg.rank_modp(A, p)
+    assert np.array_equal(arr, before)

@@ -71,6 +71,47 @@ def test_fraction_coefficient_enters_prime_field_by_inverse():
         R.from_exp_dict({(1,): Fraction(1, 7)})
 
 
+def _coerce_reference(dom, c):
+    """``CoeffDomain.coerce`` as written before its exact-int fast path."""
+    if dom.kind == "fp":
+        p = dom.modulus
+        if isinstance(c, Fraction):
+            den = c.denominator % p
+            if den == 0:
+                raise StructuralError(f"denominator of {c} vanishes mod {p}")
+            return c.numerator % p * pow(den, p - 2, p) % p
+        return int(c) % p
+    if dom.kind == "rat":
+        return Fraction(c)
+    if isinstance(c, Fraction):
+        if c.denominator != 1:
+            raise StructuralError(f"{c} is not an integer")
+        return c.numerator
+    return int(c)
+
+
+@pytest.mark.parametrize("dom", [ZZ, QQ, GF(2), GF(7), GF((1 << 31) - 1)], ids=repr)
+def test_coerce_matches_reference_on_every_input_type(dom):
+    """The fast path for exact ints changes no value and no result type:
+    bools, numpy int64, negative and multi-word ints, and Fractions coerce
+    (or are refused) as before."""
+    np = pytest.importorskip("numpy")
+    values = [
+        True, False, 0, 1, -1, -8, 13, 1 << 70, -(1 << 70) - 3,
+        np.int64(-5), np.int64(1 << 40), np.int64(0),
+        Fraction(6, 3), Fraction(-4, 2), Fraction(1, 2), Fraction(-3, 2), Fraction(5, 7),
+    ]  # fmt: skip
+    for c in values:
+        try:
+            want = _coerce_reference(dom, c)
+        except StructuralError:
+            with pytest.raises(StructuralError):
+                dom.coerce(c)
+            continue
+        got = dom.coerce(c)
+        assert (got, type(got)) == (want, type(want)), c
+
+
 # ---------------------------------------------------------------------------
 # monomial order axioms on random exponent triples
 
