@@ -14,9 +14,9 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, partial, reduce
 from importlib import resources
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, product
 from math import comb, prod
 
 from . import __version__, linalg
@@ -24,7 +24,6 @@ from .budget import Budget, check
 from .config import CliConfig
 from .errors import (
     CapacityError,
-    DomainMismatchError,
     GroebnerTimeout,
     InternalConsistencyError,
     PreconditionError,
@@ -300,8 +299,8 @@ def _census_2xn(n: int, p: int) -> dict:
 
 # ---------------------------------------------------------------------------
 # section-5 style script cases: script-4x5 is decided by buchberger and
-# ideal_dimension, script-5x6 by the Macaulay-matrix zero-dimensionality
-# certificate below
+# ideal_dimension, script-5x6 by the zero-dimensionality certificate below,
+# which ranks Macaulay matrices through their values at points
 
 
 def _script_slice(k: int, A) -> PolyMatrix:
@@ -328,103 +327,103 @@ def _script_slice(k: int, A) -> PolyMatrix:
     return B1.map(lambda e: e.substitute(mapping, target=small))
 
 
-def _lex_monomials(total: int, nv: int):
-    """Exponent tuples of degree ``total`` in ``nv`` variables, ascending in
-    lex order (first exponent most significant)."""
-    if nv == 1:
-        yield (total,)
-        return
-    for e in range(total + 1):
-        for rest in _lex_monomials(total - e, nv - 1):
-            yield (e,) + rest
+# Spare points past N_d: unlucky points of a small field then rarely cost a fill.
+SPARE_POINTS = 16
 
 
-def _residue_terms(gens, p: int):
-    """``(degree, exponent rows, coefficients mod p)`` as numpy int64 arrays,
-    one triple per generator that is nonzero mod p, its terms that vanish
-    mod p dropped.  The generators share one ring over ZZ, QQ or a prime
-    field; an inhomogeneous one raises PreconditionError."""
+def _certificate_points(p: int, m: int, count: int):
+    """The first ``count`` distinct points of F_p^m (all, if fewer) drawn by
+    ``random.Random(p)``; a shorter call gives a prefix of a longer one."""
+    rng, seen = random.Random(p), {}
+    while len(seen) < min(count, p**m):
+        seen[tuple(rng.randrange(p) for _ in range(m))] = None
+    return list(seen)
+
+
+def _minor_values(gens, p: int, points):
+    """``(degrees, values)`` of the h x h minors of M for ``gens`` = (M, h),
+    or of a list, the 1 x 1 minors of its one-row matrix, in
+    ``matrix_minors`` order: each minor's degree (negative if its entries
+    vanish mod p) and its values mod p at ``points``.  Each distinct entry
+    is evaluated once over F_p; the minors are expanded along their first
+    row in numpy, reduced mod p after every product (int64 for p < 2**31,
+    else object).  The entries must be homogeneous, for h > 1 of one degree."""
     import numpy as np
 
-    ring = gens[0].ring
-    reduce = GF(p).coerce
-    unpack = cache(ring.pack.unpack)  # the generators share few monomials
+    M, h = gens if isinstance(gens[0], PolyMatrix) else (PolyMatrix([list(gens)]), 1)
+    entries = [over_prime(row, p) for row in M.rows]
+    degree = {g.total_degree() for row in entries for g in row if g}
+    if not all(g.is_homogeneous() for row in entries for g in row) or (h > 1 and len(degree) > 1):
+        raise PreconditionError("certificate needs homogeneous generators")
+    dtype = np.int64 if p < 1 << 31 else object
+    value = cache(lambda g: np.array(g.evaluate(points), dtype=dtype))
+    (m, n), dets = M.dims, {((), ()): 1}
+    for k in range(1, h + 1):
+        dets = {
+            (R, C): sum(
+                (-1) ** t * value(entries[R[0]][c]) * dets[R[1:], C[:t] + C[t + 1 :]] % p
+                for t, c in enumerate(C)
+            ) % p
+            for R, C in product(combinations(range(m), k), combinations(range(n), k))
+        }
+    keys = [(R, C) for C in combinations(range(n), h) for R in combinations(range(m), h)]
+    degrees = [h * max(entries[i][j].total_degree() for i in R for j in C) for R, C in keys]
+    return degrees, np.array([dets[key] for key in keys], dtype=dtype)
+
+
+def _evaluation_matrix(rows: dict, points, d: int, p: int):
+    """E_d: the values mod p at ``points`` of x^a g for each value row g,
+    keyed ``(degree dg, values)`` in ``rows``, and each x^a of degree d - dg."""
+    import numpy as np
+
+    pts = np.array(points, dtype=next(iter(rows.values())).dtype).T  # a row per variable
     out = []
-    for g in gens:
-        if g.ring is not ring:
-            raise DomainMismatchError("generators live in different rings")
-        terms = [(unpack(k), r) for k, c in g.terms if (r := reduce(c))]
-        if not terms:
-            continue
-        degs = {sum(e) for e, _ in terms}
-        if len(degs) > 1:
-            raise PreconditionError("certificate needs homogeneous generators")
-        exps, coeffs = zip(*terms)
-        out.append((degs.pop(), np.array(exps, dtype=np.int64), np.array(coeffs, dtype=np.int64)))
-    return out
-
-
-def _macaulay_matrix(polys, d: int, m: int):
-    """The degree-``d`` Macaulay matrix of ``polys`` (from :func:`_residue_terms`)
-    in ``m`` variables, as a numpy int64 array.
-
-    Columns are the degree-d monomials in lex order; rows are each generator
-    of degree at most d times each monomial of the complementary degree, the
-    generators in order and their multipliers in lex order.  A monomial's
-    column is its lex rank: the monomials before it are those that agree on
-    exponents 0..i-1 and are smaller at i, and with r degrees left for the
-    k = m-1-i later variables they number comb(r+k, k) - comb(r-e_i+k, k).
-    """
-    import numpy as np
-
-    # lead[r, k] = comb(r + k, k): monomials of degree <= r in k variables
-    lead = np.array([[comb(r + k, k) for k in range(m)] for r in range(d + 1)], dtype=np.int64)
-    used = [(dg, exps, coeffs) for dg, exps, coeffs in polys if dg <= d]
-    shifts = {dg: np.array(list(_lex_monomials(d - dg, m)), dtype=np.int64) for dg, _, _ in used}
-    out = np.zeros((sum(len(shifts[dg]) for dg, _, _ in used), lead[d, m - 1]), dtype=np.int64)
-    top = 0
-    for dg, exps, coeffs in used:
-        monos = shifts[dg][:, None, :] + exps[None, :, :]
-        col = np.zeros(monos.shape[:2], dtype=np.int64)
-        left = np.full(monos.shape[:2], d, dtype=np.int64)
-        for i in range(m - 1):
-            k = m - 1 - i
-            col += lead[left, k] - lead[left - monos[:, :, i], k]
-            left -= monos[:, :, i]
-        rows = top + np.arange(len(monos))
-        out[rows[:, None], col] = coeffs
-        top += len(monos)
-    return out
+    for (dg, _), g in rows.items():
+        # a monomial as its variables, each repeated by its exponent
+        for a in combinations_with_replacement(range(len(pts)), d - dg):
+            out.append(reduce(lambda v, i: v * pts[i] % p, a, g))
+    return np.array(out)
 
 
 def homogeneous_dim0_certificate(gens, p: int, max_degree: int = 60, stall_limit: int = 4):
     """Smallest d with the full degree-d monomial space inside the ideal.
 
-    For homogeneous generators in m variables with integer, rational or F_p
-    coefficients this certifies that the ideal mod p is m-primary, i.e.
-    zero-dimensional of codimension m.  Returns d, or None when
-    inconclusive: no fill up to max_degree, or the quotient's Hilbert
-    function stopped shrinking for ``stall_limit`` straight degrees (the
-    signature of a positive-dimensional component).  The open budget is
-    checked before each degree; past it the certificate raises
-    GroebnerTimeout (phase ``"macaulay"``).
+    ``gens`` are homogeneous polynomials over ZZ, QQ or F_p in m variables,
+    or (M, h) for the h x h minors of the PolyMatrix M.  A fill shows that
+    the ideal mod p is zero-dimensional.  Degree d fills when rank E_d = N_d,
+    the number of degree-d monomials, where E_d = M_d V_d holds the values
+    of the generators' degree-d multiples at N_d + SPARE_POINTS points of
+    F_p^m.  As rank E_d <= rank M_d <= N_d, bad points can only lower the
+    rank.  Returns d, or None when inconclusive: no nonzero value row, no
+    fill up to max_degree, or a deficiency N_d - rank E_d that stopped
+    shrinking for ``stall_limit`` straight degrees.  For m > 1 no degree
+    above p fills (x^p y - x y^p vanishes on F_p^m): reaching one raises
+    PreconditionError.  The open budget is checked before each degree
+    (GroebnerTimeout, phase ``"macaulay"``).
     """
+    import numpy as np
+
     if not gens:
         return None
-    polys = _residue_terms(gens, p)
-    if not polys:
-        return None
+    degrees, values = _minor_values(gens, p, [])
     m = len(gens[0].ring.universe)
-    start = max(dg for dg, _, _ in polys)
-    last_deficiency = None
-    stalled = 0
-    for d in range(start, max_degree + 1):
+    points, last_deficiency, stalled = [], None, 0
+    for d in range(max(0, *degrees), max_degree + 1):
         check("macaulay", {"degree": d, "deficiency": last_deficiency})
-        mat = _macaulay_matrix(polys, d, m)
-        nrows, ncols = mat.shape
-        if nrows < ncols:
+        if d > p and m > 1:
+            raise PreconditionError(f"degree {d} exceeds the prime {p}: evaluation fills none")
+        ncols = comb(d + m - 1, m - 1)
+        # the value columns and the points extend together, so they stay
+        # aligned whatever the point helper returns
+        new = _certificate_points(p, m, ncols + SPARE_POINTS)[len(points) :]
+        values = np.hstack((values, _minor_values(gens, p, new)[1]))
+        points += new
+        rows = {(dg, tuple(v.tolist())): v for dg, v in zip(degrees, values) if v.any()}
+        if not rows:
+            return None
+        if sum(comb(d - dg + m - 1, m - 1) for dg, _ in rows) < ncols:
             continue
-        deficiency = ncols - linalg.rank_modp_numpy(mat, p)
+        deficiency = ncols - linalg.rank_modp_numpy(_evaluation_matrix(rows, points, d, p), p)
         if deficiency == 0:
             return d
         if last_deficiency is not None and deficiency >= last_deficiency:
@@ -438,16 +437,11 @@ def homogeneous_dim0_certificate(gens, p: int, max_degree: int = 60, stall_limit
 
 
 def _certified_codim(gens, primes):
-    """The codimension the Macaulay certificate gives at each prime (the
-    number of variables, or None when inconclusive), and whether it is
-    conclusive and the same at every prime."""
-
-    def codim(p):
-        d = homogeneous_dim0_certificate(gens, p)
-        return len(gens[0].ring.universe) if d is not None else None
-
-    value, agree = _per_prime(primes, codim)
-    return value, agree and value is not None
+    """The codimension the certificate gives at the first prime (the number
+    of variables, or None when inconclusive), and whether it is conclusive
+    and the same at every prime."""
+    filled, agree = _per_prime(primes, lambda p: homogeneous_dim0_certificate(gens, p) is not None)
+    return (len(gens[0].ring.universe) if filled else None), agree and filled
 
 
 SCRIPT_5X6_A = [
@@ -893,13 +887,15 @@ def _run_script_4x5(spec, cfg):
 
 def _run_script_5x6(spec, cfg):
     """With the explicit integer 4x20 slice matrix, certify that the rank-two
-    locus (3x3 minors) of the sliced 6x6 partials matrix is zero-dimensional.
-    The Macaulay certificate decides it over each prime: its 210 dense
-    minors fill degree 13 in one 840 x 560 matrix, where Buchberger reduces
-    1,260 S-pairs one term at a time."""
-    minors3 = _distinct(matrix_minors(3, _script_slice(5, SCRIPT_5X6_A)))
-    codim, agree = _certified_codim(minors3, cfg.primes)
-    return {"distinct_minors": len(minors3), "minors3_codim": codim}, agree
+    locus (3x3 minors) of the sliced 6x6 partials matrix is zero-dimensional,
+    by the certificate over each prime.  ``distinct_minors`` counts distinct
+    nonzero value rows of the minors at the first prime's first SPARE_POINTS
+    points: the slice is symmetric, so 210 of them prove exactly 210."""
+    source = (_script_slice(5, SCRIPT_5X6_A), 3)
+    _, values = _minor_values(source, cfg.prime, _certificate_points(cfg.prime, 4, SPARE_POINTS))
+    codim, agree = _certified_codim(source, cfg.primes)
+    distinct = len({tuple(row) for row in values.tolist() if any(row)})
+    return {"distinct_minors": distinct, "minors3_codim": codim}, agree
 
 
 _RUNNERS = {

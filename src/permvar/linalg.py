@@ -3,7 +3,7 @@
 Everything here works on plain lists of lists holding ``int`` or
 ``fractions.Fraction`` entries (ints for the ``_modp`` variants).  One
 pure-Python fraction-free elimination serves ZZ, QQ and F_p.  The dense
-numpy kernel ``rank_modp_numpy`` ranks the Macaulay matrices mod p < 2**31:
+numpy kernel ``rank_modp_numpy`` ranks evaluation matrices mod p < 2**31:
 it eliminates a panel of columns at a time and applies each panel to the
 rows below as int64 matrix products, with the residues split so that every
 sum stays below 2**53.  No floating point anywhere.
@@ -188,14 +188,15 @@ def rank_modp_numpy(mat, p):
     whole panel at once, ``a -= F @ (lo + hi * 2**16)``, in slabs of
     ``SLAB`` rows (see :func:`_submul` for why int64 holds it).  Products
     of two residues fit int64 only for p below 2**31; larger primes go to
-    :func:`rank_modp`.  The caller's matrix is not modified.
+    :func:`rank_modp`.  Entries are reduced mod p before the int64 cast, an
+    empty matrix has rank 0, and the caller's matrix is not modified.
     """
     if p >= 1 << 31:
         return rank_modp([[int(x) for x in r] for r in mat], p)
     import numpy as np
 
-    a = np.array(mat, dtype=np.int64) % p
-    m, n = a.shape
+    a = (np.asarray(mat) % p).astype(np.int64, copy=False)
+    m, n = a.shape if a.size else (0, 0)
     row = 0
     for c0 in range(0, n, PANEL):
         if row == m:

@@ -339,6 +339,16 @@ def test_dim0_certificate_honours_deadline():
     assert err.value.stats["phase"] == "macaulay"
 
 
+def test_script_5x6_at_a_small_prime_is_refused_by_name():
+    """Its minors have degree 12, and evaluation over F_7 can fill no degree
+    above 7: the case is a failed-error that names the prime, not an
+    inconclusive certificate."""
+    rep = reproduce("script-5x6", CliConfig(prime=7, prime2=11, tier="extended"))
+    assert rep.status == "failed-error"
+    assert not rep.passed
+    assert "prime 7" in rep.measured["error"]
+
+
 def test_script_4x5_degenerate_seed_is_an_honest_fail():
     """At seed 4 the seeded slice is degenerate: both sliced ideals have
     codim 2 at both primes.  The case says so exactly, in about a second,

@@ -68,6 +68,16 @@ def test_numpy_rank_matches_pure_python():
         assert linalg.rank_modp_numpy(A, P1) == linalg.rank_modp(A, P1)
 
 
+def test_numpy_rank_reduces_before_the_int64_cast():
+    # entries past int64 raised OverflowError, and [] raised ValueError,
+    # where rank_modp gives 1 and 0
+    big = [[2**70, 1], [-(2**80), 3]]
+    for A in ([[2**70, 1]], big, [], [[]]):
+        assert linalg.rank_modp_numpy(A, 7) == linalg.rank_modp(A, 7)
+    assert linalg.rank_modp_numpy([[2**70, 1]], 7) == 1
+    assert linalg.rank_modp_numpy([], 7) == 0
+
+
 def test_numpy_rank_falls_back_above_int64_range():
     # p >= 2**31: residue products overflow int64, so the numpy kernel must
     # not be used; it gave wrong ranks for these rank-3 matrices
