@@ -17,14 +17,25 @@ comes back, so every element before that position is still dead or still a
 non-divisor: a live known divisor costs one probe, a dead one resumes the scan
 just after it, a term with no divisor probes only the elements added since,
 and the reducer found is the one a full scan from the start would find.
+
+One reduction loop serves F_p and QQ.  It keeps integer coefficients over
+one running denominator D and takes each reducer as its primitive integer
+multiple, with lead coefficient a > 0.  A term c is cancelled by (c/g) times
+the reducer, g = gcd(a, c), after the work, the terms already emitted and D
+are scaled by a/g when a does not divide c.  Over QQ the input is put over
+its common denominator on entry and the result is divided by D once on exit,
+so no Fraction arithmetic runs inside the loop.  Over F_p every reducer is
+monic, so a = 1, D = 1 and nothing is ever rescaled.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
+from math import gcd, lcm
 
 from . import budget
 from .errors import (
@@ -34,6 +45,8 @@ from .errors import (
     PreconditionError,
     StructuralError,
 )
+from .linalg import _integer_rows
+from .linalg import _primitive as _primitive_vector
 from .ring import (
     DEGREVLEX,
     GF,
@@ -177,12 +190,16 @@ def _first_divisor(ring, polys, lts, alive):
     """Reducer lookup ``k -> (lead key, terms) | None``: the first element
     in list order that is alive and whose lead divides ``k``.
 
+    The terms are the element's own over F_p, and its primitive integer
+    multiple over QQ (see ``_primitive``), made on the position's first hit.
     The lists are read at each call, so the caller may append to them and
     mark elements dead, but never revive one (see the module docstring).
     """
     pack = ring.pack
     gl, gh, guard, low = pack._guard_low, pack._guard_high, pack.guard, pack._low_mask
+    rat = ring.domain.kind == "rat"
     memo: dict = {}
+    integral: list = []  # position -> primitive integer terms, once hit
 
     def find(k):
         n = len(lts)
@@ -192,26 +209,42 @@ def _first_divisor(ring, polys, lts, alive):
             # alive[j] and pack.divides(lt, k), inlined
             if alive[j] and lt <= k and (((lt | gl) - k) & gl | (k_high - lt) & gh) == guard:
                 memo[k] = j
-                return lt, polys[j].terms
+                if not rat:
+                    return lt, polys[j].terms
+                integral.extend([None] * (j + 1 - len(integral)))  # no-op if j is covered
+                if integral[j] is None:
+                    integral[j] = _primitive(polys[j].terms)
+                return lt, integral[j]
         memo[k] = n
         return None
 
     return find
 
 
+def _primitive(terms):
+    """The primitive integer multiple of rational terms: coprime integer
+    coefficients with a positive lead, as ``linalg`` makes kernel vectors."""
+    (ints,) = _integer_rows([[c for _, c in terms]])
+    return tuple(zip([k for k, _ in terms], _primitive_vector(ints)))
+
+
 def _reduce_terms(work: dict, find, ring):
     """Fully reduce a term dict; returns the normal form as a dict.
 
-    ``find(k)`` gives the reducer of a term, a monic ``(lead key, terms)``
-    whose lead divides ``k``, or None.  ``_first_divisor``'s memo only moves
-    where its scan starts, never which divisor it returns, so the reduction
-    is the one a plain scan of the list gives.  Terms are taken largest
-    first.  In a lex or block order a reduction can raise an exponent, so
-    there a term whose key has a guard bit set is refused; in degrevlex no
-    reduction raises the degree, so no exponent can pass the cap.
-    Over F_p every updated coefficient is reduced mod p at once, so that a
-    cancellation leaves a zero; the input may hold unreduced nonzero
-    residues (see ``_spoly``), and those pass to the result as they are.
+    ``find(k)`` gives the reducer of a term, a ``(lead key, terms)`` whose
+    lead divides ``k`` and whose lead coefficient a is positive, or None.
+    ``_first_divisor``'s memo only moves where its scan starts, never which
+    divisor it returns, so the reduction is the one a plain scan of the list
+    gives.  Terms are taken largest first.  In a lex or block order a
+    reduction can raise an exponent, so there a term whose key has a guard
+    bit set is refused; in degrevlex no reduction raises the degree, so no
+    exponent can pass the cap.
+
+    The work holds integers over one running denominator ``den`` (see the
+    module docstring), so the true coefficients are ``work / den``.  Over
+    F_p ``den`` stays 1; every updated coefficient is reduced mod p at once,
+    so that a cancellation leaves a zero, and the input may hold unreduced
+    nonzero residues (see ``_spoly``), which pass to the result as they are.
     The open budget's end is read once per call and checked every 1,024
     steps, the first included.
     """
@@ -219,6 +252,11 @@ def _reduce_terms(work: dict, find, ring):
     pack = ring.pack
     check, guard = not pack.graded, pack.guard
     p = ring.domain.modulus
+    rat = ring.domain.kind == "rat"
+    den = 1
+    if rat:
+        den = lcm(*(c.denominator for c in work.values()))
+        work = {k: c.numerator * (den // c.denominator) for k, c in work.items()}
     out = {}
     heap = [-k for k in work]
     heapify(heap)
@@ -238,6 +276,15 @@ def _reduce_terms(work: dict, find, ring):
             out[k] = c
             continue
         lt, terms = hit
+        a = terms[0][1]
+        if a != 1:
+            g = gcd(a, c)
+            if g != a:
+                s = a // g
+                work = {kk: v * s for kk, v in work.items()}
+                out = {kk: v * s for kk, v in out.items()}
+                den *= s
+            c //= g
         shift = k - lt
         for kk, cc in terms[1:]:
             k2 = kk + shift
@@ -250,6 +297,8 @@ def _reduce_terms(work: dict, find, ring):
                 work[k2] = v
             elif k2 in work:
                 del work[k2]
+    if rat:
+        return {k: Fraction(c, den) for k, c in out.items()}
     return out
 
 

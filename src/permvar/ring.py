@@ -109,7 +109,7 @@ class CoeffDomain:
         if self.kind == "fp":
             return pow(c, self.modulus - 2, self.modulus)
         if self.kind == "rat":
-            return 1 / c
+            return 1 / Fraction(c)
         raise StructuralError("no inverses over the integers")
 
     def __eq__(self, other):

@@ -2,18 +2,22 @@
 implementations, copied here:
 
 - a reducer that scans a list of monic reducers for the first divisor of
-  each term, through ``_Pack.divides``;
+  each term, through ``_Pack.divides``, in the domain's own arithmetic (over
+  QQ, Fractions: the oracle of the fraction-free reduction);
 - the fixed-point interreduction that re-reduces every element against all
   the others until a whole round changes nothing;
 - the Hilbert-numerator pivot recursion that re-minimalizes both children
   of every split.
 """
 
+import math
 import random
+from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 import pytest
 
+from permvar import groebner
 from permvar.groebner import (
     _first_divisor,
     _interreduce,
@@ -184,16 +188,49 @@ def _random_poly(rng, R, terms, top):
     return R.from_exp_dict({_monomial(rng, n, top): rng.randint(-9, 9) for _ in range(terms)})
 
 
+def _fraction(rng):
+    return Fraction(rng.choice([-1, 1]) * rng.randint(1, 12), rng.randint(1, 12))
+
+
+def _fraction_poly(rng, R, terms, top):
+    """Random terms with nonzero Fraction coefficients (at least one term)."""
+    n = len(R.universe)
+    return R.from_exp_dict(
+        {_monomial(rng, n, top): _fraction(rng) for _ in range(terms)}
+        | {tuple(rng.randint(1, top) for _ in range(n)): _fraction(rng)}
+    )
+
+
+def _fraction_binomial_ideal(rng, R, count, top):
+    """Random binomials c a + d b with Fraction coefficients."""
+    n = len(R.universe)
+    gens = []
+    for _ in range(count):
+        a, b = _monomial(rng, n, top), _monomial(rng, n, top)
+        if a != b:
+            gens.append(R.from_exp_dict({a: _fraction(rng), b: _fraction(rng)}))
+    return gens
+
+
+def _primitive_by_definition(f):
+    """The integer multiple of f whose coefficients are coprime with a
+    positive lead, found from f's coefficients by Fraction arithmetic."""
+    den = math.lcm(*(c.denominator for _, c in f.terms))
+    ints = [int(c * den) for _, c in f.terms]
+    g = math.gcd(*ints) * (1 if ints[0] > 0 else -1)
+    return tuple((k, v // g) for (k, _), v in zip(f.terms, ints))
+
+
 # ---------------------------------------------------------------------------
 # tests
 
 
-def test_first_divisor_lookup_matches_a_full_scan():
+def _lookup_matches_a_full_scan(rng, domain, new_reducer, reducer_terms):
     """Under appends, deaths and repeated queries, the memoized lookup gives
-    the first alive divisor that a scan from the start gives."""
-    rng = random.Random(17)
+    the first alive divisor that a scan from the start gives, with the terms
+    ``reducer_terms`` of that element."""
     for order in ORDERS:
-        R = _ring(4, GF(P), order)
+        R = _ring(4, domain, order)
         pack = R.pack
         polys, lts, alive = [], [], []
         find = _first_divisor(R, polys, lts, alive)
@@ -201,7 +238,7 @@ def test_first_divisor_lookup_matches_a_full_scan():
         for _ in range(400):
             r = rng.random()
             if r < 0.1:
-                g = R.from_exp_dict({_monomial(rng, 4, 4): 1})
+                g = new_reducer(R)
                 polys.append(g)
                 lts.append(g.lead_key())
                 alive.append(True)
@@ -216,7 +253,32 @@ def test_first_divisor_lookup_matches_a_full_scan():
                 if want is None:
                     assert got is None
                 else:
-                    assert got == (lts[want], polys[want].terms)
+                    assert got == (lts[want], reducer_terms(polys[want]))
+
+
+def test_first_divisor_lookup_matches_a_full_scan():
+    """Over F_p the lookup gives the element's own terms."""
+    rng = random.Random(17)
+    _lookup_matches_a_full_scan(
+        rng, GF(P), lambda R: R.from_exp_dict({_monomial(rng, 4, 4): 1}), lambda g: g.terms
+    )
+
+
+def test_first_divisor_lookup_over_qq_gives_primitive_integer_terms():
+    """Over QQ the lookup gives the primitive integer multiple of the first
+    alive divisor: int coefficients, coprime, with a positive lead, also
+    when the element's own lead is negative."""
+    rng = random.Random(19)
+    leads = []
+
+    def reducer_terms(g):
+        terms = _primitive_by_definition(g)
+        assert all(type(c) is int for _, c in terms)
+        leads.append((g.terms[0][1], terms[0][1]))
+        return terms
+
+    _lookup_matches_a_full_scan(rng, QQ, lambda R: _fraction_poly(rng, R, 2, 3), reducer_terms)
+    assert any(a > 1 for _, a in leads) and any(c < 0 for c, _ in leads)
 
 
 @pytest.mark.parametrize("order", ORDERS, ids=ORDER_IDS)
@@ -245,17 +307,46 @@ def test_one_pass_interreduction_matches_fixed_point(order, domain):
     assert reduced > 10
 
 
-@pytest.mark.parametrize("order", ORDERS, ids=ORDER_IDS)
-def test_normal_form_matches_list_scan(order):
+@pytest.mark.parametrize(
+    "domain,order",
+    [(GF(P), o) for o in ORDERS] + [(QQ, o) for o in ORDERS],
+    ids=ORDER_IDS + [f"qq-{o}" for o in ORDER_IDS],
+)
+def test_normal_form_matches_list_scan(domain, order, monkeypatch):
+    """Over QQ the generators and the reduced polynomials have Fraction
+    coefficients, so the reducers' primitive leads and the input's common
+    denominator exceed 1.  The reduction's result leaves through
+    ``Fraction(c, den)``: a ``den`` above the input's own common denominator
+    shows that a step rescaled the work."""
     rng = random.Random(29)
+    dens = []
+
+    def spy(*args):
+        if len(args) == 2:
+            dens.append(args[1])
+        return Fraction(*args)
+
+    monkeypatch.setattr(groebner, "Fraction", spy)
+    rescaled = big_leads = big_dens = 0
     for _ in range(12):
-        R = _ring(3, GF(P), order)
-        G = buchberger(_binomial_ideal(rng, R, 3, 3))
+        R = _ring(3, domain, order)
+        if domain == QQ:
+            G = buchberger(_fraction_binomial_ideal(rng, R, 3, 3))
+            big_leads += any(_primitive_by_definition(g)[0][1] > 1 for g in G.gens)
+        else:
+            G = buchberger(_binomial_ideal(rng, R, 3, 3))
         reducers = [(g.lead_key(), g.terms) for g in G.gens]
         for _ in range(5):
-            f = _random_poly(rng, R, 6, 5)
+            f = (_fraction_poly if domain == QQ else _random_poly)(rng, R, 6, 5)
             want = R.from_terms(ref_reduce(dict(f.terms), reducers, R))
+            dens.clear()
             assert normal_form(f, G) == want
+            if domain == QQ:
+                den_in = math.lcm(*(c.denominator for _, c in f.terms))
+                big_dens += den_in > 1
+                rescaled += any(d != den_in for d in dens)
+    if domain == QQ:
+        assert big_leads > 5 and big_dens > 50 and rescaled > 5
 
 
 def test_hilbert_numerator_matches_minimalizing_recursion():

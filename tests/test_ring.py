@@ -71,6 +71,22 @@ def test_fraction_coefficient_enters_prime_field_by_inverse():
         R.from_exp_dict({(1,): Fraction(1, 7)})
 
 
+def test_rational_inverse_is_exact():
+    """QQ's inverse of an int is a Fraction, not a float, so a QQ polynomial
+    built from int coefficients becomes monic with exact ones."""
+    assert [(c, type(c)) for c in (QQ.inv(3), QQ.inv(Fraction(-2, 5)))] == [
+        (Fraction(1, 3), Fraction),
+        (Fraction(-5, 2), Fraction),
+    ]
+    R = ring_xy()
+    x, y = R.gens()
+    f = R.from_terms({x.lead_key(): 3, y.lead_key(): 1})  # from_terms keeps ints
+    assert [(c, type(c)) for _, c in f.monic().terms] == [
+        (1, Fraction),
+        (Fraction(1, 3), Fraction),
+    ]
+
+
 def _coerce_reference(dom, c):
     """``CoeffDomain.coerce`` as written before its exact-int fast path."""
     if dom.kind == "fp":
