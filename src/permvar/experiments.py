@@ -61,9 +61,8 @@ from .ring import (
     PolyMatrix,
     PolyRing,
     VarUniverse,
-    _bits,
     _expand,
-    _subset_key,
+    _read,
     matrix_det,
     matrix_minors,
 )
@@ -329,6 +328,9 @@ def _script_slice(k: int, A) -> PolyMatrix:
 
 # Spare points past N_d: unlucky points of a small field then rarely cost a fill.
 SPARE_POINTS = 16
+# Straight degrees of a non-shrinking deficiency after which the certificate
+# gives up as inconclusive.
+STALL_LIMIT = 4
 
 
 def _certificate_points(p: int, m: int, count: int):
@@ -385,7 +387,7 @@ def _evaluation_matrix(rows: dict, points, d: int, p: int):
     return np.array(out)
 
 
-def homogeneous_dim0_certificate(gens, p: int, max_degree: int = 60, stall_limit: int = 4):
+def homogeneous_dim0_certificate(gens, p: int, max_degree: int = 60):
     """Smallest d with the full degree-d monomial space inside the ideal.
 
     ``gens`` are homogeneous polynomials over ZZ, QQ or F_p in m variables,
@@ -396,7 +398,7 @@ def homogeneous_dim0_certificate(gens, p: int, max_degree: int = 60, stall_limit
     F_p^m.  As rank E_d <= rank M_d <= N_d, bad points can only lower the
     rank.  Returns d, or None when inconclusive: no nonzero value row, no
     fill up to max_degree, or a deficiency N_d - rank E_d that stopped
-    shrinking for ``stall_limit`` straight degrees.  For m > 1 no degree
+    shrinking for STALL_LIMIT straight degrees.  For m > 1 no degree
     above p fills (x^p y - x y^p vanishes on F_p^m): reaching one raises
     PreconditionError.  The open budget is checked before each degree
     (GroebnerTimeout, phase ``"macaulay"``).
@@ -428,7 +430,7 @@ def homogeneous_dim0_certificate(gens, p: int, max_degree: int = 60, stall_limit
             return d
         if last_deficiency is not None and deficiency >= last_deficiency:
             stalled += 1
-            if stalled >= stall_limit:
+            if stalled >= STALL_LIMIT:
                 return None
         else:
             stalled = 0
@@ -475,14 +477,11 @@ def _partition_sum_ideals(M: PolyMatrix):
     perms = {h: _expand(M.rows, signed=False, h=h) for h in range(1, k)}
 
     def block_perms(subset, by_rows: bool):
-        # a column block's permanents are those of M on the other rows and
-        # the block's columns
-        h, block = len(subset), _bits(subset)
-        keys = [
-            _subset_key(block, o, k, k) if by_rows else _subset_key(o, block, k, k)
-            for o in map(_bits, combinations(indices, h))
-        ]
-        return [perms[h].get(key, zero) for key in keys]
+        # a column block's permanents are those of M on every row subset of
+        # the block's size and the block's columns
+        others = combinations(indices, len(subset))
+        rows, cols = ([subset], others) if by_rows else (others, [subset])
+        return _read(perms[len(subset)], k, k, rows, cols, zero)
 
     # the smaller block first; of two equal halves, the one holding index 0
     for r in range(1, k // 2 + 1):

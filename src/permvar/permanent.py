@@ -9,10 +9,8 @@ Every other permanent here (symbolic permanents, permanent families, the
 derived matrices, the Kirkup check) is read off one unsigned expansion
 (``ring._expand``): one forward pass over the rows whose states are (row
 set, column set) pairs, so every h-row subset meets every h-column subset
-and shares the states of its prefixes.  On a square symmetric matrix only
-the pairs with row set <= column set are expanded and the rest are their
-mirror images.  Signed, the same pass gives the symbolic determinants and
-minors.
+and shares the states of its prefixes.  Signed, the same pass gives the
+symbolic determinants and minors.
 
 ``derivative_matrices`` takes a batch of points of one shape and runs one
 expansion for the whole batch: each entry is a lane vector (``_Lanes``)
@@ -42,26 +40,27 @@ from .ring import (
     PolyMatrix,
     PolyRing,
     VarUniverse,
-    _bits,
     _expand,
-    _subset_key,
+    _read,
 )
 
 # Largest symbolic permanent expanded.
 SYMBOLIC_PERM_BOUND = 7
 # Largest Kirkup size built: checking its k + 1 maximal permanents is one
-# expansion through at most 2^(k+1) column sets; k = 12 takes about 0.02 s,
-# and each step up doubles it.
+# expansion through at most 2^(k+1) column sets; k = 12 takes 0.014 to
+# 0.021 s on a 2-vCPU machine, and each step up doubles it.
 KIRKUP_MAX_K = 12
 # Largest numeric permanent: Ryser is O(2^n n); n = 16 takes about 0.15 s,
 # and each step up doubles it.
 PERM_MAX_N = 20
 # Largest prk search: an all-zero m x n matrix visits sum_h C(m,h) C(n,h) =
-# C(m+n, m) (rows, columns) pairs; 12 x 12 (2.7 million) takes about 3 s.
+# C(m+n, m) (rows, columns) pairs.  On a 2-vCPU machine an all-zero 12 x 12
+# (2.7 million) takes 4.2 to 4.7 s at 364 MB peak RSS, and an all-zero
+# 3 x 260 (3.0 million) 3.4 to 5.7 s at 428 MB.
 PRK_MAX_PAIRS = 3_000_000
 # Most columns of a derived matrix's input: its expansion holds up to
-# C(n, n/2) column sets.  16 x 18 takes 0.8 to 1.4 s and 18 x 20 4 to 6 s
-# on a 2-vCPU machine, about 4.5 times more per two columns.
+# C(n, n/2) column sets.  16 x 18 takes 0.96 to 1.23 s and 18 x 20 5.8 to
+# 6.1 s on a 2-vCPU machine, about 5.5 times more per two columns.
 DERIVED_MAX_N = 20
 
 
@@ -314,17 +313,13 @@ def permanental_ideal(spec: GenericMatrixSpec, domain=ZZ):
 def matrix_permanents(h: int, M: PolyMatrix):
     """All h x h permanents of M, colex subset order, columns outermost,
     read off one unsigned expansion of every h-row subset against every
-    h-column subset.  On a square symmetric M only the permanents with row
-    set <= column set are expanded, and perm(R, C) for R > C is perm(C, R),
-    which equals it (see ``ring._expand``)."""
+    h-column subset."""
     m, n = M.dims
     if not 1 <= h <= min(m, n):
         raise StructuralError(f"{h}x{h} permanents of a {m}x{n} matrix")
     _refuse_symbolic_perm(h)
     perms = _expand(M.rows, signed=False, h=h)
-    zero = M.ring.zero
-    skips = [_subset_key(_bits(rows), 0, m, n) for rows in _colex_subsets(m, h)]
-    return [perms.get(c | s, zero) for c in map(_bits, _colex_subsets(n, h)) for s in skips]
+    return _read(perms, m, n, _colex_subsets(m, h), _colex_subsets(n, h), M.ring.zero)
 
 
 def _colex_subsets(n: int, h: int):

@@ -760,7 +760,7 @@ class MPoly:
         unpack = self.ring.pack.unpack
         chunks = []
         for pos, (k, c) in enumerate(self.terms):
-            neg = c < 0 if not isinstance(c, Fraction) else c < 0
+            neg = c < 0
             mag = -c if neg else c
             factors = [
                 (names[i] if e == 1 else f"{names[i]}^{e}")
@@ -896,19 +896,9 @@ def _expand(rows, signed: bool, h: int | None = None) -> dict:
     skipped, and at most m - h rows are skipped, so none is built that
     cannot collect h rows.  Sums that cancel to zero are skipped as states
     and left out of the result.
-
-    On a square, entrywise symmetric matrix with h below its size, no state
-    is built whose row set is lexicographically after its column set (as
-    sorted tuples), and the value at (R, C) with R > C is the one at (C, R).
-    Skipping those states loses no wanted value.  If R <= C, a prefix state
-    of (R, C) holds the first t rows of R and some t columns of C; the i-th
-    smallest of those columns is at least c_i, so the prefix's column set is
-    >= the first t of C, which is >= the first t of R.  And det(M_RC) =
-    det(M_CR) when M is symmetric, and likewise perm.
     """
     m, n = len(rows), len(rows[0]) if rows else 0
     h = m if h is None else h
-    mirror = h < m == n and all(rows[i][j] == rows[j][i] for i in range(m) for j in range(i))
     cols = (1 << n) - 1
     # layers[s]: the states that skipped s rows, keyed by C | skipped << n
     layers = [{0: 1}]
@@ -919,61 +909,32 @@ def _expand(rows, signed: bool, h: int | None = None) -> dict:
         for s in range(len(layers) - 1, -1, -1):
             states, placed = layers[s], {}
             if r - s < h:
-                # one group of every state unless the mirror filters each
-                # state's entries, so the unmirrored loop tests nothing per state
-                groups = (
-                    _mirror_places(states, entries, r, n) if mirror else ((entries, states.items()),)
-                )
-                for places, group in groups:
-                    for key, val in group:
-                        if not val:
+                for key, val in states.items():
+                    if not val:
+                        continue
+                    for j, bit, x in entries:
+                        if key & bit:
                             continue
-                        for j, bit, x in places:
-                            if key & bit:
-                                continue
-                            term = val * x
-                            k = key | bit
-                            old = placed.get(k)
-                            if signed and ((key & cols) >> (j + 1)).bit_count() & 1:
-                                placed[k] = -term if old is None else old - term
-                            else:
-                                placed[k] = term if old is None else old + term
+                        term = val * x
+                        k = key | bit
+                        old = placed.get(k)
+                        if signed and ((key & cols) >> (j + 1)).bit_count() & 1:
+                            placed[k] = -term if old is None else old - term
+                        else:
+                            placed[k] = term if old is None else old + term
             layers[s] = placed
             if s < m - h:
                 if s + 1 == len(layers):
                     layers.append({})
                 skip = 1 << (n + r)
                 layers[s + 1].update((key | skip, val) for key, val in states.items() if val)
-    out = {key: val for key, val in layers[-1].items() if val}
-    if mirror:
-        for key, val in list(out.items()):
-            R, C = cols ^ key >> n, key & cols  # m == n
-            if R != C:
-                out[_subset_key(C, R, m, n)] = val
-    return out
-
-
-def _mirror_places(states, entries, r: int, n: int):
-    """For each state of a symmetric expansion, the entries of row r it may
-    take (those that keep its row set <= its column set) and the state."""
-    cols = (1 << n) - 1
-    for key, val in states.items():
-        R, C = ((2 << r) - 1) ^ key >> n, key & cols  # R: the rows up to r it did not skip
-        yield [e for e in entries if _lex_le(R, C | e[1])], ((key, val),)
+    return {key: val for key, val in layers[-1].items() if val}
 
 
 def _subset_key(R: int, C: int, m: int, n: int) -> int:
     """The key of row set R and column set C in an expansion of an m x n
     matrix: C, and above it the rows R skips."""
     return C | (((1 << m) - 1) ^ R) << n
-
-
-def _lex_le(a: int, b: int) -> bool:
-    """Whether the set a is lexicographically <= the set b, as sorted tuples,
-    for two bitmasks with the same number of bits: the smallest element in
-    exactly one of them must be in a."""
-    d = a ^ b
-    return not d or bool(a & d & -d)
 
 
 def matrix_det(M: PolyMatrix) -> MPoly:
@@ -988,18 +949,23 @@ def matrix_det(M: PolyMatrix) -> MPoly:
 def matrix_minors(h: int, M: PolyMatrix):
     """All h x h minors, column subsets outermost, both subsets in
     lexicographic order, read off one signed expansion of every h-row subset
-    against every h-column subset.  On a square symmetric M only the minors
-    with row set <= column set are expanded, and minor(R, C) for R > C is
-    minor(C, R), which equals it (see ``_expand``)."""
+    against every h-column subset."""
     m, n = M.dims
     if not 1 <= h <= min(m, n):
         raise StructuralError(f"{h}x{h} minors of a {m}x{n} matrix")
     if h > SYMBOLIC_DET_BOUND:
         raise CapacityError(f"symbolic determinant of size {h} exceeds bound {SYMBOLIC_DET_BOUND}")
     dets = _expand(M.rows, signed=True, h=h)
-    zero = M.ring.zero
-    skips = [_subset_key(_bits(rows), 0, m, n) for rows in combinations(range(m), h)]
-    return [dets.get(c | s, zero) for c in map(_bits, combinations(range(n), h)) for s in skips]
+    return _read(dets, m, n, combinations(range(m), h), combinations(range(n), h), M.ring.zero)
+
+
+def _read(values: dict, m: int, n: int, row_sets, col_sets, zero) -> list:
+    """The values of an expansion of an m x n matrix (``_expand``) at every
+    pair of a row set in ``row_sets`` and a column set in ``col_sets``, both
+    given as index tuples, column sets outermost; ``zero`` where the
+    expansion holds no value."""
+    skips = [_subset_key(_bits(R), 0, m, n) for R in row_sets]
+    return [values.get(C | s, zero) for C in map(_bits, col_sets) for s in skips]
 
 
 def _bits(subset) -> int:

@@ -4,8 +4,8 @@ over permutations.  Skipped when hypothesis is not installed.
 
 Matrices are at most 4 x 6, with zero entries and zero rows, as ints,
 Fractions and polynomials over ZZ, QQ and F_5; the small prime makes sums
-cancel to zero often.  Square symmetric matrices are drawn too, since the
-expansion mirrors them.
+cancel to zero often.  Square symmetric matrices are drawn too, on which
+many minors and permanents are equal in pairs.
 """
 
 from fractions import Fraction
@@ -86,7 +86,7 @@ def poly_matrices(draw, shape=None):
 @st.composite
 def symmetric_poly_matrices(draw):
     """A square PolyMatrix made symmetric by copying its upper triangle
-    below the diagonal: the input on which the expansion mirrors."""
+    below the diagonal, so that (R, C) and (C, R) give equal values."""
     n = draw(st.integers(2, 4))
     ring, rows = draw(poly_matrices((n, n)))
     for i in range(n):
@@ -96,7 +96,8 @@ def symmetric_poly_matrices(draw):
 
 
 def _nearly_symmetric():
-    """4 x 4 over ZZ, symmetric but for entry (3, 2): must not be mirrored."""
+    """4 x 4 over ZZ, symmetric but for entry (3, 2): its values at (R, C)
+    and (C, R) may differ."""
     ring = PolyRing(VarUniverse.free(["a", "b", "c"]), ZZ)
     a, b, c = ring.gens()
     rows = [[a, b, c, a + 1], [b, c, a, b], [c, a, b + 2, c - 1], [a + 1, b, 3 * c, a]]
@@ -109,8 +110,7 @@ def _nearly_symmetric():
 @example(_nearly_symmetric(), 3)
 def test_minors_and_permanents_match_leibniz(case, h):
     """Random matrices, and symmetric ones (over ZZ, QQ and F_5), whose
-    minors and permanents with row set > column set are read off the mirror
-    image."""
+    minors and permanents at (R, C) and at (C, R) are equal."""
     ring, rows = case
     m, n = len(rows), len(rows[0])
     h = min(h, m, n)

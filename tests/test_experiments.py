@@ -1,17 +1,23 @@
 """Reproduction-case registry, runners, determinism, and report plumbing."""
 
+import hashlib
 import json
+import math
+import random
+from itertools import combinations, permutations
 
 import pytest
 
 from permvar.budget import Budget
-from permvar.config import CliConfig
+from permvar.config import DEFAULT_SEED, CliConfig
 from permvar.errors import PreconditionError, StructuralError
 from permvar.experiments import (
     _RUNNERS,
     _certified_codim,
+    _partition_sum_ideals,
     _per_prime,
     _per_value,
+    _script_slice,
     append_report,
     build_slice,
     case_ids,
@@ -25,8 +31,8 @@ from permvar.experiments import (
     two_zero_row_witness,
 )
 from permvar.groebner import buchberger, ideal_dimension, over_prime
-from permvar.permanent import GenericMatrixSpec, permanental_ideal
-from permvar.ring import PolyRing
+from permvar.permanent import GenericMatrixSpec, generic_matrix, permanental_ideal
+from permvar.ring import GF, PolyRing, matrix_minors
 
 
 def test_registry_integrity():
@@ -358,6 +364,56 @@ def test_script_4x5_degenerate_seed_is_an_honest_fail():
     assert rep.measured == {"sing_codim": 2, "minors4_codim": 2, "seed": 4}
     assert rep.prime_agreement is True
     assert rep.passed is False
+
+
+@pytest.mark.parametrize(
+    "seed, digest",
+    [
+        (DEFAULT_SEED, "db11dae2d61c68a7ccdf2373482a9d127027c156aa5addd2ff15343c3d0abd54"),
+        (5, "78b1e5653ea35ba113446a073d34c113963a81f433a87e47b285af6dfc4fd69f"),
+    ],
+)
+def test_script_4x5_minors_are_pinned(seed, digest):
+    """The 25 4x4 minors of script-4x5's seeded slice (a square symmetric
+    5x5 matrix), term for term, as SHA-256 over their repr."""
+    rng = random.Random(seed)  # the runner's draw of the slice
+    A = [[rng.randrange(19) - 9 for _ in range(12)] for _ in range(3)]
+    minors = matrix_minors(4, _script_slice(4, A))
+    assert len(minors) == 25
+    blob = repr([q.terms for q in minors]).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
+
+
+def test_partition_sum_ideals_are_the_block_permanents():
+    """Each list holds the maximal permanents of one block, then of the
+    other: a row block's against every column subset of its size, a column
+    block's against every row subset, in lexicographic order; the row
+    partition's list comes before the column partition's."""
+
+    def leibniz_perm(B):
+        h = B.dims[0]
+        products = (
+            math.prod((B[i, s[i]] for i in range(h)), start=B.ring.one)
+            for s in permutations(range(h))
+        )
+        return sum(products, B.ring.zero)
+
+    k = 4
+    M = generic_matrix(k, k, GF(101))
+    expected = []
+    for r in range(1, k // 2 + 1):
+        for s1 in combinations(range(k), r):
+            if 2 * r == k and 0 not in s1:
+                continue
+            s2 = tuple(i for i in range(k) if i not in s1)
+            for by_rows in (True, False):
+                blocks = [
+                    M.submatrix(s, o) if by_rows else M.submatrix(o, s)
+                    for s in (s1, s2)
+                    for o in combinations(range(k), len(s))
+                ]
+                expected.append([leibniz_perm(B) for B in blocks])
+    assert list(_partition_sum_ideals(M)) == expected
 
 
 def test_script_4x5_honours_its_budget():

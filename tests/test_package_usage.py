@@ -120,6 +120,20 @@ def test_cli_reads_no_private_name_of_another_module():
     assert not _private_reads(ast.parse((SRC / "cli.py").read_text()), modules)
 
 
+def test_expansion_keys_are_spelled_only_in_ring():
+    """Only ``ring`` knows how its column-subset expansion keys a (row set,
+    column set) pair; every other module reads an expansion through
+    ``ring._read``."""
+    modules = {p.stem for p in SRC.glob("*.py")}
+    key_format = {"ring._subset_key", "ring._bits"}
+    readers = {
+        p.stem: sorted(_private_reads(ast.parse(p.read_text()), modules) & key_format)
+        for p in sorted(SRC.glob("*.py"))
+        if p.stem != "ring"
+    }
+    assert not any(readers.values()), readers
+
+
 def test_detector_ignores_recursion_and_counts_module_level_use():
     src = "def lonely():\n    return lonely()\n\ndef used():\n    return 1\n\nvalue = used()\n"
     assert _unreferenced({"m": ast.parse(src)}) == {"m.lonely"}

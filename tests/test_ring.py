@@ -20,8 +20,6 @@ from permvar.ring import (
     PolyRing,
     VarUniverse,
     ZZ,
-    _expand,
-    _subset_key,
     block_order,
     matrix_det,
     matrix_minors,
@@ -458,40 +456,6 @@ def test_minors_examples():
     # count of 3x3 minors of a 6x6 matrix
     six = PolyMatrix([[R.const(1)] * 6 for _ in range(6)])
     assert len(matrix_minors(3, six)) == math.comb(6, 3) ** 2
-
-
-class CountedInt(int):
-    """An int entry that counts the products the expansion takes of it."""
-
-    products = 0
-
-    def __mul__(self, other):
-        CountedInt.products += 1
-        return int(self) * int(other)
-
-    __rmul__ = __mul__
-
-
-def test_symmetric_input_expands_only_row_set_up_to_column_set():
-    """On a symmetric matrix the expansion builds no state whose row set is
-    lexicographically after its column set: the 3 x 3 minors of a dense
-    symmetric 6 x 6 take under 60 % of the products taken when one entry
-    breaks the symmetry (about 55 %), and both give the Leibniz minors."""
-    rng = random.Random(7)
-    upper = {(i, j): rng.randint(1, 9) for i in range(6) for j in range(i, 6)}
-    sym = [[CountedInt(upper[min(i, j), max(i, j)]) for j in range(6)] for i in range(6)]
-    asym = [row[:] for row in sym]
-    asym[5][4] = CountedInt(asym[5][4] + 1)
-    products = []
-    for rows in (sym, asym):
-        CountedInt.products = 0
-        minors = _expand(rows, signed=True, h=3)
-        products.append(CountedInt.products)
-        for rs in combinations(range(6), 3):
-            for cs in combinations(range(6), 3):
-                key = _subset_key(sum(1 << i for i in rs), sum(1 << j for j in cs), 6, 6)
-                assert minors.get(key, 0) == naive_det([[int(rows[i][j]) for j in cs] for i in rs])
-    assert products[0] < 0.6 * products[1]
 
 
 def poly_family_rank(fs):
