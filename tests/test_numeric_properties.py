@@ -1,7 +1,8 @@
 """Property tests of the batched numeric probes: ``MPoly.evaluate`` over a
-batch of points against the term-by-term reference evaluation, and
-``linalg.rank_is_one`` against the rank from elimination.  Skipped when
-hypothesis is not installed.
+batch of points against the term-by-term reference evaluation,
+``MPoly.substitute`` composed with ``evaluate`` against evaluation at the
+images' values, and ``linalg.rank_is_one`` against the rank from
+elimination.  Skipped when hypothesis is not installed.
 
 Polynomials have three variables with exponents up to 3, so their terms
 share leading factors and repeat a variable within a term; a constant term
@@ -22,6 +23,7 @@ from hypothesis import strategies as st  # noqa: E402
 from permvar import linalg  # noqa: E402
 from permvar.ring import GF, QQ, ZZ, PolyRing, VarUniverse  # noqa: E402
 from test_numeric_layers import ref_evaluate  # noqa: E402
+from test_substitution import ref_substitute  # noqa: E402
 
 P = (1 << 31) - 1
 DOMAINS = [ZZ, QQ, GF(7), GF(P)]
@@ -59,6 +61,37 @@ def test_batch_evaluate_matches_reference_point_for_point(case):
         assert [type(x) for x in got] == [type(x) for x in want]
     assert f.evaluate(batch[::-1]) == want[::-1]
     assert [v for pt in batch for v in f.evaluate([pt])] == want
+
+
+@st.composite
+def compositions(draw):
+    """(f, images, point): f in a, b, c; one image per variable in u, v; a
+    point of u, v."""
+    domain = draw(st.sampled_from([ZZ, QQ, GF(7), GF(P)]))
+    source = PolyRing(VarUniverse.free(["a", "b", "c"]), domain)
+    target = PolyRing(VarUniverse.free(["u", "v"]), domain)
+
+    def poly(ring, size, max_exp):
+        exps = st.tuples(*[st.integers(0, max_exp)] * len(ring.universe))
+        return ring.from_exp_dict(draw(st.dictionaries(exps, scalars(domain), max_size=size)))
+
+    f = poly(source, 8, 3)
+    images = [poly(target, 4, 2) for _ in range(3)]
+    point = draw(st.lists(scalars(domain), min_size=2, max_size=2))
+    return f, images, point
+
+
+@SETTINGS
+@given(compositions())
+def test_substitute_then_evaluate_equals_evaluate_at_images(case):
+    f, images, point = case
+    mapping = dict(enumerate(images))
+    # the first pass runs on f before it was ever evaluated
+    for _ in range(2):
+        composed = f.substitute(mapping, target=images[0].ring)
+        values = [g.evaluate([point])[0] for g in images]
+        assert composed.evaluate([point]) == f.evaluate([values])
+        assert composed == ref_substitute(f, mapping, images[0].ring)
 
 
 entries = st.one_of(
