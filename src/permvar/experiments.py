@@ -320,7 +320,7 @@ def _script_slice(k: int, A) -> PolyMatrix:
             for r in range(k - 1):
                 c = A[r][idx]
                 if c:
-                    form = form + col_vars[r].scale(c)
+                    form = form + c * col_vars[r]
             mapping[f"x_{i}_{j}"] = form
             idx += 1
     return B1.map(lambda e: e.substitute(mapping, target=small))

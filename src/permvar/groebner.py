@@ -578,15 +578,6 @@ def hilbert_numerator(G: GroebnerBasis) -> tuple:
     def canonical(ms):
         return tuple(sorted(ms, key=lambda m: (sum(m), m)))
 
-    def poly_mul(a, b):
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    if y:
-                        out[i + j] += x * y
-        return out
-
     def poly_add(a, b, shift):
         out = list(a) + [0] * max(0, shift + len(b) - len(a))
         for j, y in enumerate(b):
@@ -611,11 +602,7 @@ def hilbert_numerator(G: GroebnerBasis) -> tuple:
             # pairwise coprime pure powers: product of (1 - t^deg)
             out = [1]
             for m in ms:
-                d = sum(m)
-                f = [0] * (d + 1)
-                f[0] = 1
-                f[d] = -1
-                out = poly_mul(out, f)
+                out = poly_add(out, [-x for x in out], shift=sum(m))
             memo[key] = out
             return out
         # pivot: the most frequent variable among non-simple generators

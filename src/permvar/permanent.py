@@ -53,10 +53,13 @@ KIRKUP_MAX_K = 12
 # Largest numeric permanent: Ryser is O(2^n n); n = 16 takes about 0.15 s,
 # and each step up doubles it.
 PERM_MAX_N = 20
-# Largest prk search: an all-zero m x n matrix visits sum_h C(m,h) C(n,h) =
-# C(m+n, m) (rows, columns) pairs.  On a 2-vCPU machine an all-zero 12 x 12
-# (2.7 million) takes 4.2 to 4.7 s at 364 MB peak RSS, and an all-zero
-# 3 x 260 (3.0 million) 3.4 to 5.7 s at 428 MB.
+# Largest prk search, on the input's dims: an m x n matrix of prk 0 would
+# visit sum_h C(m,h) C(n,h) = C(m+n, m) (rows, columns) pairs.  prk drops
+# zero rows and columns first, so the worst case left has none and a small
+# prk: k full rows and one full column give prk k + 1, and the search visits
+# nearly every pair above it.  On a 2-vCPU machine a 12 x 12 (2.7 million
+# pairs) takes 11 to 16 s at 310 to 370 MB peak RSS for k = 1 to 4, and a
+# 3 x 260 (3.0 million) with k = 1 12 s at 432 MB.
 PRK_MAX_PAIRS = 3_000_000
 # Most columns of a derived matrix's input: its expansion holds up to
 # C(n, n/2) column sets.  16 x 18 takes 0.96 to 1.23 s and 18 x 20 5.8 to
@@ -153,8 +156,10 @@ def _perm_glynn(mat, n):
 def prk(mat) -> int:
     """Permanental rank: the largest h with a nonzero h x h sub-permanent.
 
-    Exhaustive search descending from min(dims), with a Laplace-expansion
-    memo shared across all (row set, column set) pairs of one call.
+    A zero row or column lies in no nonzero sub-permanent, so both are
+    dropped first.  Then an exhaustive search descends from min(dims), with
+    a Laplace-expansion memo shared across all (row set, column set) pairs
+    of one call.  The bound is checked on the input's dims.
     """
     m, n = _dims(mat)
     if comb(m + n, m) > PRK_MAX_PAIRS:
@@ -162,6 +167,10 @@ def prk(mat) -> int:
             f"prk of a {m}x{n} matrix may visit C({m + n},{m}) (rows, columns) pairs, "
             f"above the bound {PRK_MAX_PAIRS}"
         )
+    mat = [r for r in mat if any(r)]
+    keep = [j for j in range(n) if any(r[j] for r in mat)]
+    mat = [[r[j] for j in keep] for r in mat]
+    m, n = len(mat), len(keep)
     memo = {(): {(): 1}}
 
     def perm_sub(rows: tuple, cols: tuple):

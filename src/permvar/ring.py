@@ -428,7 +428,8 @@ class PolyRing:
 class MPoly:
     """Immutable sparse polynomial; terms sorted descending in the order."""
 
-    # _program: evaluation form of the terms, filled by the first evaluate()
+    # _program: the terms compiled for evaluate() and substitute(), filled
+    # by the first call of either
     __slots__ = ("ring", "terms", "_program")
 
     def __init__(self, ring: PolyRing, terms: tuple):
@@ -589,10 +590,6 @@ class MPoly:
         inv = dom.inv(lc)
         return self.ring.from_terms({k: c * inv for k, c in self.terms})
 
-    def scale(self, c) -> "MPoly":
-        c = self.ring.domain.coerce(c)
-        return self.ring.from_terms({k: cc * c for k, cc in self.terms})
-
     # -- calculus and substitution --------------------------------------
 
     def diff(self, var) -> "MPoly":
@@ -619,7 +616,9 @@ class MPoly:
 
         ``mapping`` sends variable indices or names to MPoly (or scalars) in
         ``target`` (defaults to this ring).  Unmapped variables must exist by
-        name in the target universe.
+        name in the target universe.  This is evaluation at one point whose
+        coordinates are the images: it walks the program of :meth:`_compile`,
+        as :meth:`evaluate` does, with the products taken in ``target``.
         """
         ring = target or self.ring
         subs = {}
@@ -630,55 +629,31 @@ class MPoly:
             elif img.ring is not ring:
                 raise DomainMismatchError("substitution images must share one ring")
             subs[idx] = img
-        id_cache = {}
-
-        def image_of(i):
-            if i in subs:
-                return subs[i]
-            if i not in id_cache:
+        images = []
+        for i in self._compile()[0]:
+            if i not in subs:
                 name = self.universe.names[i]
                 if name not in ring.universe.index:
                     raise StructuralError(f"variable {name} has no image")
-                id_cache[i] = ring.gen(name)
-            return id_cache[i]
-
-        pack = self.ring.pack
-        powers: dict = {}
-        acc_terms: dict = {}
-        for k, c in self.terms:
-            exps = pack.unpack(k)
-            term = ring.const(c)
-            for i, e in enumerate(exps):
-                if e == 0:
-                    continue
-                cache = powers.setdefault(i, {0: ring.one})
-                if e not in cache:
-                    img = image_of(i)
-                    emax = max(cache)
-                    prod = cache[emax]
-                    for ee in range(emax + 1, e + 1):
-                        prod = prod * img
-                        cache[ee] = prod
-                term = term * cache[e]
-            for kk, cc in term.terms:
-                acc_terms[kk] = acc_terms.get(kk, 0) + cc
-        return ring.from_terms(acc_terms)
+                subs[i] = ring.gen(name)
+            images.append(subs[i])
+        coerce = ring.domain.coerce
+        acc: dict = {}
+        for c, value in self._walk(images, MPoly.__mul__, ring.one):
+            c = coerce(c)
+            for k, v in value.terms:
+                acc[k] = acc.get(k, 0) + c * v
+        return ring.from_terms(acc)
 
     def evaluate(self, points) -> list:
         """Exact values at a batch of full points (a list of points, each a
         list of scalars), one per point, in batch order.
 
-        The first call compiles the terms into a program of steps
-        ``(coeff, shared, rest)``, stored on the polynomial; the polynomial
-        is immutable, so every later call reuses it.  A term is spelled as
-        its sequence of variables, one per unit of exponent, and the terms
-        run in the order of those sequences, so a term shares the leading
-        factors ``shared`` with the one before it and multiplies on only the
-        factors ``rest``.  The points are held as lanes, one list per
-        variable that occurs, with one entry per point, each coordinate
-        coerced once; a prefix product is one ``map`` over the lanes.  The
-        sums are taken over the integers (or rationals) and coerced into the
-        domain once, at the end.
+        The points are held as lanes, one list per variable that occurs,
+        with one entry per point, each coordinate coerced once; the program
+        of :meth:`_compile` is walked with a product being one ``map`` over
+        the lanes.  The sums are taken over the integers (or rationals) and
+        coerced into the domain once, at the end.
         """
         n = len(self.universe)
         for point in points:
@@ -690,34 +665,46 @@ class MPoly:
                 ) from None
             if size != n:
                 raise StructuralError(f"point has length {size}, expected {n}")
-        try:
-            variables, program = self._program
-        except AttributeError:
-            variables, program = self._program = self._compile()
         coerce = self.ring.domain.coerce
-        lanes = [list(map(coerce, map(itemgetter(i), points))) for i in variables]
+        lanes = [list(map(coerce, map(itemgetter(i), points))) for i in self._compile()[0]]
         total = [0] * len(points)
-        # prefix[d]: the lanes of the product of the current term's first d
-        # factors (None for the empty product)
-        prefix = [None]
-        for c, shared, rest in program:
-            del prefix[shared + 1:]
-            value = prefix[-1]
-            for i in rest:
-                value = lanes[i] if value is None else list(map(mul, value, lanes[i]))
-                prefix.append(value)
-            if value is None:
-                total = [t + c for t in total]
-            elif c == 1:
+        products = self._walk(lanes, lambda a, b: list(map(mul, a, b)), [1] * len(points))
+        for c, value in products:
+            if c == 1:
                 total = list(map(add, total, value))
             else:
                 total = list(map(add, total, map(mul, value, repeat(c))))
         return list(map(coerce, total))
 
+    def _walk(self, factors, product, one):
+        """``(coeff, value)`` for each step of the compiled program, value
+        being ``product`` of ``one`` and the term's factors, taken from
+        ``factors`` (one per variable that occurs, in the order of
+        :meth:`_compile`).  A term reuses the product of the leading factors
+        it shares with the one before it."""
+        # prefix[d]: the product of the current term's first d factors
+        prefix = [one]
+        for c, shared, rest in self._compile()[1]:
+            del prefix[shared + 1:]
+            value = prefix[-1]
+            for i in rest:
+                value = product(value, factors[i])
+                prefix.append(value)
+            yield c, value
+
     def _compile(self):
-        """``(variables, program)`` for :meth:`evaluate`: the variables that
-        occur, and the steps ``(coeff, shared, rest)`` with factors given as
-        positions in ``variables``."""
+        """``(variables, program)``, computed on the first call and kept in
+        ``_program``: the variables that occur, and the steps ``(coeff,
+        shared, rest)``.  A term is spelled as its sequence of variables,
+        one per unit of exponent, and the terms run in the order of those
+        sequences, so a term shares the leading factors ``shared`` with the
+        one before it and multiplies on only the factors ``rest``, given as
+        positions in ``variables``.  The polynomial is immutable, so every
+        later call reuses the program."""
+        try:
+            return self._program
+        except AttributeError:
+            pass
         unpack = self.ring.pack.unpack
         places = range(len(self.universe))
 
@@ -738,7 +725,8 @@ class MPoly:
                 shared += 1
             program.append((c, shared, tuple(lane[i] for i in factors[shared:])))
             before = factors
-        return variables, tuple(program)
+        self._program = variables, tuple(program)
+        return self._program
 
     def max_coeff_bits(self) -> int:
         """Telemetry: largest numerator/denominator bit length."""

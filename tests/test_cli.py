@@ -414,9 +414,10 @@ def test_kirkup_size_is_bounded():
 
 
 def test_perm_and_prk_sizes_are_bounded():
-    """A 30 x 30 permanent takes Ryser or Glynn hours, and prk of an all-zero
-    20 x 20 matrix visits C(40, 20) (rows, columns) pairs: both are refused
-    at once."""
+    """A 30 x 30 permanent takes Ryser or Glynn hours, and prk of a 20 x 20
+    matrix may visit C(40, 20) (rows, columns) pairs: both are refused at
+    once.  prk's bound is checked on the input's dims, so an all-zero matrix
+    is refused too."""
     ones = json.dumps([[1] * 30 for _ in range(30)])
     zeros = json.dumps([[0] * 20 for _ in range(20)])
     for argv in (

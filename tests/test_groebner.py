@@ -405,11 +405,11 @@ def test_saturated_3x4_ideal_over_rationals():
     for _ in range(7):
         f = ring_p.zero
         for v in gv:
-            f = f + v.scale(rng.randrange(P1))
+            f = f + rng.randrange(P1) * v
         sliced.append(f)
     aff = ring_p.zero
     for v in gv:
-        aff = aff + v.scale(rng.randrange(P1))
+        aff = aff + rng.randrange(P1) * v
     sliced.append(aff - 1)
     rep = ideal_dimension(buchberger(sliced))
     assert rep.dim == 0 and rep.degree == 66

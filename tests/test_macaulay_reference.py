@@ -249,7 +249,7 @@ def test_minor_values_are_the_symbolic_minors_at_the_points(p):
     rng = random.Random(p)
 
     def form():
-        return sum((v.scale(rng.randint(-9, 9)) for v in (x, y, z)), R.zero)
+        return sum((rng.randint(-9, 9) * v for v in (x, y, z)), R.zero)
 
     M = PolyMatrix([[form() for _ in range(4)] for _ in range(3)])
     points = experiments._certificate_points(p, 3, 20)
@@ -268,7 +268,7 @@ def test_minor_values_are_the_symbolic_minors_at_the_points(p):
 def test_certificate_zero_mod_p_generators_are_dropped():
     R = PolyRing(VarUniverse.free(["x", "y"]), ZZ)
     x, y = R.gens()
-    gens = [(x * y).scale(7), x**2, y**3, (x + y).scale(14)]
+    gens = [7 * x * y, x**2, y**3, 14 * (x + y)]
     assert sorted(dg for dg, _ in value_rows(gens, 7, [(1, 2), (3, 4)])) == [2, 3]
     assert homogeneous_dim0_certificate(gens, 7) == 4
     assert homogeneous_dim0_certificate(gens, 11) == 3

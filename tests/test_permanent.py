@@ -3,7 +3,7 @@
 import json
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -128,6 +128,34 @@ def test_prk_kirkup_3x4():
     # permanent 1*2 + (-7)(-4) = 30 != 0
     assert naive_perm([[K[0][2], K[0][3]], [K[1][2], K[1][3]]]) == 30
     assert prk(K) == 2
+
+
+def ref_prk(A):
+    """The largest h with a nonzero h x h permutation-sum sub-permanent."""
+    m, n = len(A), len(A[0])
+    for h in range(min(m, n), 0, -1):
+        for rows in combinations(range(m), h):
+            for cols in combinations(range(n), h):
+                if naive_perm([[A[i][j] for j in cols] for i in rows]):
+                    return h
+    return 0
+
+
+def test_prk_ignores_zero_rows_and_columns():
+    rng = random.Random(24)
+    for _ in range(80):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        A = [[rng.choice([0, 0, 0, 1, -1, 2, Fraction(1, 2)]) for _ in range(n)] for _ in range(m)]
+        want = ref_prk(A)
+        assert prk(A) == want
+        padded = [list(r) for r in A]
+        for _ in range(rng.randint(1, 3)):
+            j = rng.randint(0, len(padded[0]))
+            for r in padded:
+                r.insert(j, 0)
+        for _ in range(rng.randint(1, 3)):
+            padded.insert(rng.randint(0, len(padded)), [0] * len(padded[0]))
+        assert prk(padded) == want
 
 
 def test_prk_monotone_under_submatrices():
