@@ -10,13 +10,18 @@ dead iff that lcm is the element's own lead.  Dead elements get no lcm, except
 one that a pending pair still names when the old-pair filter needs it.
 All reductions are full (head and tail), so intermediate elements stay small.
 A term's reducer is the first basis element, in insertion order, that is
-alive and whose lead divides it.  The lookup remembers, per monomial key, the
-position its next scan starts at: the divisor it found, or the basis length
-after a scan that found none.  Elements are only appended and a dead one never
-comes back, so every element before that position is still dead or still a
-non-divisor: a live known divisor costs one probe, a dead one resumes the scan
-just after it, a term with no divisor probes only the elements added since,
-and the reducer found is the one a full scan from the start would find.
+alive and whose lead divides it.  Each probe first runs a support test: one
+AND of the lead's nonzero-exponent guard bits with the term's zero-exponent
+ones (``_Pack.zeros``) rejects a lead that uses a variable the term lacks.
+Only a lead that passes gets the masked divisibility test.  The support test
+never rejects a divisor, so it changes no reducer.  The lookup remembers, per
+monomial key, the position its next scan starts at: the divisor it found, or
+the basis length after a scan that found none.  Elements are only appended
+and a dead one never comes back, so every element before that position is
+still dead or still a non-divisor: a live known divisor costs one probe, a
+dead one resumes the scan just after it, a term with no divisor probes only
+the elements added since, and the reducer found is the one a full scan from
+the start would find.
 
 One reduction loop serves F_p and QQ.  It keeps integer coefficients over
 one running denominator D and takes each reducer as its primitive integer
@@ -197,17 +202,26 @@ def _first_divisor(ring, polys, lts, alive):
     """
     pack = ring.pack
     gl, gh, guard, low = pack._guard_low, pack._guard_high, pack.guard, pack._low_mask
+    zeros = pack.zeros
     rat = ring.domain.kind == "rat"
     memo: dict = {}
+    nz: list = []  # position -> guard bits of its lead's nonzero exponents
     integral: list = []  # position -> primitive integer terms, once hit
 
     def find(k):
         n = len(lts)
+        if len(nz) < n:
+            nz.extend(zeros(lt) ^ guard for lt in lts[len(nz) : n])
+        zk = zeros(k)
         k_high = k | low | gh
         for j in range(memo.get(k, 0), n):
-            lt = lts[j]
-            # alive[j] and pack.divides(lt, k), inlined
-            if alive[j] and lt <= k and (((lt | gl) - k) & gl | (k_high - lt) & gh) == guard:
+            # alive[j], the support test and pack.divides(lt, k), inlined
+            if (
+                alive[j]
+                and not nz[j] & zk
+                and (lt := lts[j]) <= k
+                and (((lt | gl) - k) & gl | (k_high - lt) & gh) == guard
+            ):
                 memo[k] = j
                 if not rat:
                     return lt, polys[j].terms
@@ -245,6 +259,9 @@ def _reduce_terms(work: dict, find, ring):
     F_p ``den`` stays 1; every updated coefficient is reduced mod p at once,
     so that a cancellation leaves a zero, and the input may hold unreduced
     nonzero residues (see ``_spoly``), which pass to the result as they are.
+    Each reducer term costs one dict lookup: a key not in the work is a new
+    term, which is nonzero because c and the reducer's coefficient are, also
+    mod p.
     The open budget's end is read once per call and checked every 1,024
     steps, the first included.
     """
@@ -285,17 +302,22 @@ def _reduce_terms(work: dict, find, ring):
                 out = {kk: v * s for kk, v in out.items()}
                 den *= s
             c //= g
-        shift = k - lt
+        shift, c = k - lt, -c  # the work gains -c times each reducer term
+        get = work.get
         for kk, cc in terms[1:]:
             k2 = kk + shift
-            v = work.get(k2, 0) - c * cc
+            v = get(k2)
+            if v is None:
+                # c and cc are nonzero, also mod p, so a new term is too
+                heappush(heap, -k2)
+                work[k2] = c * cc % p if p else c * cc
+                continue
+            v += c * cc
             if p:
                 v %= p
             if v:
-                if k2 not in work:
-                    heappush(heap, -k2)
                 work[k2] = v
-            elif k2 in work:
+            else:
                 del work[k2]
     if rat:
         return {k: Fraction(c, den) for k, c in out.items()}

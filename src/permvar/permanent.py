@@ -55,11 +55,12 @@ KIRKUP_MAX_K = 12
 PERM_MAX_N = 20
 # Largest prk search, on the input's dims: an m x n matrix of prk 0 would
 # visit sum_h C(m,h) C(n,h) = C(m+n, m) (rows, columns) pairs.  prk drops
-# zero rows and columns first, so the worst case left has none and a small
-# prk: k full rows and one full column give prk k + 1, and the search visits
-# nearly every pair above it.  On a 2-vCPU machine a 12 x 12 (2.7 million
-# pairs) takes 11 to 16 s at 310 to 370 MB peak RSS for k = 1 to 4, and a
-# 3 x 260 (3.0 million) with k = 1 12 s at 432 MB.
+# zero rows and columns and starts at the term rank, so the worst case left
+# has a term rank far above prk, from sub-permanents that cancel.  On a
+# 2-vCPU machine the 12 x 12 block diagonal of six [[1, 1], [1, -1]] (term
+# rank 12, prk 6) takes 3.2 to 4.2 s at 269 MB peak RSS, and a 3 x 260 of
+# one such block and a full row (term rank 3, prk 2, 2.9 million pairs)
+# 3.2 to 3.4 s at 432 MB.
 PRK_MAX_PAIRS = 3_000_000
 # Most columns of a derived matrix's input: its expansion holds up to
 # C(n, n/2) column sets.  16 x 18 takes 0.96 to 1.23 s and 18 x 20 5.8 to
@@ -157,7 +158,10 @@ def prk(mat) -> int:
     """Permanental rank: the largest h with a nonzero h x h sub-permanent.
 
     A zero row or column lies in no nonzero sub-permanent, so both are
-    dropped first.  Then an exhaustive search descends from min(dims), with
+    dropped first.  Every nonzero term of an h x h sub-permanent places h
+    nonzero entries on distinct rows and columns, so h is at most the term
+    rank: the size of a maximum matching of rows to the columns of their
+    nonzero entries.  An exhaustive search descends from the term rank, with
     a Laplace-expansion memo shared across all (row set, column set) pairs
     of one call.  The bound is checked on the input's dims.
     """
@@ -187,12 +191,29 @@ def prk(mat) -> int:
             by_cols[cols] = val
         return val
 
-    for h in range(min(m, n), 0, -1):
+    for h in range(_term_rank(mat, n), 0, -1):
         for rows in combinations(range(m), h):
             for cols in combinations(range(n), h):
                 if perm_sub(rows, cols) != 0:
                     return h
     return 0
+
+
+def _term_rank(mat, n: int) -> int:
+    """Size of a maximum matching of rows to the columns of their nonzero
+    entries, by one augmenting-path search per row (Kuhn's algorithm)."""
+    owner = [-1] * n  # column -> matched row
+
+    def augment(r: int, seen: set) -> bool:
+        for c, a in enumerate(mat[r]):
+            if a and c not in seen:
+                seen.add(c)
+                if owner[c] < 0 or augment(owner[c], seen):
+                    owner[c] = r
+                    return True
+        return False
+
+    return sum(augment(r, set()) for r in range(len(mat)))
 
 
 def matrix_from_json(text_or_obj):

@@ -241,7 +241,9 @@ class _Pack:
     in the monomial order, key(a*b) = key(a) + key(b) - offset, and
     divisibility is a masked subtraction.  The top bit of each field is a
     guard bit: clear in every valid key, set in a product key iff an exponent
-    passed the cap.
+    passed the cap.  Two constants give a key's zero-exponent mask: the value
+    bits of all fields and an add constant, 1 in each complement field and
+    cap in each raw field (see ``zeros``).
     """
 
     def __init__(self, nvars: int, order: MonomialOrder):
@@ -277,6 +279,10 @@ class _Pack:
         self._lane_even = self._lane_ones * _FIELD_MASK
         self._top_lane = 2 * w * (lanes - 1)
         self._cap_sum = tail * _FIELD_CAP
+        # zeros: +1 carries a complement field, +cap a raw one, to its guard
+        self._zero_add = sum(1 << (w * i) for i in range(tail)) + sum(
+            _FIELD_CAP << (self._low_bits + w * i) for i in range(m)
+        )
         # pack(e) = offset + sum(e_i * weight_i): a lex variable adds to its
         # field, a degrevlex one to the degree and minus to its field
         self._weights = tuple(1 << (self._low_bits + w * (m - 1 - i)) for i in range(m)) + tuple(
@@ -343,6 +349,19 @@ class _Pack:
         lanes = (low & self._lane_even) + (low >> _WIDTH & self._lane_even)
         total = (lanes * self._lane_ones) >> self._top_lane & 0xFFFFFFFF
         return key | (self._cap_sum - total) << self._deg_shift
+
+    def zeros(self, key: int) -> int:
+        """The guard bits of the fields whose exponent is 0.
+
+        Adding 1 to a complement (degrevlex) field ``cap - e`` carries into
+        its guard bit iff e = 0; adding cap to a raw (lex) field ``e``
+        carries iff e >= 1, so the raw fields' guard bits are flipped.  The
+        fields of a valid key are at most cap, so no carry leaves its field,
+        and the degree field is masked off.  So a | b needs
+        ``zeros(b) & ~zeros(a) & guard == 0``: a support test that rejects
+        many non-divisors with one AND.
+        """
+        return ((key & self._values) + self._zero_add) & self.guard ^ self._guard_high
 
     def degree(self, key: int) -> int:
         """Total degree: the degree field plus the lex fields."""

@@ -317,7 +317,9 @@ def test_normal_form_matches_list_scan(domain, order, monkeypatch):
     coefficients, so the reducers' primitive leads and the input's common
     denominator exceed 1.  The reduction's result leaves through
     ``Fraction(c, den)``: a ``den`` above the input's own common denominator
-    shows that a step rescaled the work."""
+    shows that a step rescaled the work.  Over F_p the reduction of reduced
+    input must give reduced residues itself: a term stored without its
+    ``% p`` changes no normal form, only the size of the coefficients."""
     rng = random.Random(29)
     dens = []
 
@@ -341,6 +343,11 @@ def test_normal_form_matches_list_scan(domain, order, monkeypatch):
             want = R.from_terms(ref_reduce(dict(f.terms), reducers, R))
             dens.clear()
             assert normal_form(f, G) == want
+            if domain != QQ:
+                # the raw result holds reduced residues already, before
+                # from_terms reduces it again
+                raw = groebner._reduce_terms(dict(f.terms), groebner._scan(G.gens, R), R)
+                assert raw == dict(want.terms)
             if domain == QQ:
                 den_in = math.lcm(*(c.denominator for _, c in f.terms))
                 big_dens += den_in > 1

@@ -1,13 +1,15 @@
 """Property tests for packed monomial keys: ``_Pack.lcm`` against the
-fieldwise max of exponent vectors, and ``transport`` between rings that share
-their keys against the term-by-term path.  Skipped when hypothesis is not
-installed.
+fieldwise max of exponent vectors, ``_Pack.zeros`` and the reducer lookup's
+support test against the exponent vectors' supports, and ``transport``
+between rings that share their keys against the term-by-term path.  Skipped
+when hypothesis is not installed.
 
-The lcm is checked under every key layout: degrevlex (complement fields and
-a degree field only), lex (raw fields only) and two block orders (both).
-Odd and even variable counts up to 31 leave the last 32-bit lane of the
-degree sum half or fully filled; exponents 0 and the field cap meet the
-guard boundaries.
+The lcm and the zero mask are checked under every key layout: degrevlex
+(complement fields and a degree field only), lex (raw fields only) and two
+block orders (both).  Odd and even variable counts up to 31 leave the last
+32-bit lane of the degree sum half or fully filled; exponents 0 and the field
+cap meet the guard boundaries, and 1 and cap - 1 sit next to them, where an
+add constant off by one would carry or fail to.
 """
 
 from fractions import Fraction
@@ -56,6 +58,37 @@ def test_lcm_is_the_packed_fieldwise_max(order, case):
     assert pack.lcm(ka, pack.one) == ka
     # coprime iff the lcm is the product key
     assert (want == ka + kb - pack.offset) == (not any(x and y for x, y in zip(a, b)))
+
+
+@st.composite
+def boundary_pairs(draw):
+    n = draw(st.integers(1, 31))
+    vector = st.lists(st.sampled_from([0, 1, _FIELD_CAP - 1, _FIELD_CAP]), min_size=n, max_size=n)
+    return n, draw(vector), draw(vector)
+
+
+@pytest.mark.parametrize("order", ORDERS, ids=repr)
+@SETTINGS
+@given(case=boundary_pairs())
+def test_support_test_rejects_exactly_the_support_misses(order, case):
+    """The lookup's test ``(zeros(a) ^ guard) & zeros(b)`` is nonzero iff a
+    uses a variable that b lacks, so it never rejects a divisor."""
+    n, a, b = case
+    pack = _Pack(n, order)
+    ka, kb = pack.pack(a), pack.pack(b)
+    za = pack.zeros(ka)
+    assert za & ~pack.guard == 0
+    assert bin(za).count("1") == a.count(0)
+
+    def rejects(ka, kb):
+        return (pack.zeros(ka) ^ pack.guard) & pack.zeros(kb) != 0
+
+    assert rejects(ka, kb) == any(x >= 1 and y == 0 for x, y in zip(a, b))
+    # a divisor of b: the fieldwise min
+    kd = pack.pack(list(map(min, a, b)))
+    assert pack.divides(kd, kb) and not rejects(kd, kb)
+    if pack.divides(ka, kb):
+        assert not rejects(ka, kb)
 
 
 P = 2147483647

@@ -4,9 +4,11 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import comb
 
 import pytest
 
+from permvar import permanent
 from permvar.errors import CapacityError, PreconditionError, StructuralError
 from permvar.permanent import (
     GenericMatrixSpec,
@@ -156,6 +158,37 @@ def test_prk_ignores_zero_rows_and_columns():
         for _ in range(rng.randint(1, 3)):
             padded.insert(rng.randint(0, len(padded)), [0] * len(padded[0]))
         assert prk(padded) == want
+
+
+def test_prk_starts_at_the_term_rank(monkeypatch):
+    """One full row and one full column: term rank 2, so the search starts at
+    h = 2 instead of visiting nearly all C(24, 12) (rows, columns) pairs."""
+    yielded = [0]
+
+    def counting(items, h):
+        for t in combinations(items, h):
+            yielded[0] += 1
+            yield t
+
+    monkeypatch.setattr(permanent, "combinations", counting)
+    A = [[1] * 12] + [[1] + [0] * 11 for _ in range(11)]
+    assert prk(A) == 2
+    assert yielded[0] <= comb(12, 2) ** 2
+
+
+def test_prk_matches_reference_on_sparse_matrices():
+    """Sparse matrices, where the term rank is often below min(dims), and
+    signed ones, where a sub-permanent can cancel below the term rank."""
+    rng = random.Random(25)
+    B = [[1, 1], [1, -1]]  # term rank 2, prk 1
+    Z = [[0, 0], [0, 0]]
+    cases = [[B[0] + Z[0], B[1] + Z[1], Z[0] + B[0], Z[1] + B[1]]]  # term rank 4, prk 2
+    for _ in range(150):
+        m, n = rng.randint(1, 6), rng.randint(1, 6)
+        cases.append([[rng.choice([0, 0, 0, 0, 1, -1, 2]) for _ in range(n)] for _ in range(m)])
+    for A in cases:
+        assert prk(A) == ref_prk(A)
+    assert prk(cases[0]) == 2
 
 
 def test_prk_monotone_under_submatrices():
