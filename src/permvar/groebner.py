@@ -40,13 +40,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 from . import budget
 from .errors import (
     CapacityError,
     DomainMismatchError,
     GroebnerTimeout,
+    InternalConsistencyError,
     PreconditionError,
     StructuralError,
 )
@@ -61,6 +62,10 @@ from .ring import (
     VarUniverse,
     block_order,
 )
+
+# Work units (reduction steps plus reducer terms touched) between two clock
+# reads in ``_reduce_terms``
+WORK_PER_CLOCK_READ = 1 << 16
 
 
 def transport(p: MPoly, ring: PolyRing) -> MPoly:
@@ -262,10 +267,14 @@ def _reduce_terms(work: dict, find, ring):
     Each reducer term costs one dict lookup: a key not in the work is a new
     term, which is nonzero because c and the reducer's coefficient are, also
     mod p.
-    The open budget's end is read once per call and checked every 1,024
-    steps, the first included.
+    The open budget's end is read once per call.  The clock is read when an
+    allowance of ``WORK_PER_CLOCK_READ`` work units runs out, the first step
+    included: a step costs 1 and each reducer applied costs its length, so
+    a stretch of long lex reducers cannot run on unchecked.
     """
     ends_at = budget.ends_at()
+    if ends_at is None:
+        ends_at = inf  # no budget open: a clock read never raises
     pack = ring.pack
     check, guard = not pack.graded, pack.guard
     p = ring.domain.modulus
@@ -277,11 +286,13 @@ def _reduce_terms(work: dict, find, ring):
     out = {}
     heap = [-k for k in work]
     heapify(heap)
-    steps = 0
+    left = 0  # work units before the next clock read
     while heap:
-        if ends_at is not None and steps & 1023 == 0 and time.monotonic() > ends_at:
-            raise budget.expired("reduction")
-        steps += 1
+        left -= 1
+        if left < 0:
+            if time.monotonic() > ends_at:
+                raise budget.expired("reduction")
+            left = WORK_PER_CLOCK_READ
         k = -heappop(heap)
         c = work.pop(k, None)
         if c is None:
@@ -293,6 +304,7 @@ def _reduce_terms(work: dict, find, ring):
             out[k] = c
             continue
         lt, terms = hit
+        left -= len(terms)
         a = terms[0][1]
         if a != 1:
             g = gcd(a, c)
@@ -429,10 +441,13 @@ def buchberger(gens) -> GroebnerBasis:
 
     phase, in_flight = "pairs", 0
     try:
-        # seed with normalized inputs (deduplicated, monic, reduced against earlier ones)
+        # seed with normalized inputs (monic, reduced against earlier ones); a
+        # generator equal to an earlier one is skipped before its reduction
+        seen = set()
         for g in gens:
-            if g.is_zero():
+            if g.is_zero() or g.terms in seen:
                 continue
+            seen.add(g.terms)
             red = _reduce_terms(dict(g.terms), find, ring)
             if not red:
                 continue
@@ -499,7 +514,8 @@ class DimensionReport:
 def ideal_dimension(G: GroebnerBasis) -> DimensionReport:
     """Krull dimension and codimension of the quotient, and in dimension 0
     its degree (the number of standard monomials), from the Hilbert
-    numerator of the leading-term ideal."""
+    numerator of the leading-term ideal: the one test of the dimension, and
+    so of zero-dimensionality."""
     n = len(G.ring.universe)
     if n > 30:
         raise PreconditionError("lead-ideal invariants capped at 30 variables")
@@ -512,67 +528,34 @@ def ideal_dimension(G: GroebnerBasis) -> DimensionReport:
 
 
 def independent_set(G: GroebnerBasis) -> tuple:
-    """Names of a largest variable set containing no leading-term support;
-    its size is the Krull dimension (empty for the unit ideal)."""
+    """Names of a largest variable set containing no leading-term support: a
+    witness of the dimension d that ``ideal_dimension`` reads off the Hilbert
+    numerator (empty when d <= 0).  The include-first search in index order
+    stops at the first set of size d; finding none means the numerator and
+    the leads disagree."""
+    d = ideal_dimension(G).dim
+    if d <= 0:
+        return ()
     n = len(G.ring.universe)
-    supports = []
-    for exps in G.lead_ideal:
-        mask = 0
-        for i, e in enumerate(exps):
-            if e:
-                mask |= 1 << i
-        supports.append(mask)
-    best = 0
-    best_mask = 0
+    supports = [sum(1 << i for i, e in enumerate(exps) if e) for exps in G.lead_ideal]
 
     def extend(S: int, idx: int, size: int):
-        nonlocal best, best_mask
-        if size + (n - idx) <= best:
-            return
-        if idx == n:
-            if size > best:
-                best, best_mask = size, S
-            return
-        bit = 1 << idx
-        S2 = S | bit
+        if size == d:
+            return S
+        if size + (n - idx) < d:
+            return None
+        S2 = S | 1 << idx
         if all(m & ~S2 for m in supports):
-            extend(S2, idx + 1, size + 1)
-        extend(S, idx + 1, size)
+            found = extend(S2, idx + 1, size + 1)
+            if found is not None:
+                return found
+        return extend(S, idx + 1, size)
 
-    extend(0, 0, 0)
+    found = extend(0, 0, 0)
+    if found is None:
+        raise InternalConsistencyError(f"no independent set of size {d}, the numerator's dimension")
     names = G.ring.universe.names
-    return tuple(names[i] for i in range(n) if best_mask >> i & 1)
-
-
-def standard_monomials(G: GroebnerBasis):
-    """All monomials outside the leading-term ideal (dimension 0 only)."""
-    lead = G.lead_ideal
-    n = len(G.ring.universe)
-    bounds = []
-    for i in range(n):
-        b = None
-        for exps in lead:
-            if exps[i] and all(e == 0 for j, e in enumerate(exps) if j != i):
-                if b is None or exps[i] < b:
-                    b = exps[i]
-        if b is None:
-            raise StructuralError("leading-term ideal is not zero-dimensional")
-        bounds.append(b)
-    out = []
-
-    def divisible(cand):
-        return any(all(ge <= ce for ge, ce in zip(g, cand)) for g in lead)
-
-    def rec(i, current):
-        if i == n:
-            if not divisible(current):
-                out.append(current)
-            return
-        for e in range(bounds[i]):
-            rec(i + 1, current + (e,))
-
-    rec(0, ())
-    return sorted(out, key=G.ring.pack.pack)
+    return tuple(names[i] for i in range(n) if found >> i & 1)
 
 
 def is_homogeneous_ideal(gens) -> bool:

@@ -58,9 +58,9 @@ PERM_MAX_N = 20
 # zero rows and columns and starts at the term rank, so the worst case left
 # has a term rank far above prk, from sub-permanents that cancel.  On a
 # 2-vCPU machine the 12 x 12 block diagonal of six [[1, 1], [1, -1]] (term
-# rank 12, prk 6) takes 3.2 to 4.2 s at 269 MB peak RSS, and a 3 x 260 of
+# rank 12, prk 6) takes 4.6 to 4.7 s at 136 MB peak RSS, and a 3 x 260 of
 # one such block and a full row (term rank 3, prk 2, 2.9 million pairs)
-# 3.2 to 3.4 s at 432 MB.
+# 2.2 s at 20 MB.
 PRK_MAX_PAIRS = 3_000_000
 # Most columns of a derived matrix's input: its expansion holds up to
 # C(n, n/2) column sets.  16 x 18 takes 0.96 to 1.23 s and 18 x 20 5.8 to
@@ -162,8 +162,11 @@ def prk(mat) -> int:
     nonzero entries on distinct rows and columns, so h is at most the term
     rank: the size of a maximum matching of rows to the columns of their
     nonzero entries.  An exhaustive search descends from the term rank, with
-    a Laplace-expansion memo shared across all (row set, column set) pairs
-    of one call.  The bound is checked on the input's dims.
+    a Laplace expansion whose memo is shared across the sizes of one call.
+    Each size's own (row set, column set) pairs are visited once, so they
+    are expanded without being stored; only the smaller pairs below them,
+    which the search revisits, are kept.  The bound is checked on the
+    input's dims.
     """
     m, n = _dims(mat)
     if comb(m + n, m) > PRK_MAX_PAIRS:
@@ -177,24 +180,26 @@ def prk(mat) -> int:
     m, n = len(mat), len(keep)
     memo = {(): {(): 1}}
 
+    def expand(rows: tuple, cols: tuple):
+        r0, rest = rows[0], rows[1:]
+        val = 0
+        for idx, c in enumerate(cols):
+            a = mat[r0][c]
+            if a:
+                val += a * perm_sub(rest, cols[:idx] + cols[idx + 1 :])
+        return val
+
     def perm_sub(rows: tuple, cols: tuple):
         by_cols = memo.setdefault(rows, {})
         val = by_cols.get(cols)
         if val is None:
-            r0 = rows[0]
-            rest = rows[1:]
-            val = 0
-            for idx, c in enumerate(cols):
-                a = mat[r0][c]
-                if a:
-                    val += a * perm_sub(rest, cols[:idx] + cols[idx + 1 :])
-            by_cols[cols] = val
+            val = by_cols[cols] = expand(rows, cols)
         return val
 
     for h in range(_term_rank(mat, n), 0, -1):
         for rows in combinations(range(m), h):
             for cols in combinations(range(n), h):
-                if perm_sub(rows, cols) != 0:
+                if expand(rows, cols) != 0:
                     return h
     return 0
 

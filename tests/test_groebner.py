@@ -3,12 +3,19 @@
 import hashlib
 import random
 import time
+from itertools import combinations
 
 import pytest
 
 from permvar import budget, groebner
 from permvar.budget import Budget
-from permvar.errors import CapacityError, GroebnerTimeout, PreconditionError, StructuralError
+from permvar.errors import (
+    CapacityError,
+    GroebnerTimeout,
+    InternalConsistencyError,
+    PreconditionError,
+    StructuralError,
+)
 from permvar.groebner import (
     _eliminate_t,
     _front_ring,
@@ -24,7 +31,6 @@ from permvar.groebner import (
     over_prime,
     radical_membership,
     saturate,
-    standard_monomials,
     transport,
 )
 from permvar.permanent import GenericMatrixSpec, permanental_ideal
@@ -37,6 +43,7 @@ from permvar.ring import (
     VarUniverse,
     block_order,
 )
+from test_groebner_reference import ref_standard_monomials
 
 P1 = 2147483647
 P2 = 1073741789
@@ -172,8 +179,10 @@ def test_dimension_order_independent():
 @pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
 def test_numerator_invariants_match_independent_sets_and_standard_monomials(order):
     """Differential check of the Hilbert-numerator invariants: the dimension
-    equals the size of a largest independent variable set, and in dimension
-    0 the degree equals the number of standard monomials."""
+    equals the size of a largest independent variable set, found by brute
+    force, and in dimension 0 the degree equals the number of standard
+    monomials.  ``independent_set`` is the first largest set in index order,
+    the one the CLI prints."""
     rng = random.Random(53)
     seen = {"unit": 0, "dim0": 0, "positive": 0}
     for nv in range(3, 10):
@@ -197,15 +206,34 @@ def test_numerator_invariants_match_independent_sets_and_standard_monomials(orde
                 assert (rep.dim, rep.codim, rep.degree) == (-1, nv + 1, None)
                 assert independent_set(G) == ()
                 continue
-            assert rep.dim == len(independent_set(G))
+            supports = [[i for i, e in enumerate(m) if e] for m in G.lead_ideal]
+            assert rep.dim == _brute_force_monomial_dim(supports, nv)
             assert rep.codim == nv - rep.dim
+            first = next(
+                S
+                for S in combinations(range(nv), rep.dim)
+                if not any(set(sup) <= set(S) for sup in supports)
+            )
+            assert independent_set(G) == tuple(f"v{i}" for i in first)
             if rep.dim == 0:
                 seen["dim0"] += 1
-                assert rep.degree == len(standard_monomials(G))
+                assert rep.degree == len(ref_standard_monomials(G))
             else:
                 seen["positive"] += 1
                 assert rep.degree is None
     assert seen["dim0"] >= 5 and seen["positive"] >= 5, seen
+
+
+def test_independent_set_refuses_a_numerator_the_leads_contradict():
+    """The witness search trusts the numerator's dimension; a numerator
+    claiming more than the leads allow is an internal fault, not a smaller
+    answer."""
+    R = ring_of("xy")
+    x, y = R.gens()
+    G = buchberger([x * y])
+    G._cache["hilbert_numerator"] = (1,)  # the zero ideal's: dimension 2
+    with pytest.raises(InternalConsistencyError):
+        independent_set(G)
 
 
 def test_quotient_degree_examples():
@@ -219,10 +247,16 @@ def test_quotient_degree_examples():
 
 
 def test_standard_monomials():
+    """The standard monomials of (x^2, y^2) are the monomials that are their
+    own normal form, and there are as many as the degree."""
     R = ring_of("xy")
     x, y = R.gens()
     G = buchberger([x**2, y**2])
-    assert standard_monomials(G) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    std = ref_standard_monomials(G)
+    assert std == [(0, 0), (0, 1), (1, 0), (1, 1)]
+    assert all(normal_form(R.from_exp_dict({e: 1}), G) == R.from_exp_dict({e: 1}) for e in std)
+    assert not normal_form(x * y**2, G)
+    assert ideal_dimension(G).degree == len(std)
 
 
 def test_hilbert_degree_examples():
@@ -274,7 +308,7 @@ def test_hilbert_numerator_matches_standard_monomial_count():
         if rng.random() < 0.5:
             gens.append(x * y * z)
         G = buchberger(gens)
-        assert hilbert_degree(G) == ideal_dimension(G).degree == len(standard_monomials(G))
+        assert hilbert_degree(G) == ideal_dimension(G).degree == len(ref_standard_monomials(G))
 
 
 # ---------------------------------------------------------------------------
@@ -430,17 +464,46 @@ def test_x11_f1_in_permanental_ideal():
 def test_circulant_2x2_squares_and_codim():
     for k in (3, 5, 8):
         spec = GenericMatrixSpec(k, k + 1, h=2, pattern="circulant", period=k + 1)
-        gens = over_prime(permanental_ideal(spec), P1)
-        uniq = []
-        seen = set()
-        for g in gens:
-            if g.terms not in seen:
-                seen.add(g.terms)
-                uniq.append(g)
-        G = buchberger(uniq)
-        ring = uniq[0].ring
+        gens = over_prime(permanental_ideal(spec), P1)  # repeats; buchberger skips them
+        G = buchberger(gens)
+        ring = gens[0].ring
         assert all(normal_form(ring.gen(j) ** 2, G).is_zero() for j in range(k + 1))
         assert ideal_dimension(G).codim == k + 1
+
+
+def test_reduction_reads_the_clock_by_work_done(monkeypatch):
+    """Under an open budget a reduction reads the clock at least once per
+    ``WORK_PER_CLOCK_READ`` reducer terms touched, however few its steps
+    are: here about 3,000 steps apply 992 reducers of 1,025 terms.  The
+    clock is a stub that counts its reads, so the machine's speed does not
+    matter."""
+    R = ring_of("xy", domain=GF(P1), order=LEX)
+    x, y = R.gens()
+    g = x - R.from_exp_dict({(0, i): 1 for i in range(1024)})  # lex: x leads
+    scan = groebner._scan([g], R)
+    touched = 0
+
+    def find(k):
+        nonlocal touched
+        hit = scan(k)
+        if hit is not None:
+            touched += len(hit[1])
+        return hit
+
+    class Clock:
+        reads = 0
+
+        def monotonic(self):
+            Clock.reads += 1
+            return 0.0  # never past the open budget's real end
+
+    f = R.from_exp_dict({(1, j): 1 for j in range(992)})
+    monkeypatch.setattr(groebner, "time", Clock())
+    with Budget(60):
+        out = groebner._reduce_terms(dict(f.terms), find, R)
+    assert len(out) == 1024 + 991  # y^0 .. y^2014
+    assert touched >= 15 * groebner.WORK_PER_CLOCK_READ
+    assert Clock.reads >= touched // groebner.WORK_PER_CLOCK_READ
 
 
 def test_timeout_raises_with_stats():
@@ -565,11 +628,9 @@ def test_pair_sequence_and_basis_pinned(name):
 
 def _brute_force_monomial_dim(supports, nvars):
     """Oracle: largest variable subset containing no generator support."""
-    from itertools import combinations as combos
-
     best = 0
     for size in range(nvars, -1, -1):
-        for S in combos(range(nvars), size):
+        for S in combinations(range(nvars), size):
             sset = set(S)
             if not any(set(sup) <= sset for sup in supports):
                 return size
@@ -643,7 +704,7 @@ def test_quotient_degree_equals_standard_monomial_count():
     R = ring_of("xyz", domain=GF(P1))
     x, y, z = R.gens()
     G = buchberger([x**2, y**3, z**2, x * y * z])
-    assert ideal_dimension(G).degree == len(standard_monomials(G))
+    assert ideal_dimension(G).degree == len(ref_standard_monomials(G))
 
 
 def test_unit_ideal_input():

@@ -7,13 +7,16 @@ implementations, copied here:
 - the fixed-point interreduction that re-reduces every element against all
   the others until a whole round changes nothing;
 - the Hilbert-numerator pivot recursion that re-minimalizes both children
-  of every split.
+  of every split;
+- the enumeration of the standard monomials of a zero-dimensional lead
+  ideal over the box its pure powers bound.
 """
 
 import math
 import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import product
 
 import pytest
 
@@ -138,6 +141,26 @@ def ref_hilbert_numerator(gens):
         return out
 
     return tuple(num(minimalize(tuple(g) for g in gens)))
+
+
+def ref_standard_monomials(G):
+    """All monomials outside the leading-term ideal of G, as exponent tuples
+    in the ring's order (dimension 0 only: each variable needs a pure power
+    among the leads, which bounds the box searched)."""
+    lead = G.lead_ideal
+    n = len(G.ring.universe)
+    bounds = []
+    for i in range(n):
+        powers = [e[i] for e in lead if e[i] and not any(e[:i] + e[i + 1 :])]
+        if not powers:
+            raise ValueError("leading-term ideal is not zero-dimensional")
+        bounds.append(min(powers))
+    out = [
+        m
+        for m in product(*(range(b) for b in bounds))
+        if not any(all(ge <= me for ge, me in zip(g, m)) for g in lead)
+    ]
+    return sorted(out, key=G.ring.pack.pack)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ from permvar.errors import PreconditionError
 from permvar.experiments import (
     SCRIPT_5X6_A,
     SPARE_POINTS,
-    _distinct,
     _evaluation_matrix,
     _minor_values,
     _script_slice,
@@ -304,7 +303,7 @@ def test_script_5x6_evaluation_matches_symbolic_minors():
     Macaulay ranks equal the evaluation ranks at degrees 12 and 13."""
     p = CliConfig().prime
     M = _script_slice(5, SCRIPT_5X6_A)
-    minors = _distinct(over_prime(matrix_minors(3, M), p))
+    minors = list({q.terms: q for q in over_prime(matrix_minors(3, M), p) if q}.values())
     assert len(minors) == 210
     assert len(value_rows((M, 3), p, experiments._certificate_points(p, 4, SPARE_POINTS))) == 210
     for d, want in ((12, 175), (13, 560)):

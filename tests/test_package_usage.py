@@ -134,6 +134,21 @@ def test_expansion_keys_are_spelled_only_in_ring():
     assert not any(readers.values()), readers
 
 
+def test_lead_ideal_is_read_only_in_groebner():
+    """Only ``groebner`` walks the leading-term ideal; every other module
+    takes its invariants (dimension, codimension, degree, an independent
+    set) from ``groebner``'s functions, which read the Hilbert numerator."""
+    readers = {
+        p.stem: sum(
+            isinstance(n, ast.Attribute) and n.attr == "lead_ideal"
+            for n in ast.walk(ast.parse(p.read_text()))
+        )
+        for p in sorted(SRC.glob("*.py"))
+        if p.stem != "groebner"
+    }
+    assert not any(readers.values()), readers
+
+
 def test_detector_ignores_recursion_and_counts_module_level_use():
     src = "def lonely():\n    return lonely()\n\ndef used():\n    return 1\n\nvalue = used()\n"
     assert _unreferenced({"m": ast.parse(src)}) == {"m.lonely"}

@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
@@ -174,6 +175,21 @@ def test_prk_starts_at_the_term_rank(monkeypatch):
     A = [[1] * 12] + [[1] + [0] * 11 for _ in range(11)]
     assert prk(A) == 2
     assert yielded[0] <= comb(12, 2) ** 2
+
+
+def test_prk_memo_keeps_only_the_revisited_levels():
+    """A [[1, 1], [1, -1]] block and a full row, 3 x 60: term rank 3, prk 2.
+    At h = 3 each of the C(60, 3) column triples is visited once, so the
+    memo must not keep them; the pairs below them it may keep."""
+    n = 60
+    A = [[1, 1] + [0] * (n - 2), [1, -1] + [0] * (n - 2), [1] * n]
+    tracemalloc.start()
+    try:
+        assert prk(A) == 2
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_prk_matches_reference_on_sparse_matrices():
