@@ -3,10 +3,11 @@
 Everything here works on plain lists of lists holding ``int`` or
 ``fractions.Fraction`` entries (ints for the ``_modp`` variants).  One
 pure-Python fraction-free elimination serves ZZ, QQ and F_p.  The dense
-numpy kernel ``rank_modp_numpy`` ranks evaluation matrices mod p < 2**31:
-it eliminates a panel of columns at a time and applies each panel to the
-rows below as int64 matrix products, with the residues split so that every
-sum stays below 2**53.  No floating point anywhere.
+numpy kernel ``rank_modp_numpy`` ranks integer evaluation matrices mod
+p < 2**31: it eliminates a panel of columns at a time in int64 and applies
+each panel to the rows below as float64 matrix products through BLAS, with
+the residues split so that every sum is an integer below 2**53, which
+float64 holds exactly.  Floats are never taken as input.
 """
 
 from fractions import Fraction
@@ -166,18 +167,20 @@ def rank_modp(rows, p):
     return len(_echelon(rows, p)[1])
 
 
-# Columns per panel of rank_modp_numpy, and rows per slab of its update
-# right of the panel.  A panel of 64 keeps each inner product a sum of at
-# most 64 terms below 2**47 (see _submul); a slab bounds the int64
-# temporaries of one update.
+# Columns per panel of rank_modp_numpy, and the side of each tile of its
+# update below the panel.  A panel of 64 keeps each inner product a sum of
+# at most 64 terms below 2**47 (see _submul).  A 64 x 64 tile makes each
+# float64 product 64 * 64 * 64 = 2**18 multiply-adds, a size that OpenBLAS
+# runs on one thread: larger products wake its other threads, which spin
+# between calls and cost CPU time beyond the wall time they save.
 PANEL = 64
-SLAB = 128
 
 
 def rank_modp_numpy(mat, p):
-    """Rank mod p of an integer matrix (lists or a numpy int64 array),
-    eliminating in numpy int64 one panel of ``PANEL`` columns at a time,
-    with the updates right of the panel delayed (FFPACK-style blocking).
+    """Rank mod p of an integer matrix (lists, or a numpy array of integer
+    or object dtype), eliminating in numpy one panel of ``PANEL`` columns
+    at a time, with the updates right of the panel delayed (FFPACK-style
+    blocking).
 
     Within a panel, pivots are found column by column as in ``_echelon``,
     but each pivot clears the rows below only in the panel's columns, and
@@ -185,26 +188,37 @@ def rank_modp_numpy(mat, p):
     row's part right of the panel is brought up to date from the panel's
     earlier pivots and scaled to a unit pivot; its 16-bit halves go to
     ``lo`` and ``hi``.  The rows below the panel's pivots then take the
-    whole panel at once, ``a -= F @ (lo + hi * 2**16)``, in slabs of
-    ``SLAB`` rows (see :func:`_submul` for why int64 holds it).  Products
-    of two residues fit int64 only for p below 2**31; larger primes go to
-    :func:`rank_modp`.  Entries are reduced mod p before the int64 cast, an
-    empty matrix has rank 0, and the caller's matrix is not modified.
+    whole panel at once, ``a -= F @ (lo + hi * 2**16)``, one tile of
+    ``PANEL`` rows by ``PANEL`` columns at a time.  The matrix stays int64
+    residues; ``F``, ``lo`` and ``hi`` are held as float64, whose products
+    go through BLAS and are exact (see :func:`_submul`).  Products of two
+    residues fit int64 only for p below 2**31; larger primes go to
+    :func:`rank_modp`.  Entries are reduced mod p before the int64 cast,
+    an empty matrix has rank 0, and the caller's matrix is not modified.
+    Entries that are not integers (a float dtype, or a float or Fraction
+    in an object array) raise StructuralError, where a cast would truncate
+    them.
     """
-    if p >= 1 << 31:
-        return rank_modp([[int(x) for x in r] for r in mat], p)
     import numpy as np
 
-    a = (np.asarray(mat) % p).astype(np.int64, copy=False)
-    m, n = a.shape if a.size else (0, 0)
+    a = np.asarray(mat)
+    if not a.size:
+        return 0
+    kind, ints = a.dtype.kind, (int, np.integer)
+    if kind not in "iuO" or (kind == "O" and not all(isinstance(x, ints) for x in a.flat)):
+        raise StructuralError(f"rank_modp_numpy needs integer entries, not {a.dtype}")
+    if p >= 1 << 31:
+        return rank_modp([[int(x) for x in r] for r in a], p)
+    a = (a % p).astype(np.int64, copy=False)
+    m, n = a.shape
     row = 0
     for c0 in range(0, n, PANEL):
         if row == m:
             break
         c1 = min(c0 + PANEL, n)
         top = row  # the panel's first pivot row
-        F = np.zeros((m - top, c1 - c0), dtype=np.int64)
-        lo = np.empty((c1 - c0, n - c1), dtype=np.int64)
+        F = np.zeros((m - top, c1 - c0))
+        lo = np.empty((c1 - c0, n - c1))
         hi = np.empty_like(lo)
         for col in range(c0, c1):
             if row == m:
@@ -234,22 +248,29 @@ def rank_modp_numpy(mat, p):
                 a[below, col:c1] = (a[below, col:c1] - np.outer(f, pr)) % p
             row += 1
         k = row - top
-        if k and row < m and c1 < n:
-            for s in range(row, m, SLAB):
-                e = min(s + SLAB, m)
-                _submul(a[s:e, c1:], F[s - top : e - top, :k], lo[:k], hi[:k], p)
+        if k:
+            for s in range(row, m, PANEL):
+                fs = F[s - top : s - top + PANEL, :k]
+                for j in range(c1, n, PANEL):
+                    cols = slice(j - c1, j - c1 + PANEL)
+                    _submul(a[s : s + PANEL, j : j + PANEL], fs, lo[:k, cols], hi[:k, cols], p)
     return row
 
 
 def _submul(x, f, lo, hi, p):
-    """x := (x - f @ (lo + hi * 2**16)) % p in place, for residues x and f
-    below p < 2**31, lo < 2**16, hi < 2**15 and at most PANEL columns in f.
+    """x := (x - f @ (lo + hi * 2**16)) % p in place, for int64 residues x,
+    float64 residues f below p < 2**31, and float64 integers lo < 2**16 and
+    hi < 2**15, with at most PANEL columns in f.
 
     Each term of ``f @ lo`` is below 2**31 * 2**16 = 2**47, and each of
     ``f @ hi`` below 2**46, so a sum of at most 64 = 2**6 terms stays below
-    2**53; ``f @ hi`` is reduced mod p before its shift, to below 2**47.  So
-    x never leaves (-2**54, 2**31), far inside int64.
+    2**53.  Every partial sum is then an integer that float64 holds
+    exactly, whatever order BLAS adds the terms in and whether or not it
+    fuses multiply and add, so both float64 products are exact and cast to
+    int64 unchanged (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  The
+    mod-p steps run in int64: ``f @ hi`` is reduced mod p before its shift,
+    to below 2**47, so x never leaves (-2**54, 2**31).
     """
-    x -= f @ lo
-    x -= (f @ hi % p) << 16
+    x -= (f @ lo).astype(x.dtype)
+    x -= ((f @ hi).astype(x.dtype) % p) << 16
     x %= p

@@ -383,8 +383,9 @@ def test_bad_input_is_refused_not_raised(capsys, tmp_path, argv):
     assert code == 2 and out == "" and err.startswith("error: ")
 
 
-def run_subprocess(*argv):
-    """Run the CLI in a child process, killed after 20 s."""
+def run_python(*args):
+    """Run Python with this permvar importable in a child process, killed
+    after 20 s."""
     import os
     import subprocess
     import sys
@@ -395,9 +396,24 @@ def run_subprocess(*argv):
     src = str(Path(permvar.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     return subprocess.run(
-        [sys.executable, "-m", "permvar.cli", *argv],
-        capture_output=True, text=True, env=env, timeout=20,
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=20
     )
+
+
+def run_subprocess(*argv):
+    """Run the CLI in a child process, killed after 20 s."""
+    return run_python("-m", "permvar.cli", *argv)
+
+
+def test_cli_parser_does_not_import_numpy():
+    """numpy is imported by the functions that use it, never at module level:
+    importing the CLI and building its parser must not load it, so a
+    command that needs no numpy does not pay its import time."""
+    done = run_python(
+        "-c", "import sys, permvar.cli; permvar.cli.build_parser(); print('numpy' in sys.modules)"
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_kirkup_size_is_bounded():

@@ -1,10 +1,12 @@
 """Exact linear algebra: ranks, kernels, mod-p elimination."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from permvar import linalg
+from permvar.errors import StructuralError
 
 RNG = random.Random(1234)
 P1 = 2147483647
@@ -78,6 +80,22 @@ def test_numpy_rank_reduces_before_the_int64_cast():
     assert linalg.rank_modp_numpy([], 7) == 0
 
 
+def test_numpy_rank_refuses_non_integer_entries():
+    # 0.5 is 4 mod 7, so the first matrix has rank 2 mod 7; an int64 cast
+    # truncated it to 0 and returned rank 1
+    import numpy as np
+
+    half = [[0.5, 0], [0, 1.0]]
+    fraction = np.array([[Fraction(1, 2), 0], [0, 1]], dtype=object)
+    for A in (np.array(half), half, np.array(half, dtype=np.float32), fraction):
+        for p in (7, (1 << 61) - 1):
+            with pytest.raises(StructuralError):
+                linalg.rank_modp_numpy(A, p)
+    # integer dtypes, and ints of either kind in an object array, are taken
+    assert linalg.rank_modp_numpy(np.array([[3, 0], [0, 5]], dtype=np.uint8), 7) == 2
+    assert linalg.rank_modp_numpy(np.array([[np.int64(3), 2**70]], dtype=object), 7) == 1
+
+
 def test_numpy_rank_falls_back_above_int64_range():
     # p >= 2**31: residue products overflow int64, so the numpy kernel must
     # not be used; it gave wrong ranks for these rank-3 matrices
@@ -133,20 +151,43 @@ def _staggered(rng, p):
     return rows
 
 
-def _largest_residues(rng, p):
-    """Unit pivots whose rows end in p - 1, above rows that are p - 1 under
-    every pivot: every multiplier and every entry of each panel product's
-    right factor is p - 1, the largest residue (products near 2**62 at
-    p = 2**31 - 1)."""
-    n = 3 * W
+def _unit_pivots_over_largest(rng, p, n, m_below):
+    """W unit pivots whose rows end in p - 1, above ``m_below`` rows that
+    are p - 1 under every pivot: every multiplier and every entry of each
+    panel product's right factor is p - 1, the largest residue (products
+    near 2**62 at p = 2**31 - 1).  Each row below is p - 1 times the sum of
+    the pivot rows, which ends in W, plus a multiple of one vector v right
+    of the panel, so the rank is W + 1 only if the update clears every
+    row's W exactly."""
     top = [[int(i == j) for j in range(W)] + [p - 1] * (n - W) for i in range(W)]
-    below = [[p - 1] * W + [rng.randrange(p) for _ in range(n - W)] for _ in range(W // 2)]
-    return top + below
+    v = [rng.randrange(p) for _ in range(n - W)]
+    scales = [rng.randrange(p) for _ in range(m_below)]
+    return top + [[p - 1] * W + [(W + c * x) % p for x in v] for c in scales]
+
+
+def _largest_residues(rng, p):
+    """The largest residues over one tile of rows below the first panel."""
+    return _unit_pivots_over_largest(rng, p, 3 * W, W // 2)
+
+
+def _largest_residues_over_tiles(rng, p):
+    """The largest residues with W + 20 rows below the first panel and
+    2W + 5 columns right of it: the p - 1 multipliers span two row tiles
+    and three column tiles of its update."""
+    return _unit_pivots_over_largest(rng, p, 3 * W + 5, W + 20)
 
 
 @pytest.mark.parametrize("p", [2, 3, 7, P1])
 @pytest.mark.parametrize(
-    "build", [_few_rows, _zero_panel, _deficient_panels, _staggered, _largest_residues]
+    "build",
+    [
+        _few_rows,
+        _zero_panel,
+        _deficient_panels,
+        _staggered,
+        _largest_residues,
+        _largest_residues_over_tiles,
+    ],
 )
 def test_numpy_rank_across_panels_matches_pure_python(build, p):
     import numpy as np
@@ -161,3 +202,25 @@ def test_numpy_rank_across_panels_matches_pure_python(build, p):
     before = arr.copy()
     assert linalg.rank_modp_numpy(arr, p) == want
     assert np.array_equal(arr, before)
+
+
+@pytest.mark.parametrize("ndim", [2, 1])
+@pytest.mark.parametrize("lo_hi", [(2**16 - 1, 2**15 - 1), (2**16 - 2, 2**15 - 1)])
+def test_submul_is_exact_at_the_bound(lo_hi, ndim):
+    """_submul at p = 2**31 - 1 with W pivots, every multiplier p - 1, and
+    the right factor's halves at the bound's maxima (whose sum is p, so x
+    must come back unchanged) or split from p - 1, the largest residue:
+    its float64 sums come within 2**39 of 2**53, and the result must equal
+    the same update in Python ints.  ``ndim=1`` is the call that brings a
+    pivot row up to date."""
+    import numpy as np
+
+    p, n = P1, 2 * W + 5
+    rng = random.Random(ndim)
+    shape = (W, n) if ndim == 2 else (n,)
+    x = np.array([rng.randrange(p) for _ in range(np.prod(shape))], dtype=np.int64).reshape(shape)
+    f = np.full(shape[:-1] + (W,), float(p - 1))
+    lo, hi = (np.full((W, n), float(h)) for h in lo_hi)
+    want = [(v - W * (p - 1) * (lo_hi[0] + (lo_hi[1] << 16))) % p for v in x.ravel().tolist()]
+    linalg._submul(x, f, lo, hi, p)
+    assert x.ravel().tolist() == want
