@@ -287,8 +287,7 @@ def _run_saturate(args, cfg) -> int:
 
 
 def _run_kirkup(args, cfg) -> int:
-    K = kirkup_matrix(args.k)
-    rows = K.as_lists()
+    rows = kirkup_matrix(args.k)
     lines = [" ".join(f"{x:6d}" for x in r) for r in rows]
     payload = {"k": args.k, "matrix": rows}
     if args.verify:

@@ -82,18 +82,6 @@ class CaseSpec:
     expected: dict
     timeout_s: float
 
-    @staticmethod
-    def from_dict(d: dict) -> "CaseSpec":
-        return CaseSpec(
-            id=d["id"],
-            claim=d["claim"],
-            tier=d.get("tier", "default"),
-            provenance=d["provenance"],
-            params=d.get("params", {}),
-            expected=d["expected"],
-            timeout_s=float(d.get("timeout_s", 600)),
-        )
-
 
 @dataclass
 class CaseReport:
@@ -139,23 +127,14 @@ def _environment() -> dict:
     }
 
 
-def _load_registry():
+@cache
+def registry() -> dict:
+    """The cases of cases.json keyed by id, read once; a repeated id is refused."""
     data = json.loads(resources.files("permvar").joinpath("cases.json").read_text())
-    specs = [CaseSpec.from_dict(d) for d in data]
-    ids = [s.id for s in specs]
-    if len(set(ids)) != len(ids):
+    specs = [CaseSpec(**d) for d in data]
+    if len({s.id for s in specs}) != len(specs):
         raise StructuralError("duplicate case ids in registry")
     return {s.id: s for s in specs}
-
-
-_REGISTRY_CACHE = None
-
-
-def registry() -> dict:
-    global _REGISTRY_CACHE
-    if _REGISTRY_CACHE is None:
-        _REGISTRY_CACHE = _load_registry()
-    return _REGISTRY_CACHE
 
 
 def case_ids():
@@ -248,21 +227,18 @@ def _singular_lines_2xn(n: int):
     return lines
 
 
-def _line_in_component(comp_gens, line, n: int) -> bool:
-    (i1, j1), (i2, j2) = line
-    span_ring = PolyRing(VarUniverse.free(["s", "u"]), comp_gens[0].ring.domain)
-    s, u = span_ring.gens()
-    mapping = {}
-    for i in (1, 2):
-        for j in range(1, n + 1):
-            name = f"x_{i}_{j}"
-            if (i, j) == (i1, j1):
-                mapping[name] = s
-            elif (i, j) == (i2, j2):
-                mapping[name] = u
-            else:
-                mapping[name] = span_ring.zero
-    return all(g.substitute(mapping, target=span_ring).is_zero() for g in comp_gens)
+def _line_in_component(comp_gens, line) -> bool:
+    """Whether every generator vanishes on the coordinate line of ``line``'s
+    two variables, all others 0.  Distinct monomials stay distinct there, so
+    a generator vanishes iff none of its terms uses only those two."""
+    ring = comp_gens[0].ring
+    on_line = {ring.universe.var_index(i, j) for i, j in line}
+    unpack = ring.pack.unpack
+
+    def only_on_line(key):
+        return all(v in on_line for v, e in enumerate(unpack(key)) if e)
+
+    return not any(only_on_line(key) for g in comp_gens for key, _ in g.terms)
 
 
 def _census_2xn(n: int, p: int) -> dict:
@@ -285,7 +261,7 @@ def _census_2xn(n: int, p: int) -> dict:
     G_T = buchberger(inter)
     ideal_in_inter = all(normal_form(g, G_T).is_zero() for g in gens)
     lines = _singular_lines_2xn(n)
-    min_cover = min(sum(_line_in_component(cg, line, n) for cg in comps) for line in lines)
+    min_cover = min(sum(_line_in_component(cg, line) for cg in comps) for line in lines)
     return {
         "components": len(comps),
         "lines": len(lines),
@@ -302,27 +278,20 @@ def _census_2xn(n: int, p: int) -> dict:
 
 
 def _script_slice(k: int, A) -> PolyMatrix:
-    """The (k+1) x (k+1) matrix of sub-permanents omitting two columns of
-    rows 2..k of the generic k x (k+1) matrix (the B1 derived matrix at a
-    generic point of the fixed locus), with rows 2..k, columns 2..k+1
-    replaced column-major by the linear forms ``A`` in x_2_1 .. x_k_1, in
-    the ring of those k - 1 variables."""
-    B1 = derivative_matrix_symbolic(generic_matrix(k, k + 1).submatrix(range(1, k), range(k + 1)))
-    keep = [f"x_{r}_1" for r in range(2, k + 1)]
-    small = PolyRing(VarUniverse.free(keep), ZZ)
-    col_vars = small.gens()
-    mapping = {}
-    idx = 0
-    for j in range(2, k + 2):
-        for i in range(2, k + 1):
-            form = small.zero
-            for r in range(k - 1):
-                c = A[r][idx]
-                if c:
-                    form = form + c * col_vars[r]
-            mapping[f"x_{i}_{j}"] = form
-            idx += 1
-    return B1.map(lambda e: e.substitute(mapping, target=small))
+    """The B1 derived matrix, the (k+1) x (k+1) sub-permanents omitting two
+    columns, of the (k-1) x (k+1) matrix whose row r is x_{r+2}_1 and then
+    forms r, r + k - 1, ... of ``A``, over ZZ in x_2_1 .. x_k_1.  Form idx is
+    sum_r A[r][idx] x_{r+2}_1, so the forms fill columns 2..k+1 of rows
+    2..k of a generic point of the fixed locus column-major."""
+    small = PolyRing(VarUniverse.free([f"x_{r}_1" for r in range(2, k + 1)]), ZZ)
+    xs = small.gens()
+    forms = [
+        sum((row[idx] * x for row, x in zip(A, xs) if row[idx]), small.zero)
+        for idx in range(k * (k - 1))
+    ]
+    return derivative_matrix_symbolic(
+        PolyMatrix([[xs[r]] + forms[r :: k - 1] for r in range(k - 1)])
+    )
 
 
 # Spare points past N_d: unlucky points of a small field then rarely cost a fill.
@@ -458,12 +427,11 @@ SCRIPT_5X6_A = [
 
 
 def two_zero_row_witness(k: int) -> bool:
-    """All (k-1) x (k-1) permanents vanish identically when two rows are zero."""
+    """All (k-1) x (k-1) permanents vanish identically when two rows are zero:
+    those of the generic k x k matrix with its first two rows set to 0."""
     M = generic_matrix(k, k)
-    ring = M.ring
-    mapping = {f"x_{i}_{j}": ring.zero for i in (1, 2) for j in range(1, k + 1)}
-    Z = M.map(lambda e: e.substitute(mapping))
-    return not any(matrix_permanents(k - 1, Z))
+    zero = M.ring.zero
+    return not any(matrix_permanents(k - 1, PolyMatrix([[zero] * k] * 2 + M.rows[2:])))
 
 
 def _partition_sum_ideals(M: PolyMatrix):
@@ -563,23 +531,21 @@ def symbolic_determinant_identities() -> dict:
 
 
 def hankel_chart_case(n: int, p: int) -> dict:
-    """Chart ideals of the 2 x n Hankel permanental scheme at both support
-    points (x_n -> 1, then x_0 -> 1): zero-dimensional, local degree 4, and
-    the stated monomial basis."""
-    gens = over_prime(matrix_permanents(2, hankel_matrix_2xn(n)), p)
+    """Chart ideals over F_p of the 2 x n Hankel permanental scheme at both
+    support points: zero-dimensional, local degree 4, and the stated
+    monomial basis.  A chart's ideal is the 2 x 2 permanents of the Hankel
+    matrix of its images of x0 .. xn: x_n -> 1, then x0 -> 1 with the
+    mirror x_i -> x_{n-i}."""
     chart_ring = PolyRing(VarUniverse.free([f"x{i}" for i in range(n)]), GF(p))
-    charts = [
-        {f"x{n}": 1},
-        # x0 -> 1 and the mirror x_i -> x_{n-i}
-        {"x0": 1, **{f"x{i}": chart_ring.gen(f"x{n - i}") for i in range(1, n + 1)}},
-    ]
+    xs = chart_ring.gens() + [chart_ring.one]
+    charts = [xs, xs[::-1]]
     # 1, x_{n-3}, x_{n-2}, x_{n-1}: in dimension 0 the degree counts the
     # standard monomials, so four standard ones of degree 4 are all of them
     expected = [(0,) * n] + [tuple(int(i == j) for i in range(n)) for j in range(n - 3, n)]
     expected_basis = [chart_ring.from_exp_dict({e: 1}) for e in expected]
     dims, degrees, basis_matches = [], [], True
-    for mapping in charts:
-        G = buchberger([g.substitute(mapping, target=chart_ring) for g in gens])
+    for images in charts:
+        G = buchberger(matrix_permanents(2, PolyMatrix([images[i : i + n] for i in range(2)])))
         rep = ideal_dimension(G)
         dims.append(rep.dim)
         degrees.append(rep.degree)
@@ -687,24 +653,23 @@ def _run_kirkup_vanish(spec, cfg):
     for k in spec.params["k"]:
         # the constructor checks the vanishing with the column-subset
         # expansion; Ryser, a second engine, checks it again here
-        rows = kirkup_matrix(k).as_lists()
+        rows = kirkup_matrix(k)
         vanish[str(k)] = all(
             perm_numeric([[r[c] for c in range(k + 1) if c != j] for r in rows]) == 0
             for j in range(k + 1)
         )
-    return {"vanish": vanish, "prk_3": prk(kirkup_matrix(3).as_lists())}, True
+    return {"vanish": vanish, "prk_3": prk(kirkup_matrix(3))}, True
 
 
 def _run_kirkup_b1(spec, cfg):
     ranks = {}
     for k in spec.params["k"]:
-        K = kirkup_matrix(k)
-        rep = classify_type(K.weight_zero_part(), "B1")
+        rep = classify_type(kirkup_matrix(k)[1:], "B1")
         ranks[str(k)] = {"rank": rep.rank, "type": rep.type}
     K3 = kirkup_matrix(3)
-    rep3 = classify_type(K3.weight_zero_part(), "B1")
+    rep3 = classify_type(K3[1:], "B1")
     kernel = [list(v) for v in rep3.kernel_basis]
-    ext = kernel_extension_check(K3.weight_zero_part(), tuple(kernel[0])) if kernel else False
+    ext = kernel_extension_check(K3[1:], tuple(kernel[0])) if kernel else False
     return {"ranks": ranks, "kernel_3": kernel, "extension_check": ext}, True
 
 

@@ -130,17 +130,6 @@ def load_ideal_file(path: str, domain, order: MonomialOrder = DEGREVLEX):
     return [poly_from_text(ln, ring) for ln in lines[1:]]
 
 
-def save_ideal_file(path: str, gens):
-    """Write generators in the canonical text form with a vars header."""
-    if not gens:
-        raise StructuralError("nothing to write")
-    ring = gens[0].ring
-    with open(path, "w") as fh:
-        fh.write("vars: " + " ".join(ring.universe.names) + "\n")
-        for g in gens:
-            fh.write(g.text() + "\n")
-
-
 @dataclass
 class GroebnerBasis:
     """Reduced Groebner basis with cached structure."""

@@ -21,7 +21,7 @@ point's matrix is read from its own lane of the result.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, repeat
 from math import comb
@@ -42,6 +42,7 @@ from .ring import (
     VarUniverse,
     _expand,
     _read,
+    _refuse_var_count,
 )
 
 # Largest symbolic permanent expanded.
@@ -249,10 +250,6 @@ def matrix_from_json(text_or_obj):
     return out
 
 
-def matrix_to_json(mat) -> list:
-    return [[str(x) for x in r] for r in mat]
-
-
 # ---------------------------------------------------------------------------
 # symbolic matrices and ideals
 
@@ -267,6 +264,7 @@ def hankel_matrix_2xn(n: int, domain=ZZ) -> PolyMatrix:
     """2 x n matrix constant on anti-diagonals over variables x0..xn."""
     if n < 2:
         raise StructuralError("Hankel matrix needs n >= 2")
+    _refuse_var_count(n + 1)
     ring = PolyRing(VarUniverse.free([f"x{i}" for i in range(n + 1)]), domain)
     g = ring.gens()
     return PolyMatrix([[g[i + j] for j in range(n)] for i in range(2)])
@@ -366,24 +364,11 @@ def _colex_subsets(n: int, h: int):
 # Kirkup matrices
 
 
-@dataclass(frozen=True)
-class KirkupMatrix:
-    """Integer k x (k+1) matrix all of whose maximal permanents vanish."""
-
-    k: int
-    rows: tuple = field(repr=False)
-
-    def as_lists(self):
-        return [list(r) for r in self.rows]
-
-    def weight_zero_part(self):
-        """Rows 2..k, the nonzero part of the associated fixed point."""
-        return [list(r) for r in self.rows[1:]]
-
-
-def kirkup_matrix(k: int) -> KirkupMatrix:
-    """Build the k x (k+1) Kirkup matrix, 3 <= k <= KIRKUP_MAX_K, and verify
-    that all its k x k permanents vanish."""
+def kirkup_matrix(k: int) -> list:
+    """The rows of the integer k x (k+1) Kirkup matrix, 3 <= k <= KIRKUP_MAX_K,
+    a fresh list each call, after verifying that all its k x k permanents
+    vanish.  Rows 2..k (``[1:]``) are the nonzero part of the associated
+    fixed point."""
     if k < 3:
         raise PreconditionError("Kirkup matrices need k >= 3")
     if k > KIRKUP_MAX_K:
@@ -398,7 +383,7 @@ def kirkup_matrix(k: int) -> KirkupMatrix:
     rows.append([1] * (k - 1) + [k, (2 * k - 1) * (k - 2)])
     if not maximal_permanents_vanish(rows):
         raise InternalConsistencyError("Kirkup construction broken: a maximal permanent is nonzero")
-    return KirkupMatrix(k, tuple(tuple(r) for r in rows))
+    return rows
 
 
 def maximal_permanents_vanish(mat) -> bool:

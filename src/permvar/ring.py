@@ -32,6 +32,10 @@ _FIELD_MASK = (1 << _WIDTH) - 1
 _DEG_BITS = 32
 # Largest determinant or minor expanded.
 SYMBOLIC_DET_BOUND = 8
+# Most variables in a ring: its packed-key weights take about 2 n^2 bytes
+# (a ring of 4,000 variables peaks at 35 MB, by tracemalloc).  The largest
+# ring a case builds has 64.
+MAX_VARS = 1024
 
 
 def _is_probable_prime(n: int) -> bool:
@@ -180,6 +184,14 @@ def block_order(elim_count: int) -> MonomialOrder:
     return MonomialOrder("block", elim_count)
 
 
+def _refuse_var_count(count: int):
+    if count > MAX_VARS:
+        raise CapacityError(
+            f"{count} variables exceed bound {MAX_VARS}: a ring's packed keys take "
+            "about 2 n^2 bytes"
+        )
+
+
 class VarUniverse:
     """A fixed, ordered list of variable names.
 
@@ -191,6 +203,7 @@ class VarUniverse:
 
     def __init__(self, names, shape=None):
         names = list(names)
+        _refuse_var_count(len(names))
         if len(set(names)) != len(names):
             raise StructuralError("duplicate variable names")
         for nm in names:
@@ -202,6 +215,7 @@ class VarUniverse:
 
     @staticmethod
     def matrix(k: int, n: int) -> "VarUniverse":
+        _refuse_var_count(max(k, 0) * max(n, 0))
         names = [f"x_{i}_{j}" for i in range(1, k + 1) for j in range(1, n + 1)]
         return VarUniverse(names, shape=(k, n))
 
@@ -873,12 +887,6 @@ class PolyMatrix:
     def __getitem__(self, ij):
         i, j = ij
         return self.rows[i][j]
-
-    def submatrix(self, row_idx, col_idx) -> "PolyMatrix":
-        return PolyMatrix([[self.rows[i][j] for j in col_idx] for i in row_idx])
-
-    def map(self, fn) -> "PolyMatrix":
-        return PolyMatrix([[fn(x) for x in r] for r in self.rows])
 
     def __repr__(self):
         m, n = self.dims

@@ -429,6 +429,24 @@ def test_kirkup_size_is_bounded():
     assert code == 0
 
 
+def test_variable_count_is_bounded(capsys, tmp_path):
+    """A ring's packed-key weights take about 2 n^2 bytes, and ``ideal gen
+    --h 1`` prints a generator per variable: a ring past MAX_VARS variables,
+    from the generator flags or an ideal file's header, is refused at once."""
+    from permvar.ring import MAX_VARS
+
+    path = tmp_path / "wide.txt"
+    path.write_text("vars: " + " ".join(f"v{i}" for i in range(MAX_VARS + 1)) + "\nv0\n")
+    for argv in (
+        ["ideal", "gen", "--k", "33", "--n", "32", "--h", "1"],
+        ["gb", "--ideal-file", str(path)],
+        ["slice", "--kind", "hankel2xn", "--param", str(MAX_VARS)],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and err.startswith("error: "), argv
+        assert "variables exceed bound" in err
+
+
 def test_perm_and_prk_sizes_are_bounded():
     """A 30 x 30 permanent takes Ryser or Glynn hours, and prk of a 20 x 20
     matrix may visit C(40, 20) (rows, columns) pairs: both are refused at

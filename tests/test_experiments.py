@@ -4,7 +4,9 @@ import hashlib
 import json
 import math
 import random
+from importlib import resources
 from itertools import combinations, permutations
+from types import SimpleNamespace
 
 import pytest
 
@@ -13,11 +15,15 @@ from permvar.config import DEFAULT_SEED, CliConfig
 from permvar.errors import PreconditionError, StructuralError
 from permvar.experiments import (
     _RUNNERS,
+    SCRIPT_5X6_A,
     _certified_codim,
+    _component_ideals_2xn,
+    _line_in_component,
     _partition_sum_ideals,
     _per_prime,
     _per_value,
     _script_slice,
+    _singular_lines_2xn,
     append_report,
     build_slice,
     case_ids,
@@ -31,8 +37,14 @@ from permvar.experiments import (
     two_zero_row_witness,
 )
 from permvar.groebner import buchberger, ideal_dimension, over_prime
-from permvar.permanent import GenericMatrixSpec, generic_matrix, permanental_ideal
-from permvar.ring import GF, PolyRing, matrix_minors
+from permvar.permanent import (
+    GenericMatrixSpec,
+    derivative_matrix_symbolic,
+    generic_matrix,
+    matrix_permanents,
+    permanental_ideal,
+)
+from permvar.ring import GF, ZZ, PolyMatrix, PolyRing, VarUniverse, matrix_minors
 
 
 def test_registry_integrity():
@@ -46,6 +58,19 @@ def test_registry_integrity():
         assert spec.timeout_s > 0
     for cid in _RUNNERS:
         assert cid in reg, f"runner {cid} not registered"
+
+
+def test_registry_refuses_a_repeated_id(monkeypatch):
+    from permvar import experiments
+
+    cases = json.loads(resources.files("permvar").joinpath("cases.json").read_text())
+    monkeypatch.setattr(experiments, "json", SimpleNamespace(loads=lambda _: cases + cases[:1]))
+    registry.cache_clear()
+    try:
+        with pytest.raises(StructuralError, match="duplicate case ids"):
+            registry()
+    finally:
+        registry.cache_clear()
 
 
 def test_unknown_case_rejected():
@@ -296,7 +321,7 @@ def test_per_value_runs_values_outer_primes_inner():
 
 def test_inconclusive_certificate_is_no_agreement():
     """Two inconclusive certificates agree on None, but certify nothing."""
-    from permvar.ring import QQ, VarUniverse
+    from permvar.ring import QQ
 
     R = PolyRing(VarUniverse.free(["x", "y"]), QQ)
     x, y = R.gens()
@@ -310,9 +335,99 @@ def test_symbolic_determinant_identities():
     assert out == {"det_S_h1": True, "det_S_h2": True, "det_Qprime": True}
 
 
+# ---------------------------------------------------------------------------
+# direct constructions against the substitutions they replaced: substitution
+# is a ring map, so the direct build must give the same polynomials
+
+
+def substituted_script_slice(k, A):
+    """The derived matrix of rows 2..k of the generic k x (k+1) matrix with
+    x_i_j, j >= 2, substituted column-major by the forms of A."""
+    B1 = derivative_matrix_symbolic(PolyMatrix(generic_matrix(k, k + 1).rows[1:]))
+    small = PolyRing(VarUniverse.free([f"x_{r}_1" for r in range(2, k + 1)]), ZZ)
+    xs = small.gens()
+    mapping, idx = {}, 0
+    for j in range(2, k + 2):
+        for i in range(2, k + 1):
+            form = small.zero
+            for r in range(k - 1):
+                if A[r][idx]:
+                    form = form + A[r][idx] * xs[r]
+            mapping[f"x_{i}_{j}"] = form
+            idx += 1
+    return [[e.substitute(mapping, target=small) for e in row] for row in B1.rows]
+
+
+def test_script_slice_equals_the_substituted_derived_matrix():
+    rng = random.Random(41)
+    draws = [[[rng.randrange(19) - 9 for _ in range(12)] for _ in range(3)] for _ in range(4)]
+    for row in draws[0]:
+        row[5] = 0  # a zero column: one form is the zero polynomial
+    for A in draws:
+        assert _script_slice(4, A).rows == substituted_script_slice(4, A)
+    assert _script_slice(5, SCRIPT_5X6_A).rows == substituted_script_slice(5, SCRIPT_5X6_A)
+
+
+def substituted_line_test(comp_gens, line, n):
+    """Whether every generator maps to zero when the line's two variables go
+    to s and u and every other variable of the 2 x n matrix to 0."""
+    span_ring = PolyRing(VarUniverse.free(["s", "u"]), comp_gens[0].ring.domain)
+    mapping = {f"x_{i}_{j}": span_ring.zero for i in (1, 2) for j in range(1, n + 1)}
+    for (i, j), image in zip(line, span_ring.gens()):
+        mapping[f"x_{i}_{j}"] = image
+    return all(g.substitute(mapping, target=span_ring).is_zero() for g in comp_gens)
+
+
+def random_sparse(ring, rng):
+    """Up to four terms, each a constant or a product of one or two
+    variables, so some terms use only one or two line variables."""
+    nvars = len(ring.universe)
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        exps = [0] * nvars
+        for v in rng.sample(range(nvars), rng.randint(0, 2)):
+            exps[v] = rng.randint(1, 3)
+        terms[tuple(exps)] = rng.randint(1, 6)
+    return ring.from_exp_dict(terms)
+
+
+def test_line_test_equals_the_substitution():
+    p = 101
+    seen = set()
+    for n in (3, 4):
+        ring = generic_matrix(2, n, GF(p)).ring
+        lines = _singular_lines_2xn(n)
+        for comp in _component_ideals_2xn(n, ring):
+            for line in lines:
+                got = _line_in_component(comp, line)
+                assert got == substituted_line_test(comp, line, n)
+                seen.add(got)
+        rng = random.Random(n)
+        for _ in range(200):
+            gens = [random_sparse(ring, rng) for _ in range(rng.randint(1, 2))]
+            line = rng.choice(lines)
+            got = _line_in_component(gens, line)
+            assert got == substituted_line_test(gens, line, n)
+            seen.add(got)
+    assert seen == {True, False}
+    # a constant, and a term in one line variable, survive on the line
+    ring = generic_matrix(2, 3, GF(p)).ring
+    line = ((1, 1), (1, 2))
+    assert not _line_in_component([ring.var(2, 1) * ring.var(2, 2) + 3], line)
+    assert not _line_in_component([ring.var(2, 1) + ring.var(1, 2) ** 2], line)
+    assert _line_in_component([ring.var(1, 1) * ring.var(2, 3)], line)
+
+
 def test_two_zero_row_witness():
-    assert two_zero_row_witness(4)
-    assert two_zero_row_witness(6)
+    """The witness against the substitution it replaced: the generic matrix
+    with its first two rows' variables mapped to 0."""
+    for k in range(4, 9):
+        M = generic_matrix(k, k)
+        mapping = {f"x_{i}_{j}": M.ring.zero for i in (1, 2) for j in range(1, k + 1)}
+        Z = PolyMatrix([[e.substitute(mapping) for e in row] for row in M.rows])
+        assert Z.rows == [[M.ring.zero] * k] * 2 + M.rows[2:]
+        assert not any(matrix_permanents(k - 1, Z))
+        assert two_zero_row_witness(k)
 
 
 def test_hankel_syzygy_requires_n4():
@@ -321,7 +436,7 @@ def test_hankel_syzygy_requires_n4():
 
 
 def test_dim0_certificate_small():
-    from permvar.ring import QQ, VarUniverse
+    from permvar.ring import QQ
 
     R = PolyRing(VarUniverse.free(["x", "y"]), QQ)
     x, y = R.gens()
@@ -334,7 +449,7 @@ def test_dim0_certificate_small():
 
 def test_dim0_certificate_honours_deadline():
     from permvar.errors import GroebnerTimeout
-    from permvar.ring import QQ, VarUniverse
+    from permvar.ring import QQ
 
     R = PolyRing(VarUniverse.free(["x", "y"]), QQ)
     x, y = R.gens()
@@ -407,11 +522,11 @@ def test_partition_sum_ideals_are_the_block_permanents():
                 continue
             s2 = tuple(i for i in range(k) if i not in s1)
             for by_rows in (True, False):
-                blocks = [
-                    M.submatrix(s, o) if by_rows else M.submatrix(o, s)
-                    for s in (s1, s2)
-                    for o in combinations(range(k), len(s))
-                ]
+                blocks = []
+                for s in (s1, s2):
+                    for o in combinations(range(k), len(s)):
+                        rows, cols = (s, o) if by_rows else (o, s)
+                        blocks.append(PolyMatrix([[M[i, j] for j in cols] for i in rows]))
                 expected.append([leibniz_perm(B) for B in blocks])
     assert list(_partition_sum_ideals(M)) == expected
 

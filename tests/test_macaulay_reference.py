@@ -261,7 +261,8 @@ def test_minor_values_are_the_symbolic_minors_at_the_points(p):
         cert = homogeneous_dim0_certificate((M, h), p, max_degree=min(8, p))
         assert cert == homogeneous_dim0_certificate(minors, p, max_degree=min(8, p))
     with pytest.raises(PreconditionError):
-        homogeneous_dim0_certificate((M.map(lambda e: e * e if e == M[0, 0] else e), 2), p)
+        squared = PolyMatrix([[e * e if e == M[0, 0] else e for e in row] for row in M.rows])
+        homogeneous_dim0_certificate((squared, 2), p)
 
 
 def test_certificate_zero_mod_p_generators_are_dropped():

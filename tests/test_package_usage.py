@@ -12,8 +12,6 @@ import permvar
 SRC = Path(permvar.__file__).parent
 
 ALLOWED = {
-    "groebner.save_ideal_file": "writes the ideal-file format the CLI reads (load_ideal_file)",
-    "permanent.matrix_to_json": "writes the matrix JSON form the CLI reads (matrix_from_json)",
     "linalg.rref_fraction": "exact RREF over QQ, derived from rank_kernel; a benchmark layer metric",
     "linalg.kernel_basis": "perfbench traces it",
     "ring._Pack.divides": (

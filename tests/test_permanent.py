@@ -1,6 +1,5 @@
 """Permanent engines, permanental rank, Kirkup matrices, derived matrices."""
 
-import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -20,7 +19,6 @@ from permvar.permanent import (
     hankel_matrix_2xn,
     kirkup_matrix,
     matrix_from_json,
-    matrix_to_json,
     perm_numeric,
     perm_symbolic,
     permanental_ideal,
@@ -126,7 +124,7 @@ def test_prk_basics():
 
 
 def test_prk_kirkup_3x4():
-    K = kirkup_matrix(3).as_lists()
+    K = kirkup_matrix(3)
     # all 3x3 permanents vanish (oracle above); rows {1,2} x cols {3,4} has
     # permanent 1*2 + (-7)(-4) = 30 != 0
     assert naive_perm([[K[0][2], K[0][3]], [K[1][2], K[1][3]]]) == 30
@@ -263,7 +261,7 @@ def test_permanental_ideal_counts():
 
 def test_permanental_ideal_vanishes_at_kirkup():
     gens = permanental_ideal(GenericMatrixSpec(3, 4))
-    flat = [x for row in kirkup_matrix(3).as_lists() for x in row]
+    flat = [x for row in kirkup_matrix(3) for x in row]
     assert [g.evaluate([flat]) for g in gens] == [[0], [0], [0], [0]]
 
 
@@ -286,6 +284,23 @@ def test_hankel_pattern():
     ]
 
 
+def test_hankel_variable_count_is_bounded():
+    """x0 .. xn are n + 1 variables: past MAX_VARS the matrix is refused
+    before its names are built (a million names would take about 60 MB)."""
+    from permvar.ring import MAX_VARS
+
+    with pytest.raises(CapacityError):
+        hankel_matrix_2xn(MAX_VARS)
+    assert hankel_matrix_2xn(MAX_VARS - 1).dims == (2, MAX_VARS - 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            hankel_matrix_2xn(10**6)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
+
+
 def test_circulant_patterns():
     H3 = circulant_hankel_matrix(3, 4, 5)
     assert H3[0, 0].text() == "x_1_1"
@@ -302,8 +317,11 @@ def test_circulant_patterns():
 
 
 def test_kirkup_matrix_displays():
-    assert kirkup_matrix(3).as_lists() == [[1, 1, 1, -7], [1, 1, -4, 2], [1, 1, 3, 5]]
-    assert kirkup_matrix(4).as_lists() == [
+    K = kirkup_matrix(3)
+    assert K == [[1, 1, 1, -7], [1, 1, -4, 2], [1, 1, 3, 5]]
+    K[0][0] = 9
+    assert kirkup_matrix(3)[0][0] == 1  # a fresh list each call
+    assert kirkup_matrix(4) == [
         [1, 1, 1, 1, -10],
         [1, 1, 1, 1, -10],
         [1, 1, 1, -6, 6],
@@ -313,7 +331,7 @@ def test_kirkup_matrix_displays():
 
 def test_kirkup_all_maximal_permanents_vanish():
     for k in range(3, 11):
-        rows = kirkup_matrix(k).as_lists()
+        rows = kirkup_matrix(k)
         for j in range(k + 1):
             sub = [[r[c] for c in range(k + 1) if c != j] for r in rows]
             assert perm_numeric(sub) == 0
@@ -326,7 +344,7 @@ def test_kirkup_needs_k_at_least_3():
 
 def test_derivative_matrix_b1_at_kirkup_point():
     # oracle: six 2x2 permanents by hand, e.g. entry (1,2) = (-4)*5 + 2*3 = -14
-    (B1,) = derivative_matrices([kirkup_matrix(3).weight_zero_part()])
+    (B1,) = derivative_matrices([kirkup_matrix(3)[1:]])
     assert B1 == [
         [0, -14, 7, -1],
         [-14, 0, 7, -1],
@@ -382,7 +400,7 @@ def kirkup_generators(k):
     n = k + 1
     M = generic_matrix(k, n)
     B = [
-        derivative_matrix_symbolic(M.submatrix([r for r in range(k) if r != ell], range(n)))
+        derivative_matrix_symbolic(PolyMatrix(M.rows[:ell] + M.rows[ell + 1 :]))
         for ell in range(k)
     ]
     f_list = [
@@ -397,7 +415,7 @@ def test_kirkup_generators_structure():
     assert len(fs) == 4 and len(gs) == 3
     # B_1 is the derived matrix of the generic 3x4 matrix without row 1: it is
     # symmetric with a zero diagonal (so each A_j has a zero column j)
-    B = derivative_matrix_symbolic(generic_matrix(3, 4).submatrix([1, 2], range(4)))
+    B = derivative_matrix_symbolic(PolyMatrix(generic_matrix(3, 4).rows[1:]))
     for i in range(4):
         assert B[i, i].is_zero()
         for j in range(4):
@@ -408,7 +426,7 @@ def test_kirkup_generators_structure():
 
 def test_kirkup_generators_vanish_at_kirkup_matrix():
     fs, gs = kirkup_generators(3)
-    flat = [x for row in kirkup_matrix(3).as_lists() for x in row]
+    flat = [x for row in kirkup_matrix(3) for x in row]
     assert all(f.evaluate([flat]) == [0] for f in fs)
     assert all(g.evaluate([flat]) == [0] for g in gs)
 
@@ -419,7 +437,7 @@ def test_partials_matrix_entries_are_generator_derivatives():
     maximal-permanent generators."""
     k = 3
     gens = permanental_ideal(GenericMatrixSpec(k, k + 1))
-    B = derivative_matrix_symbolic(generic_matrix(k, k + 1).submatrix(range(1, k), range(k + 1)))
+    B = derivative_matrix_symbolic(PolyMatrix(generic_matrix(k, k + 1).rows[1:]))
     for j in range(1, k + 2):
         # colex generator ordering: position m omits column k+1-m
         perm_j = gens[k + 1 - j]
@@ -434,9 +452,7 @@ def test_partials_matrix_entries_are_generator_derivatives():
 
 def test_matrix_json_roundtrip():
     A = [[1, -7], [Fraction(3, 2), 0]]
-    blob = json.dumps(matrix_to_json(A))
-    B = matrix_from_json(blob)
-    assert B == A
+    assert matrix_from_json('[["1", "-7"], ["3/2", "0"]]') == A
     assert matrix_from_json([[1, 2], [3, 4]]) == [[1, 2], [3, 4]]
     with pytest.raises(StructuralError):
         matrix_from_json([[1], [2, 3]])

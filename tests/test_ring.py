@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -67,6 +68,26 @@ def test_fraction_coefficient_enters_prime_field_by_inverse():
     assert R.from_exp_dict({(1,): Fraction(-3, 2)}).text() == "2*x"  # -3 * 4 = 2 mod 7
     with pytest.raises(StructuralError):
         R.from_exp_dict({(1,): Fraction(1, 7)})
+
+
+def test_variable_count_is_bounded():
+    """A ring's packed-key weights take about 2 n^2 bytes, so a universe past
+    MAX_VARS variables is refused; a matrix universe is refused on k * n,
+    before its names are built (a million names would take about 60 MB)."""
+    from permvar.ring import MAX_VARS
+
+    with pytest.raises(CapacityError):
+        VarUniverse([f"v{i}" for i in range(MAX_VARS + 1)])
+    assert len(VarUniverse([f"v{i}" for i in range(MAX_VARS)])) == MAX_VARS
+    with pytest.raises(CapacityError):
+        VarUniverse.matrix(33, 32)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError):
+            VarUniverse.matrix(1, 10**6)
+        assert tracemalloc.get_traced_memory()[1] < 1 << 20
+    finally:
+        tracemalloc.stop()
 
 
 def test_rational_inverse_is_exact():
@@ -516,7 +537,7 @@ def test_shifted_permanent_linear_part_spans_stated_hyperplane():
     fact = math.factorial(k - 1)
     for j in range(n):
         cols = [c for c in range(n) if c != j]
-        g = perm_symbolic(M.submatrix(range(k), cols))
+        g = perm_symbolic(PolyMatrix([[row[c] for c in cols] for row in M.rows]))
         linear = R.from_terms({key: c for key, c in g.terms if R.pack.degree(key) == 1})
         want = R.zero
         for c in cols:

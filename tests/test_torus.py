@@ -123,7 +123,7 @@ def test_weight_assignment_validation():
 
 def test_limit_map_zeroes_weight_one_rows():
     w = WeightAssignment((3, 4), (1,))
-    K = kirkup_matrix(3).as_lists()
+    K = kirkup_matrix(3)
     lm = limit_map(K, w)
     assert lm == [[0, 0, 0, 0], K[1], K[2]]
     assert limit_map(lm, w) == lm  # idempotent
@@ -152,11 +152,11 @@ def test_classify_type_random_full_rank():
 def test_classify_type_kirkup_points():
     for k in range(3, 9):
         K = kirkup_matrix(k)
-        rep = classify_type(K.weight_zero_part(), "B1")
+        rep = classify_type(K[1:], "B1")
         assert rep.rank == k
         assert rep.corank == 1
         assert rep.type == 1
-    rep3 = classify_type(kirkup_matrix(3).weight_zero_part(), "B1")
+    rep3 = classify_type(kirkup_matrix(3)[1:], "B1")
     assert rep3.kernel_basis == ((1, 1, 1, -7),)
 
 
@@ -174,19 +174,19 @@ def test_classify_type_zero_column_gives_rank_2():
 
 
 def test_type_report_json():
-    rep = classify_type(kirkup_matrix(3).weight_zero_part(), "B1", seed=9)
+    rep = classify_type(kirkup_matrix(3)[1:], "B1", seed=9)
     blob = rep.to_json()
     assert blob["rank"] == 3 and blob["type"] == 1 and blob["seed"] == 9
     assert blob["kernel_basis"] == [[1, 1, 1, -7]]
     # the mode only labels the report, but it must name a mode
-    assert classify_type(kirkup_matrix(3).weight_zero_part(), "L").rank == 3
+    assert classify_type(kirkup_matrix(3)[1:], "L").rank == 3
     with pytest.raises(StructuralError):
-        classify_type(kirkup_matrix(3).weight_zero_part(), "bogus")
+        classify_type(kirkup_matrix(3)[1:], "bogus")
 
 
 def test_kernel_extension_check_b1():
     K3 = kirkup_matrix(3)
-    A_p = K3.weight_zero_part()
+    A_p = K3[1:]
     assert kernel_extension_check(A_p, (1, 1, 1, -7))
     assert kernel_extension_check(A_p, (0, 0, 0, 0))
     assert kernel_extension_check(A_p, (2, 2, 2, -14))  # kernel is a line
@@ -277,7 +277,7 @@ def _qq_gens(k, n):
 def test_tangent_decomposition_kirkup():
     for k in (3, 4, 5):
         w = WeightAssignment((k, k + 1), (1,))
-        p = limit_map(kirkup_matrix(k).as_lists(), w)
+        p = limit_map(kirkup_matrix(k), w)
         assert tangent_decomposition(p, w, _qq_gens(k, k + 1)) == ((k - 1) * (k + 1), 1)
 
 
@@ -305,4 +305,4 @@ def test_tangent_decomposition_requires_fixed_point():
     w = WeightAssignment((3, 4), (1,))
     gens = _qq_gens(3, 4)
     with pytest.raises(PreconditionError):
-        tangent_decomposition(kirkup_matrix(3).as_lists(), w, gens)
+        tangent_decomposition(kirkup_matrix(3), w, gens)
