@@ -530,34 +530,41 @@ def symbolic_determinant_identities() -> dict:
     return out
 
 
+def hankel_chart_generators(chart_ring: PolyRing) -> list:
+    """Each chart's generators: the 2 x 2 permanents of the Hankel matrix of
+    its images of x0 .. xn, the chart ring's n variables and 1: x_n -> 1,
+    then x0 -> 1 with the mirror x_i -> x_{n-i}."""
+    n = len(chart_ring.universe)
+    xs = chart_ring.gens() + [chart_ring.one]
+    return [
+        matrix_permanents(2, PolyMatrix([images[i : i + n] for i in range(2)]))
+        for images in (xs, xs[::-1])
+    ]
+
+
 def hankel_chart_case(n: int, p: int) -> dict:
     """Chart ideals over F_p of the 2 x n Hankel permanental scheme at both
     support points: zero-dimensional, local degree 4, and the stated
-    monomial basis.  A chart's ideal is the 2 x 2 permanents of the Hankel
-    matrix of its images of x0 .. xn: x_n -> 1, then x0 -> 1 with the
-    mirror x_i -> x_{n-i}."""
+    monomial basis.  The mirror turns the Hankel matrix upside down and
+    back to front, which leaves every 2 x 2 permanent as it is, so the two
+    charts have one generator set and one basis, computed once."""
     chart_ring = PolyRing(VarUniverse.free([f"x{i}" for i in range(n)]), GF(p))
-    xs = chart_ring.gens() + [chart_ring.one]
-    charts = [xs, xs[::-1]]
+    first, mirrored = hankel_chart_generators(chart_ring)
+    if set(first) != set(mirrored):
+        raise InternalConsistencyError(f"the two Hankel charts of n = {n} differ")
     # 1, x_{n-3}, x_{n-2}, x_{n-1}: in dimension 0 the degree counts the
     # standard monomials, so four standard ones of degree 4 are all of them
     expected = [(0,) * n] + [tuple(int(i == j) for i in range(n)) for j in range(n - 3, n)]
     expected_basis = [chart_ring.from_exp_dict({e: 1}) for e in expected]
-    dims, degrees, basis_matches = [], [], True
-    for images in charts:
-        G = buchberger(matrix_permanents(2, PolyMatrix([images[i : i + n] for i in range(2)])))
-        rep = ideal_dimension(G)
-        dims.append(rep.dim)
-        degrees.append(rep.degree)
-        basis_matches &= (
-            rep.dim == 0
-            and rep.degree == 4
-            and all(normal_form(b, G) == b for b in expected_basis)
-        )
+    G = buchberger(first)
+    rep = ideal_dimension(G)
+    basis_matches = (
+        rep.dim == 0 and rep.degree == 4 and all(normal_form(b, G) == b for b in expected_basis)
+    )
     return {
-        "dims": dims,
-        "local_degrees": degrees,
-        "total_degree": sum(d or 0 for d in degrees),
+        "dims": [rep.dim] * 2,
+        "local_degrees": [rep.degree] * 2,
+        "total_degree": 2 * (rep.degree or 0),
         "basis_matches": basis_matches,
         "syzygy": hankel_syzygy_identity(n),
     }

@@ -35,6 +35,7 @@ from .errors import (
 )
 from .linalg import _dims
 from .ring import (
+    MAX_VARS,
     ZZ,
     MPoly,
     PolyMatrix,
@@ -272,7 +273,12 @@ def hankel_matrix_2xn(n: int, domain=ZZ) -> PolyMatrix:
 
 def circulant_hankel_matrix(k: int, n: int, nvars: int, domain=ZZ) -> PolyMatrix:
     """k x n matrix with entry (i, j) = x_{(i+j-2) mod nvars}, 1-based,
-    named x_1_1 .. x_1_nvars."""
+    named x_1_1 .. x_1_nvars; refused above MAX_VARS entries, as a generic
+    matrix is."""
+    if k * n > MAX_VARS:
+        raise CapacityError(
+            f"circulant matrix of {k} x {n} = {k * n} entries exceeds bound {MAX_VARS}"
+        )
     ring = PolyRing(VarUniverse.matrix(1, nvars), domain)
     g = ring.gens()
     return PolyMatrix([[g[(i + j) % nvars] for j in range(n)] for i in range(k)])

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import chain, combinations, compress, repeat
+from itertools import combinations
 from operator import add, itemgetter, mul
 
 from .errors import (
@@ -322,6 +322,27 @@ class _Pack:
             exps[i] = _FIELD_CAP - ((key >> (w * (i - m))) & _FIELD_MASK)
         return tuple(exps)
 
+    def spell(self, key: int) -> tuple:
+        """The monomial's variables in increasing order, each repeated by its
+        exponent.  Only the fields whose guard bit ``zeros`` leaves clear are
+        read: the lex fields from the top (variable 0 is highest), then the
+        complement fields from the bottom."""
+        w, out = _WIDTH, []
+        nonzero = self.zeros(key) ^ self.guard
+        high = nonzero >> self._low_bits
+        last = self.n - self._tail - 1
+        while high:
+            top = high.bit_length() - w
+            high &= (1 << top) - 1
+            out += [last - top // w] * ((key >> (self._low_bits + top)) & _FIELD_MASK)
+        low = nonzero & self._guard_low
+        while low:
+            bit = low & -low
+            low ^= bit
+            field = bit.bit_length() - w
+            out += [last + 1 + field // w] * (_FIELD_CAP - ((key >> field) & _FIELD_MASK))
+        return tuple(out)
+
     def quotient(self, kb: int, ka: int) -> int:
         """Key of b/a; caller guarantees divisibility."""
         return kb - ka + self.offset
@@ -461,8 +482,8 @@ class PolyRing:
 class MPoly:
     """Immutable sparse polynomial; terms sorted descending in the order."""
 
-    # _program: the terms compiled for evaluate() and substitute(), filled
-    # by the first call of either
+    # _program: the Horner program walked by evaluate() and substitute(),
+    # compiled by the first call of either
     __slots__ = ("ring", "terms", "_program")
 
     def __init__(self, ring: PolyRing, terms: tuple):
@@ -650,8 +671,9 @@ class MPoly:
         ``mapping`` sends variable indices or names to MPoly (or scalars) in
         ``target`` (defaults to this ring).  Unmapped variables must exist by
         name in the target universe.  This is evaluation at one point whose
-        coordinates are the images: it walks the program of :meth:`_compile`,
-        as :meth:`evaluate` does, with the products taken in ``target``.
+        coordinates are the images: it walks the Horner program of
+        :meth:`_compile`, as :meth:`evaluate` does, with the sums and
+        products taken in ``target``.
         """
         ring = target or self.ring
         subs = {}
@@ -670,23 +692,17 @@ class MPoly:
                     raise StructuralError(f"variable {name} has no image")
                 subs[i] = ring.gen(name)
             images.append(subs[i])
-        coerce = ring.domain.coerce
-        acc: dict = {}
-        for c, value in self._walk(images, MPoly.__mul__, ring.one):
-            c = coerce(c)
-            for k, v in value.terms:
-                acc[k] = acc.get(k, 0) + c * v
-        return ring.from_terms(acc)
+        return self._horner(images, MPoly.__mul__, MPoly.__add__, ring.const)
 
     def evaluate(self, points) -> list:
         """Exact values at a batch of full points (a list of points, each a
         list of scalars), one per point, in batch order.
 
         The points are held as lanes, one list per variable that occurs,
-        with one entry per point, each coordinate coerced once; the program
-        of :meth:`_compile` is walked with a product being one ``map`` over
-        the lanes.  The sums are taken over the integers (or rationals) and
-        coerced into the domain once, at the end.
+        with one entry per point, each coordinate coerced once; the Horner
+        program of :meth:`_compile` is walked with a sum or a product being
+        one ``map`` over the lanes.  The sums are taken over the integers (or
+        rationals) and coerced into the domain once, at the end.
         """
         n = len(self.universe)
         for point in points:
@@ -700,65 +716,82 @@ class MPoly:
                 raise StructuralError(f"point has length {size}, expected {n}")
         coerce = self.ring.domain.coerce
         lanes = [list(map(coerce, map(itemgetter(i), points))) for i in self._compile()[0]]
-        total = [0] * len(points)
-        products = self._walk(lanes, lambda a, b: list(map(mul, a, b)), [1] * len(points))
-        for c, value in products:
-            if c == 1:
-                total = list(map(add, total, value))
-            else:
-                total = list(map(add, total, map(mul, value, repeat(c))))
+        total = self._horner(
+            lanes,
+            lambda a, b: list(map(mul, a, b)),
+            lambda a, b: list(map(add, a, b)),
+            lambda c: [c] * len(points),
+        )
         return list(map(coerce, total))
 
-    def _walk(self, factors, product, one):
-        """``(coeff, value)`` for each step of the compiled program, value
-        being ``product`` of ``one`` and the term's factors, taken from
-        ``factors`` (one per variable that occurs, in the order of
-        :meth:`_compile`).  A term reuses the product of the leading factors
-        it shares with the one before it."""
-        # prefix[d]: the product of the current term's first d factors
-        prefix = [one]
-        for c, shared, rest in self._compile()[1]:
-            del prefix[shared + 1:]
-            value = prefix[-1]
-            for i in rest:
-                value = product(value, factors[i])
-                prefix.append(value)
-            yield c, value
+    def _horner(self, factors, mul, add, const):
+        """The polynomial's value, walking the nodes of :meth:`_compile` in
+        order: a node's value is ``const`` of its coefficient plus, over its
+        edges, ``mul`` of the edge's factor (from ``factors``, one per
+        variable that occurs) and the child's value, summed with ``add``."""
+        values = []
+        for c, edges in self._compile()[1]:
+            value = const(c) if c or not edges else None
+            for lane, child in edges:
+                term = factors[lane] if child is None else mul(factors[lane], values[child])
+                value = term if value is None else add(value, term)
+            values.append(value)
+        return values[-1]
 
     def _compile(self):
-        """``(variables, program)``, computed on the first call and kept in
-        ``_program``: the variables that occur, and the steps ``(coeff,
-        shared, rest)``.  A term is spelled as its sequence of variables,
-        one per unit of exponent, and the terms run in the order of those
-        sequences, so a term shares the leading factors ``shared`` with the
-        one before it and multiplies on only the factors ``rest``, given as
-        positions in ``variables``.  The polynomial is immutable, so every
-        later call reuses the program."""
+        """``(variables, nodes)``, computed on the first call and kept in
+        ``_program``: the variables that occur, and a multivariate Horner
+        scheme with shared subtrees.  A term is spelled as its sequence of
+        variables, one per unit of exponent, in increasing order; the
+        spellings form a trie whose edges are variables (given as positions
+        in ``variables``) and whose nodes carry the coefficient of the term
+        that ends there, or 0.  Identical subtrees are one node ``(coeff,
+        ((lane, child), ...))``, numbered children first, so the root comes
+        last.  A leaf of coefficient 1 is not a node: its edge's child is
+        None, and the parent takes the factor alone.  On the n x n generic
+        permanent this gives one node per set of columns left, and
+        n*2^(n-1) edges.  The polynomial is immutable, so every later call
+        reuses the program."""
         try:
             return self._program
         except AttributeError:
             pass
-        unpack = self.ring.pack.unpack
-        places = range(len(self.universe))
-
-        def spell(exps):
-            # each variable of the term's support, repeated by its exponent
-            support = compress(places, exps)
-            return tuple(chain.from_iterable(map(repeat, support, compress(exps, exps))))
-
-        spelled = sorted((spell(unpack(k)), c) for k, c in self.terms)
+        spell = self.ring.pack.spell
+        spelled = sorted((spell(k), c) for k, c in self.terms)
         variables = sorted({i for factors, _ in spelled for i in factors})
         lane = {v: j for j, v in enumerate(variables)}
-        program, before = [], ()
+        nodes, ids = [], {}
+        # stack[d]: the open node at depth d of the current term's path, as
+        # [coeff, edges, lane of the edge into it]
+        stack = [[0, [], None]]
+
+        def close_below(depth):
+            # each open node deeper than depth becomes an edge of its parent
+            while len(stack) > depth + 1:
+                c, edges, j = stack.pop()
+                key = (c, tuple(edges))
+                if key == (1, ()):
+                    node = None
+                elif (node := ids.get(key)) is None:
+                    node = ids[key] = len(nodes)
+                    nodes.append(key)
+                stack[-1][1].append((j, node))
+
+        before = ()
         for factors, c in spelled:
             shared = 0
             for a, b in zip(factors, before):
                 if a != b:
                     break
                 shared += 1
-            program.append((c, shared, tuple(lane[i] for i in factors[shared:])))
+            close_below(shared)
+            stack.extend([0, [], lane[i]] for i in factors[shared:])
+            stack[-1][0] = c
             before = factors
-        self._program = variables, tuple(program)
+        close_below(0)
+        c, edges, _ = stack[0]
+        nodes.append((c, tuple(edges)))  # the root, even when it is 1
+        self._program = variables, tuple(nodes)
         return self._program
 
     def max_coeff_bits(self) -> int:

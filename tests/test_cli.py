@@ -447,6 +447,20 @@ def test_variable_count_is_bounded(capsys, tmp_path):
         assert "variables exceed bound" in err
 
 
+def test_circulant_width_is_bounded(capsys):
+    """A circulant matrix has few variables but k * n entries, and its
+    permanents grow with the entries: past MAX_VARS entries it is refused
+    before anything is built, as a generic matrix is."""
+    from permvar.ring import MAX_VARS
+
+    argv = ["ideal", "gen", "--k", "2", "--pattern", "circulant", "--period", "3", "--h", "1"]
+    code, out, err = run(capsys, *argv, "--n", str(MAX_VARS // 2 + 1))
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert "entries exceeds bound" in err
+    code, out, _ = run(capsys, *argv, "--n", str(MAX_VARS // 2))
+    assert code == 0 and len(out.splitlines()) == MAX_VARS  # one 1 x 1 permanent per entry
+
+
 def test_perm_and_prk_sizes_are_bounded():
     """A 30 x 30 permanent takes Ryser or Glynn hours, and prk of a 20 x 20
     matrix may visit C(40, 20) (rows, columns) pairs: both are refused at

@@ -12,7 +12,7 @@ import pytest
 
 from permvar.budget import Budget
 from permvar.config import DEFAULT_SEED, CliConfig
-from permvar.errors import PreconditionError, StructuralError
+from permvar.errors import InternalConsistencyError, PreconditionError, StructuralError
 from permvar.experiments import (
     _RUNNERS,
     SCRIPT_5X6_A,
@@ -27,6 +27,8 @@ from permvar.experiments import (
     append_report,
     build_slice,
     case_ids,
+    hankel_chart_case,
+    hankel_chart_generators,
     hankel_syzygy_identity,
     homogeneous_dim0_certificate,
     registry,
@@ -204,6 +206,26 @@ def test_probe_cases_refuse_a_wrong_lane_engine(case_id, monkeypatch):
     assert rep.status == "failed-error"
     assert not rep.passed
     assert "differs from its own expansion" in rep.measured["error"]
+
+
+def test_hankel_charts_share_one_generator_set(monkeypatch):
+    """The mirrored chart's generators are the first chart's, so one basis
+    serves both; a chart that differs is an internal fault, not a result."""
+    from permvar import experiments
+
+    for n in range(4, 8):
+        ring = PolyRing(VarUniverse.free([f"x{i}" for i in range(n)]), GF(65537))
+        first, mirrored = hankel_chart_generators(ring)
+        assert first != mirrored and set(first) == set(mirrored)
+    assert hankel_chart_case(5, 65537)["local_degrees"] == [4, 4]
+
+    def asymmetric(ring):
+        first, mirrored = hankel_chart_generators(ring)
+        return first, mirrored[1:]
+
+    monkeypatch.setattr(experiments, "hankel_chart_generators", asymmetric)
+    with pytest.raises(InternalConsistencyError):
+        hankel_chart_case(5, 65537)
 
 
 def test_parameter_override_narrows_case():

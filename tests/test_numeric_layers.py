@@ -2,7 +2,7 @@
 implementations, copied here:
 
 - term-by-term evaluation that unpacks every monomial key on each call;
-- the compiled evaluation program, with every term spelled by a generator;
+- per-term substitution (``test_substitution.ref_substitute``);
 - classical ``Fraction`` Gauss-Jordan elimination for rank, RREF and kernel;
 - derived sub-permanent matrices from one Ryser permanent per column pair.
 """
@@ -28,6 +28,7 @@ from permvar.permanent import (
 )
 from permvar.ring import GF, QQ, ZZ, PolyRing, VarUniverse
 from permvar.torus import classify_type, jacobian, jacobian_rank_at
+from test_substitution import ref_substitute
 
 P = 2147483647
 
@@ -183,24 +184,18 @@ def test_evaluate_zero_polynomial_and_length_check():
                 f.evaluate(bad)
 
 
-def ref_compile(f):
-    """``MPoly._compile`` with every term spelled by one generator."""
-    unpack = f.ring.pack.unpack
-    spelled = sorted(
-        (tuple(i for i, e in enumerate(unpack(k)) for _ in range(e)), c) for k, c in f.terms
-    )
-    variables = sorted({i for factors, _ in spelled for i in factors})
-    lane = {v: j for j, v in enumerate(variables)}
-    program, before = [], ()
-    for factors, c in spelled:
-        shared = 0
-        for a, b in zip(factors, before):
-            if a != b:
-                break
-            shared += 1
-        program.append((c, shared, tuple(lane[i] for i in factors[shared:])))
-        before = factors
-    return variables, tuple(program)
+def horner_cases(ring):
+    """The zero polynomial, the constant 1, a constant term, exponents above
+    1, and two subtrees alike but for one coefficient."""
+    w, x, y, z = ring.gens()
+    return [
+        ring.zero,
+        ring.one,
+        ring.const(5),
+        x * (y + z) + w * (y + 2 * z),
+        x**3 * y**2 - 3 * x * y**2 + 4 * w - 7,
+        (x + y + 1) ** 4 + w * z,
+    ]
 
 
 @pytest.mark.parametrize(
@@ -208,17 +203,51 @@ def ref_compile(f):
     [
         (ZZ, lambda r: r.randint(-50, 50)),
         (QQ, lambda r: Fraction(r.randint(-50, 50), r.randint(1, 7))),
+        (GF(P), lambda r: r.randrange(P)),
+        (GF(7), lambda r: r.randrange(7)),
     ],
 )
-def test_compile_matches_reference_spelling(domain, coeff):
-    rng = random.Random(11)
-    ring = PolyRing(VarUniverse.free(["a", "b", "c", "d", "e"]), domain)
-    for max_exp in (1, 1, 2, 3):
-        for _ in range(30):
-            f = random_poly(ring, rng, rng.randint(0, 15), max_exp, coeff)
-            assert f._compile() == ref_compile(f)
-    f = permanental_ideal(GenericMatrixSpec(3, 3))[0]  # squarefree, every term
-    assert f._compile() == ref_compile(f)
+def test_horner_program_matches_naive_sum(domain, coeff):
+    """evaluate against the term-by-term sum of c * x^e, and substitute with
+    polynomial images against the per-term product, on the same program."""
+    rng = random.Random(13)
+    ring = PolyRing(VarUniverse.free(["w", "x", "y", "z"]), domain)
+    target = PolyRing(VarUniverse.free(["s", "t"]), domain)
+    polys = horner_cases(ring) + [
+        random_poly(ring, rng, rng.randint(0, 15), max_exp, coeff)
+        for max_exp in (1, 2, 3)
+        for _ in range(15)
+    ]
+    for f in polys:
+        batch = [[coeff(rng) for _ in range(4)] for _ in range(3)]
+        assert f.evaluate(batch) == [ref_evaluate(f, pt) for pt in batch]
+        images = {v: random_poly(target, rng, rng.randint(0, 3), 2, coeff) for v in "wxyz"}
+        assert f.substitute(images, target=target) == ref_substitute(f, images, target)
+        assert f.substitute({}) == f
+    # the subtrees under w and x differ in z's coefficient: a leaf 2, a
+    # node each for w and x, and the root
+    assert len(horner_cases(ring)[3]._compile()[1]) == 4
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_permanent_program_shares_column_subsets(n):
+    """The terms of the n x n permanent left after its first rows are the
+    permanent of the columns left, so the program has one node per nonempty
+    column set and an edge per column in it: n * 2^(n-1) products."""
+    f = permanental_ideal(GenericMatrixSpec(n, n))[0]
+    nodes = f._compile()[1]
+    assert len(nodes) == 2**n - 1
+    assert sum(len(edges) for _, edges in nodes) == n * 2 ** (n - 1)
+
+
+def test_deep_term_compiles_without_recursion():
+    for domain in (ZZ, GF(P)):
+        ring = PolyRing(VarUniverse.free(["x", "y"]), domain)
+        x, y = ring.gens()
+        f = x**3000 * y + 1
+        assert f.evaluate([[1, 2], [-1, 5], [2, 0]]) == [3, 6, 1]
+        assert f.substitute({"y": 2}) == 2 * x**3000 + 1
+        assert f.substitute({"x": y}) == y**3001 + 1
 
 
 # ---------------------------------------------------------------------------

@@ -244,6 +244,23 @@ def test_key_degree_and_divisibility_oracles(order):
             assert pack._guard_low and pack._guard_high  # keys with both parts
 
 
+@pytest.mark.parametrize("order", KEY_ORDERS, ids=KEY_IDS)
+def test_spell_reads_only_the_support(order):
+    """A key's spelling from its nonzero fields equals the one read off the
+    full exponent vector, with exponents up to 300 and the cap once."""
+    rng = random.Random(29)
+    for n in range(1, 10):
+        pack = PolyRing(VarUniverse.free([f"v{i}" for i in range(n)]), GF(101), order).pack
+        for _ in range(60):
+            exps = tuple(rng.choice([0, 0, 1, rng.randint(0, 300)]) for _ in range(n))
+            key = pack.pack(exps)
+            want = tuple(i for i, e in enumerate(pack.unpack(key)) for _ in range(e))
+            assert pack.spell(key) == want
+    exps = (2, CAP, 0, 1)
+    pack = PolyRing(VarUniverse.free(["a", "b", "c", "d"]), GF(101), order).pack
+    assert pack.spell(pack.pack(exps)) == (0, 0) + (1,) * CAP + (3,)
+
+
 def test_degrevlex_tiebreak():
     # same degree: the monomial avoiding the last variable wins
     R = PolyRing(VarUniverse.matrix(2, 2), QQ)
