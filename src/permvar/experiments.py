@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, partial, reduce
 from importlib import resources
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement
 from math import comb, prod
 
 from . import __version__, linalg
@@ -310,14 +310,23 @@ def _certificate_points(p: int, m: int, count: int):
     return list(seen)
 
 
-def _minor_values(gens, p: int, points):
-    """``(degrees, values)`` of the h x h minors of M for ``gens`` = (M, h),
+def _minor_values(gens, p: int):
+    """``(degrees, values)`` for the h x h minors of M, ``gens`` = (M, h),
     or of a list, the 1 x 1 minors of its one-row matrix, in
     ``matrix_minors`` order: each minor's degree (negative if its entries
-    vanish mod p) and its values mod p at ``points``.  Each distinct entry
-    is evaluated once over F_p; the minors are expanded along their first
-    row in numpy, reduced mod p after every product (int64 for p < 2**31,
-    else object).  The entries must be homogeneous, for h > 1 of one degree."""
+    vanish mod p), and ``values(points)``, an array with a row of each
+    minor's values mod p at ``points``.
+
+    The entries are moved into F_p and tagged with their degree here, once.
+    ``values`` walks each distinct entry's own Horner program
+    (``MPoly._horner``, compiled on the first call) over numpy lanes, one
+    per variable, reduced mod p after every sum and product: int64 for
+    p < 2**31, where a product stays below 2**62, else object.  The k x k
+    minors come from the (k-1) x (k-1) ones by expansion along their first
+    row: for each position t, one gather of the entries (R[0], C[t]) and of
+    the minors (R[1:], C without C[t]) over every (R, C) at once, so a call
+    takes O(h^2) array operations past the entries' programs.  The entries
+    must be homogeneous, for h > 1 of one degree."""
     import numpy as np
 
     M, h = gens if isinstance(gens[0], PolyMatrix) else (PolyMatrix([list(gens)]), 1)
@@ -325,20 +334,49 @@ def _minor_values(gens, p: int, points):
     degree = {g.total_degree() for row in entries for g in row if g}
     if not all(g.is_homogeneous() for row in entries for g in row) or (h > 1 and len(degree) > 1):
         raise PreconditionError("certificate needs homogeneous generators")
+    distinct: dict = {}  # terms -> (position, entry)
+    at = [[distinct.setdefault(g.terms, (len(distinct), g))[0] for g in row] for row in entries]
+    (m, n), nvars = M.dims, len(M.ring.universe)
     dtype = np.int64 if p < 1 << 31 else object
-    value = cache(lambda g: np.array(g.evaluate(points), dtype=dtype))
-    (m, n), dets = M.dims, {((), ()): 1}
+    # per level k, per position t: the entries and the (k-1)-minors to multiply
+    expansions, index = [], {((), ()): 0}
     for k in range(1, h + 1):
-        dets = {
-            (R, C): sum(
-                (-1) ** t * value(entries[R[0]][c]) * dets[R[1:], C[:t] + C[t + 1 :]] % p
-                for t, c in enumerate(C)
-            ) % p
-            for R, C in product(combinations(range(m), k), combinations(range(n), k))
-        }
-    keys = [(R, C) for C in combinations(range(n), h) for R in combinations(range(m), h)]
+        keys = [(R, C) for C in combinations(range(n), k) for R in combinations(range(m), k)]
+        expansions.append([
+            (
+                np.array([at[R[0]][C[t]] for R, C in keys]),
+                np.array([index[R[1:], C[:t] + C[t + 1 :]] for R, C in keys]),
+            )
+            for t in range(k)
+        ])
+        index = {key: i for i, key in enumerate(keys)}
     degrees = [h * max(entries[i][j].total_degree() for i in R for j in C) for R, C in keys]
-    return degrees, np.array([dets[key] for key in keys], dtype=dtype)
+
+    def mul(a, b):
+        return a * b % p
+
+    def add(a, b):
+        return (a + b) % p
+
+    def values(points):
+        pts = np.array(points, dtype=dtype).reshape(len(points), nvars).T % p
+
+        def const(c):
+            return np.full(len(points), c, dtype=dtype)
+
+        lanes = np.stack([
+            g._horner(pts[g._compile()[0]], mul, add, const) for _, g in distinct.values()
+        ])
+        minors = np.ones((1, len(points)), dtype=dtype)
+        for expansion in expansions:
+            total = 0
+            for t, (entry, minor) in enumerate(expansion):
+                term = lanes[entry] * minors[minor] % p
+                total = total - term if t % 2 else total + term
+            minors = total % p
+        return minors
+
+    return degrees, values
 
 
 def _evaluation_matrix(rows: dict, points, d: int, p: int):
@@ -375,7 +413,8 @@ def homogeneous_dim0_certificate(gens, p: int, max_degree: int = 60):
 
     if not gens:
         return None
-    degrees, values = _minor_values(gens, p, [])
+    degrees, minor_values = _minor_values(gens, p)
+    values = minor_values([])
     m = len(gens[0].ring.universe)
     points, last_deficiency, stalled = [], None, 0
     for d in range(max(0, *degrees), max_degree + 1):
@@ -386,7 +425,7 @@ def homogeneous_dim0_certificate(gens, p: int, max_degree: int = 60):
         # the value columns and the points extend together, so they stay
         # aligned whatever the point helper returns
         new = _certificate_points(p, m, ncols + SPARE_POINTS)[len(points) :]
-        values = np.hstack((values, _minor_values(gens, p, new)[1]))
+        values = np.hstack((values, minor_values(new)))
         points += new
         rows = {(dg, tuple(v.tolist())): v for dg, v in zip(degrees, values) if v.any()}
         if not rows:
@@ -858,7 +897,7 @@ def _run_script_5x6(spec, cfg):
     nonzero value rows of the minors at the first prime's first SPARE_POINTS
     points: the slice is symmetric, so 210 of them prove exactly 210."""
     source = (_script_slice(5, SCRIPT_5X6_A), 3)
-    _, values = _minor_values(source, cfg.prime, _certificate_points(cfg.prime, 4, SPARE_POINTS))
+    values = _minor_values(source, cfg.prime)[1](_certificate_points(cfg.prime, 4, SPARE_POINTS))
     codim, agree = _certified_codim(source, cfg.primes)
     distinct = len({tuple(row) for row in values.tolist() if any(row)})
     return {"distinct_minors": distinct, "minors3_codim": codim}, agree

@@ -30,7 +30,11 @@ the reducer, g = gcd(a, c), after the work, the terms already emitted and D
 are scaled by a/g when a does not divide c.  Over QQ the input is put over
 its common denominator on entry and the result is divided by D once on exit,
 so no Fraction arithmetic runs inside the loop.  Over F_p every reducer is
-monic, so a = 1, D = 1 and nothing is ever rescaled.
+monic, so a = 1, D = 1 and nothing is ever rescaled, and the reduction mod p
+is delayed (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008): a reducer term
+only adds c times its coefficient to the work, and each coefficient is
+reduced once, when its term is taken.  A term that is zero then, over F_p
+or QQ, is skipped.
 """
 
 from __future__ import annotations
@@ -165,23 +169,20 @@ class GroebnerBasis:
 
 def _spoly(f: MPoly, g: MPoly, l: int, pack) -> dict:
     """Terms of the S-polynomial x^uf f - x^ug g of f and g, whose leading
-    keys have lcm ``l``: a dict of nonzero coefficients.
+    keys have lcm ``l``, as the work dict of ``_reduce_terms``.
 
     f and g must be monic, as every basis element is, so no inverse is
-    needed.  Over F_p their coefficients lie in 1..p-1, so each difference
-    lies in (-p, p) and is zero exactly when it is zero mod p; the nonzero
-    ones stay unreduced until the reduction or ``from_terms`` reduces them.
+    needed and the two leads cancel: they are left out.  A coefficient may
+    be zero, and over F_p any residue in (-p, p); the reduction reduces each
+    one mod p when it takes the term and skips it if it is zero.
     """
     uf = pack.quotient(l, f.lead_key()) - pack.offset
     ug = pack.quotient(l, g.lead_key()) - pack.offset
-    acc = {k + uf: c for k, c in f.terms}
-    for k, c in g.terms:
+    acc = {k + uf: c for k, c in f.terms[1:]}
+    get = acc.get
+    for k, c in g.terms[1:]:
         kk = k + ug
-        v = acc.get(kk, 0) - c
-        if v:
-            acc[kk] = v
-        elif kk in acc:
-            del acc[kk]
+        acc[kk] = get(kk, 0) - c
     return acc
 
 
@@ -244,18 +245,19 @@ def _reduce_terms(work: dict, find, ring):
     ``_first_divisor``'s memo only moves where its scan starts, never which
     divisor it returns, so the reduction is the one a plain scan of the list
     gives.  Terms are taken largest first.  In a lex or block order a
-    reduction can raise an exponent, so there a term whose key has a guard
-    bit set is refused; in degrevlex no reduction raises the degree, so no
-    exponent can pass the cap.
+    reduction can raise an exponent, so there a nonzero term whose key has a
+    guard bit set is refused; in degrevlex no reduction raises the degree,
+    so no exponent can pass the cap.
 
     The work holds integers over one running denominator ``den`` (see the
     module docstring), so the true coefficients are ``work / den``.  Over
-    F_p ``den`` stays 1; every updated coefficient is reduced mod p at once,
-    so that a cancellation leaves a zero, and the input may hold unreduced
-    nonzero residues (see ``_spoly``), which pass to the result as they are.
-    Each reducer term costs one dict lookup: a key not in the work is a new
-    term, which is nonzero because c and the reducer's coefficient are, also
-    mod p.
+    F_p ``den`` stays 1 and the reduction mod p is delayed: a reducer term
+    only adds its product to the work, and a coefficient is reduced mod p
+    once, when its term is taken.  A term that is then zero (it cancelled,
+    also over QQ) is skipped, so the result holds no zero and no unreduced
+    residue.  Each reducer term costs one dict lookup.  A term enters the
+    work once and leaves it when taken: every reducer term is below the
+    term it cancels, so no taken term comes back.
     The open budget's end is read once per call.  The clock is read when an
     allowance of ``WORK_PER_CLOCK_READ`` work units runs out, the first step
     included: a step costs 1 and each reducer applied costs its length, so
@@ -283,9 +285,11 @@ def _reduce_terms(work: dict, find, ring):
                 raise budget.expired("reduction")
             left = WORK_PER_CLOCK_READ
         k = -heappop(heap)
-        c = work.pop(k, None)
-        if c is None:
-            continue
+        c = work.pop(k)
+        if p:
+            c %= p
+        if not c:
+            continue  # the term cancelled
         if check and k & guard:
             raise CapacityError("reduction gives an exponent above the key field cap")
         hit = find(k)
@@ -309,17 +313,10 @@ def _reduce_terms(work: dict, find, ring):
             k2 = kk + shift
             v = get(k2)
             if v is None:
-                # c and cc are nonzero, also mod p, so a new term is too
                 heappush(heap, -k2)
-                work[k2] = c * cc % p if p else c * cc
-                continue
-            v += c * cc
-            if p:
-                v %= p
-            if v:
-                work[k2] = v
+                work[k2] = c * cc
             else:
-                del work[k2]
+                work[k2] = v + c * cc
     if rat:
         return {k: Fraction(c, den) for k, c in out.items()}
     return out

@@ -24,7 +24,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, repeat
-from math import comb
+from math import comb, factorial
 from operator import add, mul
 
 from .errors import (
@@ -64,6 +64,12 @@ PERM_MAX_N = 20
 # one such block and a full row (term rank 3, prk 2, 2.9 million pairs)
 # 2.2 s at 20 MB.
 PRK_MAX_PAIRS = 3_000_000
+# Most terms that ``matrix_permanents`` may expand, C(m, h) C(n, h) h!: the
+# terms of all h x h permanents of a generic m x n matrix.  The largest
+# registered case, sing-upper-witness, counts 322,560 (the 7 x 7 permanents
+# of an 8 x 8); ``ideal gen --k 5 --n 14``, 240,240 terms, took 7.9 s at
+# 99 MB peak RSS on a 2-vCPU machine.
+PERM_TERMS_BOUND = 400_000
 # Most columns of a derived matrix's input: its expansion holds up to
 # C(n, n/2) column sets.  16 x 18 takes 0.96 to 1.23 s and 18 x 20 5.8 to
 # 6.1 s on a 2-vCPU machine, about 5.5 times more per two columns.
@@ -352,11 +358,17 @@ def permanental_ideal(spec: GenericMatrixSpec, domain=ZZ):
 def matrix_permanents(h: int, M: PolyMatrix):
     """All h x h permanents of M, colex subset order, columns outermost,
     read off one unsigned expansion of every h-row subset against every
-    h-column subset."""
+    h-column subset; refused before any expansion when a generic m x n
+    matrix would give more than PERM_TERMS_BOUND terms."""
     m, n = M.dims
     if not 1 <= h <= min(m, n):
         raise StructuralError(f"{h}x{h} permanents of a {m}x{n} matrix")
     _refuse_symbolic_perm(h)
+    terms = comb(m, h) * comb(n, h) * factorial(h)
+    if terms > PERM_TERMS_BOUND:
+        raise CapacityError(
+            f"{h}x{h} permanents of a {m}x{n} matrix: {terms} terms exceed bound {PERM_TERMS_BOUND}"
+        )
     perms = _expand(M.rows, signed=False, h=h)
     return _read(perms, m, n, _colex_subsets(m, h), _colex_subsets(n, h), M.ring.zero)
 

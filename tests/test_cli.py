@@ -461,6 +461,21 @@ def test_circulant_width_is_bounded(capsys):
     assert code == 0 and len(out.splitlines()) == MAX_VARS  # one 1 x 1 permanent per entry
 
 
+def test_permanent_count_is_bounded(capsys, monkeypatch):
+    """``ideal gen --k 6 --n 30`` asks for C(30, 6) = 593,775 permanents of
+    720 terms each: it is refused from the counts alone, before the
+    expansion starts."""
+    from permvar import permanent
+
+    def no_expansion(*args, **kwargs):
+        raise AssertionError("the expansion was reached")
+
+    monkeypatch.setattr(permanent, "_expand", no_expansion)
+    code, out, err = run(capsys, "ideal", "gen", "--k", "6", "--n", "30")
+    assert code == 2 and out == "" and err.startswith("error: ")
+    assert f"exceed bound {permanent.PERM_TERMS_BOUND}" in err
+
+
 def test_perm_and_prk_sizes_are_bounded():
     """A 30 x 30 permanent takes Ryser or Glynn hours, and prk of a 20 x 20
     matrix may visit C(40, 20) (rows, columns) pairs: both are refused at

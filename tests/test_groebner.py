@@ -3,7 +3,10 @@
 import hashlib
 import random
 import time
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from itertools import combinations
+from math import gcd, lcm
 
 import pytest
 
@@ -569,6 +572,172 @@ def test_reduction_refuses_exponent_overflow(order):
     assert normal_form(x**300, G) == y**30000
     with pytest.raises(CapacityError):
         normal_form(x**700, G)
+
+
+def ref_spoly(f, g, l, pack):
+    """The S-polynomial as it was built before the leads were left out: both
+    leads entered and cancelled, and each zero difference was deleted."""
+    uf = pack.quotient(l, f.lead_key()) - pack.offset
+    ug = pack.quotient(l, g.lead_key()) - pack.offset
+    acc = {k + uf: c for k, c in f.terms}
+    for k, c in g.terms:
+        kk = k + ug
+        v = acc.get(kk, 0) - c
+        if v:
+            acc[kk] = v
+        elif kk in acc:
+            del acc[kk]
+    return acc
+
+
+def ref_reduce_terms(work, find, ring):
+    """The reduction loop as it ran before the mod-p step was delayed: every
+    updated coefficient is reduced mod p at once and deleted when zero, so
+    a cancelled term is never taken.  The clock reads are left out.  The
+    input must hold no zero; a residue it holds passes to the result as it
+    is."""
+    pack = ring.pack
+    check, guard = not pack.graded, pack.guard
+    p = ring.domain.modulus
+    rat = ring.domain.kind == "rat"
+    den = 1
+    if rat:
+        den = lcm(*(c.denominator for c in work.values()))
+        work = {k: c.numerator * (den // c.denominator) for k, c in work.items()}
+    out = {}
+    heap = [-k for k in work]
+    heapify(heap)
+    while heap:
+        k = -heappop(heap)
+        c = work.pop(k, None)
+        if c is None:
+            continue
+        if check and k & guard:
+            raise CapacityError("reduction gives an exponent above the key field cap")
+        hit = find(k)
+        if hit is None:
+            out[k] = c
+            continue
+        lt, terms = hit
+        a = terms[0][1]
+        if a != 1:
+            g = gcd(a, c)
+            if g != a:
+                s = a // g
+                work = {kk: v * s for kk, v in work.items()}
+                out = {kk: v * s for kk, v in out.items()}
+                den *= s
+            c //= g
+        shift, c = k - lt, -c
+        for kk, cc in terms[1:]:
+            k2 = kk + shift
+            v = work.get(k2)
+            if v is None:
+                heappush(heap, -k2)
+                work[k2] = c * cc % p if p else c * cc
+                continue
+            v += c * cc
+            if p:
+                v %= p
+            if v:
+                work[k2] = v
+            else:
+                del work[k2]
+    if rat:
+        return {k: Fraction(c, den) for k, c in out.items()}
+    return out
+
+
+REDUCTION_DOMAINS = [GF(7), GF(P1), QQ]
+REDUCTION_IDS = ["F7", "F2^31-1", "QQ"]
+
+
+@pytest.mark.parametrize("order", [DEGREVLEX, LEX], ids=["degrevlex", "lex"])
+@pytest.mark.parametrize("domain", REDUCTION_DOMAINS, ids=REDUCTION_IDS)
+def test_delayed_reduction_matches_per_term_reference(domain, order):
+    """``_reduce_terms`` reduces each coefficient mod p once, when it takes
+    the term; the reference reduced it after every update.  On random work
+    dicts, on multiples of a reducer whose coefficients are residues in
+    (-p, p) that cancel mod p, and on S-polynomials, both give the same
+    normal form, and the new one holds no zero and, over F_p, only
+    residues in 1..p-1."""
+    rng = random.Random(3000 + 7 * REDUCTION_DOMAINS.index(domain) + (order == LEX))
+    R = ring_of("xyzw", domain, order)
+    x, y = R.gen(0), R.gen(1)
+    pack, p = R.pack, domain.modulus
+
+    def coeff():
+        # over F_p a residue in (-p, p), zero included
+        if p:
+            return rng.randrange(1 - p, p)
+        return Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+
+    def poly(terms, top=2):
+        exps = [tuple(rng.randint(0, top) for _ in range(4)) for _ in range(terms)]
+        return R.from_exp_dict({e: coeff() for e in exps})
+
+    def as_residues(f):
+        # f's coefficients, each moved at random into (-p, 0) over F_p
+        return {k: c - p * rng.randint(0, 1) if p else c for k, c in f.terms}
+
+    def check(work, reducers):
+        nonzero = {k: c for k, c in work.items() if (c % p if p else c)}
+        want = ref_reduce_terms(nonzero, groebner._scan(reducers, R), R)
+        got = groebner._reduce_terms(dict(work), groebner._scan(reducers, R), R)
+        assert got == ({k: c % p for k, c in want.items()} if p else want)
+        assert all(got.values())
+        assert not p or all(0 < c < p for c in got.values())
+        return got
+
+    cancelled = spoly_zeros = 0
+    for _ in range(25):
+        reducers = [f.monic() for f in (poly(rng.randint(1, 4)) for _ in range(3)) if f]
+        if not reducers:
+            continue
+        work = {k: c for k, c in poly(rng.randint(1, 12), top=4).terms}
+        work.update({pack.pack((rng.randint(0, 5),) * 4): 0})  # a zero entry
+        check(work, reducers)
+        # a monomial multiple of the first reducer: every term cancels mod p
+        m = R.from_exp_dict({tuple(rng.randint(0, 2) for _ in range(4)): coeff() or 1})
+        multiple = as_residues(m * reducers[0])
+        assert check(multiple, reducers) == {}
+        cancelled += 1
+        for k, c in poly(3, top=4).terms:
+            multiple[k] = multiple.get(k, 0) + c
+        check(multiple, reducers)
+        # S-polynomials, among them x A + B and y A + C, whose x y A terms
+        # cancel in the S-polynomial itself
+        A = poly(3).monic()
+        pairs = list(combinations(reducers, 2))
+        f, g = x * A + poly(2, top=1), y * A + poly(2, top=1)
+        if A and f.lead_key() == (x * A).lead_key() and g.lead_key() == (y * A).lead_key():
+            pairs.append((f.monic(), g.monic()))
+        for f, g in pairs:
+            l = pack.pack(tuple(map(max, f.lead_monomial(), g.lead_monomial())))
+            sp = groebner._spoly(f, g, l, pack)
+            assert {k: c for k, c in sp.items() if c} == ref_spoly(f, g, l, pack)
+            assert not p or all(-p < c < p for c in sp.values())
+            spoly_zeros += sum(not c for c in sp.values())
+            check(sp, [f, g] + reducers)
+    assert cancelled >= 20 and spoly_zeros > 0
+
+
+@pytest.mark.parametrize("domain", REDUCTION_DOMAINS, ids=REDUCTION_IDS)
+def test_guard_bit_term_raises_only_when_live(domain):
+    """In lex, x y^a and z y^a both reduce to y^(a+b), past the field cap,
+    modulo x - y^b and z - y^b.  Their sum is refused; when the two
+    contributions cancel mod p, the term is zero when taken and the
+    reduction gives 0 without raising."""
+    R = ring_of("xzy", domain, LEX)  # x > z > y
+    x, z, y = R.gens()
+    a = b = 20000
+    reducers = [x - y**b, z - y**b]
+    p = domain.modulus or 0
+    lo, hi = (x * y**a).lead_key(), (z * y**a).lead_key()
+    for reduce in (groebner._reduce_terms, ref_reduce_terms):
+        with pytest.raises(CapacityError):
+            reduce({lo: 3, hi: 3}, groebner._scan(reducers, R), R)
+        assert reduce({lo: 3, hi: p - 3}, groebner._scan(reducers, R), R) == {}
 
 
 def _rabinowitsch(k, n, by):

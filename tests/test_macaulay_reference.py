@@ -107,8 +107,8 @@ def symbolic_rank(gens, d, p):
 def value_rows(gens, p, points):
     """The distinct nonzero value rows, keyed as the certificate keys them:
     ``{(degree, values): row}``."""
-    degrees, values = _minor_values(gens, p, points)
-    return {(dg, tuple(v.tolist())): v for dg, v in zip(degrees, values) if v.any()}
+    degrees, values = _minor_values(gens, p)
+    return {(dg, tuple(v.tolist())): v for dg, v in zip(degrees, values(points)) if v.any()}
 
 
 def evaluation_rank(gens, d, p):
@@ -164,7 +164,7 @@ def test_macaulay_matrix_matches_row_builder(seed, nv, domain):
         if not modp:
             assert homogeneous_dim0_certificate(gens, p) is None
             continue
-        degrees, _ = _minor_values(gens, p, [])
+        degrees, _ = _minor_values(gens, p)
         assert sorted(dg for dg in degrees if dg >= 0) == sorted(g.total_degree() for g in modp)
         start = max(g.total_degree() for g in modp)
         fills = []
@@ -193,7 +193,7 @@ def test_object_dtype_certificate_above_int64_products(seed):
     p = PRIMES[2]
     rng = random.Random(7000 + seed)
     gens = random_ideal(rng, 2 + seed % 2, ZZ)
-    assert _minor_values(gens, p, [(p - 1,) * len(gens[0].ring.universe)])[1].dtype == object
+    assert _minor_values(gens, p)[1]([(p - 1,) * len(gens[0].ring.universe)]).dtype == object
     start = max(g.total_degree() for g in gens)
     for d in range(start, start + 2):
         got, ncols = evaluation_rank(gens, d, p)
@@ -253,7 +253,8 @@ def test_minor_values_are_the_symbolic_minors_at_the_points(p):
     M = PolyMatrix([[form() for _ in range(4)] for _ in range(3)])
     points = experiments._certificate_points(p, 3, 20)
     for h in (1, 2, 3):
-        degrees, got = _minor_values((M, h), p, points)
+        degrees, values = _minor_values((M, h), p)
+        got = values(points)
         assert set(degrees) == {h}
         want = [g.evaluate(points) for g in over_prime(matrix_minors(h, M), p)]
         assert got.tolist() == want
@@ -263,6 +264,34 @@ def test_minor_values_are_the_symbolic_minors_at_the_points(p):
     with pytest.raises(PreconditionError):
         squared = PolyMatrix([[e * e if e == M[0, 0] else e for e in row] for row in M.rows])
         homogeneous_dim0_certificate((squared, 2), p)
+
+
+@pytest.mark.parametrize("p", PRIMES[1:], ids=["2^31-1", "2^61-1"])
+@pytest.mark.parametrize("degree", [2, 3])
+def test_minor_values_of_higher_degree_entries_near_the_int64_limit(degree, p):
+    """The h x h minors, h = 1, 2, 3, of a matrix of degree-2 or degree-3
+    forms whose coefficients are residues near p, against the values of
+    ``matrix_minors`` at points led by (p-1, ..., p-1).  At p = 2**31 - 1
+    every lane holds residues near p, so each product comes close to 2**62
+    in int64; at p >= 2**31 the same values come in an object array."""
+    R = PolyRing(VarUniverse.free(["x", "y", "z"]), ZZ)
+    rng = random.Random(degree)
+    monomials = [R.from_exp_dict({e: 1}) for e in ref_monomials(degree, 3)]
+
+    def form():
+        return sum((rng.choice([-1, 1, p - 1, p - 2, rng.randrange(p)]) * m for m in monomials), R.zero)
+
+    M = PolyMatrix([[form() for _ in range(4)] for _ in range(3)])
+    points = [(p - 1,) * 3, (p - 1, p - 2, p - 1), (1, p - 1, 0)]
+    points += experiments._certificate_points(p, 3, 5)
+    for h in (1, 2, 3):
+        degrees, values = _minor_values((M, h), p)
+        got = values(points)
+        assert got.dtype == (np.int64 if p < 1 << 31 else object)
+        want = [g.evaluate(points) for g in over_prime(matrix_minors(h, M), p)]
+        assert got.tolist() == want
+        assert degrees == [h * degree] * len(want)
+        assert values(points[:1]).tolist() == [row[:1] for row in want]
 
 
 def test_certificate_zero_mod_p_generators_are_dropped():
