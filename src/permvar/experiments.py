@@ -14,7 +14,7 @@ import sys
 import time
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import cache, partial, reduce
+from functools import cache, reduce
 from importlib import resources
 from itertools import combinations, combinations_with_replacement
 from math import comb, prod
@@ -189,7 +189,7 @@ def slice_height(M_slice: PolyMatrix, p: int) -> int:
     their locus."""
     k, n = M_slice.dims
     target = PolyRing(M_slice.ring.universe, GF(p))
-    gens = over_prime(permanental_ideal(GenericMatrixSpec(k, n)), p)
+    gens = permanental_ideal(GenericMatrixSpec(k, n), GF(p))
     slice_map = {
         f"x_{i + 1}_{j + 1}": transport(M_slice[i, j], target) for i in range(k) for j in range(n)
     }
@@ -246,7 +246,7 @@ def _census_2xn(n: int, p: int) -> dict:
     generic 2 x n matrix: component count, containment of the permanental
     ideal in each component, radical equality with their intersection, and
     the n^2 singular lines each lying on at least two components."""
-    gens = over_prime(permanental_ideal(GenericMatrixSpec(2, n)), p)
+    gens = permanental_ideal(GenericMatrixSpec(2, n), GF(p))
     comps = _component_ideals_2xn(n, gens[0].ring)
     G_I = buchberger(gens)
     containment = True
@@ -445,14 +445,6 @@ def homogeneous_dim0_certificate(gens, p: int, max_degree: int = 60):
     return None
 
 
-def _certified_codim(gens, primes):
-    """The codimension the certificate gives at the first prime (the number
-    of variables, or None when inconclusive), and whether it is conclusive
-    and the same at every prime."""
-    filled, agree = _per_prime(primes, lambda p: homogeneous_dim0_certificate(gens, p) is not None)
-    return (len(gens[0].ring.universe) if filled else None), agree and filled
-
-
 SCRIPT_5X6_A = [
     [3, 3, 2, 1, -1, 0, -3, 3, 2, -3, 2, 0, -3, 2, 3, -2, 2, 2, -3, -3],
     [-2, -2, -1, 1, -1, 0, -2, -2, -1, -3, 2, -2, -1, 3, -2, -2, 2, -1, -1, -1],
@@ -639,13 +631,12 @@ def _per_prime(primes, fn):
 
 def _per_value(spec, cfg, key, fn):
     """``_per_prime`` over each registered value v of ``spec.params[key]``,
-    the values outer and the primes inner.  ``fn(v)`` returns the function of
-    the prime, so the work shared by the primes is done once per value.
+    the values outer and the primes inner: ``fn(v, p)`` for each prime p.
     Gives the first prime's values keyed by ``str(v)``, and whether every
     value agreed across the primes."""
     measured, agree = {}, True
     for v in spec.params[key]:
-        measured[str(v)], ok = _per_prime(cfg.primes, fn(v))
+        measured[str(v)], ok = _per_prime(cfg.primes, lambda p: fn(v, p))
         agree &= ok
     return measured, agree
 
@@ -654,28 +645,29 @@ def _run_codim(param: str, shape):
     """Codimension of the permanental ideal of the generic matrix of size
     ``shape(v)`` for each registered value v of ``param``."""
 
-    def at(v):
-        gens = permanental_ideal(GenericMatrixSpec(*shape(v)))
-        return lambda p: ideal_dimension(buchberger(over_prime(gens, p))).codim
+    def codim(v, p):
+        gens = permanental_ideal(GenericMatrixSpec(*shape(v)), GF(p))
+        return ideal_dimension(buchberger(gens)).codim
 
     def run(spec, cfg):
-        measured, agree = _per_value(spec, cfg, param, at)
+        measured, agree = _per_value(spec, cfg, param, codim)
         return {"codim": measured}, agree
 
     return run
 
 
 def _run_census(spec, cfg):
-    return _per_value(spec, cfg, "n", lambda n: partial(_census_2xn, n))
+    return _per_value(spec, cfg, "n", _census_2xn)
 
 
 def _run_hankel(spec, cfg):
-    return _per_value(spec, cfg, "n", lambda n: partial(hankel_chart_case, n))
+    return _per_value(spec, cfg, "n", hankel_chart_case)
 
 
 def _run_slice(kind: str):
     def run(spec, cfg):
-        ht, agree = _per_prime(cfg.primes, partial(slice_height, build_slice(kind)))
+        M = build_slice(kind)
+        ht, agree = _per_prime(cfg.primes, lambda p: slice_height(M, p))
         return {"ht": ht, "codim_lower_bound": ht}, agree
 
     return run
@@ -683,7 +675,7 @@ def _run_slice(kind: str):
 
 def _run_saturation_j3(spec, cfg):
     def codim_degree(p):
-        gens = over_prime(permanental_ideal(GenericMatrixSpec(3, 4)), p)
+        gens = permanental_ideal(GenericMatrixSpec(3, 4), GF(p))
         ring = gens[0].ring
         G = buchberger(saturate(gens, prod(ring.gens(), start=ring.one)))
         return ideal_dimension(G).codim, hilbert_degree(G)
@@ -723,51 +715,43 @@ def _run_symbolic_dets(spec, cfg):
     return symbolic_determinant_identities(), True
 
 
-def _max_jacobian_rank(gens, p, rng, points):
-    """Largest Jacobian rank of ``gens`` over F_p at ``points`` random points."""
+def _max_jacobian_rank(shape, p, rng, points):
+    """Largest Jacobian rank over F_p of the maximal permanents of the
+    generic matrix of size ``shape`` at ``points`` random points."""
     from .torus import jacobian, jacobian_rank_at
 
-    jac = jacobian(over_prime(gens, p))
-    nvars = len(gens[0].ring.universe)
+    jac = jacobian(permanental_ideal(GenericMatrixSpec(*shape), GF(p)))
+    nvars = shape[0] * shape[1]
     batch = [[rng.randrange(p) for _ in range(nvars)] for _ in range(points)]
     return max(jacobian_rank_at(jac, batch))
 
 
 def _run_jacobian_independence(spec, cfg):
     rng = random.Random(cfg.seed)
-
-    def at(k):
-        gens = permanental_ideal(GenericMatrixSpec(k, k + 1))
-        return lambda p: _max_jacobian_rank(gens, p, rng, 20)
-
-    measured, agree = _per_value(spec, cfg, "k", at)
+    measured, agree = _per_value(
+        spec, cfg, "k", lambda k, p: _max_jacobian_rank((k, k + 1), p, rng, 20)
+    )
     return {"max_rank": measured}, agree
 
 
 def _run_jacobian_dependence(spec, cfg):
     rng = random.Random(cfg.seed)
-    gens = permanental_ideal(GenericMatrixSpec(2, 5))
     points = spec.params["points"]
-    mx, agree = _per_prime(cfg.primes, lambda p: _max_jacobian_rank(gens, p, rng, points))
+    mx, agree = _per_prime(cfg.primes, lambda p: _max_jacobian_rank((2, 5), p, rng, points))
     return {"max_rank": mx, "dependent": mx <= 9}, agree
 
 
+def _circulant_2x2(k: int, p: int) -> dict:
+    """Codimension over F_p of the 2 x 2 permanents of the k x (k+1)
+    circulant matrix in x_1_1 .. x_1_{k+1}, and whether each x_j^2 lies in
+    their ideal."""
+    G = buchberger(permanental_ideal(GenericMatrixSpec(k, k + 1, h=2, pattern="circulant"), GF(p)))
+    member = all(normal_form(G.ring.gen(j) ** 2, G).is_zero() for j in range(k + 1))
+    return {"codim": ideal_dimension(G).codim, "squares_in_ideal": member}
+
+
 def _run_circulant_2x2(spec, cfg):
-    def at(k):
-        zz_gens = permanental_ideal(
-            GenericMatrixSpec(k, k + 1, h=2, pattern="circulant", period=k + 1)
-        )
-
-        def codim_squares(p):
-            gens = over_prime(zz_gens, p)
-            G = buchberger(gens)
-            ring = gens[0].ring
-            member = all(normal_form(ring.gen(j) ** 2, G).is_zero() for j in range(k + 1))
-            return {"codim": ideal_dimension(G).codim, "squares_in_ideal": member}
-
-        return codim_squares
-
-    return _per_value(spec, cfg, "k", at)
+    return _per_value(spec, cfg, "k", _circulant_2x2)
 
 
 def _run_perm_engines(spec, cfg):
@@ -860,7 +844,7 @@ def _run_sing_witness(spec, cfg):
 
 
 def _run_lemma422(spec, cfg):
-    measured, agree = _per_value(spec, cfg, "k", lambda k: partial(lemma422_containment, k))
+    measured, agree = _per_value(spec, cfg, "k", lemma422_containment)
     return {"containment": measured}, agree
 
 
@@ -898,9 +882,14 @@ def _run_script_5x6(spec, cfg):
     points: the slice is symmetric, so 210 of them prove exactly 210."""
     source = (_script_slice(5, SCRIPT_5X6_A), 3)
     values = _minor_values(source, cfg.prime)[1](_certificate_points(cfg.prime, 4, SPARE_POINTS))
-    codim, agree = _certified_codim(source, cfg.primes)
+    # a fill at the first prime gives the codimension, the number of
+    # variables; the primes agree only if every one of them fills
+    filled, agree = _per_prime(
+        cfg.primes, lambda p: homogeneous_dim0_certificate(source, p) is not None
+    )
+    codim = len(source[0].ring.universe) if filled else None
     distinct = len({tuple(row) for row in values.tolist() if any(row)})
-    return {"distinct_minors": distinct, "minors3_codim": codim}, agree
+    return {"distinct_minors": distinct, "minors3_codim": codim}, agree and filled
 
 
 _RUNNERS = {

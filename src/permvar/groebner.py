@@ -2,7 +2,8 @@
 saturation, elimination, radical membership and ideal intersection.
 
 Pair handling uses the Gebauer-Moeller criteria with sugar-degree selection;
-ties break by the pair's lcm in the ambient order, then by insertion index.
+ties break by the pair's lcm in the ambient order, then by the insertion
+index of its newer element, then of its older one.
 The update works on packed keys only: each new lead's lcm with every live
 element's lead is one fieldwise ``_Pack.lcm``, a pair is coprime iff that lcm
 is the product key ``mh + lt - offset``, and the new lead makes an element
@@ -35,6 +36,11 @@ is delayed (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008): a reducer term
 only adds c times its coefficient to the work, and each coefficient is
 reduced once, when its term is taken.  A term that is zero then, over F_p
 or QQ, is skipped.
+
+The open budget is tested only by ``budget.check``, which raises
+GroebnerTimeout past its deadline: before each S-pair, when a reduction's
+allowance of ``WORK_PER_CLOCK_READ`` work units runs out, and every 256
+steps of the Hilbert recursion.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
-from math import gcd, inf, lcm
+from math import gcd, lcm
 
 from . import budget
 from .errors import (
@@ -258,14 +264,11 @@ def _reduce_terms(work: dict, find, ring):
     residue.  Each reducer term costs one dict lookup.  A term enters the
     work once and leaves it when taken: every reducer term is below the
     term it cancels, so no taken term comes back.
-    The open budget's end is read once per call.  The clock is read when an
-    allowance of ``WORK_PER_CLOCK_READ`` work units runs out, the first step
-    included: a step costs 1 and each reducer applied costs its length, so
-    a stretch of long lex reducers cannot run on unchecked.
+    The open budget is checked (``budget.check``, phase ``"reduction"``)
+    when an allowance of ``WORK_PER_CLOCK_READ`` work units runs out, the
+    first step included: a step costs 1 and each reducer applied costs its
+    length, so a stretch of long lex reducers cannot run on unchecked.
     """
-    ends_at = budget.ends_at()
-    if ends_at is None:
-        ends_at = inf  # no budget open: a clock read never raises
     pack = ring.pack
     check, guard = not pack.graded, pack.guard
     p = ring.domain.modulus
@@ -277,12 +280,11 @@ def _reduce_terms(work: dict, find, ring):
     out = {}
     heap = [-k for k in work]
     heapify(heap)
-    left = 0  # work units before the next clock read
+    left = 0  # work units before the next budget check
     while heap:
         left -= 1
         if left < 0:
-            if time.monotonic() > ends_at:
-                raise budget.expired("reduction")
+            budget.check("reduction")
             left = WORK_PER_CLOCK_READ
         k = -heappop(heap)
         c = work.pop(k)
@@ -363,12 +365,10 @@ def buchberger(gens) -> GroebnerBasis:
     alive: list[bool] = []
     pair_meta: dict = {}  # (i, j) -> (sugar, lcm_key)
     heap: list = []
-    seq = 0
     stats = {"pairs": 0, "zero_reductions": 0, "basis_additions": 0}
     find = _first_divisor(ring, basis, lts, alive)
 
     def add_poly(h: MPoly, sugar: int):
-        nonlocal seq
         t = len(basis)
         mh = h.lead_key()
         # lt + mh_shift is the key of lt * mh
@@ -413,8 +413,7 @@ def buchberger(gens) -> GroebnerBasis:
             if l != mh_shift + lts[i]:
                 s = pack.degree(l) + max(excess[i], sugar - dh)
                 pair_meta[(i, t)] = (s, l)
-                heappush(heap, (s, l, seq, i, t))
-                seq += 1
+                heappush(heap, (s, l, t, i))
         # mh divides lts[i] iff their lcm is lts[i]
         for i, l in lcms.items():
             if l == lts[i]:
@@ -442,7 +441,7 @@ def buchberger(gens) -> GroebnerBasis:
 
         while heap:
             budget.check("pairs")
-            s, l, _, i, j = heappop(heap)
+            s, l, j, i = heappop(heap)
             if pair_meta.pop((i, j), None) is None:
                 continue  # pruned by a later update
             stats["pairs"] += 1
@@ -562,7 +561,6 @@ def hilbert_numerator(G: GroebnerBasis) -> tuple:
     got = G._cache.get("hilbert_numerator")
     if got is not None:
         return got
-    ends_at = budget.ends_at()
     memo: dict = {}
     steps = 0
 
@@ -577,8 +575,8 @@ def hilbert_numerator(G: GroebnerBasis) -> tuple:
 
     def num(ms):
         nonlocal steps
-        if ends_at is not None and steps & 255 == 0 and time.monotonic() > ends_at:
-            raise budget.expired("hilbert", {"steps": steps})
+        if steps & 255 == 0:
+            budget.check("hilbert", {"steps": steps})
         steps += 1
         if not ms:
             return [1]

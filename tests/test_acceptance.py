@@ -1,19 +1,15 @@
 """Acceptance suite: one test per headline criterion, exact comparisons.
 
 Every test prints one [PASS]/[FAIL] line (visible with ``pytest -s``) and
-enforces its wall-clock budget.  Criterion 12 (the long script
-reproductions) runs only on the extended tier: set PERMVAR_TIER=extended.
+enforces its wall-clock budget.  The extended tier's cases (criterion 12
+and radical-eq-sing-k3) run here too.
 """
 
-import os
 import time
-
-import pytest
 
 from permvar.config import CliConfig
 from permvar.experiments import reproduce
 
-EXTENDED = os.environ.get("PERMVAR_TIER") == "extended"
 CFG = CliConfig()
 
 
@@ -122,7 +118,6 @@ def test_criterion_11_circulant_2x2_suite():
     )
 
 
-@pytest.mark.skipif(not EXTENDED, reason="extended tier only (set PERMVAR_TIER=extended)")
 def test_criterion_12_script_reproductions():
     t0 = time.monotonic()
     rep45 = reproduce("script-4x5", CFG)
@@ -163,6 +158,5 @@ def test_criterion_bonus_lemma_containments():
     _case(14, "lemma422-containment", "(k-1)-permanent ideal inside every partition block sum (k=3,4)", 300)
 
 
-@pytest.mark.skipif(not EXTENDED, reason="extended tier only (set PERMVAR_TIER=extended)")
 def test_criterion_bonus_radical_equality_k3():
     _case(15, "radical-eq-sing-k3", "radical identity for the 3x3 singular locus, both inclusions", 3600)

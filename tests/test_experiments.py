@@ -16,7 +16,6 @@ from permvar.errors import InternalConsistencyError, PreconditionError, Structur
 from permvar.experiments import (
     _RUNNERS,
     SCRIPT_5X6_A,
-    _certified_codim,
     _component_ideals_2xn,
     _line_in_component,
     _partition_sum_ideals,
@@ -326,30 +325,36 @@ def test_per_prime_calls_in_order_and_compares():
 
 
 def test_per_value_runs_values_outer_primes_inner():
-    """``fn(v)`` is called once per value; its function of the prime runs
-    for each prime before the next value starts."""
+    """``fn(v, p)`` runs for each prime before the next value starts."""
     calls = []
 
-    def at(v):
-        calls.append(v)
-        return lambda p: calls.append((v, p)) or (v * p if v == 3 else v)
+    def fn(v, p):
+        calls.append((v, p))
+        return v * p if v == 3 else v
 
     spec = registry()["codim-2xn"]  # n in [3, 4, 5]
-    measured, agree = _per_value(spec, CliConfig(prime=5, prime2=7), "n", at)
+    measured, agree = _per_value(spec, CliConfig(prime=5, prime2=7), "n", fn)
     assert measured == {"3": 15, "4": 4, "5": 5} and agree is False
-    assert calls == [3, (3, 5), (3, 7), 4, (4, 5), (4, 7), 5, (5, 5), (5, 7)]
-    assert _per_value(spec, CliConfig(prime=5, prime2=7), "n", lambda v: lambda p: v)[1]
+    assert calls == [(3, 5), (3, 7), (4, 5), (4, 7), (5, 5), (5, 7)]
+    assert _per_value(spec, CliConfig(prime=5, prime2=7), "n", lambda v, p: v)[1]
 
 
-def test_inconclusive_certificate_is_no_agreement():
-    """Two inconclusive certificates agree on None, but certify nothing."""
-    from permvar.ring import QQ
+def test_inconclusive_certificate_is_no_agreement(monkeypatch):
+    """script-5x6 gives the codimension, its 4 variables, only when the
+    certificate fills at the first prime, and agreement only when it fills
+    at every prime: two inconclusive certificates agree on None, but
+    certify nothing."""
+    from permvar import experiments
 
-    R = PolyRing(VarUniverse.free(["x", "y"]), QQ)
-    x, y = R.gens()
-    primes = (2147483647, 1073741789)
-    assert _certified_codim([x**2, x * y, y**3], primes) == (2, True)
-    assert _certified_codim([x**2], primes) == (None, False)
+    spec, cfg = registry()["script-5x6"], CliConfig()
+    for fills, codim, agree in (((), None, False), ((cfg.prime,), 4, False), (cfg.primes, 4, True)):
+
+        def certificate(gens, p, fills=fills):
+            return 13 if p in fills else None  # a fill degree, or inconclusive
+
+        monkeypatch.setattr(experiments, "homogeneous_dim0_certificate", certificate)
+        measured, ok = experiments._run_script_5x6(spec, cfg)
+        assert (measured["minors3_codim"], ok) == (codim, agree)
 
 
 def test_symbolic_determinant_identities():
@@ -450,6 +455,20 @@ def test_two_zero_row_witness():
         assert Z.rows == [[M.ring.zero] * k] * 2 + M.rows[2:]
         assert not any(matrix_permanents(k - 1, Z))
         assert two_zero_row_witness(k)
+
+
+def test_permanental_ideal_over_prime_equals_the_moved_one():
+    """The cases build their permanental ideals over F_p directly: termwise
+    the ideal over ZZ moved by ``over_prime``, in the same ring object, for
+    every spec shape a case builds, at both default primes."""
+    specs = [GenericMatrixSpec(2, 5), GenericMatrixSpec(3, 4), GenericMatrixSpec(4, 5)]
+    specs += [GenericMatrixSpec(k, k + 1, h=2, pattern="circulant") for k in (3, 8)]
+    specs.append(GenericMatrixSpec(2, 6, pattern="hankel2xn"))
+    for spec in specs:
+        for p in CliConfig().primes:
+            direct, moved = permanental_ideal(spec, GF(p)), over_prime(permanental_ideal(spec), p)
+            assert [g.terms for g in direct] == [g.terms for g in moved]
+            assert all(g.ring is moved[0].ring for g in direct + moved)
 
 
 def test_hankel_syzygy_requires_n4():

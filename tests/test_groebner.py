@@ -300,6 +300,38 @@ def test_hilbert_numerator_honours_deadline():
         assert hilbert_numerator(G) is hilbert_numerator(G)
 
 
+def test_hilbert_recursion_reads_the_clock_every_256_steps(monkeypatch):
+    """Under an open budget the Hilbert recursion reads the clock at least
+    once per 256 steps.  The clock is a stub whose time is its count of
+    reads, so a budget of b units, opened at one read, runs out at the
+    (b + 1)-th read after it; the timeout then names at most 256 b steps.
+    The lead ideal, 40 random quartic monomials in 14 variables, takes more
+    than 1,000 steps, so each budget below runs out before the end."""
+    R = ring_of([f"x{i}" for i in range(14)], domain=GF(P1))
+    rng = random.Random(1)
+    gens = []
+    for _ in range(40):
+        exps = [0] * 14
+        for _ in range(4):
+            exps[rng.randrange(14)] += 1
+        gens.append(R.from_exp_dict({tuple(exps): 1}))
+    G = buchberger(gens)
+
+    class Clock:
+        reads = 0
+
+        def monotonic(self):
+            Clock.reads += 1
+            return float(Clock.reads)
+
+    monkeypatch.setattr(budget, "time", Clock())
+    for units in (1, 2, 3):
+        with pytest.raises(GroebnerTimeout) as err, Budget(units):
+            hilbert_numerator(G)
+        assert err.value.stats["phase"] == "hilbert"
+        assert 0 < err.value.stats["steps"] <= 256 * units
+
+
 def test_hilbert_numerator_matches_standard_monomial_count():
     """On zero-dimensional ideals the numerator evaluated via (1-t)-division
     must reproduce the direct standard-monomial count."""
@@ -498,10 +530,10 @@ def test_reduction_reads_the_clock_by_work_done(monkeypatch):
 
         def monotonic(self):
             Clock.reads += 1
-            return 0.0  # never past the open budget's real end
+            return 0.0  # never past the open budget's end
 
     f = R.from_exp_dict({(1, j): 1 for j in range(992)})
-    monkeypatch.setattr(groebner, "time", Clock())
+    monkeypatch.setattr(budget, "time", Clock())
     with Budget(60):
         out = groebner._reduce_terms(dict(f.terms), find, R)
     assert len(out) == 1024 + 991  # y^0 .. y^2014

@@ -13,7 +13,6 @@ must be full rank in the symbolic matrix M_d, and points that lose
 information must give no fill.
 """
 
-import os
 import random
 from fractions import Fraction
 from math import comb
@@ -36,7 +35,6 @@ from permvar.groebner import over_prime
 from permvar.ring import QQ, ZZ, PolyMatrix, PolyRing, VarUniverse, matrix_minors
 
 PRIMES = [7, (1 << 31) - 1, (1 << 61) - 1]
-EXTENDED = os.environ.get("PERMVAR_TIER") == "extended"
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +324,6 @@ def test_masked_reference_on_random_matrices():
             assert linalg.rank_modp_numpy(A, p) == ref_masked_rank(A, p) == linalg.rank_modp(A, p)
 
 
-@pytest.mark.skipif(not EXTENDED, reason="extended tier only (set PERMVAR_TIER=extended)")
 def test_script_5x6_evaluation_matches_symbolic_minors():
     """script-5x6's slice at the default prime: the symbolic 3x3 minors give
     the same 210 distinct minors as the value rows, and the symbolic
