@@ -25,7 +25,13 @@ class CliConfig:
     order: str = "degrevlex"
     seed: int = DEFAULT_SEED
     timeout_s: float = 600.0
-    tier: str = "default"  # default | extended
+    tier: str = "default"
+
+    def __post_init__(self):
+        if type(self.seed) is not int:  # as --seed reads it; a bool is no seed
+            raise StructuralError(f"seed {self.seed!r} is not an integer")
+        if self.tier not in ("default", "extended"):
+            raise StructuralError(f"tier {self.tier!r} is neither default nor extended")
 
     @property
     def primes(self) -> tuple:
@@ -34,10 +40,10 @@ class CliConfig:
 
 def load_config(**overrides) -> CliConfig:
     """The defaults, overridden by the PERMVAR_CONFIG file, then by the
-    non-None ``overrides``.  Only the file's form is checked here, a JSON
-    object; each setting is checked where it is read (``GF`` a prime,
-    ``MonomialOrder`` an order, ``Budget`` a timeout,
-    ``experiments.reproduce`` the two primes)."""
+    non-None ``overrides``.  The file must hold a JSON object; ``CliConfig``
+    refuses a seed that is not an int and an unknown tier, and each other
+    setting is checked where it is read (``GF`` a prime, ``MonomialOrder`` an
+    order, ``Budget`` a timeout, ``experiments.reproduce`` the two primes)."""
     names = {f.name for f in fields(CliConfig)}
     cfg = CliConfig()
     path = os.environ.get(ENV_CONFIG)

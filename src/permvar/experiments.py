@@ -52,6 +52,7 @@ from .permanent import (
     perm_numeric,
     perm_symbolic,
     permanental_ideal,
+    prk,
 )
 from .ring import (
     GF,
@@ -641,52 +642,43 @@ def _per_value(spec, cfg, key, fn):
     return measured, agree
 
 
-def _run_codim(param: str, shape):
-    """Codimension of the permanental ideal of the generic matrix of size
-    ``shape(v)`` for each registered value v of ``param``."""
-
-    def codim(v, p):
-        gens = permanental_ideal(GenericMatrixSpec(*shape(v)), GF(p))
-        return ideal_dimension(buchberger(gens)).codim
+def _each_value(key, fn, table=None):
+    """The runner of a case measuring ``fn(v, p)`` by ``_per_value`` over
+    the values of ``key``, as the case's ``table`` if it names one."""
 
     def run(spec, cfg):
-        measured, agree = _per_value(spec, cfg, param, codim)
-        return {"codim": measured}, agree
+        measured, agree = _per_value(spec, cfg, key, fn)
+        return ({table: measured} if table else measured), agree
 
     return run
 
 
-def _run_census(spec, cfg):
-    return _per_value(spec, cfg, "n", _census_2xn)
+def _each_prime(fn):
+    """The runner of a case measuring ``fn(p)`` by ``_per_prime``."""
+    return lambda spec, cfg: _per_prime(cfg.primes, fn)
 
 
-def _run_hankel(spec, cfg):
-    return _per_value(spec, cfg, "n", hankel_chart_case)
+def _codim(shape, p: int) -> int:
+    """Codimension over F_p of the permanental ideal of a generic ``shape`` matrix."""
+    return ideal_dimension(buchberger(permanental_ideal(GenericMatrixSpec(*shape), GF(p)))).codim
 
 
-def _run_slice(kind: str):
-    def run(spec, cfg):
-        M = build_slice(kind)
-        ht, agree = _per_prime(cfg.primes, lambda p: slice_height(M, p))
-        return {"ht": ht, "codim_lower_bound": ht}, agree
-
-    return run
+def _slice_bound(kind: str, p: int) -> dict:
+    """Height over F_p of the slice ``build_slice(kind)``: a codimension lower bound."""
+    ht = slice_height(build_slice(kind), p)
+    return {"ht": ht, "codim_lower_bound": ht}
 
 
-def _run_saturation_j3(spec, cfg):
-    def codim_degree(p):
-        gens = permanental_ideal(GenericMatrixSpec(3, 4), GF(p))
-        ring = gens[0].ring
-        G = buchberger(saturate(gens, prod(ring.gens(), start=ring.one)))
-        return ideal_dimension(G).codim, hilbert_degree(G)
-
-    (codim, degree), agree = _per_prime(cfg.primes, codim_degree)
-    return {"codim": codim, "degree": degree}, agree
+def _saturation_j3(p: int) -> dict:
+    """Codimension and degree over F_p of the permanental ideal of the
+    generic 3 x 4 matrix saturated by the product of all variables."""
+    gens = permanental_ideal(GenericMatrixSpec(3, 4), GF(p))
+    ring = gens[0].ring
+    G = buchberger(saturate(gens, prod(ring.gens(), start=ring.one)))
+    return {"codim": ideal_dimension(G).codim, "degree": hilbert_degree(G)}
 
 
 def _run_kirkup_vanish(spec, cfg):
-    from .permanent import prk
-
     vanish = {}
     for k in spec.params["k"]:
         # the constructor checks the vanishing with the column-subset
@@ -711,10 +703,6 @@ def _run_kirkup_b1(spec, cfg):
     return {"ranks": ranks, "kernel_3": kernel, "extension_check": ext}, True
 
 
-def _run_symbolic_dets(spec, cfg):
-    return symbolic_determinant_identities(), True
-
-
 def _max_jacobian_rank(shape, p, rng, points):
     """Largest Jacobian rank over F_p of the maximal permanents of the
     generic matrix of size ``shape`` at ``points`` random points."""
@@ -728,10 +716,8 @@ def _max_jacobian_rank(shape, p, rng, points):
 
 def _run_jacobian_independence(spec, cfg):
     rng = random.Random(cfg.seed)
-    measured, agree = _per_value(
-        spec, cfg, "k", lambda k, p: _max_jacobian_rank((k, k + 1), p, rng, 20)
-    )
-    return {"max_rank": measured}, agree
+    run = _each_value("k", lambda k, p: _max_jacobian_rank((k, k + 1), p, rng, 20), "max_rank")
+    return run(spec, cfg)
 
 
 def _run_jacobian_dependence(spec, cfg):
@@ -748,10 +734,6 @@ def _circulant_2x2(k: int, p: int) -> dict:
     G = buchberger(permanental_ideal(GenericMatrixSpec(k, k + 1, h=2, pattern="circulant"), GF(p)))
     member = all(normal_form(G.ring.gen(j) ** 2, G).is_zero() for j in range(k + 1))
     return {"codim": ideal_dimension(G).codim, "squares_in_ideal": member}
-
-
-def _run_circulant_2x2(spec, cfg):
-    return _per_value(spec, cfg, "k", _circulant_2x2)
 
 
 def _run_perm_engines(spec, cfg):
@@ -837,19 +819,7 @@ def _run_e_pattern(spec, cfg):
 
 
 def _run_sing_witness(spec, cfg):
-    measured = {}
-    for k in spec.params["k"]:
-        measured[str(k)] = two_zero_row_witness(k)
-    return {"witness": measured}, True
-
-
-def _run_lemma422(spec, cfg):
-    measured, agree = _per_value(spec, cfg, "k", lemma422_containment)
-    return {"containment": measured}, agree
-
-
-def _run_radical_eq_sing(spec, cfg):
-    return _per_prime(cfg.primes, lambda p: radical_equality_sing(3, p))
+    return {"witness": {str(k): two_zero_row_witness(k) for k in spec.params["k"]}}, True
 
 
 def _run_script_4x5(spec, cfg):
@@ -892,27 +862,31 @@ def _run_script_5x6(spec, cfg):
     return {"distinct_minors": distinct, "minors3_codim": codim}, agree and filled
 
 
+# What each case measures.  Public functions are called inside lambdas, so that
+# one rebound while the case runs (perfbench's tracer, a monkeypatch) is called.
 _RUNNERS = {
-    "codim-2xn": _run_codim("n", lambda n: (2, n)),
-    "codim-kxk1": _run_codim("k", lambda k: (k, k + 1)),
-    "census-2xn": _run_census,
-    "hankel-degree8": _run_hankel,
-    "slice-circulant3": _run_slice("circulant3"),
-    "slice-circulant4": _run_slice("circulant4"),
-    "saturation-J3": _run_saturation_j3,
+    "codim-2xn": _each_value("n", lambda n, p: _codim((2, n), p), "codim"),
+    "codim-kxk1": _each_value("k", lambda k, p: _codim((k, k + 1), p), "codim"),
+    "census-2xn": _each_value("n", _census_2xn),
+    "hankel-degree8": _each_value("n", lambda n, p: hankel_chart_case(n, p)),
+    "slice-circulant3": _each_prime(lambda p: _slice_bound("circulant3", p)),
+    "slice-circulant4": _each_prime(lambda p: _slice_bound("circulant4", p)),
+    "saturation-J3": _each_prime(_saturation_j3),
     "kirkup-vanish": _run_kirkup_vanish,
     "kirkup-b1-rank": _run_kirkup_b1,
-    "symbolic-determinants": _run_symbolic_dets,
+    "symbolic-determinants": lambda spec, cfg: (symbolic_determinant_identities(), True),
     "jacobian-independence": _run_jacobian_independence,
     "jacobian-dependence-2x5": _run_jacobian_dependence,
-    "circulant-2x2": _run_circulant_2x2,
+    "circulant-2x2": _each_value("k", _circulant_2x2),
     "perm-engines-agree": _run_perm_engines,
     "derivative-symmetry": _run_derivative_symmetry,
     "rank-never-one": _run_rank_never_one,
     "e-pattern-rank": _run_e_pattern,
     "sing-upper-witness": _run_sing_witness,
-    "lemma422-containment": _run_lemma422,
-    "radical-eq-sing-k3": _run_radical_eq_sing,
+    "lemma422-containment": _each_value(
+        "k", lambda k, p: lemma422_containment(k, p), "containment"
+    ),
+    "radical-eq-sing-k3": _each_prime(lambda p: radical_equality_sing(3, p)),
     "script-4x5": _run_script_4x5,
     "script-5x6": _run_script_5x6,
 }

@@ -603,6 +603,25 @@ def test_config_file_settings_are_checked_where_read(
         assert out and err == ""
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [{"seed": [1]}, {"seed": True}, {"seed": "5"}, {"tier": "Extended"}],
+    ids=["seed-list", "seed-bool", "seed-text", "tier-unknown"],
+)
+def test_config_file_seed_and_tier_are_refused(capsys, tmp_path, monkeypatch, setting):
+    """A seed that is not an int died inside ``random.Random`` with a
+    traceback (exit 1, the code of a failed case) or was taken as another
+    seed, and an unknown tier ran the default one.  Both are refused as the
+    configuration is built, so every command refuses them."""
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(setting))
+    monkeypatch.setenv(ENV_CONFIG, str(cfg_path))
+    for argv in (["reproduce", "derivative-symmetry"], ["perm", "--matrix", "[[1]]"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and next(iter(setting)) in err
+
+
 def test_b1_and_lp_are_one_command_with_two_labels(capsys):
     mat = "[[1,1,-4,2],[1,1,3,5]]"
     blobs = {

@@ -227,12 +227,28 @@ def test_hankel_charts_share_one_generator_set(monkeypatch):
         hankel_chart_case(5, 65537)
 
 
-def test_parameter_override_narrows_case():
-    rep = reproduce("hankel-degree8", n=5)
+NARROWED = [  # case id, list parameter, one registered value, table name
+    ("codim-2xn", "n", 4, "codim"),
+    ("codim-kxk1", "k", 2, "codim"),
+    ("census-2xn", "n", 3, None),
+    ("hankel-degree8", "n", 5, None),
+    ("circulant-2x2", "k", 3, None),
+    ("lemma422-containment", "k", 3, "containment"),
+]
+
+
+@pytest.mark.parametrize("case_id,key,value,table", NARROWED, ids=[c[0] for c in NARROWED])
+def test_parameter_override_narrows_case(case_id, key, value, table):
+    """A narrowed case measures and expects a one-entry table, under the
+    case's table name when it has one, and refuses an unregistered value."""
+    rep = reproduce(case_id, **{key: value})
+    pinned = registry()[case_id].expected
+    want = {str(value): (pinned[table] if table else pinned)[str(value)]}
     assert rep.passed
-    assert list(rep.measured) == ["5"]
+    assert (rep.measured[table] if table else rep.measured) == want
+    assert (rep.expected[table] if table else rep.expected) == want
     with pytest.raises(StructuralError):
-        reproduce("hankel-degree8", n=17)
+        reproduce(case_id, **{key: 17})
 
 
 def test_report_json_and_jsonl(tmp_path):
