@@ -394,7 +394,7 @@ def _evaluation_matrix(rows: dict, points, d: int, p: int):
     return np.array(out)
 
 
-def homogeneous_dim0_certificate(gens, p: int, max_degree: int = 60):
+def homogeneous_dim0_certificate(gens, p: int, max_degree: int = 60, minors=None):
     """Smallest d with the full degree-d monomial space inside the ideal.
 
     ``gens`` are homogeneous polynomials over ZZ, QQ or F_p in m variables,
@@ -408,13 +408,14 @@ def homogeneous_dim0_certificate(gens, p: int, max_degree: int = 60):
     shrinking for STALL_LIMIT straight degrees.  For m > 1 no degree
     above p fills (x^p y - x y^p vanishes on F_p^m): reaching one raises
     PreconditionError.  The open budget is checked before each degree
-    (GroebnerTimeout, phase ``"macaulay"``).
+    (GroebnerTimeout, phase ``"macaulay"``).  ``minors``, if given, is
+    ``_minor_values(gens, p)``, prepared by the caller.
     """
     import numpy as np
 
     if not gens:
         return None
-    degrees, minor_values = _minor_values(gens, p)
+    degrees, minor_values = minors or _minor_values(gens, p)
     values = minor_values([])
     m = len(gens[0].ring.universe)
     points, last_deficiency, stalled = [], None, 0
@@ -428,7 +429,10 @@ def homogeneous_dim0_certificate(gens, p: int, max_degree: int = 60):
         new = _certificate_points(p, m, ncols + SPARE_POINTS)[len(points) :]
         values = np.hstack((values, minor_values(new)))
         points += new
-        rows = {(dg, tuple(v.tolist())): v for dg, v in zip(degrees, values) if v.any()}
+        # distinct nonzero value rows: int64 rows keyed by their bytes, object
+        # rows (p >= 2**31), whose bytes are pointers, by their values
+        key = bytes if values.dtype == np.int64 else tuple
+        rows = {(dg, key(v)): v for dg, v in zip(degrees, values) if v.any()}
         if not rows:
             return None
         if sum(comb(d - dg + m - 1, m - 1) for dg, _ in rows) < ncols:
@@ -851,11 +855,13 @@ def _run_script_5x6(spec, cfg):
     nonzero value rows of the minors at the first prime's first SPARE_POINTS
     points: the slice is symmetric, so 210 of them prove exactly 210."""
     source = (_script_slice(5, SCRIPT_5X6_A), 3)
-    values = _minor_values(source, cfg.prime)[1](_certificate_points(cfg.prime, 4, SPARE_POINTS))
+    minors = {p: _minor_values(source, p) for p in cfg.primes}  # one preparation each
+    values = minors[cfg.prime][1](_certificate_points(cfg.prime, 4, SPARE_POINTS))
     # a fill at the first prime gives the codimension, the number of
     # variables; the primes agree only if every one of them fills
     filled, agree = _per_prime(
-        cfg.primes, lambda p: homogeneous_dim0_certificate(source, p) is not None
+        cfg.primes,
+        lambda p: homogeneous_dim0_certificate(source, p, minors=minors[p]) is not None,
     )
     codim = len(source[0].ring.universe) if filled else None
     distinct = len({tuple(row) for row in values.tolist() if any(row)})

@@ -4,10 +4,10 @@ Everything here works on plain lists of lists holding ``int`` or
 ``fractions.Fraction`` entries (ints for the ``_modp`` variants).  One
 pure-Python fraction-free elimination serves ZZ, QQ and F_p.  The dense
 numpy kernel ``rank_modp_numpy`` ranks integer evaluation matrices mod
-p < 2**31: it eliminates a panel of columns at a time in int64 and applies
-each panel to the rows below as float64 matrix products through BLAS, with
-the residues split so that every sum is an integer below 2**53, which
-float64 holds exactly.  Floats are never taken as input.
+p < 2**31 by block-recursive Gaussian elimination: it searches pivots
+column by column only in blocks of a few columns, and takes every larger
+step as float64 products through BLAS of residues split so that each sum is
+an integer below 2**53, which float64 holds exactly.  Floats are refused.
 """
 
 from fractions import Fraction
@@ -167,37 +167,26 @@ def rank_modp(rows, p):
     return len(_echelon(rows, p)[1])
 
 
-# Columns per panel of rank_modp_numpy, and the side of each tile of its
-# update below the panel.  A panel of 64 keeps each inner product a sum of
-# at most 64 terms below 2**47 (see _submul).  A 64 x 64 tile makes each
-# float64 product 64 * 64 * 64 = 2**18 multiply-adds, a size that OpenBLAS
-# runs on one thread: larger products wake its other threads, which spin
-# between calls and cost CPU time beyond the wall time they save.
-PANEL = 64
+# Columns per panel of rank_modp_numpy, halved down to BASE.  Its float64
+# products sum at most PANEL = 64 terms (see _submul) into tiles of at most
+# PANEL * PANEL entries: 2**18 multiply-adds, which OpenBLAS runs on one
+# thread (larger products wake threads that spin and cost CPU time).
+PANEL, BASE = 64, 8
 
 
 def rank_modp_numpy(mat, p):
     """Rank mod p of an integer matrix (lists, or a numpy array of integer
-    or object dtype), eliminating in numpy one panel of ``PANEL`` columns
-    at a time, with the updates right of the panel delayed (FFPACK-style
-    blocking).
-
-    Within a panel, pivots are found column by column as in ``_echelon``,
-    but each pivot clears the rows below only in the panel's columns, and
-    ``F`` keeps the multiplier of every row for every pivot.  Each pivot
-    row's part right of the panel is brought up to date from the panel's
-    earlier pivots and scaled to a unit pivot; its 16-bit halves go to
-    ``lo`` and ``hi``.  The rows below the panel's pivots then take the
-    whole panel at once, ``a -= F @ (lo + hi * 2**16)``, one tile of
-    ``PANEL`` rows by ``PANEL`` columns at a time.  The matrix stays int64
-    residues; ``F``, ``lo`` and ``hi`` are held as float64, whose products
-    go through BLAS and are exact (see :func:`_submul`).  Products of two
-    residues fit int64 only for p below 2**31; larger primes go to
-    :func:`rank_modp`.  Entries are reduced mod p before the int64 cast,
-    an empty matrix has rank 0, and the caller's matrix is not modified.
-    Entries that are not integers (a float dtype, or a float or Fraction
-    in an object array) raise StructuralError, where a cast would truncate
-    them.
+    or object dtype), by block-recursive Gaussian elimination (after
+    Jeannerod, Pernet and Storjohann, J. Symb. Comp. 56, 2013, and Dumas,
+    Pernet and Sultan, J. Symb. Comp. 83, 2017) on its transpose, held as
+    int64 residues so that each column is contiguous.  :func:`_eliminate`
+    takes one panel of PANEL columns at a time, whose pivots then update the
+    columns right of it at once.  Products of two residues fit int64 only
+    for p below 2**31; larger primes go to :func:`rank_modp`.  Entries are
+    reduced mod p before the int64 cast, an empty matrix has rank 0, and the
+    caller's matrix is not modified.  Entries that are not integers (a float
+    dtype, or a float or Fraction in an object array) raise StructuralError,
+    where a cast would truncate them.
     """
     import numpy as np
 
@@ -209,68 +198,96 @@ def rank_modp_numpy(mat, p):
         raise StructuralError(f"rank_modp_numpy needs integer entries, not {a.dtype}")
     if p >= 1 << 31:
         return rank_modp([[int(x) for x in r] for r in a], p)
-    a = (a % p).astype(np.int64, copy=False)
-    m, n = a.shape
-    row = 0
+    # reduced in a's own dtype, then cast into the transposed int64 array
+    t = np.remainder(a.T, p, out=np.empty(a.shape[::-1], dtype=np.int64), casting="unsafe")
+    n, m = t.shape
+    row, piv = 0, []
     for c0 in range(0, n, PANEL):
         if row == m:
             break
-        c1 = min(c0 + PANEL, n)
-        top = row  # the panel's first pivot row
-        F = np.zeros((m - top, c1 - c0))
-        lo = np.empty((c1 - c0, n - c1))
-        hi = np.empty_like(lo)
-        for col in range(c0, c1):
-            if row == m:
-                break
-            nz = np.flatnonzero(a[row:, col])
-            if nz.size == 0:
-                continue
-            piv = row + int(nz[0])
-            if piv != row:
-                a[[row, piv]] = a[[piv, row]]
-                F[[row - top, piv - top]] = F[[piv - top, row - top]]
-            k = row - top  # this pivot's index within the panel
-            inv = pow(int(a[row, col]), p - 2, p)
-            # the pivot row right of the panel, brought up to date and scaled
-            if k:
-                _submul(a[row, c1:], F[k, :k], lo[:k], hi[:k], p)
-            t = a[row, c1:] * inv % p
-            lo[k], hi[k] = t & 0xFFFF, t >> 16
-            # the rows to clear are the other nonzeros found: a row swapped
-            # out of the pivot position was zero here, or it would be the pivot
-            below = row + nz[1:]
-            if below.size:
-                f = a[below, col]
-                F[below - top, k] = f
-                pr = a[row, col:c1] * inv % p
-                # one product of two residues per entry: below 2**62
-                a[below, col:c1] = (a[below, col:c1] - np.outer(f, pr)) % p
-            row += 1
-        k = row - top
-        if k:
-            for s in range(row, m, PANEL):
-                fs = F[s - top : s - top + PANEL, :k]
-                for j in range(c1, n, PANEL):
-                    cols = slice(j - c1, j - c1 + PANEL)
-                    _submul(a[s : s + PANEL, j : j + PANEL], fs, lo[:k, cols], hi[:k, cols], p)
+        c1, top = min(c0 + PANEL, n), row
+        row = _eliminate(t, p, row, c0, c1, piv)
+        if top < row < m and c1 < n:
+            _update(t[c1:, row:], t[c1:, top:row], t[piv[top:], row:], p)
     return row
 
 
-def _submul(x, f, lo, hi, p):
-    """x := (x - f @ (lo + hi * 2**16)) % p in place, for int64 residues x,
-    float64 residues f below p < 2**31, and float64 integers lo < 2**16 and
-    hi < 2**15, with at most PANEL columns in f.
+def _eliminate(t, p, row, c0, c1, piv):
+    """Eliminate columns c0:c1 of A = t.T below row ``row``, the first that
+    holds no pivot yet.  Appends the pivot columns to ``piv``, one per pivot
+    row, and returns the next free row.
 
-    Each term of ``f @ lo`` is below 2**31 * 2**16 = 2**47, and each of
-    ``f @ hi`` below 2**46, so a sum of at most 64 = 2**6 terms stays below
-    2**53.  Every partial sum is then an integer that float64 holds
-    exactly, whatever order BLAS adds the terms in and whether or not it
-    fuses multiply and add, so both float64 products are exact and cast to
-    int64 unchanged (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).  The
-    mod-p steps run in int64: ``f @ hi`` is reduced mod p before its shift,
-    to below 2**47, so x never leaves (-2**54, 2**31).
+    With pivot rows J, their columns K and P = A[J, K], each later row i
+    becomes A[i] - B[i] A[J], where B[i] = A[i, K] P^-1 is kept in K's
+    place; the pivot rows stay as they are.  A block wider than BASE is
+    halved: the left half's pivots update the right half, whose pivots then
+    update the left half's B.  In a block of BASE columns each column's
+    first nonzero at or below ``row`` is its pivot, eliminated by a rank-1
+    update of centered residues, each product at most (2**30 - 1)**2: a
+    residue stays below 2**63 through the BASE = 8 updates of its block.
     """
-    x -= (f @ lo).astype(x.dtype)
-    x -= ((f @ hi).astype(x.dtype) % p) << 16
-    x %= p
+    import numpy as np
+
+    m = t.shape[1]
+    if c1 - c0 > BASE:
+        mid, r0 = (c0 + c1) // 2, row
+        row = _eliminate(t, p, row, c0, mid, piv)
+        if r0 < row < m:
+            _update(t[mid:c1, row:], t[mid:c1, r0:row], t[piv[r0:], row:], p)
+        r1 = row
+        row = _eliminate(t, p, row, mid, c1, piv)
+        if r0 < r1 < row < m:
+            _update(t[c0:mid, row:], t[c0:mid, r1:row], t[piv[r1:], row:], p)
+        return row
+    blk, h, r0 = t[c0:c1], p // 2, row
+    for j in range(c1 - c0):
+        if row == m:
+            break
+        c = blk[j, row:] + h
+        c -= c // p * p + h  # the column, centered
+        nz = c.nonzero()[0]
+        if not nz.size:
+            continue
+        if nz[0]:  # swap rows of A, columns of t
+            s = row + int(nz[0])
+            t[:, row], t[:, s] = t[:, s], t[:, row].copy()
+            c[0], c[nz[0]] = c[nz[0]], c[0]
+        inv = pow(int(c[0]), -1, p)
+        # v, the pivot row over the pivot d but 1 - 1/d in the pivot column,
+        # takes each later row i to A[i] - c[i] / d A[r], B[i] = c[i] / d
+        v = [(x * inv + h) % p - h for x in blk[:, row].tolist()]
+        v[j] = (1 - inv + h) % p - h
+        blk[:, row + 1 :] -= np.array(v)[:, None] * c[1:]
+        piv.append(c0 + j)
+        row += 1
+    blk[:, r0:] -= blk[:, r0:] // p * p
+    return row
+
+
+def _update(x, f, b, p):
+    """x := (x - f @ b) mod p in place, for int64 residues and at most
+    PANEL columns in f, tile by tile: with fc = f centered, f2 = f * 2**16
+    mod p and b = lo + hi * 2**16, f @ b = fc @ lo + f2 @ hi mod p."""
+    h = p // 2
+    fc, f2 = ((f + h) % p - h).astype(float), ((f << 16) % p).astype(float)
+    lo, hi = (b & 0xFFFF).astype(float), (b >> 16).astype(float)
+    rows = min(len(x), PANEL)
+    cols = PANEL * PANEL // rows
+    for i in range(0, len(x), rows):
+        for j in range(0, x.shape[1], cols):
+            s, c = slice(i, i + rows), slice(j, j + cols)
+            _submul(x[s, c], fc[s], f2[s], lo[:, c], hi[:, c], p)
+
+
+def _submul(x, f, f2, lo, hi, p):
+    """x := (x - f @ lo - f2 @ hi) mod p in place, for int64 residues x,
+    float64 integers |f| < 2**30, 0 <= f2 < 2**31, 0 <= lo < 2**16 and
+    0 <= hi < 2**15, and at most PANEL columns in f and f2.  Each term is
+    below 2**46, so every partial sum is an integer in (-2**52, 2**53), held
+    exactly by float64 whatever order BLAS adds in and whether or not it
+    fuses multiply and add (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008).
+    """
+    t = f @ lo
+    t += f2 @ hi
+    x -= t.astype(x.dtype)
+    x -= x // p * p  # floor division by one divisor: numpy's fast path

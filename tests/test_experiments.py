@@ -365,12 +365,30 @@ def test_inconclusive_certificate_is_no_agreement(monkeypatch):
     spec, cfg = registry()["script-5x6"], CliConfig()
     for fills, codim, agree in (((), None, False), ((cfg.prime,), 4, False), (cfg.primes, 4, True)):
 
-        def certificate(gens, p, fills=fills):
+        def certificate(gens, p, fills=fills, minors=None):
             return 13 if p in fills else None  # a fill degree, or inconclusive
 
         monkeypatch.setattr(experiments, "homogeneous_dim0_certificate", certificate)
         measured, ok = experiments._run_script_5x6(spec, cfg)
         assert (measured["minors3_codim"], ok) == (codim, agree)
+
+
+def test_script_5x6_prepares_its_minors_once_per_prime(monkeypatch):
+    """``distinct_minors`` is read from the first prime's preparation, which
+    that prime's certificate reuses: one ``_minor_values`` call per prime."""
+    from permvar import experiments
+
+    spec, cfg = registry()["script-5x6"], CliConfig()
+    prepared, minor_values = [], experiments._minor_values
+
+    def counting(gens, p):
+        prepared.append(p)
+        return minor_values(gens, p)
+
+    monkeypatch.setattr(experiments, "_minor_values", counting)
+    measured, ok = experiments._run_script_5x6(spec, cfg)
+    assert ok and measured == {"distinct_minors": 210, "minors3_codim": 4}
+    assert sorted(prepared) == sorted(cfg.primes)
 
 
 def test_symbolic_determinant_identities():

@@ -204,23 +204,103 @@ def test_numpy_rank_across_panels_matches_pure_python(build, p):
     assert np.array_equal(arr, before)
 
 
+# ---------------------------------------------------------------------------
+# the recursion's edges, at the smallest prime and the largest the numpy
+# kernel takes
+
+B = linalg.BASE
+
+
+def _zero_left_halves(rng, p):
+    """No pivot in the left half of the first panel, nor in the left half
+    of any 2 * BASE columns of the second: each of those halves sweeps
+    nothing into its right half."""
+
+    def zero(j):
+        return j < W // 2 or (W <= j < 2 * W and j % (2 * B) < B)
+
+    return [[0 if zero(j) else rng.randrange(p) for j in range(2 * W + 3)] for _ in range(W + 5)]
+
+
+def _last_column_pivots(rng, p):
+    """Every block of BASE columns zero but in its last column, where its
+    one pivot is."""
+    return [[rng.randrange(p) if j % B == B - 1 else 0 for j in range(2 * W + B)] for _ in range(W)]
+
+
+def _fewer_rows_than_a_block(rng, p):
+    return [[rng.randrange(p) for _ in range(2 * W + 1)] for _ in range(B - 3)]
+
+
+def _rank_zero(rng, p):
+    """Every entry a multiple of p."""
+    return [[p * rng.randint(-3, 3) for _ in range(W + 9)] for _ in range(W + 2)]
+
+
+def _full_rank(rng, p):
+    """Echelon rows with unit leads, shuffled: rank W + 7 at every p."""
+    rows = [[0] * i + [1] + [rng.randrange(p) for _ in range(2 * W - i)] for i in range(W + 7)]
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("p", [2, P1])
+@pytest.mark.parametrize(
+    "build",
+    [_zero_left_halves, _last_column_pivots, _fewer_rows_than_a_block, _rank_zero, _full_rank],
+)
+def test_numpy_rank_recursion_edges_match_pure_python(build, p):
+    import numpy as np
+
+    A = build(random.Random(p), p)
+    want = linalg.rank_modp(A, p)
+    assert want == {_rank_zero: 0, _full_rank: W + 7}.get(build, want)
+    arr = np.array(A, dtype=np.int64)
+    before = arr.copy()
+    assert linalg.rank_modp_numpy(arr, p) == want
+    assert np.array_equal(arr, before)
+
+
+@pytest.mark.parametrize("build", [_largest_residues_over_tiles, _staggered])
+def test_every_float64_product_stays_inside_the_exact_bound(build, monkeypatch):
+    """Each _submul call, from a half-panel's sweep or a panel's, sums at
+    most PANEL terms (the 2**53 bound of its exactness) into a tile of at
+    most PANEL * PANEL entries (2**18 multiply-adds, which OpenBLAS runs on
+    one thread)."""
+    shapes, submul = [], linalg._submul
+
+    def guarded(x, f, f2, lo, hi, p):
+        assert f.shape == f2.shape and f.shape[-1] <= W
+        assert lo.shape == hi.shape == (f.shape[-1], x.shape[-1])
+        assert x.size <= W * W
+        shapes.append(x.shape)
+        submul(x, f, f2, lo, hi, p)
+
+    monkeypatch.setattr(linalg, "_submul", guarded)
+    A = build(random.Random(53), P1)
+    assert linalg.rank_modp_numpy(A, P1) == linalg.rank_modp(A, P1)
+    assert min(rows for rows, _ in shapes) < W <= max(rows for rows, _ in shapes)
+
+
 @pytest.mark.parametrize("ndim", [2, 1])
 @pytest.mark.parametrize("lo_hi", [(2**16 - 1, 2**15 - 1), (2**16 - 2, 2**15 - 1)])
 def test_submul_is_exact_at_the_bound(lo_hi, ndim):
-    """_submul at p = 2**31 - 1 with W pivots, every multiplier p - 1, and
-    the right factor's halves at the bound's maxima (whose sum is p, so x
-    must come back unchanged) or split from p - 1, the largest residue:
-    its float64 sums come within 2**39 of 2**53, and the result must equal
-    the same update in Python ints.  ``ndim=1`` is the call that brings a
-    pivot row up to date."""
+    """_submul at p = 2**31 - 1 with W terms per sum and the largest
+    operands its contract allows: f = (p - 1) / 2, the largest centered
+    residue, f2 = p - 1, and lo and hi at the maxima of 16-bit halves (whose
+    sum is p) or split from p - 1.  Its float64 sums come within 2**39 of
+    2**53, and the result must equal the same update in Python ints.
+    ``ndim=1`` updates a single row."""
     import numpy as np
 
     p, n = P1, 2 * W + 5
     rng = random.Random(ndim)
     shape = (W, n) if ndim == 2 else (n,)
     x = np.array([rng.randrange(p) for _ in range(np.prod(shape))], dtype=np.int64).reshape(shape)
-    f = np.full(shape[:-1] + (W,), float(p - 1))
+    f, f2 = (np.full(shape[:-1] + (W,), float(c)) for c in (p // 2, p - 1))
     lo, hi = (np.full((W, n), float(h)) for h in lo_hi)
-    want = [(v - W * (p - 1) * (lo_hi[0] + (lo_hi[1] << 16))) % p for v in x.ravel().tolist()]
-    linalg._submul(x, f, lo, hi, p)
+    t = W * (p // 2 * lo_hi[0] + (p - 1) * lo_hi[1])
+    assert 2**53 - 2**39 < t < 2**53
+    want = [(v - t) % p for v in x.ravel().tolist()]
+    linalg._submul(x, f, f2, lo, hi, p)
     assert x.ravel().tolist() == want

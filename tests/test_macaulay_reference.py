@@ -103,8 +103,8 @@ def symbolic_rank(gens, d, p):
 
 
 def value_rows(gens, p, points):
-    """The distinct nonzero value rows, keyed as the certificate keys them:
-    ``{(degree, values): row}``."""
+    """The distinct nonzero value rows, as the certificate takes them,
+    ``{(degree, values as a tuple): row}``."""
     degrees, values = _minor_values(gens, p)
     return {(dg, tuple(v.tolist())): v for dg, v in zip(degrees, values(points)) if v.any()}
 
@@ -299,6 +299,22 @@ def test_certificate_zero_mod_p_generators_are_dropped():
     assert sorted(dg for dg, _ in value_rows(gens, 7, [(1, 2), (3, 4)])) == [2, 3]
     assert homogeneous_dim0_certificate(gens, 7) == 4
     assert homogeneous_dim0_certificate(gens, 11) == 3
+
+
+@pytest.mark.parametrize("p", [101, (1 << 61) - 1])
+def test_certificate_ranks_each_distinct_value_row_once(monkeypatch, p):
+    """The 2x2 minors of [[x, y], [x, y], [y, x], [x, 0]] repeat x^2 - y^2
+    and -xy, each repeat computed apart; with -x^2 the three distinct rows
+    fill degree 2.  The repeats must be dropped and the rest kept: int64
+    value rows (p = 101) are keyed by their bytes, and object rows
+    (p > 2**31), whose bytes are pointers, by their values."""
+    R = PolyRing(VarUniverse.free(["x", "y"]), ZZ)
+    x, y = R.gens()
+    M = PolyMatrix([[x, y], [x, y], [y, x], [x, R.zero]])
+    ranked, rank = [], linalg.rank_modp_numpy
+    monkeypatch.setattr(linalg, "rank_modp_numpy", lambda E, q: ranked.append(len(E)) or rank(E, q))
+    assert homogeneous_dim0_certificate((M, 2), p) == 2
+    assert ranked == [3]
 
 
 def test_degree_above_the_prime_is_refused():
