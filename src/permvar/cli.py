@@ -219,8 +219,9 @@ def _run_ideal_gen(args, cfg) -> int:
 
 
 def _gb_of_file(args, cfg):
-    """The reduced basis of ``--ideal-file`` and the prime it was computed
-    over, None with ``--rational``."""
+    """The Groebner basis of ``--ideal-file`` (its reduced basis is built
+    when ``.gens`` is read) and the prime it was computed over, None with
+    ``--rational``."""
     prime = None if args.rational else cfg.prime
     return buchberger(_read_ideal(args.ideal_file, prime, cfg.order)), prime
 
@@ -249,7 +250,7 @@ def _dim_payload(G, prime, cfg) -> dict:
         "order": G.order.tag(),
         "seed": cfg.seed,
         "wall_ms": G.stats.get("wall_ms"),
-        "basis_size": len(G.gens),
+        "basis_size": len(G),
         "independent_set": list(independent_set(G)),
     }
     if rep.degree is not None:
@@ -282,6 +283,8 @@ def _run_saturate(args, cfg) -> int:
     else:
         f = poly_from_text(args.by, ring)
     sat = saturate(gens, f)
+    if sat:
+        sat = buchberger(sat).gens  # saturate gives generators; print the reduced basis
     _emit(args, {"generators": [g.text() for g in sat]}, [g.text() for g in sat])
     return 0
 

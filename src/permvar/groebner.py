@@ -37,10 +37,17 @@ only adds c times its coefficient to the work, and each coefficient is
 reduced once, when its term is taken.  A term that is zero then, over F_p
 or QQ, is skipped.
 
+``buchberger`` returns the minimal basis the pair loop ends with; its leads are
+the minimal generators of the leading-term ideal, which is all the dimension,
+the Hilbert series and normal forms read.  The reduced basis differs only in
+its tails (Cox, Little and O'Shea, section 2.7) and is interreduced from it
+when ``GroebnerBasis.gens`` is first read.
+
 The open budget is tested only by ``budget.check``, which raises
 GroebnerTimeout past its deadline: before each S-pair, when a reduction's
-allowance of ``WORK_PER_CLOCK_READ`` work units runs out, and every 256
-steps of the Hilbert recursion.
+allowance of ``WORK_PER_CLOCK_READ`` work units runs out (so also while
+``GroebnerBasis.gens`` interreduces), and every 256 steps of the Hilbert
+recursion.
 """
 
 from __future__ import annotations
@@ -142,9 +149,16 @@ def load_ideal_file(path: str, domain, order: MonomialOrder = DEGREVLEX):
 
 @dataclass
 class GroebnerBasis:
-    """Reduced Groebner basis with cached structure."""
+    """A Groebner basis with cached structure.
 
-    gens: tuple
+    ``minimal`` is the minimal basis ``buchberger`` ends with, in insertion
+    order: monic, with pairwise non-dividing leads, which are the minimal
+    generators of the leading-term ideal.  The lead ideal, the length, the
+    unit test and normal forms need nothing more.  ``gens``, the reduced
+    basis ordered by lead key, is interreduced from it on first read.
+    """
+
+    minimal: tuple
     ring: PolyRing
     stats: dict = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -154,23 +168,39 @@ class GroebnerBasis:
         return self.ring.order
 
     @property
+    def gens(self) -> tuple:
+        """The reduced basis, built on first read within the open budget;
+        past it this raises GroebnerTimeout (phase ``"interreduce"``)."""
+        got = self._cache.get("gens")
+        if got is None:
+            try:
+                got = tuple(_interreduce(self.minimal, self.ring))
+            except GroebnerTimeout:
+                raise budget.expired("interreduce", {**self.stats, "pending_pairs": 0}) from None
+            if self.ring.domain.kind == "rat":
+                self.stats["max_coeff_bits"] = max((g.max_coeff_bits() for g in got), default=0)
+            self._cache["gens"] = got
+        return got
+
+    @property
     def lead_ideal(self):
-        """Minimal generators of the leading-term ideal, as exponent tuples."""
+        """Minimal generators of the leading-term ideal, as exponent tuples
+        in ascending lead order."""
         got = self._cache.get("lead_ideal")
         if got is None:
             unpack = self.ring.pack.unpack
-            got = [unpack(g.lead_key()) for g in self.gens]
+            got = [unpack(k) for k in sorted(g.lead_key() for g in self.minimal)]
             self._cache["lead_ideal"] = got
         return got
 
     def is_unit_ideal(self) -> bool:
-        return len(self.gens) == 1 and self.gens[0].is_constant() and bool(self.gens[0])
+        return len(self.minimal) == 1 and self.minimal[0].is_constant()
 
     def __iter__(self):
         return iter(self.gens)
 
     def __len__(self):
-        return len(self.gens)
+        return len(self.minimal)
 
 
 def _spoly(f: MPoly, g: MPoly, l: int, pack) -> dict:
@@ -333,16 +363,17 @@ def normal_form(f: MPoly, G: GroebnerBasis) -> MPoly:
     """Unique remainder of f modulo a Groebner basis; zero iff f is in the ideal."""
     if f.ring is not G.ring:
         f = transport(f, G.ring)
-    find = _scan([g for g in G.gens if g], f.ring)
+    find = _scan(G.minimal, f.ring)
     return f.ring.from_terms(_reduce_terms(dict(f.terms), find, f.ring))
 
 
 def buchberger(gens) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by ``gens``.
+    """Groebner basis of the ideal generated by ``gens``, holding the
+    minimal basis the pair loop ends with (see ``GroebnerBasis``).
 
     Deterministic for a fixed input list.  Raises GroebnerTimeout once the
     open budget runs out, carrying the statistics so far and the phase it
-    stopped in (``"pairs"`` or ``"interreduce"``).
+    stopped in (``"pairs"``).
     """
     gens = [g for g in gens if g is not None]
     if not gens:
@@ -424,7 +455,7 @@ def buchberger(gens) -> GroebnerBasis:
         alive.append(True)
         stats["basis_additions"] += 1
 
-    phase, in_flight = "pairs", 0
+    in_flight = 0
     try:
         # seed with normalized inputs (monic, reduced against earlier ones); a
         # generator equal to an earlier one is skipped before its reduction
@@ -453,17 +484,12 @@ def buchberger(gens) -> GroebnerBasis:
                 continue
             h = ring.from_terms(red).monic()
             add_poly(h, max(s, h.total_degree()))
-
-        phase = "interreduce"
-        final = _interreduce([basis[i] for i in range(len(basis)) if alive[i]], ring)
     except GroebnerTimeout:
         stats["wall_ms"] = int((time.monotonic() - t0) * 1000)
         stats["pending_pairs"] = len(pair_meta) + in_flight
-        raise budget.expired(phase, stats) from None
+        raise budget.expired("pairs", stats) from None
     stats["wall_ms"] = int((time.monotonic() - t0) * 1000)
-    if ring.domain.kind == "rat":
-        stats["max_coeff_bits"] = max((g.max_coeff_bits() for g in final), default=0)
-    return GroebnerBasis(tuple(final), ring, stats)
+    return GroebnerBasis(tuple(g for g, live in zip(basis, alive) if live), ring, stats)
 
 
 def _interreduce(polys, ring):
@@ -551,7 +577,7 @@ def hilbert_numerator(G: GroebnerBasis) -> tuple:
     """Coefficients of the numerator N(t) of HS_{R/in(I)} = N(t)/(1-t)^n.
 
     Bigatti's pivot recursion on the leading-term ideal, run once per basis:
-    the result is cached on ``G``.  The leads of a reduced basis are minimal
+    the result is cached on ``G``.  The leads of a minimal basis are minimal
     generators, and each split keeps them minimal (see ``num``), so no step
     re-minimalizes; every generator list is kept in ``(degree, exps)`` order.
     The open budget is checked every 256 recursion steps, the first
@@ -635,7 +661,11 @@ def _numerator_at_one(G: GroebnerBasis):
 
 
 def hilbert_degree(G: GroebnerBasis) -> int:
-    """Degree of the projective scheme cut out by a homogeneous ideal."""
+    """Degree of the projective scheme cut out by a homogeneous ideal.
+
+    Homogeneity is tested on the reduced basis: a minimal one of a
+    homogeneous ideal may hold a non-homogeneous element (y^2 + x beside x).
+    """
     if not is_homogeneous_ideal(G.gens):
         raise StructuralError("Hilbert-series degree needs a homogeneous ideal")
     if G.is_unit_ideal():
@@ -667,15 +697,20 @@ def _rabinowitsch(gens, f: MPoly):
 
 def _eliminate_t(moved, ring: PolyRing):
     """The elimination ideal of ``moved``, which lives in ``_front_ring(ring)``:
-    the basis elements free of t, back in ``ring`` and interreduced.  In the
-    block order an element whose lead avoids t avoids it in every term."""
+    the minimal basis elements free of t, back in ``ring``.  In the block
+    order an element whose lead avoids t avoids it in every term, and those
+    elements are a basis in degrevlex, the order of the block after t, so
+    they are interreduced there: interreduced in another order, such as
+    lex, they could lose a generator."""
     G = buchberger(moved)
     front_free = G.ring.pack.front_free
-    return _interreduce([transport(g, ring) for g in G.gens if front_free(g.lead_key())], ring)
+    tail = ring if ring.order == DEGREVLEX else PolyRing(ring.universe, ring.domain, DEGREVLEX)
+    free = [transport(g, tail) for g in G.minimal if front_free(g.lead_key())]
+    return [transport(g, ring) for g in _interreduce(free, tail)]
 
 
 def saturate(gens, f: MPoly):
-    """Generators of I : f^infinity.
+    """Generators of I : f^infinity, not in general a Groebner basis.
 
     A product of variables is saturated variable by variable.  Single
     variables use the degrevlex divide-through shortcut when the ideal is
@@ -702,14 +737,15 @@ def saturate(gens, f: MPoly):
                     current = _saturate_general(current, ring.gen(i))
                 if len(current) == 1 and current[0].is_constant():
                     break
-            return list(buchberger(current).gens)
+            return current
     return _saturate_general(gens, f)
 
 
 def _saturate_divide(gens, var_index: int):
     """Saturation by one variable of a homogeneous ideal: compute a degrevlex
-    basis with that variable cheapest, then divide out its powers.
+    basis with that variable cheapest, then divide out its powers (Bayer).
 
+    Any homogeneous basis in that order will do, so the minimal one is used.
     The returned list generates the saturation (it is a basis only with
     respect to the permuted order, so it is NOT interreduced here).
     """
@@ -721,7 +757,7 @@ def _saturate_divide(gens, var_index: int):
     G = buchberger([transport(g, work) for g in gens])
     pack = work.pack
     out = []
-    for g in G.gens:
+    for g in G.minimal:
         # g is homogeneous, and among monomials of one degree degrevlex puts
         # first the one with the fewest factors of the last variable: the
         # lead's power of it divides every term

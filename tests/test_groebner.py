@@ -401,6 +401,19 @@ def test_ideal_intersection_examples():
     assert [g.text() for g in same] == [g.text() for g in buchberger(I).gens]
 
 
+def test_elimination_in_a_lex_ring_keeps_every_generator():
+    """The t-free elements of an elimination are a degrevlex basis: (x - y^2,
+    y^3) gives x^2, x*y and y^2 - x, and a lex interreduction of those keeps
+    only y^2 - x, whose lex lead x divides the other two."""
+    R = ring_of("xy", domain=GF(P1), order=LEX)
+    x, y = R.gens()
+    I = [x - y**2, y**3]
+    want = [g.text() for g in buchberger(I).gens]
+    assert want == ["y^3", "x + 2147483646*y^2"]
+    assert [g.text() for g in buchberger(ideal_intersection(I, I)).gens] == want
+    assert [g.text() for g in buchberger(saturate(I, x + y + 1)).gens] == want
+
+
 def test_intersection_with_zero_ideal_is_zero():
     R = ring_of("xy")
     x, y = R.gens()
@@ -563,10 +576,11 @@ def test_timeout_in_interreduction_names_its_phase(monkeypatch):
         seen.append(budget.ends_at())
         raise budget.expired("reduction")
 
+    G = buchberger(gens)
     monkeypatch.setattr(groebner, "_interreduce", out_of_time)
     before = time.monotonic()
     with pytest.raises(GroebnerTimeout) as exc, Budget(50.0):
-        buchberger(gens)
+        G.gens
     stats = exc.value.stats
     assert stats["phase"] == "interreduce"
     assert (stats["pairs"], stats["pending_pairs"]) == (64, 0)
@@ -825,6 +839,46 @@ def test_pair_sequence_and_basis_pinned(name):
     text = "\n".join(g.text() for g in G.gens)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
     assert s_pairs_reduce_to_zero(G)
+    # the minimal basis has the reduced basis's leads
+    assert len(G) == size
+    assert G.lead_ideal == [G.ring.pack.unpack(g.lead_key()) for g in G.gens]
+
+
+def test_lead_readers_build_no_reduced_basis(monkeypatch):
+    """Dimension, independent set, normal form, radical membership, the unit
+    test and the length read the minimal basis; only ``gens`` interreduces,
+    once per basis."""
+    real, calls = groebner._interreduce, []
+
+    def counted(polys, ring):
+        calls.append(1)
+        return real(polys, ring)
+
+    monkeypatch.setattr(groebner, "_interreduce", counted)
+    gens = over_prime(permanental_ideal(GenericMatrixSpec(2, 4)), P1)
+    x11, x12 = gens[0].ring.gen(0), gens[0].ring.gen(1)
+    G = buchberger(gens)
+    assert ideal_dimension(G).codim == 4
+    assert independent_set(G)
+    assert normal_form(gens[0] * x11, G).is_zero()
+    assert radical_membership(gens[1], gens, gb=G)
+    assert not radical_membership(x11 + x12, gens, gb=G)
+    assert not G.is_unit_ideal()
+    assert len(G) > 0
+    assert calls == []
+    G.gens
+    assert len(calls) == 1
+    G.gens
+    assert len(calls) == 1
+
+
+def test_hilbert_degree_tests_homogeneity_on_the_reduced_basis():
+    """(y^2 + x, x) is homogeneous, but its minimal basis keeps y^2 + x."""
+    R = ring_of("xy", domain=GF(P1))
+    x, y = R.gens()
+    G = buchberger([y**2 + x, x])
+    assert not all(g.is_homogeneous() for g in G.minimal)
+    assert hilbert_degree(G) == 2
 
 
 def _brute_force_monomial_dim(supports, nvars):
