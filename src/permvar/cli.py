@@ -371,6 +371,7 @@ def _run_reproduce(args, cfg) -> int:
             if not rep.passed:
                 print(f"  measured: {rep.measured}")
                 print(f"  expected: {rep.expected}")
+        sys.stdout.flush()  # each case shows as it finishes, also in a pipe
     return 0 if ok else 1
 
 

@@ -95,7 +95,7 @@ class CaseReport:
     seed: int
     primes: tuple
     environment: dict = field(default_factory=dict)
-    status: str = "done"  # done | skipped | failed-timeout | failed-error
+    status: str = "done"  # done | failed-timeout | failed-error
     partial_stats: dict = field(default_factory=dict)  # a timeout's work counts
 
     def canonical_dict(self) -> dict:
@@ -233,7 +233,7 @@ def _line_in_component(comp_gens, line) -> bool:
     two variables, all others 0.  Distinct monomials stay distinct there, so
     a generator vanishes iff none of its terms uses only those two."""
     ring = comp_gens[0].ring
-    on_line = {ring.universe.var_index(i, j) for i, j in line}
+    on_line = {ring.universe.index[f"x_{i}_{j}"] for i, j in line}
     unpack = ring.pack.unpack
 
     def only_on_line(key):
@@ -981,10 +981,11 @@ def _matches(measured: dict, expected: dict) -> bool:
 
 
 def reproduce_all(config: CliConfig | None = None):
-    """Run every registered case at or below the configured tier, id order."""
+    """Run every registered case at or below the configured tier, in id
+    order, yielding each report as soon as its case returns."""
     cfg = config or CliConfig()
-    return [
+    return (
         reproduce(cid, cfg)
         for cid in case_ids()
         if registry()[cid].tier != "extended" or cfg.tier == "extended"
-    ]
+    )

@@ -354,16 +354,12 @@ def _reduce_terms(work: dict, find, ring):
     return out
 
 
-def _scan(polys, ring):
-    """First-divisor lookup over a fixed list of nonzero monic polynomials."""
-    return _first_divisor(ring, polys, [g.lead_key() for g in polys], [True] * len(polys))
-
-
 def normal_form(f: MPoly, G: GroebnerBasis) -> MPoly:
     """Unique remainder of f modulo a Groebner basis; zero iff f is in the ideal."""
     if f.ring is not G.ring:
         f = transport(f, G.ring)
-    find = _scan(G.minimal, f.ring)
+    basis = G.minimal
+    find = _first_divisor(f.ring, basis, [g.lead_key() for g in basis], [True] * len(basis))
     return f.ring.from_terms(_reduce_terms(dict(f.terms), find, f.ring))
 
 
@@ -569,10 +565,6 @@ def independent_set(G: GroebnerBasis) -> tuple:
     return tuple(names[i] for i in range(n) if found >> i & 1)
 
 
-def is_homogeneous_ideal(gens) -> bool:
-    return all(g.is_homogeneous() for g in gens)
-
-
 def hilbert_numerator(G: GroebnerBasis) -> tuple:
     """Coefficients of the numerator N(t) of HS_{R/in(I)} = N(t)/(1-t)^n.
 
@@ -666,7 +658,7 @@ def hilbert_degree(G: GroebnerBasis) -> int:
     Homogeneity is tested on the reduced basis: a minimal one of a
     homogeneous ideal may hold a non-homogeneous element (y^2 + x beside x).
     """
-    if not is_homogeneous_ideal(G.gens):
+    if not all(g.is_homogeneous() for g in G.gens):
         raise StructuralError("Hilbert-series degree needs a homogeneous ideal")
     if G.is_unit_ideal():
         raise StructuralError("unit ideal has no degree")
@@ -731,7 +723,7 @@ def saturate(gens, f: MPoly):
         if var_list:
             current = gens
             for i in var_list:
-                if is_homogeneous_ideal(current):
+                if all(g.is_homogeneous() for g in current):
                     current = _saturate_divide(current, i)
                 else:
                     current = _saturate_general(current, ring.gen(i))

@@ -193,15 +193,13 @@ def _refuse_var_count(count: int):
 
 
 class VarUniverse:
-    """A fixed, ordered list of variable names.
+    """A fixed, ordered list of variable names; two universes with the same
+    names are equal.  ``matrix(k, n)`` names x_<i>_<j> in row-major order
+    (1-based), and a ring finds a matrix variable by that name."""
 
-    Shape-based universes name x_<i>_<j> in row-major order (1-based).
-    Free-form universes take any name list.
-    """
+    __slots__ = ("names", "index")
 
-    __slots__ = ("shape", "names", "index")
-
-    def __init__(self, names, shape=None):
+    def __init__(self, names):
         names = list(names)
         _refuse_var_count(len(names))
         if len(set(names)) != len(names):
@@ -210,27 +208,16 @@ class VarUniverse:
             if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", nm):
                 raise StructuralError(f"bad variable name {nm!r}")
         self.names = tuple(names)
-        self.shape = shape
         self.index = {nm: i for i, nm in enumerate(names)}
 
     @staticmethod
     def matrix(k: int, n: int) -> "VarUniverse":
         _refuse_var_count(max(k, 0) * max(n, 0))
-        names = [f"x_{i}_{j}" for i in range(1, k + 1) for j in range(1, n + 1)]
-        return VarUniverse(names, shape=(k, n))
+        return VarUniverse(f"x_{i}_{j}" for i in range(1, k + 1) for j in range(1, n + 1))
 
     @staticmethod
     def free(names) -> "VarUniverse":
         return VarUniverse(names)
-
-    def var_index(self, i: int, j: int) -> int:
-        """Index of x_i_j (1-based matrix position)."""
-        if self.shape is None:
-            raise StructuralError("universe has no matrix shape")
-        k, n = self.shape
-        if not (1 <= i <= k and 1 <= j <= n):
-            raise StructuralError(f"({i},{j}) outside shape {self.shape}")
-        return (i - 1) * n + (j - 1)
 
     def __len__(self):
         return len(self.names)
@@ -262,19 +249,13 @@ class _Pack:
 
     def __init__(self, nvars: int, order: MonomialOrder):
         self.n = nvars
-        self.order = order
         w = _WIDTH
-        if order.kind == "block" and order.elim_count >= nvars:
-            order = LEX  # block covering everything degenerates to lex
-            self.order = MonomialOrder("block", self.n)
-        kind = order.kind
-        self.elim = order.elim_count if kind == "block" else 0
-        m = self.elim
-        tail = nvars - m
         # low part: degrevlex on variables m..n-1 (complement fields, deg on top)
-        # high part (block/lex only): raw lex fields for variables 0..m-1
-        if kind == "lex":
-            m, tail = nvars, 0
+        # high part (block/lex only): raw lex fields for variables 0..m-1, all
+        # of them in lex, none in degrevlex (elim_count 0); a block covering
+        # every variable is lex
+        m = nvars if order.kind == "lex" else min(order.elim_count, nvars)
+        tail = nvars - m
         self.graded = tail == nvars  # the degree field decides first
         self._tail = tail
         self._deg_shift = w * tail
@@ -434,6 +415,8 @@ class PolyRing:
 
     def gen(self, i) -> "MPoly":
         if isinstance(i, str):
+            if i not in self.universe.index:
+                raise StructuralError(f"no variable {i!r} in this ring")
             i = self.universe.index[i]
         exps = [0] * len(self.universe)
         exps[i] = 1
@@ -443,7 +426,8 @@ class PolyRing:
         return [self.gen(i) for i in range(len(self.universe))]
 
     def var(self, i: int, j: int) -> "MPoly":
-        return self.gen(self.universe.var_index(i, j))
+        """The matrix variable x_i_j (1-based position)."""
+        return self.gen(f"x_{i}_{j}")
 
     def const(self, c) -> "MPoly":
         c = self.domain.coerce(c)

@@ -112,7 +112,7 @@ def test_a_raising_runner_is_a_failed_case_and_the_run_goes_on(monkeypatch, caps
     for cid in ids:
         monkeypatch.setitem(experiments._RUNNERS, cid, lambda spec, cfg: (spec.expected, True))
     monkeypatch.setitem(experiments._RUNNERS, bad, fails)
-    reports = experiments.reproduce_all(CliConfig())
+    reports = list(experiments.reproduce_all(CliConfig()))
     assert [r.id for r in reports] == ids
     failed = [r for r in reports if not r.passed]
     assert [r.id for r in failed] == [bad]
@@ -122,6 +122,31 @@ def test_a_raising_runner_is_a_failed_case_and_the_run_goes_on(monkeypatch, caps
     lines = capsys.readouterr().out.splitlines()
     assert sum(ln.startswith("[PASS] ") for ln in lines) == len(ids) - 1
     assert f"[FAIL] {bad} (" in lines[1]
+
+
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["text", "json"])
+def test_reproduce_all_prints_each_case_when_it_finishes(monkeypatch, capsys, flags):
+    """``reproduce all`` prints each case's report when the case returns, not
+    after the last one: the second case's runner already sees the first
+    case's line on stdout."""
+    from permvar import experiments
+    from permvar.cli import main
+
+    ids = [cid for cid in case_ids() if registry()[cid].tier == "default"]
+    seen = []
+
+    def runner(spec, cfg):
+        seen.append(capsys.readouterr().out)
+        return spec.expected, True
+
+    for cid in ids:
+        monkeypatch.setitem(experiments._RUNNERS, cid, runner)
+    assert main(["reproduce", "all", *flags]) == 0
+    assert seen[0] == ""
+    if flags:
+        assert json.loads(seen[1])["id"] == ids[0]
+    else:
+        assert seen[1].startswith(f"[PASS] {ids[0]} (")
 
 
 def test_reproduce_is_deterministic():
@@ -321,6 +346,17 @@ def test_component_census_n3():
             "lines_in_two_components": True,
         }
     }
+
+
+def test_census_runs_after_a_free_ring_with_the_matrix_names():
+    """A free ring named like the generic 2 x 3 matrix, as ``load_ideal_file``
+    builds for a file of its permanental ideal, is that matrix's ring: the
+    census still finds its variables by name.  (The two primes are used by
+    no other test, so the free ring is the first built over them.)"""
+    names = [f"x_{i}_{j}" for i in (1, 2) for j in (1, 2, 3)]
+    PolyRing(VarUniverse.free(names), GF(65521))
+    rep = reproduce("census-2xn", CliConfig(prime=65521, prime2=65519), n=3)
+    assert rep.canonical_dict()["status"] == "done" and rep.passed
 
 
 def test_census_rejects_big_n():
@@ -622,9 +658,9 @@ def test_reproduce_all_default_tier_skips_extended(monkeypatch):
 
     ids_run = []
     monkeypatch.setattr(experiments, "reproduce", lambda cid, cfg: ids_run.append(cid) or cid)
-    assert experiments.reproduce_all(CliConfig()) == ids_run
+    assert list(experiments.reproduce_all(CliConfig())) == ids_run
     assert "script-5x6" not in ids_run and "codim-2xn" in ids_run
     assert ids_run == [cid for cid in case_ids() if registry()[cid].tier == "default"]
     ids_run.clear()
-    assert experiments.reproduce_all(CliConfig(tier="extended")) == ids_run
+    assert list(experiments.reproduce_all(CliConfig(tier="extended"))) == ids_run
     assert ids_run == list(case_ids())

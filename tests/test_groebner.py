@@ -46,7 +46,7 @@ from permvar.ring import (
     VarUniverse,
     block_order,
 )
-from test_groebner_reference import ref_standard_monomials
+from test_groebner_reference import lookup_over, ref_standard_monomials
 
 P1 = 2147483647
 P2 = 1073741789
@@ -60,7 +60,7 @@ def s_pairs_reduce_to_zero(G):
     """Buchberger's criterion: every S-polynomial of two basis elements
     reduces to zero modulo the basis."""
     pack, gens = G.ring.pack, G.gens
-    find = groebner._scan([g for g in gens if g], G.ring)
+    find = lookup_over([g for g in gens if g], G.ring)
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
             l = pack.pack(tuple(map(max, gens[i].lead_monomial(), gens[j].lead_monomial())))
@@ -528,7 +528,7 @@ def test_reduction_reads_the_clock_by_work_done(monkeypatch):
     R = ring_of("xy", domain=GF(P1), order=LEX)
     x, y = R.gens()
     g = x - R.from_exp_dict({(0, i): 1 for i in range(1024)})  # lex: x leads
-    scan = groebner._scan([g], R)
+    scan = lookup_over([g], R)
     touched = 0
 
     def find(k):
@@ -728,8 +728,8 @@ def test_delayed_reduction_matches_per_term_reference(domain, order):
 
     def check(work, reducers):
         nonzero = {k: c for k, c in work.items() if (c % p if p else c)}
-        want = ref_reduce_terms(nonzero, groebner._scan(reducers, R), R)
-        got = groebner._reduce_terms(dict(work), groebner._scan(reducers, R), R)
+        want = ref_reduce_terms(nonzero, lookup_over(reducers, R), R)
+        got = groebner._reduce_terms(dict(work), lookup_over(reducers, R), R)
         assert got == ({k: c % p for k, c in want.items()} if p else want)
         assert all(got.values())
         assert not p or all(0 < c < p for c in got.values())
@@ -782,8 +782,8 @@ def test_guard_bit_term_raises_only_when_live(domain):
     lo, hi = (x * y**a).lead_key(), (z * y**a).lead_key()
     for reduce in (groebner._reduce_terms, ref_reduce_terms):
         with pytest.raises(CapacityError):
-            reduce({lo: 3, hi: 3}, groebner._scan(reducers, R), R)
-        assert reduce({lo: 3, hi: p - 3}, groebner._scan(reducers, R), R) == {}
+            reduce({lo: 3, hi: 3}, lookup_over(reducers, R), R)
+        assert reduce({lo: 3, hi: p - 3}, lookup_over(reducers, R), R) == {}
 
 
 def _rabinowitsch(k, n, by):

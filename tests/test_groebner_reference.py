@@ -163,6 +163,12 @@ def ref_standard_monomials(G):
     return sorted(out, key=G.ring.pack.pack)
 
 
+def lookup_over(polys, ring):
+    """The engine's first-divisor lookup over a fixed list of nonzero monic
+    polynomials, built as ``normal_form`` builds it."""
+    return _first_divisor(ring, polys, [g.lead_key() for g in polys], [True] * len(polys))
+
+
 # ---------------------------------------------------------------------------
 # random inputs
 
@@ -369,7 +375,7 @@ def test_normal_form_matches_list_scan(domain, order, monkeypatch):
             if domain != QQ:
                 # the raw result holds reduced residues already, before
                 # from_terms reduces it again
-                raw = groebner._reduce_terms(dict(f.terms), groebner._scan(G.gens, R), R)
+                raw = groebner._reduce_terms(dict(f.terms), lookup_over(G.gens, R), R)
                 assert raw == dict(want.terms)
             if domain == QQ:
                 den_in = math.lcm(*(c.denominator for _, c in f.terms))

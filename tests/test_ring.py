@@ -90,6 +90,25 @@ def test_variable_count_is_bounded():
         tracemalloc.stop()
 
 
+def test_a_ring_is_its_names_domain_and_order():
+    """A ring is interned by its variable names, domain and order, so a free
+    ring named like a 2 x 3 matrix is the generic matrix's ring, and
+    ``var(i, j)`` finds x_i_j by name in either.  A name the ring lacks is
+    refused.  (GF(65521) is used by no other test: the first ring built
+    over it is this free one.)"""
+    from permvar.permanent import generic_matrix
+
+    names = [f"x_{i}_{j}" for i in (1, 2) for j in (1, 2, 3)]
+    R = PolyRing(VarUniverse.free(names), GF(65521))
+    M = generic_matrix(2, 3, GF(65521))
+    assert M.rows[1][2] == R.var(2, 3)
+    assert M.rows[1][2].ring is R
+    with pytest.raises(StructuralError):
+        R.var(9, 9)
+    with pytest.raises(StructuralError):
+        R.gen("nope")
+
+
 def test_rational_inverse_is_exact():
     """QQ's inverse of an int is a Fraction, not a float, so a QQ polynomial
     built from int coefficients becomes monic with exact ones."""
