@@ -203,29 +203,18 @@ def slice_height(M_slice: PolyMatrix, p: int) -> int:
 
 def _component_ideals_2xn(n: int, ring: PolyRing):
     """Row spaces and quadric components of the rank-style description."""
-    row1 = [ring.var(1, j) for j in range(1, n + 1)]
-    row2 = [ring.var(2, j) for j in range(1, n + 1)]
-    comps = [row1, row2]
-    for a, b in combinations(range(1, n + 1), 2):
-        gens = []
-        for m in range(1, n + 1):
-            if m not in (a, b):
-                gens.append(ring.var(1, m))
-                gens.append(ring.var(2, m))
-        gens.append(ring.var(1, a) * ring.var(2, b) + ring.var(1, b) * ring.var(2, a))
-        comps.append(gens)
+    x, cols = ring.var, range(1, n + 1)
+    comps = [[x(i, j) for j in cols] for i in (1, 2)]
+    for a, b in combinations(cols, 2):
+        others = [x(i, j) for j in cols if j not in (a, b) for i in (1, 2)]
+        comps.append(others + [x(1, a) * x(2, b) + x(1, b) * x(2, a)])
     return comps
 
 
 def _singular_lines_2xn(n: int):
     """The n^2 coordinate lines: same-row pairs and same-column pairs."""
-    lines = []
-    for i in (1, 2):
-        for a, b in combinations(range(1, n + 1), 2):
-            lines.append(((i, a), (i, b)))
-    for j in range(1, n + 1):
-        lines.append(((1, j), (2, j)))
-    return lines
+    same_row = [((i, a), (i, b)) for i in (1, 2) for a, b in combinations(range(1, n + 1), 2)]
+    return same_row + [((1, j), (2, j)) for j in range(1, n + 1)]
 
 
 def _line_in_component(comp_gens, line) -> bool:
@@ -250,14 +239,9 @@ def _census_2xn(n: int, p: int) -> dict:
     gens = permanental_ideal(GenericMatrixSpec(2, n), GF(p))
     comps = _component_ideals_2xn(n, gens[0].ring)
     G_I = buchberger(gens)
-    containment = True
-    for cg in comps:
-        Gc = buchberger(cg)
-        if not all(normal_form(g, Gc).is_zero() for g in gens):
-            containment = False
-    inter = comps[0]
-    for cg in comps[1:]:
-        inter = ideal_intersection(inter, cg)
+    bases = map(buchberger, comps)  # built as all() asks
+    containment = all(all(normal_form(g, G).is_zero() for g in gens) for G in bases)
+    inter = reduce(ideal_intersection, comps)
     inter_in_rad = all(radical_membership(g, gens, gb=G_I) for g in inter)
     G_T = buchberger(inter)
     ideal_in_inter = all(normal_form(g, G_T).is_zero() for g in gens)
@@ -273,9 +257,10 @@ def _census_2xn(n: int, p: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# section-5 style script cases: script-4x5 is decided by buchberger and
-# ideal_dimension, script-5x6 by the zero-dimensionality certificate below,
-# which ranks Macaulay matrices through their values at points
+# section-5 style script cases, decided by the zero-dimensionality
+# certificate below: script-4x5 by the coefficient Macaulay matrices of its
+# two lists of forms (buchberger and ideal_dimension where one gives no fill),
+# script-5x6 by the values of its minors at points
 
 
 def _script_slice(k: int, A) -> PolyMatrix:
@@ -312,8 +297,7 @@ def _certificate_points(p: int, m: int, count: int):
 
 
 def _minor_values(gens, p: int):
-    """``(degrees, values)`` for the h x h minors of M, ``gens`` = (M, h),
-    or of a list, the 1 x 1 minors of its one-row matrix, in
+    """``(degrees, values)`` for the h x h minors of M, ``gens`` = (M, h), in
     ``matrix_minors`` order: each minor's degree (negative if its entries
     vanish mod p), and ``values(points)``, an array with a row of each
     minor's values mod p at ``points``.
@@ -330,7 +314,7 @@ def _minor_values(gens, p: int):
     must be homogeneous, for h > 1 of one degree."""
     import numpy as np
 
-    M, h = gens if isinstance(gens[0], PolyMatrix) else (PolyMatrix([list(gens)]), 1)
+    M, h = gens
     entries = [over_prime(row, p) for row in M.rows]
     degree = {g.total_degree() for row in entries for g in row if g}
     if not all(g.is_homogeneous() for row in entries for g in row) or (h > 1 and len(degree) > 1):
@@ -394,59 +378,100 @@ def _evaluation_matrix(rows: dict, points, d: int, p: int):
     return np.array(out)
 
 
+def _coefficient_rows(gens, p: int) -> dict:
+    """The distinct nonzero generators mod p: ``{(degree, terms): [(*exponents, coefficient)]}``."""
+    forms = [g for g in over_prime(gens, p) if g]
+    if not all(g.is_homogeneous() for g in forms):
+        raise PreconditionError("certificate needs homogeneous generators")
+    unpack = gens[0].ring.pack.unpack
+    return {(g.total_degree(), g.terms): [(*unpack(k), c) for k, c in g.terms] for g in forms}
+
+
+def _macaulay_matrix(rows: dict, d: int, m: int, p: int):
+    """M_d mod p: the coefficients of x^a g for each g in ``rows``, of degree
+    dg, and each x^a of degree d - dg; a column per degree-d monomial, coded
+    base d + 1 in its exponents (Python ints past int64), so x^a g's codes
+    are x^a's plus g's: one searchsorted per g.  Filled in place, int32 below
+    2**31: half the memory of the int64 copy that ``rank_modp_numpy`` makes."""
+    import numpy as np
+
+    big = (d + 1) ** m >= 1 << 63
+    weights = np.array([(d + 1) ** i for i in range(m)][::-1], dtype=object if big else np.int64)
+
+    def codes(e):  # of the degree-e monomials: their variables' weights summed
+        return weights[np.array(list(combinations_with_replacement(range(m), e)), int)].sum(1)
+
+    columns, top = np.sort(codes(d)), 0
+    height = sum(comb(d - dg + m - 1, m - 1) for dg, _ in rows)
+    M = np.zeros((height, len(columns)), dtype=np.int32 if p < 1 << 31 else np.int64)
+    for (dg, _), terms in rows.items():
+        terms = np.array(terms)
+        at = np.searchsorted(columns, codes(d - dg)[:, None] + terms[:, :m] @ weights)
+        M[top + np.arange(len(at))[:, None], at] = terms[:, m]
+        top += len(at)
+    return M
+
+
 def homogeneous_dim0_certificate(gens, p: int, max_degree: int = 60, minors=None):
     """Smallest d with the full degree-d monomial space inside the ideal.
 
     ``gens`` are homogeneous polynomials over ZZ, QQ or F_p in m variables,
-    or (M, h) for the h x h minors of the PolyMatrix M.  A fill shows that
-    the ideal mod p is zero-dimensional.  Degree d fills when rank E_d = N_d,
-    the number of degree-d monomials, where E_d = M_d V_d holds the values
-    of the generators' degree-d multiples at N_d + SPARE_POINTS points of
-    F_p^m.  As rank E_d <= rank M_d <= N_d, bad points can only lower the
-    rank.  Returns d, or None when inconclusive: no nonzero value row, no
-    fill up to max_degree, or a deficiency N_d - rank E_d that stopped
-    shrinking for STALL_LIMIT straight degrees.  For m > 1 no degree
-    above p fills (x^p y - x y^p vanishes on F_p^m): reaching one raises
-    PreconditionError.  The open budget is checked before each degree
-    (GroebnerTimeout, phase ``"macaulay"``).  ``minors``, if given, is
-    ``_minor_values(gens, p)``, prepared by the caller.
+    ranked exactly in their Macaulay matrices M_d mod p, or (M, h) for the
+    h x h minors of the PolyMatrix M, ranked in E_d = M_d V_d, their
+    multiples' values at N_d + SPARE_POINTS points of F_p^m.  Rank N_d, the
+    number of degree-d monomials, is a fill: the ideal mod p is
+    zero-dimensional.  As many distinct nonzero forms as variables, none
+    constant, are ranked at sum(d_i - 1) + 1 alone: by Macaulay's theorem
+    they fill it, and no lower degree, iff their ideal is zero-dimensional.
+    Bad points can only lower the rank (rank E_d <= rank M_d), and for
+    m > 1 no degree above p fills by evaluation (x^p y - x y^p vanishes on
+    F_p^m): reaching one raises PreconditionError.  Returns d, or None when
+    inconclusive: no nonzero generator, no fill up to max_degree, or a
+    deficiency N_d - rank that stopped shrinking for STALL_LIMIT straight
+    degrees.  The open budget is checked before each degree (GroebnerTimeout,
+    phase ``"macaulay"``).  ``minors``, if given, is ``_minor_values(gens,
+    p)``, prepared by the caller.
     """
     import numpy as np
 
     if not gens:
         return None
-    degrees, minor_values = minors or _minor_values(gens, p)
-    values = minor_values([])
-    m = len(gens[0].ring.universe)
-    points, last_deficiency, stalled = [], None, 0
-    for d in range(max(0, *degrees), max_degree + 1):
+    m, evaluate = len(gens[0].ring.universe), isinstance(gens[0], PolyMatrix)
+    if evaluate:
+        (degrees, minor_values), points = minors or _minor_values(gens, p), []
+        values = minor_values([])
+    else:
+        rows = _coefficient_rows(gens, p)
+        degrees = [dg for dg, _ in rows]
+    start, stop, last_deficiency, stalled = max([0, *degrees]), max_degree, None, 0
+    if not evaluate and len(rows) == m and min(degrees) > 0:
+        start = stop = sum(degrees) - m + 1  # Macaulay's degree
+    for d in range(start, min(stop, max_degree) + 1):
         check("macaulay", {"degree": d, "deficiency": last_deficiency})
-        if d > p and m > 1:
-            raise PreconditionError(f"degree {d} exceeds the prime {p}: evaluation fills none")
         ncols = comb(d + m - 1, m - 1)
-        # the value columns and the points extend together, so they stay
-        # aligned whatever the point helper returns
-        new = _certificate_points(p, m, ncols + SPARE_POINTS)[len(points) :]
-        values = np.hstack((values, minor_values(new)))
-        points += new
-        # distinct nonzero value rows: int64 rows keyed by their bytes, object
-        # rows (p >= 2**31), whose bytes are pointers, by their values
-        key = bytes if values.dtype == np.int64 else tuple
-        rows = {(dg, key(v)): v for dg, v in zip(degrees, values) if v.any()}
+        if evaluate:
+            if d > p and m > 1:
+                raise PreconditionError(f"degree {d} exceeds the prime {p}: evaluation fills none")
+            # value columns and points extend together, aligned whatever the helper gives
+            new = _certificate_points(p, m, ncols + SPARE_POINTS)[len(points) :]
+            values = np.hstack((values, minor_values(new)))
+            points += new
+            # distinct nonzero value rows: int64 rows keyed by their bytes,
+            # object rows (p >= 2**31), whose bytes are pointers, by their values
+            key = bytes if values.dtype == np.int64 else tuple
+            rows = {(dg, key(v)): v for dg, v in zip(degrees, values) if v.any()}
         if not rows:
             return None
         if sum(comb(d - dg + m - 1, m - 1) for dg, _ in rows) < ncols:
             continue
-        deficiency = ncols - linalg.rank_modp_numpy(_evaluation_matrix(rows, points, d, p), p)
+        E = _evaluation_matrix(rows, points, d, p) if evaluate else _macaulay_matrix(rows, d, m, p)
+        deficiency = ncols - linalg.rank_modp_numpy(E, p)
         if deficiency == 0:
             return d
-        if last_deficiency is not None and deficiency >= last_deficiency:
-            stalled += 1
-            if stalled >= STALL_LIMIT:
-                return None
-        else:
-            stalled = 0
-        last_deficiency = deficiency
+        stuck = last_deficiency is not None and deficiency >= last_deficiency
+        stalled, last_deficiency = stalled + 1 if stuck else 0, deficiency
+        if stalled >= STALL_LIMIT:
+            return None
     return None
 
 
@@ -466,8 +491,7 @@ def two_zero_row_witness(k: int) -> bool:
     """All (k-1) x (k-1) permanents vanish identically when two rows are zero:
     those of the generic k x k matrix with its first two rows set to 0."""
     M = generic_matrix(k, k)
-    zero = M.ring.zero
-    return not any(matrix_permanents(k - 1, PolyMatrix([[zero] * k] * 2 + M.rows[2:])))
+    return not any(matrix_permanents(k - 1, PolyMatrix([[M.ring.zero] * k] * 2 + M.rows[2:])))
 
 
 def _partition_sum_ideals(M: PolyMatrix):
@@ -501,11 +525,8 @@ def lemma422_containment(k: int, p: int) -> bool:
     every partition sum of block permanental ideals."""
     M = generic_matrix(k, k, GF(p))
     sing = matrix_permanents(k - 1, M)
-    for gens in _partition_sum_ideals(M):
-        G = buchberger(gens)
-        if not all(normal_form(f, G).is_zero() for f in sing):
-            return False
-    return True
+    bases = map(buchberger, _partition_sum_ideals(M))  # built as all() asks
+    return all(all(normal_form(f, G).is_zero() for f in sing) for G in bases)
 
 
 def radical_equality_sing(k: int, p: int) -> dict:
@@ -514,15 +535,9 @@ def radical_equality_sing(k: int, p: int) -> dict:
     sing = matrix_permanents(k - 1, M)
     G_sing = buchberger(sing)
     sums = list(_partition_sum_ideals(M))
-    forward = True
-    for gens in sums:
-        Gs = buchberger(gens)
-        if not all(radical_membership(f, gens, gb=Gs) for f in sing):
-            forward = False
-            break
-    inter = None
-    for gens in sums:
-        inter = gens if inter is None else ideal_intersection(inter, gens)
+    bases = zip(sums, map(buchberger, sums))  # built as all() asks
+    forward = all(all(radical_membership(f, gens, gb=G) for f in sing) for gens, G in bases)
+    inter = reduce(ideal_intersection, sums)
     backward = all(radical_membership(f, sing, gb=G_sing) for f in inter)
     return {"forward": forward, "backward": backward}
 
@@ -534,8 +549,7 @@ def symbolic_determinant_identities() -> dict:
     for h in (1, 2):
         names = ["a"] + [f"b{i}" for i in range(1, h + 2)]
         ring = PolyRing(VarUniverse.free(names), QQ)
-        a = ring.gen("a")
-        b = [ring.gen(f"b{i}") for i in range(1, h + 2)]
+        a, *b = ring.gens()
         size = h + 2
         rows = [[ring.zero] * size for _ in range(size)]
         for i in range(h + 1):
@@ -611,9 +625,7 @@ def hankel_syzygy_identity(n: int) -> bool:
     if n < 4:
         raise PreconditionError("needs n >= 4")
     ring = PolyRing(VarUniverse.free([f"x{i}" for i in range(n + 1)]), QQ)
-    xm3 = ring.gen(f"x{n-3}")
-    xm2 = ring.gen(f"x{n-2}")
-    xm1 = ring.gen(f"x{n-1}")
+    xm3, xm2, xm1 = (ring.gen(f"x{n - i}") for i in (3, 2, 1))
     half = Fraction(1, 2)
     g1 = -xm2**2 - xm3 * xm1 - xm2 * xm1 + xm1**2 - xm3 - half * xm2
     g2 = -xm2**2 - xm3 * xm1 + xm1**2 + xm2 - half * xm1
@@ -829,9 +841,10 @@ def _run_sing_witness(spec, cfg):
 def _run_script_4x5(spec, cfg):
     """Slice the 5x5 partials matrix of the 4x5 permanental system by a seeded
     random 3-space, and give the codimensions of its determinant's singular
-    locus and of its 4x4-minor locus there (3: zero-dimensional).  Each is
-    decided by ``buchberger`` and ``ideal_dimension`` over each prime; the
-    Macaulay certificate only fills at degree 40 on the singular locus."""
+    locus and of its 4x4-minor locus there (3: zero-dimensional).  Below
+    2**31 a fill of the certificate gives 3 (for the partials, one rank at
+    degree 40).  Otherwise ``buchberger`` decides: past 2**31 the rank would
+    go to the pure-Python ``rank_modp``, which checks no budget."""
     rng = random.Random(cfg.seed)
     A = [[rng.randrange(19) - 9 for _ in range(12)] for _ in range(3)]
     BB = _script_slice(4, A)
@@ -840,6 +853,8 @@ def _run_script_4x5(spec, cfg):
     minors4 = [q for q in matrix_minors(4, BB) if q]
 
     def codim(gens, p):
+        if p < 1 << 31 and homogeneous_dim0_certificate(gens, p) is not None:
+            return len(BB.ring.universe)
         return ideal_dimension(buchberger(over_prime(gens, p))).codim
 
     sing_codim, sing_agree = _per_prime(cfg.primes, lambda p: codim(partials, p))

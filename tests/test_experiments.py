@@ -158,17 +158,29 @@ def test_reproduce_is_deterministic():
 
 
 def test_reproduce_deterministic_across_processes():
-    """Seeded cases emit identical canonical reports from fresh interpreters."""
+    """Seeded cases emit identical canonical reports from fresh interpreters,
+    which find this permvar through ``PYTHONPATH`` and are killed after 60 s."""
+    import os
     import subprocess
     import sys
+    from pathlib import Path
 
+    import permvar
+
+    src = str(Path(permvar.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     snippet = (
         "import json; from permvar.experiments import reproduce; "
         "print(json.dumps(reproduce('jacobian-independence').canonical_dict(), sort_keys=True))"
     )
     outs = [
         subprocess.run(
-            [sys.executable, "-c", snippet], capture_output=True, text=True, check=True
+            [sys.executable, "-c", snippet],
+            capture_output=True,
+            text=True,
+            check=True,
+            env=env,
+            timeout=60,
         ).stdout
         for _ in range(2)
     ]
@@ -648,9 +660,41 @@ def test_script_4x5_honours_its_budget():
     from permvar.errors import GroebnerTimeout
 
     t0 = time.monotonic()
-    with pytest.raises(GroebnerTimeout), Budget(1e-3):
+    with pytest.raises(GroebnerTimeout) as err, Budget(1e-3):
         _RUNNERS["script-4x5"](registry()["script-4x5"], CliConfig())
     assert time.monotonic() - t0 < 10
+    # the certificate runs first, and checks the budget before its one rank
+    assert err.value.stats["phase"] == "macaulay"
+
+
+def test_script_4x5_above_2_31_never_reaches_rank_modp(monkeypatch):
+    """Past 2**31 ``rank_modp_numpy`` would hand the certificate's matrices
+    to the pure-Python ``rank_modp``, which has no budget check and is far
+    slower on the partials' degree-40 matrix than ``buchberger`` on the
+    partials, so there both loci go to ``buchberger``.  At the second prime,
+    below 2**31, the certificate decides both without it: one rank for the
+    partials."""
+    from permvar import experiments, linalg
+
+    def refuse(rows, p):
+        raise AssertionError(f"rank_modp reached at p = {p}")
+
+    ranked, rank, bases, basis = [], linalg.rank_modp_numpy, [], experiments.buchberger
+    monkeypatch.setattr(linalg, "rank_modp", refuse)
+    monkeypatch.setattr(
+        linalg, "rank_modp_numpy", lambda E, p: ranked.append((E.shape, p)) or rank(E, p)
+    )
+    monkeypatch.setattr(
+        experiments, "buchberger", lambda gens: bases.append(gens[0].ring.domain) or basis(gens)
+    )
+    big, small = (1 << 61) - 1, CliConfig().prime2
+    measured, agree = _RUNNERS["script-4x5"](
+        registry()["script-4x5"], CliConfig(prime=big, prime2=small)
+    )
+    assert agree and measured == {"sing_codim": 3, "minors4_codim": 3, "seed": DEFAULT_SEED}
+    assert bases == [GF(big), GF(big)]
+    assert ranked[0] == ((1134, 861), small)
+    assert {p for _, p in ranked} == {small}
 
 
 def test_reproduce_all_default_tier_skips_extended(monkeypatch):

@@ -1,5 +1,5 @@
-"""The evaluation certificate against the symbolic Macaulay matrices it
-replaced, built here as reference:
+"""The certificate's two Macaulay matrices against symbolic ones built here
+as reference:
 
 - the row builder that enumerates each degree's monomials into a dict and
   fills one Python list per shifted generator, from generators already
@@ -7,10 +7,13 @@ replaced, built here as reference:
 - the elimination that clears every row below a pivot through boolean-mask
   copies of whole rows.
 
-The certificate ranks E_d = M_d V_d, the values of the degree-d multiples of
-the generators at points, so rank E_d <= rank M_d: every degree it fills
-must be full rank in the symbolic matrix M_d, and points that lose
-information must give no fill.
+A list of generators is ranked in its coefficient matrix M_d, which must be
+the reference matrix, row for row.  The minors of a matrix are ranked in
+E_d = M_d V_d, the values of their degree-d multiples at points, so
+rank E_d <= rank M_d: every degree it fills must be full rank in the
+symbolic matrix M_d, and points that lose information must give no fill.
+The evaluation tests hand lists in as ``one_row(gens)``, the 1 x 1 minors
+of their one-row matrix.
 """
 
 import random
@@ -26,13 +29,15 @@ from permvar.errors import PreconditionError
 from permvar.experiments import (
     SCRIPT_5X6_A,
     SPARE_POINTS,
+    _macaulay_matrix,
+    _coefficient_rows,
     _evaluation_matrix,
     _minor_values,
     _script_slice,
     homogeneous_dim0_certificate,
 )
 from permvar.groebner import over_prime
-from permvar.ring import QQ, ZZ, PolyMatrix, PolyRing, VarUniverse, matrix_minors
+from permvar.ring import QQ, ZZ, PolyMatrix, PolyRing, VarUniverse, matrix_det, matrix_minors
 
 PRIMES = [7, (1 << 31) - 1, (1 << 61) - 1]
 
@@ -102,20 +107,26 @@ def symbolic_rank(gens, d, p):
     return ref_masked_rank(rows, p) if p < 1 << 31 else linalg.rank_modp(rows, p)
 
 
-def value_rows(gens, p, points):
-    """The distinct nonzero value rows, as the certificate takes them,
-    ``{(degree, values as a tuple): row}``."""
-    degrees, values = _minor_values(gens, p)
+def one_row(gens):
+    """A list of generators as the 1 x 1 minors of its one-row matrix: the
+    form in which the certificate ranks them by evaluation."""
+    return PolyMatrix([list(gens)]), 1
+
+
+def value_rows(source, p, points):
+    """The distinct nonzero value rows of the minors ``source`` = (M, h), as
+    the certificate takes them, ``{(degree, values as a tuple): row}``."""
+    degrees, values = _minor_values(source, p)
     return {(dg, tuple(v.tolist())): v for dg, v in zip(degrees, values(points)) if v.any()}
 
 
-def evaluation_rank(gens, d, p):
-    """``(rank E_d, N_d)``, E_d built as the certificate builds it at degree
-    d, from its points for that degree."""
-    m = len(gens[0].ring.universe)
+def evaluation_rank(source, d, p):
+    """``(rank E_d, N_d)`` of the minors ``source`` = (M, h), E_d built as
+    the certificate builds it at degree d, from its points for that degree."""
+    m = len(source[0].ring.universe)
     ncols = comb(d + m - 1, m - 1)
     points = experiments._certificate_points(p, m, ncols + SPARE_POINTS)
-    E = _evaluation_matrix(value_rows(gens, p, points), points, d, p)
+    E = _evaluation_matrix(value_rows(source, p, points), points, d, p)
     return linalg.rank_modp_numpy(E, p), ncols
 
 
@@ -148,11 +159,14 @@ def random_ideal(rng, nv, domain):
 @pytest.mark.parametrize("nv", [2, 3, 4])
 @pytest.mark.parametrize("seed", range(8))
 def test_macaulay_matrix_matches_row_builder(seed, nv, domain):
-    """At each degree from the first, rank E_d <= rank M_d of the reference
-    rows, so a degree filled by evaluation is a symbolic fill; at
-    p = 2**31 - 1 the seeded points are generic and the ranks agree.  The
-    certificate's answer is a symbolic fill, and it reads ZZ/QQ coefficients
-    as over_prime maps them."""
+    """At each degree from the first, the coefficient M_d is the reference
+    matrix of the distinct generators mod p, row for row (in another row
+    order), so its rank is the reference rank M_d; and rank E_d <= rank M_d,
+    so a degree filled by evaluation is a symbolic fill; at p = 2**31 - 1
+    the seeded points are generic and the ranks agree.  Both certificates
+    read ZZ/QQ coefficients as over_prime maps them: the evaluation one
+    answers with a symbolic fill, and the exact coefficient one with the
+    first symbolic fill, at either prime."""
     rng = random.Random(1000 * seed + nv)
     gens = random_ideal(rng, nv, domain)
     if not gens:
@@ -160,44 +174,99 @@ def test_macaulay_matrix_matches_row_builder(seed, nv, domain):
     for p in PRIMES[:2]:
         modp = [g for g in over_prime(gens, p) if g]
         if not modp:
+            assert homogeneous_dim0_certificate(one_row(gens), p) is None
             assert homogeneous_dim0_certificate(gens, p) is None
             continue
-        degrees, _ = _minor_values(gens, p)
+        degrees, _ = _minor_values(one_row(gens), p)
         assert sorted(dg for dg in degrees if dg >= 0) == sorted(g.total_degree() for g in modp)
+        distinct, rows = list({g.terms: g for g in modp}.values()), _coefficient_rows(gens, p)
+        assert sorted(dg for dg, _ in rows) == sorted(g.total_degree() for g in distinct)
         start = max(g.total_degree() for g in modp)
         fills = []
-        for d in range(start, min(start + 3, p + 1)):
-            got, ncols = evaluation_rank(gens, d, p)
-            want = symbolic_rank(modp, d, p)
-            assert got <= want <= ncols
-            if p > 1 << 30:
-                assert got == want
+        for d in range(start, start + 3):
+            ref, ncols = ref_rows(distinct, d, p)
+            want = ref_masked_rank(ref, p) if ref else 0
+            M = _macaulay_matrix(rows, d, nv, p)
+            assert M.dtype == np.int32 and M.shape == (len(ref), ncols)
+            assert sorted(M.tolist()) == sorted(ref)
+            assert linalg.rank_modp_numpy(M, p) == want
+            if d <= p:
+                got, _ = evaluation_rank(one_row(gens), d, p)
+                assert got <= want <= ncols
+                if p > 1 << 30:
+                    assert got == want
             fills += [d] * (want == ncols)
         top = min(8, p)
-        cert = homogeneous_dim0_certificate(gens, p, max_degree=top)
-        assert cert == homogeneous_dim0_certificate(modp, p, max_degree=top)
+        cert = homogeneous_dim0_certificate(one_row(gens), p, max_degree=top)
+        assert cert == homogeneous_dim0_certificate(one_row(modp), p, max_degree=top)
         if cert is not None:
             assert symbolic_rank(modp, cert, p) == comb(cert + nv - 1, nv - 1)
         if p > 1 << 30 and fills:
             # the stall rule needs five ranked degrees, so the first
             # symbolic fill among the first three degrees is the answer
             assert cert == fills[0]
+        # no stall within three degrees: the exact answer is the first fill
+        exact = homogeneous_dim0_certificate(gens, p, max_degree=start + 2)
+        assert exact == (fills[0] if fills else None)
+
+
+def test_coefficient_codes_past_int64_stay_exact(monkeypatch):
+    """In 64 variables the base-2 code of x_0 is 2**63, past int64, so the
+    codes are Python ints: the 64 variables still land in 64 distinct
+    columns and fill degree 1, and with x_0 bent into x_1 + x_2 the rank
+    falls one short."""
+    R = PolyRing(VarUniverse.free([f"v{i}" for i in range(64)]), ZZ)
+    xs = R.gens()
+    M = _macaulay_matrix(_coefficient_rows(xs, 101), 1, 64, 101)
+    assert M.tolist() == ref_rows(xs, 1, 101)[0]
+    ranked, rank = [], linalg.rank_modp_numpy
+    monkeypatch.setattr(
+        linalg, "rank_modp_numpy", lambda E, p: ranked.append((E.shape, rank(E, p))) or ranked[-1][1]
+    )
+    assert homogeneous_dim0_certificate(xs, 101) == 1
+    assert homogeneous_dim0_certificate([xs[1] + xs[2]] + xs[1:], 101) is None
+    assert ranked == [((64, 64), 64), ((64, 64), 63)]
+
+
+def test_two_of_the_partials_do_not_fill():
+    """script-4x5's three partials at the default seed fill M_40 by one rank
+    (``test_script_4x5_above_2_31_never_reaches_rank_modp``).  Without the
+    third one's rows M_40 falls 196 short: two curves of degree 14 in the
+    projective plane meet in 14 * 14 points, so no degree fills, and the
+    certificate of the two, with too few rows to fill up to degree 46,
+    ranks nothing there and gives None."""
+    p = CliConfig().prime
+    rng = random.Random(CliConfig().seed)  # the runner's draw of the slice
+    A = [[rng.randrange(19) - 9 for _ in range(12)] for _ in range(3)]
+    B = _script_slice(4, A)
+    det = matrix_det(B)
+    partials = [det.diff(nm) for nm in B.ring.universe.names]
+    M = _macaulay_matrix(_coefficient_rows(partials[:2], p), 40, 3, p)
+    assert M.shape == (2 * comb(28, 2), comb(42, 2))
+    assert comb(42, 2) - linalg.rank_modp_numpy(M, p) == 14 * 14
+    assert homogeneous_dim0_certificate(partials[:2], p, max_degree=46) is None
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_object_dtype_certificate_above_int64_products(seed):
     """Past 2**31 the values are Python ints in object arrays, ranked by the
-    pure-Python elimination: the same one-sided oracle, on smaller ideals."""
+    pure-Python elimination: the same one-sided oracle, on smaller ideals.
+    The coefficient matrices there are the reference ones, in int64."""
     p = PRIMES[2]
     rng = random.Random(7000 + seed)
     gens = random_ideal(rng, 2 + seed % 2, ZZ)
-    assert _minor_values(gens, p)[1]([(p - 1,) * len(gens[0].ring.universe)]).dtype == object
+    source, nv = one_row(gens), len(gens[0].ring.universe)
+    assert _minor_values(source, p)[1]([(p - 1,) * nv]).dtype == object
+    distinct = list({g.terms: g for g in over_prime(gens, p) if g}.values())
     start = max(g.total_degree() for g in gens)
     for d in range(start, start + 2):
-        got, ncols = evaluation_rank(gens, d, p)
+        got, ncols = evaluation_rank(source, d, p)
         assert got == symbolic_rank(gens, d, p) <= ncols
-    cert = homogeneous_dim0_certificate(gens, p, max_degree=8)
-    assert cert == homogeneous_dim0_certificate(gens, PRIMES[1], max_degree=8)
+        # coefficients: residues past 2**31 still fit int64
+        M = _macaulay_matrix(_coefficient_rows(gens, p), d, nv, p)
+        assert M.dtype == np.int64 and sorted(M.tolist()) == sorted(ref_rows(distinct, d, p)[0])
+    cert = homogeneous_dim0_certificate(source, p, max_degree=8)
+    assert cert == homogeneous_dim0_certificate(source, PRIMES[1], max_degree=8)
     if cert is not None:
         assert symbolic_rank(gens, cert, p) == comb(cert + len(gens[0].ring.universe) - 1, cert)
 
@@ -212,8 +281,8 @@ def test_points_on_a_hyperplane_never_fill(monkeypatch, p):
     rng = random.Random(p)
     ideals += [random_ideal(rng, 3, ZZ) for _ in range(3)]
     top = min(7, p)
-    assert homogeneous_dim0_certificate(ideals[0], p, max_degree=top) == 4
-    assert homogeneous_dim0_certificate(ideals[1], p, max_degree=top) == 4
+    assert homogeneous_dim0_certificate(one_row(ideals[0]), p, max_degree=top) == 4
+    assert homogeneous_dim0_certificate(one_row(ideals[1]), p, max_degree=top) == 4
     points = experiments._certificate_points
     monkeypatch.setattr(
         experiments,
@@ -222,7 +291,7 @@ def test_points_on_a_hyperplane_never_fill(monkeypatch, p):
     )
     for gens in ideals:
         if gens:
-            assert homogeneous_dim0_certificate(gens, p, max_degree=top) is None
+            assert homogeneous_dim0_certificate(one_row(gens), p, max_degree=top) is None
 
 
 def test_certificate_points_are_distinct_and_prefix_stable():
@@ -296,7 +365,12 @@ def test_certificate_zero_mod_p_generators_are_dropped():
     R = PolyRing(VarUniverse.free(["x", "y"]), ZZ)
     x, y = R.gens()
     gens = [7 * x * y, x**2, y**3, 14 * (x + y)]
-    assert sorted(dg for dg, _ in value_rows(gens, 7, [(1, 2), (3, 4)])) == [2, 3]
+    assert sorted(dg for dg, _ in value_rows(one_row(gens), 7, [(1, 2), (3, 4)])) == [2, 3]
+    assert homogeneous_dim0_certificate(one_row(gens), 7) == 4
+    assert homogeneous_dim0_certificate(one_row(gens), 11) == 3
+    # by coefficients: x^2 and y^3 are as many forms as variables, so only
+    # Macaulay's degree 1 + 2 + 1 = 4 is ranked mod 7
+    assert sorted(dg for dg, _ in _coefficient_rows(gens, 7)) == [2, 3]
     assert homogeneous_dim0_certificate(gens, 7) == 4
     assert homogeneous_dim0_certificate(gens, 11) == 3
 
@@ -323,12 +397,14 @@ def test_degree_above_the_prime_is_refused():
     R = PolyRing(VarUniverse.free(["x", "y"]), ZZ)
     x, y = R.gens()
     gens = [x**3, y**2]
-    assert homogeneous_dim0_certificate(gens, 5) == 4
+    assert homogeneous_dim0_certificate(one_row(gens), 5) == 4
     with pytest.raises(PreconditionError, match="prime 3"):
-        homogeneous_dim0_certificate(gens, 3)
-    assert homogeneous_dim0_certificate([x**2, y**2], 3) == 3
+        homogeneous_dim0_certificate(one_row(gens), 3)
+    assert homogeneous_dim0_certificate(one_row([x**2, y**2]), 3) == 3
     one = PolyRing(VarUniverse.free(["t"]), ZZ).gen("t")
-    assert homogeneous_dim0_certificate([one**5], 3) == 5  # one variable: no such form
+    assert homogeneous_dim0_certificate(one_row([one**5]), 3) == 5  # one variable: no such form
+    # coefficients take no points, so the list itself fills degree 4 mod 3
+    assert homogeneous_dim0_certificate(gens, 3) == 4
 
 
 def test_masked_reference_on_random_matrices():
