@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import cache, reduce
 from importlib import resources
 from itertools import combinations, combinations_with_replacement
-from math import comb, prod
+from math import comb, factorial, prod
 
 from . import __version__, linalg
 from .budget import Budget, check
@@ -257,10 +257,9 @@ def _census_2xn(n: int, p: int) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# section-5 style script cases, decided by the zero-dimensionality
-# certificate below: script-4x5 by the coefficient Macaulay matrices of its
-# two lists of forms (buchberger and ideal_dimension where one gives no fill),
-# script-5x6 by the values of its minors at points
+# section-5 style script cases, each decided by the zero-dimensionality
+# certificate below in coefficient Macaulay matrices: script-4x5's two lists
+# (buchberger where one gives no fill) and script-5x6's minors
 
 
 def _script_slice(k: int, A) -> PolyMatrix:
@@ -280,135 +279,123 @@ def _script_slice(k: int, A) -> PolyMatrix:
     )
 
 
-# Spare points past N_d: unlucky points of a small field then rarely cost a fill.
-SPARE_POINTS = 16
 # Straight degrees of a non-shrinking deficiency after which the certificate
 # gives up as inconclusive.
 STALL_LIMIT = 4
 
 
-def _certificate_points(p: int, m: int, count: int):
-    """The first ``count`` distinct points of F_p^m (all, if fewer) drawn by
-    ``random.Random(p)``; a shorter call gives a prefix of a longer one."""
-    rng, seen = random.Random(p), {}
-    while len(seen) < min(count, p**m):
-        seen[tuple(rng.randrange(p) for _ in range(m))] = None
-    return list(seen)
+@cache
+def _monomials(d: int, m: int) -> tuple:
+    """The degree-d monomials in m variables as exponent tuples, in
+    increasing lex order: so are their codes in any base above d."""
+    spelled = combinations_with_replacement(range(m), d)
+    return tuple(tuple(s.count(i) for i in range(m)) for s in spelled)[::-1]
 
 
-def _minor_values(gens, p: int):
-    """``(degrees, values)`` for the h x h minors of M, ``gens`` = (M, h), in
-    ``matrix_minors`` order: each minor's degree (negative if its entries
-    vanish mod p), and ``values(points)``, an array with a row of each
-    minor's values mod p at ``points``.
-
-    The entries are moved into F_p and tagged with their degree here, once.
-    ``values`` walks each distinct entry's own Horner program
-    (``MPoly._horner``, compiled on the first call) over numpy lanes, one
-    per variable, reduced mod p after every sum and product: int64 for
-    p < 2**31, where a product stays below 2**62, else object.  The k x k
-    minors come from the (k-1) x (k-1) ones by expansion along their first
-    row: for each position t, one gather of the entries (R[0], C[t]) and of
-    the minors (R[1:], C without C[t]) over every (R, C) at once, so a call
-    takes O(h^2) array operations past the entries' programs.  The entries
-    must be homogeneous, for h > 1 of one degree."""
+def _codes(d: int, m: int, base: int):
+    """The codes of ``_monomials(d, m)``, increasing: a monomial's exponents
+    times the weights base**(m - 1), ..., base, 1, summed.  With base above
+    every degree in play, a product's code is the sum of its factors' codes.
+    Python ints (object dtype) once base**m reaches 2**63."""
     import numpy as np
 
-    M, h = gens
-    entries = [over_prime(row, p) for row in M.rows]
-    degree = {g.total_degree() for row in entries for g in row if g}
-    if not all(g.is_homogeneous() for row in entries for g in row) or (h > 1 and len(degree) > 1):
-        raise PreconditionError("certificate needs homogeneous generators")
-    distinct: dict = {}  # terms -> (position, entry)
-    at = [[distinct.setdefault(g.terms, (len(distinct), g))[0] for g in row] for row in entries]
+    weights = [base**i for i in range(m)][::-1]
+    dtype = object if base**m >= 1 << 63 else np.int64
+    return np.array(_monomials(d, m), dtype=int) @ np.array(weights, dtype=dtype)
+
+
+def _dense(forms, d: int, m: int):
+    """The coefficients, ints below 2**63, of homogeneous degree-d forms in
+    m variables: an int64 row per form, a column per ``_monomials(d, m)``."""
+    import numpy as np
+
+    column = {e: j for j, e in enumerate(_monomials(d, m))}
+    out = np.zeros((len(forms), len(column)), dtype=np.int64)
+    for row, g in zip(out, forms):
+        unpack = g.ring.pack.unpack
+        for k, c in g.terms:
+            row[column[unpack(k)]] = c
+    return out
+
+
+def _distinct(rows):
+    """The distinct nonzero rows of an array, sorted."""
+    import numpy as np
+
+    return np.unique(rows[rows.any(1)], axis=0)
+
+
+def _minor_rows(M: PolyMatrix, h: int):
+    """``(D, rows)`` for the h x h minors of M, a PolyMatrix over ZZ with
+    entries homogeneous of one degree e (a list is the form for mixed
+    degrees): D = h e, and an int64 array of each minor's coefficients over
+    ``_monomials(D, nvars)``, a row each in ``matrix_minors`` order.
+
+    The k x k minors come from the (k-1) x (k-1) ones by expansion along
+    their first row: for each position t, one gather of the entries
+    (R[0], C[t]) and of the minors (R[1:], C without C[t]) over every (R, C)
+    at once, then one shifted add per degree-e monomial, whose code (base
+    D + 1) plus the smaller minors' codes gives their products' columns.
+    Every partial sum is at most h! L^h, L the largest sum of an entry's
+    absolute coefficients; past 2**63 CapacityError is raised."""
+    import numpy as np
+
+    entries = [g for row in M.rows for g in row if g]
+    degree = {g.total_degree() for g in entries}
+    if M.ring.domain != ZZ or len(degree) > 1 or not all(g.is_homogeneous() for g in entries):
+        raise PreconditionError("minor rows need homogeneous entries of one degree over ZZ")
+    e = max(degree, default=0)
+    L = max((sum(abs(c) for _, c in g.terms) for g in entries), default=0)
+    if factorial(h) * L**h >= 1 << 63:
+        raise CapacityError(f"{h}x{h} minors of entries of coefficient sum {L} may pass int64")
     (m, n), nvars = M.dims, len(M.ring.universe)
-    dtype = np.int64 if p < 1 << 31 else object
-    # per level k, per position t: the entries and the (k-1)-minors to multiply
-    expansions, index = [], {((), ()): 0}
+    codes = [_codes(k * e, nvars, h * e + 1) for k in range(h + 1)]
+    distinct: dict = {}  # terms -> (lane, entry)
+    at = [[distinct.setdefault(g.terms, (len(distinct), g))[0] for g in row] for row in M.rows]
+    # held transposed, a row per monomial, so that each shifted add moves rows
+    lanes = _dense([g for _, g in distinct.values()], e, nvars).T.copy()
+    minors, index = np.ones((1, 1), dtype=np.int64), {((), ()): 0}
     for k in range(1, h + 1):
         keys = [(R, C) for C in combinations(range(n), k) for R in combinations(range(m), k)]
-        expansions.append([
-            (
-                np.array([at[R[0]][C[t]] for R, C in keys]),
-                np.array([index[R[1:], C[:t] + C[t + 1 :]] for R, C in keys]),
-            )
-            for t in range(k)
-        ])
-        index = {key: i for i, key in enumerate(keys)}
-    degrees = [h * max(entries[i][j].total_degree() for i in R for j in C) for R, C in keys]
-
-    def mul(a, b):
-        return a * b % p
-
-    def add(a, b):
-        return (a + b) % p
-
-    def values(points):
-        pts = np.array(points, dtype=dtype).reshape(len(points), nvars).T % p
-
-        def const(c):
-            return np.full(len(points), c, dtype=dtype)
-
-        lanes = np.stack([
-            g._horner(pts[g._compile()[0]], mul, add, const) for _, g in distinct.values()
-        ])
-        minors = np.ones((1, len(points)), dtype=dtype)
-        for expansion in expansions:
-            total = 0
-            for t, (entry, minor) in enumerate(expansion):
-                term = lanes[entry] * minors[minor] % p
-                total = total - term if t % 2 else total + term
-            minors = total % p
-        return minors
-
-    return degrees, values
-
-
-def _evaluation_matrix(rows: dict, points, d: int, p: int):
-    """E_d: the values mod p at ``points`` of x^a g for each value row g,
-    keyed ``(degree dg, values)`` in ``rows``, and each x^a of degree d - dg."""
-    import numpy as np
-
-    pts = np.array(points, dtype=next(iter(rows.values())).dtype).T  # a row per variable
-    out = []
-    for (dg, _), g in rows.items():
-        # a monomial as its variables, each repeated by its exponent
-        for a in combinations_with_replacement(range(len(pts)), d - dg):
-            out.append(reduce(lambda v, i: v * pts[i] % p, a, g))
-    return np.array(out)
+        shift = np.searchsorted(codes[k], codes[k - 1][:, None] + codes[1])
+        total = np.zeros((len(codes[k]), len(keys)), dtype=np.int64)
+        for t in range(k):
+            entry = lanes[:, [at[R[0]][C[t]] for R, C in keys]] * (-1) ** t
+            minor = minors[:, [index[R[1:], C[:t] + C[t + 1 :]] for R, C in keys]]
+            for a in entry.any(1).nonzero()[0]:
+                total[shift[:, a]] += entry[a] * minor
+        minors, index = total, {key: i for i, key in enumerate(keys)}
+    return h * e, minors.T
 
 
 def _coefficient_rows(gens, p: int) -> dict:
-    """The distinct nonzero generators mod p: ``{(degree, terms): [(*exponents, coefficient)]}``."""
+    """The distinct nonzero generators mod p by degree, ``{degree: rows}``,
+    as ``_dense`` rows."""
     forms = [g for g in over_prime(gens, p) if g]
     if not all(g.is_homogeneous() for g in forms):
         raise PreconditionError("certificate needs homogeneous generators")
-    unpack = gens[0].ring.pack.unpack
-    return {(g.total_degree(), g.terms): [(*unpack(k), c) for k, c in g.terms] for g in forms}
+    m, by_degree = len(gens[0].ring.universe), {}
+    for g in forms:
+        by_degree.setdefault(g.total_degree(), []).append(g)
+    return {dg: _distinct(_dense(by_degree[dg], dg, m)) for dg in sorted(by_degree)}
 
 
 def _macaulay_matrix(rows: dict, d: int, m: int, p: int):
-    """M_d mod p: the coefficients of x^a g for each g in ``rows``, of degree
-    dg, and each x^a of degree d - dg; a column per degree-d monomial, coded
-    base d + 1 in its exponents (Python ints past int64), so x^a g's codes
-    are x^a's plus g's: one searchsorted per g.  Filled in place, int32 below
-    2**31: half the memory of the int64 copy that ``rank_modp_numpy`` makes."""
+    """M_d mod p: the coefficients of x^a g for each row g in ``rows``, of
+    degree dg, and each x^a of degree d - dg; a column per degree-d
+    monomial, coded base d + 1, so x^a g's codes are x^a's plus g's: one
+    searchsorted per degree.  Filled in place, int32 below 2**31: half the
+    memory of the int64 copy that ``rank_modp_numpy`` makes."""
     import numpy as np
 
-    big = (d + 1) ** m >= 1 << 63
-    weights = np.array([(d + 1) ** i for i in range(m)][::-1], dtype=object if big else np.int64)
-
-    def codes(e):  # of the degree-e monomials: their variables' weights summed
-        return weights[np.array(list(combinations_with_replacement(range(m), e)), int)].sum(1)
-
-    columns, top = np.sort(codes(d)), 0
-    height = sum(comb(d - dg + m - 1, m - 1) for dg, _ in rows)
+    columns, top = _codes(d, m, d + 1), 0
+    height = sum(len(g) * comb(d - dg + m - 1, m - 1) for dg, g in rows.items())
     M = np.zeros((height, len(columns)), dtype=np.int32 if p < 1 << 31 else np.int64)
-    for (dg, _), terms in rows.items():
-        terms = np.array(terms)
-        at = np.searchsorted(columns, codes(d - dg)[:, None] + terms[:, :m] @ weights)
-        M[top + np.arange(len(at))[:, None], at] = terms[:, m]
-        top += len(at)
+    for dg, g in rows.items():
+        at = np.searchsorted(columns, _codes(d - dg, m, d + 1)[:, None] + _codes(dg, m, d + 1))
+        size = len(g) * len(at)  # a row per generator and shift, a column per term
+        M[np.arange(top, top + size).reshape(len(g), len(at), 1), at] = g[:, None]
+        top += size
     return M
 
 
@@ -416,56 +403,39 @@ def homogeneous_dim0_certificate(gens, p: int, max_degree: int = 60, minors=None
     """Smallest d with the full degree-d monomial space inside the ideal.
 
     ``gens`` are homogeneous polynomials over ZZ, QQ or F_p in m variables,
-    ranked exactly in their Macaulay matrices M_d mod p, or (M, h) for the
-    h x h minors of the PolyMatrix M, ranked in E_d = M_d V_d, their
-    multiples' values at N_d + SPARE_POINTS points of F_p^m.  Rank N_d, the
-    number of degree-d monomials, is a fill: the ideal mod p is
-    zero-dimensional.  As many distinct nonzero forms as variables, none
-    constant, are ranked at sum(d_i - 1) + 1 alone: by Macaulay's theorem
-    they fill it, and no lower degree, iff their ideal is zero-dimensional.
-    Bad points can only lower the rank (rank E_d <= rank M_d), and for
-    m > 1 no degree above p fills by evaluation (x^p y - x y^p vanishes on
-    F_p^m): reaching one raises PreconditionError.  Returns d, or None when
+    or (M, h) for the h x h minors of the PolyMatrix M (``_minor_rows``).
+    Either is ranked exactly in its Macaulay matrices M_d mod p.  Rank N_d,
+    the number of degree-d monomials, is a fill: the ideal mod p is
+    zero-dimensional, and for generators over ZZ or QQ so is their ideal
+    over QQ, since a full-rank M_d mod p is full rank over QQ.  As many
+    distinct nonzero forms as variables, none constant, are ranked at
+    sum(d_i - 1) + 1 alone: by Macaulay's theorem they fill it, and no lower
+    degree, iff their ideal is zero-dimensional.  Returns d, or None when
     inconclusive: no nonzero generator, no fill up to max_degree, or a
     deficiency N_d - rank that stopped shrinking for STALL_LIMIT straight
     degrees.  The open budget is checked before each degree (GroebnerTimeout,
-    phase ``"macaulay"``).  ``minors``, if given, is ``_minor_values(gens,
-    p)``, prepared by the caller.
+    phase ``"macaulay"``).  ``minors``, if given, is ``_minor_rows(M, h)``.
     """
-    import numpy as np
-
     if not gens:
         return None
-    m, evaluate = len(gens[0].ring.universe), isinstance(gens[0], PolyMatrix)
-    if evaluate:
-        (degrees, minor_values), points = minors or _minor_values(gens, p), []
-        values = minor_values([])
+    m = len(gens[0].ring.universe)
+    if isinstance(gens[0], PolyMatrix):
+        D, zz = minors or _minor_rows(*gens)
+        rows = {D: _distinct(zz % p)}
     else:
         rows = _coefficient_rows(gens, p)
-        degrees = [dg for dg, _ in rows]
-    start, stop, last_deficiency, stalled = max([0, *degrees]), max_degree, None, 0
-    if not evaluate and len(rows) == m and min(degrees) > 0:
+    degrees = [dg for dg, g in rows.items() for _ in g]
+    if not degrees:
+        return None
+    start, stop, last_deficiency, stalled = max(degrees), max_degree, None, 0
+    if len(degrees) == m and min(degrees) > 0:
         start = stop = sum(degrees) - m + 1  # Macaulay's degree
     for d in range(start, min(stop, max_degree) + 1):
         check("macaulay", {"degree": d, "deficiency": last_deficiency})
         ncols = comb(d + m - 1, m - 1)
-        if evaluate:
-            if d > p and m > 1:
-                raise PreconditionError(f"degree {d} exceeds the prime {p}: evaluation fills none")
-            # value columns and points extend together, aligned whatever the helper gives
-            new = _certificate_points(p, m, ncols + SPARE_POINTS)[len(points) :]
-            values = np.hstack((values, minor_values(new)))
-            points += new
-            # distinct nonzero value rows: int64 rows keyed by their bytes,
-            # object rows (p >= 2**31), whose bytes are pointers, by their values
-            key = bytes if values.dtype == np.int64 else tuple
-            rows = {(dg, key(v)): v for dg, v in zip(degrees, values) if v.any()}
-        if not rows:
-            return None
-        if sum(comb(d - dg + m - 1, m - 1) for dg, _ in rows) < ncols:
+        if sum(comb(d - dg + m - 1, m - 1) for dg in degrees) < ncols:
             continue
-        E = _evaluation_matrix(rows, points, d, p) if evaluate else _macaulay_matrix(rows, d, m, p)
-        deficiency = ncols - linalg.rank_modp_numpy(E, p)
+        deficiency = ncols - linalg.rank_modp_numpy(_macaulay_matrix(rows, d, m, p), p)
         if deficiency == 0:
             return d
         stuck = last_deficiency is not None and deficiency >= last_deficiency
@@ -844,7 +814,7 @@ def _run_script_4x5(spec, cfg):
     locus and of its 4x4-minor locus there (3: zero-dimensional).  Below
     2**31 a fill of the certificate gives 3 (for the partials, one rank at
     degree 40).  Otherwise ``buchberger`` decides: past 2**31 the rank would
-    go to the pure-Python ``rank_modp``, which checks no budget."""
+    go to the pure-Python ``rank_modp``, far slower there than ``buchberger``."""
     rng = random.Random(cfg.seed)
     A = [[rng.randrange(19) - 9 for _ in range(12)] for _ in range(3)]
     BB = _script_slice(4, A)
@@ -866,20 +836,19 @@ def _run_script_4x5(spec, cfg):
 def _run_script_5x6(spec, cfg):
     """With the explicit integer 4x20 slice matrix, certify that the rank-two
     locus (3x3 minors) of the sliced 6x6 partials matrix is zero-dimensional,
-    by the certificate over each prime.  ``distinct_minors`` counts distinct
-    nonzero value rows of the minors at the first prime's first SPARE_POINTS
-    points: the slice is symmetric, so 210 of them prove exactly 210."""
+    by the certificate over each prime.  The minors are expanded over ZZ
+    once, and each prime reduces them.  ``distinct_minors`` counts their
+    distinct nonzero coefficient rows mod the first prime."""
     source = (_script_slice(5, SCRIPT_5X6_A), 3)
-    minors = {p: _minor_values(source, p) for p in cfg.primes}  # one preparation each
-    values = minors[cfg.prime][1](_certificate_points(cfg.prime, 4, SPARE_POINTS))
+    minors = _minor_rows(*source)
     # a fill at the first prime gives the codimension, the number of
     # variables; the primes agree only if every one of them fills
     filled, agree = _per_prime(
         cfg.primes,
-        lambda p: homogeneous_dim0_certificate(source, p, minors=minors[p]) is not None,
+        lambda p: homogeneous_dim0_certificate(source, p, minors=minors) is not None,
     )
     codim = len(source[0].ring.universe) if filled else None
-    distinct = len({tuple(row) for row in values.tolist() if any(row)})
+    distinct = len(_distinct(minors[1] % cfg.prime))
     return {"distinct_minors": distinct, "minors3_codim": codim}, agree and filled
 
 

@@ -3,17 +3,18 @@
 Everything here works on plain lists of lists holding ``int`` or
 ``fractions.Fraction`` entries (ints for the ``_modp`` variants).  One
 pure-Python fraction-free elimination serves ZZ, QQ and F_p.  The dense
-numpy kernel ``rank_modp_numpy`` ranks integer evaluation matrices mod
-p < 2**31 by block-recursive Gaussian elimination: it searches pivots
-column by column only in blocks of a few columns, and takes every larger
-step as float64 products through BLAS of residues split so that each sum is
-an integer below 2**53, which float64 holds exactly.  Floats are refused.
+numpy kernel ``rank_modp_numpy`` ranks integer matrices mod p < 2**31 by
+block-recursive Gaussian elimination: it searches pivots column by column
+only in blocks of a few columns, and takes every larger step as float64
+products through BLAS of residues split so that each sum is an integer
+below 2**53, which float64 holds exactly.  Floats are refused.
 """
 
 from fractions import Fraction
 from math import gcd, lcm
 from operator import index
 
+from .budget import check
 from .errors import StructuralError
 
 
@@ -55,11 +56,13 @@ def _echelon(rows, p=None):
     cleared, or residues mod p) in row echelon form, row ``r`` leading in
     column ``pivots[r]``, then zero rows.  The pivot choice (first nonzero
     row at or below) is the one classical Gauss-Jordan elimination makes.
+    The open budget is checked before each column (phase ``"elimination"``).
     """
     m, n = _dims(rows)
     a = [[x % p for x in r] for r in rows] if p else _integer_rows(rows)
     pivots = []
     for col in range(n):
+        check("elimination", {"column": col, "rank": len(pivots)})
         row = len(pivots)
         if row == m:
             break

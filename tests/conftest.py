@@ -4,7 +4,7 @@ import signal
 
 import pytest
 
-# The slowest test takes about 13 s.  One still running after this long is
+# The slowest test takes about 10 s.  One still running after this long is
 # hung, for example a Groebner run on wrong reductions, which need not end.
 TEST_TIMEOUT_S = 300
 

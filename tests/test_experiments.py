@@ -421,22 +421,19 @@ def test_inconclusive_certificate_is_no_agreement(monkeypatch):
         assert (measured["minors3_codim"], ok) == (codim, agree)
 
 
-def test_script_5x6_prepares_its_minors_once_per_prime(monkeypatch):
-    """``distinct_minors`` is read from the first prime's preparation, which
-    that prime's certificate reuses: one ``_minor_values`` call per prime."""
+def test_script_5x6_expands_its_minors_once(monkeypatch):
+    """The minors are expanded over ZZ once, and each prime's certificate
+    reduces that expansion: one ``_minor_rows`` call per run."""
     from permvar import experiments
 
     spec, cfg = registry()["script-5x6"], CliConfig()
-    prepared, minor_values = [], experiments._minor_values
-
-    def counting(gens, p):
-        prepared.append(p)
-        return minor_values(gens, p)
-
-    monkeypatch.setattr(experiments, "_minor_values", counting)
+    expanded, minor_rows = [], experiments._minor_rows
+    monkeypatch.setattr(
+        experiments, "_minor_rows", lambda M, h: expanded.append(h) or minor_rows(M, h)
+    )
     measured, ok = experiments._run_script_5x6(spec, cfg)
     assert ok and measured == {"distinct_minors": 210, "minors3_codim": 4}
-    assert sorted(prepared) == sorted(cfg.primes)
+    assert expanded == [3]
 
 
 def test_symbolic_determinant_identities():
@@ -583,14 +580,29 @@ def test_dim0_certificate_honours_deadline():
     assert err.value.stats["phase"] == "macaulay"
 
 
-def test_script_5x6_at_a_small_prime_is_refused_by_name():
-    """Its minors have degree 12, and evaluation over F_7 can fill no degree
-    above 7: the case is a failed-error that names the prime, not an
-    inconclusive certificate."""
+def test_script_5x6_passes_at_small_primes():
+    """Its minors have degree 12 and fill degree 13, both above 7 and 11:
+    coefficient ranks take no points, so small primes are computed like
+    any other, not refused."""
     rep = reproduce("script-5x6", CliConfig(prime=7, prime2=11, tier="extended"))
-    assert rep.status == "failed-error"
-    assert not rep.passed
-    assert "prime 7" in rep.measured["error"]
+    assert rep.status == "done" and rep.passed
+    assert rep.measured == {"distinct_minors": 210, "minors3_codim": 4}
+
+
+def test_script_5x6_above_2_31_honours_its_budget():
+    """Past 2**31 ``rank_modp_numpy`` hands M_13 (840 x 560) to the
+    pure-Python elimination, which checks the open budget before each
+    column: the certificate stops within the budget, not after the rank."""
+    import time
+
+    from permvar.errors import GroebnerTimeout
+
+    source = (_script_slice(5, SCRIPT_5X6_A), 3)
+    t0 = time.monotonic()
+    with pytest.raises(GroebnerTimeout) as err, Budget(2):
+        homogeneous_dim0_certificate(source, (1 << 61) - 1)
+    assert time.monotonic() - t0 < 10
+    assert err.value.stats["phase"] == "elimination"
 
 
 def test_script_4x5_degenerate_seed_is_an_honest_fail():
@@ -669,11 +681,10 @@ def test_script_4x5_honours_its_budget():
 
 def test_script_4x5_above_2_31_never_reaches_rank_modp(monkeypatch):
     """Past 2**31 ``rank_modp_numpy`` would hand the certificate's matrices
-    to the pure-Python ``rank_modp``, which has no budget check and is far
-    slower on the partials' degree-40 matrix than ``buchberger`` on the
-    partials, so there both loci go to ``buchberger``.  At the second prime,
-    below 2**31, the certificate decides both without it: one rank for the
-    partials."""
+    to the pure-Python ``rank_modp``, far slower on the partials' degree-40
+    matrix than ``buchberger`` on the partials, so there both loci go to
+    ``buchberger``.  At the second prime, below 2**31, the certificate
+    decides both without it: one rank for the partials."""
     from permvar import experiments, linalg
 
     def refuse(rows, p):

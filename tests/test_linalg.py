@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from permvar import linalg
-from permvar.errors import StructuralError
+from permvar.budget import Budget
+from permvar.errors import GroebnerTimeout, StructuralError
 
 RNG = random.Random(1234)
 P1 = 2147483647
@@ -94,6 +95,19 @@ def test_numpy_rank_refuses_non_integer_entries():
     # integer dtypes, and ints of either kind in an object array, are taken
     assert linalg.rank_modp_numpy(np.array([[3, 0], [0, 5]], dtype=np.uint8), 7) == 2
     assert linalg.rank_modp_numpy(np.array([[np.int64(3), 2**70]], dtype=object), 7) == 1
+
+
+def test_elimination_checks_the_open_budget():
+    """The pure-Python elimination behind ``rank``, ``rank_kernel``,
+    ``rank_modp`` and ``rank_modp_numpy`` past 2**31 checks the open budget
+    before each column, in phase ``"elimination"``; with none open it runs."""
+    A = [[1, 2, 3, 4], [0, 1, 5, 6], [2, 0, 1, 7]]
+    ranks = (linalg.rank, lambda a: linalg.rank_modp(a, P1))
+    for rank in (*ranks, lambda a: linalg.rank_modp_numpy(a, (1 << 61) - 1)):
+        with pytest.raises(GroebnerTimeout) as err, Budget(-1.0):
+            rank(A)
+        assert err.value.stats == {"column": 0, "rank": 0, "phase": "elimination"}
+        assert rank(A) == 3
 
 
 def test_numpy_rank_falls_back_above_int64_range():

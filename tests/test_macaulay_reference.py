@@ -1,5 +1,5 @@
-"""The certificate's two Macaulay matrices against symbolic ones built here
-as reference:
+"""The certificate's Macaulay matrices against symbolic ones built here as
+reference:
 
 - the row builder that enumerates each degree's monomials into a dict and
   fills one Python list per shifted generator, from generators already
@@ -7,36 +7,32 @@ as reference:
 - the elimination that clears every row below a pivot through boolean-mask
   copies of whole rows.
 
-A list of generators is ranked in its coefficient matrix M_d, which must be
-the reference matrix, row for row.  The minors of a matrix are ranked in
-E_d = M_d V_d, the values of their degree-d multiples at points, so
-rank E_d <= rank M_d: every degree it fills must be full rank in the
-symbolic matrix M_d, and points that lose information must give no fill.
-The evaluation tests hand lists in as ``one_row(gens)``, the 1 x 1 minors
-of their one-row matrix.
+Both forms of generators, a list of forms and the h x h minors of a
+matrix, are ranked exactly in their coefficient matrices M_d, which must be
+the reference matrices, row for row.  The minors' coefficient rows, expanded
+over ZZ by ``_minor_rows``, must be the coefficients of ``matrix_minors``.
 """
 
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 import pytest
 
-from permvar import experiments, linalg
+from permvar import linalg
 from permvar.config import CliConfig
-from permvar.errors import PreconditionError
+from permvar.errors import CapacityError, PreconditionError
 from permvar.experiments import (
     SCRIPT_5X6_A,
-    SPARE_POINTS,
-    _macaulay_matrix,
     _coefficient_rows,
-    _evaluation_matrix,
-    _minor_values,
+    _distinct,
+    _macaulay_matrix,
+    _minor_rows,
     _script_slice,
     homogeneous_dim0_certificate,
 )
-from permvar.groebner import over_prime
+from permvar.groebner import over_prime, transport
 from permvar.ring import QQ, ZZ, PolyMatrix, PolyRing, VarUniverse, matrix_det, matrix_minors
 
 PRIMES = [7, (1 << 31) - 1, (1 << 61) - 1]
@@ -107,27 +103,17 @@ def symbolic_rank(gens, d, p):
     return ref_masked_rank(rows, p) if p < 1 << 31 else linalg.rank_modp(rows, p)
 
 
-def one_row(gens):
-    """A list of generators as the 1 x 1 minors of its one-row matrix: the
-    form in which the certificate ranks them by evaluation."""
-    return PolyMatrix([list(gens)]), 1
-
-
-def value_rows(source, p, points):
-    """The distinct nonzero value rows of the minors ``source`` = (M, h), as
-    the certificate takes them, ``{(degree, values as a tuple): row}``."""
-    degrees, values = _minor_values(source, p)
-    return {(dg, tuple(v.tolist())): v for dg, v in zip(degrees, values(points)) if v.any()}
-
-
-def evaluation_rank(source, d, p):
-    """``(rank E_d, N_d)`` of the minors ``source`` = (M, h), E_d built as
-    the certificate builds it at degree d, from its points for that degree."""
-    m = len(source[0].ring.universe)
-    ncols = comb(d + m - 1, m - 1)
-    points = experiments._certificate_points(p, m, ncols + SPARE_POINTS)
-    E = _evaluation_matrix(value_rows(source, p, points), points, d, p)
-    return linalg.rank_modp_numpy(E, p), ncols
+def coefficients(polys, d, m):
+    """Each homogeneous degree-d polynomial's coefficients over the degree-d
+    monomials in ``ref_monomials`` order, a list each (zero for zero)."""
+    cols = {mono: i for i, mono in enumerate(ref_monomials(d, m))}
+    out = []
+    for g in polys:
+        row = [0] * len(cols)
+        for k, c in g.terms:
+            row[cols[g.ring.pack.unpack(k)]] = c
+        out.append(row)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -159,14 +145,10 @@ def random_ideal(rng, nv, domain):
 @pytest.mark.parametrize("nv", [2, 3, 4])
 @pytest.mark.parametrize("seed", range(8))
 def test_macaulay_matrix_matches_row_builder(seed, nv, domain):
-    """At each degree from the first, the coefficient M_d is the reference
-    matrix of the distinct generators mod p, row for row (in another row
-    order), so its rank is the reference rank M_d; and rank E_d <= rank M_d,
-    so a degree filled by evaluation is a symbolic fill; at p = 2**31 - 1
-    the seeded points are generic and the ranks agree.  Both certificates
-    read ZZ/QQ coefficients as over_prime maps them: the evaluation one
-    answers with a symbolic fill, and the exact coefficient one with the
-    first symbolic fill, at either prime."""
+    """At each degree from the first, M_d is the reference matrix of the
+    distinct generators mod p, row for row (in another row order), so its
+    rank is the reference rank.  The certificate reads ZZ/QQ coefficients
+    as over_prime maps them, and answers with the first reference fill."""
     rng = random.Random(1000 * seed + nv)
     gens = random_ideal(rng, nv, domain)
     if not gens:
@@ -174,13 +156,12 @@ def test_macaulay_matrix_matches_row_builder(seed, nv, domain):
     for p in PRIMES[:2]:
         modp = [g for g in over_prime(gens, p) if g]
         if not modp:
-            assert homogeneous_dim0_certificate(one_row(gens), p) is None
             assert homogeneous_dim0_certificate(gens, p) is None
             continue
-        degrees, _ = _minor_values(one_row(gens), p)
-        assert sorted(dg for dg in degrees if dg >= 0) == sorted(g.total_degree() for g in modp)
         distinct, rows = list({g.terms: g for g in modp}.values()), _coefficient_rows(gens, p)
-        assert sorted(dg for dg, _ in rows) == sorted(g.total_degree() for g in distinct)
+        assert sorted(dg for dg, g in rows.items() for _ in g) == sorted(
+            g.total_degree() for g in distinct
+        )
         start = max(g.total_degree() for g in modp)
         fills = []
         for d in range(start, start + 3):
@@ -190,22 +171,8 @@ def test_macaulay_matrix_matches_row_builder(seed, nv, domain):
             assert M.dtype == np.int32 and M.shape == (len(ref), ncols)
             assert sorted(M.tolist()) == sorted(ref)
             assert linalg.rank_modp_numpy(M, p) == want
-            if d <= p:
-                got, _ = evaluation_rank(one_row(gens), d, p)
-                assert got <= want <= ncols
-                if p > 1 << 30:
-                    assert got == want
             fills += [d] * (want == ncols)
-        top = min(8, p)
-        cert = homogeneous_dim0_certificate(one_row(gens), p, max_degree=top)
-        assert cert == homogeneous_dim0_certificate(one_row(modp), p, max_degree=top)
-        if cert is not None:
-            assert symbolic_rank(modp, cert, p) == comb(cert + nv - 1, nv - 1)
-        if p > 1 << 30 and fills:
-            # the stall rule needs five ranked degrees, so the first
-            # symbolic fill among the first three degrees is the answer
-            assert cert == fills[0]
-        # no stall within three degrees: the exact answer is the first fill
+        # no stall within three degrees: the answer is the first fill
         exact = homogeneous_dim0_certificate(gens, p, max_degree=start + 2)
         assert exact == (fills[0] if fills else None)
 
@@ -248,68 +215,34 @@ def test_two_of_the_partials_do_not_fill():
 
 
 @pytest.mark.parametrize("seed", range(4))
-def test_object_dtype_certificate_above_int64_products(seed):
-    """Past 2**31 the values are Python ints in object arrays, ranked by the
-    pure-Python elimination: the same one-sided oracle, on smaller ideals.
-    The coefficient matrices there are the reference ones, in int64."""
+def test_certificate_past_2_31_matches_the_row_builder(seed):
+    """Past 2**31 the residues still fit int64, so M_d is int64, the
+    reference matrix, and is ranked by the pure-Python elimination: its
+    rank is the reference rank, and the certificate at 2**61 - 1 answers
+    as at 2**31 - 1, with a reference fill."""
     p = PRIMES[2]
     rng = random.Random(7000 + seed)
     gens = random_ideal(rng, 2 + seed % 2, ZZ)
-    source, nv = one_row(gens), len(gens[0].ring.universe)
-    assert _minor_values(source, p)[1]([(p - 1,) * nv]).dtype == object
+    nv = len(gens[0].ring.universe)
     distinct = list({g.terms: g for g in over_prime(gens, p) if g}.values())
     start = max(g.total_degree() for g in gens)
     for d in range(start, start + 2):
-        got, ncols = evaluation_rank(source, d, p)
-        assert got == symbolic_rank(gens, d, p) <= ncols
-        # coefficients: residues past 2**31 still fit int64
         M = _macaulay_matrix(_coefficient_rows(gens, p), d, nv, p)
         assert M.dtype == np.int64 and sorted(M.tolist()) == sorted(ref_rows(distinct, d, p)[0])
-    cert = homogeneous_dim0_certificate(source, p, max_degree=8)
-    assert cert == homogeneous_dim0_certificate(source, PRIMES[1], max_degree=8)
+        assert linalg.rank_modp_numpy(M, p) == symbolic_rank(gens, d, p)
+    cert = homogeneous_dim0_certificate(gens, p, max_degree=8)
+    assert cert == homogeneous_dim0_certificate(gens, PRIMES[1], max_degree=8)
     if cert is not None:
-        assert symbolic_rank(gens, cert, p) == comb(cert + len(gens[0].ring.universe) - 1, cert)
+        assert symbolic_rank(gens, cert, p) == comb(cert + nv - 1, cert)
 
 
 @pytest.mark.parametrize("p", PRIMES)
-def test_points_on_a_hyperplane_never_fill(monkeypatch, p):
-    """Every point with x_0 = 0 makes every multiple of x_0 vanish, so no
-    degree can fill: the certificate must give None, never a fill."""
-    R = PolyRing(VarUniverse.free(["x", "y", "z"]), ZZ)
-    x, y, z = R.gens()
-    ideals = [[x**2, x * y, y**3, z**2], [x * x + y * z, y * y - x * z, z * z]]
-    rng = random.Random(p)
-    ideals += [random_ideal(rng, 3, ZZ) for _ in range(3)]
-    top = min(7, p)
-    assert homogeneous_dim0_certificate(one_row(ideals[0]), p, max_degree=top) == 4
-    assert homogeneous_dim0_certificate(one_row(ideals[1]), p, max_degree=top) == 4
-    points = experiments._certificate_points
-    monkeypatch.setattr(
-        experiments,
-        "_certificate_points",
-        lambda p, m, count: [(0,) + pt[1:] for pt in points(p, m, count)],
-    )
-    for gens in ideals:
-        if gens:
-            assert homogeneous_dim0_certificate(one_row(gens), p, max_degree=top) is None
-
-
-def test_certificate_points_are_distinct_and_prefix_stable():
-    for p, m in ((7, 3), (7, 4), ((1 << 31) - 1, 4), ((1 << 61) - 1, 3)):
-        pts = experiments._certificate_points(p, m, 60)
-        assert len(pts) == len(set(pts)) == 60
-        assert all(len(pt) == m and all(0 <= c < p for c in pt) for pt in pts)
-        assert experiments._certificate_points(p, m, 25) == pts[:25]
-    assert sorted(experiments._certificate_points(3, 2, 100)) == [
-        (a, b) for a in range(3) for b in range(3)
-    ]
-
-
-@pytest.mark.parametrize("p", PRIMES)
-def test_minor_values_are_the_symbolic_minors_at_the_points(p):
-    """The numpy minors of a PolyMatrix, row for row, are the values of
-    ``matrix_minors`` at the points, and the certificate of (M, h) is the
-    certificate of the list of its minors."""
+def test_minor_rows_are_the_symbolic_minors(p):
+    """The h x h minors of a 3 x 4 matrix of linear forms, h = 1, 2, 3, by
+    ``_minor_rows``: row for row the coefficients of ``matrix_minors`` over
+    ZZ, and mod p those of the minors moved into F_p; the certificate of
+    (M, h) is that of the list of its minors.  Entries of mixed degree, or
+    over QQ, are refused: a list is the form for those."""
     R = PolyRing(VarUniverse.free(["x", "y", "z"]), ZZ)
     x, y, z = R.gens()
     rng = random.Random(p)
@@ -318,70 +251,80 @@ def test_minor_values_are_the_symbolic_minors_at_the_points(p):
         return sum((rng.randint(-9, 9) * v for v in (x, y, z)), R.zero)
 
     M = PolyMatrix([[form() for _ in range(4)] for _ in range(3)])
-    points = experiments._certificate_points(p, 3, 20)
     for h in (1, 2, 3):
-        degrees, values = _minor_values((M, h), p)
-        got = values(points)
-        assert set(degrees) == {h}
-        want = [g.evaluate(points) for g in over_prime(matrix_minors(h, M), p)]
-        assert got.tolist() == want
+        D, rows = _minor_rows(M, h)
+        assert D == h and rows.dtype == np.int64
+        assert rows.tolist() == coefficients(matrix_minors(h, M), h, 3)
+        assert (rows % p).tolist() == coefficients(over_prime(matrix_minors(h, M), p), h, 3)
         minors = [g for g in matrix_minors(h, M) if g]
-        cert = homogeneous_dim0_certificate((M, h), p, max_degree=min(8, p))
-        assert cert == homogeneous_dim0_certificate(minors, p, max_degree=min(8, p))
-    with pytest.raises(PreconditionError):
-        squared = PolyMatrix([[e * e if e == M[0, 0] else e for e in row] for row in M.rows])
-        homogeneous_dim0_certificate((squared, 2), p)
+        cert = homogeneous_dim0_certificate((M, h), p, max_degree=8)
+        assert cert == homogeneous_dim0_certificate(minors, p, max_degree=8)
+    squared = PolyMatrix([[e * e if e == M[0, 0] else e for e in row] for row in M.rows])
+    rational = PolyMatrix([[transport(e, R.with_domain(QQ)) for e in row] for row in M.rows])
+    for bad in (squared, rational):
+        with pytest.raises(PreconditionError):
+            _minor_rows(bad, 2)
+        with pytest.raises(PreconditionError):
+            homogeneous_dim0_certificate((bad, 2), p)
 
 
 @pytest.mark.parametrize("p", PRIMES[1:], ids=["2^31-1", "2^61-1"])
 @pytest.mark.parametrize("degree", [2, 3])
 def test_minor_values_of_higher_degree_entries_near_the_int64_limit(degree, p):
     """The h x h minors, h = 1, 2, 3, of a matrix of degree-2 or degree-3
-    forms whose coefficients are residues near p, against the values of
-    ``matrix_minors`` at points led by (p-1, ..., p-1).  At p = 2**31 - 1
-    every lane holds residues near p, so each product comes close to 2**62
-    in int64; at p >= 2**31 the same values come in an object array."""
+    forms whose absolute coefficients sum to the largest L with h! L^h
+    below 2**63, the bound on every partial sum of ``_minor_rows``: its
+    int64 rows are still the exact minors over ZZ, and mod p those of the
+    minors moved into F_p.  One more unit of coefficient in one entry is
+    refused with CapacityError."""
     R = PolyRing(VarUniverse.free(["x", "y", "z"]), ZZ)
-    rng = random.Random(degree)
     monomials = [R.from_exp_dict({e: 1}) for e in ref_monomials(degree, 3)]
+    rng = random.Random(degree)
 
-    def form():
-        return sum((rng.choice([-1, 1, p - 1, p - 2, rng.randrange(p)]) * m for m in monomials), R.zero)
+    def form(total):  # total split over the monomials, with random signs
+        cuts = sorted(rng.randrange(total + 1) for _ in monomials[1:])
+        parts = [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+        return sum((rng.choice([-1, 1]) * c * q for c, q in zip(parts, monomials)), R.zero)
 
-    M = PolyMatrix([[form() for _ in range(4)] for _ in range(3)])
-    points = [(p - 1,) * 3, (p - 1, p - 2, p - 1), (1, p - 1, 0)]
-    points += experiments._certificate_points(p, 3, 5)
     for h in (1, 2, 3):
-        degrees, values = _minor_values((M, h), p)
-        got = values(points)
-        assert got.dtype == (np.int64 if p < 1 << 31 else object)
-        want = [g.evaluate(points) for g in over_prime(matrix_minors(h, M), p)]
-        assert got.tolist() == want
-        assert degrees == [h * degree] * len(want)
-        assert values(points[:1]).tolist() == [row[:1] for row in want]
+        bound = ((1 << 63) - 1) // factorial(h)
+        L = round(bound ** (1 / h))
+        while L**h > bound:
+            L -= 1
+        while (L + 1) ** h <= bound:
+            L += 1
+        M = PolyMatrix([[form(L) for _ in range(4)] for _ in range(3)])
+        D, rows = _minor_rows(M, h)
+        symbolic = matrix_minors(h, M)
+        assert D == h * degree and rows.tolist() == coefficients(symbolic, D, 3)
+        assert (rows % p).tolist() == coefficients(over_prime(symbolic, p), D, 3)
+        with pytest.raises(CapacityError):
+            _minor_rows(PolyMatrix([[form(L + 1)] + M.rows[0][1:]] + M.rows[1:]), h)
 
 
 def test_certificate_zero_mod_p_generators_are_dropped():
+    """Generators that vanish mod p are dropped, in a list and among the
+    minors of a matrix alike."""
     R = PolyRing(VarUniverse.free(["x", "y"]), ZZ)
     x, y = R.gens()
     gens = [7 * x * y, x**2, y**3, 14 * (x + y)]
-    assert sorted(dg for dg, _ in value_rows(one_row(gens), 7, [(1, 2), (3, 4)])) == [2, 3]
-    assert homogeneous_dim0_certificate(one_row(gens), 7) == 4
-    assert homogeneous_dim0_certificate(one_row(gens), 11) == 3
-    # by coefficients: x^2 and y^3 are as many forms as variables, so only
-    # Macaulay's degree 1 + 2 + 1 = 4 is ranked mod 7
-    assert sorted(dg for dg, _ in _coefficient_rows(gens, 7)) == [2, 3]
+    # x^2 and y^3 are as many forms as variables, so only Macaulay's
+    # degree 1 + 2 + 1 = 4 is ranked mod 7
+    assert sorted(_coefficient_rows(gens, 7)) == [2, 3]
     assert homogeneous_dim0_certificate(gens, 7) == 4
     assert homogeneous_dim0_certificate(gens, 11) == 3
+    M = PolyMatrix([[7 * x * y, x**2, y**2, 14 * (x * x + y * y)]])
+    assert len(_distinct(_minor_rows(M, 1)[1] % 7)) == 2
+    assert homogeneous_dim0_certificate((M, 1), 7) == 3  # x^2, y^2: Macaulay's degree
+    assert homogeneous_dim0_certificate((M, 1), 11) == 2
 
 
 @pytest.mark.parametrize("p", [101, (1 << 61) - 1])
 def test_certificate_ranks_each_distinct_value_row_once(monkeypatch, p):
     """The 2x2 minors of [[x, y], [x, y], [y, x], [x, 0]] repeat x^2 - y^2
-    and -xy, each repeat computed apart; with -x^2 the three distinct rows
-    fill degree 2.  The repeats must be dropped and the rest kept: int64
-    value rows (p = 101) are keyed by their bytes, and object rows
-    (p > 2**31), whose bytes are pointers, by their values."""
+    and -xy, each repeat computed apart; with -x^2 the three distinct
+    coefficient rows fill degree 2.  The repeats must be dropped and the
+    rest kept, in the int32 matrix (p = 101) and the int64 one (p > 2**31)."""
     R = PolyRing(VarUniverse.free(["x", "y"]), ZZ)
     x, y = R.gens()
     M = PolyMatrix([[x, y], [x, y], [y, x], [x, R.zero]])
@@ -391,20 +334,15 @@ def test_certificate_ranks_each_distinct_value_row_once(monkeypatch, p):
     assert ranked == [3]
 
 
-def test_degree_above_the_prime_is_refused():
-    """x^p y - x y^p vanishes on all of F_p^m, so no degree above p can fill:
-    at p = 3 an ideal that fills only at degree 4 is refused, naming p."""
+def test_degrees_above_the_prime_fill():
+    """Coefficients take no points, so a degree above p fills like any
+    other: x^3, y^2 fill degree 4 mod 3, and the 1 x 1 minors x^3, y^3 fill
+    Macaulay's degree 5 mod 3."""
     R = PolyRing(VarUniverse.free(["x", "y"]), ZZ)
     x, y = R.gens()
-    gens = [x**3, y**2]
-    assert homogeneous_dim0_certificate(one_row(gens), 5) == 4
-    with pytest.raises(PreconditionError, match="prime 3"):
-        homogeneous_dim0_certificate(one_row(gens), 3)
-    assert homogeneous_dim0_certificate(one_row([x**2, y**2]), 3) == 3
-    one = PolyRing(VarUniverse.free(["t"]), ZZ).gen("t")
-    assert homogeneous_dim0_certificate(one_row([one**5]), 3) == 5  # one variable: no such form
-    # coefficients take no points, so the list itself fills degree 4 mod 3
-    assert homogeneous_dim0_certificate(gens, 3) == 4
+    assert homogeneous_dim0_certificate([x**3, y**2], 3) == 4
+    assert homogeneous_dim0_certificate((PolyMatrix([[x**3, y**3]]), 1), 3) == 5
+    assert symbolic_rank([x**3, y**3], 4, 3) == 4 < comb(5, 1)
 
 
 def test_masked_reference_on_random_matrices():
@@ -416,16 +354,20 @@ def test_masked_reference_on_random_matrices():
             assert linalg.rank_modp_numpy(A, p) == ref_masked_rank(A, p) == linalg.rank_modp(A, p)
 
 
-def test_script_5x6_evaluation_matches_symbolic_minors():
-    """script-5x6's slice at the default prime: the symbolic 3x3 minors give
-    the same 210 distinct minors as the value rows, and the symbolic
-    Macaulay ranks equal the evaluation ranks at degrees 12 and 13."""
+def test_script_5x6_minor_rows_match_symbolic_minors():
+    """script-5x6's slice: its expanded 3x3 minors are the symbolic ones,
+    coefficient for coefficient; at the default prime they give 210
+    distinct minors, and the symbolic Macaulay ranks equal the ranks of the
+    certificate's M_d at degrees 12 and 13, where it fills."""
     p = CliConfig().prime
     M = _script_slice(5, SCRIPT_5X6_A)
-    minors = list({q.terms: q for q in over_prime(matrix_minors(3, M), p) if q}.values())
-    assert len(minors) == 210
-    assert len(value_rows((M, 3), p, experiments._certificate_points(p, 4, SPARE_POINTS))) == 210
+    symbolic = matrix_minors(3, M)
+    D, rows = _minor_rows(M, 3)
+    assert D == 12 and rows.tolist() == coefficients(symbolic, 12, 4)
+    minors = list({q.terms: q for q in over_prime(symbolic, p) if q}.values())
+    distinct = {D: _distinct(rows % p)}
+    assert len(minors) == len(distinct[D]) == 210
     for d, want in ((12, 175), (13, 560)):
-        assert evaluation_rank((M, 3), d, p)[0] == want
+        assert linalg.rank_modp_numpy(_macaulay_matrix(distinct, d, 4, p), p) == want
         assert symbolic_rank(minors, d, p) == want
     assert homogeneous_dim0_certificate((M, 3), p) == 13
