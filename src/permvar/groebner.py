@@ -43,9 +43,16 @@ the Hilbert series and normal forms read.  The reduced basis differs only in
 its tails (Cox, Little and O'Shea, section 2.7) and is interreduced from it
 when ``GroebnerBasis.gens`` is first read.
 
+For n distinct nonzero forms of positive degree in n variables, the pair loop
+counts the monomials outside the current leads degree by degree and skips the
+pairs of a degree once that count meets the Hilbert function of a regular
+sequence of the same degrees (``_HilbertSkip``): every such pair reduces to 0,
+so the basis is the one the full loop builds.
+
 The open budget is tested only by ``budget.check``, which raises
-GroebnerTimeout past its deadline: before each S-pair, when a reduction's
-allowance of ``WORK_PER_CLOCK_READ`` work units runs out (so also while
+GroebnerTimeout past its deadline: before each S-pair and each degree the
+Hilbert count moves up, when a reduction's allowance of
+``WORK_PER_CLOCK_READ`` work units runs out (so also while
 ``GroebnerBasis.gens`` interreduces), and every 256 steps of the Hilbert
 recursion.
 """
@@ -71,6 +78,7 @@ from .errors import (
 from .linalg import _integer_rows
 from .linalg import _primitive as _primitive_vector
 from .ring import (
+    _FIELD_CAP,
     DEGREVLEX,
     GF,
     MPoly,
@@ -363,9 +371,103 @@ def normal_form(f: MPoly, G: GroebnerBasis) -> MPoly:
     return f.ring.from_terms(_reduce_terms(dict(f.terms), find, f.ring))
 
 
+def _regular_sequence_hf(degrees) -> tuple:
+    """Coefficients of prod (1 + t + ... + t^(d_i - 1)): the Hilbert function
+    B of R/(f_1, ..., f_n) for a regular sequence of forms of the given
+    degrees in n variables.  B(d) is 0 past the last coefficient."""
+    out = [1]
+    for d in degrees:
+        # times 1 + ... + t^(d-1): each coefficient is a window sum of d
+        out = [sum(out[max(0, k - d + 1) : k + 1]) for k in range(len(out) + d - 1)]
+    return tuple(out)
+
+
+class _HilbertSkip:
+    """Traverso's Hilbert-driven pair skip (J. Symb. Comp. 22, 1996) for n
+    distinct nonzero forms of positive degree in n variables.
+
+    Why it is sound.  HF(R/I, d) = N_d - rank M_d(f), with M_d(f) the
+    coefficient matrix of the degree-d multiples of the forms.  Rank is
+    lower semicontinuous, and for m <= n forms of fixed degrees the regular
+    sequences are open and dense, so over any field rank M_d(f) is at most
+    its rank at a regular sequence, and HF(R/I, d) >= B(d) in every degree
+    (see ``_regular_sequence_hf``).  The degree-d monomials that no current
+    lead divides number at least HF(R/in(I), d) = HF(R/I, d).  So when they
+    number B(d), the current leads span in(I) in degree d, and every pending
+    S-pair of degree d reduces to 0: its normal form lies in I and has no
+    term a lead divides.  Homogeneous inputs keep every element homogeneous,
+    and a pair's sugar is its degree, so pairs are taken degree by degree.
+    A skip adds no element and prunes no pair, so the minimal and reduced
+    bases do not change; fewer pairs are reduced.
+
+    ``free`` holds the degree-``degree`` monomials that no current lead
+    divides.  Moving up a degree keeps a monomial only if every divisor one
+    degree lower was free (one count per variable of its support), then
+    drops every lead of the new degree, the seeds' included; an element
+    added at that degree drops its own lead.  The count can never be below
+    B; at the first completed degree where it is above, the input is no
+    complete intersection and tracking stops, as from then on the skip only
+    costs time.  Each step up a degree checks the open budget (phase
+    ``"pairs"``).
+    """
+
+    def __init__(self, ring, degrees, lts):
+        pack = ring.pack
+        n = len(ring.universe)
+        self.bound = _regular_sequence_hf(degrees)
+        self.degree = 0
+        self.free = {pack.one}
+        self.active = True
+        self._pack, self._lts = pack, lts
+        self._shifts = [pack.pack([int(i == j) for j in range(n)]) - pack.offset for i in range(n)]
+
+    def _excess(self) -> int:
+        d = self.degree
+        b = self.bound[d] if d < len(self.bound) else 0
+        if len(self.free) < b:
+            raise InternalConsistencyError(
+                f"{len(self.free)} degree-{d} monomials outside the leads, below the "
+                f"Hilbert function {b} of a regular sequence of the same degrees"
+            )
+        return len(self.free) - b
+
+    def skips(self, d: int) -> bool:
+        """Whether a pair of degree d reduces to 0 for sure: every degree
+        below d is complete once such a pair is taken."""
+        while self.active and self.degree < d:
+            budget.check("pairs")
+            if self._excess():
+                self.active, self.free = False, set()
+                break
+            pack, hits = self._pack, {}
+            for m in self.free:
+                for w in self._shifts:
+                    hits[m + w] = hits.get(m + w, 0) + 1
+            self.degree += 1
+            leads = {lt for lt in self._lts if pack.degree(lt) == self.degree}
+            self.free = {
+                k for k, c in hits.items() if c == (pack.zeros(k) ^ pack.guard).bit_count()
+            } - leads
+        return self.active and not self._excess()
+
+
+def _hilbert_skip(gens, ring, lts):
+    """A ``_HilbertSkip`` for exactly n distinct nonzero homogeneous forms
+    of positive degree in the ring's n variables, else None.  Every tracked
+    monomial has degree at most sum(d_i - 1) + 1, which must fit a key."""
+    forms = {g.terms: g for g in gens if g}
+    degrees = [g.total_degree() for g in forms.values() if g.is_homogeneous()]
+    square = len(degrees) == len(forms) == len(ring.universe) and all(d > 0 for d in degrees)
+    if square and sum(degrees) - len(degrees) < _FIELD_CAP:
+        return _HilbertSkip(ring, degrees, lts)
+    return None
+
+
 def buchberger(gens) -> GroebnerBasis:
     """Groebner basis of the ideal generated by ``gens``, holding the
     minimal basis the pair loop ends with (see ``GroebnerBasis``).
+
+    Pairs skipped by ``_HilbertSkip`` are counted in ``stats["hilbert_skips"]``.
 
     Deterministic for a fixed input list.  Raises GroebnerTimeout once the
     open budget runs out, carrying the statistics so far and the phase it
@@ -392,8 +494,9 @@ def buchberger(gens) -> GroebnerBasis:
     alive: list[bool] = []
     pair_meta: dict = {}  # (i, j) -> (sugar, lcm_key)
     heap: list = []
-    stats = {"pairs": 0, "zero_reductions": 0, "basis_additions": 0}
+    stats = {"pairs": 0, "zero_reductions": 0, "basis_additions": 0, "hilbert_skips": 0}
     find = _first_divisor(ring, basis, lts, alive)
+    hilbert = _hilbert_skip(gens, ring, lts)
 
     def add_poly(h: MPoly, sugar: int):
         t = len(basis)
@@ -450,6 +553,8 @@ def buchberger(gens) -> GroebnerBasis:
         excess.append(sugar - dh)
         alive.append(True)
         stats["basis_additions"] += 1
+        if hilbert is not None:
+            hilbert.free.discard(mh)
 
     in_flight = 0
     try:
@@ -471,6 +576,9 @@ def buchberger(gens) -> GroebnerBasis:
             s, l, j, i = heappop(heap)
             if pair_meta.pop((i, j), None) is None:
                 continue  # pruned by a later update
+            if hilbert is not None and hilbert.skips(s):
+                stats["hilbert_skips"] += 1
+                continue
             stats["pairs"] += 1
             in_flight = 1
             red = _reduce_terms(_spoly(basis[i], basis[j], l, pack), find, ring)

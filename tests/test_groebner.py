@@ -5,7 +5,7 @@ import random
 import time
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import gcd, lcm
 
 import pytest
@@ -36,6 +36,7 @@ from permvar.groebner import (
     saturate,
     transport,
 )
+from permvar.experiments import build_slice
 from permvar.permanent import GenericMatrixSpec, permanental_ideal
 from permvar.ring import (
     DEGREVLEX,
@@ -835,6 +836,7 @@ def test_pair_sequence_and_basis_pinned(name):
     G = buchberger(make())
     st = G.stats
     assert (st["pairs"], st["zero_reductions"], st["basis_additions"]) == counters
+    assert st["hilbert_skips"] == 0  # no input here is n forms in n variables
     assert len(G.gens) == size
     text = "\n".join(g.text() for g in G.gens)
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
@@ -879,6 +881,147 @@ def test_hilbert_degree_tests_homogeneity_on_the_reduced_basis():
     G = buchberger([y**2 + x, x])
     assert not all(g.is_homogeneous() for g in G.minimal)
     assert hilbert_degree(G) == 2
+
+
+# ---------------------------------------------------------------------------
+# Hilbert-driven pair skip
+
+
+def _sliced_circulant4(domain):
+    """slice-circulant4's input: the 4x4 permanents of the generic 4x5
+    matrix cut by the circulant slice, five quartics in five variables."""
+    M = build_slice("circulant4")
+    target = PolyRing(M.ring.universe, domain)
+    slice_map = {
+        f"x_{i + 1}_{j + 1}": transport(M[i, j], target) for i in range(4) for j in range(5)
+    }
+    gens = permanental_ideal(GenericMatrixSpec(4, 5), domain)
+    return [h for h in (g.substitute(slice_map, target=target) for g in gens) if h]
+
+
+# The reduced bases' digests were taken before the skip existed.
+@pytest.mark.parametrize(
+    "domain, digest",
+    [(GF(P1), "9ede111ba406d137"), (GF(P2), "7f034d40a11fca04"), (QQ, "8752debe91a5a1c6")],
+)
+def test_slice_circulant4_skips_pairs_and_keeps_its_basis(domain, digest):
+    """A complete intersection: 486 of the 750 pairs the loop would reduce
+    (551 of them to zero) are skipped, and the basis does not change."""
+    G = buchberger(_sliced_circulant4(domain))
+    st = G.stats
+    assert (st["pairs"], st["zero_reductions"], st["basis_additions"]) == (264, 65, 204)
+    assert st["hilbert_skips"] == 486
+    text = "\n".join(g.text() for g in G.gens)
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+    assert ideal_dimension(G).codim == 5
+
+
+def test_regular_sequence_bound():
+    assert groebner._regular_sequence_hf([2, 2]) == (1, 2, 1)
+    assert groebner._regular_sequence_hf([1, 3, 2]) == (1, 2, 2, 1)
+    assert sum(groebner._regular_sequence_hf([4] * 5)) == 4**5
+    assert max(groebner._regular_sequence_hf([4] * 5)) == 155
+
+
+def test_a_count_below_the_bound_is_an_internal_error(monkeypatch):
+    """(x^2 + y^2, xy) leaves one degree-2 monomial, y^2, outside its leads:
+    a bound of 2 there is past the true Hilbert function, which no correct
+    engine can meet."""
+    R = ring_of("xy", domain=GF(P1))
+    x, y = R.gens()
+    G = buchberger([x**2 + y**2, x * y])
+    assert [g.text() for g in G.gens] == ["x*y", "x^2 + y^2", "y^3"]
+    real = groebner._regular_sequence_hf
+    monkeypatch.setattr(
+        groebner, "_regular_sequence_hf", lambda degrees: (1, 2, real(degrees)[2] + 1)
+    )
+    with pytest.raises(InternalConsistencyError, match="below the Hilbert function"):
+        buchberger([x**2 + y**2, x * y])
+
+
+def test_a_timeout_reports_the_skips_so_far(monkeypatch):
+    gens = _sliced_circulant4(GF(P1))
+    taken = []
+
+    def out_after_600_pairs(phase, stats=None):
+        if phase == "pairs":
+            taken.append(1)
+            if len(taken) > 600:
+                raise budget.expired(phase)
+
+    monkeypatch.setattr(groebner.budget, "check", out_after_600_pairs)
+    with pytest.raises(GroebnerTimeout) as exc, Budget(600):
+        buchberger(gens)
+    stats = exc.value.stats
+    assert stats["phase"] == "pairs"
+    assert stats["hilbert_skips"] > 0
+    assert stats["pairs"] + stats["hilbert_skips"] <= 600
+
+
+def test_hilbert_skip_keeps_every_square_system_basis():
+    """n forms in n <= 4 variables of degrees 1-3, in degrevlex or lex,
+    against the same list plus a redundant quartic, which turns the skip off
+    (a quintic too when a form is zero or repeated): the reduced bases agree
+    and satisfy Buchberger's criterion.  The inputs include squares that are
+    no complete intersection: a shared linear factor, a form repeated up to a
+    scalar, and forms that all vanish at (1 : 0 : ... : 0)."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+    domains = [GF(2), GF(7), GF(101), QQ]
+
+    @st.composite
+    def systems(draw):
+        n = draw(st.sampled_from([1, 2, 3, 3, 4, 4]))
+        order = draw(st.sampled_from([DEGREVLEX, LEX]))
+        R = ring_of("wxyz"[:n], domain=draw(st.sampled_from(domains)), order=order)
+        # generic squares weighted up: they are the ones that skip pairs
+        kinds = ["generic"] * 4 + ["shared-factor", "scalar-multiple", "common-zero"]
+        kind = draw(st.sampled_from(kinds if n > 1 else kinds[:1]))
+        pack = R.pack
+
+        def form(d):
+            exps = []
+            for vs in combinations_with_replacement(range(n), d):
+                e = [0] * n
+                for v in vs:
+                    e[v] += 1
+                if kind != "common-zero" or e[0] < d:
+                    exps.append(tuple(e))
+            size = draw(st.integers(min(2, len(exps)), min(6, len(exps))))
+            picked = draw(st.lists(st.sampled_from(exps), min_size=size, max_size=6, unique=True))
+            coeffs = st.sampled_from([1, -1, 2, -3, 5])
+            f = R.from_terms({pack.pack(e): draw(coeffs) for e in picked})
+            return f or R.from_terms({pack.pack(picked[0]): 1})
+
+        forms = [form(draw(st.integers(1, 3))) for _ in range(n)]
+        if kind == "shared-factor":
+            line = form(1)
+            forms[:2] = [line * form(draw(st.integers(1, 2))) for _ in range(2)]
+        if kind == "scalar-multiple":
+            forms[1] = forms[0] * R.const(draw(st.integers(2, 9)))
+        return forms
+
+    seen = {"skipped": 0, "positive-dimensional": 0}
+
+    @hypothesis.settings(derandomize=True, deadline=None, database=None, max_examples=250)
+    @hypothesis.given(systems())
+    def check(forms):
+        # n + 1 distinct nonzero forms: one quartic multiple of the first
+        # form, and one more for a form that is zero or repeated
+        f = next(g for g in forms if g)
+        x0, distinct = f.ring.gen(0), {g.terms for g in forms if g}
+        extra = len(forms) + 1 - len(distinct)
+        control = buchberger(forms + [f * x0 ** (4 - f.total_degree() + k) for k in range(extra)])
+        G = buchberger(forms)
+        assert control.stats["hilbert_skips"] == 0
+        assert [g.terms for g in G.gens] == [g.terms for g in control.gens]
+        assert s_pairs_reduce_to_zero(G)
+        seen["skipped"] += G.stats["hilbert_skips"] > 0
+        seen["positive-dimensional"] += ideal_dimension(G).dim > 0
+
+    check()
+    # the skip is exercised, and so are inputs where it must stop tracking
+    assert seen["skipped"] >= 30 and seen["positive-dimensional"] >= 30
 
 
 def _brute_force_monomial_dim(supports, nvars):
