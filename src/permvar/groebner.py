@@ -24,18 +24,24 @@ dead one resumes the scan just after it, a term with no divisor probes only
 the elements added since, and the reducer found is the one a full scan from
 the start would find.
 
-One reduction loop serves F_p and QQ.  It keeps integer coefficients over
-one running denominator D and takes each reducer as its primitive integer
-multiple, with lead coefficient a > 0.  A term c is cancelled by (c/g) times
-the reducer, g = gcd(a, c), after the work, the terms already emitted and D
-are scaled by a/g when a does not divide c.  Over QQ the input is put over
-its common denominator on entry and the result is divided by D once on exit,
-so no Fraction arithmetic runs inside the loop.  Over F_p every reducer is
-monic, so a = 1, D = 1 and nothing is ever rescaled, and the reduction mod p
-is delayed (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008): a reducer term
-only adds c times its coefficient to the work, and each coefficient is
-reduced once, when its term is taken.  A term that is zero then, over F_p
-or QQ, is skipped.
+One reduction loop serves F_p and QQ, on integer coefficients.  The pair
+loop keeps each basis element as its reducer terms only: over QQ its
+primitive integer multiple (coprime coefficients, lead a > 0), made once from
+the remainder that adds it by dividing out its content, and over F_p its
+monic terms (a = 1).  The reduction keeps the work over one running
+denominator D: a term c is cancelled by (c/g) times the reducer,
+g = gcd(a, c), after the work, the terms already emitted and D are scaled by
+a/g when a does not divide c; it returns the integer remainder and D.  An
+S-polynomial is built from the two reducers' terms, as lcm(a_f, a_g) times the
+monic one, so over QQ the pair loop makes no Fraction.  Fractions remain in
+three places: the monic minimal basis ``buchberger`` returns (one Fraction
+per term of each element alive at the end), ``normal_form``'s result (the
+remainder over D times the input's common denominator) and the interreduced
+basis.  Over F_p, a = 1, D = 1 and nothing is ever rescaled, and the
+reduction mod p is delayed (Dumas, Giorgi and Pernet, ACM TOMS 35(3), 2008):
+a reducer term only adds c times its coefficient to the work, and each
+coefficient is reduced once, when its term is taken.  A term that is zero
+then, over F_p or QQ, is skipped.
 
 ``buchberger`` returns the minimal basis the pair loop ends with; its leads are
 the minimal generators of the leading-term ideal, which is all the dimension,
@@ -99,14 +105,16 @@ def transport(p: MPoly, ring: PolyRing) -> MPoly:
     The one way a polynomial changes ring: a new domain, order or universe.
     Only variables actually appearing in ``p`` need to exist in the target.
     A ring of the same universe and order packs keys the same way, so only
-    the coefficients are coerced.
+    the coefficients are coerced; within one domain they are kept as they
+    are, and only the keys move.
     """
     if p.ring is ring:
         return p
     src = p.universe
+    coerce = ring.domain.coerce
     if src == ring.universe and p.order == ring.order:
-        coerce = ring.domain.coerce
         return ring.from_terms({k: coerce(c) for k, c in p.terms})
+    same = p.domain == ring.domain
     tgt_index = ring.universe.index
     perm: dict = {}
     n = len(ring.universe)
@@ -124,7 +132,7 @@ def transport(p: MPoly, ring: PolyRing) -> MPoly:
                         raise DomainMismatchError(f"target universe lacks variable {nm!r}")
                     perm[i] = j
                 exps[j] = e
-        out[ring.pack.pack(exps)] = ring.domain.coerce(c)
+        out[ring.pack.pack(exps)] = c if same else coerce(c)
     return ring.from_terms(out)
 
 
@@ -162,11 +170,14 @@ class GroebnerBasis:
     ``minimal`` is the minimal basis ``buchberger`` ends with, in insertion
     order: monic, with pairwise non-dividing leads, which are the minimal
     generators of the leading-term ideal.  The lead ideal, the length, the
-    unit test and normal forms need nothing more.  ``gens``, the reduced
-    basis ordered by lead key, is interreduced from it on first read.
+    unit test and normal forms need nothing more.  ``reducers`` holds the
+    same elements as the reducer terms that normal forms reduce by (see
+    ``_reducer_terms``).  ``gens``, the reduced basis ordered by lead key, is
+    interreduced from ``minimal`` on first read.
     """
 
     minimal: tuple
+    reducers: tuple
     ring: PolyRing
     stats: dict = field(default_factory=dict)
     _cache: dict = field(default_factory=dict, repr=False, compare=False)
@@ -211,41 +222,52 @@ class GroebnerBasis:
         return len(self.minimal)
 
 
-def _spoly(f: MPoly, g: MPoly, l: int, pack) -> dict:
-    """Terms of the S-polynomial x^uf f - x^ug g of f and g, whose leading
-    keys have lcm ``l``, as the work dict of ``_reduce_terms``.
+def _spoly(f: tuple, g: tuple, l: int, pack) -> dict:
+    """Terms of the S-polynomial of two basis elements' reducer terms f and
+    g (see ``_reducer_terms``), whose leading keys have lcm ``l``, as the
+    work dict of ``_reduce_terms``.
 
-    f and g must be monic, as every basis element is, so no inverse is
-    needed and the two leads cancel: they are left out.  A coefficient may
-    be zero, and over F_p any residue in (-p, p); the reduction reduces each
-    one mod p when it takes the term and skips it if it is zero.
+    With leads a_f and a_g and d = gcd(a_f, a_g) it is
+    (a_g/d) x^uf f - (a_f/d) x^ug g, which is lcm(a_f, a_g) times the
+    S-polynomial of the monic forms; equal leads, as over F_p, where both
+    are 1, scale nothing.  The two leads cancel, so they are left out.  A
+    coefficient may be zero, and over F_p any residue in (-p, p); the
+    reduction reduces each one mod p when it takes the term and skips it if
+    it is zero.
     """
-    uf = pack.quotient(l, f.lead_key()) - pack.offset
-    ug = pack.quotient(l, g.lead_key()) - pack.offset
-    acc = {k + uf: c for k, c in f.terms[1:]}
+    (lf, af), (lg, ag) = f[0], g[0]
+    uf = pack.quotient(l, lf) - pack.offset
+    ug = pack.quotient(l, lg) - pack.offset
+    if af == ag:
+        acc = {k + uf: c for k, c in f[1:]}
+        get = acc.get
+        for k, c in g[1:]:
+            kk = k + ug
+            acc[kk] = get(kk, 0) - c
+        return acc
+    d = gcd(af, ag)
+    sf, sg = ag // d, af // d
+    acc = {k + uf: sf * c for k, c in f[1:]}
     get = acc.get
-    for k, c in g.terms[1:]:
+    for k, c in g[1:]:
         kk = k + ug
-        acc[kk] = get(kk, 0) - c
+        acc[kk] = get(kk, 0) - sg * c
     return acc
 
 
-def _first_divisor(ring, polys, lts, alive):
+def _first_divisor(ring, reducers, lts, alive):
     """Reducer lookup ``k -> (lead key, terms) | None``: the first element
-    in list order that is alive and whose lead divides ``k``.
+    in list order that is alive and whose lead divides ``k``, with its
+    entry of ``reducers`` (see ``_reducer_terms``).
 
-    The terms are the element's own over F_p, and its primitive integer
-    multiple over QQ (see ``_primitive``), made on the position's first hit.
     The lists are read at each call, so the caller may append to them and
     mark elements dead, but never revive one (see the module docstring).
     """
     pack = ring.pack
     gl, gh, guard, low = pack._guard_low, pack._guard_high, pack.guard, pack._low_mask
     zeros = pack.zeros
-    rat = ring.domain.kind == "rat"
     memo: dict = {}
     nz: list = []  # position -> guard bits of its lead's nonzero exponents
-    integral: list = []  # position -> primitive integer terms, once hit
 
     def find(k):
         n = len(lts)
@@ -262,27 +284,51 @@ def _first_divisor(ring, polys, lts, alive):
                 and (((lt | gl) - k) & gl | (k_high - lt) & gh) == guard
             ):
                 memo[k] = j
-                if not rat:
-                    return lt, polys[j].terms
-                integral.extend([None] * (j + 1 - len(integral)))  # no-op if j is covered
-                if integral[j] is None:
-                    integral[j] = _primitive(polys[j].terms)
-                return lt, integral[j]
+                return lt, reducers[j]
         memo[k] = n
         return None
 
     return find
 
 
-def _primitive(terms):
-    """The primitive integer multiple of rational terms: coprime integer
-    coefficients with a positive lead, as ``linalg`` makes kernel vectors."""
-    (ints,) = _integer_rows([[c for _, c in terms]])
-    return tuple(zip([k for k, _ in terms], _primitive_vector(ints)))
+def _integer_terms(f: MPoly) -> tuple:
+    """f's terms with integer coefficients, as ``_reduce_terms`` takes its
+    work: f's own over F_p, and over QQ f's times the common denominator of
+    its coefficients."""
+    if f.ring.domain.kind != "rat":
+        return f.terms
+    (ints,) = _integer_rows([[c for _, c in f.terms]])
+    return tuple(zip([k for k, _ in f.terms], ints))
+
+
+def _reducer_terms(red: dict, ring) -> tuple:
+    """A nonzero integer remainder as a basis element's reducer terms, in
+    descending order: over QQ divided by its content, with a positive lead
+    (as ``linalg`` makes kernel vectors), and over F_p made monic."""
+    items = sorted(red.items(), reverse=True)
+    if ring.domain.kind == "rat":
+        return tuple(zip([k for k, _ in items], _primitive_vector([c for _, c in items])))
+    p, a = ring.domain.modulus, items[0][1]
+    if a != 1:
+        inv = pow(a, p - 2, p)
+        items = [(k, c * inv % p) for k, c in items]
+    return tuple(items)
+
+
+def _monic(terms: tuple, ring) -> MPoly:
+    """The monic polynomial of a basis element's reducer terms: over QQ
+    each coefficient divided by the lead, the one Fraction made per term,
+    and over F_p the terms themselves."""
+    if ring.domain.kind != "rat":
+        return MPoly(ring, terms)
+    a = terms[0][1]
+    return MPoly(ring, tuple((k, Fraction(c, a)) for k, c in terms))
 
 
 def _reduce_terms(work: dict, find, ring):
-    """Fully reduce a term dict; returns the normal form as a dict.
+    """Fully reduce a term dict of integer coefficients; returns the integer
+    remainder and the denominator ``den`` it is over: the normal form of
+    the work is ``remainder / den``.
 
     ``find(k)`` gives the reducer of a term, a ``(lead key, terms)`` whose
     lead divides ``k`` and whose lead coefficient a is positive, or None.
@@ -293,15 +339,14 @@ def _reduce_terms(work: dict, find, ring):
     guard bit set is refused; in degrevlex no reduction raises the degree,
     so no exponent can pass the cap.
 
-    The work holds integers over one running denominator ``den`` (see the
-    module docstring), so the true coefficients are ``work / den``.  Over
-    F_p ``den`` stays 1 and the reduction mod p is delayed: a reducer term
-    only adds its product to the work, and a coefficient is reduced mod p
-    once, when its term is taken.  A term that is then zero (it cancelled,
-    also over QQ) is skipped, so the result holds no zero and no unreduced
-    residue.  Each reducer term costs one dict lookup.  A term enters the
-    work once and leaves it when taken: every reducer term is below the
-    term it cancels, so no taken term comes back.
+    ``den`` is the running denominator of the module docstring.  Over F_p it
+    stays 1 and the reduction mod p is delayed: a reducer term only adds its
+    product to the work, and a coefficient is reduced mod p once, when its
+    term is taken.  A term that is then zero (it cancelled, also over QQ) is
+    skipped, so the remainder holds no zero and no unreduced residue.  Each
+    reducer term costs one dict lookup.  A term enters the work once and
+    leaves it when taken: every reducer term is below the term it cancels,
+    so no taken term comes back.
     The open budget is checked (``budget.check``, phase ``"reduction"``)
     when an allowance of ``WORK_PER_CLOCK_READ`` work units runs out, the
     first step included: a step costs 1 and each reducer applied costs its
@@ -310,11 +355,7 @@ def _reduce_terms(work: dict, find, ring):
     pack = ring.pack
     check, guard = not pack.graded, pack.guard
     p = ring.domain.modulus
-    rat = ring.domain.kind == "rat"
     den = 1
-    if rat:
-        den = lcm(*(c.denominator for c in work.values()))
-        work = {k: c.numerator * (den // c.denominator) for k, c in work.items()}
     out = {}
     heap = [-k for k in work]
     heapify(heap)
@@ -357,18 +398,27 @@ def _reduce_terms(work: dict, find, ring):
                 work[k2] = c * cc
             else:
                 work[k2] = v + c * cc
-    if rat:
-        return {k: Fraction(c, den) for k, c in out.items()}
-    return out
+    return out, den
 
 
 def normal_form(f: MPoly, G: GroebnerBasis) -> MPoly:
-    """Unique remainder of f modulo a Groebner basis; zero iff f is in the ideal."""
+    """Unique remainder of f modulo a Groebner basis; zero iff f is in the ideal.
+
+    Over QQ f is reduced as its integer multiple over the common denominator
+    of its coefficients, and the remainder is divided by that times the
+    reduction's own denominator."""
     if f.ring is not G.ring:
         f = transport(f, G.ring)
-    basis = G.minimal
-    find = _first_divisor(f.ring, basis, [g.lead_key() for g in basis], [True] * len(basis))
-    return f.ring.from_terms(_reduce_terms(dict(f.terms), find, f.ring))
+    ring = f.ring
+    lts = [g.lead_key() for g in G.minimal]
+    find = _first_divisor(ring, G.reducers, lts, [True] * len(lts))
+    if ring.domain.kind != "rat":
+        return ring.from_terms(_reduce_terms(dict(f.terms), find, ring)[0])
+    den = lcm(*(c.denominator for _, c in f.terms))
+    work = {k: c.numerator * (den // c.denominator) for k, c in f.terms}
+    out, scale = _reduce_terms(work, find, ring)
+    den *= scale
+    return ring.from_terms({k: Fraction(c, den) for k, c in out.items()})
 
 
 def _regular_sequence_hf(degrees) -> tuple:
@@ -467,6 +517,9 @@ def buchberger(gens) -> GroebnerBasis:
     """Groebner basis of the ideal generated by ``gens``, holding the
     minimal basis the pair loop ends with (see ``GroebnerBasis``).
 
+    The loop keeps each element as its reducer terms only; the monic
+    polynomials are made once it ends, for the elements still alive.
+
     Pairs skipped by ``_HilbertSkip`` are counted in ``stats["hilbert_skips"]``.
 
     Deterministic for a fixed input list.  Raises GroebnerTimeout once the
@@ -488,18 +541,19 @@ def buchberger(gens) -> GroebnerBasis:
     low_gh = pack._low_mask | gh
     t0 = time.monotonic()
 
-    basis: list[MPoly] = []
+    reducers: list[tuple] = []  # element i's terms, as _reducer_terms makes them
     lts: list[int] = []
     excess: list[int] = []  # sugar minus leading degree
     alive: list[bool] = []
     pair_meta: dict = {}  # (i, j) -> (sugar, lcm_key)
     heap: list = []
     stats = {"pairs": 0, "zero_reductions": 0, "basis_additions": 0, "hilbert_skips": 0}
-    find = _first_divisor(ring, basis, lts, alive)
+    find = _first_divisor(ring, reducers, lts, alive)
     hilbert = _hilbert_skip(gens, ring, lts)
 
     def add_poly(h: MPoly, sugar: int):
-        t = len(basis)
+        """Add the element whose reducer terms are h's."""
+        t = len(lts)
         mh = h.lead_key()
         # lt + mh_shift is the key of lt * mh
         mh_guarded, mh_shift = mh | gl, mh - offset
@@ -548,7 +602,7 @@ def buchberger(gens) -> GroebnerBasis:
         for i, l in lcms.items():
             if l == lts[i]:
                 alive[i] = False
-        basis.append(h)
+        reducers.append(h.terms)
         lts.append(mh)
         excess.append(sugar - dh)
         alive.append(True)
@@ -565,10 +619,10 @@ def buchberger(gens) -> GroebnerBasis:
             if g.is_zero() or g.terms in seen:
                 continue
             seen.add(g.terms)
-            red = _reduce_terms(dict(g.terms), find, ring)
+            red = _reduce_terms(dict(_integer_terms(g)), find, ring)[0]
             if not red:
                 continue
-            h = ring.from_terms(red).monic()
+            h = MPoly(ring, _reducer_terms(red, ring))  # a multiple of the element
             add_poly(h, h.total_degree())
 
         while heap:
@@ -581,19 +635,25 @@ def buchberger(gens) -> GroebnerBasis:
                 continue
             stats["pairs"] += 1
             in_flight = 1
-            red = _reduce_terms(_spoly(basis[i], basis[j], l, pack), find, ring)
+            red = _reduce_terms(_spoly(reducers[i], reducers[j], l, pack), find, ring)[0]
             in_flight = 0
             if not red:
                 stats["zero_reductions"] += 1
                 continue
-            h = ring.from_terms(red).monic()
+            h = MPoly(ring, _reducer_terms(red, ring))
             add_poly(h, max(s, h.total_degree()))
+
+        survivors = tuple(t for t, live in zip(reducers, alive) if live)
+        minimal = []
+        for terms in survivors:
+            budget.check("pairs")
+            minimal.append(_monic(terms, ring))
     except GroebnerTimeout:
         stats["wall_ms"] = int((time.monotonic() - t0) * 1000)
         stats["pending_pairs"] = len(pair_meta) + in_flight
         raise budget.expired("pairs", stats) from None
     stats["wall_ms"] = int((time.monotonic() - t0) * 1000)
-    return GroebnerBasis(tuple(g for g, live in zip(basis, alive) if live), ring, stats)
+    return GroebnerBasis(tuple(minimal), survivors, ring, stats)
 
 
 def _interreduce(polys, ring):
@@ -602,15 +662,20 @@ def _interreduce(polys, ring):
 
     One ascending pass: a tail term is smaller than its own lead, so only an
     element with a smaller lead can divide it, and those are already reduced.
-    An element whose lead an earlier one divides is dropped.
+    An element whose lead an earlier one divides is dropped.  Each element
+    is reduced in its integer terms, and its remainder, whose lead is its
+    own, becomes a basis element as in ``buchberger``.
     """
-    polys = sorted((p.monic() for p in polys if p), key=lambda p: p.lead_key())
+    polys = sorted((p for p in polys if p), key=lambda p: p.lead_key())
     out: list[MPoly] = []
+    reducers: list[tuple] = []
     lts: list[int] = []
-    find = _first_divisor(ring, out, lts, [True] * len(polys))
+    find = _first_divisor(ring, reducers, lts, [True] * len(polys))
     for p in polys:
         if find(p.lead_key()) is None:
-            out.append(ring.from_terms(_reduce_terms(dict(p.terms), find, ring)))
+            terms = _reducer_terms(_reduce_terms(dict(_integer_terms(p)), find, ring)[0], ring)
+            out.append(_monic(terms, ring))
+            reducers.append(terms)
             lts.append(p.lead_key())
     return out
 

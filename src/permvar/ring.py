@@ -109,13 +109,6 @@ class CoeffDomain:
             return c.numerator
         return int(c)
 
-    def inv(self, c):
-        if self.kind == "fp":
-            return pow(c, self.modulus - 2, self.modulus)
-        if self.kind == "rat":
-            return 1 / Fraction(c)
-        raise StructuralError("no inverses over the integers")
-
     def __eq__(self, other):
         return (
             isinstance(other, CoeffDomain)
@@ -615,18 +608,6 @@ class MPoly:
 
     def __hash__(self):
         return hash((id(self.ring), self.terms))
-
-    def monic(self) -> "MPoly":
-        if not self.terms:
-            return self
-        dom = self.ring.domain
-        if not dom.is_field:
-            raise StructuralError("monic requires a field domain")
-        lc = self.terms[0][1]
-        if lc == dom.coerce(1):
-            return self
-        inv = dom.inv(lc)
-        return self.ring.from_terms({k: c * inv for k, c in self.terms})
 
     # -- calculus and substitution --------------------------------------
 

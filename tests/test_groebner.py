@@ -47,7 +47,7 @@ from permvar.ring import (
     VarUniverse,
     block_order,
 )
-from test_groebner_reference import lookup_over, ref_standard_monomials
+from test_groebner_reference import lookup_over, monic, reducer_terms, ref_standard_monomials
 
 P1 = 2147483647
 P2 = 1073741789
@@ -62,10 +62,12 @@ def s_pairs_reduce_to_zero(G):
     reduces to zero modulo the basis."""
     pack, gens = G.ring.pack, G.gens
     find = lookup_over([g for g in gens if g], G.ring)
+    terms = [reducer_terms(g) for g in gens]
     for i in range(len(gens)):
         for j in range(i + 1, len(gens)):
             l = pack.pack(tuple(map(max, gens[i].lead_monomial(), gens[j].lead_monomial())))
-            if groebner._reduce_terms(groebner._spoly(gens[i], gens[j], l, pack), find, G.ring):
+            sp = groebner._spoly(terms[i], terms[j], l, pack)
+            if groebner._reduce_terms(sp, find, G.ring)[0]:
                 return False
     return True
 
@@ -549,7 +551,7 @@ def test_reduction_reads_the_clock_by_work_done(monkeypatch):
     f = R.from_exp_dict({(1, j): 1 for j in range(992)})
     monkeypatch.setattr(budget, "time", Clock())
     with Budget(60):
-        out = groebner._reduce_terms(dict(f.terms), find, R)
+        out, _ = groebner._reduce_terms(dict(f.terms), find, R)
     assert len(out) == 1024 + 991  # y^0 .. y^2014
     assert touched >= 15 * groebner.WORK_PER_CLOCK_READ
     assert Clock.reads >= touched // groebner.WORK_PER_CLOCK_READ
@@ -641,16 +643,12 @@ def ref_reduce_terms(work, find, ring):
     """The reduction loop as it ran before the mod-p step was delayed: every
     updated coefficient is reduced mod p at once and deleted when zero, so
     a cancelled term is never taken.  The clock reads are left out.  The
-    input must hold no zero; a residue it holds passes to the result as it
-    is."""
+    input must hold integers and no zero; a residue it holds passes to the
+    result as it is.  Returns the integer remainder and its denominator."""
     pack = ring.pack
     check, guard = not pack.graded, pack.guard
     p = ring.domain.modulus
-    rat = ring.domain.kind == "rat"
     den = 1
-    if rat:
-        den = lcm(*(c.denominator for c in work.values()))
-        work = {k: c.numerator * (den // c.denominator) for k, c in work.items()}
     out = {}
     heap = [-k for k in work]
     heapify(heap)
@@ -690,9 +688,7 @@ def ref_reduce_terms(work, find, ring):
                 work[k2] = v
             else:
                 del work[k2]
-    if rat:
-        return {k: Fraction(c, den) for k, c in out.items()}
-    return out
+    return out, den
 
 
 REDUCTION_DOMAINS = [GF(7), GF(P1), QQ]
@@ -728,17 +724,21 @@ def test_delayed_reduction_matches_per_term_reference(domain, order):
         return {k: c - p * rng.randint(0, 1) if p else c for k, c in f.terms}
 
     def check(work, reducers):
+        if not p:  # the work over its common denominator
+            den = lcm(*(Fraction(c).denominator for c in work.values()))
+            work = {k: int(c * den) for k, c in work.items()}
         nonzero = {k: c for k, c in work.items() if (c % p if p else c)}
-        want = ref_reduce_terms(nonzero, lookup_over(reducers, R), R)
-        got = groebner._reduce_terms(dict(work), lookup_over(reducers, R), R)
+        want, want_den = ref_reduce_terms(nonzero, lookup_over(reducers, R), R)
+        got, den = groebner._reduce_terms(dict(work), lookup_over(reducers, R), R)
         assert got == ({k: c % p for k, c in want.items()} if p else want)
+        assert den == want_den and (p or den > 0)
         assert all(got.values())
         assert not p or all(0 < c < p for c in got.values())
         return got
 
-    cancelled = spoly_zeros = 0
+    cancelled = spoly_zeros = scaled_leads = 0
     for _ in range(25):
-        reducers = [f.monic() for f in (poly(rng.randint(1, 4)) for _ in range(3)) if f]
+        reducers = [monic(f) for f in (poly(rng.randint(1, 4)) for _ in range(3)) if f]
         if not reducers:
             continue
         work = {k: c for k, c in poly(rng.randint(1, 12), top=4).terms}
@@ -754,19 +754,50 @@ def test_delayed_reduction_matches_per_term_reference(domain, order):
         check(multiple, reducers)
         # S-polynomials, among them x A + B and y A + C, whose x y A terms
         # cancel in the S-polynomial itself
-        A = poly(3).monic()
+        A = monic(poly(3))
         pairs = list(combinations(reducers, 2))
         f, g = x * A + poly(2, top=1), y * A + poly(2, top=1)
         if A and f.lead_key() == (x * A).lead_key() and g.lead_key() == (y * A).lead_key():
-            pairs.append((f.monic(), g.monic()))
+            pairs.append((monic(f), monic(g)))
         for f, g in pairs:
             l = pack.pack(tuple(map(max, f.lead_monomial(), g.lead_monomial())))
-            sp = groebner._spoly(f, g, l, pack)
+            sp = groebner._spoly(f.terms, g.terms, l, pack)
             assert {k: c for k, c in sp.items() if c} == ref_spoly(f, g, l, pack)
             assert not p or all(-p < c < p for c in sp.values())
             spoly_zeros += sum(not c for c in sp.values())
             check(sp, [f, g] + reducers)
+            if not p:
+                # from the primitive integer forms, whose leads a_f, a_g are
+                # mostly not 1: lcm(a_f, a_g) times the monic S-polynomial
+                tf, tg = reducer_terms(f), reducer_terms(g)
+                af, ag = tf[0][1], tg[0][1]
+                sp = groebner._spoly(tf, tg, l, pack)
+                assert all(type(c) is int for c in sp.values())
+                want = {k: lcm(af, ag) * c for k, c in ref_spoly(f, g, l, pack).items()}
+                assert {k: c for k, c in sp.items() if c} == want
+                scaled_leads += af != ag
+                check(sp, [f, g] + reducers)
     assert cancelled >= 20 and spoly_zeros > 0
+    assert p or scaled_leads > 20
+
+
+def test_reducer_terms_are_primitive_and_the_monic_form_exact():
+    """Over QQ a remainder's reducer terms are the remainder divided by its
+    content, with a positive lead, and its monic form divides those by
+    their lead in exact Fractions, also where the ints already divide; over
+    F_p both are the monic remainder."""
+    R = ring_of("xy")
+    kx, ky, k1 = R.gen(0).lead_key(), R.gen(1).lead_key(), R.one.lead_key()
+    terms = groebner._reducer_terms({ky: 4, kx: -6, k1: 12}, R)
+    assert terms == ((kx, 3), (ky, -2), (k1, -6))
+    assert [(c, type(c)) for _, c in groebner._monic(terms, R).terms] == [
+        (1, Fraction),
+        (Fraction(-2, 3), Fraction),
+        (-2, Fraction),
+    ]
+    F = ring_of("xy", domain=GF(7))
+    terms = groebner._reducer_terms({ky: 4, kx: 3, k1: 1}, F)  # 1/3 = 5 mod 7
+    assert groebner._monic(terms, F).terms == terms == ((kx, 1), (ky, 6), (k1, 5))
 
 
 @pytest.mark.parametrize("domain", REDUCTION_DOMAINS, ids=REDUCTION_IDS)
@@ -784,7 +815,7 @@ def test_guard_bit_term_raises_only_when_live(domain):
     for reduce in (groebner._reduce_terms, ref_reduce_terms):
         with pytest.raises(CapacityError):
             reduce({lo: 3, hi: 3}, lookup_over(reducers, R), R)
-        assert reduce({lo: 3, hi: p - 3}, lookup_over(reducers, R), R) == {}
+        assert reduce({lo: 3, hi: p - 3}, lookup_over(reducers, R), R)[0] == {}
 
 
 def _rabinowitsch(k, n, by):

@@ -39,6 +39,15 @@ ORDER_IDS = ["degrevlex", "lex", "block2"]
 # reference implementations
 
 
+def monic(f):
+    """f divided by its lead coefficient, in the domain's own arithmetic."""
+    if not f:
+        return f
+    dom, lc = f.ring.domain, f.terms[0][1]
+    inv = pow(lc, dom.modulus - 2, dom.modulus) if dom.modulus else 1 / Fraction(lc)
+    return f.ring.from_terms({k: c * inv for k, c in f.terms})
+
+
 def ref_reduce(work, reducers, ring):
     """Normal form of a term dict modulo a list of monic (lead_key, terms)."""
     pack = ring.pack
@@ -71,7 +80,7 @@ def ref_reduce(work, reducers, ring):
 
 
 def ref_interreduce(polys, ring):
-    polys = sorted((p.monic() for p in polys if p), key=lambda p: p.lead_key())
+    polys = sorted((monic(p) for p in polys if p), key=lambda p: p.lead_key())
     pack = ring.pack
     minimal = []
     for p in polys:
@@ -84,7 +93,7 @@ def ref_interreduce(polys, ring):
             others = [(q.lead_key(), q.terms) for pos, q in enumerate(minimal) if pos != idx]
             red = ring.from_terms(ref_reduce(dict(p.terms), others, ring))
             if red.terms != p.terms:
-                minimal[idx] = red.monic()
+                minimal[idx] = monic(red)
                 changed = True
     return sorted(minimal, key=lambda p: p.lead_key())
 
@@ -163,10 +172,18 @@ def ref_standard_monomials(G):
     return sorted(out, key=G.ring.pack.pack)
 
 
+def reducer_terms(f):
+    """The reducer terms the engine makes of a nonzero polynomial: over QQ
+    its primitive integer multiple with a positive lead, over F_p its monic
+    terms."""
+    return groebner._reducer_terms(dict(groebner._integer_terms(f)), f.ring)
+
+
 def lookup_over(polys, ring):
-    """The engine's first-divisor lookup over a fixed list of nonzero monic
+    """The engine's first-divisor lookup over a fixed list of nonzero
     polynomials, built as ``normal_form`` builds it."""
-    return _first_divisor(ring, polys, [g.lead_key() for g in polys], [True] * len(polys))
+    reducers = [reducer_terms(g) for g in polys]
+    return _first_divisor(ring, reducers, [g.lead_key() for g in polys], [True] * len(polys))
 
 
 # ---------------------------------------------------------------------------
@@ -254,21 +271,22 @@ def _primitive_by_definition(f):
 # tests
 
 
-def _lookup_matches_a_full_scan(rng, domain, new_reducer, reducer_terms):
-    """Under appends, deaths and repeated queries, the memoized lookup gives
-    the first alive divisor that a scan from the start gives, with the terms
-    ``reducer_terms`` of that element."""
+def _lookup_matches_a_full_scan(rng, domain, new_reducer, want_terms):
+    """Under appends, deaths and repeated queries, the memoized lookup over
+    the elements' reducer terms gives the first alive divisor that a scan
+    from the start gives, with the terms ``want_terms`` of that element."""
     for order in ORDERS:
         R = _ring(4, domain, order)
         pack = R.pack
-        polys, lts, alive = [], [], []
-        find = _first_divisor(R, polys, lts, alive)
+        polys, reducers, lts, alive = [], [], [], []
+        find = _first_divisor(R, reducers, lts, alive)
         queries = [pack.pack(_monomial(rng, 4, 6)) for _ in range(60)]
         for _ in range(400):
             r = rng.random()
             if r < 0.1:
                 g = new_reducer(R)
                 polys.append(g)
+                reducers.append(reducer_terms(g))
                 lts.append(g.lead_key())
                 alive.append(True)
             elif r < 0.15 and alive:
@@ -282,7 +300,7 @@ def _lookup_matches_a_full_scan(rng, domain, new_reducer, reducer_terms):
                 if want is None:
                     assert got is None
                 else:
-                    assert got == (lts[want], reducer_terms(polys[want]))
+                    assert got == (lts[want], want_terms(polys[want]))
 
 
 def test_first_divisor_lookup_matches_a_full_scan():
@@ -295,18 +313,19 @@ def test_first_divisor_lookup_matches_a_full_scan():
 
 def test_first_divisor_lookup_over_qq_gives_primitive_integer_terms():
     """Over QQ the lookup gives the primitive integer multiple of the first
-    alive divisor: int coefficients, coprime, with a positive lead, also
-    when the element's own lead is negative."""
+    alive divisor, as ``_reducer_terms`` makes it: int coefficients,
+    coprime, with a positive lead, also when the element's own lead is
+    negative."""
     rng = random.Random(19)
     leads = []
 
-    def reducer_terms(g):
+    def want_terms(g):
         terms = _primitive_by_definition(g)
         assert all(type(c) is int for _, c in terms)
         leads.append((g.terms[0][1], terms[0][1]))
         return terms
 
-    _lookup_matches_a_full_scan(rng, QQ, lambda R: _fraction_poly(rng, R, 2, 3), reducer_terms)
+    _lookup_matches_a_full_scan(rng, QQ, lambda R: _fraction_poly(rng, R, 2, 3), want_terms)
     assert any(a > 1 for _, a in leads) and any(c < 0 for c, _ in leads)
 
 
@@ -331,7 +350,7 @@ def test_one_pass_interreduction_matches_fixed_point(order, domain):
         got = _interreduce(polys, R)
         want = ref_interreduce(polys, R)
         assert [g.terms for g in got] == [g.terms for g in want]
-        inputs = {p.monic().terms for p in polys if p}
+        inputs = {monic(p).terms for p in polys if p}
         reduced += any(g.terms not in inputs for g in want)
     assert reduced > 10
 
@@ -375,8 +394,8 @@ def test_normal_form_matches_list_scan(domain, order, monkeypatch):
             if domain != QQ:
                 # the raw result holds reduced residues already, before
                 # from_terms reduces it again
-                raw = groebner._reduce_terms(dict(f.terms), lookup_over(G.gens, R), R)
-                assert raw == dict(want.terms)
+                raw, den = groebner._reduce_terms(dict(f.terms), lookup_over(G.gens, R), R)
+                assert (raw, den) == (dict(want.terms), 1)
             if domain == QQ:
                 den_in = math.lcm(*(c.denominator for _, c in f.terms))
                 big_dens += den_in > 1

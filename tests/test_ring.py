@@ -16,7 +16,6 @@ from permvar.ring import (
     LEX,
     QQ,
     CoeffDomain,
-    MPoly,
     PolyMatrix,
     PolyRing,
     VarUniverse,
@@ -107,22 +106,6 @@ def test_a_ring_is_its_names_domain_and_order():
         R.var(9, 9)
     with pytest.raises(StructuralError):
         R.gen("nope")
-
-
-def test_rational_inverse_is_exact():
-    """QQ's inverse of an int is a Fraction, not a float, so a QQ polynomial
-    built from int coefficients becomes monic with exact ones."""
-    assert [(c, type(c)) for c in (QQ.inv(3), QQ.inv(Fraction(-2, 5)))] == [
-        (Fraction(1, 3), Fraction),
-        (Fraction(-5, 2), Fraction),
-    ]
-    R = ring_xy()
-    x, y = R.gens()
-    f = R.from_terms({x.lead_key(): 3, y.lead_key(): 1})  # from_terms keeps ints
-    assert [(c, type(c)) for _, c in f.monic().terms] == [
-        (1, Fraction),
-        (Fraction(1, 3), Fraction),
-    ]
 
 
 def _coerce_reference(dom, c):
@@ -255,9 +238,9 @@ def test_key_degree_and_divisibility_oracles(order):
             assert pack.divides(ka, kb) == want
             # a monomial reducer is found for the term, and removes it,
             # exactly when it divides it
-            find = _first_divisor(R, [MPoly(R, ((ka, 1),))], [ka], [True])
+            find = _first_divisor(R, [((ka, 1),)], [ka], [True])
             assert (find(kb) is not None) == want
-            assert (_reduce_terms({kb: 1}, find, R) == {}) == want
+            assert (_reduce_terms({kb: 1}, find, R)[0] == {}) == want
         assert 40 < hits < 110
         if order.kind == "block":
             assert pack._guard_low and pack._guard_high  # keys with both parts

@@ -58,7 +58,8 @@ def _from_sympy(expr, R):
 def _monic(terms, R):
     """Scale by the inverse coefficient of the lead in R's order."""
     lead = max(terms, key=R.pack.pack)
-    inv = R.domain.inv(terms[lead])
+    p = R.domain.modulus
+    inv = pow(terms[lead], p - 2, p) if p else 1 / terms[lead]
     return {e: R.domain.coerce(c * inv) for e, c in terms.items()}
 
 
