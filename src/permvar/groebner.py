@@ -55,12 +55,31 @@ pairs of a degree once that count meets the Hilbert function of a regular
 sequence of the same degrees (``_HilbertSkip``): every such pair reduces to 0,
 so the basis is the one the full loop builds.
 
+``contains`` decides membership.  When the generators and the forms asked
+about are all homogeneous, its pair loop stops before the first pair of
+degree above D, the largest degree asked about (the degree-D truncated basis,
+Lazard, EUROCAL 1983).  Every element, S-polynomial and remainder is then a
+form and a pair's sugar is its degree, so the loop has taken every pair of
+degree <= D.  Buchberger's criterion holds degree by degree for forms, so the
+leads then span in(I) in every degree <= D, and a form of degree <= D lies in
+I iff it reduces to zero.  The criteria stay sound under the stop: the product
+criterion drops a pair that reduces to zero, and the Gebauer-Moeller ones
+drop a pair only in favour of pairs whose lcm equals or strictly divides its
+own, of no higher degree (J. Symb. Comp. 6, 1988).  The truncated basis never
+leaves ``contains``; ``buchberger`` has no stop.
+
+``transport`` between two degrevlex rings of one domain whose universes
+permute one name set moves key fields: each key holds one field per variable
+under the same degree field, so one mask and shift moves each maximal run of
+variables that stay consecutive, the degree field stays, and the terms are
+sorted again (``_field_runs``, made once per ring pair).
+
 The open budget is tested only by ``budget.check``, which raises
 GroebnerTimeout past its deadline: before each S-pair and each degree the
 Hilbert count moves up, when a reduction's allowance of
 ``WORK_PER_CLOCK_READ`` work units runs out (so also while
-``GroebnerBasis.gens`` interreduces), and every 256 steps of the Hilbert
-recursion.
+``GroebnerBasis.gens`` interreduces), before each content step over QQ, and
+every 256 steps of the Hilbert recursion.
 """
 
 from __future__ import annotations
@@ -68,9 +87,10 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
-from math import gcd, lcm
+from math import gcd, inf, lcm
 
 from . import budget
 from .errors import (
@@ -85,6 +105,7 @@ from .linalg import _integer_rows
 from .linalg import _primitive as _primitive_vector
 from .ring import (
     _FIELD_CAP,
+    _WIDTH,
     DEGREVLEX,
     GF,
     MPoly,
@@ -99,6 +120,33 @@ from .ring import (
 WORK_PER_CLOCK_READ = 1 << 16
 
 
+@cache  # rings are interned, so once per ring pair
+def _field_runs(src: PolyRing, tgt: PolyRing):
+    """``(keep, runs)`` that re-key ``src`` keys into ``tgt`` ones when both
+    rings are graded, of one domain, over permutations of one name set;
+    else None.  ``keep`` masks the degree field, and each ``(mask, up,
+    down)`` moves one maximal run of fields that stay consecutive."""
+    names, index = src.universe.names, tgt.universe.index
+    if not (
+        src.pack.graded
+        and tgt.pack.graded
+        and src.domain == tgt.domain
+        and len(names) == len(index)
+        and all(nm in index for nm in names)
+    ):
+        return None
+    w, runs, i = _WIDTH, [], 0
+    while i < len(names):
+        j = index[names[i]]
+        r = 1
+        while i + r < len(names) and index[names[i + r]] == j + r:
+            r += 1
+        shift = w * (j - i)
+        runs.append((((1 << w * r) - 1) << w * i, max(shift, 0), max(-shift, 0)))
+        i += r
+    return -1 << w * len(names), tuple(runs)
+
+
 def transport(p: MPoly, ring: PolyRing) -> MPoly:
     """Move a polynomial into another ring, matching variables by name.
 
@@ -106,7 +154,9 @@ def transport(p: MPoly, ring: PolyRing) -> MPoly:
     Only variables actually appearing in ``p`` need to exist in the target.
     A ring of the same universe and order packs keys the same way, so only
     the coefficients are coerced; within one domain they are kept as they
-    are, and only the keys move.
+    are, and only the keys move.  Between graded rings of one domain whose
+    universes permute one name set, a key's fields are permuted, run by run
+    (``_field_runs``), under the same degree field.
     """
     if p.ring is ring:
         return p
@@ -114,6 +164,17 @@ def transport(p: MPoly, ring: PolyRing) -> MPoly:
     coerce = ring.domain.coerce
     if src == ring.universe and p.order == ring.order:
         return ring.from_terms({k: coerce(c) for k, c in p.terms})
+    moves = _field_runs(p.ring, ring)
+    if moves is not None:
+        keep, runs = moves
+        terms = []
+        for k, c in p.terms:
+            key = k & keep
+            for mask, up, down in runs:
+                key |= (k & mask) << up >> down
+            terms.append((key, c))
+        terms.sort(reverse=True)
+        return MPoly(ring, tuple(terms))
     same = p.domain == ring.domain
     tgt_index = ring.universe.index
     perm: dict = {}
@@ -304,9 +365,12 @@ def _integer_terms(f: MPoly) -> tuple:
 def _reducer_terms(red: dict, ring) -> tuple:
     """A nonzero integer remainder as a basis element's reducer terms, in
     descending order: over QQ divided by its content, with a positive lead
-    (as ``linalg`` makes kernel vectors), and over F_p made monic."""
+    (as ``linalg`` makes kernel vectors), and over F_p made monic.  The
+    content's gcd and division over QQ can take seconds on big integers, so
+    the open budget is checked before them (phase ``"content"``)."""
     items = sorted(red.items(), reverse=True)
     if ring.domain.kind == "rat":
+        budget.check("content")
         return tuple(zip([k for k, _ in items], _primitive_vector([c for _, c in items])))
     p, a = ring.domain.modulus, items[0][1]
     if a != 1:
@@ -526,6 +590,13 @@ def buchberger(gens) -> GroebnerBasis:
     open budget runs out, carrying the statistics so far and the phase it
     stopped in (``"pairs"``).
     """
+    return _buchberger(gens)
+
+
+def _buchberger(gens, top=inf) -> GroebnerBasis:
+    """``buchberger``'s pair loop, stopped before its first pair of sugar
+    above ``top``: for homogeneous ``gens`` the basis of the ideal up to
+    degree ``top`` (see ``contains``)."""
     gens = [g for g in gens if g is not None]
     if not gens:
         raise StructuralError("empty generator list")
@@ -628,6 +699,8 @@ def buchberger(gens) -> GroebnerBasis:
         while heap:
             budget.check("pairs")
             s, l, j, i = heappop(heap)
+            if s > top:
+                break
             if pair_meta.pop((i, j), None) is None:
                 continue  # pruned by a later update
             if hilbert is not None and hilbert.skips(s):
@@ -654,6 +727,19 @@ def buchberger(gens) -> GroebnerBasis:
         raise budget.expired("pairs", stats) from None
     stats["wall_ms"] = int((time.monotonic() - t0) * 1000)
     return GroebnerBasis(tuple(minimal), survivors, ring, stats)
+
+
+def contains(gens, fs) -> bool:
+    """Whether every f in ``fs`` lies in the ideal of ``gens``: by a loop
+    stopped above the largest degree asked about when every generator and
+    every f is homogeneous (see the module docstring), else by the full
+    basis."""
+    gens, fs = list(gens), [f for f in fs if f]
+    if not fs:
+        return True
+    graded = all(g.is_homogeneous() for g in gens) and all(f.is_homogeneous() for f in fs)
+    G = _buchberger(gens, max(f.total_degree() for f in fs) if graded else inf)
+    return all(normal_form(f, G).is_zero() for f in fs)
 
 
 def _interreduce(polys, ring):

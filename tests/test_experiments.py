@@ -5,13 +5,14 @@ import json
 import math
 import random
 from importlib import resources
+from functools import reduce
 from itertools import combinations, permutations
 from types import SimpleNamespace
 
 import pytest
 
 from permvar.budget import Budget
-from permvar.config import DEFAULT_SEED, CliConfig
+from permvar.config import DEFAULT_PRIME, DEFAULT_SEED, SECOND_PRIME, CliConfig
 from permvar.errors import InternalConsistencyError, PreconditionError, StructuralError
 from permvar.experiments import (
     _RUNNERS,
@@ -37,7 +38,14 @@ from permvar.experiments import (
     symbolic_determinant_identities,
     two_zero_row_witness,
 )
-from permvar.groebner import buchberger, ideal_dimension, over_prime
+from permvar.groebner import (
+    buchberger,
+    contains,
+    ideal_dimension,
+    ideal_intersection,
+    normal_form,
+    over_prime,
+)
 from permvar.permanent import (
     GenericMatrixSpec,
     derivative_matrix_symbolic,
@@ -664,6 +672,37 @@ def test_partition_sum_ideals_are_the_block_permanents():
                         blocks.append(PolyMatrix([[M[i, j] for j in cols] for i in rows]))
                 expected.append([leibniz_perm(B) for B in blocks])
     assert list(_partition_sum_ideals(M)) == expected
+
+
+@pytest.mark.parametrize("p", [DEFAULT_PRIME, SECOND_PRIME], ids=["p1", "p2"])
+@pytest.mark.parametrize("k", [3, 4])
+def test_contains_matches_full_bases_on_the_case_ideals(k, p):
+    """On lemma422's partition sums and census-2xn's components and their
+    intersection (the 2 x k matrix), the truncated loop of ``contains``
+    answers as the full basis does: for the case's own questions, all
+    members, and for forms that add a power of a variable to a member,
+    which the ideals need not hold."""
+
+    def full(gens, fs):
+        G = buchberger(gens)
+        return all(normal_form(f, G).is_zero() for f in fs)
+
+    M = generic_matrix(k, k, GF(p))
+    sing = matrix_permanents(k - 1, M)
+    x = M.ring.gens()
+    seen = set()
+    for J in _partition_sum_ideals(M):
+        for fs in (sing, [sing[0] + x[1] ** (k - 1)], [J[-1] + x[0] ** J[-1].total_degree()]):
+            assert contains(J, fs) == full(J, fs)
+            seen.add(full(J, fs))
+    gens = permanental_ideal(GenericMatrixSpec(2, k), GF(p))
+    comps = _component_ideals_2xn(k, gens[0].ring)
+    x = gens[0].ring.gens()
+    for I in comps + [reduce(ideal_intersection, comps)]:
+        for fs in (gens, [gens[0] + x[0] * x[-1]]):
+            assert contains(I, fs) == full(I, fs)
+            seen.add(full(I, fs))
+    assert seen == {True, False}
 
 
 def test_script_4x5_honours_its_budget():

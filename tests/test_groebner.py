@@ -1,6 +1,7 @@
 """Buchberger engine, normal forms, dimension, degree, saturation, radicals."""
 
 import hashlib
+import math
 import random
 import time
 from fractions import Fraction
@@ -25,6 +26,7 @@ from permvar.groebner import (
     _interreduce,
     _saturate_general,
     buchberger,
+    contains,
     hilbert_degree,
     hilbert_numerator,
     ideal_dimension,
@@ -1217,3 +1219,89 @@ def test_transport_by_name():
     q = transport(p, R2)
     assert q.text() == p.text()  # text uses names, not positions
     assert transport(q, R1) == p
+
+
+# ---------------------------------------------------------------------------
+# membership
+
+
+def _spy_tops(monkeypatch):
+    """The degree each pair loop that ``contains`` runs stops above."""
+    tops = []
+    real = groebner._buchberger
+
+    def spy(gens, top=math.inf):
+        tops.append(top)
+        return real(gens, top)
+
+    monkeypatch.setattr(groebner, "_buchberger", spy)
+    return tops
+
+
+def test_contains_stops_a_homogeneous_loop_at_the_largest_degree_asked(monkeypatch):
+    """x^2 z - y z^2 is the S-polynomial of the two quadrics, of degree 3:
+    the loop stopped at 3 still takes that pair, and the one stopped at 2
+    decides a quadric.  The answers are those of the full basis."""
+    R = ring_of("xyz", domain=GF(P1))
+    x, y, z = R.gens()
+    gens = [x * y - z**2, y**2 - x * z]
+    tops = _spy_tops(monkeypatch)
+    assert contains(gens, [x**2 * z - y * z**2, gens[0]])
+    assert not contains(gens, [x**2 * z])
+    assert not contains(gens, [x * z - y * z])
+    assert tops == [3, 3, 2]
+    G = buchberger(gens)
+    assert normal_form(x**2 * z - y * z**2, G).is_zero() and normal_form(x**2 * z, G)
+
+
+def test_contains_reduces_a_non_homogeneous_question_by_the_full_basis(monkeypatch):
+    R = ring_of("xy")
+    x, y = R.gens()
+    gens = [x * y - 1, y**2 - x]
+    cube = normal_form(x**3 - y**3, buchberger(gens)).is_zero()
+    tops = _spy_tops(monkeypatch)
+    assert contains(gens, [x**3 - 1])  # x = y^2 and y^3 = xy = 1 there
+    assert not contains(gens, [x - 1])
+    # a homogeneous question of a non-homogeneous ideal takes the full loop too
+    assert contains(gens, [x**3 - y**3]) == cube
+    assert tops == [math.inf] * 3
+
+
+def test_contains_edge_cases(monkeypatch):
+    """The unit ideal holds every form, homogeneous or not; zero lies in
+    every ideal and an empty list asks nothing, so neither runs a loop."""
+    R = ring_of("xyz", domain=GF(P2))
+    x, y, z = R.gens()
+    tops = _spy_tops(monkeypatch)
+    assert contains([R.const(5), x], [y**3 + z**3, z])
+    assert contains([x * y - 1, x], [y**2 + 1])
+    assert tops == [3, math.inf]
+    assert contains([x**2], [R.zero]) and contains([x**2], [])
+    assert tops == [3, math.inf]
+    assert contains([x**2], [R.zero, x**3]) and not contains([x**2], [R.zero, x])
+    assert tops == [3, math.inf, 3, 1]
+
+
+def test_content_step_checks_the_budget_first(monkeypatch):
+    """Over QQ a new element's content gcd and division can take seconds on
+    big integers, so the budget is checked just before them: a check that
+    expires there stops the loop before any content step runs.  Over F_p
+    there is no content step and no such check."""
+    R = ring_of("xy")
+    x, y = R.gens()
+    gens = [2 * x * y - 4, 3 * y**2 - x]
+    steps = []
+
+    def check(phase, stats=None):
+        if phase == "content":
+            raise budget.expired(phase, stats)
+
+    monkeypatch.setattr(budget, "check", check)
+    monkeypatch.setattr(groebner, "_primitive_vector", lambda v: steps.append(v) or v)
+    with pytest.raises(GroebnerTimeout) as exc, Budget(60):
+        buchberger(gens)
+    assert exc.value.stats["phase"] == "pairs" and exc.value.stats["basis_additions"] == 0
+    assert steps == []
+    with Budget(60):
+        G = buchberger(over_prime(gens, P1))
+    assert len(G) >= 2
