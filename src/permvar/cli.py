@@ -338,7 +338,7 @@ def _run_slice(args, cfg) -> int:
     lines = [" ".join(e.text() for e in row) for row in M.rows]
     payload = {"kind": args.kind, "entries": [[e.text() for e in row] for row in M.rows]}
     if args.bound:
-        ht = experiments.slice_height(M, cfg.prime)
+        ht = experiments.slice_height(M, GF(cfg.prime))
         payload["ht"] = ht
         payload["codim_lower_bound"] = ht
         lines.append(f"ht {ht} (codimension lower bound {ht})")

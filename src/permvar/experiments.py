@@ -185,13 +185,13 @@ def slice_codim_bound(I_gens, slice_map, target: PolyRing) -> int:
     return ideal_dimension(buchberger(sliced)).codim
 
 
-def slice_height(M_slice: PolyMatrix, p: int) -> int:
-    """Height over F_p of the k x k permanents of the generic k x n matrix
-    cut by the k x n slice ``M_slice``: a lower bound for the codimension of
-    their locus."""
+def slice_height(M_slice: PolyMatrix, F) -> int:
+    """Height over the field F of the k x k permanents of the generic k x n
+    matrix cut by the k x n slice ``M_slice``: a lower bound for the
+    codimension of their locus."""
     k, n = M_slice.dims
-    target = PolyRing(M_slice.ring.universe, GF(p))
-    gens = permanental_ideal(GenericMatrixSpec(k, n), GF(p))
+    target = PolyRing(M_slice.ring.universe, F)
+    gens = permanental_ideal(GenericMatrixSpec(k, n), F)
     slice_map = {
         f"x_{i + 1}_{j + 1}": transport(M_slice[i, j], target) for i in range(k) for j in range(n)
     }
@@ -232,12 +232,12 @@ def _line_in_component(comp_gens, line) -> bool:
     return not any(only_on_line(key) for g in comp_gens for key, _ in g.terms)
 
 
-def _census_2xn(n: int, p: int) -> dict:
-    """Component structure over F_p of the maximal-permanent locus of a
+def _census_2xn(n: int, F) -> dict:
+    """Component structure over F of the maximal-permanent locus of a
     generic 2 x n matrix: component count, containment of the permanental
     ideal in each component, radical equality with their intersection, and
     the n^2 singular lines each lying on at least two components."""
-    gens = permanental_ideal(GenericMatrixSpec(2, n), GF(p))
+    gens = permanental_ideal(GenericMatrixSpec(2, n), F)
     comps = _component_ideals_2xn(n, gens[0].ring)
     G_I = buchberger(gens)
     containment = all(contains(comp, gens) for comp in comps)
@@ -489,17 +489,17 @@ def _partition_sum_ideals(M: PolyMatrix):
             yield block_perms(s1, False) + block_perms(s2, False)
 
 
-def lemma422_containment(k: int, p: int) -> bool:
-    """The (k-1)-permanent ideal of the generic k x k matrix is contained in
-    every partition sum of block permanental ideals."""
-    M = generic_matrix(k, k, GF(p))
+def lemma422_containment(k: int, F) -> bool:
+    """The (k-1)-permanent ideal of the generic k x k matrix over F is
+    contained in every partition sum of block permanental ideals."""
+    M = generic_matrix(k, k, F)
     sing = matrix_permanents(k - 1, M)
     return all(contains(J, sing) for J in _partition_sum_ideals(M))
 
 
-def radical_equality_sing(k: int, p: int) -> dict:
-    """Both inclusions of the radical identity for the singular locus at k."""
-    M = generic_matrix(k, k, GF(p))
+def radical_equality_sing(k: int, F) -> dict:
+    """Both inclusions over F of the radical identity for the singular locus at k."""
+    M = generic_matrix(k, k, F)
     sing = matrix_permanents(k - 1, M)
     G_sing = buchberger(sing)
     sums = list(_partition_sum_ideals(M))
@@ -560,13 +560,13 @@ def hankel_chart_generators(chart_ring: PolyRing) -> list:
     ]
 
 
-def hankel_chart_case(n: int, p: int) -> dict:
-    """Chart ideals over F_p of the 2 x n Hankel permanental scheme at both
+def hankel_chart_case(n: int, F) -> dict:
+    """Chart ideals over F of the 2 x n Hankel permanental scheme at both
     support points: zero-dimensional, local degree 4, and the stated
     monomial basis.  The mirror turns the Hankel matrix upside down and
     back to front, which leaves every 2 x 2 permanent as it is, so the two
     charts have one generator set and one basis, computed once."""
-    chart_ring = PolyRing(VarUniverse.free([f"x{i}" for i in range(n)]), GF(p))
+    chart_ring = PolyRing(VarUniverse.free([f"x{i}" for i in range(n)]), F)
     first, mirrored = hankel_chart_generators(chart_ring)
     if set(first) != set(mirrored):
         raise InternalConsistencyError(f"the two Hankel charts of n = {n} differ")
@@ -608,55 +608,49 @@ def hankel_syzygy_identity(n: int) -> bool:
 
 
 def _per_prime(primes, fn):
-    """``fn(p)`` for each prime in order: the value at the first prime, and
-    whether every prime gave the same value."""
-    values = [fn(p) for p in primes]
+    """``fn(GF(p))`` for each prime p in order, the one place a case turns a
+    prime into its field: the value at the first prime, and whether every
+    prime gave the same value."""
+    values = [fn(GF(p)) for p in primes]
     return values[0], all(v == values[0] for v in values[1:])
 
 
-def _per_value(spec, cfg, key, fn):
-    """``_per_prime`` over each registered value v of ``spec.params[key]``,
-    the values outer and the primes inner: ``fn(v, p)`` for each prime p.
-    Gives the first prime's values keyed by ``str(v)``, and whether every
-    value agreed across the primes."""
-    measured, agree = {}, True
-    for v in spec.params[key]:
-        measured[str(v)], ok = _per_prime(cfg.primes, lambda p: fn(v, p))
-        agree &= ok
-    return measured, agree
-
-
 def _each_value(key, fn, table=None):
-    """The runner of a case measuring ``fn(v, p)`` by ``_per_value`` over
-    the values of ``key``, as the case's ``table`` if it names one."""
+    """The runner of a case measuring ``fn(v, F)`` for each registered value
+    v of ``spec.params[key]``, the values outer and ``_per_prime``'s fields
+    inner: the first prime's values keyed by ``str(v)`` (as the case's
+    ``table`` if it names one), and whether every value agreed."""
 
     def run(spec, cfg):
-        measured, agree = _per_value(spec, cfg, key, fn)
+        measured, agree = {}, True
+        for v in spec.params[key]:
+            measured[str(v)], ok = _per_prime(cfg.primes, lambda F: fn(v, F))
+            agree &= ok
         return ({table: measured} if table else measured), agree
 
     return run
 
 
 def _each_prime(fn):
-    """The runner of a case measuring ``fn(p)`` by ``_per_prime``."""
+    """The runner of a case measuring ``fn(F)`` by ``_per_prime``."""
     return lambda spec, cfg: _per_prime(cfg.primes, fn)
 
 
-def _codim(shape, p: int) -> int:
-    """Codimension over F_p of the permanental ideal of a generic ``shape`` matrix."""
-    return ideal_dimension(buchberger(permanental_ideal(GenericMatrixSpec(*shape), GF(p)))).codim
+def _codim(shape, F) -> int:
+    """Codimension over F of the permanental ideal of a generic ``shape`` matrix."""
+    return ideal_dimension(buchberger(permanental_ideal(GenericMatrixSpec(*shape), F))).codim
 
 
-def _slice_bound(kind: str, p: int) -> dict:
-    """Height over F_p of the slice ``build_slice(kind)``: a codimension lower bound."""
-    ht = slice_height(build_slice(kind), p)
+def _slice_bound(kind: str, F) -> dict:
+    """Height over F of the slice ``build_slice(kind)``: a codimension lower bound."""
+    ht = slice_height(build_slice(kind), F)
     return {"ht": ht, "codim_lower_bound": ht}
 
 
-def _saturation_j3(p: int) -> dict:
-    """Codimension and degree over F_p of the permanental ideal of the
+def _saturation_j3(F) -> dict:
+    """Codimension and degree over F of the permanental ideal of the
     generic 3 x 4 matrix saturated by the product of all variables."""
-    gens = permanental_ideal(GenericMatrixSpec(3, 4), GF(p))
+    gens = permanental_ideal(GenericMatrixSpec(3, 4), F)
     ring = gens[0].ring
     G = buchberger(saturate(gens, prod(ring.gens(), start=ring.one)))
     return {"codim": ideal_dimension(G).codim, "degree": hilbert_degree(G)}
@@ -687,35 +681,35 @@ def _run_kirkup_b1(spec, cfg):
     return {"ranks": ranks, "kernel_3": kernel, "extension_check": ext}, True
 
 
-def _max_jacobian_rank(shape, p, rng, points):
-    """Largest Jacobian rank over F_p of the maximal permanents of the
-    generic matrix of size ``shape`` at ``points`` random points."""
+def _max_jacobian_rank(shape, F, rng, points):
+    """Largest Jacobian rank over the prime field F of the maximal permanents
+    of the generic matrix of size ``shape`` at ``points`` random points."""
     from .torus import jacobian, jacobian_rank_at
 
-    jac = jacobian(permanental_ideal(GenericMatrixSpec(*shape), GF(p)))
+    jac = jacobian(permanental_ideal(GenericMatrixSpec(*shape), F))
     nvars = shape[0] * shape[1]
-    batch = [[rng.randrange(p) for _ in range(nvars)] for _ in range(points)]
+    batch = [[rng.randrange(F.modulus) for _ in range(nvars)] for _ in range(points)]
     return max(jacobian_rank_at(jac, batch))
 
 
 def _run_jacobian_independence(spec, cfg):
     rng = random.Random(cfg.seed)
-    run = _each_value("k", lambda k, p: _max_jacobian_rank((k, k + 1), p, rng, 20), "max_rank")
+    run = _each_value("k", lambda k, F: _max_jacobian_rank((k, k + 1), F, rng, 20), "max_rank")
     return run(spec, cfg)
 
 
 def _run_jacobian_dependence(spec, cfg):
     rng = random.Random(cfg.seed)
     points = spec.params["points"]
-    mx, agree = _per_prime(cfg.primes, lambda p: _max_jacobian_rank((2, 5), p, rng, points))
+    mx, agree = _per_prime(cfg.primes, lambda F: _max_jacobian_rank((2, 5), F, rng, points))
     return {"max_rank": mx, "dependent": mx <= 9}, agree
 
 
-def _circulant_2x2(k: int, p: int) -> dict:
-    """Codimension over F_p of the 2 x 2 permanents of the k x (k+1)
+def _circulant_2x2(k: int, F) -> dict:
+    """Codimension over F of the 2 x 2 permanents of the k x (k+1)
     circulant matrix in x_1_1 .. x_1_{k+1}, and whether each x_j^2 lies in
     their ideal."""
-    G = buchberger(permanental_ideal(GenericMatrixSpec(k, k + 1, h=2, pattern="circulant"), GF(p)))
+    G = buchberger(permanental_ideal(GenericMatrixSpec(k, k + 1, h=2, pattern="circulant"), F))
     member = all(normal_form(G.ring.gen(j) ** 2, G).is_zero() for j in range(k + 1))
     return {"codim": ideal_dimension(G).codim, "squares_in_ideal": member}
 
@@ -820,13 +814,13 @@ def _run_script_4x5(spec, cfg):
     partials = [det.diff(nm) for nm in BB.ring.universe.names]
     minors4 = [q for q in matrix_minors(4, BB) if q]
 
-    def codim(gens, p):
-        if p < 1 << 31 and homogeneous_dim0_certificate(gens, p) is not None:
+    def codim(gens, F):
+        if F.modulus < 1 << 31 and homogeneous_dim0_certificate(gens, F.modulus) is not None:
             return len(BB.ring.universe)
-        return ideal_dimension(buchberger(over_prime(gens, p))).codim
+        return ideal_dimension(buchberger(over_prime(gens, F.modulus))).codim
 
-    sing_codim, sing_agree = _per_prime(cfg.primes, lambda p: codim(partials, p))
-    minors4_codim, minors4_agree = _per_prime(cfg.primes, lambda p: codim(minors4, p))
+    sing_codim, sing_agree = _per_prime(cfg.primes, lambda F: codim(partials, F))
+    minors4_codim, minors4_agree = _per_prime(cfg.primes, lambda F: codim(minors4, F))
     measured = {"sing_codim": sing_codim, "minors4_codim": minors4_codim, "seed": cfg.seed}
     return measured, sing_agree and minors4_agree
 
@@ -843,7 +837,7 @@ def _run_script_5x6(spec, cfg):
     # variables; the primes agree only if every one of them fills
     filled, agree = _per_prime(
         cfg.primes,
-        lambda p: homogeneous_dim0_certificate(source, p, minors=minors) is not None,
+        lambda F: homogeneous_dim0_certificate(source, F.modulus, minors=minors) is not None,
     )
     codim = len(source[0].ring.universe) if filled else None
     distinct = len(_distinct(minors[1] % cfg.prime))
@@ -853,12 +847,12 @@ def _run_script_5x6(spec, cfg):
 # What each case measures.  Public functions are called inside lambdas, so that
 # one rebound while the case runs (perfbench's tracer, a monkeypatch) is called.
 _RUNNERS = {
-    "codim-2xn": _each_value("n", lambda n, p: _codim((2, n), p), "codim"),
-    "codim-kxk1": _each_value("k", lambda k, p: _codim((k, k + 1), p), "codim"),
+    "codim-2xn": _each_value("n", lambda n, F: _codim((2, n), F), "codim"),
+    "codim-kxk1": _each_value("k", lambda k, F: _codim((k, k + 1), F), "codim"),
     "census-2xn": _each_value("n", _census_2xn),
-    "hankel-degree8": _each_value("n", lambda n, p: hankel_chart_case(n, p)),
-    "slice-circulant3": _each_prime(lambda p: _slice_bound("circulant3", p)),
-    "slice-circulant4": _each_prime(lambda p: _slice_bound("circulant4", p)),
+    "hankel-degree8": _each_value("n", lambda n, F: hankel_chart_case(n, F)),
+    "slice-circulant3": _each_prime(lambda F: _slice_bound("circulant3", F)),
+    "slice-circulant4": _each_prime(lambda F: _slice_bound("circulant4", F)),
     "saturation-J3": _each_prime(_saturation_j3),
     "kirkup-vanish": _run_kirkup_vanish,
     "kirkup-b1-rank": _run_kirkup_b1,
@@ -872,9 +866,9 @@ _RUNNERS = {
     "e-pattern-rank": _run_e_pattern,
     "sing-upper-witness": _run_sing_witness,
     "lemma422-containment": _each_value(
-        "k", lambda k, p: lemma422_containment(k, p), "containment"
+        "k", lambda k, F: lemma422_containment(k, F), "containment"
     ),
-    "radical-eq-sing-k3": _each_prime(lambda p: radical_equality_sing(3, p)),
+    "radical-eq-sing-k3": _each_prime(lambda F: radical_equality_sing(3, F)),
     "script-4x5": _run_script_4x5,
     "script-5x6": _run_script_5x6,
 }

@@ -7,6 +7,7 @@ import random
 from importlib import resources
 from functools import reduce
 from itertools import combinations, permutations
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -18,10 +19,11 @@ from permvar.experiments import (
     _RUNNERS,
     SCRIPT_5X6_A,
     _component_ideals_2xn,
+    _each_value,
     _line_in_component,
+    _matches,
     _partition_sum_ideals,
     _per_prime,
-    _per_value,
     _script_slice,
     _singular_lines_2xn,
     append_report,
@@ -53,7 +55,7 @@ from permvar.permanent import (
     matrix_permanents,
     permanental_ideal,
 )
-from permvar.ring import GF, ZZ, PolyMatrix, PolyRing, VarUniverse, matrix_minors
+from permvar.ring import GF, QQ, ZZ, PolyMatrix, PolyRing, VarUniverse, matrix_minors
 
 
 def test_registry_integrity():
@@ -261,7 +263,7 @@ def test_hankel_charts_share_one_generator_set(monkeypatch):
         ring = PolyRing(VarUniverse.free([f"x{i}" for i in range(n)]), GF(65537))
         first, mirrored = hankel_chart_generators(ring)
         assert first != mirrored and set(first) == set(mirrored)
-    assert hankel_chart_case(5, 65537)["local_degrees"] == [4, 4]
+    assert hankel_chart_case(5, GF(65537))["local_degrees"] == [4, 4]
 
     def asymmetric(ring):
         first, mirrored = hankel_chart_generators(ring)
@@ -269,7 +271,7 @@ def test_hankel_charts_share_one_generator_set(monkeypatch):
 
     monkeypatch.setattr(experiments, "hankel_chart_generators", asymmetric)
     with pytest.raises(InternalConsistencyError):
-        hankel_chart_case(5, 65537)
+        hankel_chart_case(5, GF(65537))
 
 
 NARROWED = [  # case id, list parameter, one registered value, table name
@@ -339,7 +341,7 @@ def test_slice_bound_never_exceeds_plain_codim():
     """
     p = 2147483647
     gens = over_prime(permanental_ideal(GenericMatrixSpec(3, 4)), p)
-    bound = slice_height(build_slice("circulant3"), p)
+    bound = slice_height(build_slice("circulant3"), GF(p))
     plain = ideal_dimension(buchberger(gens)).codim
     assert bound <= plain
     assert bound == 4  # and here the bound is sharp
@@ -385,30 +387,87 @@ def test_census_rejects_big_n():
 
 
 def test_per_prime_calls_in_order_and_compares():
+    """``_per_prime`` hands ``fn`` each prime's field, in order."""
     calls = []
 
-    def fn(p):
-        calls.append(p)
-        return p % 4
+    def fn(F):
+        calls.append(F)
+        return F.modulus % 4
 
     assert _per_prime((5, 13), fn) == (1, True)
     assert _per_prime((5, 7), fn) == (1, False)
-    assert calls == [5, 13, 5, 7]
+    assert calls == [GF(5), GF(13), GF(5), GF(7)]
 
 
 def test_per_value_runs_values_outer_primes_inner():
-    """``fn(v, p)`` runs for each prime before the next value starts."""
+    """An ``_each_value`` runner runs ``fn(v, F)`` for each prime's field
+    before the next value starts."""
     calls = []
 
-    def fn(v, p):
-        calls.append((v, p))
-        return v * p if v == 3 else v
+    def fn(v, F):
+        calls.append((v, F))
+        return v * F.modulus if v == 3 else v
 
-    spec = registry()["codim-2xn"]  # n in [3, 4, 5]
-    measured, agree = _per_value(spec, CliConfig(prime=5, prime2=7), "n", fn)
+    spec, cfg = registry()["codim-2xn"], CliConfig(prime=5, prime2=7)  # n in [3, 4, 5]
+    measured, agree = _each_value("n", fn)(spec, cfg)
     assert measured == {"3": 15, "4": 4, "5": 5} and agree is False
-    assert calls == [(3, 5), (3, 7), (4, 5), (4, 7), (5, 5), (5, 7)]
-    assert _per_value(spec, CliConfig(prime=5, prime2=7), "n", lambda v, p: v)[1]
+    assert calls == [(v, GF(p)) for v in (3, 4, 5) for p in (5, 7)]
+    assert _each_value("n", lambda v, F: v)(spec, cfg)[1]
+    assert _each_value("n", lambda v, F: v, "codim")(spec, cfg) == (
+        {"codim": {"3": 3, "4": 4, "5": 5}},
+        True,
+    )
+
+
+def test_only_per_prime_and_reproduce_build_a_prime_field():
+    """A case function takes its field F: ``_per_prime`` is the one place
+    that turns a prime into GF(p), and ``reproduce`` only refuses a bad
+    prime up front.  So a case runs over QQ by handing it QQ."""
+    import ast
+
+    from permvar import experiments
+
+    tree = ast.parse(Path(experiments.__file__).read_text())
+    builders = set()
+    for node in tree.body:
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "GF":
+                builders.add(getattr(node, "name", "<module>"))
+    assert builders == {"_per_prime", "reproduce"}
+
+
+# The cases whose pins are equalities that hold over QQ only at a lucky prime
+LUCKY_PRIME_CASES = [
+    "circulant-2x2",
+    "saturation-J3",
+    "hankel-degree8",
+    "census-2xn",
+    "lemma422-containment",
+    "radical-eq-sing-k3",
+]
+
+
+@pytest.mark.parametrize("case_id", LUCKY_PRIME_CASES)
+def test_lucky_prime_pins_hold_over_qq(case_id, monkeypatch):
+    """Each pin that needs a lucky prime, recomputed over QQ itself: the
+    case's runner with every field ``_per_prime`` would hand it replaced by
+    QQ, inside the case's budget, and no prime field built.  Given a correct
+    engine, this proves the pin over QQ; it does not check the engine."""
+    from permvar import experiments
+
+    calls = []
+
+    def over_qq(primes, fn):
+        calls.append(primes)
+        return fn(QQ), True
+
+    monkeypatch.setattr(experiments, "_per_prime", over_qq)
+    monkeypatch.setattr(experiments, "GF", lambda p: pytest.fail(f"GF({p}) built"))
+    spec = registry()[case_id]
+    with Budget(spec.timeout_s):
+        measured, agree = _RUNNERS[case_id](spec, CliConfig())
+    assert calls and agree
+    assert _matches(measured, spec.expected), measured
 
 
 def test_inconclusive_certificate_is_no_agreement(monkeypatch):
