@@ -101,7 +101,6 @@ from .errors import (
     PreconditionError,
     StructuralError,
 )
-from .linalg import _integer_rows
 from .linalg import _primitive as _primitive_vector
 from .ring import (
     _FIELD_CAP,
@@ -288,10 +287,10 @@ def _spoly(f: tuple, g: tuple, l: int, pack) -> dict:
     g (see ``_reducer_terms``), whose leading keys have lcm ``l``, as the
     work dict of ``_reduce_terms``.
 
-    With leads a_f and a_g and d = gcd(a_f, a_g) it is
+    With int leads a_f and a_g and d = gcd(a_f, a_g) it is
     (a_g/d) x^uf f - (a_f/d) x^ug g, which is lcm(a_f, a_g) times the
-    S-polynomial of the monic forms; equal leads, as over F_p, where both
-    are 1, scale nothing.  The two leads cancel, so they are left out.  A
+    S-polynomial of the monic forms; over F_p both leads are 1, and so are
+    both scale factors.  The two leads cancel, so they are left out.  A
     coefficient may be zero, and over F_p any residue in (-p, p); the
     reduction reduces each one mod p when it takes the term and skips it if
     it is zero.
@@ -299,13 +298,6 @@ def _spoly(f: tuple, g: tuple, l: int, pack) -> dict:
     (lf, af), (lg, ag) = f[0], g[0]
     uf = pack.quotient(l, lf) - pack.offset
     ug = pack.quotient(l, lg) - pack.offset
-    if af == ag:
-        acc = {k + uf: c for k, c in f[1:]}
-        get = acc.get
-        for k, c in g[1:]:
-            kk = k + ug
-            acc[kk] = get(kk, 0) - c
-        return acc
     d = gcd(af, ag)
     sf, sg = ag // d, af // d
     acc = {k + uf: sf * c for k, c in f[1:]}
@@ -353,13 +345,14 @@ def _first_divisor(ring, reducers, lts, alive):
 
 
 def _integer_terms(f: MPoly) -> tuple:
-    """f's terms with integer coefficients, as ``_reduce_terms`` takes its
-    work: f's own over F_p, and over QQ f's times the common denominator of
-    its coefficients."""
+    """``(terms, den)``: f's terms with integer coefficients, as
+    ``_reduce_terms`` takes its work, and the denominator they are over, so
+    that f is ``terms / den``.  Over F_p they are f's own and den is 1; over
+    QQ den is the lcm of f's denominators."""
     if f.ring.domain.kind != "rat":
-        return f.terms
-    (ints,) = _integer_rows([[c for _, c in f.terms]])
-    return tuple(zip([k for k, _ in f.terms], ints))
+        return f.terms, 1
+    den = lcm(*(c.denominator for _, c in f.terms))
+    return tuple((k, c.numerator * (den // c.denominator)) for k, c in f.terms), den
 
 
 def _reducer_terms(red: dict, ring) -> tuple:
@@ -468,21 +461,18 @@ def _reduce_terms(work: dict, find, ring):
 def normal_form(f: MPoly, G: GroebnerBasis) -> MPoly:
     """Unique remainder of f modulo a Groebner basis; zero iff f is in the ideal.
 
-    Over QQ f is reduced as its integer multiple over the common denominator
-    of its coefficients, and the remainder is divided by that times the
-    reduction's own denominator."""
+    f is reduced as its integer terms (``_integer_terms``), and over QQ the
+    remainder is divided by their denominator times the reduction's own."""
     if f.ring is not G.ring:
         f = transport(f, G.ring)
     ring = f.ring
     lts = [g.lead_key() for g in G.minimal]
     find = _first_divisor(ring, G.reducers, lts, [True] * len(lts))
+    terms, den = _integer_terms(f)
+    out, scale = _reduce_terms(dict(terms), find, ring)
     if ring.domain.kind != "rat":
-        return ring.from_terms(_reduce_terms(dict(f.terms), find, ring)[0])
-    den = lcm(*(c.denominator for _, c in f.terms))
-    work = {k: c.numerator * (den // c.denominator) for k, c in f.terms}
-    out, scale = _reduce_terms(work, find, ring)
-    den *= scale
-    return ring.from_terms({k: Fraction(c, den) for k, c in out.items()})
+        return ring.from_terms(out)
+    return ring.from_terms({k: Fraction(c, den * scale) for k, c in out.items()})
 
 
 def _regular_sequence_hf(degrees) -> tuple:
@@ -690,7 +680,7 @@ def _buchberger(gens, top=inf) -> GroebnerBasis:
             if g.is_zero() or g.terms in seen:
                 continue
             seen.add(g.terms)
-            red = _reduce_terms(dict(_integer_terms(g)), find, ring)[0]
+            red = _reduce_terms(dict(_integer_terms(g)[0]), find, ring)[0]
             if not red:
                 continue
             h = MPoly(ring, _reducer_terms(red, ring))  # a multiple of the element
@@ -759,7 +749,7 @@ def _interreduce(polys, ring):
     find = _first_divisor(ring, reducers, lts, [True] * len(polys))
     for p in polys:
         if find(p.lead_key()) is None:
-            terms = _reducer_terms(_reduce_terms(dict(_integer_terms(p)), find, ring)[0], ring)
+            terms = _reducer_terms(_reduce_terms(dict(_integer_terms(p)[0]), find, ring)[0], ring)
             out.append(_monic(terms, ring))
             reducers.append(terms)
             lts.append(p.lead_key())

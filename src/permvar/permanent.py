@@ -13,7 +13,8 @@ and shares the states of its prefixes.  Signed, the same pass gives the
 symbolic determinants and minors.
 
 ``derivative_matrices`` takes a batch of points of one shape and runs one
-expansion for the whole batch: each entry is a lane vector (``_Lanes``)
+expansion for the whole batch: each entry is a lane vector
+(``ring._Lanes``, the one lane type, which ``MPoly.evaluate`` also walks)
 holding its value at every point, multiplied and added lanewise, and every
 point's matrix is read from its own lane of the result.
 """
@@ -23,9 +24,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, repeat
+from itertools import combinations
 from math import comb, factorial
-from operator import add, mul
 
 from .errors import (
     CapacityError,
@@ -42,6 +42,7 @@ from .ring import (
     PolyRing,
     VarUniverse,
     _expand,
+    _Lanes,
     _read,
     _refuse_var_count,
 )
@@ -452,26 +453,6 @@ def derivative_matrices(points):
     lanes = _omitting_pairs(_expand(rows, signed=False), n, [0] * len(points))
     # lanes[i][j][t] is entry (i, j) at point t
     return [[list(r) for r in B] for B in zip(*(zip(*row) for row in lanes))]
-
-
-class _Lanes(list):
-    """One matrix entry over a batch of points: its value at each point.
-    ``_expand`` multiplies and adds these lanewise, starts each product from
-    the int 1, and keeps a state while any lane is nonzero."""
-
-    __slots__ = ()
-
-    def __mul__(self, other):
-        return _Lanes(map(mul, self, other))
-
-    def __rmul__(self, c):
-        return _Lanes(map(mul, repeat(c), self))
-
-    def __add__(self, other):
-        return _Lanes(map(add, self, other))
-
-    def __bool__(self):
-        return any(self)
 
 
 def _omitting_pairs(perms, n: int, zero):

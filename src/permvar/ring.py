@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, repeat
 from operator import add, itemgetter, mul
 
 from .errors import (
@@ -657,17 +657,17 @@ class MPoly:
                     raise StructuralError(f"variable {name} has no image")
                 subs[i] = ring.gen(name)
             images.append(subs[i])
-        return self._horner(images, MPoly.__mul__, MPoly.__add__, ring.const)
+        return self._horner(images, ring.const)
 
     def evaluate(self, points) -> list:
         """Exact values at a batch of full points (a list of points, each a
         list of scalars), one per point, in batch order.
 
-        The points are held as lanes, one list per variable that occurs,
-        with one entry per point, each coordinate coerced once; the Horner
-        program of :meth:`_compile` is walked with a sum or a product being
-        one ``map`` over the lanes.  The sums are taken over the integers (or
-        rationals) and coerced into the domain once, at the end.
+        The points are held as lanes (``_Lanes``), one per variable that
+        occurs, with one entry per point, each coordinate coerced once; the
+        Horner program of :meth:`_compile` is walked with a sum or a product
+        being one ``map`` over the lanes.  The sums are taken over the
+        integers (or rationals) and coerced into the domain once, at the end.
         """
         n = len(self.universe)
         for point in points:
@@ -680,26 +680,21 @@ class MPoly:
             if size != n:
                 raise StructuralError(f"point has length {size}, expected {n}")
         coerce = self.ring.domain.coerce
-        lanes = [list(map(coerce, map(itemgetter(i), points))) for i in self._compile()[0]]
-        total = self._horner(
-            lanes,
-            lambda a, b: list(map(mul, a, b)),
-            lambda a, b: list(map(add, a, b)),
-            lambda c: [c] * len(points),
-        )
+        lanes = [_Lanes(map(coerce, map(itemgetter(i), points))) for i in self._compile()[0]]
+        total = self._horner(lanes, lambda c: _Lanes([c] * len(points)))
         return list(map(coerce, total))
 
-    def _horner(self, factors, mul, add, const):
+    def _horner(self, factors, const):
         """The polynomial's value, walking the nodes of :meth:`_compile` in
         order: a node's value is ``const`` of its coefficient plus, over its
-        edges, ``mul`` of the edge's factor (from ``factors``, one per
-        variable that occurs) and the child's value, summed with ``add``."""
+        edges, the product of the edge's factor (from ``factors``, one per
+        variable that occurs) and the child's value."""
         values = []
         for c, edges in self._compile()[1]:
             value = const(c) if c or not edges else None
             for lane, child in edges:
-                term = factors[lane] if child is None else mul(factors[lane], values[child])
-                value = term if value is None else add(value, term)
+                term = factors[lane] if child is None else factors[lane] * values[child]
+                value = term if value is None else value + term
             values.append(value)
         return values[-1]
 
@@ -891,14 +886,33 @@ class PolyMatrix:
         return f"<PolyMatrix {m}x{n} over {self.ring!r}>"
 
 
+class _Lanes(list):
+    """A value at each point of a batch, multiplied and added lanewise (a
+    scalar on the left multiplies every lane) and zero when every lane is:
+    ``MPoly.evaluate``'s values, and ``_expand``'s entries over a batch."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        return _Lanes(map(mul, self, other))
+
+    def __rmul__(self, c):
+        return _Lanes(map(mul, repeat(c), self))
+
+    def __add__(self, other):
+        return _Lanes(map(add, self, other))
+
+    def __bool__(self):
+        return any(self)
+
+
 def _expand(rows, signed: bool, h: int | None = None) -> dict:
     """Every nonzero permanent (``signed=False``) or determinant
     (``signed=True``) of the h x h submatrices of ``rows`` (h defaults to
     ``len(rows)``), as {``_subset_key(R, C, m, n)``: value} over row sets R
     and column sets C (bitmasks); with every row placed (h = m) the key is
-    C.  Entries are int, Fraction or MPoly, or lanes: ``permanent._Lanes``
-    lists holding an entry's value at each point of a batch, whose product
-    and sum are lanewise and which are zero when every lane is.
+    C.  Entries are int, Fraction or MPoly, or ``_Lanes``: an entry's value
+    at each point of a batch.
 
     One forward pass over the rows.  A state is a set R of the rows seen so
     far and a set C of as many columns, mapped to the sum over placements of

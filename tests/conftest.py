@@ -6,7 +6,7 @@ import pytest
 
 # The slowest test takes about 10 s.  One still running after this long is
 # hung, for example a Groebner run on wrong reductions, which need not end.
-TEST_TIMEOUT_S = 300
+TEST_TIMEOUT_S = 60
 
 
 @pytest.hookimpl(hookwrapper=True)

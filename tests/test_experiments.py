@@ -243,10 +243,10 @@ def test_probe_cases_refuse_a_wrong_lane_engine(case_id, monkeypatch):
     of its first and last points can catch it."""
     from operator import mul
 
-    from permvar import permanent
+    from permvar import ring
 
     monkeypatch.setattr(
-        permanent._Lanes, "__add__", lambda self, other: permanent._Lanes(map(mul, self, other))
+        ring._Lanes, "__add__", lambda self, other: ring._Lanes(map(mul, self, other))
     )
     rep = reproduce(case_id)
     assert rep.status == "failed-error"

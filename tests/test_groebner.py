@@ -763,24 +763,44 @@ def test_delayed_reduction_matches_per_term_reference(domain, order):
             pairs.append((monic(f), monic(g)))
         for f, g in pairs:
             l = pack.pack(tuple(map(max, f.lead_monomial(), g.lead_monomial())))
-            sp = groebner._spoly(f.terms, g.terms, l, pack)
-            assert {k: c for k, c in sp.items() if c} == ref_spoly(f, g, l, pack)
+            # from the reducer terms the engine builds S-polynomials from:
+            # over F_p the monic terms themselves, over QQ the primitive
+            # integer forms, whose leads a_f, a_g are mostly not 1; either
+            # way lcm(a_f, a_g) times the monic S-polynomial
+            tf, tg = reducer_terms(f), reducer_terms(g)
+            assert not p or (tf, tg) == (f.terms, g.terms)
+            af, ag = tf[0][1], tg[0][1]
+            sp = groebner._spoly(tf, tg, l, pack)
+            assert all(type(c) is int for c in sp.values())
+            want = {k: lcm(af, ag) * c for k, c in ref_spoly(f, g, l, pack).items()}
+            assert {k: c for k, c in sp.items() if c} == want
             assert not p or all(-p < c < p for c in sp.values())
             spoly_zeros += sum(not c for c in sp.values())
+            scaled_leads += af != ag
             check(sp, [f, g] + reducers)
-            if not p:
-                # from the primitive integer forms, whose leads a_f, a_g are
-                # mostly not 1: lcm(a_f, a_g) times the monic S-polynomial
-                tf, tg = reducer_terms(f), reducer_terms(g)
-                af, ag = tf[0][1], tg[0][1]
-                sp = groebner._spoly(tf, tg, l, pack)
-                assert all(type(c) is int for c in sp.values())
-                want = {k: lcm(af, ag) * c for k, c in ref_spoly(f, g, l, pack).items()}
-                assert {k: c for k, c in sp.items() if c} == want
-                scaled_leads += af != ag
-                check(sp, [f, g] + reducers)
     assert cancelled >= 20 and spoly_zeros > 0
     assert p or scaled_leads > 20
+
+
+def test_spoly_of_equal_leads_above_one():
+    """Over QQ two primitive reducers with one lead a > 1 (the case where
+    both of ``_spoly``'s scale factors are 1) give a times the monic
+    S-polynomial."""
+    rng = random.Random(41)
+    R = ring_of("xyz")
+    x, y, z = R.gens()
+    for a in (2, 3, 6, 35):
+        for _ in range(10):
+            tail = [rng.randint(-9, 9) for _ in range(4)]
+            f = a * x**2 + tail[0] * y * z + tail[1] * z + 1
+            g = a * x * y + tail[2] * z**2 + tail[3] * x - 1
+            tf, tg = reducer_terms(f), reducer_terms(g)
+            assert tf == f.terms and tg == g.terms and tf[0][1] == tg[0][1] == a
+            l = R.pack.pack((2, 1, 0))
+            sp = groebner._spoly(tf, tg, l, R.pack)
+            want = {k: a * c for k, c in ref_spoly(monic(f), monic(g), l, R.pack).items()}
+            assert {k: c for k, c in sp.items() if c} == want
+            assert all(type(c) is int for c in sp.values())
 
 
 def test_reducer_terms_are_primitive_and_the_monic_form_exact():

@@ -176,7 +176,7 @@ def reducer_terms(f):
     """The reducer terms the engine makes of a nonzero polynomial: over QQ
     its primitive integer multiple with a positive lead, over F_p its monic
     terms."""
-    return groebner._reducer_terms(dict(groebner._integer_terms(f)), f.ring)
+    return groebner._reducer_terms(dict(groebner._integer_terms(f)[0]), f.ring)
 
 
 def lookup_over(polys, ring):

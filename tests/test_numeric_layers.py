@@ -179,6 +179,10 @@ def test_evaluate_zero_polynomial_and_length_check():
         f = ring.gen(0) ** 3 * ring.gen(1) ** 2 + 5
         assert f.evaluate([[2, 3]]) == [ref_evaluate(f, [2, 3])]
         assert f.evaluate([]) == [] and ring.const(7).evaluate([[1, 1], [0, 0]]) == [7, 7]
+        # a plain list, truthy when every value is zero (lanes would be falsy)
+        for g in (zero, ring.gen(0), f - 5):
+            values = g.evaluate([[0, 0], [0, 1]])
+            assert type(values) is list and values and not any(values)
         for bad in ([[1, 2, 3]], [[1]], [[1, 2], [1]], [1, 2]):
             with pytest.raises(StructuralError):
                 f.evaluate(bad)
