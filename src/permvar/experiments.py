@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cache, reduce
 from importlib import resources
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, islice
 from math import comb, factorial, prod
 
 from . import __version__, linalg
@@ -681,14 +681,34 @@ def _run_kirkup_b1(spec, cfg):
     return {"ranks": ranks, "kernel_3": kernel, "extension_check": ext}, True
 
 
+def _draws(rng, n):
+    """The values of ``rng.randrange(n)``, each drawn only when asked for:
+    ``getrandbits(n.bit_length())`` redrawn until below n, as ``randrange``
+    draws it, so after any number of values the stream stands where as many
+    ``randrange(n)`` calls leave it.  The one place a case draws."""
+    if n < 1:
+        raise ValueError(f"no value below {n} to draw")
+    bits, k = rng.getrandbits, n.bit_length()
+    while True:
+        r = bits(k)
+        if r < n:
+            yield r
+
+
+def _matrices(rng, count, m, n, lo, hi):
+    """``count`` seeded m x n matrices with entries in lo..hi, drawn entry
+    by entry in row order as ``randrange(hi - lo + 1) + lo``."""
+    draws = map(lo.__add__, _draws(rng, hi - lo + 1))
+    return [[list(islice(draws, n)) for _ in range(m)] for _ in range(count)]
+
+
 def _max_jacobian_rank(shape, F, rng, points):
     """Largest Jacobian rank over the prime field F of the maximal permanents
     of the generic matrix of size ``shape`` at ``points`` random points."""
     from .torus import jacobian, jacobian_rank_at
 
     jac = jacobian(permanental_ideal(GenericMatrixSpec(*shape), F))
-    nvars = shape[0] * shape[1]
-    batch = [[rng.randrange(F.modulus) for _ in range(nvars)] for _ in range(points)]
+    (batch,) = _matrices(rng, 1, points, shape[0] * shape[1], 0, F.modulus - 1)
     return max(jacobian_rank_at(jac, batch))
 
 
@@ -721,9 +741,7 @@ def _run_perm_engines(spec, cfg):
     sym = {n: perm_symbolic(generic_matrix(n, n)) for n in sizes}
     ok = True
     for n in sizes:
-        mats = [
-            [[rng.randrange(19) - 9 for _ in range(n)] for _ in range(n)] for _ in range(trials)
-        ]
+        mats = _matrices(rng, trials, n, n, -9, 9)
         values = sym[n].evaluate([[x for row in A for x in row] for A in mats])
         for A, s in zip(mats, values):
             check("probe")
@@ -743,10 +761,7 @@ def _probe_points(spec, cfg):
         for m, n in ((k - 1, k + 1), (k - 2, k)):
             if m < 1:
                 continue
-            yield [
-                [[rng.randrange(19) - 9 for _ in range(n)] for _ in range(m)]
-                for _ in range(spec.params["trials"])
-            ]
+            yield _matrices(rng, spec.params["trials"], m, n, -9, 9)
 
 
 def _probe_matrices(batch):
@@ -785,12 +800,12 @@ def _run_rank_never_one(spec, cfg):
 
 
 def _run_e_pattern(spec, cfg):
-    rng = random.Random(cfg.seed)
+    nonzero = [x for x in range(-99, 100) if x]
+    picks = map(nonzero.__getitem__, _draws(random.Random(cfg.seed), len(nonzero)))
     ok = True
     for k in spec.params["k"]:
         for _ in range(spec.params["trials"]):
-            a = rng.choice([x for x in range(-99, 100) if x])
-            b = rng.choice([x for x in range(-99, 100) if x])
+            a, b = next(picks), next(picks)
             if linalg.rank(border_pattern_matrix(k, a, b)) != k:
                 ok = False
     return {"rank_equals_k": ok}, True
@@ -807,8 +822,7 @@ def _run_script_4x5(spec, cfg):
     2**31 a fill of the certificate gives 3 (for the partials, one rank at
     degree 40).  Otherwise ``buchberger`` decides: past 2**31 the rank would
     go to the pure-Python ``rank_modp``, far slower there than ``buchberger``."""
-    rng = random.Random(cfg.seed)
-    A = [[rng.randrange(19) - 9 for _ in range(12)] for _ in range(3)]
+    (A,) = _matrices(random.Random(cfg.seed), 1, 3, 12, -9, 9)
     BB = _script_slice(4, A)
     det = matrix_det(BB)
     partials = [det.diff(nm) for nm in BB.ring.universe.names]

@@ -25,7 +25,8 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, prod
+from operator import add, sub
 
 from .errors import (
     CapacityError,
@@ -103,58 +104,34 @@ def perm_numeric(mat, method: str = "ryser"):
 
 def _perm_ryser(mat, n):
     # perm(A) = (-1)^n sum_{S != 0} (-1)^{|S|} prod_i sum_{j in S} a_ij
+    cols = [list(col) for col in zip(*mat)]
     sums = [0] * n
     total = 0
-    size = 0
     gray = 0
     for g in range(1, 1 << n):
         new_gray = g ^ (g >> 1)
         bit = gray ^ new_gray
-        j = bit.bit_length() - 1
-        if new_gray & bit:
-            size += 1
-            for i in range(n):
-                sums[i] += mat[i][j]
-        else:
-            size -= 1
-            for i in range(n):
-                sums[i] -= mat[i][j]
         gray = new_gray
-        prod = 1
-        for s in sums:
-            if s == 0:
-                prod = 0
-                break
-            prod *= s
-        if prod:
-            total += -prod if (size & 1) else prod
+        sums = list(map(add if new_gray & bit else sub, sums, cols[bit.bit_length() - 1]))
+        p = prod(sums)
+        total += -p if g & 1 else p  # each step flips one bit, so |S| = g mod 2
     return -total if (n & 1) else total
 
 
 def _perm_glynn(mat, n):
     # perm(A) = 2^{1-n} sum_{d in {1,-1}^n, d_1 = 1} (prod d) prod_j sum_i d_i a_ij
-    sums = [sum(mat[i][j] for i in range(n)) for j in range(n)]
-    total = 1
-    for s in sums:
-        total *= s
-    sign = 1
+    doubled = [[2 * a for a in row] for row in mat]
+    sums = [sum(col) for col in zip(*mat)]
+    total = prod(sums)
     gray = 0
     for g in range(1, 1 << (n - 1)):
         new_gray = g ^ (g >> 1)
         bit = gray ^ new_gray
-        i = bit.bit_length()  # flip delta_i for row i (rows 1..n-1)
         gray = new_gray
-        flip = -2 if new_gray & bit else 2
-        for j in range(n):
-            sums[j] += flip * mat[i][j]
-        sign = -sign
-        prod = 1
-        for s in sums:
-            if s == 0:
-                prod = 0
-                break
-            prod *= s
-        total += sign * prod
+        # flip delta_i for row i = bit.bit_length() (rows 1..n-1)
+        sums = list(map(sub if new_gray & bit else add, sums, doubled[bit.bit_length()]))
+        p = prod(sums)
+        total += -p if g & 1 else p
     if isinstance(total, Fraction):
         return total / (1 << (n - 1))
     q, r = divmod(total, 1 << (n - 1))

@@ -6,7 +6,7 @@ import math
 import random
 from importlib import resources
 from functools import reduce
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -233,6 +233,162 @@ def test_probe_points_are_the_randint_stream(seed, monkeypatch):
         checks.clear()
         run(registry()[case_id], cfg)
         assert checks == ["probe"] * sum(map(len, _probe_points(registry()[case_id], cfg)))
+
+
+DRAW_BOUNDS = [1, 2, 19, 198, 2**31 - 1, 1073741789, 2**32 - 1, 2**32, 2**61 - 1]
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 5])
+@pytest.mark.parametrize("n", DRAW_BOUNDS)
+def test_draws_are_the_randrange_stream(seed, n):
+    """``_draws(rng, n)`` gives ``randrange(n)``'s values, and after each
+    count the generator's state is where as many ``randrange(n)`` calls
+    leave it, for bounds that take one 32-bit word and two, rejections
+    rare and near one half."""
+    from permvar.experiments import _draws
+
+    for count in (0, 1, 7, 5000):
+        old, new = random.Random(seed), random.Random(seed)
+        want = [old.randrange(n) for _ in range(count)]
+        assert list(islice(_draws(new, n), count)) == want
+        assert new.getstate() == old.getstate()
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_draws_refuse_an_empty_range(n):
+    """As ``randrange(n)``, ``_draws`` refuses n < 1 at its first value,
+    where ``getrandbits(0)`` would redraw zero forever."""
+    from permvar.experiments import _draws
+
+    class Bounded(random.Random):
+        calls = 0
+
+        def getrandbits(self, k):
+            self.calls += 1
+            assert self.calls < 100, "redraws forever"
+            return super().getrandbits(k)
+
+    with pytest.raises(ValueError):
+        random.Random(0).randrange(n)
+    with pytest.raises(ValueError):
+        next(_draws(Bounded(0), n))
+
+
+class _Recorded(Exception):
+    """Raised in place of a recorded call whose result the test does not need."""
+
+
+def _recording(monkeypatch, module, name, record, stop=False):
+    """Replace ``module.name`` by a wrapper that appends its arguments to
+    ``record``, then calls the original, or raises ``_Recorded`` if
+    ``stop``."""
+    real = getattr(module, name)
+
+    def wrapper(*args):
+        record.append(args)
+        if stop:
+            raise _Recorded
+        return real(*args)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 5])
+def test_perm_engines_matrices_are_the_randrange_stream(seed, monkeypatch):
+    """perm-engines-agree hands both engines each seeded matrix, drawn as
+    ``randrange(19) - 9`` entry by entry, size after size."""
+    from permvar import experiments
+
+    calls = []
+    _recording(monkeypatch, experiments, "perm_numeric", calls)
+    spec = registry()["perm-engines-agree"]
+    measured, _ = experiments._run_perm_engines(spec, CliConfig(seed=seed))
+    assert measured == {"engines_agree": True}
+    rng = random.Random(seed)
+    want = [
+        [[rng.randrange(19) - 9 for _ in range(n)] for _ in range(n)]
+        for n in spec.params["sizes"]
+        for _ in range(spec.params["trials"])
+    ]
+    assert calls == [(A, method) for A in want for method in ("ryser", "glynn")]
+
+
+@pytest.mark.parametrize("prime", [DEFAULT_PRIME, 2**61 - 1])
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 5])
+def test_jacobian_batches_are_the_randrange_stream(seed, prime, monkeypatch):
+    """Both Jacobian cases draw each prime's batch as ``randrange(p)``, one
+    point after another, from one stream across the values and primes."""
+    from permvar import torus
+
+    calls = []
+    _recording(monkeypatch, torus, "jacobian_rank_at", calls)
+    cfg = CliConfig(seed=seed, prime=prime)
+    indep, dep = registry()["jacobian-independence"], registry()["jacobian-dependence-2x5"]
+    _RUNNERS[indep.id](indep, cfg)
+    rng = random.Random(seed)
+    want = [
+        [[rng.randrange(p) for _ in range(k * (k + 1))] for _ in range(20)]
+        for k in indep.params["k"]
+        for p in cfg.primes
+    ]
+    assert [batch for _, batch in calls] == want
+
+    calls.clear()
+    _RUNNERS[dep.id](dep, cfg)
+    rng = random.Random(seed)
+    points = dep.params["points"]
+    want = [[[rng.randrange(p) for _ in range(10)] for _ in range(points)] for p in cfg.primes]
+    assert [batch for _, batch in calls] == want
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 5])
+def test_e_pattern_entries_are_the_choice_stream(seed, monkeypatch):
+    """e-pattern-rank draws each trial's a, then b, as ``rng.choice`` of the
+    198 nonzero values in -99..99."""
+    from permvar import experiments
+
+    calls = []
+    _recording(monkeypatch, experiments, "border_pattern_matrix", calls)
+    spec = registry()["e-pattern-rank"]
+    experiments._run_e_pattern(spec, CliConfig(seed=seed))
+    rng = random.Random(seed)
+    nonzero = [x for x in range(-99, 100) if x]
+    want = [
+        (k, rng.choice(nonzero), rng.choice(nonzero))
+        for k in spec.params["k"]
+        for _ in range(spec.params["trials"])
+    ]
+    assert calls == want
+
+
+@pytest.mark.parametrize("seed", [DEFAULT_SEED, 5])
+def test_script_4x5_slice_is_the_randrange_stream(seed, monkeypatch):
+    """script-4x5 slices by the 3 x 12 matrix of ``randrange(19) - 9``."""
+    from permvar import experiments
+
+    calls = []
+    _recording(monkeypatch, experiments, "_script_slice", calls, stop=True)
+    with pytest.raises(_Recorded):
+        experiments._run_script_4x5(registry()["script-4x5"], CliConfig(seed=seed))
+    rng = random.Random(seed)
+    assert calls == [(4, [[rng.randrange(19) - 9 for _ in range(12)] for _ in range(3)])]
+
+
+def test_only_draws_draws():
+    """Every seeded draw of the cases goes through ``_draws``: no other
+    code in the module names a draw method of ``random.Random``."""
+    import ast
+
+    from permvar import experiments
+
+    draw_methods = {"randrange", "randint", "choice", "getrandbits"}
+    tree = ast.parse(Path(experiments.__file__).read_text())
+    users = set()
+    for node in tree.body:
+        for sub in ast.walk(node):
+            if {getattr(sub, "attr", None), getattr(sub, "id", None)} & draw_methods:
+                users.add(getattr(node, "name", "<module>"))
+    assert users == {"_draws"}
 
 
 @pytest.mark.parametrize("case_id", ["derivative-symmetry", "rank-never-one"])

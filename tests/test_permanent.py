@@ -74,6 +74,45 @@ def test_perm_engines_match_each_other_sizes_to_7():
             assert perm_numeric(A, "ryser") == perm_numeric(A, "glynn")
 
 
+@pytest.mark.parametrize("method", ["ryser", "glynn"])
+def test_perm_engines_match_naive_oracle_on_fractions(method):
+    rng = random.Random(43)
+    for n in range(1, 7):
+        for _ in range(10):
+            A = [[Fraction(rng.randint(-9, 9), rng.randint(1, 7)) for _ in range(n)]
+                 for _ in range(n)]
+            assert perm_numeric(A, method) == naive_perm(A)
+
+
+@pytest.mark.parametrize("method", ["ryser", "glynn"])
+def test_perm_engines_with_a_zero_row_or_column(method):
+    """A zero row or column makes a row or column sum zero at every step of
+    Ryser's and Glynn's walks, so every product is zero."""
+    rng = random.Random(43)
+    for n in range(1, 7):
+        for _ in range(10):
+            A = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+            i, j = rng.randrange(n), rng.randrange(n)
+            zero_row = [[0] * n if r == i else row for r, row in enumerate(A)]
+            zero_col = [[0 if c == j else a for c, a in enumerate(row)] for row in A]
+            for B in (zero_row, zero_col):
+                assert perm_numeric(B, method) == naive_perm(B) == 0
+                F = [[Fraction(a, 3) for a in row] for row in B]
+                assert perm_numeric(F, method) == 0
+        # one zero line, every other entry 1
+        ones = [[0] * n] + [[1] * n for _ in range(n - 1)]
+        assert perm_numeric(ones, method) == 0
+        assert perm_numeric([list(col) for col in zip(*ones)], method) == 0
+
+
+@pytest.mark.parametrize("method", ["ryser", "glynn"])
+def test_kirkup_10_maximal_permanents_vanish_under_both_methods(method):
+    rows = kirkup_matrix(10)
+    for j in range(11):
+        sub = [[a for c, a in enumerate(r) if c != j] for r in rows]
+        assert perm_numeric(sub, method) == 0
+
+
 def test_perm_rational_entries():
     A = [[Fraction(1, 2), 1], [1, Fraction(1, 3)]]
     assert perm_numeric(A) == Fraction(1, 6) + 1
