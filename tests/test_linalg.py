@@ -318,3 +318,72 @@ def test_submul_is_exact_at_the_bound(lo_hi, ndim):
     want = [(v - t) % p for v in x.ravel().tolist()]
     linalg._submul(x, f, f2, lo, hi, p)
     assert x.ravel().tolist() == want
+
+
+def _multiplied_tiles(monkeypatch, A, rank, n1):
+    """Rank A at P1, which must give ``rank``, and return where each
+    _submul call's tile lies in the working array: its first column of A,
+    its first position among A's rows, its shape, and whether its rows all
+    lie in, or all lie outside, the first n1 columns (read off their
+    entries there)."""
+    tiles, submul = [], linalg._submul
+
+    def located(x, f, f2, lo, hi, p):
+        t = x.base
+        at = (x.__array_interface__["data"][0] - t.__array_interface__["data"][0]) // t.itemsize
+        c0, j0 = divmod(at, t.shape[1])
+        first = t[:n1, j0 : j0 + x.shape[1]].any(0)
+        tiles.append((c0, j0, x.shape, bool(first.all()), not first.any()))
+        submul(x, f, f2, lo, hi, p)
+
+    monkeypatch.setattr(linalg, "_submul", located)
+    assert linalg.rank_modp_numpy(A, P1) == rank
+    monkeypatch.setattr(linalg, "_submul", submul)
+    return tiles
+
+
+def _block_diagonal(rng):
+    """Dense blocks of 2W and W columns on a block diagonal, rank 3W."""
+    n1, n2 = 2 * W, W
+    top = [[rng.randrange(P1) for _ in range(n1)] + [0] * n2 for _ in range(n1)]
+    bottom = [[0] * n1 + [rng.randrange(P1) for _ in range(n2)] for _ in range(n2)]
+    return top, bottom
+
+
+def test_no_tile_of_the_zero_off_diagonal_block_is_multiplied(monkeypatch):
+    """The block-diagonal matrix with its rows interleaved, two of the first
+    block to one of the second.  Elimination keeps a row of one block zero
+    in the other block's columns (its entries there, and its multipliers of
+    the other block's pivots), so the product tile of a column range in one
+    block and rows of the other is zero; ranking the rows in leading-column
+    order and skipping tiles with an all-zero factor must multiply none of
+    them."""
+    top, bottom = _block_diagonal(random.Random(7))
+    A = [row for rows in zip(top[::2], top[1::2], bottom) for row in rows]
+    tiles = _multiplied_tiles(monkeypatch, A, 3 * W, 2 * W)
+    assert tiles
+    for c0, _, (height, _), rows_first, rows_second in tiles:
+        cols_first, cols_second = c0 + height <= 2 * W, c0 >= 2 * W
+        assert not (cols_first and rows_second) and not (cols_second and rows_first)
+
+
+def test_rows_in_any_order_multiply_the_same_tiles(monkeypatch):
+    """The work does not depend on the order the caller passes the rows
+    in: the block-diagonal matrix with its rows interleaved, and a band of
+    rows 8 wide, two leading at each column up to 3W - 8, shuffled,
+    multiply the tiles that the same rows in leading-column order do."""
+    rng = random.Random(7)
+    top, bottom = _block_diagonal(rng)
+    n = 3 * W
+    band = [
+        [0] * i + [rng.randrange(1, P1) for _ in range(8)] + [0] * (n - 8 - i)
+        for i in range(n - 7)
+        for _ in range(2)
+    ]
+    for rows, ordered in [
+        ([row for rows in zip(top[::2], top[1::2], bottom) for row in rows], top + bottom),
+        (rng.sample(band, len(band)), band),
+    ]:
+        rank = linalg.rank_modp(ordered, P1)
+        tiles = _multiplied_tiles(monkeypatch, rows, rank, 2 * W)
+        assert tiles and tiles == _multiplied_tiles(monkeypatch, ordered, rank, 2 * W)

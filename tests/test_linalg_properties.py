@@ -130,3 +130,52 @@ def test_rank_modp_numpy_matches_rank_modp_across_panels(case):
     before = arr.copy()
     assert linalg.rank_modp_numpy(arr, p) == linalg.rank_modp(A, p)
     assert np.array_equal(arr, before)
+
+
+# The numpy kernel on sparse matrices over at least three panels of columns:
+# banded rows on a staircase of leading columns, or dense blocks on a
+# block diagonal, with the rows shuffled.  Entries are small, full residues,
+# residues minus p or nonzero multiples of p (0 mod p, but not 0), passed in
+# int32, int64 or object dtype.  Ranking rows in leading-column order and
+# skipping all-zero tiles must give the pure-Python rank and leave the
+# caller's array as it was.
+SPARSE_PRIMES = [P, 1073741789, 2, 3, 7]
+
+
+@st.composite
+def sparse_matrices(draw):
+    import random
+
+    p = draw(st.sampled_from(SPARSE_PRIMES))
+    dtype = draw(st.sampled_from(["int32", "int64", "object"]))
+    banded = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = rng.randint(2 * W + 1, 3 * W + 8)
+
+    def entry():
+        return rng.choice([rng.randint(-3, 3), rng.randrange(p), rng.randrange(p) - p, p, -p])
+
+    if banded:
+        width, m = rng.randint(1, 6), rng.randint(W // 2, W + 40)
+        leads = sorted(rng.randrange(n) for _ in range(m))
+        A = [[entry() if c <= j < c + width else 0 for j in range(n)] for c in leads]
+    else:
+        cuts = sorted(rng.sample(range(1, n), rng.randint(1, 3)))
+        A = []
+        for lo, hi in zip([0, *cuts], [*cuts, n]):
+            for _ in range(rng.randint(1, min(hi - lo, 24) + 4)):
+                A.append([entry() if lo <= j < hi else 0 for j in range(n)])
+    rng.shuffle(A)
+    return A, p, dtype
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(sparse_matrices())
+def test_rank_modp_numpy_matches_rank_modp_on_sparse_matrices(case):
+    import numpy as np
+
+    A, p, dtype = case
+    arr = np.array(A, dtype=dtype)
+    before = arr.copy()
+    assert linalg.rank_modp_numpy(arr, p) == linalg.rank_modp(A, p)
+    assert np.array_equal(arr, before) and arr.dtype == before.dtype
