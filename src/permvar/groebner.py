@@ -4,11 +4,14 @@ saturation, elimination, radical membership and ideal intersection.
 Pair handling uses the Gebauer-Moeller criteria with sugar-degree selection;
 ties break by the pair's lcm in the ambient order, then by the insertion
 index of its newer element, then of its older one.
-The update works on packed keys only: each new lead's lcm with every live
-element's lead is one fieldwise ``_Pack.lcm``, a pair is coprime iff that lcm
-is the product key ``mh + lt - offset``, and the new lead makes an element
-dead iff that lcm is the element's own lead.  Dead elements get no lcm, except
-one that a pending pair still names when the old-pair filter needs it.
+The update works on packed keys only.  The pair loop keeps the live
+elements' indices and their leads with the degree field masked off; one
+``_Pack.lcms`` pass takes the new lead's lcm with each, reading its fields
+once, and the candidates are sorted as ``(lcm, index)`` pairs.  A pair is
+coprime iff its lcm is the product key ``mh + lt - offset``, and the new lead
+makes an element dead iff that lcm is the element's own lead.  A dead element
+leaves the live list and gets no lcm, except one that a pending pair still
+names when the old-pair filter needs it.
 All reductions are full (head and tail), so intermediate elements stay small.
 A term's reducer is the first basis element, in insertion order, that is
 alive and whose lead divides it.  Each probe first runs a support test: one
@@ -16,13 +19,13 @@ AND of the lead's nonzero-exponent guard bits with the term's zero-exponent
 ones (``_Pack.zeros``) rejects a lead that uses a variable the term lacks.
 Only a lead that passes gets the masked divisibility test.  The support test
 never rejects a divisor, so it changes no reducer.  The lookup remembers, per
-monomial key, the position its next scan starts at: the divisor it found, or
-the basis length after a scan that found none.  Elements are only appended
-and a dead one never comes back, so every element before that position is
-still dead or still a non-divisor: a live known divisor costs one probe, a
-dead one resumes the scan just after it, a term with no divisor probes only
-the elements added since, and the reducer found is the one a full scan from
-the start would find.
+monomial key, the divisor j it found, or ~n after a scan of n elements found
+none.  Elements are only appended and a dead one never comes back, so every
+element before j, or before n, is still dead or still a non-divisor: a
+remembered divisor that is alive is returned after one dict lookup and one
+``alive`` test, a dead one resumes the scan just after it, a term with no
+divisor probes only the elements added since, and the reducer found is the
+one a full scan from the start would find.
 
 One reduction loop serves F_p and QQ, on integer coefficients.  The pair
 loop keeps each basis element as its reducer terms only: over QQ its
@@ -47,7 +50,11 @@ then, over F_p or QQ, is skipped.
 the minimal generators of the leading-term ideal, which is all the dimension,
 the Hilbert series and normal forms read.  The reduced basis differs only in
 its tails (Cox, Little and O'Shea, section 2.7) and is interreduced from it
-when ``GroebnerBasis.gens`` is first read.
+when ``GroebnerBasis.gens`` is first read.  The Hilbert recursion holds a
+monomial as ``(degree, key)``, the key one plain 16-bit exponent field per
+variable, the first highest, so pairs sort as ``(degree, exponents)``; a
+support is one add and one mask, divisibility one masked subtraction, and the
+colon by the pivot variable subtracts its unit.
 
 For n distinct nonzero forms of positive degree in n variables, the pair loop
 counts the monomials outside the current leads degree by degree and skips the
@@ -91,6 +98,7 @@ from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
 from math import gcd, inf, lcm
+from operator import itemgetter
 
 from . import budget
 from .errors import (
@@ -318,17 +326,21 @@ def _first_divisor(ring, reducers, lts, alive):
     """
     pack = ring.pack
     gl, gh, guard, low = pack._guard_low, pack._guard_high, pack.guard, pack._low_mask
-    zeros = pack.zeros
-    memo: dict = {}
+    values, zero_add, zeros = pack._values, pack._zero_add, pack.zeros
+    memo: dict = {}  # key -> its divisor j, or ~n after a scan of n found none
     nz: list = []  # position -> guard bits of its lead's nonzero exponents
 
     def find(k):
+        j = memo.get(k, -1)
+        if j >= 0 and alive[j]:
+            return lts[j], reducers[j]
+        j = j + 1 if j >= 0 else ~j  # after a dead divisor, or where a scan ended
         n = len(lts)
         if len(nz) < n:
             nz.extend(zeros(lt) ^ guard for lt in lts[len(nz) : n])
-        zk = zeros(k)
+        zk = ((k & values) + zero_add) & guard ^ gh  # pack.zeros(k), inlined
         k_high = k | low | gh
-        for j in range(memo.get(k, 0), n):
+        for j in range(j, n):
             # alive[j], the support test and pack.divides(lt, k), inlined
             if (
                 alive[j]
@@ -338,7 +350,7 @@ def _first_divisor(ring, reducers, lts, alive):
             ):
                 memo[k] = j
                 return lt, reducers[j]
-        memo[k] = n
+        memo[k] = ~n
         return None
 
     return find
@@ -597,7 +609,7 @@ def _buchberger(gens, top=inf) -> GroebnerBasis:
         if g.ring is not ring:
             raise DomainMismatchError("generators live in different rings")
     pack = ring.pack
-    lcm, offset = pack.lcm, pack.offset
+    lcm, lcms, offset, values = pack.lcm, pack.lcms, pack.offset, pack._values
     gl, gh, guard = pack._guard_low, pack._guard_high, pack.guard
     low_gh = pack._low_mask | gh
     t0 = time.monotonic()
@@ -606,7 +618,9 @@ def _buchberger(gens, top=inf) -> GroebnerBasis:
     lts: list[int] = []
     excess: list[int] = []  # sugar minus leading degree
     alive: list[bool] = []
-    pair_meta: dict = {}  # (i, j) -> (sugar, lcm_key)
+    live: list[int] = []  # the live elements, ascending
+    live_vals: list[int] = []  # their leads, degree field masked off
+    pair_meta: dict = {}  # (i, j) -> lcm_key
     heap: list = []
     stats = {"pairs": 0, "zero_reductions": 0, "basis_additions": 0, "hilbert_skips": 0}
     find = _first_divisor(ring, reducers, lts, alive)
@@ -620,53 +634,60 @@ def _buchberger(gens, top=inf) -> GroebnerBasis:
         mh_guarded, mh_shift = mh | gl, mh - offset
         dh = pack.degree(mh)
         # Gebauer-Moeller update of the pair set, on lcm(mh, lts[i]) for every
-        # live earlier element
-        lcms = {i: lcm(mh, lts[i]) for i in range(t) if alive[i]}
-        cand = sorted(lcms, key=lcms.__getitem__)
-        ordered = [lcms[i] for i in cand]
-        kept: list[int] = []
-        kept_lcms: list[int] = []
-        for pos, i in enumerate(cand):
-            li = ordered[pos]
+        # live earlier element, in (lcm, index) order
+        ls = lcms(mh, live_vals)
+        cand = sorted(zip(ls, live), key=itemgetter(0))  # stable: live ascends
+        last = len(cand) - 1
+        queued: list[tuple] = []  # (i, lcm) of the pairs kept
+        kept_lcms: list[int] = []  # their lcms and the coprime pairs'
+        dead: list[int] = []  # mh divides lts[i] iff their lcm is lts[i]
+        for pos, (li, i) in enumerate(cand):
+            lt = lts[i]
+            if li == lt:
+                dead.append(i)
             # a coprime pair (lcm = product) goes to D, dropped later by the
             # product criterion; of the later candidates (lcm >= li) only an
             # equal lcm divides li, and every kept lcm is <= li
-            if li != mh_shift + lts[i]:
-                if pos + 1 < len(ordered) and ordered[pos + 1] == li:
-                    continue
-                li_high = li | low_gh
-                # any(lj != li and pack.divides(lj, li)), inlined
-                if any(
-                    lj != li and (((lj | gl) - li) & gl | (li_high - lj) & gh) == guard
-                    for lj in kept_lcms
-                ):
-                    continue
-            kept.append(i)
-            kept_lcms.append(li)
+            if li == mh_shift + lt:
+                kept_lcms.append(li)
+                continue
+            if pos < last and cand[pos + 1][0] == li:
+                continue
+            li_high = li | low_gh
+            for lj in kept_lcms:
+                # pack.divides(lj, li) and lj != li, inlined
+                if (((lj | gl) - li) & gl | (li_high - lj) & gh) == guard and lj != li:
+                    break
+            else:
+                queued.append((i, li))
+                kept_lcms.append(li)
         # filter old pairs through the new leading term; a pair may name an
         # element that has died since, whose lcm is computed here
-        for (i, j), (_, l_ij) in list(pair_meta.items()):
+        lcm_of = dict(zip(live, ls))
+        for (i, j), l_ij in list(pair_meta.items()):
             # pack.divides(mh, l_ij), inlined
             if (
                 mh <= l_ij
                 and ((mh_guarded - l_ij) & gl | ((l_ij | low_gh) - mh) & gh) == guard
-                and (lcms[i] if i in lcms else lcm(mh, lts[i])) != l_ij
-                and (lcms[j] if j in lcms else lcm(mh, lts[j])) != l_ij
+                and (lcm_of[i] if i in lcm_of else lcm(mh, lts[i])) != l_ij
+                and (lcm_of[j] if j in lcm_of else lcm(mh, lts[j])) != l_ij
             ):
                 del pair_meta[(i, j)]
-        for i, l in zip(kept, kept_lcms):
-            if l != mh_shift + lts[i]:
-                s = pack.degree(l) + max(excess[i], sugar - dh)
-                pair_meta[(i, t)] = (s, l)
-                heappush(heap, (s, l, t, i))
-        # mh divides lts[i] iff their lcm is lts[i]
-        for i, l in lcms.items():
-            if l == lts[i]:
+        for i, l in queued:
+            s = pack.degree(l) + max(excess[i], sugar - dh)
+            pair_meta[(i, t)] = l
+            heappush(heap, (s, l, t, i))
+        if dead:
+            for i in dead:
                 alive[i] = False
+            live_vals[:] = [v for i, v in zip(live, live_vals) if alive[i]]
+            live[:] = [i for i in live if alive[i]]
         reducers.append(h.terms)
         lts.append(mh)
         excess.append(sugar - dh)
         alive.append(True)
+        live.append(t)
+        live_vals.append(mh & values)
         stats["basis_additions"] += 1
         if hilbert is not None:
             hilbert.free.discard(mh)
@@ -820,7 +841,8 @@ def hilbert_numerator(G: GroebnerBasis) -> tuple:
     Bigatti's pivot recursion on the leading-term ideal, run once per basis:
     the result is cached on ``G``.  The leads of a minimal basis are minimal
     generators, and each split keeps them minimal (see ``num``), so no step
-    re-minimalizes; every generator list is kept in ``(degree, exps)`` order.
+    re-minimalizes; every generator list is a sorted tuple of
+    ``(degree, key)`` pairs (see the module docstring).
     The open budget is checked every 256 recursion steps, the first
     included; past it the recursion raises GroebnerTimeout (phase
     ``"hilbert"``) and caches nothing.
@@ -830,9 +852,10 @@ def hilbert_numerator(G: GroebnerBasis) -> tuple:
         return got
     memo: dict = {}
     steps = 0
-
-    def canonical(ms):
-        return tuple(sorted(ms, key=lambda m: (sum(m), m)))
+    n, w = len(G.ring.universe), _WIDTH
+    # e_i sits in field n - 1 - i; adding fill sets a field's guard bit iff e_i > 0
+    guard = sum(1 << w * i + w - 1 for i in range(n))
+    fill = guard - (guard >> w - 1)
 
     def poly_add(a, b, shift):
         out = list(a) + [0] * max(0, shift + len(b) - len(a))
@@ -847,44 +870,48 @@ def hilbert_numerator(G: GroebnerBasis) -> tuple:
         steps += 1
         if not ms:
             return [1]
-        if any(sum(m) == 0 for m in ms):
-            return [0]
-        key = ms
-        got = memo.get(key)
+        if not ms[0][0]:
+            return [0]  # the unit monomial
+        got = memo.get(ms)
         if got is not None:
             return got
-        supports = [tuple(i for i, e in enumerate(m) if e) for m in ms]
-        if all(len(s) == 1 for s in supports):
+        supports = [(k + fill) & guard for _, k in ms]
+        if all(not s & (s - 1) for s in supports):
             # pairwise coprime pure powers: product of (1 - t^deg)
             out = [1]
-            for m in ms:
-                out = poly_add(out, [-x for x in out], shift=sum(m))
-            memo[key] = out
+            for d, _ in ms:
+                out = poly_add(out, [-x for x in out], shift=d)
+            memo[ms] = out
             return out
-        # pivot: the most frequent variable among non-simple generators
+        # pivot: the most frequent variable among non-simple generators, the
+        # first one (highest field) on a tie
         counts: dict = {}
         for s in supports:
-            if len(s) > 1:
-                for i in s:
-                    counts[i] = counts.get(i, 0) + 1
-        piv = max(sorted(counts), key=lambda i: counts[i])
+            if s & (s - 1):
+                while s:
+                    bit = s & -s
+                    counts[bit] = counts.get(bit, 0) + 1
+                    s ^= bit
+        top = max(sorted(counts, reverse=True), key=counts.__getitem__)
+        unit = top >> w - 1
+        field = (unit << w) - unit
         # I + (x) is minimally x and the generators x does not divide (x is
         # not a generator: it would divide the one of support > 1 holding x).
         # I : x lowers the generators x divides; those stay pairwise
         # non-divisible, an untouched one divides none of them, and a lowered
         # one can only divide an untouched one if it lost its x.
-        pivot = tuple(1 if i == piv else 0 for i in range(len(ms[0])))
-        untouched = [m for m in ms if not m[piv]]
-        lowered = [m[:piv] + (m[piv] - 1,) + m[piv + 1:] for m in ms if m[piv]]
-        free = [m for m in lowered if not m[piv]]
+        untouched = [m for m in ms if not m[1] & field]
+        lowered = [(d - 1, k - unit) for d, k in ms if k & field]
+        free = [k for _, k in lowered if not k & field]
         colon = lowered + [
-            u for u in untouched if not any(all(a <= b for a, b in zip(m, u)) for m in free)
+            (d, k) for d, k in untouched if all(((k | guard) - f) & guard != guard for f in free)
         ]
-        out = poly_add(num(canonical(untouched + [pivot])), num(canonical(colon)), shift=1)
-        memo[key] = out
+        out = poly_add(num(tuple(sorted(untouched + [(1, unit)]))), num(tuple(sorted(colon))), 1)
+        memo[ms] = out
         return out
 
-    got = G._cache["hilbert_numerator"] = tuple(num(canonical(G.lead_ideal)))
+    ms = sorted((sum(e), sum(x << w * (n - 1 - i) for i, x in enumerate(e))) for e in G.lead_ideal)
+    got = G._cache["hilbert_numerator"] = tuple(num(tuple(ms)))
     return got
 
 

@@ -195,8 +195,9 @@ def rank_modp_numpy(mat, p):
     :func:`_eliminate` takes one panel of PANEL columns at a time, whose
     pivots then update the columns right of it at once.  Products of two
     residues fit int64 only for p below 2**31; larger primes go to
-    :func:`rank_modp`.  Entries are reduced mod p before the int64 cast, an
-    empty matrix has rank 0, and the caller's matrix is not modified.
+    :func:`rank_modp`.  Entries are reduced mod p before the int64 cast (an
+    array narrower than 32 bits first widened to int64 when p does not fit
+    its dtype), an empty matrix has rank 0, and the caller's matrix is not modified.
     Entries that are not integers (a float dtype, or a float or Fraction in
     an object array) raise StructuralError, where a cast would truncate them.
     """
@@ -210,6 +211,8 @@ def rank_modp_numpy(mat, p):
         raise StructuralError(f"rank_modp_numpy needs integer entries, not {a.dtype}")
     if p >= 1 << 31:
         return rank_modp([[int(x) for x in r] for r in a], p)
+    if a.dtype.itemsize < 4 and p > np.iinfo(a.dtype).max:
+        a = a.astype(np.int64)  # NumPy 2 refuses a Python int p that a's dtype cannot hold
     # each row's first nonzero column (n for a zero row); then the rows,
     # reduced in a's own dtype, cast into the transposed int64 array in that
     # order, a panel of rows at a time.  where and min, not argmax, and

@@ -331,33 +331,40 @@ class _Pack:
         return (low | ((kb | self._low_mask | gh) - ka) & gh) == self.guard
 
     def lcm(self, ka: int, kb: int) -> int:
-        """Key of lcm(a, b), computed on all fields at once.
+        """Key of lcm(a, b): ``lcms`` of one key."""
+        return self.lcms(ka, (kb & self._values,))[0]
 
-        With the degree field masked off and every guard bit set in the
-        minuend, field f of ``(a | guard) - b`` is ``a_f + 2^15 - b_f``, which
-        lies in 1 .. 2^16 - 1: no borrow leaves the field, and its guard bit
-        stays set iff a_f >= b_f.  Spreading that bit over the field's value
-        bits selects the larger raw (lex) field and the smaller complement
+    def lcms(self, ka: int, masked) -> list:
+        """Keys of lcm(a, b) for each b of ``masked``, keys with their degree
+        field masked off (``key & _values``), all fields at once.
+
+        With every guard bit set in the minuend, field f of
+        ``(a | guard) - b`` is ``a_f + 2^15 - b_f``, which lies in
+        1 .. 2^16 - 1: no borrow leaves the field, and its guard bit stays
+        set iff a_f >= b_f.  Spreading that bit over the field's value bits
+        selects the larger raw (lex) field and the smaller complement
         (degrevlex) field, ``cap - e``, which is the larger exponent.
-        Fieldwise maxima of valid keys stay at or below the cap, so the result
-        has every guard bit clear.  The degree field is then ``tail*cap``
-        minus the complement fields' sum.  That sum adds the fields two to a
-        32-bit lane and folds the lanes with one multiply: the top lane of the
-        product holds the full sum, and every lane a partial sum, at most
-        ``n*cap``.  That fits the 32-bit degree field, as every key's degree
-        must (n*cap < 2^32 for n up to 131,076), so no lane carries into the
-        next.
+        Fieldwise maxima of valid keys stay at or below the cap, so the
+        result has every guard bit clear.  The degree field is then
+        ``tail*cap`` minus the complement fields' sum.  That sum adds the
+        fields two to a 32-bit lane and folds the lanes with one multiply:
+        the top lane of the product holds the full sum, and every lane a
+        partial sum, at most ``n*cap``.  That fits the 32-bit degree field,
+        as every key's degree must (n*cap < 2^32 for n up to 131,076), so no
+        lane carries into the next.
         """
-        a, b = ka & self._values, kb & self._values
-        d = ((a | self.guard) - b) & self.guard
-        a_wins = (d - (d >> (_WIDTH - 1))) ^ self._low_values
-        key = b ^ (a ^ b) & a_wins
+        g, lv, w = self.guard, self._low_values, _WIDTH
+        a = ka & self._values
+        ag = a | g
         if not self._tail:
-            return key
-        low = key & self._low_values
-        lanes = (low & self._lane_even) + (low >> _WIDTH & self._lane_even)
-        total = (lanes * self._lane_ones) >> self._top_lane & 0xFFFFFFFF
-        return key | (self._cap_sum - total) << self._deg_shift
+            return [b ^ (a ^ b) & ((d := (ag - b) & g) - (d >> w - 1) ^ lv) for b in masked]
+        even, ones, top = self._lane_even, self._lane_ones, self._top_lane
+        cap, shift, lane = self._cap_sum, self._deg_shift, 0xFFFFFFFF
+        return [
+            (key := b ^ (a ^ b) & ((d := (ag - b) & g) - (d >> w - 1) ^ lv))
+            | cap - ((((lo := key & lv) & even) + (lo >> w & even)) * ones >> top & lane) << shift
+            for b in masked
+        ]
 
     def zeros(self, key: int) -> int:
         """The guard bits of the fields whose exponent is 0.

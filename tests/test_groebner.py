@@ -305,13 +305,8 @@ def test_hilbert_numerator_honours_deadline():
         assert hilbert_numerator(G) is hilbert_numerator(G)
 
 
-def test_hilbert_recursion_reads_the_clock_every_256_steps(monkeypatch):
-    """Under an open budget the Hilbert recursion reads the clock at least
-    once per 256 steps.  The clock is a stub whose time is its count of
-    reads, so a budget of b units, opened at one read, runs out at the
-    (b + 1)-th read after it; the timeout then names at most 256 b steps.
-    The lead ideal, 40 random quartic monomials in 14 variables, takes more
-    than 1,000 steps, so each budget below runs out before the end."""
+def _random_quartics():
+    """40 random quartic monomials in 14 variables."""
     R = ring_of([f"x{i}" for i in range(14)], domain=GF(P1))
     rng = random.Random(1)
     gens = []
@@ -320,7 +315,17 @@ def test_hilbert_recursion_reads_the_clock_every_256_steps(monkeypatch):
         for _ in range(4):
             exps[rng.randrange(14)] += 1
         gens.append(R.from_exp_dict({tuple(exps): 1}))
-    G = buchberger(gens)
+    return gens
+
+
+def test_hilbert_recursion_reads_the_clock_every_256_steps(monkeypatch):
+    """Under an open budget the Hilbert recursion reads the clock at least
+    once per 256 steps.  The clock is a stub whose time is its count of
+    reads, so a budget of b units, opened at one read, runs out at the
+    (b + 1)-th read after it; the timeout then names at most 256 b steps.
+    The lead ideal, 40 random quartic monomials in 14 variables, takes more
+    than 1,000 steps, so each budget below runs out before the end."""
+    G = buchberger(_random_quartics())
 
     class Clock:
         reads = 0
@@ -335,6 +340,35 @@ def test_hilbert_recursion_reads_the_clock_every_256_steps(monkeypatch):
             hilbert_numerator(G)
         assert err.value.stats["phase"] == "hilbert"
         assert 0 < err.value.stats["steps"] <= 256 * units
+
+
+@pytest.mark.parametrize(
+    "make, want, checks",
+    [
+        (
+            lambda: _sliced_circulant4(GF(P1)),
+            (1, 0, 0, 0, -5, 0, 0, 0, 10, 0, 0, 0, -10, 0, 0, 0, 5, 0, 0, 0, -1),
+            2,
+        ),
+        (
+            _random_quartics,
+            (1, 0, 0, 0, -40, 18, 125, 139, -640, -121, 1556, -1012, -931, 1357, -309)
+            + (-306, 197, -38, 8, -5, 1),
+            5,
+        ),
+    ],
+    ids=["slice-circulant4", "quartics"],
+)
+def test_hilbert_recursion_keeps_its_numerator_and_its_steps(make, want, checks, monkeypatch):
+    """slice-circulant4's 204 leads, (1 - t^4)^5, and the 40 quartics keep
+    their numerators and their number of budget checks, one per 256
+    recursion steps."""
+    G = buchberger(make())
+    calls = []
+    check = budget.check
+    monkeypatch.setattr(budget, "check", lambda phase, *a: calls.append(phase) or check(phase, *a))
+    assert hilbert_numerator(G) == want
+    assert calls == ["hilbert"] * checks
 
 
 def test_hilbert_numerator_matches_standard_monomial_count():

@@ -28,7 +28,7 @@ from permvar.groebner import (
     hilbert_numerator,
     normal_form,
 )
-from permvar.ring import DEGREVLEX, GF, LEX, QQ, PolyRing, VarUniverse, block_order
+from permvar.ring import _FIELD_CAP, DEGREVLEX, GF, LEX, QQ, PolyRing, VarUniverse, block_order
 
 P = 32003
 ORDERS = [DEGREVLEX, LEX, block_order(2)]
@@ -329,6 +329,40 @@ def test_first_divisor_lookup_over_qq_gives_primitive_integer_terms():
     assert any(a > 1 for _, a in leads) and any(c < 0 for c, _ in leads)
 
 
+def test_first_divisor_memo_after_a_failed_scan_and_after_a_death():
+    """The memo holds a key's divisor j, or ~n after a scan of n elements
+    found none.  Elements appended after a failed scan are tested, the
+    non-divisor as well as the divisor; a remembered divisor is returned
+    while it lives, and once it dies the scan resumes at the next live
+    divisor."""
+    R = _ring(3, GF(P), DEGREVLEX)
+    reducers, lts, alive = [], [], []
+    find = _first_divisor(R, reducers, lts, alive)
+
+    def append(*exps):
+        k = R.pack.pack(exps)
+        reducers.append(((k, 1),))
+        lts.append(k)
+        alive.append(True)
+        return k, reducers[-1]
+
+    k = R.pack.pack((2, 1, 0))
+    append(0, 0, 1)
+    assert find(k) is None  # a failed scan of one element
+    append(0, 2, 0)
+    assert find(k) is None  # the appended non-divisor is tested
+    x = append(1, 0, 0)
+    assert find(k) == x  # the appended divisor is found
+    y = append(0, 1, 0)
+    assert find(k) == find(k) == x  # remembered, not the later divisor
+    alive[2] = False
+    assert find(k) == y  # resumed past the dead one
+    alive[3] = False
+    assert find(k) is None
+    assert find(R.pack.pack((0, 3, 0))) == (lts[1], reducers[1])
+    assert append(2, 1, 0) == find(k)
+
+
 @pytest.mark.parametrize("order", ORDERS, ids=ORDER_IDS)
 @pytest.mark.parametrize("domain", [GF(P), QQ], ids=["fp", "qq"])
 def test_one_pass_interreduction_matches_fixed_point(order, domain):
@@ -405,6 +439,10 @@ def test_normal_form_matches_list_scan(domain, order, monkeypatch):
 
 
 def test_hilbert_numerator_matches_minimalizing_recursion():
+    """Random ideals, then two monomial ideals with exponents at the field
+    cap and one in more than 30 variables.  A cap exponent is kept off the
+    pivots (the colon lowers a pivot's exponent by one per step) and to one
+    pure power per product (the reference multiplies term by term)."""
     rng = random.Random(37)
     units = splits = 0
     for _ in range(200):
@@ -420,3 +458,17 @@ def test_hilbert_numerator_matches_minimalizing_recursion():
         units += G.is_unit_ideal()
         splits += sum(1 for e in G.lead_ideal if sum(map(bool, e)) > 1) > 1
     assert units >= 5 and splits > 40
+    R, cap = _ring(3, GF(P), DEGREVLEX), _FIELD_CAP
+    cases = [[(cap, 1, 0), (0, 1, 1), (0, 0, cap)], [(cap, 0, 0), (1, 1, 1), (0, 2, 1)]]
+    monomials = [[R.from_exp_dict({e: 1}) for e in exps] for exps in cases]
+    R = _ring(34, GF(P), DEGREVLEX)
+    wide = []
+    for _ in range(14):
+        e = [0] * 34
+        for i in rng.sample(range(34), rng.randint(1, 3)):
+            e[i] = rng.randint(1, 3)
+        wide.append(R.from_exp_dict({tuple(e): 1}))
+    for gens in monomials + [wide]:
+        G = buchberger(gens)
+        assert hilbert_numerator(G) == ref_hilbert_numerator(G.lead_ideal)
+    assert sum(1 for e in G.lead_ideal if sum(map(bool, e)) > 1) > 5

@@ -97,6 +97,28 @@ def test_numpy_rank_refuses_non_integer_entries():
     assert linalg.rank_modp_numpy(np.array([[np.int64(3), 2**70]], dtype=object), 7) == 1
 
 
+@pytest.mark.parametrize("p", [7, P1])
+def test_numpy_rank_of_every_integer_dtype(p):
+    """Every signed and unsigned integer dtype gives the rank of the same
+    entries as lists, also when p does not fit the dtype: int8 to uint16
+    raised OverflowError at p = 2**31 - 1, where NumPy 2 refuses a Python
+    int operand that the array's dtype cannot hold."""
+    import numpy as np
+
+    A = [[3, 0, 1], [0, 5, 2], [3, 5, 3]]
+    assert linalg.rank_modp(A, p) == 2
+    dtypes = [np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.int64, np.uint64]
+    for dtype in dtypes:
+        a = np.array(A, dtype=dtype)
+        assert linalg.rank_modp_numpy(a, p) == 2
+        assert a.dtype == dtype and a.tolist() == A
+    # the extremes of each narrow signed dtype, against the rank of the lists
+    for dtype in (np.int8, np.int16):
+        lo, hi = np.iinfo(dtype).min, np.iinfo(dtype).max
+        B = [[lo, hi, 1], [hi, lo, 0], [0, 0, 0]]
+        assert linalg.rank_modp_numpy(np.array(B, dtype=dtype), p) == linalg.rank_modp(B, p)
+
+
 def test_elimination_checks_the_open_budget():
     """The pure-Python elimination behind ``rank``, ``rank_kernel``,
     ``rank_modp`` and ``rank_modp_numpy`` past 2**31 checks the open budget

@@ -1,9 +1,9 @@
-"""Property tests for packed monomial keys: ``_Pack.lcm`` against the
-fieldwise max of exponent vectors, ``_Pack.zeros`` and the reducer lookup's
-support test against the exponent vectors' supports, and ``transport``
-between rings that share their keys, or whose degrevlex keys differ by a
-permutation of their fields, against the term-by-term path.  Skipped when
-hypothesis is not installed.
+"""Property tests for packed monomial keys: ``_Pack.lcm`` and its batch
+``_Pack.lcms`` against the fieldwise max of exponent vectors, ``_Pack.zeros``
+and the reducer lookup's support test against the exponent vectors'
+supports, and ``transport`` between rings that share their keys, or whose
+degrevlex keys differ by a permutation of their fields, against the
+term-by-term path.  Skipped when hypothesis is not installed.
 
 The lcm and the zero mask are checked under every key layout: degrevlex
 (complement fields and a degree field only), lex (raw fields only) and two
@@ -59,6 +59,11 @@ def test_lcm_is_the_packed_fieldwise_max(order, case):
     assert pack.lcm(ka, kb) == pack.lcm(kb, ka) == want
     assert pack.lcm(ka, ka) == ka
     assert pack.lcm(ka, pack.one) == ka
+    # the batch is lcm key by key, of keys with the degree field masked off
+    top = pack.pack([_FIELD_CAP] * n)
+    batch = [kb, ka, pack.one, top, kb]
+    assert pack.lcms(ka, [k & pack._values for k in batch]) == [want, ka, ka, top, want]
+    assert pack.lcms(ka, []) == []
     # coprime iff the lcm is the product key
     assert (want == ka + kb - pack.offset) == (not any(x and y for x, y in zip(a, b)))
 
