@@ -242,7 +242,7 @@ def _census_2xn(n: int, F) -> dict:
     G_I = buchberger(gens)
     containment = all(contains(comp, gens) for comp in comps)
     inter = reduce(ideal_intersection, comps)
-    inter_in_rad = all(radical_membership(g, gens, gb=G_I) for g in inter)
+    inter_in_rad = all(radical_membership(g, G_I) for g in inter)
     ideal_in_inter = contains(inter, gens)
     lines = _singular_lines_2xn(n)
     min_cover = min(sum(_line_in_component(cg, line) for cg in comps) for line in lines)
@@ -503,10 +503,10 @@ def radical_equality_sing(k: int, F) -> dict:
     sing = matrix_permanents(k - 1, M)
     G_sing = buchberger(sing)
     sums = list(_partition_sum_ideals(M))
-    bases = zip(sums, map(buchberger, sums))  # built as all() asks
-    forward = all(all(radical_membership(f, gens, gb=G) for f in sing) for gens, G in bases)
+    bases = map(buchberger, sums)  # built as all() asks
+    forward = all(all(radical_membership(f, G) for f in sing) for G in bases)
     inter = reduce(ideal_intersection, sums)
-    backward = all(radical_membership(f, sing, gb=G_sing) for f in inter)
+    backward = all(radical_membership(f, G_sing) for f in inter)
     return {"forward": forward, "backward": backward}
 
 

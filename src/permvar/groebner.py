@@ -3,15 +3,20 @@ saturation, elimination, radical membership and ideal intersection.
 
 Pair handling uses the Gebauer-Moeller criteria with sugar-degree selection;
 ties break by the pair's lcm in the ambient order, then by the insertion
-index of its newer element, then of its older one.
-The update works on packed keys only.  The pair loop keeps the live
-elements' indices and their leads with the degree field masked off; one
+index of its newer element, then of its older one.  The pairs wait in one
+heap, and the update on packed keys only adds to it.  The pair loop keeps the
+live elements' indices and their leads with the degree field masked off; one
 ``_Pack.lcms`` pass takes the new lead's lcm with each, reading its fields
-once, and the candidates are sorted as ``(lcm, index)`` pairs.  A pair is
-coprime iff its lcm is the product key ``mh + lt - offset``, and the new lead
-makes an element dead iff that lcm is the element's own lead.  A dead element
-leaves the live list and gets no lcm, except one that a pending pair still
-names when the old-pair filter needs it.
+once, and the chain criterion runs over the candidates sorted as
+``(lcm, index)`` pairs.  A pair is coprime iff its lcm is the product key
+``mh + lt - offset``, and the new lead makes an element dead iff that lcm is
+the element's own lead; a dead element leaves the live list.  The old-pair
+criterion is tested when a pair is taken: pair (i, j) with lcm l is dropped
+if a lead added after j, dead or alive, divides l and has an lcm other than
+l with both leads.  Leads are only appended, so the first such lead is the
+addition at which an update sweeping the pending pairs would drop the pair,
+and the same pairs are dropped.  A timeout's ``pending_pairs`` counts the
+heap, pairs that criterion would still drop included.
 All reductions are full (head and tail), so intermediate elements stay small.
 A term's reducer is the first basis element, in insertion order, that is
 alive and whose lead divides it.  Each probe first runs a support test: one
@@ -620,26 +625,22 @@ def _buchberger(gens, top=inf) -> GroebnerBasis:
     alive: list[bool] = []
     live: list[int] = []  # the live elements, ascending
     live_vals: list[int] = []  # their leads, degree field masked off
-    pair_meta: dict = {}  # (i, j) -> lcm_key
-    heap: list = []
+    heap: list = []  # (sugar, lcm, newer index, older index)
     stats = {"pairs": 0, "zero_reductions": 0, "basis_additions": 0, "hilbert_skips": 0}
     find = _first_divisor(ring, reducers, lts, alive)
     hilbert = _hilbert_skip(gens, ring, lts)
 
     def add_poly(h: MPoly, sugar: int):
-        """Add the element whose reducer terms are h's."""
+        """Add the element whose reducer terms are h's, and its pairs."""
         t = len(lts)
         mh = h.lead_key()
-        # lt + mh_shift is the key of lt * mh
-        mh_guarded, mh_shift = mh | gl, mh - offset
+        mh_shift = mh - offset  # lt + mh_shift is the key of lt * mh
         dh = pack.degree(mh)
-        # Gebauer-Moeller update of the pair set, on lcm(mh, lts[i]) for every
-        # live earlier element, in (lcm, index) order
-        ls = lcms(mh, live_vals)
-        cand = sorted(zip(ls, live), key=itemgetter(0))  # stable: live ascends
+        # Gebauer-Moeller's chain criterion on lcm(mh, lts[i]) for every live
+        # earlier element, in (lcm, index) order
+        cand = sorted(zip(lcms(mh, live_vals), live), key=itemgetter(0))  # stable: live ascends
         last = len(cand) - 1
-        queued: list[tuple] = []  # (i, lcm) of the pairs kept
-        kept_lcms: list[int] = []  # their lcms and the coprime pairs'
+        kept_lcms: list[int] = []  # the kept pairs' lcms and the coprime pairs'
         dead: list[int] = []  # mh divides lts[i] iff their lcm is lts[i]
         for pos, (li, i) in enumerate(cand):
             lt = lts[i]
@@ -659,24 +660,8 @@ def _buchberger(gens, top=inf) -> GroebnerBasis:
                 if (((lj | gl) - li) & gl | (li_high - lj) & gh) == guard and lj != li:
                     break
             else:
-                queued.append((i, li))
+                heappush(heap, (pack.degree(li) + max(excess[i], sugar - dh), li, t, i))
                 kept_lcms.append(li)
-        # filter old pairs through the new leading term; a pair may name an
-        # element that has died since, whose lcm is computed here
-        lcm_of = dict(zip(live, ls))
-        for (i, j), l_ij in list(pair_meta.items()):
-            # pack.divides(mh, l_ij), inlined
-            if (
-                mh <= l_ij
-                and ((mh_guarded - l_ij) & gl | ((l_ij | low_gh) - mh) & gh) == guard
-                and (lcm_of[i] if i in lcm_of else lcm(mh, lts[i])) != l_ij
-                and (lcm_of[j] if j in lcm_of else lcm(mh, lts[j])) != l_ij
-            ):
-                del pair_meta[(i, j)]
-        for i, l in queued:
-            s = pack.degree(l) + max(excess[i], sugar - dh)
-            pair_meta[(i, t)] = l
-            heappush(heap, (s, l, t, i))
         if dead:
             for i in dead:
                 alive[i] = False
@@ -691,6 +676,20 @@ def _buchberger(gens, top=inf) -> GroebnerBasis:
         stats["basis_additions"] += 1
         if hilbert is not None:
             hilbert.free.discard(mh)
+
+    def superseded(i: int, j: int, l: int) -> bool:
+        """The old-pair criterion on pair (i, j) (see the module docstring)."""
+        li, lj, l_high = lts[i], lts[j], l | low_gh
+        for lt in lts[j + 1 :]:
+            # pack.divides(lt, l), inlined
+            if (
+                lt <= l
+                and (((lt | gl) - l) & gl | (l_high - lt) & gh) == guard
+                and lcm(lt, li) != l
+                and lcm(lt, lj) != l
+            ):
+                return True
+        return False
 
     in_flight = 0
     try:
@@ -712,8 +711,8 @@ def _buchberger(gens, top=inf) -> GroebnerBasis:
             s, l, j, i = heappop(heap)
             if s > top:
                 break
-            if pair_meta.pop((i, j), None) is None:
-                continue  # pruned by a later update
+            if superseded(i, j, l):
+                continue
             if hilbert is not None and hilbert.skips(s):
                 stats["hilbert_skips"] += 1
                 continue
@@ -734,7 +733,7 @@ def _buchberger(gens, top=inf) -> GroebnerBasis:
             minimal.append(_monic(terms, ring))
     except GroebnerTimeout:
         stats["wall_ms"] = int((time.monotonic() - t0) * 1000)
-        stats["pending_pairs"] = len(pair_meta) + in_flight
+        stats["pending_pairs"] = len(heap) + in_flight
         raise budget.expired("pairs", stats) from None
     stats["wall_ms"] = int((time.monotonic() - t0) * 1000)
     return GroebnerBasis(tuple(minimal), survivors, ring, stats)
@@ -744,10 +743,11 @@ def contains(gens, fs) -> bool:
     """Whether every f in ``fs`` lies in the ideal of ``gens``: by a loop
     stopped above the largest degree asked about when every generator and
     every f is homogeneous (see the module docstring), else by the full
-    basis."""
-    gens, fs = list(gens), [f for f in fs if f]
-    if not fs:
-        return True
+    basis.  With no nonzero generator the ideal is zero, and holds no
+    nonzero f."""
+    gens, fs = [g for g in gens if g], [f for f in fs if f]
+    if not fs or not gens:
+        return not fs
     graded = all(g.is_homogeneous() for g in gens) and all(f.is_homogeneous() for f in fs)
     G = _buchberger(gens, max(f.total_degree() for f in fs) if graded else inf)
     return all(normal_form(f, G).is_zero() for f in fs)
@@ -836,7 +836,8 @@ def independent_set(G: GroebnerBasis) -> tuple:
 
 
 def hilbert_numerator(G: GroebnerBasis) -> tuple:
-    """Coefficients of the numerator N(t) of HS_{R/in(I)} = N(t)/(1-t)^n.
+    """Coefficients of the numerator N(t) of HS_{R/in(I)} = N(t)/(1-t)^n,
+    up to its last nonzero one: ``(0,)`` for the unit ideal.
 
     Bigatti's pivot recursion on the leading-term ideal, run once per basis:
     the result is cached on ``G``.  The leads of a minimal basis are minimal
@@ -911,7 +912,9 @@ def hilbert_numerator(G: GroebnerBasis) -> tuple:
         return out
 
     ms = sorted((sum(e), sum(x << w * (n - 1 - i) for i, x in enumerate(e))) for e in G.lead_ideal)
-    got = G._cache["hilbert_numerator"] = tuple(num(tuple(ms)))
+    coeffs = num(tuple(ms))
+    size = max((i + 1 for i, c in enumerate(coeffs) if c), default=1)
+    got = G._cache["hilbert_numerator"] = tuple(coeffs[:size])
     return got
 
 
@@ -1041,24 +1044,20 @@ def _saturate_general(gens, f: MPoly):
     return _eliminate_t(_rabinowitsch(gens, f), gens[0].ring)
 
 
-def radical_membership(f: MPoly, gens, gb: GroebnerBasis | None = None) -> bool:
-    """Rabinowitsch test: f lies in the radical iff 1 is in I + (1 - t*f)."""
-    gens = [g for g in gens if g]
+def radical_membership(f: MPoly, G: GroebnerBasis) -> bool:
+    """Whether f lies in the radical of the ideal with Groebner basis G:
+    first whether f, f^2 or f^4 lies in it, a sound shortcut; then the
+    Rabinowitsch test, which asks whether 1 is in (G) + (1 - t*f)."""
+    if f.ring is not G.ring:
+        f = transport(f, G.ring)
     if f.is_zero():
         return True
-    if not gens:
-        return False
-    ring = gens[0].ring
-    if f.ring is not ring:
-        f = transport(f, ring)
-    if gb is not None:
-        # sound shortcut: small-power membership implies radical membership
-        power = f
-        for _ in range(3):
-            if normal_form(power, gb).is_zero():
-                return True
-            power = power * power
-    return buchberger(_rabinowitsch(gens, f)).is_unit_ideal()
+    power = f
+    for _ in range(3):
+        if normal_form(power, G).is_zero():
+            return True
+        power = power * power
+    return bool(G.minimal) and buchberger(_rabinowitsch(G.minimal, f)).is_unit_ideal()
 
 
 def ideal_intersection(I, J):

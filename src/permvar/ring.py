@@ -346,8 +346,9 @@ class _Pack:
         (degrevlex) field, ``cap - e``, which is the larger exponent.
         Fieldwise maxima of valid keys stay at or below the cap, so the
         result has every guard bit clear.  The degree field is then
-        ``tail*cap`` minus the complement fields' sum.  That sum adds the
-        fields two to a 32-bit lane and folds the lanes with one multiply:
+        ``tail*cap`` minus the complement fields' sum, 0 in lex, which has no
+        such field.  That sum adds the fields two to a 32-bit lane and folds
+        the lanes with one multiply:
         the top lane of the product holds the full sum, and every lane a
         partial sum, at most ``n*cap``.  That fits the 32-bit degree field,
         as every key's degree must (n*cap < 2^32 for n up to 131,076), so no
@@ -356,8 +357,6 @@ class _Pack:
         g, lv, w = self.guard, self._low_values, _WIDTH
         a = ka & self._values
         ag = a | g
-        if not self._tail:
-            return [b ^ (a ^ b) & ((d := (ag - b) & g) - (d >> w - 1) ^ lv) for b in masked]
         even, ones, top = self._lane_even, self._lane_ones, self._top_lane
         cap, shift, lane = self._cap_sum, self._deg_shift, 0xFFFFFFFF
         return [

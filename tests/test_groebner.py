@@ -426,9 +426,9 @@ def test_saturate_strategies_agree():
 def test_radical_membership_examples():
     R = ring_of("xy")
     x, y = R.gens()
-    assert radical_membership(x, [x**2])
-    assert not radical_membership(y, [x])
-    assert radical_membership(R.zero, [x])
+    assert radical_membership(x, buchberger([x**2]))
+    assert not radical_membership(y, buchberger([x]))
+    assert radical_membership(R.zero, buchberger([x]))
 
 
 def test_ideal_intersection_examples():
@@ -950,8 +950,8 @@ def test_lead_readers_build_no_reduced_basis(monkeypatch):
     assert ideal_dimension(G).codim == 4
     assert independent_set(G)
     assert normal_form(gens[0] * x11, G).is_zero()
-    assert radical_membership(gens[1], gens, gb=G)
-    assert not radical_membership(x11 + x12, gens, gb=G)
+    assert radical_membership(gens[1], G)
+    assert not radical_membership(x11 + x12, G)
     assert not G.is_unit_ideal()
     assert len(G) > 0
     assert calls == []
@@ -1202,6 +1202,16 @@ def test_unit_ideal_input():
     assert hilbert_numerator(G) == (0,)  # no standard monomials in the zero ring
 
 
+def test_hilbert_numerator_ends_at_its_last_nonzero_coefficient():
+    """The numerator's tuple is canonical: the recursion's trailing zeros
+    are trimmed, so equal numerators compare equal.  This lead ideal's
+    recursion ends with two zero coefficients."""
+    R = ring_of([f"v{i}" for i in range(4)], domain=GF(7))
+    exps = [(0, 1, 3, 1), (3, 3, 0, 1), (3, 2, 2, 3), (0, 3, 1, 1), (3, 3, 0, 2), (1, 0, 1, 1)]
+    G = buchberger([R.from_exp_dict({e: 1}) for e in exps])
+    assert hilbert_numerator(G) == (1, 0, 0, -1, 0, -2, 2)
+
+
 def test_ideal_file_roundtrip(tmp_path):
     from permvar.groebner import load_ideal_file
 
@@ -1334,6 +1344,19 @@ def test_contains_edge_cases(monkeypatch):
     assert tops == [3, math.inf]
     assert contains([x**2], [R.zero, x**3]) and not contains([x**2], [R.zero, x])
     assert tops == [3, math.inf, 3, 1]
+
+
+def test_contains_on_the_zero_ideal(monkeypatch):
+    """No generator, or zeros only, is the zero ideal, as an intersection
+    with it returns: it holds no nonzero polynomial and answers a question
+    of zeros only, with no loop run."""
+    R = ring_of("xy")
+    x, y = R.gens()
+    tops = _spy_tops(monkeypatch)
+    assert not contains([], [x]) and not contains([R.zero], [x, y])
+    assert contains([], []) and contains([], [R.zero])
+    assert not contains(ideal_intersection([x], [R.zero]), [x])
+    assert tops == []
 
 
 def test_content_step_checks_the_budget_first(monkeypatch):

@@ -149,7 +149,10 @@ def ref_hilbert_numerator(gens):
         memo[ms] = out
         return out
 
-    return tuple(num(minimalize(tuple(g) for g in gens)))
+    out = num(minimalize(tuple(g) for g in gens))
+    while len(out) > 1 and not out[-1]:
+        out = out[:-1]
+    return tuple(out)
 
 
 def ref_standard_monomials(G):
