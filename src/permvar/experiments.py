@@ -18,6 +18,7 @@ from functools import cache, reduce
 from importlib import resources
 from itertools import combinations, combinations_with_replacement, islice
 from math import comb, factorial, prod
+from typing import NamedTuple
 
 from . import __version__, linalg
 from .budget import Budget, check
@@ -324,11 +325,21 @@ def _distinct(rows):
     return np.unique(rows[rows.any(1)], axis=0)
 
 
-def _minor_rows(M: PolyMatrix, h: int):
-    """``(D, rows)`` for the h x h minors of M, a PolyMatrix over ZZ with
-    entries homogeneous of one degree e (a list is the form for mixed
-    degrees): D = h e, and an int64 array of each minor's coefficients over
-    ``_monomials(D, nvars)``, a row each in ``matrix_minors`` order.
+class MinorRows(NamedTuple):
+    """The h x h minors of a matrix, expanded over ZZ by ``_minor_rows``."""
+
+    degree: int  # D, the minors' common degree
+    rows: object  # int64 array, a row of coefficients over _monomials(D, nvars) per minor
+    nvars: int
+
+
+def _minor_rows(M: PolyMatrix, h: int) -> MinorRows:
+    """The h x h minors of M, a PolyMatrix over ZZ with entries homogeneous
+    of one degree e (a list of forms is the certificate's input for mixed
+    degrees): their degree D = h e, an int64 array of each minor's
+    coefficients over ``_monomials(D, nvars)``, a row each in
+    ``matrix_minors`` order, and the number of variables.  Expanded once,
+    they are the certificate's input at every prime.
 
     The k x k minors come from the (k-1) x (k-1) ones by expansion along
     their first row: for each position t, one gather of the entries
@@ -364,7 +375,7 @@ def _minor_rows(M: PolyMatrix, h: int):
             for a in entry.any(1).nonzero()[0]:
                 total[shift[:, a]] += entry[a] * minor
         minors, index = total, {key: i for i, key in enumerate(keys)}
-    return h * e, minors.T
+    return MinorRows(h * e, minors.T, nvars)
 
 
 def _coefficient_rows(gens, p: int) -> dict:
@@ -398,12 +409,13 @@ def _macaulay_matrix(rows: dict, d: int, m: int, p: int):
     return M
 
 
-def homogeneous_dim0_certificate(gens, p: int, max_degree: int = 60, minors=None):
+def homogeneous_dim0_certificate(gens, p: int, max_degree: int = 60):
     """Smallest d with the full degree-d monomial space inside the ideal.
 
     ``gens`` are homogeneous polynomials over ZZ, QQ or F_p in m variables,
-    or (M, h) for the h x h minors of the PolyMatrix M (``_minor_rows``).
-    Either is ranked exactly in its Macaulay matrices M_d mod p.  Rank N_d,
+    or the minors of a matrix as ``_minor_rows`` expands them over ZZ, which
+    are reduced mod p here.  Either is ranked exactly in its Macaulay
+    matrices M_d mod p.  Rank N_d,
     the number of degree-d monomials, is a fill: the ideal mod p is
     zero-dimensional, and for generators over ZZ or QQ so is their ideal
     over QQ, since a full-rank M_d mod p is full rank over QQ.  As many
@@ -413,16 +425,14 @@ def homogeneous_dim0_certificate(gens, p: int, max_degree: int = 60, minors=None
     inconclusive: no nonzero generator, no fill up to max_degree, or a
     deficiency N_d - rank that stopped shrinking for STALL_LIMIT straight
     degrees.  The open budget is checked before each degree (GroebnerTimeout,
-    phase ``"macaulay"``).  ``minors``, if given, is ``_minor_rows(M, h)``.
+    phase ``"macaulay"``).
     """
-    if not gens:
-        return None
-    m = len(gens[0].ring.universe)
-    if isinstance(gens[0], PolyMatrix):
-        D, zz = minors or _minor_rows(*gens)
-        rows = {D: _distinct(zz % p)}
+    if isinstance(gens, MinorRows):
+        m, rows = gens.nvars, {gens.degree: _distinct(gens.rows % p)}
+    elif gens:
+        m, rows = len(gens[0].ring.universe), _coefficient_rows(gens, p)
     else:
-        rows = _coefficient_rows(gens, p)
+        return None
     degrees = [dg for dg, g in rows.items() for _ in g]
     if not degrees:
         return None
@@ -657,27 +667,25 @@ def _saturation_j3(F) -> dict:
 
 
 def _run_kirkup_vanish(spec, cfg):
-    vanish = {}
+    vanish, mats = {}, {}
     for k in spec.params["k"]:
         # the constructor checks the vanishing with the column-subset
         # expansion; Ryser, a second engine, checks it again here
-        rows = kirkup_matrix(k)
+        rows = mats[k] = kirkup_matrix(k)
         vanish[str(k)] = all(
             perm_numeric([[r[c] for c in range(k + 1) if c != j] for r in rows]) == 0
             for j in range(k + 1)
         )
-    return {"vanish": vanish, "prk_3": prk(kirkup_matrix(3))}, True
+    return {"vanish": vanish, "prk_3": prk(mats.get(3) or kirkup_matrix(3))}, True
 
 
 def _run_kirkup_b1(spec, cfg):
-    ranks = {}
-    for k in spec.params["k"]:
-        rep = classify_type(kirkup_matrix(k)[1:], "B1")
-        ranks[str(k)] = {"rank": rep.rank, "type": rep.type}
-    K3 = kirkup_matrix(3)
-    rep3 = classify_type(K3[1:], "B1")
-    kernel = [list(v) for v in rep3.kernel_basis]
-    ext = kernel_extension_check(K3[1:], tuple(kernel[0])) if kernel else False
+    # each point once, k = 3 last when unregistered: kernel_3 is measured whatever k is run
+    points = {k: kirkup_matrix(k)[1:] for k in dict.fromkeys([*spec.params["k"], 3])}
+    reps = {k: classify_type(A, "B1") for k, A in points.items()}
+    ranks = {str(k): {"rank": reps[k].rank, "type": reps[k].type} for k in spec.params["k"]}
+    kernel = [list(v) for v in reps[3].kernel_basis]
+    ext = kernel_extension_check(points[3], tuple(kernel[0])) if kernel else False
     return {"ranks": ranks, "kernel_3": kernel, "extension_check": ext}, True
 
 
@@ -754,8 +762,7 @@ def _probe_points(spec, cfg):
     """The seeded probes of the derived-matrix cases, one batch per shape:
     per k, ``trials`` random points of shape (k-1) x (k+1) (the B1 shape),
     then as many of shape (k-2) x k (the L shape, when k > 2), entries in
-    -9..9.  Its readers check the budget before testing each point's matrix,
-    so a batch's draws and its one expansion run between two checks."""
+    -9..9.  ``_probe_matrices`` walks them."""
     rng = random.Random(cfg.seed)
     for k in spec.params["k"]:
         for m, n in ((k - 1, k + 1), (k - 2, k)):
@@ -764,38 +771,40 @@ def _probe_points(spec, cfg):
             yield _matrices(rng, spec.params["trials"], m, n, -9, 9)
 
 
-def _probe_matrices(batch):
-    """The derived matrices of a probe batch, the first and last of them
-    checked against ``derivative_matrices`` of that point alone, which
-    expands without lanes.  A lanewise fault that keeps symmetry, a zero
-    diagonal and rank above one would pass the cases without this check."""
-    mats = derivative_matrices(batch)
-    for t in (0, -1):
-        if mats[t] != derivative_matrices([batch[t]])[0]:
-            raise InternalConsistencyError(
-                f"batched derived matrix of a {len(batch[t])}-row probe point "
-                "differs from its own expansion"
-            )
-    return mats
+def _probe_matrices(spec, cfg):
+    """The derived matrices of the ``_probe_points`` probes, in order, each
+    yielded after a budget check (phase ``"probe"``): so a batch's draws
+    and its one expansion run between two checks.  Of each batch, the first
+    and last matrices are checked against ``derivative_matrices`` of that
+    point alone, which expands without lanes.  A lanewise fault that keeps
+    symmetry, a zero diagonal and rank above one would pass the cases
+    without this check."""
+    for batch in _probe_points(spec, cfg):
+        mats = derivative_matrices(batch)
+        for t in (0, -1):
+            if mats[t] != derivative_matrices([batch[t]])[0]:
+                raise InternalConsistencyError(
+                    f"batched derived matrix of a {len(batch[t])}-row probe point "
+                    "differs from its own expansion"
+                )
+        for B in mats:
+            check("probe")
+            yield B
 
 
 def _run_derivative_symmetry(spec, cfg):
     ok = True
-    for batch in _probe_points(spec, cfg):
-        for B in _probe_matrices(batch):
-            check("probe")
-            if any(row[i] for i, row in enumerate(B)) or B != [list(col) for col in zip(*B)]:
-                ok = False
+    for B in _probe_matrices(spec, cfg):
+        if any(row[i] for i, row in enumerate(B)) or B != [list(col) for col in zip(*B)]:
+            ok = False
     return {"symmetric_zero_diagonal": ok}, True
 
 
 def _run_rank_never_one(spec, cfg):
     seen = False
-    for batch in _probe_points(spec, cfg):
-        for B in _probe_matrices(batch):
-            check("probe")
-            if linalg.rank_is_one(B):
-                seen = True
+    for B in _probe_matrices(spec, cfg):
+        if linalg.rank_is_one(B):
+            seen = True
     return {"rank_one_seen": seen}, True
 
 
@@ -845,16 +854,14 @@ def _run_script_5x6(spec, cfg):
     by the certificate over each prime.  The minors are expanded over ZZ
     once, and each prime reduces them.  ``distinct_minors`` counts their
     distinct nonzero coefficient rows mod the first prime."""
-    source = (_script_slice(5, SCRIPT_5X6_A), 3)
-    minors = _minor_rows(*source)
+    minors = _minor_rows(_script_slice(5, SCRIPT_5X6_A), 3)
     # a fill at the first prime gives the codimension, the number of
     # variables; the primes agree only if every one of them fills
     filled, agree = _per_prime(
-        cfg.primes,
-        lambda F: homogeneous_dim0_certificate(source, F.modulus, minors=minors) is not None,
+        cfg.primes, lambda F: homogeneous_dim0_certificate(minors, F.modulus) is not None
     )
-    codim = len(source[0].ring.universe) if filled else None
-    distinct = len(_distinct(minors[1] % cfg.prime))
+    codim = minors.nvars if filled else None
+    distinct = len(_distinct(minors.rows % cfg.prime))
     return {"distinct_minors": distinct, "minors3_codim": codim}, agree and filled
 
 

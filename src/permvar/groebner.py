@@ -102,7 +102,7 @@ from fractions import Fraction
 from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import accumulate
-from math import gcd, inf, lcm
+from math import gcd, inf
 from operator import itemgetter
 
 from . import budget
@@ -114,7 +114,7 @@ from .errors import (
     PreconditionError,
     StructuralError,
 )
-from .linalg import _primitive as _primitive_vector
+from .linalg import _integer_scaled, _primitive as _primitive_vector
 from .ring import (
     _FIELD_CAP,
     _WIDTH,
@@ -368,8 +368,8 @@ def _integer_terms(f: MPoly) -> tuple:
     QQ den is the lcm of f's denominators."""
     if f.ring.domain.kind != "rat":
         return f.terms, 1
-    den = lcm(*(c.denominator for _, c in f.terms))
-    return tuple((k, c.numerator * (den // c.denominator)) for k, c in f.terms), den
+    ints, den = _integer_scaled([c for _, c in f.terms])
+    return tuple(zip([k for k, _ in f.terms], ints)), den
 
 
 def _reducer_terms(red: dict, ring) -> tuple:
@@ -377,7 +377,8 @@ def _reducer_terms(red: dict, ring) -> tuple:
     descending order: over QQ divided by its content, with a positive lead
     (as ``linalg`` makes kernel vectors), and over F_p made monic.  The
     content's gcd and division over QQ can take seconds on big integers, so
-    the open budget is checked before them (phase ``"content"``)."""
+    the open budget is checked before them and between their entries
+    (phase ``"content"``, see ``linalg._primitive``)."""
     items = sorted(red.items(), reverse=True)
     if ring.domain.kind == "rat":
         budget.check("content")
@@ -604,7 +605,6 @@ def _buchberger(gens, top=inf) -> GroebnerBasis:
     """``buchberger``'s pair loop, stopped before its first pair of sugar
     above ``top``: for homogeneous ``gens`` the basis of the ideal up to
     degree ``top`` (see ``contains``)."""
-    gens = [g for g in gens if g is not None]
     if not gens:
         raise StructuralError("empty generator list")
     ring = gens[0].ring

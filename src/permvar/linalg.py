@@ -29,16 +29,6 @@ def _dims(rows):
     return m, n
 
 
-def _integer_rows(rows):
-    """Each row scaled by the lcm of its denominators: an integer matrix with
-    the same row space over QQ.  Entries must be ints or Fractions."""
-    out = []
-    for r in rows:
-        den = lcm(*[x.denominator for x in r])
-        out.append([index(x.numerator) * (den // x.denominator) for x in r])
-    return out
-
-
 def _clear(a, i, pr, col, p=None):
     """Replace row i by pr[col]*a[i] - a[i][col]*pr: reduced mod ``p`` when a
     modulus is given, else made primitive."""
@@ -62,7 +52,7 @@ def _echelon(rows, p=None):
     The open budget is checked before each column (phase ``"elimination"``).
     """
     m, n = _dims(rows)
-    a = [[x % p for x in r] for r in rows] if p else _integer_rows(rows)
+    a = [[x % p for x in r] for r in rows] if p else [_integer_scaled(r)[0] for r in rows]
     pivots = []
     for col in range(n):
         check("elimination", {"column": col, "rank": len(pivots)})
@@ -152,16 +142,34 @@ def kernel_basis(rows):
     return rank_kernel(rows)[1]
 
 
+def _integer_scaled(values):
+    """``(ints, den)``: ``values``, ints and Fractions, times den, the lcm of
+    their denominators.  A row so scaled has the same row space over QQ."""
+    den = lcm(*[x.denominator for x in values])
+    return [index(x.numerator) * (den // x.denominator) for x in values], den
+
+
 def _primitive(ints):
-    g = gcd(*ints)
-    if g > 1:
-        ints = [x // g for x in ints]
+    """``ints`` divided by their content, the first nonzero entry made
+    positive.  The gcd and the division go one entry at a time, the open
+    budget checked between entries (phase ``"content"``): on entries of
+    hundreds of thousands of bits each step can take a tenth of a second.
+    The gcd stops at the first partial gcd of 1."""
+    g = 0
     for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
+        g = gcd(g, x)
+        if g == 1:
             break
-    return ints
+        check("content")
+    if next((x for x in ints if x), 0) < 0:
+        g = -g  # so the division also makes the first nonzero entry positive
+    if g in (0, 1):
+        return ints
+    quotients = []
+    for x in ints:
+        quotients.append(x // g)
+        check("content")
+    return quotients
 
 
 # ---------------------------------------------------------------------------

@@ -279,9 +279,8 @@ class GenericMatrixSpec:
     period: int | None = None  # circulant only: number of distinct variables
 
     def __post_init__(self):
-        h = self.h if self.h is not None else self.k
-        if h > min(self.k, self.n):
-            raise StructuralError(f"h={h} exceeds min{self.k, self.n}")
+        if self.perm_size > min(self.k, self.n):
+            raise StructuralError(f"h={self.perm_size} exceeds min{self.k, self.n}")
         if self.pattern not in ("generic", "hankel2xn", "circulant"):
             raise StructuralError(f"unknown pattern {self.pattern!r}")
         if self.pattern == "hankel2xn" and self.k != 2:

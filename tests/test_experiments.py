@@ -22,6 +22,7 @@ from permvar.experiments import (
     _each_value,
     _line_in_component,
     _matches,
+    _minor_rows,
     _partition_sum_ideals,
     _per_prime,
     _script_slice,
@@ -636,12 +637,57 @@ def test_inconclusive_certificate_is_no_agreement(monkeypatch):
     spec, cfg = registry()["script-5x6"], CliConfig()
     for fills, codim, agree in (((), None, False), ((cfg.prime,), 4, False), (cfg.primes, 4, True)):
 
-        def certificate(gens, p, fills=fills, minors=None):
+        def certificate(gens, p, fills=fills):
             return 13 if p in fills else None  # a fill degree, or inconclusive
 
         monkeypatch.setattr(experiments, "homogeneous_dim0_certificate", certificate)
         measured, ok = experiments._run_script_5x6(spec, cfg)
         assert (measured["minors3_codim"], ok) == (codim, agree)
+
+
+def _count_classifications(monkeypatch):
+    from permvar import experiments
+
+    points, classify = [], experiments.classify_type
+    monkeypatch.setattr(
+        experiments, "classify_type", lambda A, mode: points.append(A) or classify(A, mode)
+    )
+    return points
+
+
+def test_kirkup_b1_classifies_each_point_once(monkeypatch):
+    """kirkup-b1-rank classifies one Kirkup point per registered k, 3
+    included, and reads kernel_3 off the classification of k = 3: six
+    classifications for k = 3..8, none repeated."""
+    points = _count_classifications(monkeypatch)
+    rep = reproduce("kirkup-b1-rank")
+    assert rep.passed and rep.measured["kernel_3"] == [[1, 1, 1, -7]]
+    assert len(points) == len(registry()["kirkup-b1-rank"].params["k"]) == 6
+    assert len({str(A) for A in points}) == 6
+
+
+def test_kirkup_b1_narrowed_past_3_still_measures_kernel_3(monkeypatch):
+    """With k narrowed to 5, the point of k = 3 is still built and
+    classified for kernel_3 and its extension check."""
+    points = _count_classifications(monkeypatch)
+    rep = reproduce("kirkup-b1-rank", k=5)
+    assert rep.passed and rep.measured["kernel_3"] == [[1, 1, 1, -7]]
+    assert rep.measured["extension_check"] is True
+    assert [len(A) for A in points] == [4, 2]  # k = 5, then k = 3
+
+
+def test_kirkup_vanish_builds_each_matrix_once(monkeypatch):
+    """kirkup-vanish builds (and so verifies) each registered Kirkup matrix
+    once, prk_3 reading the one of k = 3; narrowed past 3, it builds that
+    one as well."""
+    from permvar import experiments
+
+    built, build = [], experiments.kirkup_matrix
+    monkeypatch.setattr(experiments, "kirkup_matrix", lambda k: built.append(k) or build(k))
+    assert reproduce("kirkup-vanish").passed
+    assert built == registry()["kirkup-vanish"].params["k"]
+    built.clear()
+    assert reproduce("kirkup-vanish", k=4).passed and built == [4, 3]
 
 
 def test_script_5x6_expands_its_minors_once(monkeypatch):
@@ -815,15 +861,17 @@ def test_script_5x6_passes_at_small_primes():
 def test_script_5x6_above_2_31_honours_its_budget():
     """Past 2**31 ``rank_modp_numpy`` hands M_13 (840 x 560) to the
     pure-Python elimination, which checks the open budget before each
-    column: the certificate stops within the budget, not after the rank."""
+    column: the certificate stops within the budget, not after the rank.
+    The minors are expanded before the budget opens, as the case does
+    before its certificates."""
     import time
 
     from permvar.errors import GroebnerTimeout
 
-    source = (_script_slice(5, SCRIPT_5X6_A), 3)
+    minors = _minor_rows(_script_slice(5, SCRIPT_5X6_A), 3)
     t0 = time.monotonic()
     with pytest.raises(GroebnerTimeout) as err, Budget(2):
-        homogeneous_dim0_certificate(source, (1 << 61) - 1)
+        homogeneous_dim0_certificate(minors, (1 << 61) - 1)
     assert time.monotonic() - t0 < 10
     assert err.value.stats["phase"] == "elimination"
 

@@ -1382,3 +1382,31 @@ def test_content_step_checks_the_budget_first(monkeypatch):
     with Budget(60):
         G = buchberger(over_prime(gens, P1))
     assert len(G) >= 2
+
+
+def test_content_step_checks_the_budget_between_coefficients(monkeypatch):
+    """A long remainder of big coefficients with a big common factor: its
+    content's gcd and division go one coefficient at a time, the budget
+    checked between them, so a check that expires at its second call stops
+    the step after its first gcd, far before its last."""
+    from permvar import linalg
+
+    R = ring_of("x")
+    (x,) = R.gens()
+    keys = [k for k, _ in sum((x**i for i in range(40)), R.zero).terms]
+    red = {k: 3**5000 * (2 * i + 1) for i, k in enumerate(reversed(keys))}
+    assert [c for _, c in groebner._reducer_terms(red, R)] == list(range(79, 0, -2))
+    calls, gcds = [], []
+
+    def check(phase, stats=None):
+        calls.append(phase)
+        if calls.count("content") == 2:
+            raise budget.expired(phase, stats)
+
+    monkeypatch.setattr(budget, "check", check)
+    monkeypatch.setattr(linalg, "check", check)
+    monkeypatch.setattr(linalg, "gcd", lambda *a: gcds.append(a) or math.gcd(*a))
+    with pytest.raises(GroebnerTimeout) as exc, Budget(60):
+        groebner._reducer_terms(red, R)
+    assert exc.value.stats["phase"] == "content"
+    assert calls == ["content", "content"] and len(gcds) == 1

@@ -241,8 +241,8 @@ def test_minor_rows_are_the_symbolic_minors(p):
     """The h x h minors of a 3 x 4 matrix of linear forms, h = 1, 2, 3, by
     ``_minor_rows``: row for row the coefficients of ``matrix_minors`` over
     ZZ, and mod p those of the minors moved into F_p; the certificate of
-    (M, h) is that of the list of its minors.  Entries of mixed degree, or
-    over QQ, are refused: a list is the form for those."""
+    the expanded minors is that of the list of them.  Entries of mixed
+    degree, or over QQ, are refused: a list is the form for those."""
     R = PolyRing(VarUniverse.free(["x", "y", "z"]), ZZ)
     x, y, z = R.gens()
     rng = random.Random(p)
@@ -252,20 +252,18 @@ def test_minor_rows_are_the_symbolic_minors(p):
 
     M = PolyMatrix([[form() for _ in range(4)] for _ in range(3)])
     for h in (1, 2, 3):
-        D, rows = _minor_rows(M, h)
-        assert D == h and rows.dtype == np.int64
+        D, rows, nvars = expanded = _minor_rows(M, h)
+        assert D == h and nvars == 3 and rows.dtype == np.int64
         assert rows.tolist() == coefficients(matrix_minors(h, M), h, 3)
         assert (rows % p).tolist() == coefficients(over_prime(matrix_minors(h, M), p), h, 3)
         minors = [g for g in matrix_minors(h, M) if g]
-        cert = homogeneous_dim0_certificate((M, h), p, max_degree=8)
+        cert = homogeneous_dim0_certificate(expanded, p, max_degree=8)
         assert cert == homogeneous_dim0_certificate(minors, p, max_degree=8)
     squared = PolyMatrix([[e * e if e == M[0, 0] else e for e in row] for row in M.rows])
     rational = PolyMatrix([[transport(e, R.with_domain(QQ)) for e in row] for row in M.rows])
     for bad in (squared, rational):
         with pytest.raises(PreconditionError):
             _minor_rows(bad, 2)
-        with pytest.raises(PreconditionError):
-            homogeneous_dim0_certificate((bad, 2), p)
 
 
 @pytest.mark.parametrize("p", PRIMES[1:], ids=["2^31-1", "2^61-1"])
@@ -294,7 +292,7 @@ def test_minor_values_of_higher_degree_entries_near_the_int64_limit(degree, p):
         while (L + 1) ** h <= bound:
             L += 1
         M = PolyMatrix([[form(L) for _ in range(4)] for _ in range(3)])
-        D, rows = _minor_rows(M, h)
+        D, rows, _ = _minor_rows(M, h)
         symbolic = matrix_minors(h, M)
         assert D == h * degree and rows.tolist() == coefficients(symbolic, D, 3)
         assert (rows % p).tolist() == coefficients(over_prime(symbolic, p), D, 3)
@@ -314,9 +312,10 @@ def test_certificate_zero_mod_p_generators_are_dropped():
     assert homogeneous_dim0_certificate(gens, 7) == 4
     assert homogeneous_dim0_certificate(gens, 11) == 3
     M = PolyMatrix([[7 * x * y, x**2, y**2, 14 * (x * x + y * y)]])
-    assert len(_distinct(_minor_rows(M, 1)[1] % 7)) == 2
-    assert homogeneous_dim0_certificate((M, 1), 7) == 3  # x^2, y^2: Macaulay's degree
-    assert homogeneous_dim0_certificate((M, 1), 11) == 2
+    minors = _minor_rows(M, 1)
+    assert len(_distinct(minors.rows % 7)) == 2
+    assert homogeneous_dim0_certificate(minors, 7) == 3  # x^2, y^2: Macaulay's degree
+    assert homogeneous_dim0_certificate(minors, 11) == 2
 
 
 @pytest.mark.parametrize("p", [101, (1 << 61) - 1])
@@ -330,7 +329,7 @@ def test_certificate_ranks_each_distinct_value_row_once(monkeypatch, p):
     M = PolyMatrix([[x, y], [x, y], [y, x], [x, R.zero]])
     ranked, rank = [], linalg.rank_modp_numpy
     monkeypatch.setattr(linalg, "rank_modp_numpy", lambda E, q: ranked.append(len(E)) or rank(E, q))
-    assert homogeneous_dim0_certificate((M, 2), p) == 2
+    assert homogeneous_dim0_certificate(_minor_rows(M, 2), p) == 2
     assert ranked == [3]
 
 
@@ -341,7 +340,7 @@ def test_degrees_above_the_prime_fill():
     R = PolyRing(VarUniverse.free(["x", "y"]), ZZ)
     x, y = R.gens()
     assert homogeneous_dim0_certificate([x**3, y**2], 3) == 4
-    assert homogeneous_dim0_certificate((PolyMatrix([[x**3, y**3]]), 1), 3) == 5
+    assert homogeneous_dim0_certificate(_minor_rows(PolyMatrix([[x**3, y**3]]), 1), 3) == 5
     assert symbolic_rank([x**3, y**3], 4, 3) == 4 < comb(5, 1)
 
 
@@ -362,12 +361,13 @@ def test_script_5x6_minor_rows_match_symbolic_minors():
     p = CliConfig().prime
     M = _script_slice(5, SCRIPT_5X6_A)
     symbolic = matrix_minors(3, M)
-    D, rows = _minor_rows(M, 3)
-    assert D == 12 and rows.tolist() == coefficients(symbolic, 12, 4)
+    expanded = _minor_rows(M, 3)
+    D, rows, nvars = expanded
+    assert D == 12 and nvars == 4 and rows.tolist() == coefficients(symbolic, 12, 4)
     minors = list({q.terms: q for q in over_prime(symbolic, p) if q}.values())
     distinct = {D: _distinct(rows % p)}
     assert len(minors) == len(distinct[D]) == 210
     for d, want in ((12, 175), (13, 560)):
         assert linalg.rank_modp_numpy(_macaulay_matrix(distinct, d, 4, p), p) == want
         assert symbolic_rank(minors, d, p) == want
-    assert homogeneous_dim0_certificate((M, 3), p) == 13
+    assert homogeneous_dim0_certificate(expanded, p) == 13

@@ -1,7 +1,8 @@
-"""Every public module-level function and every public method of a
-module-level class in permvar is used by the package itself (a case, the CLI
-or another library function), or is on the allow-list below with the reason
-it is kept. A new helper that only its own tests call fails here."""
+"""Every module-level function and every method of a module-level class in
+permvar, public or private (dunders aside), is used by the package itself (a
+case, the CLI or another library function), or is on the allow-list below
+with the reason it is kept. A new helper that only its own tests call, or a
+private helper a merge left behind, fails here."""
 
 import ast
 from collections import Counter
@@ -66,9 +67,13 @@ def _definitions(tree):
                     yield f"{top.name}.{node.name}", node
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _unreferenced(trees: dict) -> set:
-    """``module.name`` for each public function or method that is used
-    nowhere outside its own definition."""
+    """``module.name`` for each function or method, public or private but no
+    dunder, that is used nowhere outside its own definition."""
     aliases = {mod: _module_aliases(tree, set(trees)) for mod, tree in trees.items()}
     uses = Counter()
     for mod, tree in trees.items():
@@ -78,7 +83,7 @@ def _unreferenced(trees: dict) -> set:
         for qual, node in _definitions(tree):
             key = (None if "." in qual else mod, node.name)
             own = _uses(node, mod, aliases[mod])[key]
-            if not node.name.startswith("_") and uses[key] == own:
+            if not _is_dunder(node.name) and uses[key] == own:
                 unused.add(f"{mod}.{qual}")
     return unused
 
@@ -164,6 +169,24 @@ def test_detector_covers_methods():
     assert _unreferenced({"m": ast.parse(src)}) == {"m.C.lonely", "m.f"}
 
 
+def test_detector_covers_private_helpers():
+    """A private function or method that nothing else calls is found dead as
+    a public one is, whether it is used in its own module or imported by
+    another; a dunder is called by Python itself and never reported."""
+    a = (
+        "class C:\n"
+        "    def __init__(self):\n        self._used()\n"
+        "    def __eq__(self, other):\n        return True\n"
+        "    def _used(self):\n        return 1\n"
+        "    def _lonely(self):\n        return self._lonely()\n"
+        "def _orphan(rows):\n    return rows\n"
+        "def _shared():\n    return C()\n"
+    )
+    b = "from .a import _shared\nvalue = _shared()\n"
+    trees = {"a": ast.parse(a), "b": ast.parse(b)}
+    assert _unreferenced(trees) == {"a.C._lonely", "a._orphan"}
+
+
 def test_detector_is_not_fooled_by_a_shared_name():
     """A method named like ``operator.mul`` and a function named like a class
     attribute are still found dead: an attribute of an imported module is not
@@ -188,6 +211,7 @@ def test_detector_is_not_fooled_by_a_shared_name():
 
 
 def test_every_public_function_is_used_or_allowed():
+    """Private helpers included: a merge that leaves one uncalled fails here."""
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     unused = _unreferenced(trees)
     assert not unused - set(ALLOWED), sorted(unused - set(ALLOWED))
