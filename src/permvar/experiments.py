@@ -394,8 +394,9 @@ def _macaulay_matrix(rows: dict, d: int, m: int, p: int):
     """M_d mod p: the coefficients of x^a g for each row g in ``rows``, of
     degree dg, and each x^a of degree d - dg; a column per degree-d
     monomial, coded base d + 1, so x^a g's codes are x^a's plus g's: one
-    searchsorted per degree.  Filled in place, int32 below 2**31: half the
-    memory of the int64 copy that ``rank_modp_numpy`` makes."""
+    searchsorted per degree.  Filled in place, int32 below 2**31, the
+    dtype of the transposed residues that ``rank_modp_numpy`` works on, so
+    the matrix and that copy take the same memory."""
     import numpy as np
 
     columns, top = _codes(d, m, d + 1), 0

@@ -794,8 +794,6 @@ def ideal_dimension(G: GroebnerBasis) -> DimensionReport:
     numerator of the leading-term ideal: the one test of the dimension, and
     so of zero-dimensionality."""
     n = len(G.ring.universe)
-    if n > 30:
-        raise PreconditionError("lead-ideal invariants capped at 30 variables")
     if G.is_unit_ideal():
         # empty scheme: no degree is reported
         return DimensionReport(-1, n + 1, None)
@@ -809,14 +807,19 @@ def independent_set(G: GroebnerBasis) -> tuple:
     witness of the dimension d that ``ideal_dimension`` reads off the Hilbert
     numerator (empty when d <= 0).  The include-first search in index order
     stops at the first set of size d; finding none means the numerator and
-    the leads disagree."""
+    the leads disagree.  The search is exhaustive, so it refuses rings of
+    more than 30 variables (PreconditionError), and it checks the open
+    budget at each step (phase ``"independent set"``)."""
+    n = len(G.ring.universe)
+    if n > 30:
+        raise PreconditionError("the independent-set search is capped at 30 variables")
     d = ideal_dimension(G).dim
     if d <= 0:
         return ()
-    n = len(G.ring.universe)
     supports = [sum(1 << i for i, e in enumerate(exps) if e) for exps in G.lead_ideal]
 
     def extend(S: int, idx: int, size: int):
+        budget.check("independent set", {"variable": idx, "size": size})
         if size == d:
             return S
         if size + (n - idx) < d:

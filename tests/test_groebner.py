@@ -244,6 +244,19 @@ def test_independent_set_refuses_a_numerator_the_leads_contradict():
         independent_set(G)
 
 
+def test_independent_set_search_honours_the_budget():
+    """With the numerator cached, a spent budget stops the exhaustive
+    search at its first step, in a phase of its own."""
+    R = ring_of([f"v{i}" for i in range(6)], domain=GF(P1))
+    v = R.gens()
+    G = buchberger([v[0] * v[1], v[2] * v[3] * v[4]])
+    assert ideal_dimension(G).dim == 4
+    with pytest.raises(GroebnerTimeout) as err, Budget(-1.0):
+        independent_set(G)
+    assert err.value.stats == {"phase": "independent set", "variable": 0, "size": 0}
+    assert independent_set(G) == ("v0", "v2", "v3", "v5")
+
+
 def test_quotient_degree_examples():
     R = ring_of("xy")
     x, y = R.gens()

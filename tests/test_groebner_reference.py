@@ -21,11 +21,15 @@ from itertools import product
 import pytest
 
 from permvar import groebner
+from permvar.errors import PreconditionError
 from permvar.groebner import (
+    DimensionReport,
     _first_divisor,
     _interreduce,
     buchberger,
     hilbert_numerator,
+    ideal_dimension,
+    independent_set,
     normal_form,
 )
 from permvar.ring import _FIELD_CAP, DEGREVLEX, GF, LEX, QQ, PolyRing, VarUniverse, block_order
@@ -464,6 +468,14 @@ def test_hilbert_numerator_matches_minimalizing_recursion():
     R, cap = _ring(3, GF(P), DEGREVLEX), _FIELD_CAP
     cases = [[(cap, 1, 0), (0, 1, 1), (0, 0, cap)], [(cap, 0, 0), (1, 1, 1), (0, 2, 1)]]
     monomials = [[R.from_exp_dict({e: 1}) for e in exps] for exps in cases]
+    for gens in monomials + [_wide_monomial_ideal(rng)]:
+        G = buchberger(gens)
+        assert hilbert_numerator(G) == ref_hilbert_numerator(G.lead_ideal)
+    assert sum(1 for e in G.lead_ideal if sum(map(bool, e)) > 1) > 5
+
+
+def _wide_monomial_ideal(rng):
+    """14 monomials in 34 variables, each in 1 to 3 of them."""
     R = _ring(34, GF(P), DEGREVLEX)
     wide = []
     for _ in range(14):
@@ -471,7 +483,30 @@ def test_hilbert_numerator_matches_minimalizing_recursion():
         for i in rng.sample(range(34), rng.randint(1, 3)):
             e[i] = rng.randint(1, 3)
         wide.append(R.from_exp_dict({tuple(e): 1}))
-    for gens in monomials + [wide]:
-        G = buchberger(gens)
-        assert hilbert_numerator(G) == ref_hilbert_numerator(G.lead_ideal)
-    assert sum(1 for e in G.lead_ideal if sum(map(bool, e)) > 1) > 5
+    return wide
+
+
+def ref_monomial_codim(supports):
+    """The codimension of a monomial ideal: the fewest variables that meet
+    every generator's support (a smallest transversal), found by branching
+    on the variables of a support not yet met."""
+    if not supports:
+        return 0
+    return 1 + min(ref_monomial_codim([s for s in supports if v not in s]) for v in supports[0])
+
+
+def test_dimension_past_30_variables_matches_the_transversal():
+    """The Hilbert numerator decides the dimension in any ring, so
+    ``ideal_dimension`` takes the 34-variable monomial ideals of
+    ``test_hilbert_numerator_matches_minimalizing_recursion``'s construction;
+    only ``independent_set``'s exhaustive search stays capped at 30."""
+    for seed in (37, 38, 39):
+        G = buchberger(_wide_monomial_ideal(random.Random(seed)))
+        supports = [{i for i, x in enumerate(e) if x} for e in G.lead_ideal]
+        codim = ref_monomial_codim(supports)
+        # some variable meets two supports, so a transversal can be smaller
+        # than one variable per generator
+        assert sum(len(s) > 1 for s in supports) >= 5 and codim < len(supports)
+        assert ideal_dimension(G) == DimensionReport(34 - codim, codim, None)
+        with pytest.raises(PreconditionError, match="30 variables"):
+            independent_set(G)

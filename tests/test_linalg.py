@@ -409,3 +409,80 @@ def test_rows_in_any_order_multiply_the_same_tiles(monkeypatch):
         rank = linalg.rank_modp(ordered, P1)
         tiles = _multiplied_tiles(monkeypatch, rows, rank, 2 * W)
         assert tiles and tiles == _multiplied_tiles(monkeypatch, ordered, rank, 2 * W)
+
+
+# ---------------------------------------------------------------------------
+# the staircase: with the rows in lead order, rows from stop[j], the number
+# of rows of lead at most j, are zero in column j, so no step reaches them
+
+
+def _banded(rng, m, n, width):
+    """m rows of ``width`` nonzero residues from a lead, the leads spread
+    over every column: rank n."""
+    rows = []
+    for i in range(m):
+        c = i * n // m if i < m - n else i - (m - n)
+        rows.append([0] * c + [rng.randrange(1, P1) for _ in range(min(width, n - c))])
+        rows[-1] += [0] * (n - len(rows[-1]))
+    rng.shuffle(rows)
+    return rows
+
+
+def test_numpy_rank_peak_memory_stays_near_the_input():
+    """The working array holds int32 residues, and only a block being
+    eliminated or a tile being updated is widened: on a banded int32
+    matrix of the certificate's size the traced peak stays below 1.6 times
+    the input's bytes (an int64 working array alone is twice them)."""
+    import tracemalloc
+
+    import numpy as np
+
+    a = np.array(_banded(random.Random(48), 1100, 850, 24), dtype=np.int32)
+    tracemalloc.start()
+    try:
+        assert linalg.rank_modp_numpy(a, P1) == 850
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * a.nbytes
+
+
+def test_every_step_stays_inside_the_staircase_window(monkeypatch):
+    """Each _update target spans at most stop[c] - row rows of A, c the last
+    pivot column it applies and row the next free row; and no block of BASE
+    columns reads or writes its columns from the stop of its last column on:
+    those entries are set to -1, which no residue equals, while the block
+    runs, and must come back unchanged."""
+    import numpy as np
+    from bisect import bisect_right
+
+    rows = _banded(random.Random(9), 3 * W + 40, 3 * W, 6)
+    rows += [list(r) for r in rows[:20]] + [[0] * (3 * W)] * 3
+    leads = sorted(next((j for j, x in enumerate(r) if x), 3 * W) for r in rows)
+    stop = [bisect_right(leads, j) for j in range(3 * W)]
+    eliminate, update = linalg._eliminate, linalg._update
+    pivots, widths, poisoned = [], [], []
+
+    def bounded_eliminate(t, p, row, c0, c1, piv, *rest):
+        pivots[:] = [piv]
+        if c1 - c0 > B:
+            return eliminate(t, p, row, c0, c1, piv, *rest)
+        s = stop[c1 - 1]
+        t[c0:c1, s:] = -1
+        poisoned.append(t.shape[1] - s)
+        row = eliminate(t, p, row, c0, c1, piv, *rest)
+        assert (t[c0:c1, s:] == -1).all()
+        t[c0:c1, s:] = 0
+        return row
+
+    def bounded_update(x, f, b, p):
+        piv = pivots[0]
+        widths.append((x.shape[1], stop[piv[-1]] - len(piv), x.base.shape[1] - len(piv)))
+        update(x, f, b, p)
+
+    monkeypatch.setattr(linalg, "_eliminate", bounded_eliminate)
+    monkeypatch.setattr(linalg, "_update", bounded_update)
+    assert linalg.rank_modp_numpy(np.array(rows), P1) == linalg.rank_modp(rows, P1) == 3 * W
+    assert max(poisoned) > 0 and widths
+    assert all(width <= bound for width, bound, _ in widths)
+    assert any(bound < below for _, bound, below in widths)

@@ -179,3 +179,52 @@ def test_rank_modp_numpy_matches_rank_modp_on_sparse_matrices(case):
     before = arr.copy()
     assert linalg.rank_modp_numpy(arr, p) == linalg.rank_modp(A, p)
     assert np.array_equal(arr, before) and arr.dtype == before.dtype
+
+
+# The numpy kernel on staircases, where every step is bounded by the rows of
+# lead at most its column: banded rows on few distinct leads (so leads
+# repeat), duplicated rows, zero rows, and rows that are sums of two others
+# mod p (so the rank drops), shuffled.  Band entries are residues, small
+# integers or nonzero multiples of p (0 mod p, so a row's integer lead may
+# be 0 mod p), or all p - 1, the largest residue, which every write-back of
+# the int32 working array must keep.
+STAIRCASE_PRIMES = [2, 3, 1073741789, P]
+
+
+@st.composite
+def staircases(draw):
+    import random
+
+    p = draw(st.sampled_from(STAIRCASE_PRIMES))
+    largest = draw(st.booleans())
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    n = rng.randint(2 * W + 1, 3 * W + 8)
+    width, m = rng.randint(1, 12), rng.randint(W // 2, W + 40)
+    starts = rng.sample(range(n), rng.randint(2, n // 3))
+
+    def entry():
+        if largest:
+            return p - 1
+        return rng.choice([rng.randrange(p), rng.randint(-3, 3), p, -p])
+
+    A = []
+    for c in sorted(rng.choice(starts) for _ in range(m)):
+        A.append([0] * c + [rng.randrange(1, p)] + [entry() for _ in range(width)])
+        A[-1] = (A[-1] + [0] * n)[:n]
+    A += [list(rng.choice(A)) for _ in range(rng.randint(0, 10))]
+    A += [[0] * n for _ in range(rng.randint(0, 5))]
+    A += [[(x + y) % p for x, y in zip(*rng.sample(A, 2))] for _ in range(rng.randint(0, 10))]
+    rng.shuffle(A)
+    return A, p, draw(st.sampled_from(["int32", "int64"]))
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=40)
+@given(staircases())
+def test_rank_modp_numpy_matches_rank_modp_on_staircases(case):
+    import numpy as np
+
+    A, p, dtype = case
+    arr = np.array(A, dtype=dtype)
+    before = arr.copy()
+    assert linalg.rank_modp_numpy(arr, p) == linalg.rank_modp(A, p)
+    assert np.array_equal(arr, before)
