@@ -251,8 +251,11 @@ def _dim_payload(G, prime, cfg) -> dict:
         "seed": cfg.seed,
         "wall_ms": G.stats.get("wall_ms"),
         "basis_size": len(G),
-        "independent_set": list(independent_set(G)),
     }
+    try:
+        out["independent_set"] = list(independent_set(G))
+    except PreconditionError:  # the exhaustive search refuses rings past 30 variables
+        out["independent_set"] = None
     if rep.degree is not None:
         out["degree"] = rep.degree
     return out
@@ -282,9 +285,7 @@ def _run_saturate(args, cfg) -> int:
         f = math.prod(ring.gens(), start=ring.one)
     else:
         f = poly_from_text(args.by, ring)
-    sat = saturate(gens, f)
-    if sat:
-        sat = buchberger(sat).gens  # saturate gives generators; print the reduced basis
+    sat = buchberger(saturate(gens, f)).gens  # saturate gives generators; print the reduced basis
     _emit(args, {"generators": [g.text() for g in sat]}, [g.text() for g in sat])
     return 0
 

@@ -188,8 +188,7 @@ def transport(p: MPoly, ring: PolyRing) -> MPoly:
         terms.sort(reverse=True)
         return MPoly(ring, tuple(terms))
     same = p.domain == ring.domain
-    tgt_index = ring.universe.index
-    perm: dict = {}
+    at = [ring.universe.index.get(nm) for nm in src.names]  # None: not in the target
     n = len(ring.universe)
     unpack = p.ring.pack.unpack
     out = {}
@@ -197,14 +196,9 @@ def transport(p: MPoly, ring: PolyRing) -> MPoly:
         exps = [0] * n
         for i, e in enumerate(unpack(k)):
             if e:
-                j = perm.get(i)
-                if j is None:
-                    nm = src.names[i]
-                    j = tgt_index.get(nm)
-                    if j is None:
-                        raise DomainMismatchError(f"target universe lacks variable {nm!r}")
-                    perm[i] = j
-                exps[j] = e
+                if at[i] is None:
+                    raise DomainMismatchError(f"target universe lacks variable {src.names[i]!r}")
+                exps[at[i]] = e
         out[ring.pack.pack(exps)] = c if same else coerce(c)
     return ring.from_terms(out)
 
@@ -989,11 +983,12 @@ def saturate(gens, f: MPoly):
     A product of variables is saturated variable by variable.  Single
     variables use the degrevlex divide-through shortcut when the ideal is
     homogeneous, else one auxiliary variable t and elimination of the
-    Rabinowitsch relation 1 - t*f.
+    Rabinowitsch relation 1 - t*f.  The zero ideal is its own saturation,
+    ``[ring.zero]``; an empty list names no ring and gives ``[]``.
     """
+    if not any(gens):
+        return [gens[0].ring.zero] if gens else []
     gens = [g for g in gens if g]
-    if not gens:
-        return []
     ring = gens[0].ring
     if f.ring is not ring:
         f = transport(f, ring)
@@ -1067,12 +1062,13 @@ def ideal_intersection(I, J):
     """Generators of the intersection, via t*I + (1-t)*J and elimination.
 
     A list with no nonzero generator is the zero ideal, so intersecting with
-    it gives ``[]``.
+    it gives ``[ring.zero]``, and ``[]`` only when neither list holds a
+    polynomial, whose ring it could name.
     """
+    if not (any(I) and any(J)):
+        return [(I or J)[0].ring.zero] if I or J else []
     I = [g for g in I if g]
     J = [g for g in J if g]
-    if not I or not J:
-        return []
     ring = I[0].ring
     ext = _front_ring(ring)
     t = ext.gen(0)

@@ -2,7 +2,9 @@
 
 Everything here works on plain lists of lists holding ``int`` or
 ``fractions.Fraction`` entries (ints for the ``_modp`` variants).  One
-pure-Python fraction-free elimination serves ZZ, QQ and F_p.  The dense
+pure-Python fraction-free elimination serves ZZ, QQ and F_p: ``rank`` and
+``rank_modp`` count its pivots, and ``kernel_basis`` reads the null space
+off ``rref_fraction``, the elimination reduced to its RREF over QQ.  The dense
 numpy kernel ``rank_modp_numpy`` ranks integer matrices mod p < 2**31 by
 block-recursive Gaussian elimination: it searches pivots column by column
 only in blocks of a few columns, and takes every larger step as float64
@@ -93,29 +95,6 @@ def rank(rows):
     return len(_echelon(rows)[1])
 
 
-def rank_kernel(rows):
-    """Rank over QQ and a basis of the right null space, in one elimination.
-
-    The kernel vectors are primitive integer vectors (content 1) whose first
-    nonzero entry is positive, one per free column in increasing order.
-    """
-    a, pivots = _echelon(rows)
-    n = len(a[0]) if a else 0
-    free = [j for j in range(n) if j not in pivots]
-    if free:
-        _reduce(a, pivots)
-    basis = []
-    for f in free:
-        used = [(r, c) for r, c in enumerate(pivots) if a[r][f]]
-        den = lcm(*[a[r][c] for r, c in used])
-        v = [0] * n
-        v[f] = den
-        for r, c in used:
-            v[c] = -a[r][f] * (den // a[r][c])
-        basis.append(_primitive(v))
-    return len(pivots), basis
-
-
 def rank_is_one(rows) -> bool:
     """Whether the matrix has rank exactly 1, decided without elimination:
     some entry a[r][c] is nonzero, and every 2x2 minor through it vanishes,
@@ -141,12 +120,20 @@ def rref_fraction(rows):
 
 
 def kernel_basis(rows):
-    """Basis of the right null space over QQ, as primitive integer vectors.
-
-    Each basis vector is scaled to integer entries with content 1 and a
-    positive leading (first nonzero) entry sign convention.
-    """
-    return rank_kernel(rows)[1]
+    """Basis of the right null space over QQ, read off :func:`rref_fraction`:
+    one vector per free column f, in increasing order, 1 at f and minus
+    column f of the RREF at the pivot columns, scaled to a primitive integer
+    vector (content 1) whose first nonzero entry is positive."""
+    rref, pivots = rref_fraction(rows)
+    n = len(rref[0]) if rref else 0
+    basis = []
+    for f in (j for j in range(n) if j not in pivots):
+        v = [0] * n
+        v[f] = 1
+        for r, c in enumerate(pivots):
+            v[c] = -rref[r][f]
+        basis.append(_primitive(_integer_scaled(v)[0]))
+    return basis
 
 
 def _integer_scaled(values):

@@ -53,15 +53,14 @@ def classify_type(A_p, mode: str, seed: int | None = None) -> TypeReport:
     if mode not in ("B1", "L"):
         raise StructuralError(f"unknown mode {mode!r}")
     (B,) = derivative_matrices([A_p])
-    size = len(B)
-    rank, kernel = linalg.rank_kernel(B)
+    kernel = linalg.kernel_basis(B)
     m, n = linalg._dims(A_p)
     return TypeReport(
         shape=(m, n),
         mode=mode,
         point=tuple(tuple(r) for r in A_p),
-        rank=rank,
-        corank=size - rank,
+        rank=len(B) - len(kernel),  # rank-nullity: B is square
+        corank=len(kernel),
         kernel_basis=tuple(tuple(v) for v in kernel),
         seed=seed,
     )

@@ -93,6 +93,21 @@ def test_gb_dim_degree_pipeline(capsys, ideal_file, tmp_path, monkeypatch):
         assert re.sub(r'"wall_ms": \d+', '"wall_ms": 0', out) == want
 
 
+def test_dim_and_degree_past_30_variables(capsys, tmp_path):
+    """dim and degree report rings past the 30 variables of the exhaustive
+    independent-set search, with ``independent_set`` null: x0^2, x1*x2 and
+    x3^3 in 32 variables cut out dimension 29 and degree 2 * 2 * 3."""
+    path = tmp_path / "wide.txt"
+    path.write_text("vars: " + " ".join(f"x{i}" for i in range(32)) + "\nx0^2\nx1*x2\nx3^3\n")
+    for command, line, degree in (("dim", "dim 29  codim 3", None), ("degree", "degree 12", 12)):
+        code, out, _ = run(capsys, command, "--ideal-file", str(path))
+        assert code == 0 and out.strip() == line
+        code, out, _ = run(capsys, command, "--ideal-file", str(path), "--json")
+        blob = json.loads(out)
+        assert code == 0 and blob["independent_set"] is None
+        assert (blob["dim"], blob["codim"], blob.get("degree")) == (29, 3, degree)
+
+
 def test_saturate_command(capsys, tmp_path):
     path = tmp_path / "i.txt"
     path.write_text("vars: x y\nx*y\n")

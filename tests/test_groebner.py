@@ -469,9 +469,28 @@ def test_elimination_in_a_lex_ring_keeps_every_generator():
 def test_intersection_with_zero_ideal_is_zero():
     R = ring_of("xy")
     x, y = R.gens()
-    assert ideal_intersection([R.zero], [x]) == []
-    assert ideal_intersection([x, y], [R.zero, R.zero]) == []
-    assert ideal_intersection([], [x]) == []
+    assert ideal_intersection([R.zero], [x]) == [R.zero]
+    assert ideal_intersection([x, y], [R.zero, R.zero]) == [R.zero]
+    assert ideal_intersection([], [x]) == [R.zero]
+    assert ideal_intersection([], []) == []
+
+
+def test_zero_ideal_round_trips_through_intersection_and_saturation():
+    """Intersecting with the zero ideal, or saturating it, gives the zero
+    ideal as ``[ring.zero]``, which ``buchberger`` takes: dim n, codim 0,
+    as for ``buchberger([ring.zero])``.  An empty list names no ring."""
+    R = ring_of("xyz", domain=GF(P1))
+    x, y, z = R.gens()
+    for gens in (
+        [R.zero],
+        ideal_intersection([x], [R.zero]),
+        ideal_intersection([], [x * y]),
+        saturate([R.zero], x),
+        saturate([R.zero, R.zero], x * y * z),
+    ):
+        rep = ideal_dimension(buchberger(gens))
+        assert (rep.dim, rep.codim) == (3, 0)
+    assert saturate([], x) == []
 
 
 def test_intersection_of_coordinate_ideals():

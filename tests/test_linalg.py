@@ -120,7 +120,7 @@ def test_numpy_rank_of_every_integer_dtype(p):
 
 
 def test_elimination_checks_the_open_budget():
-    """The pure-Python elimination behind ``rank``, ``rank_kernel``,
+    """The pure-Python elimination behind ``rank``, ``kernel_basis``,
     ``rank_modp`` and ``rank_modp_numpy`` past 2**31 checks the open budget
     before each column, in phase ``"elimination"``; with none open it runs."""
     A = [[1, 2, 3, 4], [0, 1, 5, 6], [2, 0, 1, 7]]

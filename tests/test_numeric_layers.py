@@ -283,7 +283,7 @@ ENTRIES = {
 
 
 @pytest.mark.parametrize("kind", sorted(ENTRIES))
-def test_rank_kernel_matches_fraction_rref(kind):
+def test_rank_and_kernel_match_fraction_rref(kind):
     rng = random.Random(2024)
     entry = ENTRIES[kind]
     for _ in range(300):
@@ -291,21 +291,24 @@ def test_rank_kernel_matches_fraction_rref(kind):
         A = random_matrix(rng, m, n, entry)
         rref, pivots = ref_rref_fraction(A)
         kernel = ref_kernel_basis(A)
-        assert linalg.rank_kernel(A) == (len(pivots), kernel)
         assert linalg.rank(A) == len(pivots)
         assert linalg.kernel_basis(A) == kernel
         assert linalg.rref_fraction(A) == (rref, pivots)
 
 
-def test_rank_kernel_extremes():
-    assert linalg.rank_kernel([[0, 0, 0], [0, 0, 0]]) == (0, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-    assert linalg.rank_kernel([[2, 0], [0, -3]]) == (2, [])
-    assert linalg.rank_kernel([[Fraction(1, 2), Fraction(1, 3)]]) == (1, [[2, -3]])
-    assert linalg.rank_kernel([]) == (0, [])
+def test_rank_and_kernel_extremes():
+    for A, rank, kernel in (
+        ([[0, 0, 0], [0, 0, 0]], 0, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+        ([[2, 0], [0, -3]], 2, []),
+        ([[Fraction(1, 2), Fraction(1, 3)]], 1, [[2, -3]]),
+        ([], 0, []),
+    ):
+        assert (linalg.rank(A), linalg.kernel_basis(A)) == (rank, kernel)
     identity = [[int(i == j) for j in range(5)] for i in range(5)]
     assert linalg.rref_fraction(identity) == ref_rref_fraction(identity)
-    with pytest.raises(StructuralError):
-        linalg.rank_kernel([[1, 2], [3]])
+    for routine in (linalg.rank, linalg.kernel_basis):
+        with pytest.raises(StructuralError):
+            routine([[1, 2], [3]])
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,6 @@ import permvar
 SRC = Path(permvar.__file__).parent
 
 ALLOWED = {
-    "linalg.rref_fraction": "exact RREF over QQ, derived from rank_kernel; a benchmark layer metric",
-    "linalg.kernel_basis": "perfbench traces it",
     "ring._Pack.divides": (
         "the divisibility test that groebner's reducer scan and pair update inline; "
         "test_groebner_reference's reference engine calls it"
