@@ -297,7 +297,7 @@ def _codes(d: int, m: int, base: int):
     times the weights base**(m - 1), ..., base, 1, summed.  With base above
     every degree in play, a product's code is the sum of its factors' codes.
     Python ints (object dtype) once base**m reaches 2**63."""
-    import numpy as np
+    np = linalg._numpy()
 
     weights = [base**i for i in range(m)][::-1]
     dtype = object if base**m >= 1 << 63 else np.int64
@@ -307,7 +307,7 @@ def _codes(d: int, m: int, base: int):
 def _dense(forms, d: int, m: int):
     """The coefficients, ints below 2**63, of homogeneous degree-d forms in
     m variables: an int64 row per form, a column per ``_monomials(d, m)``."""
-    import numpy as np
+    np = linalg._numpy()
 
     column = {e: j for j, e in enumerate(_monomials(d, m))}
     out = np.zeros((len(forms), len(column)), dtype=np.int64)
@@ -320,7 +320,7 @@ def _dense(forms, d: int, m: int):
 
 def _distinct(rows):
     """The distinct nonzero rows of an array, sorted."""
-    import numpy as np
+    np = linalg._numpy()
 
     return np.unique(rows[rows.any(1)], axis=0)
 
@@ -348,7 +348,7 @@ def _minor_rows(M: PolyMatrix, h: int) -> MinorRows:
     D + 1) plus the smaller minors' codes gives their products' columns.
     Every partial sum is at most h! L^h, L the largest sum of an entry's
     absolute coefficients; past 2**63 CapacityError is raised."""
-    import numpy as np
+    np = linalg._numpy()
 
     entries = [g for row in M.rows for g in row if g]
     degree = {g.total_degree() for g in entries}
@@ -397,7 +397,7 @@ def _macaulay_matrix(rows: dict, d: int, m: int, p: int):
     searchsorted per degree.  Filled in place, int32 below 2**31, the
     dtype of the transposed residues that ``rank_modp_numpy`` works on, so
     the matrix and that copy take the same memory."""
-    import numpy as np
+    np = linalg._numpy()
 
     columns, top = _codes(d, m, d + 1), 0
     height = sum(len(g) * comb(d - dg + m - 1, m - 1) for dg, g in rows.items())

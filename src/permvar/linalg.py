@@ -9,22 +9,24 @@ numpy kernel ``rank_modp_numpy`` ranks integer matrices mod p < 2**31 by
 block-recursive Gaussian elimination: it searches pivots column by column
 only in blocks of a few columns, and takes every larger step as float64
 products through BLAS of residues split so that each sum is an integer
-below 2**53, which float64 holds exactly.  Its working array holds int32
-residues; only the block being eliminated (as int64) and the tile being
-updated (as float64 and int64) are widened, and written back reduced.  It
-ranks the rows in order of their first nonzero column, their lead, so that
-a sparse Macaulay matrix becomes a staircase: with stop[j] the number of
-rows of lead at most j, rows from stop[j] on stay zero in column j (a row
-is zero left of its lead, and a pivot at column c updates only rows
-nonzero at c, so of lead at most c, and only right of c), so every step
-stops there; and it skips every product tile with an all-zero factor.
-Floats are refused.
+below 2**53, which float64 holds exactly.  Each product is small enough for
+one BLAS thread, and the package imports numpy only through ``_numpy``,
+which loads OpenBLAS with one.  The working array holds int32 residues;
+only the block being eliminated (as int64) and the tile being updated (as
+float64 and int64) are widened, and written back reduced.  The rows are
+ranked in order of their first nonzero column, their lead, so that a
+sparse Macaulay matrix becomes a staircase: with stop[j] the number of rows
+of lead at most j, rows from stop[j] on stay zero in column j, so every
+step stops there; and every product tile with an all-zero factor is
+skipped.  Floats are refused.
 """
 
 from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm
 from operator import index
+from os import environ
+from sys import modules
 
 from .budget import check
 from .errors import StructuralError
@@ -177,9 +179,21 @@ def rank_modp(rows, p):
 
 # Columns per panel of rank_modp_numpy, halved down to BASE.  Its float64
 # products sum at most PANEL = 64 terms (see _submul) into tiles of at most
-# PANEL * PANEL entries: 2**18 multiply-adds, which OpenBLAS runs on one
-# thread (larger products wake threads that spin and cost CPU time).
+# PANEL * PANEL entries: 2**18 multiply-adds, below OpenBLAS's threading
+# threshold, so _numpy loads OpenBLAS with one thread: its idle worker spins.
 PANEL, BASE = 64, 8
+
+
+def _numpy():
+    """numpy, imported first with OPENBLAS_NUM_THREADS=1, os.environ then restored."""
+    if "numpy" not in modules and {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"}.isdisjoint(environ):
+        environ["OPENBLAS_NUM_THREADS"] = "1"
+        try:
+            import numpy
+        finally:
+            del environ["OPENBLAS_NUM_THREADS"]
+    import numpy
+    return numpy
 
 
 def rank_modp_numpy(mat, p):
@@ -206,11 +220,11 @@ def rank_modp_numpy(mat, p):
     pivots then update the columns right of it at once.  Entries are
     reduced mod p before the int32 cast (an array narrower than 32 bits
     first widened to int64 when p does not fit its dtype), an empty matrix
-    has rank 0, and the caller's matrix is not modified.  Entries that are
-    not integers (a float dtype, or a float or Fraction in an object array)
-    raise StructuralError, where a cast would truncate them.
+    has rank 0, and the caller's matrix is left unmodified, and unreferenced
+    once t is filled.  Entries that are not integers (a float dtype, or a
+    float or Fraction in an object array) raise StructuralError.
     """
-    import numpy as np
+    np = _numpy()
 
     a = np.asarray(mat)
     if not a.size:
@@ -238,6 +252,7 @@ def rank_modp_numpy(mat, p):
     t = np.empty((n, m), dtype=np.int32)
     for i in range(0, m, PANEL):
         np.remainder(a[order[i : i + PANEL]].T, p, out=t[:, i : i + PANEL], casting="unsafe")
+    del mat, a, order  # so that a matrix no caller holds is freed before elimination
     row, piv = 0, []
     for c0 in range(0, n, PANEL):
         if row == m:
@@ -269,7 +284,7 @@ def _eliminate(t, p, row, c0, c1, piv, stop):
     2**63 through the BASE = 8 updates of its block, and is written back
     reduced.
     """
-    import numpy as np
+    np = _numpy()
 
     if c1 - c0 > BASE:
         mid, r0 = (c0 + c1) // 2, row
@@ -319,7 +334,7 @@ def _update(x, f, b, p):
     both hold a nonzero are multiplied: any other tile's product is 0, and
     x keeps its residues.  The callers pass x and b up to the stop of f's
     last pivot column, from which on b is zero."""
-    import numpy as np
+    np = _numpy()
 
     rows = min(len(x), PANEL)
     cols = PANEL * PANEL // rows
@@ -348,7 +363,7 @@ def _submul(x, f, f2, lo, hi, p):
     TOMS 35(3), 2008).  The difference is taken and reduced in int64, then
     written back.
     """
-    import numpy as np
+    np = _numpy()
 
     t = f @ lo
     t += f2 @ hi

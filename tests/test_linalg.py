@@ -1,6 +1,11 @@
 """Exact linear algebra: ranks, kernels, mod-p elimination."""
 
+import ast
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -486,3 +491,95 @@ def test_every_step_stays_inside_the_staircase_window(monkeypatch):
     assert max(poisoned) > 0 and widths
     assert all(width <= bound for width, bound, _ in widths)
     assert any(bound < below for _, bound, below in widths)
+
+
+# ---------------------------------------------------------------------------
+# numpy, loaded with one BLAS thread, and the kernel's hold on its input
+
+THREADS_AFTER_A_CERTIFICATE = (
+    "import os\n"
+    "from permvar.experiments import homogeneous_dim0_certificate\n"
+    "from permvar.ring import QQ, PolyRing, VarUniverse\n"
+    "x, y = PolyRing(VarUniverse.free(['x', 'y']), QQ).gens()\n"
+    "assert homogeneous_dim0_certificate([x**2, x * y, y**3], 2147483647) == 3\n"
+    "with open('/proc/self/status') as status:\n"
+    "    threads = next(line.split()[1] for line in status if line.startswith('Threads:'))\n"
+    "print(threads, os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+)
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads /proc/self/status")
+@pytest.mark.parametrize("caller", [None, "2"])
+def test_numpy_loads_with_one_blas_thread_unless_the_caller_sets_it(caller):
+    """The certificate, the first to import numpy in a fresh process, leaves
+    it with one thread and OPENBLAS_NUM_THREADS unset: OpenBLAS's default
+    worker, which no product of the kernel needs, would spin and cost CPU
+    time.  A caller's OPENBLAS_NUM_THREADS=2 is left as set, and gives
+    OpenBLAS its second thread."""
+    if caller and (os.cpu_count() or 1) < 2:
+        pytest.skip("OpenBLAS starts no more threads than there are CPUs")
+    threads = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in threads}
+    env["PYTHONPATH"] = str(pathlib.Path(linalg.__file__).parents[1])
+    if caller:
+        env["OPENBLAS_NUM_THREADS"] = caller
+    done = subprocess.run(
+        [sys.executable, "-c", THREADS_AFTER_A_CERTIFICATE],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ([caller, caller] if caller else ["1", "None"])
+
+
+def test_numpy_is_imported_only_through_the_loader():
+    """Every numpy import in the package is one of the two in
+    ``linalg._numpy``, so no other import can load numpy with OpenBLAS's
+    default threads."""
+    found = []
+    for path in sorted(pathlib.Path(linalg.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        loader = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_numpy"]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                inside = any(f.lineno <= node.lineno <= f.end_lineno for f in loader)
+                found.append((path.name, inside))
+    assert found == [("linalg.py", True)] * 2
+
+
+def test_numpy_rank_releases_its_input_before_elimination(monkeypatch):
+    """A matrix that only the call holds is freed once the working array is
+    filled, before the first elimination step, so it and the working array
+    are not both held through the elimination; a matrix the caller keeps
+    comes back unchanged."""
+    import weakref
+
+    import numpy as np
+
+    class Held(np.ndarray):
+        pass
+
+    rows = _banded(random.Random(50), 2 * W + 30, 2 * W, 6)
+    want, refs, freed, eliminate = linalg.rank_modp(rows, P1), [], [], linalg._eliminate
+
+    def temporary():
+        held = np.array(rows, dtype=np.int32).view(Held)
+        refs.append(weakref.ref(held))
+        return held
+
+    def watched(*args):
+        freed.append(refs[0]() is None)
+        return eliminate(*args)
+
+    monkeypatch.setattr(linalg, "_eliminate", watched)
+    rank = linalg.rank_modp_numpy(temporary(), P1)  # not inside assert: pytest would keep it
+    assert rank == want and freed[0]
+    kept = np.array(rows, dtype=np.int32).view(Held)
+    before = kept.copy()
+    assert linalg.rank_modp_numpy(kept, P1) == want
+    assert np.array_equal(kept, before)
