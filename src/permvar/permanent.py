@@ -10,13 +10,16 @@ derived matrices, the Kirkup check) is read off one unsigned expansion
 (``ring._expand``): one forward pass over the rows whose states are (row
 set, column set) pairs, so every h-row subset meets every h-column subset
 and shares the states of its prefixes.  Signed, the same pass gives the
-symbolic determinants and minors.
+symbolic determinants and minors.  Over polynomial entries a state's value
+is a dict of terms, into which each placement adds its products in place;
+no intermediate polynomial is built, and each result is made once.
 
 ``derivative_matrices`` takes a batch of points of one shape and runs one
 expansion for the whole batch: each entry is a lane vector
 (``ring._Lanes``, the one lane type, which ``MPoly.evaluate`` also walks)
-holding its value at every point, multiplied and added lanewise, and every
-point's matrix is read from its own lane of the result.
+holding its value at every point, and a placement multiplies and adds
+lanewise in one pass.  Every point's matrix is read from its own lane of
+the result.
 """
 
 from __future__ import annotations
@@ -403,7 +406,7 @@ def derivative_matrices(points):
     Both torus modes build this matrix: "B1" from a (k-1) x (k+1) point,
     "L" from a (k-2) x k one.  A batch of two or more points is one
     expansion whose entries are lanes, one per point; a batch of one
-    expands the point's own entries, about 4x faster than through one lane.
+    expands the point's own entries, about 3x faster than through one lane.
     """
     try:
         shapes = {_dims(p) for p in points}

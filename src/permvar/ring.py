@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import combinations, repeat
-from operator import add, itemgetter, mul
+from itertools import accumulate, combinations
+from operator import add, index, itemgetter, mul
 
 from .errors import (
     CapacityError,
@@ -85,8 +85,10 @@ class CoeffDomain:
         return self.kind != "int"
 
     def coerce(self, c):
-        """The canonical element of this domain equal to the int or Fraction
-        ``c``; a Fraction enters F_p through the inverse of its denominator."""
+        """The canonical element of this domain equal to ``c``: an int, a
+        Fraction or an integer that ``operator.index`` reads (a numpy
+        integer, say); a Fraction enters F_p through the inverse of its
+        denominator.  Anything else, a float or a string, is refused."""
         if self.kind == "fp":
             p = self.modulus
             # the exact-type test first: isinstance against Fraction goes
@@ -98,16 +100,16 @@ class CoeffDomain:
                 if den == 0:
                     raise StructuralError(f"denominator of {c} vanishes mod {p}")
                 return c.numerator % p * pow(den, p - 2, p) % p
-            return int(c) % p
+            return _index(c) % p
         if self.kind == "rat":
-            return Fraction(c)
+            return Fraction(c if type(c) is int or isinstance(c, Fraction) else _index(c))
         if type(c) is int:
             return c
         if isinstance(c, Fraction):
             if c.denominator != 1:
                 raise StructuralError(f"{c} is not an integer")
             return c.numerator
-        return int(c)
+        return _index(c)
 
     def __eq__(self, other):
         return (
@@ -126,6 +128,14 @@ class CoeffDomain:
 
     def tag(self) -> str:
         return f"fp:{self.modulus}" if self.kind == "fp" else self.kind
+
+
+def _index(c) -> int:
+    """``operator.index(c)``, refused as a ``StructuralError``."""
+    try:
+        return index(c)
+    except TypeError:
+        raise StructuralError(f"coefficient {c!r} is not an int or a Fraction") from None
 
 
 ZZ = CoeffDomain("int")
@@ -276,6 +286,12 @@ class _Pack:
         self._weights = tuple(1 << (self._low_bits + w * (m - 1 - i)) for i in range(m)) + tuple(
             (1 << self._deg_shift) - (1 << (w * t)) for t in range(tail)
         )
+        # fields[i]: (shift, top, weight) of variable i, whose exponent is
+        # abs(top - (key >> shift & _FIELD_MASK)): top is 0 for a raw (lex)
+        # field and cap for a complement (degrevlex) one; key - weight
+        # divides the monomial by the variable
+        shifts = [self._low_bits + w * (m - 1 - i) for i in range(m)] + [w * t for t in range(tail)]
+        self.fields = tuple(zip(shifts, [0] * m + [_FIELD_CAP] * tail, self._weights))
         self.one = self.offset  # key of the monomial 1
 
     def pack(self, exps) -> int:
@@ -287,14 +303,7 @@ class _Pack:
         return self.offset + sum(map(mul, exps, self._weights))
 
     def unpack(self, key: int):
-        n, w = self.n, _WIDTH
-        m = n - self._tail
-        exps = [0] * n
-        for i in range(m):
-            exps[i] = (key >> (self._low_bits + w * (m - 1 - i))) & _FIELD_MASK
-        for i in range(m, n):
-            exps[i] = _FIELD_CAP - ((key >> (w * (i - m))) & _FIELD_MASK)
-        return tuple(exps)
+        return tuple([abs(top - (key >> shift & _FIELD_MASK)) for shift, top, _ in self.fields])
 
     def spell(self, key: int) -> tuple:
         """The monomial's variables in increasing order, each repeated by its
@@ -618,23 +627,18 @@ class MPoly:
     # -- calculus and substitution --------------------------------------
 
     def diff(self, var) -> "MPoly":
-        """Formal partial derivative with respect to a variable (index or name)."""
+        """Formal partial derivative with respect to a variable (index or
+        name), on the packed keys: each term reads its exponent e off the
+        variable's field and, if e > 0, takes e times its coefficient to the
+        key less the variable's pack weight."""
         if isinstance(var, str):
             var = self.universe.index[var]
-        n = len(self.universe)
-        if not 0 <= var < n:
+        if not 0 <= var < len(self.universe):
             raise StructuralError(f"variable index {var} out of range")
-        pack = self.ring.pack
-        acc = {}
-        for k, c in self.terms:
-            exps = pack.unpack(k)
-            e = exps[var]
-            if e == 0:
-                continue
-            newexps = list(exps)
-            newexps[var] = e - 1
-            acc[pack.pack(newexps)] = c * e
-        return self.ring.from_terms(acc)
+        shift, top, weight = self.ring.pack.fields[var]
+        return self.ring.from_terms(
+            {k - weight: c * e for k, c in self.terms if (e := abs(top - (k >> shift & _FIELD_MASK)))}
+        )
 
     def substitute(self, mapping, target: PolyRing | None = None) -> "MPoly":
         """Substitute variables by polynomials.
@@ -893,23 +897,42 @@ class PolyMatrix:
 
 
 class _Lanes(list):
-    """A value at each point of a batch, multiplied and added lanewise (a
-    scalar on the left multiplies every lane) and zero when every lane is:
-    ``MPoly.evaluate``'s values, and ``_expand``'s entries over a batch."""
+    """A value at each point of a batch, multiplied and added lanewise and
+    zero when every lane is: ``MPoly.evaluate``'s values, and ``_expand``'s
+    entries over a batch.  ``__add__`` takes any iterable of the lanes'
+    length, so ``_expand`` adds a product ``map(mul, val, x)`` in the same
+    pass that takes it."""
 
     __slots__ = ()
 
     def __mul__(self, other):
         return _Lanes(map(mul, self, other))
 
-    def __rmul__(self, c):
-        return _Lanes(map(mul, repeat(c), self))
-
     def __add__(self, other):
         return _Lanes(map(add, self, other))
 
     def __bool__(self):
         return any(self)
+
+
+def _add_number(placed: dict, k: int, val, x):
+    placed[k] = placed.get(k, 0) + val * x
+
+
+def _add_lanes(placed: dict, k: int, val, x):
+    old = placed.get(k)
+    placed[k] = _Lanes(map(mul, val, x)) if old is None else old + map(mul, val, x)
+
+
+def _add_terms(placed: dict, k: int, val: dict, x: tuple):
+    acc = placed.get(k)
+    if acc is None:
+        acc = placed[k] = {}
+    get = acc.get
+    for kx, cx in x:
+        for kv, cv in val.items():
+            kv += kx
+            acc[kv] = get(kv, 0) + cv * cx
 
 
 def _expand(rows, signed: bool, h: int | None = None) -> dict:
@@ -927,16 +950,45 @@ def _expand(rows, signed: bool, h: int | None = None) -> dict:
     after the columns in C adds popcount(C >> (j + 1)) inversions, which
     gives the determinant's sign.  A state is keyed by C and the rows it
     skipped, and at most m - h rows are skipped, so none is built that
-    cannot collect h rows.  Sums that cancel to zero are skipped as states
-    and left out of the result.
+    cannot collect h rows.  A placement adds the state's value times the
+    entry into its target's value in place, by the one step the entries'
+    type picks: a number, a lane-wise multiply-add, or, for polynomials, a
+    {key: coeff} dict of terms, into which each term of the entry (its key
+    less the pack offset) adds its products with the state's terms.  Each
+    returned polynomial is built by one ``from_terms``.  A state whose sum
+    is zero is skipped and left out of the result; one whose terms cancel
+    (exactly or only mod p) is carried to the end, where its products
+    cancel too, with the same result.  Where the entries' degrees could
+    sum past the exponent cap, every row's product keys are checked for a
+    guard bit, which raises ``MPoly.__mul__``'s ``CapacityError``, and the
+    cancelled terms are dropped before the next row, so that an overflow
+    raises exactly where polynomial arithmetic would.
     """
     m, n = len(rows), len(rows[0]) if rows else 0
     h = m if h is None else h
     cols = (1 << n) - 1
+    first = next((x for row in rows for x in row if x), 0)
+    if isinstance(first, MPoly):
+        ring = first.ring
+        off = ring.pack.offset
+        start, step, finish = {off: 1}, _add_terms, ring.from_terms
+
+        def prep(x):
+            return tuple((k - off, c) for k, c in x.terms)
+
+        # over[r]: the degrees of the rows up to r + 1 (the last row at the
+        # end) may sum past the cap
+        bound = list(accumulate(max((x.total_degree() for x in row if x), default=0) for row in rows))
+        over = [d > _FIELD_CAP for d in bound[1:] + bound[-1:]]
+    else:
+        start = _Lanes([1] * len(first)) if isinstance(first, _Lanes) else 1
+        step = _add_lanes if isinstance(first, _Lanes) else _add_number
+        prep = finish = lambda x: x
+        over = [False] * m
     # layers[s]: the states that skipped s rows, keyed by C | skipped << n
-    layers = [{0: 1}]
+    layers = [{0: start}]
     for r, row in enumerate(rows):
-        entries = [(j, 1 << j, x) for j, x in enumerate(row) if x]
+        entries = [(j, 1 << j, prep(x), signed and prep(-x)) for j, x in enumerate(row) if x]
         # descending, so layer s + 1 already holds its placements when the
         # states of layer s that skip row r join it
         for s in range(len(layers) - 1, -1, -1):
@@ -945,23 +997,31 @@ def _expand(rows, signed: bool, h: int | None = None) -> dict:
                 for key, val in states.items():
                     if not val:
                         continue
-                    for j, bit, x in entries:
-                        if key & bit:
-                            continue
-                        term = val * x
-                        k = key | bit
-                        old = placed.get(k)
-                        if signed and ((key & cols) >> (j + 1)).bit_count() & 1:
-                            placed[k] = -term if old is None else old - term
-                        else:
-                            placed[k] = term if old is None else old + term
+                    for j, bit, x, neg in entries:
+                        if not key & bit:
+                            odd = signed and ((key & cols) >> (j + 1)).bit_count() & 1
+                            step(placed, key | bit, val, neg if odd else x)
             layers[s] = placed
             if s < m - h:
                 if s + 1 == len(layers):
                     layers.append({})
                 skip = 1 << (n + r)
                 layers[s + 1].update((key | skip, val) for key, val in states.items() if val)
-    return {key: val for key, val in layers[-1].items() if val}
+        if over[r]:
+            _reduce_states(layers, ring)
+    done = ((key, finish(val)) for key, val in layers[-1].items())
+    return {key: val for key, val in done if val}
+
+
+def _reduce_states(layers, ring):
+    """Raise ``MPoly.__mul__``'s ``CapacityError`` if a key of a state has a
+    guard bit set, and make each state's terms the canonical ones."""
+    guard = ring.pack.guard
+    for layer in layers:
+        for key, acc in layer.items():
+            if any(k & guard for k in acc):
+                raise CapacityError(f"product has an exponent above {_FIELD_CAP}")
+            layer[key] = dict(ring.from_terms(acc).terms)
 
 
 def _subset_key(R: int, C: int, m: int, n: int) -> int:

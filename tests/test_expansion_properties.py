@@ -3,8 +3,9 @@ permanent, determinant, minor and derived matrix, against the Leibniz sum
 over permutations.  Skipped when hypothesis is not installed.
 
 Matrices are at most 4 x 6, with zero entries and zero rows, as ints,
-Fractions and polynomials over ZZ, QQ and F_5; the small prime makes sums
-cancel to zero often.  Square symmetric matrices are drawn too, on which
+Fractions and polynomials over ZZ, QQ and F_5, in degrevlex, lex and
+block(1) rings (whose pack offsets cover all, none and part of a key); the
+small prime makes sums cancel to zero often.  Square symmetric matrices are drawn too, on which
 many minors and permanents are equal in pairs.
 """
 
@@ -24,9 +25,21 @@ from permvar.permanent import (  # noqa: E402
     maximal_permanents_vanish,
     perm_symbolic,
 )
-from permvar.ring import GF, QQ, ZZ, PolyMatrix, PolyRing, VarUniverse, matrix_minors  # noqa: E402
+from permvar.ring import (  # noqa: E402
+    DEGREVLEX,
+    GF,
+    LEX,
+    QQ,
+    ZZ,
+    PolyMatrix,
+    PolyRing,
+    VarUniverse,
+    block_order,
+    matrix_minors,
+)
 
 DOMAINS = [ZZ, QQ, GF(5)]
+ORDERS = [DEGREVLEX, LEX, block_order(1)]
 SETTINGS = settings(derandomize=True, deadline=None, database=None, max_examples=100)
 
 
@@ -65,9 +78,10 @@ def int_grids(draw, m=None, n=None):
 @st.composite
 def poly_matrices(draw, shape=None):
     """A PolyMatrix of entries c0 + c1 * v over ZZ, QQ or F_5 (zero when
-    c0 = c1 = 0), as its ring and its rows."""
+    c0 = c1 = 0) in one of ORDERS, as its ring and its rows."""
     domain = draw(st.sampled_from(DOMAINS))
-    ring = PolyRing(VarUniverse.free(["a", "b", "c"]), domain)
+    order = draw(st.sampled_from(ORDERS))
+    ring = PolyRing(VarUniverse.free(["a", "b", "c"]), domain, order)
     if shape is None:
         m = draw(st.integers(1, 4))
         shape = (m, draw(st.integers(1, 5)))

@@ -30,6 +30,7 @@ from permvar.ring import (  # noqa: E402
     GF,
     LEX,
     QQ,
+    ZZ,
     PolyRing,
     VarUniverse,
     _Pack,
@@ -97,6 +98,48 @@ def test_support_test_rejects_exactly_the_support_misses(order, case):
     assert pack.divides(kd, kb) and not rejects(kd, kb)
     if pack.divides(ka, kb):
         assert not rejects(ka, kb)
+
+
+def _diff_reference(f, var):
+    """``MPoly.diff`` term by term: unpack the key, lower the exponent and
+    pack it again."""
+    pack, acc = f.ring.pack, {}
+    for k, c in f.terms:
+        exps = list(pack.unpack(k))
+        if exps[var]:
+            exps[var] -= 1
+            acc[pack.pack(exps)] = c * (exps[var] + 1)
+    return f.ring.from_terms(acc)
+
+
+THREE_ORDERS = [DEGREVLEX, LEX, block_order(1)]
+
+
+@SETTINGS
+@given(
+    order=st.sampled_from(THREE_ORDERS),
+    domain=st.sampled_from([ZZ, QQ, GF(5)]),
+    n=st.integers(1, 6),
+    data=st.data(),
+)
+def test_diff_on_packed_keys_matches_unpack_and_pack(order, domain, n, data):
+    """Exponents 0 and 1, 5 (p over F_5, where the derived term vanishes),
+    cap - 1 and the cap, in raw (lex) and complement (degrevlex) fields."""
+    ring = PolyRing(VarUniverse.free([f"v{i}" for i in range(n)]), domain, order)
+    exps = st.one_of(st.sampled_from([0, 1, 5, _FIELD_CAP - 1, _FIELD_CAP]), EXPONENTS)
+    terms = data.draw(st.dictionaries(st.tuples(*[exps] * n), st.integers(-9, 9), max_size=8))
+    f = ring.from_exp_dict(terms)
+    for var in range(n):
+        assert f.diff(var) == _diff_reference(f, var)
+
+
+@pytest.mark.parametrize("order", THREE_ORDERS, ids=repr)
+def test_diff_at_the_prime_and_at_the_cap(order):
+    ring = PolyRing(VarUniverse.free(["x", "y"]), GF(5), order)
+    x, y = ring.gens()
+    assert (x**5 * y).diff("x") == 0
+    assert (x**5 * y).diff("y") == x**5
+    assert (x**_FIELD_CAP * y).diff(0) == _FIELD_CAP % 5 * x ** (_FIELD_CAP - 1) * y
 
 
 P = 2147483647

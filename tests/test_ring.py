@@ -480,6 +480,56 @@ def test_exponent_overflow_refused(order):
         assert (x**CAP).lead_monomial() == (CAP, 0, 0)
 
 
+@pytest.mark.parametrize("order", KEY_ORDERS, ids=KEY_IDS)
+def test_expansion_overflow_matches_polynomial_arithmetic(order):
+    """The expansion raises ``CapacityError`` where a product of a state's
+    terms and an entry passes the cap, as ``MPoly.__mul__`` does, and never
+    from the entries' degrees alone.  A state that cancels, exactly or only
+    mod p, takes no product, as when each state is an MPoly."""
+    from permvar.permanent import matrix_permanents, perm_symbolic
+
+    for domain in (ZZ, GF(2)):
+        R = PolyRing(VarUniverse.free(["x", "y", "z"]), domain, order)
+        x, y, z = R.gens()
+        # total degree 40,000, every exponent within the cap
+        diagonal = PolyMatrix([[x**20000, R.zero], [R.zero, y**20000]])
+        assert perm_symbolic(diagonal) == x**20000 * y**20000
+        with pytest.raises(CapacityError):
+            perm_symbolic(PolyMatrix([[x**20000, y], [y, x**20000]]))
+        # a zero row adds no degree: x^16384 * x^16384 still overflows
+        top = x**16384
+        with pytest.raises(CapacityError):
+            matrix_permanents(2, PolyMatrix([[top, R.zero], [R.zero, R.zero], [R.zero, top]]))
+        # rows 0 and 1 are equal: every state on both is 0 in the
+        # determinant, and in the permanent over F_2, so x^20000 meets
+        # x^20000 only in the permanent over ZZ
+        a, b = x**10000, x**20000
+        rows = PolyMatrix([[a, a, y], [a, a, y], [b, b, b]])
+        assert matrix_det(rows) == 0
+        if domain == ZZ:
+            with pytest.raises(CapacityError):
+                perm_symbolic(rows)
+        else:
+            assert perm_symbolic(rows) == 0
+
+
+def test_coerce_refuses_inexact_values():
+    """Only ints, Fractions and values ``operator.index`` reads enter a
+    domain: a float or a string is refused, where ZZ once took 2.5 as 2 and
+    evaluated a*b at (2.5, 2) to 4."""
+    R = PolyRing(VarUniverse.free(["a", "b"]), ZZ)
+    a, b = R.gens()
+    for dom in (ZZ, QQ, GF(7)):
+        for bad in (2.5, 2.0, "3", "1/2", None):
+            with pytest.raises(StructuralError):
+                dom.coerce(bad)
+    with pytest.raises(StructuralError):
+        (a * b).evaluate([[2.5, 2]])
+    with pytest.raises(StructuralError):
+        R.const(2.5)
+    assert [dom.coerce(True) for dom in (ZZ, QQ, GF(7))] == [1, 1, 1]
+
+
 def test_det_capacity_bound():
     R = PolyRing(VarUniverse.free([f"v{i}" for i in range(81)]), QQ)
     g = R.gens()
